@@ -93,7 +93,7 @@ class CommutatorNotOrderTwoError(HypothesisViolationError):
 
 
 class ParseError(F2UnitsError):
-    """Malformed group spec or element text."""
+    """Malformed group spec, element text or setting."""
 
 
 class GroupAxiomViolationError(F2UnitsError):

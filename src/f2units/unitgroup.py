@@ -21,6 +21,7 @@ from .errors import (
     NotASubgroupError,
     NotAUnitError,
     NotSubsetError,
+    ParseError,
     TooLargeError,
 )
 from .groups import GroupTable, SubgroupSet, complement_generators, find_complement_subgroup
@@ -36,7 +37,10 @@ def resolve_workers(workers: int | None = None) -> int:
         return max(1, int(workers))
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParseError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -262,27 +266,20 @@ def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:
         raise NotSubsetError(f"{name} is not contained in the ambient unit set")
 
 
-def _inverse_mask(g: GroupTable, m: int) -> int:
-    return ga_inverse(AlgebraElement(g, m)).mask
-
-
 def internal_semidirect(ambient: UnitSet, n: UnitSet, k: UnitSet) -> bool:
-    """True iff n is normal in ambient, meets k trivially, and n*k = ambient."""
+    """True iff n is normal in ambient, meets k trivially, and n*k = ambient.
+
+    Once n*k = ambient, the generators of n and k generate the ambient group,
+    so normality is decided by conjugating n's generators by them.
+    """
     _require_subset(ambient, n, "the normal part")
     _require_subset(ambient, k, "the complement part")
     g = ambient.group
-    n_set = n.mask_set()
-    if n_set & k.mask_set() != {1}:
+    if n.mask_set() & k.mask_set() != {1}:
         return False
     if product_masks(g, n.masks, k.masks) != ambient.mask_set():
         return False
-    for am in ambient.masks:
-        a = AlgebraElement(g, am)
-        a_inv = ga_inverse(a)
-        for nm in n.masks:
-            if ga_mul(ga_mul(a, AlgebraElement(g, nm)), a_inv).mask not in n_set:
-                return False
-    return True
+    return normalizes(g, gens_of(n) + gens_of(k), n)
 
 
 def internal_direct(ambient: UnitSet, factors: Sequence[UnitSet]) -> bool:
@@ -291,14 +288,11 @@ def internal_direct(ambient: UnitSet, factors: Sequence[UnitSet]) -> bool:
     for i, f in enumerate(factors):
         _require_subset(ambient, f, f"factor {i}")
     g = ambient.group
+    gens = [gens_of(f) for f in factors]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
-            for xm in factors[i].masks:
-                x = AlgebraElement(g, xm)
-                for ym in factors[j].masks:
-                    y = AlgebraElement(g, ym)
-                    if ga_mul(x, y).mask != ga_mul(y, x).mask:
-                        return False
+            if not commute(g, gens[i], gens[j]):
+                return False
     total: frozenset[int] = frozenset([1])
     for f in factors:
         total = product_masks(g, total, f.masks)
@@ -315,12 +309,8 @@ def internal_direct(ambient: UnitSet, factors: Sequence[UnitSet]) -> bool:
 
 
 def _is_abelian_units(s: UnitSet) -> bool:
-    g = s.group
-    pool = s.generators if s.generators is not None else s.masks
-    els = [AlgebraElement(g, m) for m in pool]
-    return all(
-        ga_mul(x, y).mask == ga_mul(y, x).mask for i, x in enumerate(els) for y in els[:i]
-    )
+    gens = gens_of(s)
+    return commute(s.group, gens, gens)
 
 
 def _element_order_in_units(g: GroupTable, m: int) -> int:
@@ -336,38 +326,22 @@ def _element_order_in_units(g: GroupTable, m: int) -> int:
 
 
 def structure_predicates(s: UnitSet) -> dict:
-    """Shape fingerprint: elementary-abelian flag, rank, exponent, centrality.
+    """Shape fingerprint: elementary-abelian flag, rank, exponent.
 
-    When generators are recorded, abelianness and exponent 2 are decided from
-    them (sound: commuting involutions generate an elementary abelian group);
-    otherwise the member list is scanned directly.
+    Abelianness and exponent 2 are decided from the generators (sound:
+    commuting involutions generate an elementary abelian group).
     """
     g = s.group
-    abelian = _is_abelian_units(s)
-    pool = s.generators if s.generators is not None else s.masks
-    squares_one = all(ga_mul(AlgebraElement(g, m), AlgebraElement(g, m)).mask == 1 for m in pool)
+    gens = gens_of(s)
+    abelian = commute(g, gens, gens)
+    squares_one = all(ga_mul(AlgebraElement(g, m), AlgebraElement(g, m)).mask == 1 for m in gens)
     elementary = abelian and squares_one
     rank = s.order.bit_length() - 1 if elementary else None
     if elementary:
         exponent = 1 if s.order == 1 else 2
     else:
         exponent = max(_element_order_in_units(g, m) for m in s.masks)
-
-    def is_central_in(ambient: UnitSet) -> bool:
-        for xm in s.masks:
-            x = AlgebraElement(g, xm)
-            for ym in ambient.masks:
-                y = AlgebraElement(g, ym)
-                if ga_mul(x, y).mask != ga_mul(y, x).mask:
-                    return False
-        return True
-
-    return {
-        "is_elementary_abelian_2": elementary,
-        "rank": rank,
-        "exponent": exponent,
-        "is_central_in": is_central_in,
-    }
+    return {"is_elementary_abelian_2": elementary, "rank": rank, "exponent": exponent}
 
 
 def elements_of_order_dividing_2(v: UnitSet) -> UnitSet:
@@ -394,6 +368,42 @@ def canonical_generators(s: UnitSet) -> list[int]:
     return gens
 
 
+def gens_of(s: UnitSet) -> list[int]:
+    """The recorded generators of s, else its canonical generating set."""
+    return list(s.generators) if s.generators is not None else canonical_generators(s)
+
+
+def commute(g: GroupTable, xs: Sequence[int], ys: Sequence[int]) -> bool:
+    """True iff every mask in xs commutes with every mask in ys.
+
+    Applied to generating sets this decides whether the generated subgroups
+    commute elementwise.
+    """
+    els = [AlgebraElement(g, m) for m in ys]
+    for xm in xs:
+        x = AlgebraElement(g, xm)
+        if any(ga_mul(x, y).mask != ga_mul(y, x).mask for y in els):
+            return False
+    return True
+
+
+def normalizes(g: GroupTable, conj_gens: Sequence[int], sub: UnitSet) -> bool:
+    """True iff a*n*a^-1 lies in sub for every a in conj_gens and every
+    generator n of sub.
+
+    In a finite group this means every a maps sub into, hence onto, itself,
+    so the whole group generated by conj_gens normalizes sub.
+    """
+    sub_set = sub.mask_set()
+    ns = [AlgebraElement(g, m) for m in gens_of(sub)]
+    for am in conj_gens:
+        a = AlgebraElement(g, am)
+        a_inv = ga_inverse(a)
+        if any(ga_mul(ga_mul(a, n), a_inv).mask not in sub_set for n in ns):
+            return False
+    return True
+
+
 def find_complement(ambient: UnitSet | SubgroupSet, factor: UnitSet | SubgroupSet):
     """Complement of a direct factor; dispatches on the carrier type.
 
@@ -406,6 +416,8 @@ def find_complement(ambient: UnitSet | SubgroupSet, factor: UnitSet | SubgroupSe
         raise TypeError("ambient and factor must both be UnitSet or both SubgroupSet")
     if factor.group is not ambient.group:
         raise GroupMismatchError("factor lives in a different group")
+    if not _is_abelian_units(ambient):
+        raise NotAbelianError("complement search requires an abelian ambient group")
     g = ambient.group
 
     def mul_fn(x: int, y: int) -> int:

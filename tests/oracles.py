@@ -94,3 +94,32 @@ def naive_element_order(g, x: int) -> int:
         acc = g.mul[acc][x]
         k += 1
     return k
+
+
+def naive_product(g, xs, ys) -> set[int]:
+    """All pairwise products, by the double loop."""
+    return {naive_mul(g, x, y) for x in xs for y in ys}
+
+
+def naive_commute(g, xs, ys) -> bool:
+    """Every member of xs commutes with every member of ys."""
+    return all(naive_mul(g, x, y) == naive_mul(g, y, x) for x in xs for y in ys)
+
+
+def naive_normal_in(g, ambient, sub) -> bool:
+    """aN = Na as sets, for every a in the ambient group.
+
+    Both cosets are constant on each left coset of N: if aN = Na, then for
+    a' = an we get a'N = aN and Na' = (Na)n = (aN)n = aN. So every member of
+    N is tested against the first ambient member of each left coset.
+    """
+    sub = list(sub)
+    covered: set[int] = set()
+    for a in sorted(ambient):
+        if a in covered:
+            continue
+        left = {naive_mul(g, a, n) for n in sub}
+        if left != {naive_mul(g, n, a) for n in sub}:
+            return False
+        covered |= left
+    return True

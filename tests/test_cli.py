@@ -9,6 +9,7 @@ import pytest
 import f2units as f
 from f2units.cli import main, parse_group_spec
 from f2units.errors import GroupAxiomViolationError, ParseError
+from f2units.unitgroup import THREADS_ENV_VAR
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -80,6 +81,15 @@ def test_invalid_input_exits_two(capsys):
     assert "CenterQuotientNotKlein" in capsys.readouterr().err
     assert main(["--family", "cyclic"]) == 2  # missing --order
     assert main(["--group", "/nonexistent/path.json"]) == 2
+
+
+def test_invalid_thread_count_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv(THREADS_ENV_VAR, "abc")
+    code = main(["--family", "quaternion", "--order", "8", "--involution", "classical"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "ParseError" in err and THREADS_ENV_VAR in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,179 @@
+"""Structure checks decided on generators agree with elementwise oracles.
+
+The package decides normality, commutation and abelianness from generating
+sets. Each test here recomputes the same predicate from every element with
+the naive routines of ``oracles.py``, on every catalog instance of order at
+most 16, and checks that the generators the package relies on really
+generate their factors.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import f2units as f
+from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
+from f2units.decompositions import _constructive_direct_checks
+from f2units.errors import NotAbelianError
+from f2units.unitgroup import _is_abelian_units, canonical_generators, normalizes
+from oracles import naive_commute, naive_normal_in, naive_product
+
+SMALL_CLASSICAL = [e for e in CLASSICAL_ENTRIES if e.build().order <= 16]
+SMALL_ODOT = [e for e in ODOT_ENTRIES if e.build().order <= 16]
+
+
+def naive_semidirect(g, ambient, n, k) -> bool:
+    return (
+        set(n.masks) & set(k.masks) == {1}
+        and naive_product(g, n.masks, k.masks) == set(ambient.masks)
+        and naive_normal_in(g, ambient.masks, n.masks)
+    )
+
+
+def naive_pairwise_commute(g, factors) -> bool:
+    return all(
+        naive_commute(g, x.masks, y.masks)
+        for i, x in enumerate(factors)
+        for y in factors[i + 1:]
+    )
+
+
+def naive_direct(g, ambient, factors) -> bool:
+    if not naive_pairwise_commute(g, factors):
+        return False
+    total = {1}
+    for x in factors:
+        total = naive_product(g, total, x.masks)
+    if total != set(ambient.masks):
+        return False
+    for i, x in enumerate(factors):
+        rest = {1}
+        for j, y in enumerate(factors):
+            if j != i:
+                rest = naive_product(g, rest, y.masks)
+        if set(x.masks) & rest != {1}:
+            return False
+    return True
+
+
+def naive_constructive_direct(g, factors) -> bool:
+    if not naive_pairwise_commute(g, factors):
+        return False
+    for i, x in enumerate(factors):
+        p, q = (y for j, y in enumerate(factors) if j != i)
+        pq = naive_product(g, p.masks, q.masks)
+        if len(pq) != p.order * q.order or set(x.masks) & pq != {1}:
+            return False
+    return True
+
+
+def classical_parts(entry):
+    form = entry.form()
+    g = form.group
+    v = f.enumerate_unitary(g, f.classical_involution(g))
+    v_a = f.enumerate_unitary(g, f.classical_involution(g), support=form.a_sub)
+    w = f.build_unipotent_factor(form)
+    ell = f.build_abelian_complement(form)
+    h = f.build_normal_cofactor(form, w, ell)
+    return form, v, v_a, w, ell, h
+
+
+def odot_parts(entry):
+    form = entry.form()
+    g = form.group
+    v = f.enumerate_unitary(g, f.odot_involution(form))
+    t = f.build_torsion_complement(form)
+    w = f.build_central_unipotent(form)
+    return form, v, t, w
+
+
+@pytest.mark.parametrize("entry", SMALL_CLASSICAL, ids=lambda e: e.key)
+def test_classical_checks_match_oracles(entry):
+    form, v, v_a, w, ell, h = classical_parts(entry)
+    g = form.group
+    img = f.group_image(g)
+    assert f.internal_semidirect(h, w, ell) is naive_semidirect(g, h, w, ell) is True
+    assert f.internal_semidirect(v, h, img) is naive_semidirect(g, v, h, img) is True
+    assert (
+        normalizes(g, canonical_generators(v), h)
+        is naive_normal_in(g, v.masks, h.masks)
+        is True
+    )
+    # the roles swapped: the group image is normal in V for Q8 only
+    assert f.internal_semidirect(v, img, h) is naive_semidirect(g, v, img, h)
+    assert f.internal_direct(v, [h, img]) is naive_direct(g, v, [h, img])
+    assert _is_abelian_units(v_a) is naive_commute(g, v_a.masks, v_a.masks) is True
+    assert _is_abelian_units(v) is naive_commute(g, v.masks, v.masks) is False
+    assert _constructive_direct_checks(g, img, ell, w) is naive_constructive_direct(
+        g, [img, ell, w]
+    )
+
+
+@pytest.mark.parametrize("entry", SMALL_ODOT, ids=lambda e: e.key)
+def test_odot_checks_match_oracles(entry):
+    form, v, t, w = odot_parts(entry)
+    g = form.group
+    img = f.group_image(g)
+    factors = [img, t, w]
+    assert _constructive_direct_checks(g, img, t, w) is naive_constructive_direct(g, factors)
+    # the dihedral-family group image lies outside the unitary group, so the
+    # direct product is certified inside the product set instead
+    ambient = v if set(img.masks) <= set(v.masks) else f.make_unit_set(
+        g, naive_product(g, naive_product(g, img.masks, t.masks), w.masks)
+    )
+    assert f.internal_direct(ambient, factors) is naive_direct(g, ambient, factors) is True
+    for s in (t, w):
+        assert _is_abelian_units(s) is naive_commute(g, s.masks, s.masks) is True
+
+
+def test_q16_false_cases():
+    (entry,) = [e for e in CLASSICAL_ENTRIES if e.key == "Q16"]
+    _, v, _, w, ell, h = classical_parts(entry)
+    g = v.group
+    img = f.group_image(g)
+    # the group image is not normal in the unitary group
+    assert not naive_normal_in(g, v.masks, img.masks)
+    assert not f.internal_semidirect(v, img, h)
+    # the group image does not commute with the unipotent factor
+    assert not naive_commute(g, img.masks, w.masks)
+    assert not _constructive_direct_checks(g, img, ell, w)
+
+
+def test_complement_search_rejects_a_non_abelian_ambient(q8):
+    v = f.enumerate_unitary(q8, f.classical_involution(q8))
+    assert not naive_commute(q8, v.masks, v.masks)
+    with pytest.raises(NotAbelianError):
+        f.find_complement(v, f.group_image(q8))
+
+
+def _assert_generated(s):
+    g = s.group
+    closure = f.unit_subgroup_closure(g, [f.AlgebraElement(g, m) for m in s.generators])
+    assert closure.mask_set() == s.mask_set()
+
+
+@pytest.mark.parametrize("entry", SMALL_CLASSICAL, ids=lambda e: e.key)
+def test_classical_recorded_generators_generate(entry):
+    _, _, _, w, ell, h = classical_parts(entry)
+    for s in (w, ell, h):
+        _assert_generated(s)
+
+
+@pytest.mark.parametrize("entry", SMALL_ODOT, ids=lambda e: e.key)
+def test_odot_recorded_generators_generate(entry):
+    _, _, t, w = odot_parts(entry)
+    for s in (t, w):
+        _assert_generated(s)
+
+
+def test_order32_recorded_generators_generate():
+    """The constructive-only path at order 32 relies on the generators alone."""
+    form = f.make_inverting_form(f.make_quaternion(32), [1], 16)
+    w = f.build_unipotent_factor(form)
+    ell = f.build_abelian_complement(form)
+    for s in (w, ell, f.build_normal_cofactor(form, w, ell)):
+        _assert_generated(s)
+    (entry,) = [e for e in ODOT_ENTRIES if e.key == "D8xC4"]
+    form = entry.form()
+    for s in (f.build_torsion_complement(form), f.build_central_unipotent(form)):
+        _assert_generated(s)
