@@ -59,13 +59,20 @@ class RunConfig:
 # group-spec ingestion
 
 
+def _order_param(family: str, params: dict) -> int:
+    try:
+        return int(params["order"])
+    except (KeyError, TypeError, ValueError):
+        raise ParseError(f"family {family!r} needs an integer 'order' parameter") from None
+
+
 def _build_family(family: str, params: dict) -> GroupTable:
     if family == "cyclic":
-        return make_cyclic(int(params["order"]))
+        return make_cyclic(_order_param(family, params))
     if family == "dihedral":
-        return make_dihedral(int(params["order"]))
+        return make_dihedral(_order_param(family, params))
     if family == "quaternion":
-        return make_quaternion(int(params["order"]))
+        return make_quaternion(_order_param(family, params))
     if family == "direct_product":
         factors = params.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
@@ -79,7 +86,7 @@ def _build_family(family: str, params: dict) -> GroupTable:
         if "base" in params:
             base = _from_spec_dict(params["base"])
         elif "order" in params:
-            base = make_cyclic(int(params["order"]) // 2)
+            base = make_cyclic(_order_param(family, params) // 2)
         else:
             raise ParseError("inverting_extension needs a base spec or an order")
         label = params.get("square_element")
@@ -108,9 +115,16 @@ def _from_spec_dict(spec: dict) -> GroupTable:
         raise ParseError("group spec must be a JSON object")
     if "table" in spec:
         labels = spec.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise ParseError("'labels' must be a list of strings")
         return GroupTable(spec["table"], labels=labels, family="table")
     if "family" in spec:
-        return _build_family(str(spec["family"]), spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise ParseError("'params' must be a JSON object")
+        return _build_family(str(spec["family"]), params)
     raise ParseError("group spec needs either a 'table' or a 'family' key")
 
 

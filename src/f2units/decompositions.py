@@ -50,18 +50,18 @@ from .unitgroup import (
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
     canonical_generators,
-    commute,
     elements_of_order_dividing_2,
     enumerate_normalized_units,
     enumerate_unitary,
     find_complement,
-    gens_of,
     group_image,
     internal_direct,
     internal_semidirect,
+    is_direct,
     make_unit_set,
     normalizes,
     product_masks,
+    product_of,
     structure_predicates,
     unit_subgroup_closure,
 )
@@ -121,6 +121,40 @@ class DecompositionReport:
 
 def _group_descriptor(g) -> dict:
     return {"family": g.family, "order": g.order, "spec": g.name}
+
+
+def _add_member_check(report: DecompositionReport, name: str, g, masks, ok) -> None:
+    """Add check ``name``: ok(m) holds for every mask, else the first failing
+    member is the witness."""
+    bad = next((m for m in masks if not ok(m)), None)
+    report.add(name, bad is None, None if bad is None else render_element(AlgebraElement(g, bad)))
+
+
+def _squares_to_one(g, m: int) -> bool:
+    x = AlgebraElement(g, m)
+    return ga_mul(x, x).mask == 1
+
+
+def _unitary_test(sigma):
+    """Mask predicate: x * sigma(x) = 1."""
+    g = sigma.group
+
+    def ok(m: int) -> bool:
+        x = AlgebraElement(g, m)
+        return ga_mul(x, ga_involute(sigma, x)).mask == 1
+
+    return ok
+
+
+def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> None:
+    if g.order > max_order:
+        reason = "group order exceeds the exhaustive bound"
+    else:
+        reason = "exhaustive enumeration skipped on request (construct mode)"
+    report.notes.append(
+        f"{reason}: oracle set equality skipped; "
+        "constructive checks above verify the factors directly"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -346,22 +380,10 @@ def verify_inverting_decomposition(
         "unipotent_elementary_abelian",
         preds["is_elementary_abelian_2"] and preds["rank"] == a_order // 2,
     )
-    bad = next(
-        (
-            m
-            for m in w.masks
-            if ga_mul(AlgebraElement(g, m), AlgebraElement(g, m)).mask != 1
-            or ga_mul(
-                AlgebraElement(g, m), ga_involute(sigma, AlgebraElement(g, m))
-            ).mask
-            != 1
-        ),
-        None,
-    )
-    report.add(
-        "unipotent_members_unitary",
-        bad is None,
-        None if bad is None else render_element(AlgebraElement(g, bad)),
+    unitary = _unitary_test(sigma)
+    _add_member_check(
+        report, "unipotent_members_unitary", g, w.masks,
+        lambda m: _squares_to_one(g, m) and unitary(m),
     )
 
     v_a = enumerate_unitary(g, sigma, max_order=max_order, workers=workers, support=form.a_sub)
@@ -380,11 +402,7 @@ def verify_inverting_decomposition(
     report.instance["complement_generators"] = [
         render_element(AlgebraElement(g, m)) for m in (ell.generators or ())
     ]
-    covered = product_masks(g, a_image.masks, ell.masks)
-    report.add(
-        "abelian_complement_contract",
-        ell.mask_set() & a_image.mask_set() == {1} and covered == v_a.mask_set(),
-    )
+    report.add("abelian_complement_contract", internal_direct(v_a, [a_image, ell]))
 
     h = build_normal_cofactor(form, w, ell)
     report.add("cofactor_order", h.order == w.order * ell.order)
@@ -418,26 +436,8 @@ def verify_inverting_decomposition(
             "cofactor normality checked through the complement generators "
             "(the unipotent factor normalizes itself)"
         )
-        report.notes.append(
-            "group order exceeds the exhaustive bound: oracle set equality skipped; "
-            "constructive checks above verify the factors directly"
-        )
-        bad_h = next(
-            (
-                m
-                for m in h.masks
-                if ga_mul(
-                    AlgebraElement(g, m), ga_involute(sigma, AlgebraElement(g, m))
-                ).mask
-                != 1
-            ),
-            None,
-        )
-        report.add(
-            "cofactor_members_unitary",
-            bad_h is None,
-            None if bad_h is None else render_element(AlgebraElement(g, bad_h)),
-        )
+        _add_oracle_skip_note(report, g, max_order)
+        _add_member_check(report, "cofactor_members_unitary", g, h.masks, unitary)
     return report
 
 
@@ -591,7 +591,6 @@ def verify_odot_decomposition(
     workers: int | None = None,
     force_enumeration: bool = False,
     skip_enumeration: bool = False,
-    check_alternate_reps: bool = True,
 ) -> DecompositionReport:
     """Build the torsion and central unipotent factors, certify the direct
     product, compare with the enumerated unitary group when in bounds."""
@@ -624,40 +623,22 @@ def verify_odot_decomposition(
         preds["is_elementary_abelian_2"] and preds["rank"] == 3 * c_order // 2,
     )
     gen_basis = [basis(g, i) for i in (g.generators or range(g.order))]
-    bad = None
-    for m in w.masks:
+    unitary = _unitary_test(sigma)
+
+    def central(m: int) -> bool:
         el = AlgebraElement(g, m)
-        if ga_mul(el, el).mask != 1:
-            bad = m
-            break
-        if ga_mul(el, ga_involute(sigma, el)).mask != 1:
-            bad = m
-            break
-        if any(ga_mul(el, t).mask != ga_mul(t, el).mask for t in gen_basis):
-            bad = m
-            break
-    report.add(
-        "central_unipotent_members_central_unitary",
-        bad is None,
-        None if bad is None else render_element(AlgebraElement(g, bad)),
+        return all(ga_mul(el, t).mask == ga_mul(t, el).mask for t in gen_basis)
+
+    _add_member_check(
+        report, "central_unipotent_members_central_unitary", g, w.masks,
+        lambda m: _squares_to_one(g, m) and unitary(m) and central(m),
     )
 
     # The decomposition needs the group inside the unitary set, which holds
     # exactly when every non-central element squares to the commutator
     # generator; checked from the tables rather than assumed.
-    bad_g = next(
-        (
-            i
-            for i in range(g.order)
-            if ga_mul(basis(g, i), ga_involute(sigma, basis(g, i))).mask != 1
-        ),
-        None,
-    )
-    report.add(
-        "group_inside_unitary",
-        bad_g is None,
-        None if bad_g is None else g.labels[bad_g],
-    )
+    g_image = group_image(g)
+    _add_member_check(report, "group_inside_unitary", g, g_image.masks, unitary)
 
     v_c2, c2_image = _central_order_2_parts(form, max_order, workers)
     try:
@@ -670,12 +651,7 @@ def verify_odot_decomposition(
     report.instance["torsion_generators"] = [
         render_element(AlgebraElement(g, m)) for m in (t.generators or ())
     ]
-    covered = product_masks(g, c2_image.masks, t.masks)
-    report.add(
-        "torsion_complement_contract",
-        t.mask_set() & c2_image.mask_set() == {1} and covered == v_c2.mask_set(),
-    )
-    g_image = group_image(g)
+    report.add("torsion_complement_contract", internal_direct(v_c2, [c2_image, t]))
     report.add("torsion_outside_group", t.mask_set() & g_image.mask_set() == {1})
 
     expected = g.order * t.order * w.order
@@ -699,74 +675,24 @@ def verify_odot_decomposition(
             report.add(
                 "direct_product", False, "group image is not inside the unitary set"
             )
-        total: frozenset[int] = frozenset([1])
-        for f in (g_image, t, w):
-            total = product_masks(g, total, f.masks)
-        report.add("oracle_set_equality", total == v.mask_set())
+        report.add("oracle_set_equality", product_of(g, [g_image, t, w]) == v.mask_set())
     else:
-        report.notes.append(
-            "group order exceeds the exhaustive bound: oracle set equality skipped; "
-            "constructive checks above verify the factors directly"
-        )
-        report.add(
-            "factors_pairwise_direct",
-            _constructive_direct_checks(g, g_image, t, w),
-        )
-        bad_t = next(
-            (
-                m
-                for m in t.masks
-                if ga_mul(
-                    AlgebraElement(g, m), ga_involute(sigma, AlgebraElement(g, m))
-                ).mask
-                != 1
-            ),
-            None,
-        )
-        report.add(
-            "torsion_members_unitary",
-            bad_t is None,
-            None if bad_t is None else render_element(AlgebraElement(g, bad_t)),
-        )
+        _add_oracle_skip_note(report, g, max_order)
+        report.add("factors_pairwise_direct", is_direct(g, [g_image, t, w]))
+        _add_member_check(report, "torsion_members_unitary", g, t.masks, unitary)
 
-    if check_alternate_reps:
-        alt = make_odot_form(g, prefer_large_reps=True)
-        if (alt.a, alt.b) != (form.a, form.b):
-            alt_w = build_central_unipotent(alt)
-            report.instance["alternate_reps"] = {
-                "rep_a": g.labels[alt.a],
-                "rep_b": g.labels[alt.b],
-            }
-            alt_ok = alt_w.order == expected_w
-            if v is not None:
-                total = frozenset([1])
-                for f in (g_image, t, alt_w):
-                    total = product_masks(g, total, f.masks)
-                alt_ok = alt_ok and total == v.mask_set()
-            else:
-                alt_ok = alt_ok and _constructive_direct_checks(g, g_image, t, alt_w)
-            report.add("alternate_representatives_pass", alt_ok)
+    alt = make_odot_form(g, prefer_large_reps=True)
+    if (alt.a, alt.b) != (form.a, form.b):
+        alt_w = build_central_unipotent(alt)
+        report.instance["alternate_reps"] = {
+            "rep_a": g.labels[alt.a],
+            "rep_b": g.labels[alt.b],
+        }
+        alt_ok = alt_w.order == expected_w
+        if v is not None:
+            alt_ok = alt_ok and product_of(g, [g_image, t, alt_w]) == v.mask_set()
+        else:
+            alt_ok = alt_ok and is_direct(g, [g_image, t, alt_w])
+        report.add("alternate_representatives_pass", alt_ok)
     return report
 
-
-def _constructive_direct_checks(g, g_image: UnitSet, t: UnitSet, w: UnitSet) -> bool:
-    """Direct-product evidence that avoids materializing the full product:
-    pairwise commutation of the generators, and trivial intersections between
-    each factor and the (subgroup) product of the other two."""
-    for left, right in ((g_image, t), (g_image, w), (t, w)):
-        if not commute(g, gens_of(left), gens_of(right)):
-            return False
-    tw = product_masks(g, t.masks, w.masks)
-    if len(tw) != t.order * w.order:
-        return False
-    if g_image.mask_set() & tw != {1}:
-        return False
-    gt = product_masks(g, g_image.masks, t.masks)
-    if len(gt) != g_image.order * t.order:
-        return False
-    if w.mask_set() & frozenset(gt) != {1}:
-        return False
-    gw = product_masks(g, g_image.masks, w.masks)
-    if len(gw) != g_image.order * w.order:
-        return False
-    return t.mask_set() & frozenset(gw) == {1}

@@ -92,6 +92,10 @@ class CommutatorNotOrderTwoError(HypothesisViolationError):
     """The commutator subgroup does not have order two."""
 
 
+class UnsupportedOrderError(F2UnitsError, ValueError):
+    """A group family has no member of the requested order."""
+
+
 class ParseError(F2UnitsError):
     """Malformed group spec, element text or setting."""
 

@@ -16,6 +16,8 @@ from .errors import (
     NoComplementError,
     NotAbelianError,
     NotASubgroupError,
+    ParseError,
+    UnsupportedOrderError,
 )
 
 
@@ -40,7 +42,10 @@ class GroupTable:
         family: str = "table",
         name: str | None = None,
     ):
-        table = tuple(tuple(int(x) for x in row) for row in mul)
+        try:
+            table = tuple(tuple(int(x) for x in row) for row in mul)
+        except (TypeError, ValueError):
+            raise ParseError("a multiplication table must be a list of rows of integers") from None
         inv = _validate_table(table)
         self.order = len(table)
         self.mul = table
@@ -165,7 +170,7 @@ class SubgroupSet:
 def make_cyclic(n: int) -> GroupTable:
     """Cyclic group of order n, generator at index 1."""
     if n < 1:
-        raise ValueError(f"cyclic order must be >= 1, got {n}")
+        raise UnsupportedOrderError(f"cyclic order must be >= 1, got {n}")
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["1"] + ["a" if i == 1 else f"a{i}" for i in range(1, n)]
     gens = [1] if n > 1 else []
@@ -175,7 +180,7 @@ def make_cyclic(n: int) -> GroupTable:
 def make_dihedral(n: int) -> GroupTable:
     """Dihedral group of order n (n even, n >= 4): rotations first, then reflections."""
     if n < 4 or n % 2:
-        raise ValueError(f"dihedral order must be even and >= 4, got {n}")
+        raise UnsupportedOrderError(f"dihedral order must be even and >= 4, got {n}")
     m = n // 2
     mul = [[0] * n for _ in range(n)]
     for i in range(m):
@@ -196,7 +201,7 @@ def make_quaternion(n: int) -> GroupTable:
     b^2 = a^(n/4) and b^-1 a b = a^-1.
     """
     if n < 8 or n & (n - 1):
-        raise ValueError(f"quaternion order must be a power of 2 and >= 8, got {n}")
+        raise UnsupportedOrderError(f"quaternion order must be a power of 2 and >= 8, got {n}")
     m = n // 2
     half = m // 2
     mul = [[0] * n for _ in range(n)]

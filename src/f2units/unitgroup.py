@@ -282,30 +282,43 @@ def internal_semidirect(ambient: UnitSet, n: UnitSet, k: UnitSet) -> bool:
     return normalizes(g, gens_of(n) + gens_of(k), n)
 
 
-def internal_direct(ambient: UnitSet, factors: Sequence[UnitSet]) -> bool:
-    """True iff the factors commute elementwise, intersect the product of the
-    others trivially, and multiply out to the ambient set."""
-    for i, f in enumerate(factors):
-        _require_subset(ambient, f, f"factor {i}")
-    g = ambient.group
+def product_of(g: GroupTable, factors: Sequence[UnitSet]) -> frozenset[int]:
+    """The set of products f0*f1*...*fk, one member from each factor in turn."""
+    total = factors[0].mask_set()
+    for f in factors[1:]:
+        total = product_masks(g, total, f.masks)
+    return total
+
+
+def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
+    """True iff the subgroups generate their internal direct product.
+
+    They must commute pairwise (decided on generators) and each must meet the
+    product of the factors before it only in the identity; for pairwise
+    commuting subgroups this is the standard criterion. The last factor is
+    never multiplied into the running product.
+    """
     gens = [gens_of(f) for f in factors]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             if not commute(g, gens[i], gens[j]):
                 return False
-    total: frozenset[int] = frozenset([1])
-    for f in factors:
-        total = product_masks(g, total, f.masks)
-    if total != ambient.mask_set():
-        return False
-    for i, f in enumerate(factors):
-        rest: frozenset[int] = frozenset([1])
-        for j, other in enumerate(factors):
-            if j != i:
-                rest = product_masks(g, rest, other.masks)
-        if f.mask_set() & rest != {1}:
+    prefix = factors[0].mask_set()
+    for i in range(1, len(factors)):
+        if factors[i].mask_set() & prefix != {1}:
             return False
+        if i + 1 < len(factors):
+            prefix = product_masks(g, prefix, factors[i].masks)
     return True
+
+
+def internal_direct(ambient: UnitSet, factors: Sequence[UnitSet]) -> bool:
+    """True iff the factors form a direct product (see is_direct) whose
+    product is the ambient set."""
+    for i, f in enumerate(factors):
+        _require_subset(ambient, f, f"factor {i}")
+    g = ambient.group
+    return is_direct(g, factors) and product_of(g, factors) == ambient.mask_set()
 
 
 def _is_abelian_units(s: UnitSet) -> bool:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,15 @@ import f2units as f
 from f2units.cli import main, parse_group_spec
 from f2units.errors import GroupAxiomViolationError, ParseError
 from f2units.unitgroup import THREADS_ENV_VAR
+
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+def reference_sha256(workload, item):
+    """The pinned sha256 of one report in the benchmark references."""
+    refs = json.loads(REFERENCES.read_text())
+    return refs[workload][item]["summary"]["sha256"]
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -83,6 +94,36 @@ def test_invalid_input_exits_two(capsys):
     assert main(["--group", "/nonexistent/path.json"]) == 2
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"table": [["a"]]}',
+        '{"table": 5}',
+        '{"table": [[0, 1], [1, 0]], "labels": 5}',
+        '{"family": "cyclic"}',
+        '{"family": "cyclic", "params": [8]}',
+        '{"family": "quaternion", "params": {"order": "eight"}}',
+    ],
+)
+def test_malformed_spec_exits_two(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    assert main(["--group", str(path), "--involution", "classical"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "family, order", [("dihedral", "5"), ("quaternion", "12"), ("cyclic", "0")]
+)
+def test_unsupported_family_order_exits_two(family, order, capsys):
+    assert main(["--family", family, "--order", order, "--involution", "classical"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_invalid_thread_count_exits_two(monkeypatch, capsys):
     monkeypatch.setenv(THREADS_ENV_VAR, "abc")
     code = main(["--family", "quaternion", "--order", "8", "--involution", "classical"])
@@ -135,6 +176,20 @@ def test_catalog_mode_covers_all_instances(tmp_path):
     assert verdicts[("Q8", "odot")] is True
     assert verdicts[("D8", "odot")] is False
     assert verdicts[("D8xC2", "odot")] is False
+    assert hashlib.sha256(text.encode()).hexdigest() == reference_sha256("catalog", "catalog")
+
+
+@pytest.mark.parametrize(
+    "key, family", [("Q32", "quaternion"), ("Ext(C16)", "inverting_extension")]
+)
+def test_order32_construct_reports_match_references(key, family, tmp_path):
+    code, text = run_cli(
+        ["--family", family, "--order", "32", "--involution", "classical",
+         "--mode", "construct", "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == reference_sha256("construct32", key)
 
 
 def test_text_and_json_verdicts_agree(tmp_path):

@@ -14,6 +14,12 @@ def checks_by_name(report):
     return {c.name: c for c in report.checks}
 
 
+def assert_skipped_on_request(report):
+    """Under the bound a skipped oracle is reported as skipped on request."""
+    assert any("skipped on request (construct mode)" in n for n in report.notes)
+    assert not any("exceeds the exhaustive bound" in n for n in report.notes)
+
+
 # ---------------------------------------------------------------------------
 # classical-involution pipeline
 
@@ -80,6 +86,7 @@ def test_verify_classical_skip_enumeration(q8_form):
     names = checks_by_name(report)
     assert "oracle_set_equality" not in names
     assert "cofactor_members_unitary" in names
+    assert_skipped_on_request(report)
 
 
 def test_verify_degrades_over_the_bound(q16_form):
@@ -180,6 +187,7 @@ def test_verify_twisted_skip_enumeration(q8_odot_form):
     assert "oracle_set_equality" not in names
     assert "factors_pairwise_direct" in names
     assert "torsion_members_unitary" in names
+    assert_skipped_on_request(report)
 
 
 # ---------------------------------------------------------------------------

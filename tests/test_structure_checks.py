@@ -13,9 +13,9 @@ import pytest
 
 import f2units as f
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
-from f2units.decompositions import _constructive_direct_checks
 from f2units.errors import NotAbelianError
-from f2units.unitgroup import _is_abelian_units, canonical_generators, normalizes
+from f2units.groups import SubgroupSet
+from f2units.unitgroup import _is_abelian_units, canonical_generators, is_direct, normalizes
 from oracles import naive_commute, naive_normal_in, naive_product
 
 SMALL_CLASSICAL = [e for e in CLASSICAL_ENTRIES if e.build().order <= 16]
@@ -104,9 +104,7 @@ def test_classical_checks_match_oracles(entry):
     assert f.internal_direct(v, [h, img]) is naive_direct(g, v, [h, img])
     assert _is_abelian_units(v_a) is naive_commute(g, v_a.masks, v_a.masks) is True
     assert _is_abelian_units(v) is naive_commute(g, v.masks, v.masks) is False
-    assert _constructive_direct_checks(g, img, ell, w) is naive_constructive_direct(
-        g, [img, ell, w]
-    )
+    assert is_direct(g, [img, ell, w]) is naive_constructive_direct(g, [img, ell, w])
 
 
 @pytest.mark.parametrize("entry", SMALL_ODOT, ids=lambda e: e.key)
@@ -115,7 +113,7 @@ def test_odot_checks_match_oracles(entry):
     g = form.group
     img = f.group_image(g)
     factors = [img, t, w]
-    assert _constructive_direct_checks(g, img, t, w) is naive_constructive_direct(g, factors)
+    assert is_direct(g, factors) is naive_constructive_direct(g, factors)
     # the dihedral-family group image lies outside the unitary group, so the
     # direct product is certified inside the product set instead
     ambient = v if set(img.masks) <= set(v.masks) else f.make_unit_set(
@@ -136,7 +134,26 @@ def test_q16_false_cases():
     assert not f.internal_semidirect(v, img, h)
     # the group image does not commute with the unipotent factor
     assert not naive_commute(g, img.masks, w.masks)
-    assert not _constructive_direct_checks(g, img, ell, w)
+    assert not is_direct(g, [img, ell, w])
+
+
+def test_direct_needs_more_than_pairwise_trivial_intersections():
+    """In C2 x C2 the subgroups <a>, <b>, <ab> commute and meet pairwise in
+    the identity, yet <ab> lies inside <a><b>, so the three are not direct."""
+    g = f.make_direct_product(f.make_cyclic(2), f.make_cyclic(2))
+    a, b = 1, 2
+    ab = g.mul[a][b]
+    assert ab not in (0, a, b)
+    cyclic = [f.group_image(g, SubgroupSet.from_members(g, [0, x])) for x in (a, b, ab)]
+    for i, x in enumerate(cyclic):
+        for y in cyclic[i + 1:]:
+            assert set(x.masks) & set(y.masks) == {1}
+    assert naive_pairwise_commute(g, cyclic)
+    img = f.group_image(g)
+    assert is_direct(g, cyclic) is naive_constructive_direct(g, cyclic) is False
+    assert f.internal_direct(img, cyclic) is naive_direct(g, img, cyclic) is False
+    assert is_direct(g, cyclic[:2]) is True
+    assert f.internal_direct(img, cyclic[:2]) is naive_direct(g, img, cyclic[:2]) is True
 
 
 def test_complement_search_rejects_a_non_abelian_ambient(q8):
