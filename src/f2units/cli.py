@@ -62,7 +62,7 @@ class RunConfig:
 def _order_param(family: str, params: dict) -> int:
     try:
         return int(params["order"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ParseError(f"family {family!r} needs an integer 'order' parameter") from None
 
 
@@ -131,15 +131,20 @@ def _from_spec_dict(spec: dict) -> GroupTable:
 def parse_group_spec(text: str) -> GroupTable:
     """Parse a JSON group spec: {'family':..., 'params':...} or {'table': ...}."""
     try:
-        spec = json.loads(text)
+        return _from_spec_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    return _from_spec_dict(spec)
+    except RecursionError:
+        raise ParseError("group spec is nested too deeply") from None
 
 
 def _resolve_group(args) -> GroupTable | None:
     if args.group:
-        return parse_group_spec(Path(args.group).read_text())
+        try:
+            text = Path(args.group).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"group spec is not UTF-8 text: {exc}") from None
+        return parse_group_spec(text)
     if args.family:
         if args.order is None:
             raise ParseError("--family requires --order")

@@ -49,6 +49,7 @@ from .involutions import (
 from .unitgroup import (
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
+    _internal_direct,
     canonical_generators,
     elements_of_order_dividing_2,
     enumerate_normalized_units,
@@ -669,13 +670,14 @@ def verify_odot_decomposition(
         v = enumerate_unitary(g, sigma, max_order=max(max_order, g.order), workers=workers)
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
+        product = product_of(g, [g_image, t, w])
         if g_image.mask_set() <= v.mask_set():
-            report.add("direct_product", internal_direct(v, [g_image, t, w]))
+            report.add("direct_product", _internal_direct(v, [g_image, t, w], product))
         else:
             report.add(
                 "direct_product", False, "group image is not inside the unitary set"
             )
-        report.add("oracle_set_equality", product_of(g, [g_image, t, w]) == v.mask_set())
+        report.add("oracle_set_equality", product == v.mask_set())
     else:
         _add_oracle_skip_note(report, g, max_order)
         report.add("factors_pairwise_direct", is_direct(g, [g_image, t, w]))

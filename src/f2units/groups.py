@@ -44,7 +44,7 @@ class GroupTable:
     ):
         try:
             table = tuple(tuple(int(x) for x in row) for row in mul)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError("a multiplication table must be a list of rows of integers") from None
         inv = _validate_table(table)
         self.order = len(table)

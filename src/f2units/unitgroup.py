@@ -1,10 +1,20 @@
-"""Normalized units of the group algebra and subgroup structure checks.
+"""Unit groups of the group algebra and subgroup structure checks.
 
 The unit group of F2[G] for a 2-group G consists of exactly the elements with
-augmentation 1. Enumeration walks all such bitmasks (the top bit is parity-
-corrected, the rest are free), optionally in parallel over contiguous chunks;
-a final sort restores the canonical ascending-mask order, so output is
-identical for any worker count.
+augmentation 1. Two exhaustive scans cover it:
+
+- ``enumerate_normalized_units`` walks every augmentation-1 bitmask (the top
+  bit is parity-corrected, the rest are free) and inverts each one.
+- ``enumerate_unitary`` solves u * sigma(u) = 1 with a bit-sliced kernel:
+  the coefficients split into a low and a high half, u = h + l, and for each
+  h one AND of int bit planes tests every l at once, while h walks a Gray
+  code. It still evaluates the defining equation at every element of the
+  (sub)algebra and uses no structural input, so it stays an independent
+  oracle for the decompositions.
+
+Both cut a large enough index range into contiguous chunks, one per worker
+thread, and sort the hits at the end, so the output is the same canonical
+ascending-mask order for any worker count.
 """
 
 from __future__ import annotations
@@ -105,40 +115,26 @@ def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
 # exhaustive enumeration
 
 
-def _support_spread(members: Sequence[int]) -> list[list[int]]:
-    """Byte tables mapping packed candidate bits onto support positions."""
-    k = len(members)
-    tables = []
-    for c in range(0, k, 8):
-        width = min(8, k - c)
-        arr = [0] * 256
-        for v in range(1, 1 << width):
-            low = v & -v
-            arr[v] = arr[v ^ low] | (1 << members[c + low.bit_length() - 1])
-        tables.append(arr)
-    return tables
+def _spread(positions: Sequence[int]) -> list[int]:
+    """Entry v is the mask with bit positions[b] set for each set bit b of v."""
+    masks = [0]
+    for x in positions:
+        masks += [m | 1 << x for m in masks]
+    return masks
 
 
 def _candidate_masks(members: Sequence[int], lo: int, hi: int) -> Iterator[int]:
-    """Augmentation-1 masks over the support, for packed prefixes in [lo, hi)."""
-    k = len(members)
-    spread = _support_spread(members)
-    top = 1 << members[k - 1]
-    nchunks = len(spread)
+    """Augmentation-1 masks over the support, for packed prefixes in [lo, hi).
+
+    Bit b of the prefix is the coefficient at members[b]; the last member
+    takes the parity bit.
+    """
+    free, top = members[:-1], 1 << members[-1]
+    nlow = len(free) // 2
+    low, high = _spread(free[:nlow]), _spread(free[nlow:])
     for v in range(lo, hi):
-        m = 0
-        x = v
-        c = 0
-        while x:
-            byte = x & 0xFF
-            if byte:
-                m |= spread[c][byte]
-            x >>= 8
-            c += 1
-        if bin(v).count("1") & 1:
-            yield m
-        else:
-            yield m | top
+        m = high[v >> nlow] | low[v & (1 << nlow) - 1]
+        yield m if bin(v).count("1") & 1 else m | top
 
 
 def _check_bound(k: int, max_order: int) -> None:
@@ -149,27 +145,21 @@ def _check_bound(k: int, max_order: int) -> None:
         )
 
 
-def _scan(
-    g: GroupTable,
-    members: Sequence[int],
-    keep: Callable[[int], bool],
-    workers: int | None,
-) -> list[int]:
-    total = 1 << (len(members) - 1)
+def _scan(total: int, work: Callable[[int, int], list[int]], workers: int | None) -> list[int]:
+    """Run work(lo, hi) over the index range [0, total) and sort the hits.
+
+    With more than one worker the range is cut into one contiguous chunk per
+    thread; the final sort makes the output independent of the split.
+    """
     nworkers = min(resolve_workers(workers), total)
     if nworkers <= 1 or total < 1 << 10:
-        return sorted(m for m in _candidate_masks(members, 0, total) if keep(m))
-
-    step = (total + nworkers - 1) // nworkers
-    ranges = [(i, min(i + step, total)) for i in range(0, total, step)]
-
-    def work(bounds: tuple[int, int]) -> list[int]:
-        lo, hi = bounds
-        return [m for m in _candidate_masks(members, lo, hi) if keep(m)]
-
-    with ThreadPoolExecutor(max_workers=nworkers) as pool:
-        chunks = list(pool.map(work, ranges))
-    found = [m for chunk in chunks for m in chunk]
+        found = work(0, total)
+    else:
+        step = (total + nworkers - 1) // nworkers
+        ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+        with ThreadPoolExecutor(max_workers=nworkers) as pool:
+            chunks = list(pool.map(lambda r: work(*r), ranges))
+        found = [m for chunk in chunks for m in chunk]
     found.sort()
     return found
 
@@ -188,11 +178,116 @@ def enumerate_normalized_units(
     members = tuple(support.members) if support is not None else tuple(range(g.order))
     _check_bound(len(members), max_order)
 
-    def keep(m: int) -> bool:
-        ga_inverse(AlgebraElement(g, m))  # raises if not a unit
-        return True
+    def work(lo: int, hi: int) -> list[int]:
+        found = []
+        for m in _candidate_masks(members, lo, hi):
+            ga_inverse(AlgebraElement(g, m))  # raises if not a unit
+            found.append(m)
+        return found
 
-    return make_unit_set(g, _scan(g, members, keep, workers))
+    return make_unit_set(g, _scan(1 << (len(members) - 1), work, workers))
+
+
+def _indicator_planes(nbits: int) -> list[int]:
+    """Plane j has bit l set exactly when bit j of l is set, for l < 2**nbits."""
+    size = 1 << nbits
+    planes = []
+    for j in range(nbits):
+        run = 1 << j
+        plane = ((1 << run) - 1) << run
+        width = 2 * run
+        while width < size:
+            plane |= plane << width
+            width *= 2
+        planes.append(plane)
+    return planes
+
+
+def _unitary_kernel(
+    g: GroupTable, perm: Sequence[int], members: Sequence[int]
+) -> tuple[int, Callable[[int, int], list[int]]]:
+    """Bit-sliced solver of u * sigma(u) = 1 over the span of ``members``.
+
+    Write u = h + l with l on the low half of the positions and h on the
+    high half. Coordinate c of u * sigma(u) is
+    (h sigma(h))_c + (l sigma(l))_c + (h sigma(l) + l sigma(h))_c, and for a
+    fixed h the bracket is linear in l. A plane is one int with one bit per
+    value of l, so each coordinate condition is evaluated for every l at
+    once. h walks the Gray code, so each step flips one position i of h and
+    XORs position i's delta planes into the running planes.
+
+    Returns (total, work): work(lo, hi) lists every solution whose h is the
+    Gray code of an index in [lo, hi); the indices run over [0, total).
+    """
+    mul = g.mul
+    nlow = len(members) // 2
+    low, high = members[:nlow], members[nlow:]
+    full = (1 << (1 << nlow)) - 1
+    ind = _indicator_planes(nlow)
+
+    def coord(x: int, y: int) -> int:
+        return mul[x][perm[y]]
+
+    coords = sorted({0} | {coord(x, y) for x in members for y in members})
+    pos = {c: i for i, c in enumerate(coords)}
+
+    # At h = 0, bit l of start[c] says coordinate c of l sigma(l) equals that
+    # of the identity. The running planes keep that meaning for every h.
+    start = [0] * len(coords)
+    for a, x in enumerate(low):
+        for b, y in enumerate(low):
+            start[pos[coord(x, y)]] ^= ind[a] & ind[b]
+    start = [p if c == 0 else p ^ full for c, p in zip(coords, start)]
+
+    # Flipping position i of h adds the delta planes of the cross term (taken
+    # for every l at once) and complements the planes of the coordinates at
+    # which h sigma(h) changes: g_i sigma(g_i) plus the cross terms of g_i with
+    # the other positions in h.
+    steps = []
+    for x in high:
+        delta = [0] * len(coords)
+        for a, y in enumerate(low):
+            delta[pos[coord(x, y)]] ^= ind[a]
+            delta[pos[coord(y, x)]] ^= ind[a]
+        square = 1 << pos[coord(x, x)]
+        cross = [(1 << pos[coord(x, z)]) ^ (1 << pos[coord(z, x)]) for z in high]
+        steps.append((1 << x, square, cross, [(d, d ^ full) for d in delta]))
+
+    spread = _spread(low)
+
+    def work(lo: int, hi: int) -> list[int]:
+        planes = list(start)
+        h = hmask = 0
+        hits: list[int] = []
+        gray = lo ^ (lo >> 1)
+        flips = [i for i in range(len(high)) if gray >> i & 1]
+        for t in range(lo, hi):
+            if t > lo:
+                flips = [(t & -t).bit_length() - 1]
+            for i in flips:
+                bit, square, cross, deltas = steps[i]
+                changed = square
+                rest = h
+                while rest:
+                    j = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    changed ^= cross[j]
+                for c, pair in enumerate(deltas):
+                    planes[c] ^= pair[changed >> c & 1]
+                h ^= 1 << i
+                hmask ^= bit
+            alive = full
+            for p in planes:
+                alive &= p
+                if not alive:
+                    break
+            while alive:
+                top = alive.bit_length() - 1
+                alive ^= 1 << top
+                hits.append(hmask | spread[top])
+        return hits
+
+    return 1 << len(high), work
 
 
 def enumerate_unitary(
@@ -202,23 +297,17 @@ def enumerate_unitary(
     workers: int | None = None,
     support: SubgroupSet | None = None,
 ) -> UnitSet:
-    """All normalized units u with u * sigma(u) = 1, in canonical order."""
+    """All normalized units u with u * sigma(u) = 1, in canonical order.
+
+    Every element of the (sub)algebra is tested against the defining
+    equation; augmentation 1 follows from it, so no parity filter is needed.
+    """
     if sigma.group is not g:
         raise GroupMismatchError("involution belongs to a different group")
     members = tuple(support.members) if support is not None else tuple(range(g.order))
     _check_bound(len(members), max_order)
-    perm = sigma.perm
-
-    def keep(m: int) -> bool:
-        x = m
-        im = 0
-        while x:
-            i = (x & -x).bit_length() - 1
-            x &= x - 1
-            im |= 1 << perm[i]
-        return ga_mul(AlgebraElement(g, m), AlgebraElement(g, im)).mask == 1
-
-    return make_unit_set(g, _scan(g, members, keep, workers), sigma=sigma)
+    total, work = _unitary_kernel(g, sigma.perm, members)
+    return make_unit_set(g, _scan(total, work, workers), sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +404,19 @@ def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
 def internal_direct(ambient: UnitSet, factors: Sequence[UnitSet]) -> bool:
     """True iff the factors form a direct product (see is_direct) whose
     product is the ambient set."""
+    return _internal_direct(ambient, factors, None)
+
+
+def _internal_direct(
+    ambient: UnitSet, factors: Sequence[UnitSet], product: frozenset[int] | None
+) -> bool:
+    """internal_direct, given product_of(g, factors) if the caller has it."""
     for i, f in enumerate(factors):
         _require_subset(ambient, f, f"factor {i}")
     g = ambient.group
-    return is_direct(g, factors) and product_of(g, factors) == ambient.mask_set()
+    if not is_direct(g, factors):
+        return False
+    return (product if product is not None else product_of(g, factors)) == ambient.mask_set()
 
 
 def _is_abelian_units(s: UnitSet) -> bool:

@@ -57,6 +57,18 @@ def naive_unitary_masks(g, perm) -> list[int]:
     return hits
 
 
+def naive_subalgebra_unitary_masks(g, perm, members) -> list[int]:
+    """The unitary masks supported on the given element indices, by trying
+    every subset of them."""
+    ids = sorted(members)
+    hits = []
+    for sel in range(1 << len(ids)):
+        m = sum(1 << ids[b] for b in bits(sel))
+        if naive_augmentation(m) == 1 and naive_mul(g, m, naive_apply_perm(perm, m)) == 1:
+            hits.append(m)
+    return sorted(hits)
+
+
 def naive_center(g) -> list[int]:
     n = g.order
     return [x for x in range(n) if all(g.mul[x][y] == g.mul[y][x] for y in range(n))]

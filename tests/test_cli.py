@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import f2units as f
 from f2units.cli import main, parse_group_spec
@@ -103,11 +107,15 @@ def test_invalid_input_exits_two(capsys):
         '{"family": "cyclic"}',
         '{"family": "cyclic", "params": [8]}',
         '{"family": "quaternion", "params": {"order": "eight"}}',
+        '{"table": [[Infinity]]}',
+        '{"family": "cyclic", "params": {"order": 1e400}}',
+        pytest.param("[" * 100000, id="deeply-nested"),
+        pytest.param(b'\xff{"family": "cyclic"}', id="not-utf8"),
     ],
 )
 def test_malformed_spec_exits_two(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
-    path.write_text(spec)
+    path.write_bytes(spec if isinstance(spec, bytes) else spec.encode())
     assert main(["--group", str(path), "--involution", "classical"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -231,3 +239,89 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     _, first = run_cli(args, tmp_path, "r1.json")
     _, second = run_cli(args, tmp_path, "r2.json")
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed specs never escape the exit-code contract
+
+# Group orders stay at 16 or below, so integers are small even in arbitrary
+# JSON: a well-formed spec of a large group is valid input, and its tables
+# take O(n^2) memory and O(n^3) validation.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 4)
+    | st.sampled_from([float("inf"), float("-inf"), float("nan"), 2.5, -0.0])
+    | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(valid):
+    """Draws from ``valid`` three times in four, else any JSON value."""
+    return st.integers(0, 3).flatmap(lambda k: _JSON if k == 0 else valid)
+
+
+_FAMILY = st.sampled_from(
+    ["cyclic", "dihedral", "quaternion", "direct_product", "inverting_extension", "bogus"]
+)
+
+
+def _family_spec(orders, factor):
+    params = st.fixed_dictionaries(
+        {"order": _mostly(st.sampled_from(orders))},
+        optional={
+            "factors": _mostly(st.lists(factor, min_size=1, max_size=2)),
+            "base": _mostly(factor),
+            "square_element": _mostly(st.sampled_from(["1", "a", "a2", "r2", "b", "zz"])),
+        },
+    )
+    return st.fixed_dictionaries({"family": _mostly(_FAMILY)}, optional={"params": _mostly(params)})
+
+
+_SMALL_TABLES = [
+    [[0]],
+    [[0, 1], [1, 0]],
+    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]],
+    [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+]
+_TABLE_SPEC = st.fixed_dictionaries(
+    {
+        "table": _mostly(
+            st.sampled_from(_SMALL_TABLES)
+            | st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=4)
+        )
+    },
+    optional={"labels": _mostly(st.lists(st.text(max_size=2), max_size=4))},
+)
+# Factors and bases have order at most 4, so products and extensions stay
+# at order 16 or below.
+_FACTOR = _TABLE_SPEC | st.fixed_dictionaries(
+    {
+        "family": _mostly(_FAMILY),
+        "params": _mostly(st.fixed_dictionaries({"order": _mostly(st.sampled_from([0, 1, 2, 3, 4]))})),
+    }
+)
+_SPEC = _mostly(_family_spec([0, 1, 2, 3, 4, 6, 8, 12, 16], _FACTOR) | _TABLE_SPEC)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=_SPEC,
+    mode=st.sampled_from(["enumerate", "verify", "construct"]),
+    involution=st.sampled_from([None, "classical", "odot"]),
+)
+def test_fuzzed_specs_keep_exit_code_contract(spec, mode, involution, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "spec.json"
+    path.write_text(json.dumps(spec))
+    args = ["--group", str(path), "--mode", mode, "--out", str(path.with_suffix(".out"))]
+    if involution is not None:
+        args += ["--involution", involution]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(args)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

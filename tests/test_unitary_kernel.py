@@ -1,0 +1,161 @@
+"""The bit-sliced unitary scan against the naive oracle, the pinned order-16
+digests, and the order-32 structure it makes affordable."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import f2units as f
+from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
+from f2units.unitgroup import _scan, _unitary_kernel, product_of
+from oracles import naive_subalgebra_unitary_masks, naive_unitary_masks
+
+REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+
+
+def _instances(max_order):
+    """One (group, sigma, support subgroup) param per catalog instance."""
+    out = []
+    for entry in CLASSICAL_ENTRIES:
+        form = entry.form()
+        g = form.group
+        if g.order <= max_order:
+            sigma = f.classical_involution(g)
+            out.append(pytest.param(g, sigma, form.a_sub, id=f"{entry.key}/classical"))
+    for entry in ODOT_ENTRIES:
+        form = entry.form()
+        g = form.group
+        if g.order <= max_order:
+            out.append(pytest.param(g, f.odot_involution(form), form.c_sub, id=f"{entry.key}/odot"))
+    return out
+
+
+@pytest.mark.parametrize("g, sigma, sub", _instances(8))
+def test_full_scan_matches_naive_up_to_order_8(g, sigma, sub):
+    for s in (sigma, f.classical_involution(g)):
+        expected = naive_unitary_masks(g, s.perm)
+        for workers in (1, 3):
+            assert list(f.enumerate_unitary(g, s, workers=workers).masks) == expected
+
+
+@pytest.mark.parametrize("g, sigma, sub", _instances(32))
+def test_support_scan_matches_naive(g, sigma, sub):
+    expected = naive_subalgebra_unitary_masks(g, sigma.perm, sub.members)
+    assert list(f.enumerate_unitary(g, sigma, support=sub, workers=1).masks) == expected
+
+
+@pytest.mark.parametrize("g, sigma, sub", _instances(16))
+def test_kernel_chunks_seed_from_their_first_index(g, sigma, sub):
+    """Any cut of the Gray-code range yields the hits of the whole range."""
+    total, work = _unitary_kernel(g, sigma.perm, tuple(range(g.order)))
+    whole = sorted(work(0, total))
+    for step in (1, 3, total // 2 - 1):
+        cut = [m for lo in range(0, total, step) for m in work(lo, min(lo + step, total))]
+        assert sorted(cut) == whole
+    if g.order <= 8:
+        assert whole == naive_unitary_masks(g, sigma.perm)
+
+
+def test_scan_tiles_the_range_once_per_worker():
+    calls = []
+
+    def work(lo, hi):
+        calls.append((lo, hi))
+        return list(range(hi - 1, lo - 1, -1))
+
+    total = 1 << 16
+    assert _scan(total, work, 3) == list(range(total))
+    assert len(calls) == 3
+    assert [lo for lo, _ in sorted(calls)] == [0] + [hi for _, hi in sorted(calls)][:-1]
+    assert max(hi for _, hi in calls) == total
+
+
+def test_order16_scans_match_pinned_digests():
+    """The oracle16 benchmark items, built the same way, against their pins."""
+    pinned = json.loads(REFERENCES.read_text())["oracle16"]
+    builds = {entry.key: entry.build for entry in CLASSICAL_ENTRIES + ODOT_ENTRIES}
+    assert len(pinned) == 8
+    for item, ref in sorted(pinned.items()):
+        key, involution = item.split("/")
+        g = builds[key]()
+        if involution == "classical":
+            sigma = f.classical_involution(g)
+        else:
+            sigma = f.odot_involution(f.make_odot_form(g))
+        for workers in (1, 2):
+            masks = f.enumerate_unitary(g, sigma, workers=workers).masks
+            digest = hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
+            assert {"order": len(masks), "sha256": digest} == ref["summary"], item
+
+
+_FACTORS = {
+    "C2": lambda: f.make_cyclic(2),
+    "C4": lambda: f.make_cyclic(4),
+    "C8": lambda: f.make_cyclic(8),
+    "D8": lambda: f.make_dihedral(8),
+    "Q8": lambda: f.make_quaternion(8),
+}
+
+
+@st.composite
+def _small_products(draw):
+    """A direct product of small cyclic, dihedral and quaternion groups, of
+    order at most 8."""
+    g = _FACTORS[draw(st.sampled_from(sorted(_FACTORS)))]()
+    while g.order < 8 and draw(st.booleans()):
+        fits = [k for k in sorted(_FACTORS) if int(k[1:]) * g.order <= 8]
+        g = f.make_direct_product(g, _FACTORS[draw(st.sampled_from(fits))]())
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), g=_small_products(), workers=st.integers(1, 4))
+def test_products_of_small_groups_match_naive(data, g, workers):
+    sigma = f.classical_involution(g)
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
+    sub = f.subgroup_closure(g, gens)
+    assert list(f.enumerate_unitary(g, sigma, workers=workers).masks) == naive_unitary_masks(g, g.inv)
+    assert list(f.enumerate_unitary(g, sigma, workers=workers, support=sub).masks) == (
+        naive_subalgebra_unitary_masks(g, g.inv, sub.members)
+    )
+
+
+# ---------------------------------------------------------------------------
+# order 32: the full oracle, past the default bound
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: f.make_quaternion(32), id="Q32"),
+        pytest.param(lambda: f.make_inverting_extension(f.make_cyclic(16), 8), id="Ext(C16)"),
+    ],
+)
+def test_order32_classical_oracle_equals_group_times_cofactor(build):
+    g = build()
+    form = f.detect_inverting_form(g)
+    w = f.build_unipotent_factor(form)
+    h = f.build_normal_cofactor(form, w, f.build_abelian_complement(form))
+    v = f.enumerate_unitary(g, f.classical_involution(g), max_order=32)
+    assert v.order == g.order * h.order
+    assert v.mask_set() == product_of(g, [f.group_image(g), h])
+
+
+def test_order32_dihedral_gap_is_a_factor_of_four():
+    g = f.make_direct_product(f.make_dihedral(8), f.make_cyclic(4))
+    form = f.make_odot_form(g)
+    predicted = f.verify_odot_decomposition(form, skip_enumeration=True).orders["expected_unitary"]
+    v = f.enumerate_unitary(g, f.odot_involution(form), max_order=32)
+    assert (v.order, predicted) == (524_288, 2_097_152)
+
+
+def test_default_bound_still_refuses_order_32():
+    g = f.make_quaternion(32)
+    with pytest.raises(f.TooLargeError):
+        f.enumerate_unitary(g, f.classical_involution(g))
