@@ -2,14 +2,18 @@
 
 An element is a subset of the group, stored as an integer bitmask: bit i set
 means basis element i has coefficient 1. Addition is XOR; multiplication is
-convolution through the group table, accelerated by per-generator byte
-translation tables cached on the group.
+convolution through the group table, accelerated by byte translation tables
+cached on the group, one set per basis element.
+
+The arithmetic core works on bare masks: ``_mul``, ``_inverse`` and
+``_involute``. Every inner loop of the package calls it directly.
+``AlgebraElement`` is the API wrapper: the public ``ga_*`` functions check
+that their operands share a group, call the core, and wrap the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import (
     BadCosetsError,
@@ -112,16 +116,16 @@ def _conv_tables(g: GroupTable) -> list[list[list[int]]]:
     return tabs
 
 
-def ga_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    g = _same_group(x, y)
+def _mul(g: GroupTable, x: int, y: int) -> int:
+    """The product of two masks: the XOR over the support of y of the byte
+    tables of x."""
     tabs = _conv_tables(g)
     acc = 0
-    ym = y.mask
-    while ym:
-        j = (ym & -ym).bit_length() - 1
-        ym &= ym - 1
+    while y:
+        j = (y & -y).bit_length() - 1
+        y &= y - 1
         tj = tabs[j]
-        xm = x.mask
+        xm = x
         c = 0
         while xm:
             byte = xm & 0xFF
@@ -129,7 +133,41 @@ def ga_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
                 acc ^= tj[c][byte]
             xm >>= 8
             c += 1
-    return AlgebraElement(g, acc)
+    return acc
+
+
+def _involute(perm, x: int) -> int:
+    """Move the weight at each g of the mask to perm[g]."""
+    out = 0
+    while x:
+        i = (x & -x).bit_length() - 1
+        x &= x - 1
+        out |= 1 << perm[i]
+    return out
+
+
+def _inverse(g: GroupTable, x: int) -> int:
+    """Invert a normalized mask by repeated squaring.
+
+    In a 2-group algebra over F2 every augmentation-1 element x satisfies
+    x^(2^k) = 1 for some k, so x^(2^k - 1) is the inverse. If the squares
+    never reach 1 the element is not a unit (this also flags non-2-groups
+    fed in as raw tables).
+    """
+    if bin(x).count("1") & 1 == 0:
+        raise NotAUnitError("augmentation 0: not a unit")
+    inv = s = x
+    for _ in range(g.order + 2):
+        s = _mul(g, s, s)
+        if s == 1:
+            return inv
+        inv = _mul(g, inv, s)
+    raise NotAUnitError("repeated squaring never reached 1: not a unit")
+
+
+def ga_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
+    g = _same_group(x, y)
+    return AlgebraElement(g, _mul(g, x.mask, y.mask))
 
 
 def augmentation(x: AlgebraElement) -> int:
@@ -141,36 +179,12 @@ def ga_involute(sigma, x: AlgebraElement) -> AlgebraElement:
     """Apply an anti-automorphism coefficientwise: the weight at g moves to sigma(g)."""
     if sigma.group is not x.group:
         raise GroupMismatchError("involution defined on a different group")
-    perm = sigma.perm
-    m = x.mask
-    out = 0
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        out |= 1 << perm[i]
-    return AlgebraElement(x.group, out)
+    return AlgebraElement(x.group, _involute(sigma.perm, x.mask))
 
 
 def ga_inverse(x: AlgebraElement) -> AlgebraElement:
-    """Invert a normalized element by repeated squaring.
-
-    In a 2-group algebra over F2 every augmentation-1 element x satisfies
-    x^(2^k) = 1 for some k, so x^(2^k - 1) is the inverse. If the squares
-    never reach 1 the element is not a unit (this also flags non-2-groups
-    fed in as raw tables).
-    """
-    if augmentation(x) == 0:
-        raise NotAUnitError("augmentation 0: not a unit")
-    if x.mask == 1:
-        return x
-    squares = []
-    s = x
-    for _ in range(x.group.order + 2):
-        squares.append(s)
-        s = ga_mul(s, s)
-        if s.mask == 1:
-            return reduce(ga_mul, squares)
-    raise NotAUnitError("repeated squaring never reached 1: not a unit")
+    """Inverse of a unit; NotAUnitError otherwise (see _inverse)."""
+    return AlgebraElement(x.group, _inverse(x.group, x.mask))
 
 
 def annihilator_solve(target: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
@@ -184,7 +198,7 @@ def annihilator_solve(target: AlgebraElement, w: AlgebraElement) -> AlgebraEleme
     n = g.order
     pivots: dict[int, tuple[int, int]] = {}
     for j in range(n):
-        col = ga_mul(w, basis(g, j)).mask
+        col = _mul(g, w.mask, 1 << j)
         sel = 1 << j
         while col:
             row = (col & -col).bit_length() - 1

@@ -23,6 +23,7 @@ from .decompositions import (
 from .errors import F2UnitsError, ParseError
 from .groups import (
     GroupTable,
+    _is_int,
     make_cyclic,
     make_dihedral,
     make_direct_product,
@@ -60,10 +61,10 @@ class RunConfig:
 
 
 def _order_param(family: str, params: dict) -> int:
-    try:
-        return int(params["order"])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ParseError(f"family {family!r} needs an integer 'order' parameter") from None
+    order = params.get("order")
+    if not _is_int(order):
+        raise ParseError(f"family {family!r} needs an integer 'order' parameter")
+    return order
 
 
 def _build_family(family: str, params: dict) -> GroupTable:

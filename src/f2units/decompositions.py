@@ -23,9 +23,13 @@ group, element for element, whenever the group is small enough.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .algebra import (
     AlgebraElement,
+    _involute,
+    _inverse,
+    _mul,
     annihilator_solve,
     augmentation,
     basis,
@@ -39,6 +43,7 @@ from .algebra import (
     render_element,
 )
 from .errors import NoComplementError, NoSolutionError, NotUnitaryError
+from .groups import _closure
 from .involutions import (
     InvertingExtensionForm,
     OdotForm,
@@ -51,6 +56,7 @@ from .unitgroup import (
     UnitSet,
     _internal_direct,
     canonical_generators,
+    commute,
     elements_of_order_dividing_2,
     enumerate_normalized_units,
     enumerate_unitary,
@@ -64,7 +70,6 @@ from .unitgroup import (
     product_masks,
     product_of,
     structure_predicates,
-    unit_subgroup_closure,
 )
 
 
@@ -124,27 +129,25 @@ def _group_descriptor(g) -> dict:
     return {"family": g.family, "order": g.order, "spec": g.name}
 
 
+def _render(g, m: int) -> str:
+    return render_element(AlgebraElement(g, m))
+
+
 def _add_member_check(report: DecompositionReport, name: str, g, masks, ok) -> None:
     """Add check ``name``: ok(m) holds for every mask, else the first failing
     member is the witness."""
     bad = next((m for m in masks if not ok(m)), None)
-    report.add(name, bad is None, None if bad is None else render_element(AlgebraElement(g, bad)))
+    report.add(name, bad is None, None if bad is None else _render(g, bad))
 
 
 def _squares_to_one(g, m: int) -> bool:
-    x = AlgebraElement(g, m)
-    return ga_mul(x, x).mask == 1
+    return _mul(g, m, m) == 1
 
 
 def _unitary_test(sigma):
     """Mask predicate: x * sigma(x) = 1."""
-    g = sigma.group
-
-    def ok(m: int) -> bool:
-        x = AlgebraElement(g, m)
-        return ga_mul(x, ga_involute(sigma, x)).mask == 1
-
-    return ok
+    g, perm = sigma.group, sigma.perm
+    return lambda m: _mul(g, m, _involute(perm, m)) == 1
 
 
 def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> None:
@@ -162,9 +165,9 @@ def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> Non
 # classical involution: unipotent factor, abelian complement, normal cofactor
 
 
-def _one_plus_bsq(form: InvertingExtensionForm) -> AlgebraElement:
-    g = form.group
-    return ga_add(one(g), basis(g, form.b_squared))
+def _one_plus_bsq(form: InvertingExtensionForm) -> int:
+    """The mask of 1 + b*b."""
+    return 1 ^ (1 << form.b_squared)
 
 
 def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
@@ -175,14 +178,13 @@ def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
     """
     masks, _ = _unipotent_image_fibers(form)
     g = form.group
-    gens = [_unipotent_generator(form, gi).mask for gi in form.transversal]
+    gens = [_unipotent_generator(form, gi) for gi in form.transversal]
     return make_unit_set(g, masks, generators=gens)
 
 
-def _unipotent_generator(form: InvertingExtensionForm, gi: int) -> AlgebraElement:
+def _unipotent_generator(form: InvertingExtensionForm, gi: int) -> int:
     g = form.group
-    nb = _one_plus_bsq(form)
-    return ga_add(one(g), ga_mul(ga_mul(nb, basis(g, gi)), basis(g, form.b)))
+    return 1 ^ _mul(g, _mul(g, _one_plus_bsq(form), 1 << gi), 1 << form.b)
 
 
 def _unipotent_image_fibers(
@@ -191,8 +193,7 @@ def _unipotent_image_fibers(
     """Image masks of z -> 1 + (1+b*b) z b, plus the preimage count per mask."""
     g = form.group
     nb = _one_plus_bsq(form)
-    b_el = basis(g, form.b)
-    id_mask = 1
+    b_el = 1 << form.b
     fibers: dict[int, int] = {}
     members = form.a_sub.members
     for zbits in range(1 << len(members)):
@@ -202,7 +203,7 @@ def _unipotent_image_fibers(
             low = rest & -rest
             zmask |= 1 << members[low.bit_length() - 1]
             rest ^= low
-        m = id_mask ^ ga_mul(ga_mul(nb, AlgebraElement(g, zmask)), b_el).mask
+        m = 1 ^ _mul(g, _mul(g, nb, zmask), b_el)
         fibers[m] = fibers.get(m, 0) + 1
     return set(fibers), fibers
 
@@ -243,9 +244,9 @@ def _conjugation_witness(
     """
     g = form.group
     nb = _one_plus_bsq(form)
-    b_el = basis(g, form.b)
-    b_inv = basis(g, g.inv[form.b])
-    sigma = classical_involution(g)
+    b_el = 1 << form.b
+    b_inv = 1 << g.inv[form.b]
+    perm = classical_involution(g).perm
     bsq = form.b_squared
     rep_of: dict[int, int] = {}
     for rep in form.transversal:
@@ -255,28 +256,24 @@ def _conjugation_witness(
         w_masks = build_unipotent_factor(form).mask_set()
     for gi in form.transversal:
         w_i = _unipotent_generator(form, gi)
-        conj_b = ga_mul(ga_mul(b_el, w_i), b_inv)
+        conj_b = _mul(g, _mul(g, b_el, w_i), b_inv)
         gj = rep_of[g.inv[gi]]
-        predicted = _unipotent_generator(form, gj)
-        if conj_b.mask != predicted.mask or conj_b.mask not in w_masks:
-            return f"twist conjugation at {g.labels[gi]}: got {render_element(conj_b)}"
-        gi_el = basis(g, gi)
-        for x1 in v_a.elements():
-            x1_inv = ga_inverse(x1)
-            conj = ga_mul(ga_mul(x1, w_i), x1_inv)
-            pred = ga_add(
-                one(g), ga_mul(ga_mul(nb, ga_mul(ga_mul(x1, x1), gi_el)), b_el)
-            )
-            if conj.mask != pred.mask or conj.mask not in w_masks:
+        if conj_b != _unipotent_generator(form, gj) or conj_b not in w_masks:
+            return f"twist conjugation at {g.labels[gi]}: got {_render(g, conj_b)}"
+        for x1 in v_a.masks:
+            x1_inv = _inverse(g, x1)
+            conj = _mul(g, _mul(g, x1, w_i), x1_inv)
+            pred = 1 ^ _mul(g, _mul(g, nb, _mul(g, _mul(g, x1, x1), 1 << gi)), b_el)
+            if conj != pred or conj not in w_masks:
                 return (
                     f"unitary conjugation at {g.labels[gi]} by "
-                    f"{render_element(x1)}: got {render_element(conj)}"
+                    f"{_render(g, x1)}: got {_render(g, conj)}"
                 )
-            left = ga_mul(b_el, x1_inv)
-            if left.mask != ga_mul(x1, b_el).mask:
-                return f"twist commutation fails at {render_element(x1)}"
-            if left.mask != ga_mul(b_el, ga_involute(sigma, x1)).mask:
-                return f"inverse-vs-star mismatch at {render_element(x1)}"
+            left = _mul(g, b_el, x1_inv)
+            if left != _mul(g, x1, b_el):
+                return f"twist commutation fails at {_render(g, x1)}"
+            if left != _mul(g, b_el, _involute(perm, x1)):
+                return f"inverse-vs-star mismatch at {_render(g, x1)}"
     return None
 
 
@@ -313,7 +310,7 @@ def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) ->
     if augmentation(x1) != 1:
         return False
     y = ga_mul(ga_inverse(x1), x2)
-    nb = _one_plus_bsq(form)
+    nb = AlgebraElement(g, _one_plus_bsq(form))
     x1s = ga_involute(sigma, x1)
     ys = ga_involute(sigma, y)
     line1 = ga_mul(ga_mul(x1, x1s), ga_add(one(g), ga_mul(y, ys))).mask == 1
@@ -366,12 +363,12 @@ def verify_inverting_decomposition(
     )
 
     masks, fibers = _unipotent_image_fibers(form)
-    gens = [_unipotent_generator(form, gi).mask for gi in form.transversal]
+    gens = [_unipotent_generator(form, gi) for gi in form.transversal]
     w = make_unit_set(g, masks, generators=gens)
     expected_w = 1 << (a_order // 2)
     report.add("unipotent_order_formula", w.order == expected_w)
-    closure_route = unit_subgroup_closure(g, [AlgebraElement(g, m) for m in w.generators])
-    report.add("unipotent_generator_route_agrees", closure_route.mask_set() == w.mask_set())
+    closure_route = _closure(partial(_mul, g), {1}, gens)
+    report.add("unipotent_generator_route_agrees", closure_route == w.mask_set())
     report.add(
         "unipotent_fibers_uniform",
         all(count == expected_w for count in fibers.values()),
@@ -400,9 +397,7 @@ def verify_inverting_decomposition(
         }
         return report
     report.add("abelian_complement_exists", True)
-    report.instance["complement_generators"] = [
-        render_element(AlgebraElement(g, m)) for m in (ell.generators or ())
-    ]
+    report.instance["complement_generators"] = [_render(g, m) for m in (ell.generators or ())]
     report.add("abelian_complement_contract", internal_direct(v_a, [a_image, ell]))
 
     h = build_normal_cofactor(form, w, ell)
@@ -457,13 +452,13 @@ def _commutator_ideal(form: OdotForm) -> list[int]:
 def _ideal_basis(form: OdotForm) -> list[int]:
     """F2-basis of the ideal (1+e) F2C: the images of coset representatives."""
     g = form.group
-    w_el = ga_add(one(g), basis(g, form.e))
+    w_el = 1 ^ (1 << form.e)
     reps = []
     covered: set[int] = set()
     for c in form.c_sub.members:
         if c in covered:
             continue
-        reps.append(ga_mul(w_el, basis(g, c)).mask)
+        reps.append(_mul(g, w_el, 1 << c))
         covered.update((c, g.mul[form.e][c]))
     return reps
 
@@ -472,23 +467,15 @@ def build_central_unipotent(form: OdotForm) -> UnitSet:
     """All elements 1 + x1 a + x2 b + x3 ab with coordinates in (1+e) F2C."""
     g = form.group
     ideal = _commutator_ideal(form)
-    a_el = basis(g, form.a)
-    b_el = basis(g, form.b)
-    ab_el = basis(g, g.mul[form.a][form.b])
-    shift_a = [ga_mul(AlgebraElement(g, m), a_el).mask for m in ideal]
-    shift_b = [ga_mul(AlgebraElement(g, m), b_el).mask for m in ideal]
-    shift_ab = [ga_mul(AlgebraElement(g, m), ab_el).mask for m in ideal]
+    cosets = (1 << form.a, 1 << form.b, 1 << g.mul[form.a][form.b])
+    shift_a, shift_b, shift_ab = ([_mul(g, m, c) for m in ideal] for c in cosets)
     masks = set()
     for m1 in shift_a:
         for m2 in shift_b:
             base = 1 ^ m1 ^ m2
             for m3 in shift_ab:
                 masks.add(base ^ m3)
-    gens = []
-    for beta_mask in _ideal_basis(form):
-        beta = AlgebraElement(g, beta_mask)
-        for coset_el in (a_el, b_el, ab_el):
-            gens.append(1 ^ ga_mul(beta, coset_el).mask)
+    gens = [1 ^ _mul(g, beta, c) for beta in _ideal_basis(form) for c in cosets]
     return make_unit_set(g, masks, generators=gens)
 
 
@@ -623,16 +610,11 @@ def verify_odot_decomposition(
         "central_unipotent_elementary",
         preds["is_elementary_abelian_2"] and preds["rank"] == 3 * c_order // 2,
     )
-    gen_basis = [basis(g, i) for i in (g.generators or range(g.order))]
+    gen_basis = [1 << i for i in (g.generators or range(g.order))]
     unitary = _unitary_test(sigma)
-
-    def central(m: int) -> bool:
-        el = AlgebraElement(g, m)
-        return all(ga_mul(el, t).mask == ga_mul(t, el).mask for t in gen_basis)
-
     _add_member_check(
         report, "central_unipotent_members_central_unitary", g, w.masks,
-        lambda m: _squares_to_one(g, m) and unitary(m) and central(m),
+        lambda m: _squares_to_one(g, m) and unitary(m) and commute(g, [m], gen_basis),
     )
 
     # The decomposition needs the group inside the unitary set, which holds
@@ -649,9 +631,7 @@ def verify_odot_decomposition(
         report.orders = {"group": g.order, "central_unipotent": w.order}
         return report
     report.add("torsion_complement_exists", True)
-    report.instance["torsion_generators"] = [
-        render_element(AlgebraElement(g, m)) for m in (t.generators or ())
-    ]
+    report.instance["torsion_generators"] = [_render(g, m) for m in (t.generators or ())]
     report.add("torsion_complement_contract", internal_direct(v_c2, [c2_image, t]))
     report.add("torsion_outside_group", t.mask_set() & g_image.mask_set() == {1})
 

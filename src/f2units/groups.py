@@ -21,6 +21,11 @@ from .errors import (
 )
 
 
+def _is_int(x) -> bool:
+    """True for an int that is not a bool: floats and booleans are not indices."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class GroupTable:
     """A finite group given by its full multiplication table.
 
@@ -43,9 +48,11 @@ class GroupTable:
         name: str | None = None,
     ):
         try:
-            table = tuple(tuple(int(x) for x in row) for row in mul)
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError("a multiplication table must be a list of rows of integers") from None
+            table = tuple(tuple(row) for row in mul)
+        except TypeError:
+            table = None
+        if table is None or not all(_is_int(x) for row in table for x in row):
+            raise ParseError("a multiplication table must be a list of rows of integers")
         inv = _validate_table(table)
         self.order = len(table)
         self.mul = table
@@ -282,20 +289,21 @@ def make_inverting_extension(a_group: GroupTable, t: int) -> GroupTable:
 
 def subgroup_closure(g: GroupTable, gens: Iterable[int]) -> SubgroupSet:
     """Smallest subgroup containing gens."""
-    members = _closure(list(g.elements()), lambda x, y: g.mul[x][y], 0, gens)
+    members = _closure(lambda x, y: g.mul[x][y], {0}, gens)
     return SubgroupSet(g, tuple(sorted(members)))
 
 
 def _closure(
-    ids: Sequence[int],
-    mul_fn: Callable[[int, int], int],
-    identity: int,
-    gens: Iterable[int],
+    mul_fn: Callable[[int, int], int], seed: Iterable[int], gens: Iterable[int]
 ) -> set[int]:
-    """Closure of gens under mul_fn; inverses come for free in a finite group."""
-    seen = {identity}
-    gen_list = [x for x in gens]
-    queue = [identity]
+    """Closure of the seed set under right multiplication by gens.
+
+    Seeded with the identity, or with any part of the subgroup gens generate,
+    this is that subgroup; inverses come for free in a finite group.
+    """
+    seen = set(seed)
+    gen_list = list(gens)
+    queue = list(seen)
     while queue:
         x = queue.pop()
         for gn in gen_list:
@@ -398,7 +406,7 @@ def complement_generators(
             c = ids[idx]
             if c in members or c in factor_set:
                 continue
-            grown = _closure(ids, mul_fn, identity, gens + [c])
+            grown = _closure(mul_fn, {identity}, gens + [c])
             if len(grown) > target:
                 continue
             if any(x in factor_set for x in grown if x != identity):
@@ -414,7 +422,7 @@ def complement_generators(
             f"no complement of a factor of order {len(factor_set)} "
             f"in an ambient group of order {order}"
         )
-    return gens, _closure(ids, mul_fn, identity, gens)
+    return gens, _closure(mul_fn, {identity}, gens)
 
 
 def find_complement_subgroup(ambient: SubgroupSet, factor: SubgroupSet) -> SubgroupSet:

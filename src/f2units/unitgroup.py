@@ -22,9 +22,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import AlgebraElement, ga_inverse, ga_mul
+from .algebra import AlgebraElement, _inverse, _mul
 from .errors import (
     GroupMismatchError,
     NotAbelianError,
@@ -34,7 +35,13 @@ from .errors import (
     ParseError,
     TooLargeError,
 )
-from .groups import GroupTable, SubgroupSet, complement_generators, find_complement_subgroup
+from .groups import (
+    GroupTable,
+    SubgroupSet,
+    _closure,
+    complement_generators,
+    find_complement_subgroup,
+)
 from .involutions import AntiAutomorphism
 
 DEFAULT_EXHAUSTIVE_BOUND = 16
@@ -181,7 +188,7 @@ def enumerate_normalized_units(
     def work(lo: int, hi: int) -> list[int]:
         found = []
         for m in _candidate_masks(members, lo, hi):
-            ga_inverse(AlgebraElement(g, m))  # raises if not a unit
+            _inverse(g, m)  # raises if not a unit
             found.append(m)
         return found
 
@@ -322,30 +329,16 @@ def unit_subgroup_closure(
     for x in gens:
         if x.group is not g:
             raise GroupMismatchError("generator from a different group")
-        ga_inverse(x)  # NotAUnitError on a non-unit generator
+        _inverse(g, x.mask)  # NotAUnitError on a non-unit generator
         gen_masks.append(x.mask)
-    seen = {1}
-    queue = [1]
-    while queue:
-        m = queue.pop()
-        xm = AlgebraElement(g, m)
-        for gn in gen_masks:
-            y = ga_mul(xm, AlgebraElement(g, gn)).mask
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
+    seen = _closure(partial(_mul, g), {1}, gen_masks)
     return make_unit_set(g, seen, sigma=sigma, generators=gen_masks)
 
 
 def product_masks(g: GroupTable, left: Iterable[int], right: Iterable[int]) -> frozenset[int]:
     """The set of pairwise products of two mask collections."""
-    rights = [AlgebraElement(g, m) for m in right]
-    out = set()
-    for lm in left:
-        le = AlgebraElement(g, lm)
-        for re in rights:
-            out.add(ga_mul(le, re).mask)
-    return frozenset(out)
+    rights = list(right)
+    return frozenset(_mul(g, lm, rm) for lm in left for rm in rights)
 
 
 def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:
@@ -426,10 +419,9 @@ def _is_abelian_units(s: UnitSet) -> bool:
 
 def _element_order_in_units(g: GroupTable, m: int) -> int:
     order = 1
-    cur = AlgebraElement(g, m)
-    x = cur
-    while cur.mask != 1:
-        cur = ga_mul(cur, x)
+    cur = m
+    while cur != 1:
+        cur = _mul(g, cur, m)
         order += 1
         if order > 1 << 20:
             raise NotAUnitError("order computation runaway: not a unit")
@@ -445,7 +437,7 @@ def structure_predicates(s: UnitSet) -> dict:
     g = s.group
     gens = gens_of(s)
     abelian = commute(g, gens, gens)
-    squares_one = all(ga_mul(AlgebraElement(g, m), AlgebraElement(g, m)).mask == 1 for m in gens)
+    squares_one = all(_mul(g, m, m) == 1 for m in gens)
     elementary = abelian and squares_one
     rank = s.order.bit_length() - 1 if elementary else None
     if elementary:
@@ -460,22 +452,26 @@ def elements_of_order_dividing_2(v: UnitSet) -> UnitSet:
     if not _is_abelian_units(v):
         raise NotAbelianError("order-dividing-2 subgroup requires an abelian ambient")
     g = v.group
-    kept = [m for m in v.masks if ga_mul(AlgebraElement(g, m), AlgebraElement(g, m)).mask == 1]
+    kept = [m for m in v.masks if _mul(g, m, m) == 1]
     return make_unit_set(g, kept, sigma=v.sigma)
 
 
 def canonical_generators(s: UnitSet) -> list[int]:
-    """Greedy generating set over the canonical member order (deterministic)."""
+    """Greedy generating set over the canonical member order (deterministic).
+
+    Each member outside the span so far becomes a generator, and the span
+    grows by a closure seeded with itself.
+    """
     g = s.group
+    mul_fn = partial(_mul, g)
     span = {1}
     gens: list[int] = []
     for m in s.masks:
         if m in span:
             continue
+        _inverse(g, m)  # NotAUnitError on a non-unit member
         gens.append(m)
-        span = set(
-            unit_subgroup_closure(g, [AlgebraElement(g, x) for x in gens]).masks
-        )
+        span = _closure(mul_fn, span, gens)
     return gens
 
 
@@ -490,12 +486,7 @@ def commute(g: GroupTable, xs: Sequence[int], ys: Sequence[int]) -> bool:
     Applied to generating sets this decides whether the generated subgroups
     commute elementwise.
     """
-    els = [AlgebraElement(g, m) for m in ys]
-    for xm in xs:
-        x = AlgebraElement(g, xm)
-        if any(ga_mul(x, y).mask != ga_mul(y, x).mask for y in els):
-            return False
-    return True
+    return all(_mul(g, x, y) == _mul(g, y, x) for x in xs for y in ys)
 
 
 def normalizes(g: GroupTable, conj_gens: Sequence[int], sub: UnitSet) -> bool:
@@ -506,11 +497,10 @@ def normalizes(g: GroupTable, conj_gens: Sequence[int], sub: UnitSet) -> bool:
     so the whole group generated by conj_gens normalizes sub.
     """
     sub_set = sub.mask_set()
-    ns = [AlgebraElement(g, m) for m in gens_of(sub)]
-    for am in conj_gens:
-        a = AlgebraElement(g, am)
-        a_inv = ga_inverse(a)
-        if any(ga_mul(ga_mul(a, n), a_inv).mask not in sub_set for n in ns):
+    ns = gens_of(sub)
+    for a in conj_gens:
+        a_inv = _inverse(g, a)
+        if any(_mul(g, _mul(g, a, n), a_inv) not in sub_set for n in ns):
             return False
     return True
 
@@ -530,9 +520,5 @@ def find_complement(ambient: UnitSet | SubgroupSet, factor: UnitSet | SubgroupSe
     if not _is_abelian_units(ambient):
         raise NotAbelianError("complement search requires an abelian ambient group")
     g = ambient.group
-
-    def mul_fn(x: int, y: int) -> int:
-        return ga_mul(AlgebraElement(g, x), AlgebraElement(g, y)).mask
-
-    gens, members = complement_generators(ambient.masks, mul_fn, 1, factor.masks)
+    gens, members = complement_generators(ambient.masks, partial(_mul, g), 1, factor.masks)
     return make_unit_set(g, members, sigma=ambient.sigma, generators=gens)

@@ -91,6 +91,35 @@ def naive_closure(g, gens) -> list[int]:
     return sorted(members)
 
 
+def naive_unit_closure(g, gens) -> set[int]:
+    """Fixed-point closure of unit masks: keep multiplying every member by
+    every generator until nothing new appears."""
+    members = {1}
+    changed = True
+    while changed:
+        changed = False
+        for x in sorted(members):
+            for y in gens:
+                z = naive_mul(g, x, y)
+                if z not in members:
+                    members.add(z)
+                    changed = True
+    return members
+
+
+def naive_canonical_generators(g, masks) -> list[int]:
+    """Greedy generators over the ascending masks: each mask outside the span
+    of the generators so far is added, and the span is recomputed from
+    scratch."""
+    span = {1}
+    gens: list[int] = []
+    for m in sorted(masks):
+        if m not in span:
+            gens.append(m)
+            span = naive_unit_closure(g, gens)
+    return gens
+
+
 def naive_commutator_subgroup(g) -> list[int]:
     n = g.order
     comms = set()

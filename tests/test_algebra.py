@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
+from f2units.algebra import _inverse, _involute, _mul
+from f2units.catalog import catalog_groups
 from f2units.errors import (
     BadCosetsError,
     BadIndexError,
@@ -15,7 +17,7 @@ from f2units.errors import (
     NotAUnitError,
     ParseError,
 )
-from oracles import naive_augmentation, naive_mul
+from oracles import naive_apply_perm, naive_augmentation, naive_mul
 
 masks8 = st.integers(0, 255)
 
@@ -243,3 +245,50 @@ def test_involute_is_linear_and_self_inverse(q8):
         x, y = elem(q8, mx), elem(q8, my)
         assert f.ga_involute(sigma, x + y) == f.ga_involute(sigma, x) + f.ga_involute(sigma, y)
         assert f.ga_involute(sigma, f.ga_involute(sigma, x)) == x
+
+
+# ---------------------------------------------------------------------------
+# the mask-level core against the oracles
+
+CORE_GROUPS = [*catalog_groups().values(), f.make_quaternion(32)]
+
+
+def _any_mask(g):
+    return st.integers(0, (1 << g.order) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CORE_GROUPS), st.data())
+def test_core_mul_matches_oracle(g, data):
+    x, y = data.draw(_any_mask(g)), data.draw(_any_mask(g))
+    assert _mul(g, x, y) == naive_mul(g, x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CORE_GROUPS), st.data())
+def test_core_involute_matches_oracle(g, data):
+    perm = data.draw(st.permutations(range(g.order)))
+    x = data.draw(_any_mask(g))
+    assert _involute(perm, x) == naive_apply_perm(perm, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CORE_GROUPS), st.data())
+def test_core_inverse_is_two_sided(g, data):
+    m = data.draw(_any_mask(g))
+    x = m if naive_augmentation(m) else m ^ 1
+    inv = _inverse(g, x)
+    assert naive_mul(g, x, inv) == 1 == _mul(g, inv, x)
+
+
+@pytest.mark.parametrize("g", CORE_GROUPS, ids=lambda g: g.name)
+def test_core_inverse_rejects_augmentation_zero(g):
+    for x in (0, 0b11, (1 << g.order) - 1):
+        with pytest.raises(NotAUnitError):
+            _inverse(g, x)
+
+
+def test_core_inverse_refuses_outside_two_groups():
+    c3 = f.GroupTable([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    with pytest.raises(NotAUnitError):
+        _inverse(c3, 0b111)

@@ -57,6 +57,23 @@ def test_parse_rejects_bad_json():
         parse_group_spec("{}")
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"family": "quaternion", "params": {"order": 8.9}}',
+        '{"family": "quaternion", "params": {"order": 8.0}}',
+        '{"family": "cyclic", "params": {"order": true}}',
+        '{"table": [[0, 1.7], [true, 0]]}',
+        '{"table": [[0, 1], [1, 0.0]]}',
+        '{"table": ["01", "10"]}',
+    ],
+)
+def test_parse_rejects_numbers_that_are_not_integers(spec):
+    """Floats, booleans and digit strings are not truncated to an order or index."""
+    with pytest.raises(ParseError):
+        parse_group_spec(spec)
+
+
 def test_parse_rejects_axiom_violations():
     with pytest.raises(GroupAxiomViolationError):
         parse_group_spec('{"table":[[0,1],[1,1]]}')
@@ -111,6 +128,10 @@ def test_invalid_input_exits_two(capsys):
         '{"family": "cyclic", "params": {"order": 1e400}}',
         pytest.param("[" * 100000, id="deeply-nested"),
         pytest.param(b'\xff{"family": "cyclic"}', id="not-utf8"),
+        '{"family": "quaternion", "params": {"order": 8.9}}',
+        '{"family": "cyclic", "params": {"order": true}}',
+        '{"table": [[0, 1.7], [true, 0]]}',
+        '{"table": ["01", "10"]}',
     ],
 )
 def test_malformed_spec_exits_two(spec, tmp_path, capsys):
@@ -187,6 +208,23 @@ def test_catalog_mode_covers_all_instances(tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == reference_sha256("catalog", "catalog")
 
 
+def test_catalog_builds_algebra_elements_only_at_the_boundary(monkeypatch, tmp_path):
+    """Inner loops multiply bare masks; an AlgebraElement is built only where
+    a public function takes or returns one, or a report renders one."""
+    built = 0
+    check_range = f.AlgebraElement.__post_init__
+
+    def counting(self):
+        nonlocal built
+        built += 1
+        check_range(self)
+
+    monkeypatch.setattr(f.AlgebraElement, "__post_init__", counting)
+    code, _ = run_cli(["--mode", "catalog", "--format", "json"], tmp_path)
+    assert code == 1
+    assert built < 2000
+
+
 @pytest.mark.parametrize(
     "key, family", [("Q32", "quaternion"), ("Ext(C16)", "inverting_extension")]
 )
@@ -258,9 +296,14 @@ _JSON = st.recursive(
 )
 
 
-def _mostly(valid):
-    """Draws from ``valid`` three times in four, else any JSON value."""
-    return st.integers(0, 3).flatmap(lambda k: _JSON if k == 0 else valid)
+# JSON numbers that are neither an order nor a table index; an integral
+# float such as 4.0 is one of them.
+_NOT_INT = st.booleans() | st.floats(-1, 17)
+
+
+def _mostly(valid, other=_JSON):
+    """Draws from ``valid`` three times in four, else from ``other`` (any JSON value)."""
+    return st.integers(0, 3).flatmap(lambda k: other if k == 0 else valid)
 
 
 _FAMILY = st.sampled_from(
@@ -270,7 +313,7 @@ _FAMILY = st.sampled_from(
 
 def _family_spec(orders, factor):
     params = st.fixed_dictionaries(
-        {"order": _mostly(st.sampled_from(orders))},
+        {"order": _mostly(_mostly(st.sampled_from(orders), _NOT_INT))},
         optional={
             "factors": _mostly(st.lists(factor, min_size=1, max_size=2)),
             "base": _mostly(factor),
@@ -290,7 +333,7 @@ _TABLE_SPEC = st.fixed_dictionaries(
     {
         "table": _mostly(
             st.sampled_from(_SMALL_TABLES)
-            | st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=4)
+            | st.lists(st.lists(st.integers(-1, 4) | _NOT_INT, max_size=4), max_size=4)
         )
     },
     optional={"labels": _mostly(st.lists(st.text(max_size=2), max_size=4))},
@@ -300,7 +343,11 @@ _TABLE_SPEC = st.fixed_dictionaries(
 _FACTOR = _TABLE_SPEC | st.fixed_dictionaries(
     {
         "family": _mostly(_FAMILY),
-        "params": _mostly(st.fixed_dictionaries({"order": _mostly(st.sampled_from([0, 1, 2, 3, 4]))})),
+        "params": _mostly(
+            st.fixed_dictionaries(
+                {"order": _mostly(_mostly(st.sampled_from([0, 1, 2, 3, 4]), _NOT_INT))}
+            )
+        ),
     }
 )
 _SPEC = _mostly(_family_spec([0, 1, 2, 3, 4, 6, 8, 12, 16], _FACTOR) | _TABLE_SPEC)

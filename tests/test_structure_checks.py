@@ -16,7 +16,7 @@ from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import NotAbelianError
 from f2units.groups import SubgroupSet
 from f2units.unitgroup import _is_abelian_units, canonical_generators, is_direct, normalizes
-from oracles import naive_commute, naive_normal_in, naive_product
+from oracles import naive_canonical_generators, naive_commute, naive_normal_in, naive_product
 
 SMALL_CLASSICAL = [e for e in CLASSICAL_ENTRIES if e.build().order <= 16]
 SMALL_ODOT = [e for e in ODOT_ENTRIES if e.build().order <= 16]
@@ -194,3 +194,39 @@ def test_order32_recorded_generators_generate():
     form = entry.form()
     for s in (f.build_torsion_complement(form), f.build_central_unipotent(form)):
         _assert_generated(s)
+
+
+def _sets_without_recorded_generators():
+    """Unit sets whose structure checks fall back to canonical_generators:
+    V_* of every catalog instance of order at most 16, V_*(F2A) of the
+    classical ones, and the two such sets the order-32 construction uses."""
+    for entry in SMALL_CLASSICAL:
+        form = entry.form()
+        g = form.group
+        sigma = f.classical_involution(g)
+        yield f"{entry.key}/classical/V", lambda g=g, s=sigma: f.enumerate_unitary(g, s)
+        yield f"{entry.key}/classical/V_A", lambda g=g, s=sigma, a=form.a_sub: (
+            f.enumerate_unitary(g, s, support=a)
+        )
+    for entry in SMALL_ODOT:
+        form = entry.form()
+        yield f"{entry.key}/odot/V", lambda form=form: (
+            f.enumerate_unitary(form.group, f.odot_involution(form))
+        )
+    q32 = f.make_inverting_form(f.make_quaternion(32), [1], 16)
+    yield "Q32/v_a", lambda: f.enumerate_unitary(
+        q32.group, f.classical_involution(q32.group), support=q32.a_sub
+    )
+    (d8xc4,) = [e.form() for e in ODOT_ENTRIES if e.key == "D8xC4"]
+    yield "D8xC4/v_c2", lambda: f.elements_of_order_dividing_2(
+        f.enumerate_normalized_units(d8xc4.group, support=d8xc4.c_sub)
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [pytest.param(b, id=name) for name, b in _sets_without_recorded_generators()]
+)
+def test_canonical_generators_match_from_scratch_greedy(build):
+    s = build()
+    assert s.generators is None
+    assert canonical_generators(s) == naive_canonical_generators(s.group, s.masks)
