@@ -14,6 +14,7 @@ that their operands share a group, call the core, and wrap the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .errors import (
     BadCosetsError,
@@ -187,42 +188,59 @@ def ga_inverse(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(x.group, _inverse(x.group, x.mask))
 
 
+def _eliminate(
+    columns: Iterable[int], selectors: Sequence[int] | None = None
+) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Gaussian elimination over F2, lowest set bit first.
+
+    Column j carries a selector (default 1 << j) that takes the same XORs.
+    A column that survives reduction becomes the pivot at its lowest bit;
+    one that vanishes puts its selector into the kernel. Returns
+    (pivots: row -> (column, selector), kernel selectors in column order).
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    kernel: list[int] = []
+    for j, col in enumerate(columns):
+        sel = 1 << j if selectors is None else selectors[j]
+        while col:
+            row = (col & -col).bit_length() - 1
+            if row not in pivots:
+                pivots[row] = (col, sel)
+                break
+            pcol, psel = pivots[row]
+            col ^= pcol
+            sel ^= psel
+        else:
+            kernel.append(sel)
+    return pivots, kernel
+
+
+def _span(basis: Iterable[int]) -> list[int]:
+    """Every XOR of basis vectors; entry v takes those at the set bits of v."""
+    span = [0]
+    for v in basis:
+        span += [m ^ v for m in span]
+    return span
+
+
 def annihilator_solve(target: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
     """Solve w * z = target for z, or raise NoSolutionError.
 
-    Left multiplication by w is a linear map over F2; we Gauss-eliminate its
-    columns with lowest-index-first pivoting, so the returned z is canonical
-    (free coordinates are zero).
+    The columns of left multiplication by w are eliminated, then the target
+    as one more column: it vanishes exactly when solvable, and its selector
+    is then z plus the marker bit. Pivoting is lowest-index first, so z is
+    canonical (free coordinates are zero).
     """
     g = _same_group(target, w)
     n = g.order
-    pivots: dict[int, tuple[int, int]] = {}
-    for j in range(n):
-        col = _mul(g, w.mask, 1 << j)
-        sel = 1 << j
-        while col:
-            row = (col & -col).bit_length() - 1
-            if row in pivots:
-                pcol, psel = pivots[row]
-                col ^= pcol
-                sel ^= psel
-            else:
-                pivots[row] = (col, sel)
-                break
-    t = target.mask
-    sel = 0
-    while t:
-        row = (t & -t).bit_length() - 1
-        if row not in pivots:
-            raise NoSolutionError(
-                "target is not in the image of multiplication by w",
-                rank=len(pivots),
-                augmented_rank=len(pivots) + 1,
-            )
-        pcol, psel = pivots[row]
-        t ^= pcol
-        sel ^= psel
-    return AlgebraElement(g, sel)
+    pivots, kernel = _eliminate([_mul(g, w.mask, 1 << j) for j in range(n)] + [target.mask])
+    if not kernel or not kernel[-1] >> n:
+        raise NoSolutionError(
+            "target is not in the image of multiplication by w",
+            rank=len(pivots) - 1,
+            augmented_rank=len(pivots),
+        )
+    return AlgebraElement(g, kernel[-1] ^ 1 << n)
 
 
 def coset_split(

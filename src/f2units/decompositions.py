@@ -27,9 +27,11 @@ from functools import partial
 
 from .algebra import (
     AlgebraElement,
+    _eliminate,
     _involute,
     _inverse,
     _mul,
+    _span,
     annihilator_solve,
     augmentation,
     basis,
@@ -43,7 +45,7 @@ from .algebra import (
     render_element,
 )
 from .errors import NoComplementError, NoSolutionError, NotUnitaryError
-from .groups import _closure
+from .groups import _closure, coset_representatives
 from .involutions import (
     InvertingExtensionForm,
     OdotForm,
@@ -57,8 +59,6 @@ from .unitgroup import (
     _internal_direct,
     canonical_generators,
     commute,
-    elements_of_order_dividing_2,
-    enumerate_normalized_units,
     enumerate_unitary,
     find_complement,
     group_image,
@@ -170,42 +170,27 @@ def _one_plus_bsq(form: InvertingExtensionForm) -> int:
     return 1 ^ (1 << form.b_squared)
 
 
+def _unipotent_map(form: InvertingExtensionForm) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Echelon form of the linear map z -> (1+b*b) z b on the basis of A."""
+    return _eliminate(1 ^ _unipotent_generator(form, a) for a in form.a_sub.members)
+
+
 def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
-    """All elements 1 + (1+b*b) z b, z over the subalgebra on A.
+    """All elements 1 + (1+b*b) z b, z over the subalgebra on A: one plus the
+    span of the images of A's basis.
 
     Generators are the transversal images 1 + (1+b*b) g_i b; the image route
     and the generator route are compared in the verification pipeline.
     """
-    masks, _ = _unipotent_image_fibers(form)
-    g = form.group
+    pivots, _ = _unipotent_map(form)
+    masks = (1 ^ m for m in _span(col for col, _ in pivots.values()))
     gens = [_unipotent_generator(form, gi) for gi in form.transversal]
-    return make_unit_set(g, masks, generators=gens)
+    return make_unit_set(form.group, masks, generators=gens)
 
 
 def _unipotent_generator(form: InvertingExtensionForm, gi: int) -> int:
     g = form.group
     return 1 ^ _mul(g, _mul(g, _one_plus_bsq(form), 1 << gi), 1 << form.b)
-
-
-def _unipotent_image_fibers(
-    form: InvertingExtensionForm,
-) -> tuple[set[int], dict[int, int]]:
-    """Image masks of z -> 1 + (1+b*b) z b, plus the preimage count per mask."""
-    g = form.group
-    nb = _one_plus_bsq(form)
-    b_el = 1 << form.b
-    fibers: dict[int, int] = {}
-    members = form.a_sub.members
-    for zbits in range(1 << len(members)):
-        zmask = 0
-        rest = zbits
-        while rest:
-            low = rest & -rest
-            zmask |= 1 << members[low.bit_length() - 1]
-            rest ^= low
-        m = 1 ^ _mul(g, _mul(g, nb, zmask), b_el)
-        fibers[m] = fibers.get(m, 0) + 1
-    return set(fibers), fibers
 
 
 def build_abelian_complement(
@@ -362,17 +347,14 @@ def verify_inverting_decomposition(
         orders={},
     )
 
-    masks, fibers = _unipotent_image_fibers(form)
-    gens = [_unipotent_generator(form, gi) for gi in form.transversal]
-    w = make_unit_set(g, masks, generators=gens)
+    w = build_unipotent_factor(form)
     expected_w = 1 << (a_order // 2)
     report.add("unipotent_order_formula", w.order == expected_w)
-    closure_route = _closure(partial(_mul, g), {1}, gens)
+    closure_route = _closure(partial(_mul, g), {1}, w.generators)
     report.add("unipotent_generator_route_agrees", closure_route == w.mask_set())
-    report.add(
-        "unipotent_fibers_uniform",
-        all(count == expected_w for count in fibers.values()),
-    )
+    # Every fiber of a linear map is a coset of its kernel.
+    _, kernel = _unipotent_map(form)
+    report.add("unipotent_fibers_uniform", 1 << len(kernel) == expected_w)
     preds = structure_predicates(w)
     report.add(
         "unipotent_elementary_abelian",
@@ -441,61 +423,40 @@ def verify_inverting_decomposition(
 # odot involution: torsion complement and central unipotent factor
 
 
-def _commutator_ideal(form: OdotForm) -> list[int]:
-    """Members of the ideal (1+e) F2C, as masks, sorted: the span of its basis."""
-    span = [0]
-    for beta in _ideal_basis(form):
-        span += [m ^ beta for m in span]
-    return sorted(span)
-
-
 def _ideal_basis(form: OdotForm) -> list[int]:
-    """F2-basis of the ideal (1+e) F2C: the images of coset representatives."""
-    g = form.group
-    w_el = 1 ^ (1 << form.e)
-    reps = []
-    covered: set[int] = set()
-    for c in form.c_sub.members:
-        if c in covered:
-            continue
-        reps.append(_mul(g, w_el, 1 << c))
-        covered.update((c, g.mul[form.e][c]))
-    return reps
+    """F2-basis of the ideal (1+e) F2C: (1+e)c = c + ec over representatives
+    c of the cosets of {1, e} in C."""
+    g, e = form.group, form.e
+    reps = coset_representatives(g, (0, e), form.c_sub.members)
+    return [1 << c | 1 << g.mul[e][c] for c in reps]
 
 
 def build_central_unipotent(form: OdotForm) -> UnitSet:
-    """All elements 1 + x1 a + x2 b + x3 ab with coordinates in (1+e) F2C."""
+    """All elements 1 + x1 a + x2 b + x3 ab with coordinates in (1+e) F2C:
+    one plus the span of the ideal's basis times a, b and ab."""
     g = form.group
-    ideal = _commutator_ideal(form)
     cosets = (1 << form.a, 1 << form.b, 1 << g.mul[form.a][form.b])
-    shift_a, shift_b, shift_ab = ([_mul(g, m, c) for m in ideal] for c in cosets)
-    masks = set()
-    for m1 in shift_a:
-        for m2 in shift_b:
-            base = 1 ^ m1 ^ m2
-            for m3 in shift_ab:
-                masks.add(base ^ m3)
-    gens = [1 ^ _mul(g, beta, c) for beta in _ideal_basis(form) for c in cosets]
-    return make_unit_set(g, masks, generators=gens)
+    vectors = [_mul(g, beta, c) for beta in _ideal_basis(form) for c in cosets]
+    return make_unit_set(g, (1 ^ m for m in _span(vectors)), generators=[1 ^ v for v in vectors])
 
 
-def build_torsion_complement(
-    form: OdotForm,
-    max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
-    workers: int | None = None,
-) -> UnitSet:
+def build_torsion_complement(form: OdotForm) -> UnitSet:
     """Canonical complement of C's involution subgroup inside the order-2
     part of the central subalgebra's unit group."""
-    return find_complement(*_central_order_2_parts(form, max_order, workers))
+    return find_complement(*_central_order_2_parts(form))
 
 
-def _central_order_2_parts(
-    form: OdotForm, max_order: int, workers: int | None
-) -> tuple[UnitSet, UnitSet]:
-    """The order-2 part of V(F2C) and the image of C's involutions in it."""
+def _central_order_2_parts(form: OdotForm) -> tuple[UnitSet, UnitSet]:
+    """The order-2 part of V(F2C) and the image of C's involutions in it.
+
+    Squaring is linear on the commutative algebra F2C, so the order-2 units
+    are 1 + ker(x -> x^2) on the augmentation ideal, whose basis is the 1 + c.
+    """
     g = form.group
-    v_c = enumerate_normalized_units(g, max_order=max_order, workers=workers, support=form.c_sub)
-    v_c2 = elements_of_order_dividing_2(v_c)
+    nontrivial = [c for c in form.c_sub.members if c]
+    squares = [1 ^ (1 << g.mul[c][c]) for c in nontrivial]
+    _, kernel = _eliminate(squares, [1 ^ (1 << c) for c in nontrivial])
+    v_c2 = make_unit_set(g, (1 ^ k for k in _span(kernel)))
     c2_image = make_unit_set(g, (1 << c for c in form.c_sub.members if g.mul[c][c] == 0))
     return v_c2, c2_image
 
@@ -623,7 +584,7 @@ def verify_odot_decomposition(
     g_image = group_image(g)
     _add_member_check(report, "group_inside_unitary", g, g_image.masks, unitary)
 
-    v_c2, c2_image = _central_order_2_parts(form, max_order, workers)
+    v_c2, c2_image = _central_order_2_parts(form)
     try:
         t = find_complement(v_c2, c2_image)
     except NoComplementError as exc:

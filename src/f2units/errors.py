@@ -68,6 +68,10 @@ class HypothesisViolationError(F2UnitsError):
     """A structural hypothesis needed by a decomposition does not hold."""
 
 
+class NotATwoGroupError(HypothesisViolationError):
+    """The group order is not a power of two."""
+
+
 class NotAbelianSubgroupError(HypothesisViolationError):
     """The designated subgroup A is not abelian."""
 

@@ -8,6 +8,7 @@ generator-word order) so downstream reports are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -155,8 +156,12 @@ class SubgroupSet:
     def order(self) -> int:
         return len(self.members)
 
-    def member_set(self) -> frozenset[int]:
+    @cached_property
+    def _member_set(self) -> frozenset[int]:
         return frozenset(self.members)
+
+    def member_set(self) -> frozenset[int]:
+        return self._member_set
 
     def __contains__(self, x: int) -> bool:
         return x in self.member_set()

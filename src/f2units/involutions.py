@@ -16,6 +16,7 @@ from .errors import (
     CenterQuotientNotKleinError,
     CommutatorNotOrderTwoError,
     HypothesisViolationError,
+    NotATwoGroupError,
     NotAbelianSubgroupError,
     NotInvertingError,
     WrongIndexError,
@@ -67,6 +68,11 @@ def validate_involution(sigma: AntiAutomorphism) -> bool:
     )
 
 
+def _require_two_group(g: GroupTable) -> None:
+    if not g.is_two_group():
+        raise NotATwoGroupError(f"the group has order {g.order}, which is not a power of 2")
+
+
 # ---------------------------------------------------------------------------
 # hypothesis bundle: abelian index-2 subgroup inverted by an order-4 element
 
@@ -95,6 +101,7 @@ def make_inverting_form(
     g: GroupTable, a_gens, b: int
 ) -> InvertingExtensionForm:
     """Validate the hypotheses and fix the coset transversal, or raise."""
+    _require_two_group(g)
     a_sub = subgroup_closure(g, a_gens)
     if not a_sub.is_abelian():
         raise NotAbelianSubgroupError("the designated subgroup is not abelian")
@@ -126,6 +133,7 @@ def detect_inverting_form(g: GroupTable) -> InvertingExtensionForm:
     the quotient by squares and commutators; candidates are tried in a fixed
     canonical order so detection is deterministic.
     """
+    _require_two_group(g)
     squares = {g.mul[x][x] for x in range(g.order)}
     comms = {
         g.mul[g.mul[g.inv[x]][g.inv[y]]][g.mul[x][y]]
@@ -205,6 +213,7 @@ def make_odot_form(g: GroupTable, prefer_large_reps: bool = False) -> OdotForm:
     instead of the smallest; the decomposition is verified for both choices
     since neither is canonical.
     """
+    _require_two_group(g)
     c_sub = center(g)
     c_members = c_sub.member_set()
     if 4 * c_sub.order != g.order:

@@ -1,10 +1,11 @@
 """Unit groups of the group algebra and subgroup structure checks.
 
 The unit group of F2[G] for a 2-group G consists of exactly the elements with
-augmentation 1. Two exhaustive scans cover it:
+augmentation 1. Two routines cover it:
 
-- ``enumerate_normalized_units`` walks every augmentation-1 bitmask (the top
-  bit is parity-corrected, the rest are free) and inverts each one.
+- ``enumerate_normalized_units`` proves once, by linear algebra, that the
+  augmentation ideal is nilpotent, so every augmentation-1 element is a unit,
+  and then lists those elements in ascending order.
 - ``enumerate_unitary`` solves u * sigma(u) = 1 with a bit-sliced kernel:
   the coefficients split into a low and a high half, u = h + l, and for each
   h one AND of int bit planes tests every l at once, while h walks a Gray
@@ -12,9 +13,9 @@ augmentation 1. Two exhaustive scans cover it:
   (sub)algebra and uses no structural input, so it stays an independent
   oracle for the decompositions.
 
-Both cut a large enough index range into contiguous chunks, one per worker
-thread, and sort the hits at the end, so the output is the same canonical
-ascending-mask order for any worker count.
+Only the unitary scan is chunked: it cuts a large enough index range into
+contiguous chunks, one per worker thread, and sorts the hits at the end, so
+the output is the same canonical ascending-mask order for any worker count.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import AlgebraElement, _inverse, _mul
+from .algebra import AlgebraElement, _eliminate, _inverse, _mul, _span
 from .errors import (
     GroupMismatchError,
     NotAbelianError,
@@ -86,8 +87,12 @@ class UnitSet:
     def __len__(self) -> int:
         return len(self.masks)
 
-    def mask_set(self) -> frozenset[int]:
+    @cached_property
+    def _mask_set(self) -> frozenset[int]:
         return frozenset(self.masks)
+
+    def mask_set(self) -> frozenset[int]:
+        return self._mask_set
 
     def __contains__(self, x) -> bool:
         m = x.mask if isinstance(x, AlgebraElement) else int(x)
@@ -120,28 +125,6 @@ def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
-
-
-def _spread(positions: Sequence[int]) -> list[int]:
-    """Entry v is the mask with bit positions[b] set for each set bit b of v."""
-    masks = [0]
-    for x in positions:
-        masks += [m | 1 << x for m in masks]
-    return masks
-
-
-def _candidate_masks(members: Sequence[int], lo: int, hi: int) -> Iterator[int]:
-    """Augmentation-1 masks over the support, for packed prefixes in [lo, hi).
-
-    Bit b of the prefix is the coefficient at members[b]; the last member
-    takes the parity bit.
-    """
-    free, top = members[:-1], 1 << members[-1]
-    nlow = len(free) // 2
-    low, high = _spread(free[:nlow]), _spread(free[nlow:])
-    for v in range(lo, hi):
-        m = high[v >> nlow] | low[v & (1 << nlow) - 1]
-        yield m if bin(v).count("1") & 1 else m | top
 
 
 def _check_bound(k: int, max_order: int) -> None:
@@ -177,22 +160,31 @@ def enumerate_normalized_units(
     workers: int | None = None,
     support: SubgroupSet | None = None,
 ) -> UnitSet:
-    """All augmentation-1 elements, each verified invertible.
+    """All augmentation-1 elements, once the augmentation ideal J is proven
+    nilpotent, so that every one of them is a unit.
 
-    With ``support`` the enumeration runs inside the subalgebra spanned by a
-    subgroup; the bound applies to the number of free coefficient positions.
+    J is spanned by the 1 + h, and J^(t+1) by the x(1+h) over a basis x of
+    J^t. The dimensions fall to 0 exactly for a 2-group (Jennings 1941); then
+    every 1 + j is a unit, with inverse 1 + j + ... + j^(t-1). A power that
+    repeats is not 0, and NotAUnitError is raised. With ``support`` this runs
+    inside the subalgebra spanned by a subgroup; the bound applies to the
+    number of free coefficient positions. ``workers`` is accepted and unused:
+    the listing is one pass, and callers pass one worker count to every scan.
     """
     members = tuple(support.members) if support is not None else tuple(range(g.order))
     _check_bound(len(members), max_order)
-
-    def work(lo: int, hi: int) -> list[int]:
-        found = []
-        for m in _candidate_masks(members, lo, hi):
-            _inverse(g, m)  # raises if not a unit
-            found.append(m)
-        return found
-
-    return make_unit_set(g, _scan(1 << (len(members) - 1), work, workers))
+    ideal_gens = power = [1 ^ (1 << h) for h in members if h]
+    while power:
+        pivots, _ = _eliminate(_mul(g, x, y) for x in power for y in ideal_gens)
+        if len(pivots) == len(power):
+            raise NotAUnitError(f"augmentation ideal not nilpotent: dim J^t stays {len(power)}")
+        power = [col for col, _ in pivots.values()]
+    # Two half-size spans, the high one outer, list the masks in ascending
+    # order without a full-size intermediate list.
+    half = len(members) // 2
+    low = _span(1 << c for c in members[:half])
+    high = _span(1 << c for c in members[half:])
+    return UnitSet(g, tuple(h | m for h in high for m in low if (h | m).bit_count() & 1))
 
 
 def _indicator_planes(nbits: int) -> list[int]:
@@ -260,7 +252,7 @@ def _unitary_kernel(
         cross = [(1 << pos[coord(x, z)]) ^ (1 << pos[coord(z, x)]) for z in high]
         steps.append((1 << x, square, cross, [(d, d ^ full) for d in delta]))
 
-    spread = _spread(low)
+    spread = _span(1 << x for x in low)
 
     def work(lo: int, hi: int) -> list[int]:
         planes = list(start)
@@ -460,10 +452,11 @@ def canonical_generators(s: UnitSet) -> list[int]:
     """Greedy generating set over the canonical member order (deterministic).
 
     Each member outside the span so far becomes a generator, and the span
-    grows by a closure seeded with itself.
+    grows by Dimino's method: the new span is a union of right cosets H*x of
+    the old span H, and each coset representative times each generator so
+    far either lands in the span or starts a new coset, listed once.
     """
     g = s.group
-    mul_fn = partial(_mul, g)
     span = {1}
     gens: list[int] = []
     for m in s.masks:
@@ -471,7 +464,14 @@ def canonical_generators(s: UnitSet) -> list[int]:
             continue
         _inverse(g, m)  # NotAUnitError on a non-unit member
         gens.append(m)
-        span = _closure(mul_fn, span, gens)
+        old = list(span)
+        reps = [1]
+        for r in reps:
+            for gen in gens:
+                x = _mul(g, r, gen)
+                if x not in span:
+                    reps.append(x)
+                    span.update(_mul(g, h, x) for h in old)
     return gens
 
 

@@ -164,3 +164,74 @@ def naive_normal_in(g, ambient, sub) -> bool:
             return False
         covered |= left
     return True
+
+
+def naive_unipotent_fibers(g, a_members, b: int) -> dict[int, int]:
+    """The masks 1 + (1+b*b) z b, listed over every z on the given members,
+    with the number of z reaching each one."""
+    nb = 1 | 1 << g.mul[b][b]
+    ids = sorted(a_members)
+    fibers: dict[int, int] = {}
+    for sel in range(1 << len(ids)):
+        z = sum(1 << ids[k] for k in bits(sel))
+        m = 1 ^ naive_mul(g, naive_mul(g, nb, z), 1 << b)
+        fibers[m] = fibers.get(m, 0) + 1
+    return fibers
+
+
+def naive_central_unipotent(g, c_members, a: int, b: int, e: int) -> set[int]:
+    """1 + x1 a + x2 b + x3 ab over every triple of members of the ideal
+    (1+e) F2C, the ideal itself listed as the images of every mask on C."""
+    ids = sorted(c_members)
+    ideal = {
+        naive_mul(g, 1 | 1 << e, sum(1 << ids[k] for k in bits(sel)))
+        for sel in range(1 << len(ids))
+    }
+    shifted = [[naive_mul(g, x, 1 << c) for x in ideal] for c in (a, b, g.mul[a][b])]
+    return {1 ^ x1 ^ x2 ^ x3 for x1 in shifted[0] for x2 in shifted[1] for x3 in shifted[2]}
+
+
+def naive_unit_masks(g, members) -> list[int]:
+    """The augmentation-1 masks on the given members that are units, each
+    tested on its own: some repeated square reaches 1."""
+    ids = sorted(members)
+    units = []
+    for sel in range(1 << len(ids)):
+        m = sum(1 << ids[k] for k in bits(sel))
+        if naive_augmentation(m) == 0:
+            continue
+        s = m
+        for _ in range(g.order + 2):
+            s = naive_mul(g, s, s)
+            if s == 1:
+                units.append(m)
+                break
+    return units
+
+
+def naive_solve(g, target: int, w: int) -> tuple[int | None, int]:
+    """(z, rank): a z with w * z = target, the free coordinates zero, or None,
+    and the rank of multiplication by w. The elimination that once lived
+    inside annihilator_solve, on naive columns."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for j in range(g.order):
+        col = naive_mul(g, w, 1 << j)
+        sel = 1 << j
+        while col:
+            row = (col & -col).bit_length() - 1
+            if row in pivots:
+                pcol, psel = pivots[row]
+                col ^= pcol
+                sel ^= psel
+            else:
+                pivots[row] = (col, sel)
+                break
+    t, z = target, 0
+    while t:
+        row = (t & -t).bit_length() - 1
+        if row not in pivots:
+            return None, len(pivots)
+        pcol, psel = pivots[row]
+        t ^= pcol
+        z ^= psel
+    return z, len(pivots)

@@ -143,6 +143,32 @@ def test_malformed_spec_exits_two(spec, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+Q8XC3 = {"family": "direct_product", "params": {"factors": [
+    {"family": "quaternion", "params": {"order": 8}},
+    {"family": "cyclic", "params": {"order": 3}},
+]}}
+
+
+@pytest.mark.parametrize("mode", ["verify", "construct"])
+@pytest.mark.parametrize(
+    "group_args, involution, order",
+    [
+        (["--family", "inverting_extension", "--order", "12"], "classical", 12),
+        (Q8XC3, "odot", 24),
+    ],
+    ids=["Dic3-classical", "Q8xC3-odot"],
+)
+def test_groups_that_are_not_2_groups_exit_two(group_args, involution, order, mode, tmp_path, capsys):
+    if isinstance(group_args, dict):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(group_args))
+        group_args = ["--group", str(path)]
+    assert main([*group_args, "--involution", involution, "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotATwoGroupError: ") and err.count("\n") == 1
+    assert f"order {order}" in err
+
+
 @pytest.mark.parametrize(
     "family, order", [("dihedral", "5"), ("quaternion", "12"), ("cyclic", "0")]
 )

@@ -8,6 +8,8 @@ import f2units as f
 from f2units.errors import (
     BadOrderError,
     CenterQuotientNotKleinError,
+    HypothesisViolationError,
+    NotATwoGroupError,
     NotAbelianSubgroupError,
     NotInvertingError,
     WrongIndexError,
@@ -143,3 +145,16 @@ def test_alternate_representatives_are_still_valid(d8):
     assert form.e == default.e  # the derived-subgroup generator is unique
     assert form.a != default.a
     assert f.validate_involution(f.odot_involution(form))
+
+
+def test_forms_require_a_two_group():
+    """Dic3 and Q8xC3 meet every other hypothesis of their form."""
+    dic3 = f.make_inverting_extension(f.make_cyclic(6), 3)
+    q8xc3 = f.make_direct_product(f.make_quaternion(8), f.make_cyclic(3))
+    assert issubclass(NotATwoGroupError, HypothesisViolationError)
+    with pytest.raises(NotATwoGroupError, match="order 12"):
+        f.make_inverting_form(dic3, [1], 6)
+    with pytest.raises(NotATwoGroupError, match="order 12"):
+        f.detect_inverting_form(dic3)
+    with pytest.raises(NotATwoGroupError, match="order 24"):
+        f.make_odot_form(q8xc3)

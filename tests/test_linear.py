@@ -1,0 +1,154 @@
+"""The linear-algebra builders agree with element-by-element listings.
+
+The unipotent factors, the order-2 units of the central subalgebra and the
+normalized units are built from one F2 elimination routine. Each is compared
+here with the listing it replaced (the naive references in ``oracles.py``)
+on every catalog instance, on Q32 and on D8xC4; the routine itself is checked
+against brute force on random column sets.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import f2units as f
+from f2units.algebra import _eliminate, _span
+from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, small_catalog_groups
+from f2units.decompositions import _central_order_2_parts, _unipotent_map
+from f2units.errors import NotAUnitError
+from oracles import (
+    bits,
+    naive_central_unipotent,
+    naive_solve,
+    naive_unipotent_fibers,
+    naive_unit_masks,
+)
+
+
+def _q32_form():
+    return f.make_inverting_form(f.make_quaternion(32), [1], 16)
+
+
+CLASSICAL_FORMS = [pytest.param(e.form, id=e.key) for e in CLASSICAL_ENTRIES] + [
+    pytest.param(_q32_form, id="Q32")
+]
+ODOT_FORMS = [pytest.param(e.form, id=e.key) for e in ODOT_ENTRIES]
+
+
+@pytest.mark.parametrize("make_form", CLASSICAL_FORMS)
+def test_unipotent_factor_matches_listing_over_every_z(make_form):
+    form = make_form()
+    fibers = naive_unipotent_fibers(form.group, form.a_sub.members, form.b)
+    w = f.build_unipotent_factor(form)
+    assert w.mask_set() == set(fibers)
+    _, kernel = _unipotent_map(form)
+    assert set(fibers.values()) == {1 << len(kernel)}
+
+
+@pytest.mark.parametrize("make_form", ODOT_FORMS)
+def test_central_unipotent_matches_triple_loop(make_form):
+    form = make_form()
+    expected = naive_central_unipotent(form.group, form.c_sub.members, form.a, form.b, form.e)
+    assert f.build_central_unipotent(form).mask_set() == expected
+
+
+@pytest.mark.parametrize("make_form", ODOT_FORMS)
+def test_central_order_2_units_are_one_plus_the_squaring_kernel(make_form):
+    form = make_form()
+    g = form.group
+    listed = f.elements_of_order_dividing_2(f.enumerate_normalized_units(g, support=form.c_sub))
+    v_c2, _ = _central_order_2_parts(form)
+    assert v_c2.masks == listed.masks
+
+
+@pytest.mark.parametrize(
+    "g", list(small_catalog_groups().values()), ids=lambda g: g.name
+)
+def test_normalized_units_match_per_candidate_listing(g):
+    assert list(f.enumerate_normalized_units(g).masks) == naive_unit_masks(g, range(g.order))
+
+
+def _supports():
+    for e in CLASSICAL_ENTRIES:
+        yield pytest.param(lambda e=e: e.form().a_sub, id=f"{e.key}/A")
+    yield pytest.param(lambda: _q32_form().a_sub, id="Q32/A")
+    for e in ODOT_ENTRIES:
+        yield pytest.param(lambda e=e: e.form().c_sub, id=f"{e.key}/C")
+
+
+@pytest.mark.parametrize("make_sub", list(_supports()))
+def test_supported_normalized_units_match_per_candidate_listing(make_sub):
+    sub = make_sub()
+    g = sub.group
+    units = f.enumerate_normalized_units(g, support=sub)
+    assert list(units.masks) == naive_unit_masks(g, sub.members)
+
+
+def test_normalized_units_refuse_groups_that_are_not_2_groups():
+    for g in (f.make_cyclic(3), f.make_cyclic(6), f.make_inverting_extension(f.make_cyclic(6), 3)):
+        with pytest.raises(NotAUnitError):
+            f.enumerate_normalized_units(g)
+
+
+def test_normalized_units_refuse_a_support_that_is_not_a_2_group():
+    g = f.make_cyclic(6)
+    c3 = f.subgroup_closure(g, [2])
+    with pytest.raises(NotAUnitError):
+        f.enumerate_normalized_units(g, support=c3)
+
+
+# ---------------------------------------------------------------------------
+# the elimination routine against brute force
+
+
+def _xor(vectors, sel: int) -> int:
+    out = 0
+    for k in bits(sel):
+        out ^= vectors[k]
+    return out
+
+
+columns_st = st.lists(st.integers(0, (1 << 6) - 1), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(columns_st)
+def test_eliminate_rank_and_kernel_match_brute_force(columns):
+    pivots, kernel = _eliminate(columns)
+    subsets = range(1 << len(columns))
+    image = {_xor(columns, s) for s in subsets}
+    relations = {s for s in subsets if _xor(columns, s) == 0}
+    assert 1 << len(pivots) == len(image)
+    assert sorted(_span(kernel)) == sorted(relations)
+    for row, (col, sel) in pivots.items():
+        assert (col & -col).bit_length() - 1 == row
+        assert _xor(columns, sel) == col
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns_st, st.data())
+def test_eliminate_carries_given_selectors(columns, data):
+    selectors = data.draw(st.lists(st.integers(0, 255), min_size=len(columns), max_size=len(columns)))
+    _, plain = _eliminate(columns)
+    _, carried = _eliminate(columns, selectors)
+    assert carried == [_xor(selectors, s) for s in plain]
+
+
+SOLVE_GROUPS = [
+    f.make_quaternion(8), f.make_dihedral(8), f.make_direct_product(f.make_cyclic(4), f.make_cyclic(2))
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SOLVE_GROUPS), st.integers(0, 255), st.integers(0, 255))
+def test_annihilator_solve_matches_the_previous_elimination(g, w, target):
+    expected, rank = naive_solve(g, target, w)
+    tw, wel = f.AlgebraElement(g, target), f.AlgebraElement(g, w)
+    if expected is None:
+        with pytest.raises(f.NoSolutionError) as exc:
+            f.annihilator_solve(tw, wel)
+        assert (exc.value.rank, exc.value.augmented_rank) == (rank, rank + 1)
+    else:
+        assert f.annihilator_solve(tw, wel).mask == expected

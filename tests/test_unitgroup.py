@@ -33,6 +33,14 @@ def test_every_normalized_unit_inverts(q8):
         assert naive_mul(q8, m, inv.mask) == 1
 
 
+def test_member_sets_are_built_once(c4, q8):
+    v = f.enumerate_normalized_units(c4)
+    assert v.mask_set() is v.mask_set()
+    sub = f.subgroup_closure(q8, [1])
+    assert sub.member_set() is sub.member_set()
+    assert sub.member_set() == set(sub.members)
+
+
 def test_unit_set_contains_and_elements(c4):
     v = f.enumerate_normalized_units(c4)
     assert f.one(c4) in v
