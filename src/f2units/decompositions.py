@@ -239,26 +239,34 @@ def _conjugation_witness(
         rep_of[g.mul[bsq][rep]] = rep
     if w_masks is None:
         w_masks = build_unipotent_factor(form).mask_set()
+    # The inverse, nb * x1^2 and the two twist identities do not depend on gi.
+    per_x1 = []
+    for x1 in v_a.masks:
+        x1_inv = _inverse(g, x1)
+        left = _mul(g, b_el, x1_inv)
+        if left != _mul(g, x1, b_el):
+            twist = f"twist commutation fails at {_render(g, x1)}"
+        elif left != _mul(g, b_el, _involute(perm, x1)):
+            twist = f"inverse-vs-star mismatch at {_render(g, x1)}"
+        else:
+            twist = None
+        per_x1.append((x1, x1_inv, _mul(g, nb, _mul(g, x1, x1)), twist))
     for gi in form.transversal:
         w_i = _unipotent_generator(form, gi)
         conj_b = _mul(g, _mul(g, b_el, w_i), b_inv)
         gj = rep_of[g.inv[gi]]
         if conj_b != _unipotent_generator(form, gj) or conj_b not in w_masks:
             return f"twist conjugation at {g.labels[gi]}: got {_render(g, conj_b)}"
-        for x1 in v_a.masks:
-            x1_inv = _inverse(g, x1)
+        for x1, x1_inv, nb_sq, twist in per_x1:
             conj = _mul(g, _mul(g, x1, w_i), x1_inv)
-            pred = 1 ^ _mul(g, _mul(g, nb, _mul(g, _mul(g, x1, x1), 1 << gi)), b_el)
+            pred = 1 ^ _mul(g, _mul(g, nb_sq, 1 << gi), b_el)
             if conj != pred or conj not in w_masks:
                 return (
                     f"unitary conjugation at {g.labels[gi]} by "
                     f"{_render(g, x1)}: got {_render(g, conj)}"
                 )
-            left = _mul(g, b_el, x1_inv)
-            if left != _mul(g, x1, b_el):
-                return f"twist commutation fails at {_render(g, x1)}"
-            if left != _mul(g, b_el, _involute(perm, x1)):
-                return f"inverse-vs-star mismatch at {_render(g, x1)}"
+            if twist is not None:
+                return twist
     return None
 
 

@@ -109,6 +109,13 @@ def make_inverting_form(
         raise WrongIndexError(
             f"subgroup has index {g.order // a_sub.order}, need index 2"
         )
+    return _inverting_form_at(g, a_sub, b)
+
+
+def _inverting_form_at(
+    g: GroupTable, a_sub: SubgroupSet, b: int
+) -> InvertingExtensionForm:
+    """Check that b lies outside a_sub, has order 4 and inverts a_sub."""
     if b in a_sub:
         raise BadOrderError("the twisting element must lie outside the subgroup")
     if element_order(g, b) != 4:
@@ -130,58 +137,34 @@ def detect_inverting_form(g: GroupTable) -> InvertingExtensionForm:
     """Search the group for a valid (subgroup, twisting element) pair.
 
     Index-2 subgroups are the kernels of the nonzero linear functionals on
-    the quotient by squares and commutators; candidates are tried in a fixed
-    canonical order so detection is deterministic.
+    the quotient by the subgroup generated by squares, which holds every
+    commutator: x^-1 y^-1 x y = (x^-1)^2 (x y^-1)^2 y^2. Candidates are tried
+    in a fixed canonical order so detection is deterministic.
     """
     _require_two_group(g)
-    squares = {g.mul[x][x] for x in range(g.order)}
-    comms = {
-        g.mul[g.mul[g.inv[x]][g.inv[y]]][g.mul[x][y]]
-        for x in range(g.order)
-        for y in range(g.order)
-    }
-    n_sub = subgroup_closure(g, squares | comms)
-    n_members = n_sub.member_set()
-    quotient = g.order // n_sub.order
-    if quotient < 2:
+    n_sub = subgroup_closure(g, {g.mul[x][x] for x in range(g.order)})
+    if n_sub.order == g.order:
         raise WrongIndexError("no index-2 subgroup: the group is generated by squares")
-    coset_of: dict[int, int] = {}
-    coset_vec: dict[int, int] = {}
+    # Coordinates on the quotient: each element outside the span so far adds
+    # a basis vector, and the span doubles by multiplying with it.
+    vec = dict.fromkeys(n_sub.members, 0)
+    dim = 0
     for x in range(g.order):
-        if x in coset_of:
+        if x not in vec:
+            for y, v in list(vec.items()):
+                vec[g.mul[y][x]] = v | 1 << dim
+            dim += 1
+    candidates = {
+        tuple(x for x in range(g.order) if bin(f & vec[x]).count("1") % 2 == 0)
+        for f in range(1, 1 << dim)
+    }
+    for members in sorted(candidates):
+        a_sub = subgroup_closure(g, members)
+        if not a_sub.is_abelian() or 2 * a_sub.order != g.order:
             continue
-        rep = x
-        for h in n_members:
-            coset_of[g.mul[h][rep]] = rep
-    basis_dim = 0
-    coset_vec[coset_of[0]] = 0
-    for x in range(g.order):
-        rep = coset_of[x]
-        if rep in coset_vec:
-            continue
-        known = list(coset_vec.items())
-        bit = 1 << basis_dim
-        basis_dim += 1
-        for kr, vec in known:
-            coset_vec[coset_of[g.mul[kr][rep]]] = vec | bit
-    candidates = []
-    for f in range(1, 1 << basis_dim):
-        members = tuple(
-            x
-            for x in range(g.order)
-            if bin(f & coset_vec[coset_of[x]]).count("1") % 2 == 0
-        )
-        candidates.append(members)
-    for members in sorted(set(candidates)):
-        sub = SubgroupSet(g, members)
-        if not sub.is_abelian():
-            continue
-        member_set = sub.member_set()
         for b in range(g.order):
-            if b in member_set or element_order(g, b) != 4:
-                continue
             try:
-                return make_inverting_form(g, members, b)
+                return _inverting_form_at(g, a_sub, b)
             except HypothesisViolationError:
                 continue
     raise NotInvertingError(

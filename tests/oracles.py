@@ -10,6 +10,8 @@ is the coefficient of the group element with index i.
 
 from __future__ import annotations
 
+from f2units.errors import GroupAxiomViolationError
+
 
 def bits(mask: int) -> list[int]:
     out = []
@@ -235,3 +237,45 @@ def naive_solve(g, target: int, w: int) -> tuple[int | None, int]:
         t ^= pcol
         z ^= psel
     return z, len(pivots)
+
+
+def naive_group_axioms(mul) -> tuple[int, ...]:
+    """Check all group axioms exhaustively; return the inverse array.
+
+    Associativity is tested on all n^3 triples.
+    """
+    n = len(mul)
+    if n == 0:
+        raise GroupAxiomViolationError("empty table")
+    for i, row in enumerate(mul):
+        if len(row) != n:
+            raise GroupAxiomViolationError(f"row {i} has length {len(row)}, want {n}")
+        for j, v in enumerate(row):
+            if not 0 <= v < n:
+                raise GroupAxiomViolationError(
+                    f"entry mul[{i}][{j}] = {v} out of range", witness=(i, j, v)
+                )
+    for i in range(n):
+        if mul[0][i] != i or mul[i][0] != i:
+            raise GroupAxiomViolationError(
+                f"element 0 is not an identity at {i}", witness=(0, i, mul[0][i])
+            )
+    inv = []
+    for i in range(n):
+        found = None
+        for j in range(n):
+            if mul[i][j] == 0 and mul[j][i] == 0:
+                found = j
+                break
+        if found is None:
+            raise GroupAxiomViolationError(f"element {i} has no inverse", witness=(i,))
+        inv.append(found)
+    for i in range(n):
+        for j in range(n):
+            ij = mul[i][j]
+            for k in range(n):
+                if mul[ij][k] != mul[i][mul[j][k]]:
+                    raise GroupAxiomViolationError(
+                        f"associativity fails at ({i},{j},{k})", witness=(i, j, k)
+                    )
+    return tuple(inv)

@@ -16,12 +16,14 @@ from f2units.errors import (
     NotAbelianError,
     NotASubgroupError,
 )
+from f2units.catalog import catalog_groups
 from f2units.groups import complement_generators
 from oracles import (
     naive_center,
     naive_closure,
     naive_commutator_subgroup,
     naive_element_order,
+    naive_group_axioms,
 )
 
 ALL_SMALL = ["c2", "c4", "c8", "d8", "q8", "q16", "c4xc2", "d8xc2", "q8xc2"]
@@ -133,6 +135,139 @@ def test_validation_rejects_wrong_identity():
     # row 0 must reproduce the column index
     with pytest.raises(GroupAxiomViolationError):
         f.GroupTable([[1, 0], [0, 1]])
+
+
+# Light's associativity test accepts exactly the tables the cubic check does.
+
+EQUALITY_TABLES = {
+    **{name: g.mul for name, g in catalog_groups().items()},
+    "Q32": f.make_quaternion(32).mul,
+    "Q64": f.make_quaternion(64).mul,
+    "Ext(C16)": f.make_inverting_extension(f.make_cyclic(16), 8).mul,
+}
+
+
+def _assert_same_verdict(mul):
+    """GroupTable and the cubic oracle accept the same table, with the same
+    inverses; a rejection for associativity names a triple that fails."""
+    try:
+        want = naive_group_axioms(mul)
+    except GroupAxiomViolationError:
+        want = None
+    try:
+        got = f.GroupTable(mul).inv
+    except GroupAxiomViolationError as exc:
+        got = None
+        if str(exc).startswith("associativity"):
+            i, j, k = exc.witness
+            assert mul[mul[i][j]][k] != mul[i][mul[j][k]]
+    assert got == want
+
+
+def _relabel(mul, rng):
+    """Move every non-identity element to a random index."""
+    n = len(mul)
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    pos = [0] + rest
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(mul):
+        for j, v in enumerate(row):
+            out[pos[i]][pos[j]] = pos[v]
+    return out
+
+
+def _random_loop(n, rng):
+    """A random Latin square of order n whose row and column 0 are the identity."""
+    mul = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(mul[i][:j]) | {mul[r][j] for r in range(i)}
+        choices = [v for v in range(n) if v not in used]
+        rng.shuffle(choices)
+        for v in choices:
+            mul[i][j] = v
+            if fill(k + 1):
+                return True
+        mul[i][j] = None
+        return False
+
+    assert fill(0)
+    return mul
+
+
+def _octonion_loop():
+    """The Moufang loop of the unit octonions: index 2*i + s is (-1)^s e_i."""
+    signed = {}
+    for a, b, c in [(1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6), (2, 5, 7), (3, 4, 7), (3, 6, 5)]:
+        for x, y, z in [(a, b, c), (b, c, a), (c, a, b)]:
+            signed[x, y] = (z, 0)
+            signed[y, x] = (z, 1)
+    for i in range(8):
+        signed[0, i] = signed[i, 0] = (i, 0)
+    for i in range(1, 8):
+        signed[i, i] = (0, 1)
+    return [
+        [2 * signed[x // 2, y // 2][0] + (x % 2 ^ y % 2 ^ signed[x // 2, y // 2][1]) for y in range(16)]
+        for x in range(16)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(EQUALITY_TABLES))
+def test_light_test_accepts_every_known_group(name):
+    _assert_same_verdict(EQUALITY_TABLES[name])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(EQUALITY_TABLES)), st.randoms(use_true_random=False))
+def test_light_test_matches_cubic_check_on_relabellings(name, rng):
+    _assert_same_verdict(_relabel(EQUALITY_TABLES[name], rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(EQUALITY_TABLES)), st.booleans(), st.data())
+def test_light_test_matches_cubic_check_on_corruptions(name, relabel, data):
+    mul = [list(row) for row in EQUALITY_TABLES[name]]
+    if relabel:
+        mul = _relabel(mul, data.draw(st.randoms(use_true_random=False)))
+    n = len(mul)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    mul[i][j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != mul[i][j]))
+    _assert_same_verdict(mul)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False))
+def test_light_test_matches_cubic_check_on_random_loops(n, rng):
+    _assert_same_verdict(_random_loop(n, rng))
+
+
+def test_octonion_moufang_loop_is_rejected_for_associativity():
+    mul = _octonion_loop()
+    n = len(mul)
+    assert all(sorted(row) == list(range(n)) for row in mul)
+    assert all(sorted(col) == list(range(n)) for col in zip(*mul))
+    assert mul[0] == list(range(n)) and [row[0] for row in mul] == list(range(n))
+    assert all(mul[x][x ^ (x > 1)] == 0 == mul[x ^ (x > 1)][x] for x in range(n))
+    with pytest.raises(GroupAxiomViolationError, match="associativity") as exc:
+        f.GroupTable(mul)
+    i, j, k = exc.value.witness
+    assert mul[mul[i][j]][k] != mul[i][mul[j][k]]
+    _assert_same_verdict(mul)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_relabelled_octonion_loop_is_rejected(rng):
+    mul = _relabel(_octonion_loop(), rng)
+    with pytest.raises(GroupAxiomViolationError, match="associativity"):
+        f.GroupTable(mul)
+    _assert_same_verdict(mul)
 
 
 def test_two_group_predicate():

@@ -1,0 +1,89 @@
+"""Cost guards for accepting a table that do not depend on timing.
+
+Table validation checks associativity on a greedy generating set, so its
+cost is bounded by the size of that set. Inverting-form detection closes
+each candidate subgroup once; it must still return what a search by
+``make_inverting_form`` over every (candidate, twisting element) pair finds.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+import f2units as f
+from f2units.catalog import catalog_groups
+from f2units.errors import HypothesisViolationError, NotInvertingError
+from f2units.groups import _generating_set
+from oracles import naive_closure, naive_element_order
+
+GUARD_BUILDS = {
+    **{name: (lambda g=g: g) for name, g in catalog_groups().items()},
+    "Q128": lambda: f.make_quaternion(128),
+    "D256": lambda: f.make_dihedral(256),
+    "Q8xC32": lambda: f.make_direct_product(f.make_quaternion(8), f.make_cyclic(32)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_BUILDS))
+def test_generating_set_is_logarithmic(name):
+    g = GUARD_BUILDS[name]()
+    gens = _generating_set(g.mul)
+    assert len(gens) <= g.order.bit_length() - 1
+    assert naive_closure(g, gens) == list(range(g.order))
+
+
+def _index_two_subgroups(g):
+    """Kernels of the nonzero homomorphisms onto C2, from the constructor's
+    generators: every sign pattern on them is tried and checked on all pairs."""
+    gens = g.generators
+    kernels = set()
+    for bits in range(1, 1 << len(gens)):
+        phi = {0: 0}
+        queue = [0]
+        while queue:
+            x = queue.pop()
+            for pos, gn in enumerate(gens):
+                y = g.mul[x][gn]
+                if y not in phi:
+                    phi[y] = phi[x] ^ (bits >> pos & 1)
+                    queue.append(y)
+        n = g.order
+        if all(phi[g.mul[x][y]] == phi[x] ^ phi[y] for x in range(n) for y in range(n)):
+            kernels.add(tuple(x for x in range(n) if phi[x] == 0))
+    return sorted(kernels)
+
+
+def _reference_search(g):
+    """The first (candidate, b) that make_inverting_form accepts, in the
+    canonical order; non-abelian candidates and twists of order other than
+    4 are skipped up front, as make_inverting_form would reject them."""
+    for members in _index_two_subgroups(g):
+        if any(g.mul[x][y] != g.mul[y][x] for x in members for y in members):
+            continue
+        inside = set(members)
+        for b in range(g.order):
+            if b in inside or naive_element_order(g, b) != 4:
+                continue
+            try:
+                form = f.make_inverting_form(g, members, b)
+            except HypothesisViolationError:
+                continue
+            return form.a_sub.members, form.b, form.transversal
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_BUILDS))
+def test_detection_matches_make_inverting_form_search(name):
+    g = GUARD_BUILDS[name]()
+    want = _reference_search(g)
+    if want is None:
+        with pytest.raises(NotInvertingError):
+            f.detect_inverting_form(g)
+    else:
+        form = f.detect_inverting_form(g)
+        assert (form.a_sub.members, form.b, form.transversal) == want
+
+
+def test_groups_without_an_inverting_form():
+    assert _reference_search(GUARD_BUILDS["D256"]()) is None
+    assert _reference_search(GUARD_BUILDS["Q8xC32"]()) is None
