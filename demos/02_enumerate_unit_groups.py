@@ -33,10 +33,8 @@ def main() -> None:
     v_a = f.enumerate_unitary(q8, sigma, support=a_sub)
     print(f"unitary units supported on the cyclic subgroup {a_sub.labels()}: {v_a.order}")
 
-    # worker counts never change the result, only the wall time
-    masks_1 = f.enumerate_unitary(q8, sigma, workers=1).masks
-    masks_8 = f.enumerate_unitary(q8, sigma, workers=8).masks
-    print(f"same masks with 1 worker and 8 workers: {masks_1 == masks_8}")
+    # every scan returns its masks in the canonical ascending order
+    print(f"masks in ascending order: {list(v_star.masks) == sorted(v_star.masks)}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed (the report
 carries witnesses), 2 invalid input (bad group spec, violated hypothesis,
-bad flags). JSON output is byte-stable across runs and worker counts.
+bad flags). JSON output is byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .groups import (
     make_quaternion,
 )
 from .involutions import (
+    _require_two_group,
     classical_involution,
     detect_inverting_form,
     make_odot_form,
@@ -50,7 +51,7 @@ class RunConfig:
     involution: str | None
     mode: str
     max_exhaustive_order: int = DEFAULT_EXHAUSTIVE_BOUND
-    workers: int | None = None
+    workers: int | None = None  # accepted for compatibility; ignored
     fmt: str = "text"
     out: str | None = None
     force_enumeration: bool = False
@@ -162,9 +163,8 @@ def _resolve_group(args) -> GroupTable | None:
 
 def _enumerate_payload(config: RunConfig) -> dict:
     g = config.group
-    v = enumerate_normalized_units(
-        g, max_order=config.max_exhaustive_order, workers=config.workers
-    )
+    _require_two_group(g)
+    v = enumerate_normalized_units(g, max_order=config.max_exhaustive_order)
     payload = {
         "schema": 1,
         "mode": "enumerate",
@@ -179,9 +179,7 @@ def _enumerate_payload(config: RunConfig) -> dict:
     }
     if config.involution:
         sigma = _make_sigma(g, config.involution)
-        vu = enumerate_unitary(
-            g, sigma, max_order=config.max_exhaustive_order, workers=config.workers
-        )
+        vu = enumerate_unitary(g, sigma, max_order=config.max_exhaustive_order)
         payload["involution"] = config.involution
         payload["orders"]["unitary"] = vu.order
         payload["generators"]["unitary"] = [
@@ -205,7 +203,6 @@ def _verify_report(config: RunConfig, skip_enumeration: bool) -> DecompositionRe
         return verify_inverting_decomposition(
             form,
             max_order=config.max_exhaustive_order,
-            workers=config.workers,
             force_enumeration=config.force_enumeration,
             skip_enumeration=skip_enumeration,
         )
@@ -214,7 +211,6 @@ def _verify_report(config: RunConfig, skip_enumeration: bool) -> DecompositionRe
         return verify_odot_decomposition(
             form,
             max_order=config.max_exhaustive_order,
-            workers=config.workers,
             force_enumeration=config.force_enumeration,
             skip_enumeration=skip_enumeration,
         )
@@ -227,7 +223,6 @@ def _catalog_payload(config: RunConfig) -> dict:
         report = verify_inverting_decomposition(
             entry.form(),
             max_order=config.max_exhaustive_order,
-            workers=config.workers,
             force_enumeration=config.force_enumeration,
         )
         rows.append({"instance": entry.key, **report.to_json_dict()})
@@ -235,7 +230,6 @@ def _catalog_payload(config: RunConfig) -> dict:
         report = verify_odot_decomposition(
             entry.form(),
             max_order=config.max_exhaustive_order,
-            workers=config.workers,
             force_enumeration=config.force_enumeration,
         )
         rows.append({"instance": entry.key, **report.to_json_dict()})
@@ -361,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker count (default: F2UNITS_THREADS or the CPU count)",
+        help="accepted for compatibility; ignored",
     )
     parser.add_argument("--format", choices=["json", "text"], default="text")
     parser.add_argument("--out", help="write the report here instead of stdout")
@@ -388,7 +382,6 @@ def main(argv: list[str] | None = None) -> int:
         involution=args.involution,
         mode=args.mode,
         max_exhaustive_order=args.max_exhaustive_order,
-        workers=args.threads,
         fmt=args.format,
         out=args.out,
         force_enumeration=args.force_enumeration,

@@ -56,7 +56,6 @@ from .involutions import (
 from .unitgroup import (
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
-    _internal_direct,
     canonical_generators,
     commute,
     enumerate_unitary,
@@ -196,12 +195,11 @@ def _unipotent_generator(form: InvertingExtensionForm, gi: int) -> int:
 def build_abelian_complement(
     form: InvertingExtensionForm,
     max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
-    workers: int | None = None,
 ) -> UnitSet:
     """Canonical complement of A's image inside the unitary group on A."""
     g = form.group
     sigma = classical_involution(g)
-    v_a = enumerate_unitary(g, sigma, max_order=max_order, workers=workers, support=form.a_sub)
+    v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
     return find_complement(v_a, group_image(g, form.a_sub))
 
 
@@ -273,13 +271,10 @@ def _conjugation_witness(
 def check_conjugation_closure(
     form: InvertingExtensionForm,
     max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
-    workers: int | None = None,
 ) -> bool:
     """True iff all three conjugation identities hold for every pair."""
     g = form.group
-    v_a = enumerate_unitary(
-        g, classical_involution(g), max_order=max_order, workers=workers, support=form.a_sub
-    )
+    v_a = enumerate_unitary(g, classical_involution(g), max_order=max_order, support=form.a_sub)
     return _conjugation_witness(form, v_a) is None
 
 
@@ -324,7 +319,6 @@ def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) ->
 def verify_inverting_decomposition(
     form: InvertingExtensionForm,
     max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
-    workers: int | None = None,
     force_enumeration: bool = False,
     skip_enumeration: bool = False,
 ) -> DecompositionReport:
@@ -374,7 +368,7 @@ def verify_inverting_decomposition(
         lambda m: _squares_to_one(g, m) and unitary(m),
     )
 
-    v_a = enumerate_unitary(g, sigma, max_order=max_order, workers=workers, support=form.a_sub)
+    v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
     a_image = group_image(g, form.a_sub)
     try:
         ell = find_complement(v_a, a_image)
@@ -410,7 +404,7 @@ def verify_inverting_decomposition(
     }
 
     if (g.order <= max_order or force_enumeration) and not skip_enumeration:
-        v = enumerate_unitary(g, sigma, max_order=max(max_order, g.order), workers=workers)
+        v = enumerate_unitary(g, sigma, max_order=max(max_order, g.order))
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
         product = product_masks(g, g_image.masks, h.masks)
@@ -545,7 +539,6 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
 def verify_odot_decomposition(
     form: OdotForm,
     max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
-    workers: int | None = None,
     force_enumeration: bool = False,
     skip_enumeration: bool = False,
 ) -> DecompositionReport:
@@ -616,12 +609,13 @@ def verify_odot_decomposition(
     do_oracle = (g.order <= max_order or force_enumeration) and not skip_enumeration
     v: UnitSet | None = None
     if do_oracle:
-        v = enumerate_unitary(g, sigma, max_order=max(max_order, g.order), workers=workers)
+        v = enumerate_unitary(g, sigma, max_order=max(max_order, g.order))
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
         product = product_of(g, [g_image, t, w])
         if g_image.mask_set() <= v.mask_set():
-            report.add("direct_product", _internal_direct(v, [g_image, t, w], product))
+            # Every factor holds 1, so the equality puts each factor inside v.
+            report.add("direct_product", is_direct(g, [g_image, t, w]) and product == v.mask_set())
         else:
             report.add(
                 "direct_product", False, "group image is not inside the unitary set"

@@ -35,7 +35,9 @@ class GroupTable:
         mul: tuple of tuples, ``mul[i][j]`` = index of the product.
         inv: tuple of inverse indices.
         labels: display string per element; ``labels[0] == "1"``.
-        generators: indices of a generating set.
+        generators: indices of a generating set, as the constructor gave them.
+        greedy_generators: the ascending greedy generating set found while
+            validating the table; at most log2(order) elements.
         family: constructor family name ("cyclic", "dihedral", ...).
         name: short display name ("Q8", "D8xC2", ...).
     """
@@ -57,10 +59,9 @@ class GroupTable:
             for t in {type(x) for row in table for x in row}
         ):
             raise ParseError("a multiplication table must be a list of rows of integers")
-        inv = _validate_table(table)
+        self.inv, self.greedy_generators = _validate_table(table)
         self.order = len(table)
         self.mul = table
-        self.inv = inv
         self.labels = tuple(labels) if labels is not None else tuple(
             "1" if i == 0 else f"g{i}" for i in range(self.order)
         )
@@ -95,8 +96,10 @@ class GroupTable:
         return f"GroupTable({self.name}, order={self.order})"
 
 
-def _validate_table(mul: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Check all group axioms; return the inverse array.
+def _validate_table(
+    mul: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Check all group axioms; return the inverse array and the generators.
 
     Associativity is checked by Light's test (Clifford & Preston, 1961): for
     each generator ``a`` of ``_generating_set``, ``(x*a)*y == x*(a*y)`` for
@@ -130,7 +133,8 @@ def _validate_table(mul: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         if found is None:
             raise GroupAxiomViolationError(f"element {i} has no inverse", witness=(i,))
         inv.append(found)
-    for a in _generating_set(mul):
+    gens = _generating_set(mul)
+    for a in gens:
         row_a = mul[a]
         for x in range(n):
             row_xa = mul[mul[x][a]]
@@ -140,7 +144,7 @@ def _validate_table(mul: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
                 raise GroupAxiomViolationError(
                     f"associativity fails at ({x},{a},{y})", witness=(x, a, y)
                 )
-    return tuple(inv)
+    return tuple(inv), tuple(gens)
 
 
 def _generating_set(mul: Sequence[Sequence[int]]) -> list[int]:
@@ -348,22 +352,21 @@ def _closure(
 
 
 def center(g: GroupTable) -> SubgroupSet:
+    """The elements that commute with every generator, hence with everything."""
     mul = g.mul
-    n = g.order
-    members = tuple(
-        x for x in range(n) if all(mul[x][y] == mul[y][x] for y in range(n))
-    )
+    gens = g.greedy_generators
+    members = tuple(x for x in range(g.order) if all(mul[x][a] == mul[a][x] for a in gens))
     return SubgroupSet(g, members)
 
 
 def commutator_subgroup(g: GroupTable) -> SubgroupSet:
+    """The derived subgroup, as the normal closure of the commutators of
+    generator pairs: modulo that closure the generators commute."""
     mul = g.mul
     inv = g.inv
-    comms = set()
-    for x in range(g.order):
-        for y in range(g.order):
-            comms.add(mul[mul[inv[x]][inv[y]]][mul[x][y]])
-    return subgroup_closure(g, comms)
+    gens = g.greedy_generators
+    comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in gens for b in gens}
+    return subgroup_closure(g, {g.conjugate(x, c) for x in range(g.order) for c in comms})
 
 
 def is_normal(g: GroupTable, s: SubgroupSet) -> bool:
@@ -432,9 +435,9 @@ def complement_generators(
         if x not in pos:
             raise NotASubgroupError("factor is not contained in the ambient group")
 
-    def dfs(members: set[int], gens: list[int], start: int) -> list[int] | None:
+    def dfs(members: set[int], gens: list[int], start: int) -> tuple[list[int], set[int]] | None:
         if len(members) == target:
-            return gens
+            return gens, members
         for idx in range(start, order):
             c = ids[idx]
             if c in members or c in factor_set:
@@ -454,13 +457,13 @@ def complement_generators(
                 return found
         return None
 
-    gens = dfs({identity}, [], 0)
-    if gens is None:
+    found = dfs({identity}, [], 0)
+    if found is None:
         raise NoComplementError(
             f"no complement of a factor of order {len(factor_set)} "
             f"in an ambient group of order {order}"
         )
-    return gens, _closure(mul_fn, {identity}, gens)
+    return found
 
 
 def find_complement_subgroup(ambient: SubgroupSet, factor: SubgroupSet) -> SubgroupSet:

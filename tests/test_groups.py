@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,58 @@ def test_center_matches_oracle(any_group):
 def test_commutator_subgroup_matches_oracle(any_group):
     got = list(f.commutator_subgroup(any_group).members)
     assert got == naive_commutator_subgroup(any_group)
+
+
+def _assert_center_and_derived_match_oracles(mul):
+    g = f.GroupTable(mul)
+    assert list(f.center(g).members) == naive_center(g)
+    assert list(f.commutator_subgroup(g).members) == naive_commutator_subgroup(g)
+
+
+def _unitriangular_4x4():
+    """The upper unitriangular 4x4 matrices over F2, of order 64 and class 3.
+
+    Its derived subgroup has order 8, while the commutators of a generating
+    set can span a non-normal subgroup of order 4: their conjugates are
+    needed. Matrix index k holds entry (i, j) above the diagonal in bit k.
+    """
+    cells = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    mats = [
+        [[int(i == j or (i, j) in cells and bits >> cells.index((i, j)) & 1) for j in range(4)] for i in range(4)]
+        for bits in range(64)
+    ]
+
+    def index(x, y):
+        return sum((sum(x[i][k] & y[k][j] for k in range(4)) & 1) << b for b, (i, j) in enumerate(cells))
+
+    return [[index(x, y) for y in mats] for x in mats]
+
+
+# The group tables of the ingest benchmark, orders 64 to 256, and UT4(F2).
+RELABELLED_TABLES = {
+    "Q8xC2^3": lambda: f.make_direct_product(
+        f.make_quaternion(8),
+        f.make_direct_product(f.make_cyclic(2), f.make_direct_product(f.make_cyclic(2), f.make_cyclic(2))),
+    ).mul,
+    "Q128": lambda: f.make_quaternion(128).mul,
+    "D256": lambda: f.make_dihedral(256).mul,
+    "Q8xC32": lambda: f.make_direct_product(f.make_quaternion(8), f.make_cyclic(32)).mul,
+    "UT4(F2)": _unitriangular_4x4,
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(catalog_groups()), "Q32"])
+def test_generator_center_and_derived_subgroup_on_catalog_groups(name):
+    """Both are decided on the greedy generators; the oracles test all pairs."""
+    mul = f.make_quaternion(32).mul if name == "Q32" else catalog_groups()[name].mul
+    _assert_center_and_derived_match_oracles(mul)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(RELABELLED_TABLES))
+def test_generator_center_and_derived_subgroup_on_relabelled_tables(name, seed):
+    """A relabelling changes the greedy generators but not the answer."""
+    _assert_center_and_derived_match_oracles(_relabel(RELABELLED_TABLES[name](), random.Random(seed)))
 
 
 def test_element_orders_match_oracle(any_group):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import f2units as f
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
-from f2units.unitgroup import _scan, _unitary_kernel, product_of
+from f2units.unitgroup import product_of
 from oracles import naive_subalgebra_unitary_masks, naive_unitary_masks
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -48,32 +49,6 @@ def test_full_scan_matches_naive_up_to_order_8(g, sigma, sub):
 def test_support_scan_matches_naive(g, sigma, sub):
     expected = naive_subalgebra_unitary_masks(g, sigma.perm, sub.members)
     assert list(f.enumerate_unitary(g, sigma, support=sub, workers=1).masks) == expected
-
-
-@pytest.mark.parametrize("g, sigma, sub", _instances(16))
-def test_kernel_chunks_seed_from_their_first_index(g, sigma, sub):
-    """Any cut of the Gray-code range yields the hits of the whole range."""
-    total, work = _unitary_kernel(g, sigma.perm, tuple(range(g.order)))
-    whole = sorted(work(0, total))
-    for step in (1, 3, total // 2 - 1):
-        cut = [m for lo in range(0, total, step) for m in work(lo, min(lo + step, total))]
-        assert sorted(cut) == whole
-    if g.order <= 8:
-        assert whole == naive_unitary_masks(g, sigma.perm)
-
-
-def test_scan_tiles_the_range_once_per_worker():
-    calls = []
-
-    def work(lo, hi):
-        calls.append((lo, hi))
-        return list(range(hi - 1, lo - 1, -1))
-
-    total = 1 << 16
-    assert _scan(total, work, 3) == list(range(total))
-    assert len(calls) == 3
-    assert [lo for lo, _ in sorted(calls)] == [0] + [hi for _, hi in sorted(calls)][:-1]
-    assert max(hi for _, hi in calls) == total
 
 
 def test_order16_scans_match_pinned_digests():
@@ -137,12 +112,18 @@ def test_products_of_small_groups_match_naive(data, g, workers):
         pytest.param(lambda: f.make_inverting_extension(f.make_cyclic(16), 8), id="Ext(C16)"),
     ],
 )
-def test_order32_classical_oracle_equals_group_times_cofactor(build):
+def test_order32_classical_oracle_equals_group_times_cofactor(build, monkeypatch):
     g = build()
     form = f.detect_inverting_form(g)
     w = f.build_unipotent_factor(form)
     h = f.build_normal_cofactor(form, w, f.build_abelian_complement(form))
-    v = f.enumerate_unitary(g, f.classical_involution(g), max_order=32)
+
+    def refuse(self):
+        raise AssertionError("the scan started a thread")
+
+    # The scan runs on the calling thread whatever worker count it is given.
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    v = f.enumerate_unitary(g, f.classical_involution(g), max_order=32, workers=2)
     assert v.order == g.order * h.order
     assert v.mask_set() == product_of(g, [f.group_image(g), h])
 

@@ -11,7 +11,6 @@ from f2units.errors import (
     NotSubsetError,
     TooLargeError,
 )
-from f2units.unitgroup import THREADS_ENV_VAR, resolve_workers
 from oracles import naive_mul, naive_unitary_masks
 
 
@@ -106,14 +105,6 @@ def test_worker_counts_agree(d8):
     reference = f.enumerate_unitary(d8, sigma, workers=1).masks
     for workers in (2, 3, 4, 8):
         assert f.enumerate_unitary(d8, sigma, workers=workers).masks == reference
-
-
-def test_env_var_sets_default_workers(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(5) == 5
-    monkeypatch.delenv(THREADS_ENV_VAR)
-    assert resolve_workers(None) >= 1
 
 
 # ---------------------------------------------------------------------------
