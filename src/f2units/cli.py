@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed (the report
 carries witnesses), 2 invalid input (bad group spec, violated hypothesis,
-bad flags). JSON output is byte-stable across runs.
+bad flags) or a report that cannot be written. JSON output is byte-stable
+across runs.
 """
 
 from __future__ import annotations
@@ -316,7 +317,11 @@ def run(config: RunConfig) -> int:
     except F2UnitsError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2
-    _emit(payload, config)
+    try:
+        _emit(payload, config)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write report: {exc}\n")
+        return 2
     return 0 if payload["pass"] else 1
 
 

@@ -16,6 +16,9 @@ Two pipelines, one per involution:
 
 Every identity the structural argument rests on is rechecked here; normality
 and commutation are decided on generators, which is sound for finite groups.
+The checks that every member of a factor is unitary (squares to 1, is
+central) stay per member, but run on the bit planes of the whole member list
+at once, and the first failing member is the witness.
 The assembled product is compared with the exhaustively enumerated unitary
 group, element for element, whenever the group is small enough.
 """
@@ -56,8 +59,10 @@ from .involutions import (
 from .unitgroup import (
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
+    _member_planes,
+    _noncommuting,
+    _product_not_one,
     canonical_generators,
-    commute,
     enumerate_unitary,
     find_complement,
     group_image,
@@ -132,21 +137,27 @@ def _render(g, m: int) -> str:
     return render_element(AlgebraElement(g, m))
 
 
-def _add_member_check(report: DecompositionReport, name: str, g, masks, ok) -> None:
-    """Add check ``name``: ok(m) holds for every mask, else the first failing
-    member is the witness."""
-    bad = next((m for m in masks if not ok(m)), None)
-    report.add(name, bad is None, None if bad is None else _render(g, bad))
+def _add_member_check(
+    report: DecompositionReport, name: str, g, masks, sigma=None, square=False, central=()
+) -> None:
+    """Add check ``name``: every mask squares to 1 (``square``), is unitary
+    under ``sigma`` and commutes with each mask in ``central``; else the first
+    failing member is the witness.
 
-
-def _squares_to_one(g, m: int) -> bool:
-    return _mul(g, m, m) == 1
-
-
-def _unitary_test(sigma):
-    """Mask predicate: x * sigma(x) = 1."""
-    g, perm = sigma.group, sigma.perm
-    return lambda m: _mul(g, m, _involute(perm, m)) == 1
+    The tests run on the bit planes of the whole list at once: bit k of
+    ``bad`` marks a failing masks[k].
+    """
+    planes = _member_planes(masks, g.order)
+    full = (1 << len(masks)) - 1
+    bad = 0
+    if square:
+        bad |= _product_not_one(g, range(g.order), planes, full)
+    if sigma is not None:
+        bad |= _product_not_one(g, sigma.perm, planes, full)
+    for y in central:
+        bad |= _noncommuting(g, y, planes)
+    first = (bad & -bad).bit_length() - 1
+    report.add(name, not bad, _render(g, masks[first]) if bad else None)
 
 
 def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> None:
@@ -362,11 +373,7 @@ def verify_inverting_decomposition(
         "unipotent_elementary_abelian",
         preds["is_elementary_abelian_2"] and preds["rank"] == a_order // 2,
     )
-    unitary = _unitary_test(sigma)
-    _add_member_check(
-        report, "unipotent_members_unitary", g, w.masks,
-        lambda m: _squares_to_one(g, m) and unitary(m),
-    )
+    _add_member_check(report, "unipotent_members_unitary", g, w.masks, sigma, square=True)
 
     v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
     a_image = group_image(g, form.a_sub)
@@ -417,7 +424,7 @@ def verify_inverting_decomposition(
             "(the unipotent factor normalizes itself)"
         )
         _add_oracle_skip_note(report, g, max_order)
-        _add_member_check(report, "cofactor_members_unitary", g, h.masks, unitary)
+        _add_member_check(report, "cofactor_members_unitary", g, h.masks, sigma)
     return report
 
 
@@ -573,17 +580,16 @@ def verify_odot_decomposition(
         preds["is_elementary_abelian_2"] and preds["rank"] == 3 * c_order // 2,
     )
     gen_basis = [1 << i for i in (g.generators or range(g.order))]
-    unitary = _unitary_test(sigma)
     _add_member_check(
         report, "central_unipotent_members_central_unitary", g, w.masks,
-        lambda m: _squares_to_one(g, m) and unitary(m) and commute(g, [m], gen_basis),
+        sigma, square=True, central=gen_basis,
     )
 
     # The decomposition needs the group inside the unitary set, which holds
     # exactly when every non-central element squares to the commutator
     # generator; checked from the tables rather than assumed.
     g_image = group_image(g)
-    _add_member_check(report, "group_inside_unitary", g, g_image.masks, unitary)
+    _add_member_check(report, "group_inside_unitary", g, g_image.masks, sigma)
 
     v_c2, c2_image = _central_order_2_parts(form)
     try:
@@ -624,7 +630,7 @@ def verify_odot_decomposition(
     else:
         _add_oracle_skip_note(report, g, max_order)
         report.add("factors_pairwise_direct", is_direct(g, [g_image, t, w]))
-        _add_member_check(report, "torsion_members_unitary", g, t.masks, unitary)
+        _add_member_check(report, "torsion_members_unitary", g, t.masks, sigma)
 
     alt = make_odot_form(g, prefer_large_reps=True)
     if (alt.a, alt.b) != (form.a, form.b):

@@ -13,6 +13,13 @@ augmentation 1. Two routines cover it:
   (sub)algebra and uses no structural input, so it stays an independent
   oracle for the decompositions.
 
+The same int bit planes serve the member checks of the decompositions:
+``_member_planes`` transposes a list of masks, one plane per coefficient
+position and one bit per member, and ``_product_planes`` forms the
+coefficient planes of u * perm(u) for every member at once, the unitary test
+with ``sigma.perm`` and the square with the identity. The kernel builds its
+starting planes with the same routine.
+
 Both scans run on the calling thread. The kernel's loop is big-int
 arithmetic that holds the GIL, so worker threads gained nothing: a full
 order-32 scan took as long on two threads as on one. The ``workers`` keyword
@@ -166,6 +173,80 @@ def _indicator_planes(nbits: int) -> list[int]:
     return planes
 
 
+# ASCII '0'/'1' for bit b of each byte value, one translation table per b:
+# over v = 0..255, bit b runs through 2^b zeros, then 2^b ones, repeatedly.
+_BIT_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+
+
+def _member_planes(masks: Sequence[int], n: int) -> list[int]:
+    """Transpose a member list into n bit planes: bit k of plane i is bit i
+    of masks[k].
+
+    The masks are written into one bytearray, one at a time. Each byte column,
+    reversed so that the last member comes first, is translated to one ASCII
+    digit per member for each of its bits and parsed in base 2, which the
+    int/str digit limit does not cover.
+    """
+    if not masks:
+        return [0] * n
+    nbytes = (n + 7) // 8
+    blob = bytearray(len(masks) * nbytes)
+    pos = 0
+    for m in masks:
+        blob[pos : pos + nbytes] = m.to_bytes(nbytes, "little")
+        pos += nbytes
+    planes = []
+    for c in range(nbytes):
+        column = blob[c::nbytes][::-1]
+        for b in range(min(8, n - 8 * c)):
+            planes.append(int(column.translate(_BIT_DIGITS[b]), 2))
+    return planes
+
+
+def _product_planes(g: GroupTable, perm: Sequence[int], planes: Sequence[int]) -> list[int]:
+    """Coefficient planes of u * perm(u) for every u the planes hold at once.
+
+    Coefficient c of u * perm(u) is the sum of u_i u_j over the pairs with
+    i * perm(j) = c, so plane c is the XOR of P_i & P_j over those pairs of
+    positions whose planes are not 0.
+    """
+    mul = g.mul
+    live = [(i, p) for i, p in enumerate(planes) if p]
+    right = [(perm[j], q) for j, q in live]
+    out = [0] * g.order
+    for i, p in live:
+        row = mul[i]
+        for pj, q in right:
+            out[row[pj]] ^= p & q
+    return out
+
+
+def _product_not_one(g: GroupTable, perm: Sequence[int], planes: Sequence[int], full: int) -> int:
+    """The members u (bits of ``full``) with u * perm(u) != 1."""
+    out = _product_planes(g, perm, planes)
+    bad = out[0] ^ full
+    for p in out[1:]:
+        bad |= p
+    return bad
+
+
+def _noncommuting(g: GroupTable, y: int, planes: Sequence[int]) -> int:
+    """The members u with u * y != y * u. For the fixed mask y, u * y + y * u
+    is linear in u: each plane adds into two coefficients per bit of y."""
+    mul = g.mul
+    ys = [j for j in range(g.order) if y >> j & 1]
+    out = [0] * g.order
+    for i, p in enumerate(planes):
+        if p:
+            for j in ys:
+                out[mul[i][j]] ^= p
+                out[mul[j][i]] ^= p
+    bad = 0
+    for p in out:
+        bad |= p
+    return bad
+
+
 def _unitary_kernel(g: GroupTable, perm: Sequence[int], members: Sequence[int]) -> list[int]:
     """Bit-sliced solver of u * sigma(u) = 1 over the span of ``members``.
 
@@ -193,11 +274,11 @@ def _unitary_kernel(g: GroupTable, perm: Sequence[int], members: Sequence[int]) 
 
     # At h = 0, bit l of start[c] says coordinate c of l sigma(l) equals that
     # of the identity. The running planes keep that meaning for every h.
-    start = [0] * len(coords)
-    for a, x in enumerate(low):
-        for b, y in enumerate(low):
-            start[pos[coord(x, y)]] ^= ind[a] & ind[b]
-    start = [p if c == 0 else p ^ full for c, p in zip(coords, start)]
+    low_planes = [0] * g.order
+    for x, p in zip(low, ind):
+        low_planes[x] = p
+    prod = _product_planes(g, perm, low_planes)
+    start = [prod[c] if c == 0 else prod[c] ^ full for c in coords]
 
     # Flipping position i of h adds the delta planes of the cross term (taken
     # for every l at once) and complements the planes of the coordinates at
@@ -390,8 +471,10 @@ def elements_of_order_dividing_2(v: UnitSet) -> UnitSet:
     if not _is_abelian_units(v):
         raise NotAbelianError("order-dividing-2 subgroup requires an abelian ambient")
     g = v.group
-    kept = [m for m in v.masks if _mul(g, m, m) == 1]
-    return make_unit_set(g, kept, sigma=v.sigma)
+    full = (1 << len(v.masks)) - 1
+    bad = _product_not_one(g, range(g.order), _member_planes(v.masks, g.order), full)
+    keep = format(full ^ bad, f"0{len(v.masks)}b")[::-1]
+    return make_unit_set(g, (m for m, k in zip(v.masks, keep) if k == "1"), sigma=v.sigma)
 
 
 def canonical_generators(s: UnitSet) -> list[int]:

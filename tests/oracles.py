@@ -149,6 +149,20 @@ def naive_commute(g, xs, ys) -> bool:
     return all(naive_mul(g, x, y) == naive_mul(g, y, x) for x in xs for y in ys)
 
 
+def naive_first_failing_member(g, masks, perm=None, square=False, central=()) -> int | None:
+    """The first mask that does not square to 1 (``square``), does not
+    satisfy u * perm(u) = 1 (``perm``) or does not commute with every mask in
+    ``central``, tested one member at a time; None when all pass."""
+    for m in masks:
+        if square and naive_mul(g, m, m) != 1:
+            return m
+        if perm is not None and naive_mul(g, m, naive_apply_perm(perm, m)) != 1:
+            return m
+        if not naive_commute(g, [m], central):
+            return m
+    return None
+
+
 def naive_normal_in(g, ambient, sub) -> bool:
     """aN = Na as sets, for every a in the ambient group.
 

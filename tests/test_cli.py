@@ -6,6 +6,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +20,8 @@ from f2units.cli import main, parse_group_spec
 from f2units.errors import GroupAxiomViolationError, ParseError
 
 
-REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCES = ROOT / "perfbench" / "references.json"
 
 
 def reference_sha256(workload, item):
@@ -112,6 +116,29 @@ def test_invalid_input_exits_two(capsys):
     assert "CenterQuotientNotKlein" in capsys.readouterr().err
     assert main(["--family", "cyclic"]) == 2  # missing --order
     assert main(["--group", "/nonexistent/path.json"]) == 2
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_unwritable_out_path_exits_two(where, tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code = main(["--family", "quaternion", "--order", "8", "--involution", "classical",
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write report: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "f2units",
+         "--family", "quaternion", "--order", "8", "--involution", "classical"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.rstrip().endswith("overall: PASS")
 
 
 @pytest.mark.parametrize(

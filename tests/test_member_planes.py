@@ -1,0 +1,172 @@
+"""The bit-plane member checks against a per-member oracle: the transpose,
+pass/fail and the first failing member on every factor list the
+verifications test, intact and with single-bit corruptions."""
+
+from __future__ import annotations
+
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import f2units as f
+from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
+from f2units.decompositions import (
+    DecompositionReport,
+    _add_member_check,
+    _render,
+    build_abelian_complement,
+    build_central_unipotent,
+    build_normal_cofactor,
+    build_torsion_complement,
+    build_unipotent_factor,
+)
+from f2units.unitgroup import _member_planes, group_image
+from oracles import naive_first_failing_member
+
+ORDERS = (2, 4, 8, 16, 32, 64, 128)
+
+
+@st.composite
+def mask_lists(draw):
+    n = draw(st.sampled_from(ORDERS))
+    return n, draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask_lists())
+def test_member_planes_transpose_the_list(case):
+    n, masks = case
+    planes = _member_planes(masks, n)
+    assert len(planes) == n
+    for i, plane in enumerate(planes):
+        assert plane == sum((m >> i & 1) << k for k, m in enumerate(masks))
+
+
+@pytest.mark.parametrize("n", ORDERS)
+def test_member_planes_of_the_empty_list(n):
+    assert _member_planes([], n) == [0] * n
+
+
+def test_member_planes_of_a_long_list():
+    """Planes far longer than the 4300-digit int/str limit."""
+    rng = random.Random(3)
+    masks = [rng.getrandbits(32) for _ in range(9000)]
+    planes = _member_planes(masks, 32)
+    for i in (0, 7, 8, 31):
+        assert planes[i] == sum((m >> i & 1) << k for k, m in enumerate(masks))
+
+
+def _classical_lists(form):
+    """The member checks of verify_inverting_decomposition, as
+    (label, masks, check keywords)."""
+    g = form.group
+    sigma = f.classical_involution(g)
+    w = build_unipotent_factor(form)
+    h = build_normal_cofactor(form, w, build_abelian_complement(form))
+    return [
+        ("W", w.masks, dict(sigma=sigma, square=True)),
+        ("H", h.masks, dict(sigma=sigma)),
+    ]
+
+
+def _odot_lists(form):
+    g = form.group
+    sigma = f.odot_involution(form)
+    gen_basis = [1 << i for i in (g.generators or range(g.order))]
+    return [
+        ("W", build_central_unipotent(form).masks, dict(sigma=sigma, square=True, central=gen_basis)),
+        ("G", group_image(g).masks, dict(sigma=sigma)),
+        ("T", build_torsion_complement(form).masks, dict(sigma=sigma)),
+    ]
+
+
+FORMS = {
+    **{f"{e.key}/classical": e.form for e in CLASSICAL_ENTRIES},
+    **{f"{e.key}/odot": e.form for e in ODOT_ENTRIES},
+    "Q32/classical": lambda: f.detect_inverting_form(f.make_quaternion(32)),
+    "Ext(C16)/classical": lambda: f.detect_inverting_form(
+        f.make_inverting_extension(f.make_cyclic(16), 8)
+    ),
+}
+CASES = [
+    f"{key}/{label}"
+    for key in FORMS
+    for label in (("W", "H") if key.endswith("/classical") else ("W", "G", "T"))
+]
+
+
+@functools.cache
+def _lists(key):
+    """Built when a test asks, so that a broken builder fails that test."""
+    form = FORMS[key]()
+    lists = _classical_lists(form) if key.endswith("/classical") else _odot_lists(form)
+    return {label: (form.group, masks, kw) for label, masks, kw in lists}
+
+
+def _case(case):
+    key, label = case.rsplit("/", 1)
+    return _lists(key)[label]
+
+
+def _plane_result(g, masks, kw):
+    report = DecompositionReport("test", {}, "test", {}, {})
+    _add_member_check(report, "members", g, masks, **kw)
+    (check,) = report.checks
+    return check.passed, check.witness
+
+
+def _naive_result(g, masks, kw):
+    sigma = kw.get("sigma")
+    bad = naive_first_failing_member(
+        g,
+        masks,
+        perm=sigma.perm if sigma is not None else None,
+        square=kw.get("square", False),
+        central=kw.get("central", ()),
+    )
+    return bad is None, None if bad is None else _render(g, bad)
+
+
+def test_cases_include_the_large_lists():
+    for case, size in (("Q32/classical/H", 8192), ("Ext(C16)/classical/H", 8192), ("D8xC4/odot/W", 4096)):
+        assert len(_case(case)[1]) == size
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_member_check_matches_naive(case):
+    g, masks, kw = _case(case)
+    assert _plane_result(g, masks, kw) == _naive_result(g, masks, kw)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_member_check_names_the_same_corrupted_member(case):
+    """Flip single bits of one member, and of two members at once: the
+    first failing member is the same as the oracle's."""
+    g, masks, kw = _case(case)
+    rng = random.Random(len(masks) * g.order)
+    for flips in (1, 1, 2):
+        bad = list(masks)
+        for _ in range(flips):
+            k = rng.randrange(len(bad))
+            bad[k] ^= 1 << rng.randrange(g.order)
+        assert _plane_result(g, bad, kw) == _naive_result(g, bad, kw)
+
+
+def test_member_check_reports_the_lowest_failing_member():
+    g = f.make_quaternion(8)
+    sigma = f.classical_involution(g)
+    masks = [1, 1 << 1, 0b101, 1 << 2, 0b11]  # 1, a, 1 + a2, a2, 1 + a
+    assert _plane_result(g, masks, dict(sigma=sigma)) == (False, _render(g, 0b101))
+    assert _plane_result(g, masks[::-1], dict(sigma=sigma)) == (False, _render(g, 0b11))
+
+
+@pytest.mark.parametrize("key, witness", [("D8", "s"), ("D8xC4", "(1,a)")])
+def test_group_inside_unitary_witness(key, witness):
+    (entry,) = [e for e in ODOT_ENTRIES if e.key == key]
+    report = f.verify_odot_decomposition(entry.form(), skip_enumeration=True)
+    (check,) = [c for c in report.checks if c.name == "group_inside_unitary"]
+    assert not check.passed
+    assert check.witness == witness
