@@ -219,16 +219,11 @@ def _verify_report(config: RunConfig, skip_enumeration: bool) -> DecompositionRe
 
 
 def _catalog_payload(config: RunConfig) -> dict:
+    runs = [(e, verify_inverting_decomposition) for e in CLASSICAL_ENTRIES]
+    runs += [(e, verify_odot_decomposition) for e in ODOT_ENTRIES]
     rows = []
-    for entry in CLASSICAL_ENTRIES:
-        report = verify_inverting_decomposition(
-            entry.form(),
-            max_order=config.max_exhaustive_order,
-            force_enumeration=config.force_enumeration,
-        )
-        rows.append({"instance": entry.key, **report.to_json_dict()})
-    for entry in ODOT_ENTRIES:
-        report = verify_odot_decomposition(
+    for entry, verify in runs:
+        report = verify(
             entry.form(),
             max_order=config.max_exhaustive_order,
             force_enumeration=config.force_enumeration,
@@ -246,6 +241,13 @@ def _catalog_payload(config: RunConfig) -> dict:
 # rendering
 
 
+def _check_line(check: dict, indent: str) -> str:
+    """One check's marker and name, with its witness when it has one."""
+    mark = "ok" if check["pass"] else "FAIL"
+    suffix = f"  witness: {check['witness']}" if "witness" in check else ""
+    return f"{indent}{mark:4} {check['name']}{suffix}"
+
+
 def _render_text(payload: dict) -> str:
     lines: list[str] = []
     if payload.get("mode") == "catalog":
@@ -254,10 +256,7 @@ def _render_text(payload: dict) -> str:
             orders = row.get("orders", {})
             parts = ", ".join(f"{k}={v}" for k, v in sorted(orders.items()))
             lines.append(f"[{verdict}] {row['instance']} ({row['involution']}): {parts}")
-            for check in row["checks"]:
-                mark = "ok" if check["pass"] else "FAIL"
-                suffix = f"  witness: {check['witness']}" if "witness" in check else ""
-                lines.append(f"    {mark:4} {check['name']}{suffix}")
+            lines.extend(_check_line(check, "    ") for check in row["checks"])
         lines.append("overall: " + ("PASS" if payload["pass"] else "FAIL"))
         return "\n".join(lines) + "\n"
     if payload.get("mode") == "enumerate":
@@ -277,10 +276,7 @@ def _render_text(payload: dict) -> str:
     )
     for key, val in sorted(payload["orders"].items()):
         lines.append(f"  {key} = {val}")
-    for check in payload["checks"]:
-        mark = "ok" if check["pass"] else "FAIL"
-        suffix = f"  witness: {check['witness']}" if "witness" in check else ""
-        lines.append(f"  {mark:4} {check['name']}{suffix}")
+    lines.extend(_check_line(check, "  ") for check in payload["checks"])
     for note in payload.get("notes", []):
         lines.append(f"  note: {note}")
     lines.append("overall: " + ("PASS" if payload["pass"] else "FAIL"))

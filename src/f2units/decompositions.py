@@ -72,7 +72,6 @@ from .unitgroup import (
     make_unit_set,
     normalizes,
     product_masks,
-    product_of,
     structure_predicates,
 )
 
@@ -225,9 +224,7 @@ def build_normal_cofactor(
 
 
 def _conjugation_witness(
-    form: InvertingExtensionForm,
-    v_a: UnitSet,
-    w_masks: frozenset[int] | None = None,
+    form: InvertingExtensionForm, v_a: UnitSet, w_masks: frozenset[int]
 ) -> str | None:
     """Check the three conjugation identities; return a witness on failure.
 
@@ -246,8 +243,6 @@ def _conjugation_witness(
     for rep in form.transversal:
         rep_of[rep] = rep
         rep_of[g.mul[bsq][rep]] = rep
-    if w_masks is None:
-        w_masks = build_unipotent_factor(form).mask_set()
     # The inverse, nb * x1^2 and the two twist identities do not depend on gi.
     per_x1 = []
     for x1 in v_a.masks:
@@ -286,7 +281,7 @@ def check_conjugation_closure(
     """True iff all three conjugation identities hold for every pair."""
     g = form.group
     v_a = enumerate_unitary(g, classical_involution(g), max_order=max_order, support=form.a_sub)
-    return _conjugation_witness(form, v_a) is None
+    return _conjugation_witness(form, v_a, build_unipotent_factor(form).mask_set()) is None
 
 
 def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) -> bool:
@@ -618,7 +613,9 @@ def verify_odot_decomposition(
         v = enumerate_unitary(g, sigma, max_order=max(max_order, g.order))
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
-        product = product_of(g, [g_image, t, w])
+        # G*T is listed once, for W and for the alternate representatives.
+        gt = product_masks(g, g_image.masks, t.masks)
+        product = product_masks(g, gt, w.masks)
         if g_image.mask_set() <= v.mask_set():
             # Every factor holds 1, so the equality puts each factor inside v.
             report.add("direct_product", is_direct(g, [g_image, t, w]) and product == v.mask_set())
@@ -641,7 +638,7 @@ def verify_odot_decomposition(
         }
         alt_ok = alt_w.order == expected_w
         if v is not None:
-            alt_ok = alt_ok and product_of(g, [g_image, t, alt_w]) == v.mask_set()
+            alt_ok = alt_ok and product_masks(g, gt, alt_w.masks) == v.mask_set()
         else:
             alt_ok = alt_ok and is_direct(g, [g_image, t, alt_w])
         report.add("alternate_representatives_pass", alt_ok)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import (
@@ -54,9 +55,9 @@ class GroupTable:
             table = tuple(tuple(row) for row in mul)
         except TypeError:
             table = None
+        # One entry of each type stands for all entries of that type.
         if table is None or not all(
-            issubclass(t, int) and not issubclass(t, bool)
-            for t in {type(x) for row in table for x in row}
+            map(_is_int, {type(x): x for row in table for x in row}.values())
         ):
             raise ParseError("a multiplication table must be a list of rows of integers")
         self.inv, self.greedy_generators = _validate_table(table)
@@ -69,6 +70,7 @@ class GroupTable:
             raise GroupAxiomViolationError(
                 f"{len(self.labels)} labels for order {self.order}"
             )
+        _check_labels(self.labels)
         self.generators = tuple(int(x) for x in generators)
         self.family = family
         self.name = name or f"G{self.order}"
@@ -94,6 +96,17 @@ class GroupTable:
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
+
+
+def _check_labels(labels: Sequence[str]) -> None:
+    """Reject labels that render_element -> parse_element would not round
+    trip: parsing splits on '+', strips each term and reads '0' as zero, so
+    labels must be distinct, non-empty, stripped strings other than '0'."""
+    for i, lab in enumerate(labels):
+        if not isinstance(lab, str) or lab in ("", "0") or "+" in lab or lab != lab.strip():
+            raise GroupAxiomViolationError(f"label {lab!r} does not parse back", witness=(i,))
+    if len(set(labels)) < len(labels):
+        raise GroupAxiomViolationError("two elements share a label")
 
 
 def _validate_table(
@@ -136,11 +149,11 @@ def _validate_table(
     gens = _generating_set(mul)
     for a in gens:
         row_a = mul[a]
+        compose = itemgetter(*row_a)  # row x -> the row of x*(a*y) over y
         for x in range(n):
             row_xa = mul[mul[x][a]]
-            row_x = mul[x]
-            if row_xa != tuple([row_x[v] for v in row_a]):
-                y = next(y for y in range(n) if row_xa[y] != row_x[row_a[y]])
+            if row_xa != compose(mul[x]):
+                y = next(y for y in range(n) if row_xa[y] != mul[x][row_a[y]])
                 raise GroupAxiomViolationError(
                     f"associativity fails at ({x},{a},{y})", witness=(x, a, y)
                 )

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import combinations
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraElement, _eliminate, _inverse, _mul, _span
@@ -55,16 +57,17 @@ DEFAULT_EXHAUSTIVE_BOUND = 16
 
 @dataclass(frozen=True)
 class UnitSet:
-    """A set of units, stored as sorted bitmasks (the canonical order).
+    """A subgroup of the unit group, as sorted bitmasks (the canonical order).
 
     Closure is maintained by the operations that build UnitSets, not
-    revalidated on construction; every member must have augmentation 1 and
-    the identity must be present.
+    revalidated on construction; every member must have augmentation 1, the
+    identity must be present, and recorded ``generators`` generate the set.
+    Since every UnitSet is a subgroup, ``internal_semidirect`` and
+    ``internal_direct`` compare orders rather than list a product.
     """
 
     group: GroupTable
     masks: tuple[int, ...]
-    sigma: AntiAutomorphism | None = None
     generators: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -95,17 +98,10 @@ class UnitSet:
 
 
 def make_unit_set(
-    group: GroupTable,
-    masks: Iterable[int],
-    sigma: AntiAutomorphism | None = None,
-    generators: Sequence[int] | None = None,
+    group: GroupTable, masks: Iterable[int], generators: Sequence[int] | None = None
 ) -> UnitSet:
-    return UnitSet(
-        group,
-        tuple(sorted(set(masks))),
-        sigma,
-        tuple(generators) if generators is not None else None,
-    )
+    gens = tuple(generators) if generators is not None else None
+    return UnitSet(group, tuple(sorted(set(masks))), gens)
 
 
 def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
@@ -118,12 +114,15 @@ def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
 # exhaustive enumeration
 
 
-def _check_bound(k: int, max_order: int) -> None:
-    if k > max_order:
+def _free_positions(g: GroupTable, support: SubgroupSet | None, max_order: int) -> tuple[int, ...]:
+    """The coefficient positions a scan runs over, within the bound."""
+    members = tuple(support.members) if support is not None else tuple(range(g.order))
+    if len(members) > max_order:
         raise TooLargeError(
-            f"exhaustive enumeration over {k} free coefficient positions exceeds "
+            f"exhaustive enumeration over {len(members)} free coefficient positions exceeds "
             f"the bound {max_order}; raise the bound explicitly to override"
         )
+    return members
 
 
 def enumerate_normalized_units(
@@ -142,8 +141,7 @@ def enumerate_normalized_units(
     inside the subalgebra spanned by a subgroup; the bound applies to the
     number of free coefficient positions. ``workers`` is accepted and ignored.
     """
-    members = tuple(support.members) if support is not None else tuple(range(g.order))
-    _check_bound(len(members), max_order)
+    members = _free_positions(g, support, max_order)
     ideal_gens = power = [1 ^ (1 << h) for h in members if h]
     while power:
         pivots, _ = _eliminate(_mul(g, x, y) for x in power for y in ideal_gens)
@@ -340,18 +338,15 @@ def enumerate_unitary(
     """
     if sigma.group is not g:
         raise GroupMismatchError("involution belongs to a different group")
-    members = tuple(support.members) if support is not None else tuple(range(g.order))
-    _check_bound(len(members), max_order)
-    return make_unit_set(g, _unitary_kernel(g, sigma.perm, members), sigma=sigma)
+    members = _free_positions(g, support, max_order)
+    return make_unit_set(g, _unitary_kernel(g, sigma.perm, members))
 
 
 # ---------------------------------------------------------------------------
 # closure and structure
 
 
-def unit_subgroup_closure(
-    g: GroupTable, gens: Iterable[AlgebraElement], sigma: AntiAutomorphism | None = None
-) -> UnitSet:
+def unit_subgroup_closure(g: GroupTable, gens: Iterable[AlgebraElement]) -> UnitSet:
     """Smallest multiplicatively closed set of units containing gens."""
     gen_masks = []
     for x in gens:
@@ -360,7 +355,7 @@ def unit_subgroup_closure(
         _inverse(g, x.mask)  # NotAUnitError on a non-unit generator
         gen_masks.append(x.mask)
     seen = _closure(partial(_mul, g), {1}, gen_masks)
-    return make_unit_set(g, seen, sigma=sigma, generators=gen_masks)
+    return make_unit_set(g, seen, generators=gen_masks)
 
 
 def product_masks(g: GroupTable, left: Iterable[int], right: Iterable[int]) -> frozenset[int]:
@@ -379,25 +374,17 @@ def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:
 def internal_semidirect(ambient: UnitSet, n: UnitSet, k: UnitSet) -> bool:
     """True iff n is normal in ambient, meets k trivially, and n*k = ambient.
 
-    Once n*k = ambient, the generators of n and k generate the ambient group,
-    so normality is decided by conjugating n's generators by them.
+    Decided without listing n*k. If the generators of n and k normalize n
+    and n meets k trivially, then n*k = <n, k> is a subgroup of ambient of
+    order |n||k|, so it is ambient exactly when the orders agree. Conversely
+    n*k = ambient with a trivial intersection forces |ambient| = |n||k|, and
+    the generators of n and k then generate ambient.
     """
     _require_subset(ambient, n, "the normal part")
     _require_subset(ambient, k, "the complement part")
-    g = ambient.group
-    if n.mask_set() & k.mask_set() != {1}:
+    if n.mask_set() & k.mask_set() != {1} or n.order * k.order != ambient.order:
         return False
-    if product_masks(g, n.masks, k.masks) != ambient.mask_set():
-        return False
-    return normalizes(g, gens_of(n) + gens_of(k), n)
-
-
-def product_of(g: GroupTable, factors: Sequence[UnitSet]) -> frozenset[int]:
-    """The set of products f0*f1*...*fk, one member from each factor in turn."""
-    total = factors[0].mask_set()
-    for f in factors[1:]:
-        total = product_masks(g, total, f.masks)
-    return total
+    return normalizes(ambient.group, gens_of(n) + gens_of(k), n)
 
 
 def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
@@ -408,11 +395,8 @@ def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
     commuting subgroups this is the standard criterion. The last factor is
     never multiplied into the running product.
     """
-    gens = [gens_of(f) for f in factors]
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            if not commute(g, gens[i], gens[j]):
-                return False
+    if not all(commute(g, a, b) for a, b in combinations(map(gens_of, factors), 2)):
+        return False
     prefix = factors[0].mask_set()
     for i in range(1, len(factors)):
         if factors[i].mask_set() & prefix != {1}:
@@ -424,11 +408,12 @@ def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
 
 def internal_direct(ambient: UnitSet, factors: Sequence[UnitSet]) -> bool:
     """True iff the factors form a direct product (see is_direct) whose
-    product is the ambient set."""
+    product is the ambient set: a direct product of subgroups of ambient has
+    the product of their orders as its order, so it is ambient exactly when
+    that equals |ambient|."""
     for i, f in enumerate(factors):
         _require_subset(ambient, f, f"factor {i}")
-    g = ambient.group
-    return is_direct(g, factors) and product_of(g, factors) == ambient.mask_set()
+    return prod(f.order for f in factors) == ambient.order and is_direct(ambient.group, factors)
 
 
 def _is_abelian_units(s: UnitSet) -> bool:
@@ -474,7 +459,7 @@ def elements_of_order_dividing_2(v: UnitSet) -> UnitSet:
     full = (1 << len(v.masks)) - 1
     bad = _product_not_one(g, range(g.order), _member_planes(v.masks, g.order), full)
     keep = format(full ^ bad, f"0{len(v.masks)}b")[::-1]
-    return make_unit_set(g, (m for m, k in zip(v.masks, keep) if k == "1"), sigma=v.sigma)
+    return make_unit_set(g, (m for m, k in zip(v.masks, keep) if k == "1"))
 
 
 def canonical_generators(s: UnitSet) -> list[int]:
@@ -550,4 +535,4 @@ def find_complement(ambient: UnitSet | SubgroupSet, factor: UnitSet | SubgroupSe
         raise NotAbelianError("complement search requires an abelian ambient group")
     g = ambient.group
     gens, members = complement_generators(ambient.masks, partial(_mul, g), 1, factor.masks)
-    return make_unit_set(g, members, sigma=ambient.sigma, generators=gens)
+    return make_unit_set(g, members, generators=gens)

@@ -163,6 +163,17 @@ def naive_first_failing_member(g, masks, perm=None, square=False, central=()) ->
     return None
 
 
+def naive_is_anti_involution(g, perm) -> bool:
+    """A self-inverse permutation with perm(x*y) = perm(y)*perm(x) for all
+    pairs x, y."""
+    n = g.order
+    if sorted(perm) != list(range(n)) or any(perm[perm[i]] != i for i in range(n)):
+        return False
+    return all(
+        perm[g.mul[x][y]] == g.mul[perm[y]][perm[x]] for x in range(n) for y in range(n)
+    )
+
+
 def naive_normal_in(g, ambient, sub) -> bool:
     """aN = Na as sets, for every a in the ambient group.
 

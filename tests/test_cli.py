@@ -158,6 +158,10 @@ def test_runs_as_a_module():
         '{"family": "cyclic", "params": {"order": true}}',
         '{"table": [[0, 1.7], [true, 0]]}',
         '{"table": ["01", "10"]}',
+        '{"table": [[0, 1], [1, 0]], "labels": ["1", "1"]}',
+        '{"table": [[0, 1], [1, 0]], "labels": ["1", "0"]}',
+        '{"table": [[0, 1], [1, 0]], "labels": ["1", "a + b"]}',
+        '{"table": [[0, 1], [1, 0]], "labels": ["1", " a"]}',
     ],
 )
 def test_malformed_spec_exits_two(spec, tmp_path, capsys):
@@ -249,6 +253,28 @@ def test_catalog_mode_covers_all_instances(tmp_path):
     assert verdicts[("D8", "odot")] is False
     assert verdicts[("D8xC2", "odot")] is False
     assert hashlib.sha256(text.encode()).hexdigest() == reference_sha256("catalog", "catalog")
+
+
+def test_catalog_text_prints_every_check_with_its_witness(tmp_path):
+    _, text = run_cli(["--mode", "catalog", "--format", "json"], tmp_path)
+    code, rendered = run_cli(["--mode", "catalog", "--format", "text"], tmp_path, "out.txt")
+    assert code == 1
+    lines = iter(rendered.splitlines())
+    witnesses = 0
+    for row in json.loads(text)["reports"]:
+        header = next(lines)
+        assert header.startswith(f"[{'PASS' if row['pass'] else 'FAIL'}] ")
+        assert f" ({row['involution']}): " in header
+        for check in row["checks"]:
+            mark, name, *rest = next(lines).split(maxsplit=2)
+            assert (mark, name) == ("ok" if check["pass"] else "FAIL", check["name"])
+            if "witness" in check:
+                witnesses += 1
+                assert rest == [f"witness: {check['witness']}"]
+            else:
+                assert rest == []
+    assert witnesses > 0
+    assert list(lines) == ["overall: FAIL"]
 
 
 def test_catalog_builds_algebra_elements_only_at_the_boundary(monkeypatch, tmp_path):

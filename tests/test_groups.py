@@ -138,6 +138,48 @@ def test_validation_rejects_wrong_identity():
         f.GroupTable([[1, 0], [0, 1]])
 
 
+_C2 = [[0, 1], [1, 0]]
+_KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [["1", "1"], ["1", "0"], ["1", ""], ["1", "a+b"], ["1", " a"], ["1", "a\t"], ["1", 2]],
+    ids=["duplicate", "zero", "empty", "plus", "leading-space", "trailing-tab", "not-a-string"],
+)
+def test_validation_rejects_labels_that_do_not_parse_back(labels):
+    with pytest.raises(GroupAxiomViolationError):
+        f.GroupTable(_C2, labels=labels)
+
+
+def test_duplicate_labels_no_longer_make_witnesses_ambiguous():
+    # the non-identity element used to render as "1" and parse back as the identity
+    with pytest.raises(GroupAxiomViolationError):
+        f.GroupTable(_C2, labels=["1", "1"])
+    g = f.GroupTable(_C2, labels=["1", "t"])
+    assert f.parse_element(g, f.render_element(f.AlgebraElement(g, 2))).mask == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([[[0]], _C2, _KLEIN]).flatmap(
+        lambda mul: st.tuples(
+            st.just(mul),
+            st.lists(st.text(alphabet="ab01+ \t", max_size=3), min_size=len(mul), max_size=len(mul)),
+        )
+    )
+)
+def test_accepted_labels_round_trip_through_render_and_parse(table_and_labels):
+    mul, labels = table_and_labels
+    try:
+        g = f.GroupTable(mul, labels=labels)
+    except GroupAxiomViolationError:
+        return
+    for m in range(1 << g.order):
+        x = f.AlgebraElement(g, m)
+        assert f.parse_element(g, f.render_element(x)).mask == m
+
+
 # Light's associativity test accepts exactly the tables the cubic check does.
 
 EQUALITY_TABLES = {

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import f2units as f
+from f2units.catalog import catalog_groups
 from f2units.errors import (
     BadOrderError,
     CenterQuotientNotKleinError,
@@ -14,6 +17,7 @@ from f2units.errors import (
     NotInvertingError,
     WrongIndexError,
 )
+from oracles import naive_is_anti_involution
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +59,63 @@ def test_identity_map_validates_only_on_abelian_groups(c4, d8):
 def test_non_permutation_fails_validation(c4):
     collapse = f.AntiAutomorphism(c4, (0, 0, 2, 2), "collapse")
     assert not f.validate_involution(collapse)
+
+
+CATALOG_GROUPS = catalog_groups()
+
+
+def _known_involutions(g):
+    perms = [tuple(g.inv)]
+    try:
+        perms.append(tuple(f.odot_involution(f.make_odot_form(g)).perm))
+    except HypothesisViolationError:
+        pass
+    return perms
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(CATALOG_GROUPS)),
+    st.sampled_from(["random", "known", "swapped", "conjugated"]),
+    st.randoms(use_true_random=False),
+)
+def test_generator_reversal_check_matches_all_pairs(name, kind, rng):
+    """Reversal is tested on the greedy generators only; the verdict must be
+    the all-pairs one. A known anti-involution conjugated by a transposition
+    stays a self-inverse permutation, so it reaches the reversal test."""
+    g = CATALOG_GROUPS[name]
+    perm = list(rng.choice(_known_involutions(g)))
+    i, j = rng.sample(range(g.order), 2)
+    if kind == "random":
+        rng.shuffle(perm)
+    elif kind == "swapped":
+        perm[i], perm[j] = perm[j], perm[i]
+    elif kind == "conjugated":
+        swap = list(range(g.order))
+        swap[i], swap[j] = j, i
+        perm = [swap[perm[swap[x]]] for x in range(g.order)]
+    sigma = f.AntiAutomorphism(g, tuple(perm), kind)
+    assert f.validate_involution(sigma) is naive_is_anti_involution(g, perm)
+
+
+def test_generator_reversal_check_tests_every_generator():
+    """x -> x^-1 on a subgroup K and x -> (x k0)^-1 off it, for a central k0
+    in K, is self-inverse and reverses every product a*y with a in K. It is
+    an anti-automorphism only when k0 = 1, or when K has index 2 and
+    k0^2 = 1. With K generated by all greedy generators but one, a check
+    that skipped that generator would accept the failing maps."""
+    verdicts = set()
+    for g in CATALOG_GROUPS.values():
+        gens = g.greedy_generators
+        central = f.center(g).member_set()
+        for drop in range(len(gens)):
+            k = f.subgroup_closure(g, gens[:drop] + gens[drop + 1:]).member_set()
+            for k0 in sorted(k & central):
+                perm = [g.inv[x] if x in k else g.inv[g.mul[x][k0]] for x in range(g.order)]
+                verdict = f.validate_involution(f.AntiAutomorphism(g, tuple(perm)))
+                assert verdict is naive_is_anti_involution(g, perm)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,21 @@ generate their factors.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import f2units as f
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import NotAbelianError
 from f2units.groups import SubgroupSet
 from f2units.unitgroup import _is_abelian_units, canonical_generators, is_direct, normalizes
-from oracles import naive_canonical_generators, naive_commute, naive_normal_in, naive_product
+from oracles import (
+    naive_canonical_generators,
+    naive_commute,
+    naive_mul,
+    naive_normal_in,
+    naive_product,
+)
 
 SMALL_CLASSICAL = [e for e in CLASSICAL_ENTRIES if e.build().order <= 16]
 SMALL_ODOT = [e for e in ODOT_ENTRIES if e.build().order <= 16]
@@ -230,3 +238,102 @@ def test_canonical_generators_match_from_scratch_greedy(build):
     s = build()
     assert s.generators is None
     assert canonical_generators(s) == naive_canonical_generators(s.group, s.masks)
+
+
+# ---------------------------------------------------------------------------
+# internal_semidirect and internal_direct decide "the product is the ambient
+# set" by comparing orders; on random subgroups they must agree with the
+# naive routines, which list every product.
+
+SUBGROUP_GROUPS = {
+    g.name: g
+    for g in [
+        f.make_cyclic(4),
+        f.make_direct_product(f.make_cyclic(2), f.make_cyclic(2)),
+        f.make_cyclic(8),
+        f.make_direct_product(f.make_cyclic(4), f.make_cyclic(2)),
+        *(e.build() for e in SMALL_CLASSICAL + SMALL_ODOT),
+    ]
+}
+
+
+def _closes_within(g, gens, cap) -> bool:
+    """True iff the unit group generated by gens has at most cap members."""
+    seen, frontier = {1}, [1]
+    while frontier:
+        x = frontier.pop()
+        for y in gens:
+            z = naive_mul(g, x, y)
+            if z not in seen:
+                if len(seen) == cap:
+                    return False
+                seen.add(z)
+                frontier.append(z)
+    return True
+
+
+def _random_unit(g, rng) -> int:
+    """A group element (half of the draws), 1 + x + y for two group elements
+    x, y, or a random augmentation-1 mask."""
+    kind = rng.randrange(4)
+    if kind < 2:
+        return 1 << rng.randrange(g.order)
+    if kind == 2:
+        x, y = rng.sample(range(1, g.order), 2)
+        return 1 ^ 1 << x ^ 1 << y
+    m = rng.getrandbits(g.order)
+    return m ^ (0 if m.bit_count() & 1 else 1)
+
+
+def _random_subgroup(g, rng, cap):
+    """unit_subgroup_closure of one or two random units, keeping only the
+    first unit when the two generate more than cap members."""
+    gens = [_random_unit(g, rng) for _ in range(rng.randint(1, 2))]
+    while not _closes_within(g, gens, cap):
+        gens = [_random_unit(g, rng)] if len(gens) == 1 else gens[:1]
+    return f.unit_subgroup_closure(g, [f.AlgebraElement(g, m) for m in gens])
+
+
+def _random_ambient(g, parts, rng):
+    """The subgroup the parts generate, or, when that is large or on a coin
+    flip, the whole normalized unit group (mostly false cases)."""
+    gens = [m for p in parts for m in p.generators]
+    if rng.random() < 0.75 and _closes_within(g, gens, 512):
+        return f.unit_subgroup_closure(g, [f.AlgebraElement(g, m) for m in gens])
+    return f.enumerate_normalized_units(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(SUBGROUP_GROUPS)), st.randoms(use_true_random=False))
+def test_semidirect_by_order_matches_listed_product(name, rng):
+    g = SUBGROUP_GROUPS[name]
+    n, k = (_random_subgroup(g, rng, 64) for _ in range(2))
+    ambient = _random_ambient(g, [n, k], rng)
+    assert f.internal_semidirect(ambient, n, k) is naive_semidirect(g, ambient, n, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SUBGROUP_GROUPS)), st.randoms(use_true_random=False))
+def test_direct_by_order_matches_listed_product(name, rng):
+    g = SUBGROUP_GROUPS[name]
+    factors = [_random_subgroup(g, rng, 16) for _ in range(rng.randint(2, 3))]
+    ambient = _random_ambient(g, factors, rng)
+    assert f.internal_direct(ambient, factors) is naive_direct(g, ambient, factors)
+
+
+def test_order32_cofactor_checks_by_order_match_listed_product():
+    form = f.make_inverting_form(f.make_quaternion(32), [1], 16)
+    g = form.group
+    w = f.build_unipotent_factor(form)
+    v_a = f.enumerate_unitary(g, f.classical_involution(g), max_order=32, support=form.a_sub)
+    a_image = f.group_image(g, form.a_sub)
+    ell = f.find_complement(v_a, a_image)
+    h = f.build_normal_cofactor(form, w, ell)
+    assert f.internal_semidirect(h, w, ell) is naive_semidirect(g, h, w, ell) is True
+    # at Q32 the two factors commute, so H is their direct product
+    assert f.internal_semidirect(h, ell, w) is naive_semidirect(g, h, ell, w) is True
+    assert f.internal_direct(h, [w, ell]) is naive_direct(g, h, [w, ell]) is True
+    part = f.unit_subgroup_closure(g, [f.AlgebraElement(g, ell.generators[0])])
+    assert part.order < ell.order
+    assert f.internal_direct(h, [w, part]) is naive_direct(g, h, [w, part]) is False
+    assert f.internal_direct(v_a, [a_image, ell]) is naive_direct(g, v_a, [a_image, ell]) is True

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import f2units as f
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
-from f2units.unitgroup import product_of
+from f2units.unitgroup import product_masks
 from oracles import naive_subalgebra_unitary_masks, naive_unitary_masks
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -125,7 +125,7 @@ def test_order32_classical_oracle_equals_group_times_cofactor(build, monkeypatch
     monkeypatch.setattr(threading.Thread, "start", refuse)
     v = f.enumerate_unitary(g, f.classical_involution(g), max_order=32, workers=2)
     assert v.order == g.order * h.order
-    assert v.mask_set() == product_of(g, [f.group_image(g), h])
+    assert v.mask_set() == product_masks(g, f.group_image(g).masks, h.masks)
 
 
 def test_order32_dihedral_gap_is_a_factor_of_four():
