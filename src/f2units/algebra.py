@@ -6,7 +6,9 @@ convolution through the group table, accelerated by byte translation tables
 cached on the group, one set per basis element.
 
 The arithmetic core works on bare masks: ``_mul``, ``_inverse`` and
-``_involute``. Every inner loop of the package calls it directly.
+``_involute``. Every loop that multiplies single masks calls it directly;
+a loop over a whole member list multiplies on bit planes instead (see
+``unitgroup``).
 ``AlgebraElement`` is the API wrapper: the public ``ga_*`` functions check
 that their operands share a group, call the core, and wrap the result.
 """
@@ -99,20 +101,12 @@ def _conv_tables(g: GroupTable) -> list[list[list[int]]]:
     tabs = g._conv_tables
     if tabs is None:
         n = g.order
-        nchunks = (n + 7) // 8
         mul = g.mul
-        tabs = []
-        for j in range(n):
-            chunks = []
-            for c in range(nchunks):
-                base = c * 8
-                width = min(8, n - base)
-                arr = [0] * 256
-                for v in range(1, 1 << width):
-                    low = v & -v
-                    arr[v] = arr[v ^ low] ^ (1 << mul[base + low.bit_length() - 1][j])
-                chunks.append(arr)
-            tabs.append(chunks)
+        # The byte v at chunk c maps to the XOR of the images of its bits.
+        tabs = [
+            [_span(1 << mul[i][j] for i in range(c, min(c + 8, n))) for c in range(0, n, 8)]
+            for j in range(n)
+        ]
         g._conv_tables = tabs
     return tabs
 

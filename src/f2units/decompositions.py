@@ -18,7 +18,8 @@ Every identity the structural argument rests on is rechecked here; normality
 and commutation are decided on generators, which is sound for finite groups.
 The checks that every member of a factor is unitary (squares to 1, is
 central) stay per member, but run on the bit planes of the whole member list
-at once, and the first failing member is the witness.
+at once, and the first failing member is the witness. The conjugation
+identities and the product sets run on bit planes the same way.
 The assembled product is compared with the exhaustively enumerated unitary
 group, element for element, whenever the group is small enough.
 """
@@ -59,9 +60,14 @@ from .involutions import (
 from .unitgroup import (
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
+    _lmul_planes,
     _member_planes,
     _noncommuting,
+    _permuted_planes,
+    _planes_to_masks,
     _product_not_one,
+    _product_planes,
+    _rmul_planes,
     canonical_generators,
     enumerate_unitary,
     find_complement,
@@ -150,9 +156,9 @@ def _add_member_check(
     full = (1 << len(masks)) - 1
     bad = 0
     if square:
-        bad |= _product_not_one(g, range(g.order), planes, full)
+        bad |= _product_not_one(g, planes, planes, full)
     if sigma is not None:
-        bad |= _product_not_one(g, sigma.perm, planes, full)
+        bad |= _product_not_one(g, planes, _permuted_planes(sigma.perm, planes), full)
     for y in central:
         bad |= _noncommuting(g, y, planes)
     first = (bad & -bad).bit_length() - 1
@@ -232,8 +238,15 @@ def _conjugation_witness(
     conjugating w_i by b gives the generator at the representative of the
     coset of g_i's inverse; conjugating by any unitary x1 of the subalgebra
     on A gives 1 + (1+b*b) x1^2 g_i b; and b x1^{-1} = x1 b.
+
+    The witness is the first failing (g_i, x1) pair, g_i outer. Every x1 is
+    tested at once on the bit planes of v_a, with x1* for x1^{-1}. That is
+    exact for each x1 with x1 x1* = 1. Any other x1 fails: b x1^{-1} = b x1*
+    would make it unitary. The message of a failing pair is worked out from
+    the pair itself, with the true inverse.
     """
     g = form.group
+    n = g.order
     nb = _one_plus_bsq(form)
     b_el = 1 << form.b
     b_inv = 1 << g.inv[form.b]
@@ -243,34 +256,51 @@ def _conjugation_witness(
     for rep in form.transversal:
         rep_of[rep] = rep
         rep_of[g.mul[bsq][rep]] = rep
-    # The inverse, nb * x1^2 and the two twist identities do not depend on gi.
-    per_x1 = []
-    for x1 in v_a.masks:
+
+    def pair_witness(gi: int, w_i: int, x1: int) -> str | None:
         x1_inv = _inverse(g, x1)
+        conj = _mul(g, _mul(g, x1, w_i), x1_inv)
+        pred = 1 ^ _mul(g, _mul(g, _mul(g, nb, _mul(g, x1, x1)), 1 << gi), b_el)
+        if conj != pred or conj not in w_masks:
+            return (
+                f"unitary conjugation at {g.labels[gi]} by "
+                f"{_render(g, x1)}: got {_render(g, conj)}"
+            )
         left = _mul(g, b_el, x1_inv)
         if left != _mul(g, x1, b_el):
-            twist = f"twist commutation fails at {_render(g, x1)}"
-        elif left != _mul(g, b_el, _involute(perm, x1)):
-            twist = f"inverse-vs-star mismatch at {_render(g, x1)}"
-        else:
-            twist = None
-        per_x1.append((x1, x1_inv, _mul(g, nb, _mul(g, x1, x1)), twist))
+            return f"twist commutation fails at {_render(g, x1)}"
+        if left != _mul(g, b_el, _involute(perm, x1)):
+            return f"inverse-vs-star mismatch at {_render(g, x1)}"
+        return None
+
+    masks = v_a.masks
+    count = len(masks)
+    full = (1 << count) - 1
+    xs = _member_planes(masks, n)
+    stars = _permuted_planes(perm, xs)
+    # Members failing for every g_i: not unitary, or b x1* != x1 b.
+    always = _product_not_one(g, xs, stars, full)
+    for p, q in zip(_lmul_planes(g, b_el, stars), _rmul_planes(g, xs, b_el)):
+        always |= p ^ q
+    nb_sq = _lmul_planes(g, nb, _product_planes(g, xs, xs))
     for gi in form.transversal:
         w_i = _unipotent_generator(form, gi)
         conj_b = _mul(g, _mul(g, b_el, w_i), b_inv)
         gj = rep_of[g.inv[gi]]
         if conj_b != _unipotent_generator(form, gj) or conj_b not in w_masks:
             return f"twist conjugation at {g.labels[gi]}: got {_render(g, conj_b)}"
-        for x1, x1_inv, nb_sq, twist in per_x1:
-            conj = _mul(g, _mul(g, x1, w_i), x1_inv)
-            pred = 1 ^ _mul(g, _mul(g, nb_sq, 1 << gi), b_el)
-            if conj != pred or conj not in w_masks:
-                return (
-                    f"unitary conjugation at {g.labels[gi]} by "
-                    f"{_render(g, x1)}: got {_render(g, conj)}"
-                )
-            if twist is not None:
-                return twist
+        conj = _product_planes(g, _rmul_planes(g, xs, w_i), stars)
+        pred = _rmul_planes(g, nb_sq, 1 << g.mul[gi][form.b])
+        pred[0] ^= full
+        bad = always
+        for p, q in zip(conj, pred):
+            bad |= p ^ q
+        flags = format(bad, f"0{count}b")[::-1]
+        for k, m in enumerate(_planes_to_masks(conj, count, n)):
+            if flags[k] == "1" or m not in w_masks:
+                witness = pair_witness(gi, w_i, masks[k])
+                if witness is not None:
+                    return witness
     return None
 
 

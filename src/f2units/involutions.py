@@ -139,18 +139,16 @@ def _inverting_form_at(
     return InvertingExtensionForm(g, a_sub, b, transversal)
 
 
-def detect_inverting_form(g: GroupTable) -> InvertingExtensionForm:
-    """Search the group for a valid (subgroup, twisting element) pair.
+def _index_two_kernels(g: GroupTable) -> list[SubgroupSet]:
+    """Every index-2 subgroup, in ascending order of the member tuples.
 
     Index-2 subgroups are the kernels of the nonzero linear functionals on
     the quotient by the subgroup generated by squares, which holds every
-    commutator: x^-1 y^-1 x y = (x^-1)^2 (x y^-1)^2 y^2. Candidates are tried
-    in a fixed canonical order so detection is deterministic.
+    commutator: x^-1 y^-1 x y = (x^-1)^2 (x y^-1)^2 y^2. That quotient is
+    elementary abelian, so each kernel is already a subgroup, and is taken
+    as one without a closure.
     """
-    _require_two_group(g)
     n_sub = subgroup_closure(g, {g.mul[x][x] for x in range(g.order)})
-    if n_sub.order == g.order:
-        raise WrongIndexError("no index-2 subgroup: the group is generated by squares")
     # Coordinates on the quotient: each element outside the span so far adds
     # a basis vector, and the span doubles by multiplying with it.
     vec = dict.fromkeys(n_sub.members, 0)
@@ -164,9 +162,21 @@ def detect_inverting_form(g: GroupTable) -> InvertingExtensionForm:
         tuple(x for x in range(g.order) if bin(f & vec[x]).count("1") % 2 == 0)
         for f in range(1, 1 << dim)
     }
-    for members in sorted(candidates):
-        a_sub = subgroup_closure(g, members)
-        if not a_sub.is_abelian() or 2 * a_sub.order != g.order:
+    return [SubgroupSet(g, members) for members in sorted(candidates)]
+
+
+def detect_inverting_form(g: GroupTable) -> InvertingExtensionForm:
+    """Search the group for a valid (subgroup, twisting element) pair.
+
+    Candidates are the abelian index-2 subgroups, tried in a fixed canonical
+    order so detection is deterministic.
+    """
+    _require_two_group(g)
+    candidates = _index_two_kernels(g)
+    if not candidates:
+        raise WrongIndexError("no index-2 subgroup: the group is generated by squares")
+    for a_sub in candidates:
+        if not a_sub.is_abelian():
             continue
         for b in range(g.order):
             try:

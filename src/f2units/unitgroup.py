@@ -13,12 +13,18 @@ augmentation 1. Two routines cover it:
   (sub)algebra and uses no structural input, so it stays an independent
   oracle for the decompositions.
 
-The same int bit planes serve the member checks of the decompositions:
-``_member_planes`` transposes a list of masks, one plane per coefficient
-position and one bit per member, and ``_product_planes`` forms the
-coefficient planes of u * perm(u) for every member at once, the unitary test
-with ``sigma.perm`` and the square with the identity. The kernel builds its
-starting planes with the same routine.
+The same int bit planes serve the products and checks of the
+decompositions. ``_member_planes`` transposes a list of masks, one plane per
+coefficient position and one bit per member, and ``_planes_to_masks``
+transposes back. On the planes, every member is multiplied at once:
+``_rmul_planes`` and ``_lmul_planes`` by a fixed mask (x -> x * y is
+linear), and ``_product_planes`` pairs two member lists, u * v. So
+``product_masks`` lists a product set with one plane product per member of
+its smaller side; the member checks test u * perm(u) = 1 (the unitary test
+with ``sigma.perm`` and the square with the identity) and commutation; and
+the conjugation identities of the classical decomposition are checked for
+every unitary element at once. The kernel builds its starting planes with
+``_product_planes`` too.
 
 Both scans run on the calling thread. The kernel's loop is big-int
 arithmetic that holds the GIL, so worker threads gained nothing: a full
@@ -174,6 +180,8 @@ def _indicator_planes(nbits: int) -> list[int]:
 # ASCII '0'/'1' for bit b of each byte value, one translation table per b:
 # over v = 0..255, bit b runs through 2^b zeros, then 2^b ones, repeatedly.
 _BIT_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
+# And back: ASCII '0'/'1' to the byte values 0/1.
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _member_planes(masks: Sequence[int], n: int) -> list[int]:
@@ -201,27 +209,87 @@ def _member_planes(masks: Sequence[int], n: int) -> list[int]:
     return planes
 
 
-def _product_planes(g: GroupTable, perm: Sequence[int], planes: Sequence[int]) -> list[int]:
-    """Coefficient planes of u * perm(u) for every u the planes hold at once.
+def _planes_to_masks(planes: Sequence[int], count: int, n: int) -> list[int]:
+    """The inverse of ``_member_planes``: the ``count`` masks whose bit
+    planes are ``planes``.
 
-    Coefficient c of u * perm(u) is the sum of u_i u_j over the pairs with
-    i * perm(j) = c, so plane c is the XOR of P_i & P_j over those pairs of
-    positions whose planes are not 0.
+    Each plane is written as one binary digit per member, the last member
+    first, translated to bytes 0/1 and read as one int; shifted to bit b of
+    its byte and ORed over a byte column, it holds that column's byte of
+    every member. The columns interleave into one bytearray, one member
+    after another.
     """
-    mul = g.mul
-    live = [(i, p) for i, p in enumerate(planes) if p]
-    right = [(perm[j], q) for j, q in live]
-    out = [0] * g.order
-    for i, p in live:
-        row = mul[i]
-        for pj, q in right:
-            out[row[pj]] ^= p & q
+    nbytes = (n + 7) // 8
+    blob = bytearray(count * nbytes)
+    for c in range(nbytes):
+        column = 0
+        for b, p in enumerate(planes[8 * c : 8 * c + 8]):
+            if p:
+                digits = format(p, f"0{count}b").encode().translate(_DIGIT_BYTES)
+                column |= int.from_bytes(digits, "big") << b
+        blob[c::nbytes] = column.to_bytes(count, "little")
+    return [int.from_bytes(blob[k : k + nbytes], "little") for k in range(0, len(blob), nbytes)]
+
+
+def _scatter_planes(n: int, planes: Sequence[int], targets: Iterable[Sequence[int]]) -> list[int]:
+    """A linear map on the members of the planes at once: plane i adds into
+    each coefficient in targets[i]."""
+    out = [0] * n
+    for p, cs in zip(planes, targets):
+        if p:
+            for c in cs:
+                out[c] ^= p
     return out
 
 
-def _product_not_one(g: GroupTable, perm: Sequence[int], planes: Sequence[int], full: int) -> int:
-    """The members u (bits of ``full``) with u * perm(u) != 1."""
-    out = _product_planes(g, perm, planes)
+def _support(y: int) -> list[int]:
+    return [j for j in range(y.bit_length()) if y >> j & 1]
+
+
+def _rmul_planes(g: GroupTable, planes: Sequence[int], y: int) -> list[int]:
+    """Planes of x * y for every member x: x -> x * y is linear, and
+    coefficient i of x lands on i * j for each j in the support of y."""
+    ys = _support(y)
+    return _scatter_planes(g.order, planes, ([row[j] for j in ys] for row in g.mul))
+
+
+def _lmul_planes(g: GroupTable, y: int, planes: Sequence[int]) -> list[int]:
+    """Planes of y * x for every member x: coefficient i lands on j * i."""
+    ys = _support(y)
+    mul = g.mul
+    return _scatter_planes(g.order, planes, ([mul[j][i] for j in ys] for i in range(g.order)))
+
+
+def _permuted_planes(perm: Sequence[int], planes: Sequence[int]) -> list[int]:
+    """Planes of perm(u) for every member u: plane j moves to perm[j]."""
+    out = [0] * len(planes)
+    for j, p in enumerate(planes):
+        out[perm[j]] = p
+    return out
+
+
+def _product_planes(g: GroupTable, left: Sequence[int], right: Sequence[int]) -> list[int]:
+    """Coefficient planes of u * v for every pair of members at the same
+    bit of ``left`` and ``right``.
+
+    Coefficient c of u * v is the sum of u_i v_j over the pairs with
+    i * j = c, so plane c is the XOR of L_i & R_j over those pairs of
+    positions whose planes are not 0.
+    """
+    mul = g.mul
+    right_live = [(j, q) for j, q in enumerate(right) if q]
+    out = [0] * g.order
+    for i, p in enumerate(left):
+        if p:
+            row = mul[i]
+            for j, q in right_live:
+                out[row[j]] ^= p & q
+    return out
+
+
+def _product_not_one(g: GroupTable, left: Sequence[int], right: Sequence[int], full: int) -> int:
+    """The members (bits of ``full``) with u * v != 1 for the paired u, v."""
+    out = _product_planes(g, left, right)
     bad = out[0] ^ full
     for p in out[1:]:
         bad |= p
@@ -229,19 +297,10 @@ def _product_not_one(g: GroupTable, perm: Sequence[int], planes: Sequence[int], 
 
 
 def _noncommuting(g: GroupTable, y: int, planes: Sequence[int]) -> int:
-    """The members u with u * y != y * u. For the fixed mask y, u * y + y * u
-    is linear in u: each plane adds into two coefficients per bit of y."""
-    mul = g.mul
-    ys = [j for j in range(g.order) if y >> j & 1]
-    out = [0] * g.order
-    for i, p in enumerate(planes):
-        if p:
-            for j in ys:
-                out[mul[i][j]] ^= p
-                out[mul[j][i]] ^= p
+    """The members u with u * y != y * u."""
     bad = 0
-    for p in out:
-        bad |= p
+    for p, q in zip(_rmul_planes(g, planes, y), _lmul_planes(g, y, planes)):
+        bad |= p ^ q
     return bad
 
 
@@ -275,7 +334,7 @@ def _unitary_kernel(g: GroupTable, perm: Sequence[int], members: Sequence[int]) 
     low_planes = [0] * g.order
     for x, p in zip(low, ind):
         low_planes[x] = p
-    prod = _product_planes(g, perm, low_planes)
+    prod = _product_planes(g, low_planes, _permuted_planes(perm, low_planes))
     start = [prod[c] if c == 0 else prod[c] ^ full for c in coords]
 
     # Flipping position i of h adds the delta planes of the cross term (taken
@@ -359,9 +418,24 @@ def unit_subgroup_closure(g: GroupTable, gens: Iterable[AlgebraElement]) -> Unit
 
 
 def product_masks(g: GroupTable, left: Iterable[int], right: Iterable[int]) -> frozenset[int]:
-    """The set of pairwise products of two mask collections."""
-    rights = list(right)
-    return frozenset(_mul(g, lm, rm) for lm in left for rm in rights)
+    """The set of pairwise products of two mask collections.
+
+    The larger side is transposed into bit planes once and multiplied by
+    each member of the smaller side on the planes, where x -> x * y and
+    y -> x * y are linear maps.
+    """
+    lefts, rights = list(left), list(right)
+    n = g.order
+    out: set[int] = set()
+    if len(lefts) >= len(rights):
+        planes = _member_planes(lefts, n)
+        for y in rights:
+            out.update(_planes_to_masks(_rmul_planes(g, planes, y), len(lefts), n))
+    else:
+        planes = _member_planes(rights, n)
+        for x in lefts:
+            out.update(_planes_to_masks(_lmul_planes(g, x, planes), len(rights), n))
+    return frozenset(out)
 
 
 def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:
@@ -457,7 +531,8 @@ def elements_of_order_dividing_2(v: UnitSet) -> UnitSet:
         raise NotAbelianError("order-dividing-2 subgroup requires an abelian ambient")
     g = v.group
     full = (1 << len(v.masks)) - 1
-    bad = _product_not_one(g, range(g.order), _member_planes(v.masks, g.order), full)
+    planes = _member_planes(v.masks, g.order)
+    bad = _product_not_one(g, planes, planes, full)
     keep = format(full ^ bad, f"0{len(v.masks)}b")[::-1]
     return make_unit_set(g, (m for m, k in zip(v.masks, keep) if k == "1"))
 

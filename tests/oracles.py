@@ -10,7 +10,7 @@ is the coefficient of the group element with index i.
 
 from __future__ import annotations
 
-from f2units.errors import GroupAxiomViolationError
+from f2units.errors import GroupAxiomViolationError, NotAUnitError
 
 
 def bits(mask: int) -> list[int]:
@@ -304,3 +304,61 @@ def naive_group_axioms(mul) -> tuple[int, ...]:
                         f"associativity fails at ({i},{j},{k})", witness=(i, j, k)
                     )
     return tuple(inv)
+
+
+def naive_render(g, mask: int) -> str:
+    return " + ".join(g.labels[i] for i in bits(mask)) or "0"
+
+
+def naive_inverse(g, x: int) -> int:
+    """The power x^(k-1) for the first k with x^k = 1. A unit 1 + j of a
+    2-group algebra has x^n = 1 + j^n = 1 at the group order n."""
+    power = x
+    for _ in range(g.order):
+        nxt = naive_mul(g, power, x)
+        if nxt == 1:
+            return power
+        power = nxt
+    raise NotAUnitError(f"no power of {x:#x} is 1")
+
+
+def naive_conjugation_witness(g, b: int, transversal, v_a, w_masks) -> str | None:
+    """The conjugation identities of the classical decomposition, one
+    (g_i, x1) pair at a time, g_i outer; the first failure's message, or None.
+
+    With w_i = 1 + (1+b^2) g_i b: b w_i b^-1 is the generator at the
+    representative of g_i^-1's coset of {1, b^2}; x1 w_i x1^-1 is
+    1 + (1+b^2) x1^2 g_i b, inside W; and b x1^-1 = x1 b = b x1*, where * is
+    inversion on the group elements.
+    """
+    bsq = g.mul[b][b]
+    nb = 1 ^ 1 << bsq
+    b_el = 1 << b
+
+    def generator(gi):
+        return 1 ^ naive_mul(g, naive_mul(g, nb, 1 << gi), b_el)
+
+    rep_of = {}
+    for rep in transversal:
+        rep_of[rep] = rep_of[g.mul[bsq][rep]] = rep
+    inverses = [naive_inverse(g, x1) for x1 in v_a]
+    for gi in transversal:
+        w_i = generator(gi)
+        conj_b = naive_mul(g, naive_mul(g, b_el, w_i), 1 << g.inv[b])
+        if conj_b != generator(rep_of[g.inv[gi]]) or conj_b not in w_masks:
+            return f"twist conjugation at {g.labels[gi]}: got {naive_render(g, conj_b)}"
+        for x1, x1_inv in zip(v_a, inverses):
+            conj = naive_mul(g, naive_mul(g, x1, w_i), x1_inv)
+            square = naive_mul(g, x1, x1)
+            pred = 1 ^ naive_mul(g, naive_mul(g, naive_mul(g, nb, square), 1 << gi), b_el)
+            if conj != pred or conj not in w_masks:
+                return (
+                    f"unitary conjugation at {g.labels[gi]} by "
+                    f"{naive_render(g, x1)}: got {naive_render(g, conj)}"
+                )
+            left = naive_mul(g, b_el, x1_inv)
+            if left != naive_mul(g, x1, b_el):
+                return f"twist commutation fails at {naive_render(g, x1)}"
+            if left != naive_mul(g, b_el, naive_apply_perm(g.inv, x1)):
+                return f"inverse-vs-star mismatch at {naive_render(g, x1)}"
+    return None

@@ -1,9 +1,10 @@
 """Cost guards for accepting a table that do not depend on timing.
 
 Table validation checks associativity on a greedy generating set, so its
-cost is bounded by the size of that set. Inverting-form detection closes
-each candidate subgroup once; it must still return what a search by
-``make_inverting_form`` over every (candidate, twisting element) pair finds.
+cost is bounded by the size of that set. Inverting-form detection takes
+each candidate kernel as a subgroup without closing it; it must still return
+what a search by ``make_inverting_form`` over every (candidate, twisting
+element) pair finds.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import f2units as f
 from f2units.catalog import catalog_groups
 from f2units.errors import HypothesisViolationError, NotInvertingError
 from f2units.groups import _generating_set
+from f2units.involutions import _index_two_kernels
 from oracles import naive_closure, naive_element_order
 
 GUARD_BUILDS = {
@@ -21,6 +23,14 @@ GUARD_BUILDS = {
     "Q128": lambda: f.make_quaternion(128),
     "D256": lambda: f.make_dihedral(256),
     "Q8xC32": lambda: f.make_direct_product(f.make_quaternion(8), f.make_cyclic(32)),
+}
+# Every table of the ingest benchmark, up to relabelling.
+INGEST_BUILDS = {
+    **GUARD_BUILDS,
+    "Q8xC2^3": lambda: f.make_direct_product(
+        f.make_quaternion(8),
+        f.make_direct_product(f.make_cyclic(2), f.make_direct_product(f.make_cyclic(2), f.make_cyclic(2))),
+    ),
 }
 
 
@@ -51,6 +61,15 @@ def _index_two_subgroups(g):
         if all(phi[g.mul[x][y]] == phi[x] ^ phi[y] for x in range(n) for y in range(n)):
             kernels.add(tuple(x for x in range(n) if phi[x] == 0))
     return sorted(kernels)
+
+
+@pytest.mark.parametrize("name", sorted(INGEST_BUILDS))
+def test_index_two_kernels_are_the_closed_index_two_subgroups(name):
+    g = INGEST_BUILDS[name]()
+    kernels = _index_two_kernels(g)
+    assert [k.members for k in kernels] == _index_two_subgroups(g)
+    for k in kernels:
+        assert f.subgroup_closure(g, k.members).members == k.members
 
 
 def _reference_search(g):
