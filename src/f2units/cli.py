@@ -306,6 +306,8 @@ def run(config: RunConfig) -> int:
         elif config.mode in ("verify", "construct"):
             if config.group is None:
                 raise ParseError(f"{config.mode} mode needs a group")
+            if config.mode == "construct" and config.force_enumeration:
+                raise ParseError("--force-enumeration needs the oracle, which construct mode skips")
             report = _verify_report(config, skip_enumeration=config.mode == "construct")
             payload = {"mode": config.mode, **report.to_json_dict()}
         else:

@@ -49,7 +49,7 @@ from .algebra import (
     render_element,
 )
 from .errors import NoComplementError, NoSolutionError, NotUnitaryError
-from .groups import _closure, coset_representatives
+from .groups import _greedy_generators, coset_representatives
 from .involutions import (
     InvertingExtensionForm,
     OdotForm,
@@ -197,7 +197,11 @@ def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
     Generators are the transversal images 1 + (1+b*b) g_i b; the image route
     and the generator route are compared in the verification pipeline.
     """
-    pivots, _ = _unipotent_map(form)
+    return _unipotent_factor(form, _unipotent_map(form)[0])
+
+
+def _unipotent_factor(form: InvertingExtensionForm, pivots: dict[int, tuple[int, int]]) -> UnitSet:
+    """W from the pivots of ``_unipotent_map``: their columns span the image."""
     masks = (1 ^ m for m in _span(col for col, _ in pivots.values()))
     gens = [_unipotent_generator(form, gi) for gi in form.transversal]
     return make_unit_set(form.group, masks, generators=gens)
@@ -385,13 +389,13 @@ def verify_inverting_decomposition(
         orders={},
     )
 
-    w = build_unipotent_factor(form)
+    # One elimination: W is one plus its image, each fiber a coset of its kernel.
+    pivots, kernel = _unipotent_map(form)
+    w = _unipotent_factor(form, pivots)
     expected_w = 1 << (a_order // 2)
     report.add("unipotent_order_formula", w.order == expected_w)
-    closure_route = _closure(partial(_mul, g), {1}, w.generators)
-    report.add("unipotent_generator_route_agrees", closure_route == w.mask_set())
-    # Every fiber of a linear map is a coset of its kernel.
-    _, kernel = _unipotent_map(form)
+    _, generated = _greedy_generators(partial(_mul, g), 1, w.generators)
+    report.add("unipotent_generator_route_agrees", generated == w.mask_set())
     report.add("unipotent_fibers_uniform", 1 << len(kernel) == expected_w)
     preds = structure_predicates(w)
     report.add(

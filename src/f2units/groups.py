@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (
     BadSquareElementError,
@@ -37,8 +38,9 @@ class GroupTable:
         inv: tuple of inverse indices.
         labels: display string per element; ``labels[0] == "1"``.
         generators: indices of a generating set, as the constructor gave them.
-        greedy_generators: the ascending greedy generating set found while
-            validating the table; at most log2(order) elements.
+        greedy_generators: ``_greedy_generators`` over the ascending indices,
+            found while validating the table; at most log2(order) elements.
+            The structure checks on the table are decided on them.
         family: constructor family name ("cyclic", "dihedral", ...).
         name: short display name ("Q8", "D8xC2", ...).
     """
@@ -83,9 +85,7 @@ class GroupTable:
         return self.labels[i]
 
     def is_abelian(self) -> bool:
-        n = self.order
-        mul = self.mul
-        return all(mul[i][j] == mul[j][i] for i in range(n) for j in range(i))
+        return _generators_commute(self.mul, self.greedy_generators)
 
     def is_two_group(self) -> bool:
         return self.order & (self.order - 1) == 0
@@ -115,10 +115,10 @@ def _validate_table(
     """Check all group axioms; return the inverse array and the generators.
 
     Associativity is checked by Light's test (Clifford & Preston, 1961): for
-    each generator ``a`` of ``_generating_set``, ``(x*a)*y == x*(a*y)`` for
-    all ``x``, ``y``. The elements that pass are closed under products and
-    every element is a product of generators, so the whole table passes. A
-    group of order n has at most log2(n) such generators: O(log(n) n^2).
+    each greedy generator ``a``, ``(x*a)*y == x*(a*y)`` for all ``x``, ``y``.
+    The elements that pass are closed under products and the coset step
+    forms every element as a product of generators, so the whole table
+    passes. There are at most log2(n) generators: O(log(n) n^2).
     """
     n = len(mul)
     if n == 0:
@@ -146,7 +146,7 @@ def _validate_table(
         if found is None:
             raise GroupAxiomViolationError(f"element {i} has no inverse", witness=(i,))
         inv.append(found)
-    gens = _generating_set(mul)
+    gens, _ = _greedy_generators(lambda u, v: mul[u][v], 0, range(n))
     for a in gens:
         row_a = mul[a]
         compose = itemgetter(*row_a)  # row x -> the row of x*(a*y) over y
@@ -160,20 +160,9 @@ def _validate_table(
     return tuple(inv), tuple(gens)
 
 
-def _generating_set(mul: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy generators of a table with identity 0, in ascending index order.
-
-    An element is added when it is not yet in the span of the earlier ones.
-    In a group every new generator at least doubles the span, so a group of
-    order n gets at most log2(n) of them.
-    """
-    gens: list[int] = []
-    span = {0}
-    for x in range(len(mul)):
-        if x not in span:
-            gens.append(x)
-            span = _closure(lambda u, v: mul[u][v], span, gens)
-    return gens
+def _generators_commute(mul: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
+    """True iff the generators commute pairwise, so their span is abelian."""
+    return all(mul[a][b] == mul[b][a] for a, b in combinations(gens, 2))
 
 
 @dataclass(frozen=True)
@@ -186,15 +175,12 @@ class SubgroupSet:
     @staticmethod
     def from_members(group: GroupTable, members: Iterable[int]) -> SubgroupSet:
         ms = tuple(sorted(set(int(x) for x in members)))
-        member_set = set(ms)
-        if 0 not in member_set:
+        if 0 not in ms:
             raise NotASubgroupError("member set does not contain the identity")
-        for x in ms:
-            if group.inv[x] not in member_set:
-                raise NotASubgroupError(f"missing inverse of element {x}")
-            for y in ms:
-                if group.mul[x][y] not in member_set:
-                    raise NotASubgroupError(f"not closed: {x}*{y} escapes")
+        # A finite set is a subgroup exactly when it is the span of its members.
+        escaped = _greedy_generators(lambda x, y: group.mul[x][y], 0, ms)[1].difference(ms)
+        if escaped:
+            raise NotASubgroupError(f"not closed: element {min(escaped)} is a product of members")
         return SubgroupSet(group, ms)
 
     @property
@@ -211,10 +197,16 @@ class SubgroupSet:
     def __contains__(self, x: int) -> bool:
         return x in self.member_set()
 
-    def is_abelian(self) -> bool:
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The greedy generators over the ascending members."""
         mul = self.group.mul
-        ms = self.members
-        return all(mul[a][b] == mul[b][a] for a in ms for b in ms)
+        gens, _ = _greedy_generators(lambda x, y: mul[x][y], 0, self.members)
+        return tuple(gens)
+
+    def is_abelian(self) -> bool:
+        """Exact even on members that are not a subgroup: they lie in the span."""
+        return _generators_commute(self.group.mul, self.generators)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.group.labels[i] for i in self.members)
@@ -337,31 +329,47 @@ def make_inverting_extension(a_group: GroupTable, t: int) -> GroupTable:
 # subgroup machinery
 
 
+def _extend(
+    mul_fn: Callable[[int, int], int], span: Collection[int], gens: Sequence[int], x: int
+) -> set[int]:
+    """The subgroup generated by the subgroup ``span`` and x, as a union of
+    right cosets span*r: Dimino's coset step (Butler, Fundamental Algorithms
+    for Permutation Groups, 1991). Each representative times each of
+    ``gens`` (span's generators) and x lands in a listed coset or starts a
+    new one, listed once. In an abelian group x alone permutes the cosets,
+    so ``gens`` may be empty."""
+    old = list(span)
+    grown = set(old)
+    grown.update(mul_fn(h, x) for h in old)
+    reps = [x]
+    for r in reps:
+        for s in (*gens, x):
+            y = mul_fn(r, s)
+            if y not in grown:
+                reps.append(y)
+                grown.update(mul_fn(h, y) for h in old)
+    return grown
+
+
+def _greedy_generators(
+    mul_fn: Callable[[int, int], int], identity: int, candidates: Iterable[int]
+) -> tuple[list[int], set[int]]:
+    """The subgroup the candidates generate and its greedy generators: each
+    candidate outside the span so far is one, and ``_extend`` grows the span
+    by it, at least doubling it, so a group of order n gets log2(n) at most."""
+    gens: list[int] = []
+    span = {identity}
+    for x in candidates:
+        if x not in span:
+            span = _extend(mul_fn, span, gens, x)
+            gens.append(x)
+    return gens, span
+
+
 def subgroup_closure(g: GroupTable, gens: Iterable[int]) -> SubgroupSet:
     """Smallest subgroup containing gens."""
-    members = _closure(lambda x, y: g.mul[x][y], {0}, gens)
+    _, members = _greedy_generators(lambda x, y: g.mul[x][y], 0, gens)
     return SubgroupSet(g, tuple(sorted(members)))
-
-
-def _closure(
-    mul_fn: Callable[[int, int], int], seed: Iterable[int], gens: Iterable[int]
-) -> set[int]:
-    """Closure of the seed set under right multiplication by gens.
-
-    Seeded with the identity, or with any part of the subgroup gens generate,
-    this is that subgroup; inverses come for free in a finite group.
-    """
-    seen = set(seed)
-    gen_list = list(gens)
-    queue = list(seen)
-    while queue:
-        x = queue.pop()
-        for gn in gen_list:
-            y = mul_fn(x, gn)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
 
 
 def center(g: GroupTable) -> SubgroupSet:
@@ -383,8 +391,10 @@ def commutator_subgroup(g: GroupTable) -> SubgroupSet:
 
 
 def is_normal(g: GroupTable, s: SubgroupSet) -> bool:
+    """True iff each generator of g conjugates each generator of the subgroup
+    s into s, so maps s onto itself."""
     members = s.member_set()
-    return all(g.conjugate(x, h) in members for x in range(g.order) for h in members)
+    return all(g.conjugate(x, h) in members for x in g.greedy_generators for h in s.generators)
 
 
 def element_order(g: GroupTable, x: int) -> int:
@@ -435,8 +445,9 @@ def complement_generators(
     The caller guarantees that the group is abelian. Generators are chosen by
     depth-first search in the canonical order of ``ids`` with strictly
     increasing positions, so the first complement found has the
-    lexicographically smallest generator sequence. Raises NoComplementError
-    when the factor is not a direct factor.
+    lexicographically smallest generator sequence; each step is
+    ``_extend(mul_fn, H, (), c)``, as the group is abelian. Raises
+    NoComplementError when the factor is not a direct factor.
     """
     order = len(ids)
     factor_set = set(factor)
@@ -455,12 +466,7 @@ def complement_generators(
             c = ids[idx]
             if c in members or c in factor_set:
                 continue
-            # In an abelian group <H, c> is the union of H c^i up to c^i in H.
-            grown = set(members)
-            power = c
-            while power not in members:
-                grown.update(mul_fn(h, power) for h in members)
-                power = mul_fn(power, c)
+            grown = _extend(mul_fn, members, (), c)
             if len(grown) > target:
                 continue
             if any(x in factor_set for x in grown if x != identity):

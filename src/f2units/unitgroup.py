@@ -52,7 +52,7 @@ from .errors import (
 from .groups import (
     GroupTable,
     SubgroupSet,
-    _closure,
+    _greedy_generators,
     complement_generators,
     find_complement_subgroup,
 )
@@ -111,9 +111,10 @@ def make_unit_set(
 
 
 def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
-    """The group (or a subgroup) embedded in the unit group as basis vectors."""
+    """The group (or a subgroup) as basis vectors, with its greedy generators."""
     ids = sub.members if sub is not None else range(g.order)
-    return make_unit_set(g, (1 << i for i in ids), generators=tuple(1 << i for i in ids))
+    gens = sub.generators if sub is not None else g.greedy_generators
+    return make_unit_set(g, (1 << i for i in ids), generators=[1 << i for i in gens])
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +407,15 @@ def enumerate_unitary(
 
 
 def unit_subgroup_closure(g: GroupTable, gens: Iterable[AlgebraElement]) -> UnitSet:
-    """Smallest multiplicatively closed set of units containing gens."""
+    """The unit subgroup that gens generate, recorded as its generators."""
     gen_masks = []
     for x in gens:
         if x.group is not g:
             raise GroupMismatchError("generator from a different group")
         _inverse(g, x.mask)  # NotAUnitError on a non-unit generator
         gen_masks.append(x.mask)
-    seen = _closure(partial(_mul, g), {1}, gen_masks)
-    return make_unit_set(g, seen, generators=gen_masks)
+    _, span = _greedy_generators(partial(_mul, g), 1, gen_masks)
+    return make_unit_set(g, span, generators=gen_masks)
 
 
 def product_masks(g: GroupTable, left: Iterable[int], right: Iterable[int]) -> frozenset[int]:
@@ -538,29 +539,15 @@ def elements_of_order_dividing_2(v: UnitSet) -> UnitSet:
 
 
 def canonical_generators(s: UnitSet) -> list[int]:
-    """Greedy generating set over the canonical member order (deterministic).
+    """``_greedy_generators`` over the canonical member order (deterministic).
 
-    Each member outside the span so far becomes a generator, and the span
-    grows by Dimino's method: the new span is a union of right cosets H*x of
-    the old span H, and each coset representative times each generator so
-    far either lands in the span or starts a new coset, listed once.
+    A non-unit member lies in no span of units, so a non-unit becomes a
+    generator, and the check on the generators raises NotAUnitError.
     """
     g = s.group
-    span = {1}
-    gens: list[int] = []
-    for m in s.masks:
-        if m in span:
-            continue
+    gens, _ = _greedy_generators(partial(_mul, g), 1, s.masks)
+    for m in gens:
         _inverse(g, m)  # NotAUnitError on a non-unit member
-        gens.append(m)
-        old = list(span)
-        reps = [1]
-        for r in reps:
-            for gen in gens:
-                x = _mul(g, r, gen)
-                if x not in span:
-                    reps.append(x)
-                    span.update(_mul(g, h, x) for h in old)
     return gens
 
 

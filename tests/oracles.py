@@ -196,7 +196,7 @@ def naive_normal_in(g, ambient, sub) -> bool:
 def naive_unipotent_fibers(g, a_members, b: int) -> dict[int, int]:
     """The masks 1 + (1+b*b) z b, listed over every z on the given members,
     with the number of z reaching each one."""
-    nb = 1 | 1 << g.mul[b][b]
+    nb = 1 ^ 1 << g.mul[b][b]
     ids = sorted(a_members)
     fibers: dict[int, int] = {}
     for sel in range(1 << len(ids)):

@@ -238,6 +238,20 @@ def test_construct_mode_skips_enumeration(tmp_path):
     assert report["pass"] is True
 
 
+def test_construct_mode_rejects_forced_enumeration(tmp_path, capsys):
+    """Construct mode skips the oracle, so forcing it is invalid input."""
+    code, text = run_cli(
+        ["--family", "quaternion", "--order", "8", "--involution", "classical",
+         "--mode", "construct", "--force-enumeration", "--format", "json"],
+        tmp_path,
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert text is None
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_catalog_mode_covers_all_instances(tmp_path):
     code, text = run_cli(["--mode", "catalog", "--format", "json"], tmp_path)
     assert code == 1  # the dihedral-family rows fail honestly

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
+from f2units.algebra import _mul
 from f2units.errors import (
     BadSquareElementError,
     GroupAxiomViolationError,
@@ -18,13 +20,15 @@ from f2units.errors import (
     NotASubgroupError,
 )
 from f2units.catalog import catalog_groups
-from f2units.groups import complement_generators
+from f2units.groups import _extend, _greedy_generators, complement_generators
 from oracles import (
+    naive_canonical_generators,
     naive_center,
     naive_closure,
     naive_commutator_subgroup,
     naive_element_order,
     naive_group_axioms,
+    naive_unit_closure,
 )
 
 ALL_SMALL = ["c2", "c4", "c8", "d8", "q8", "q16", "c4xc2", "d8xc2", "q8xc2"]
@@ -493,3 +497,119 @@ def test_product_order_histogram_is_componentwise_lcm(nc, nd):
             oy = f.element_order(g2, y)
             lcm = ox * oy // math.gcd(ox, oy)
             assert f.element_order(prod, x * g2.order + y) == lcm
+
+
+# ---------------------------------------------------------------------------
+# one subgroup builder: _greedy_generators and its coset step _extend, against
+# the fixed-point closures and the from-scratch greedy of oracles.py
+
+CATALOG = catalog_groups()
+ABELIAN_TABLES = {
+    g.name: g
+    for g in [
+        f.make_cyclic(8),
+        f.make_direct_product(f.make_cyclic(4), f.make_cyclic(2)),
+        f.make_direct_product(f.make_cyclic(4), f.make_cyclic(4)),
+        f.make_direct_product(f.make_cyclic(2), f.make_direct_product(f.make_cyclic(2), f.make_cyclic(2))),
+    ]
+}
+# V(F2[G]) for the two non-abelian groups of order 8 and two abelian ones.
+ABELIAN_UNIT_GROUPS = ["C8", "C4xC2"]
+UNIT_GROUPS = {
+    g.name: (g, f.enumerate_normalized_units(g).masks)
+    for g in [
+        f.make_quaternion(8), f.make_dihedral(8), *(ABELIAN_TABLES[k] for k in ABELIAN_UNIT_GROUPS)
+    ]
+}
+
+
+def _table_mul(g):
+    return lambda x, y: g.mul[x][y]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CATALOG)), st.data())
+def test_greedy_generators_match_naive_closure_on_catalog_tables(name, data):
+    g = CATALOG[name]
+    cands = data.draw(st.lists(st.integers(0, g.order - 1), max_size=6))
+    _, span = _greedy_generators(_table_mul(g), 0, cands)
+    assert sorted(span) == naive_closure(g, cands)
+    # As elements of F2[G] the indices are the masks 1 << i, in the same order.
+    gens, _ = _greedy_generators(_table_mul(g), 0, sorted(cands))
+    assert [1 << x for x in gens] == naive_canonical_generators(g, [1 << x for x in cands])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["Q8", "D8"]), st.data())
+def test_greedy_generators_match_naive_closure_on_unit_groups(name, data):
+    g, masks = UNIT_GROUPS[name]
+    cands = data.draw(st.lists(st.sampled_from(masks), max_size=5))
+    _, span = _greedy_generators(partial(_mul, g), 1, cands)
+    assert span == naive_unit_closure(g, cands)
+    gens, _ = _greedy_generators(partial(_mul, g), 1, sorted(cands))
+    assert gens == naive_canonical_generators(g, cands)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(ABELIAN_TABLES)), st.data())
+def test_extend_without_generators_in_abelian_tables(name, data):
+    g = ABELIAN_TABLES[name]
+    gens = data.draw(st.lists(st.integers(0, g.order - 1), max_size=2))
+    c = data.draw(st.integers(0, g.order - 1))
+    span = naive_closure(g, gens)
+    assert sorted(_extend(_table_mul(g), span, (), c)) == naive_closure(g, gens + [c])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ABELIAN_UNIT_GROUPS), st.data())
+def test_extend_without_generators_in_abelian_unit_groups(name, data):
+    g, masks = UNIT_GROUPS[name]
+    gens = data.draw(st.lists(st.sampled_from(masks), max_size=2))
+    c = data.draw(st.sampled_from(masks))
+    span = naive_unit_closure(g, gens)
+    assert _extend(partial(_mul, g), span, (), c) == naive_unit_closure(g, gens + [c])
+
+
+def _pairwise_abelian(g, members) -> bool:
+    return all(g.mul[x][y] == g.mul[y][x] for x in members for y in members)
+
+
+@pytest.mark.parametrize("g", [*CATALOG.values(), *ABELIAN_TABLES.values()], ids=lambda g: g.name)
+def test_table_is_abelian_matches_pairwise(g):
+    assert g.is_abelian() is _pairwise_abelian(g, range(g.order))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CATALOG)), st.data())
+def test_subgroup_set_is_abelian_matches_pairwise_on_any_members(name, data):
+    """Random member sets, most of them not subgroups: their members lie in
+    the span of the generators drawn from them, so the answer is exact."""
+    g = CATALOG[name]
+    members = data.draw(st.sets(st.integers(0, g.order - 1), max_size=6))
+    s = f.SubgroupSet(g, tuple(sorted(members)))
+    assert s.is_abelian() is _pairwise_abelian(g, members)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(CATALOG)), st.data())
+def test_is_normal_matches_pairwise_conjugation(name, data):
+    g = CATALOG[name]
+    s = f.subgroup_closure(g, data.draw(st.lists(st.integers(0, g.order - 1), max_size=3)))
+    pairwise = all(g.conjugate(x, h) in s for x in range(g.order) for h in s.members)
+    assert f.is_normal(g, s) is pairwise
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(CATALOG)), st.data())
+def test_from_members_accepts_exactly_the_subgroups(name, data):
+    """Validation compares the members with their span; the oracle closes
+    them by the fixed point."""
+    g = CATALOG[name]
+    members = {0} | data.draw(st.sets(st.integers(0, g.order - 1), max_size=6))
+    if data.draw(st.booleans()):  # about half of the draws are subgroups
+        members = set(naive_closure(g, members))
+    if naive_closure(g, members) == sorted(members):
+        assert f.SubgroupSet.from_members(g, members).members == tuple(sorted(members))
+    else:
+        with pytest.raises(NotASubgroupError):
+            f.SubgroupSet.from_members(g, members)

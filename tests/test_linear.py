@@ -18,6 +18,7 @@ from f2units.algebra import _eliminate, _span
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, small_catalog_groups
 from f2units.decompositions import _central_order_2_parts, _unipotent_map
 from f2units.errors import NotAUnitError
+from f2units.involutions import InvertingExtensionForm
 from oracles import (
     bits,
     naive_central_unipotent,
@@ -45,6 +46,32 @@ def test_unipotent_factor_matches_listing_over_every_z(make_form):
     assert w.mask_set() == set(fibers)
     _, kernel = _unipotent_map(form)
     assert set(fibers.values()) == {1 << len(kernel)}
+
+
+def _d8_form_with_an_involution_as_twist():
+    """A hand-built form on D8 with A = <r> and b = s, so b*b = 1, which
+    make_inverting_form refuses."""
+    g = f.make_dihedral(8)
+    a_sub = f.subgroup_closure(g, [1])
+    b = 4
+    assert g.mul[b][b] == 0
+    return InvertingExtensionForm(g, a_sub, b, tuple(f.coset_representatives(g, (0, 0), a_sub.members)))
+
+
+def test_unipotent_fibers_when_b_squares_to_one():
+    """1 + b*b = 0, so every z reaches 1, and that single fiber is the kernel."""
+    form = _d8_form_with_an_involution_as_twist()
+    _, kernel = _unipotent_map(form)
+    assert naive_unipotent_fibers(form.group, form.a_sub.members, form.b) == {1: 1 << len(kernel)}
+    assert len(kernel) == form.a_sub.order
+
+
+def test_fibers_check_reads_the_kernel_when_b_squares_to_one():
+    """W = {1}, and each fiber has 2^4 members, not the 4 of the formula."""
+    report = f.verify_inverting_decomposition(_d8_form_with_an_involution_as_twist())
+    checks = {c.name: c.passed for c in report.checks}
+    assert report.orders["unipotent"] == 1
+    assert checks["unipotent_fibers_uniform"] is checks["unipotent_order_formula"] is False
 
 
 @pytest.mark.parametrize("make_form", ODOT_FORMS)

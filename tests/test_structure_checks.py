@@ -179,15 +179,16 @@ def _assert_generated(s):
 
 @pytest.mark.parametrize("entry", SMALL_CLASSICAL, ids=lambda e: e.key)
 def test_classical_recorded_generators_generate(entry):
-    _, _, _, w, ell, h = classical_parts(entry)
-    for s in (w, ell, h):
+    form, _, _, w, ell, h = classical_parts(entry)
+    g = form.group
+    for s in (w, ell, h, f.group_image(g), f.group_image(g, form.a_sub)):
         _assert_generated(s)
 
 
 @pytest.mark.parametrize("entry", SMALL_ODOT, ids=lambda e: e.key)
 def test_odot_recorded_generators_generate(entry):
-    _, _, t, w = odot_parts(entry)
-    for s in (t, w):
+    form, _, t, w = odot_parts(entry)
+    for s in (t, w, f.group_image(form.group)):
         _assert_generated(s)
 
 
