@@ -32,7 +32,7 @@ def main() -> None:
     print(f"|T| = {t_sub.order}")
     every_central = all(
         f.ga_mul(x, f.basis(g, i)) == f.ga_mul(f.basis(g, i), x)
-        for x in w.elements() for i in g.generators
+        for x in w.elements() for i in g.greedy_generators
     )
     print(f"every W member commutes with the group generators: {every_central}")
     print()

@@ -4,10 +4,10 @@ An order-32 group algebra has 2^31 normalized units — too many to scan by
 default, so enumeration raises TooLargeError and the verifier falls back
 to constructive checks: build the factors, verify every constructed
 element is unitary, and certify the product structure directly. With
-force_enumeration the full oracle runs as well: the bit-sliced unitary scan
-covers all 2^32 elements in seconds, and the whole forced verification of
-Q32 takes under a minute, most of it spent finding generators of the
-enumerated group.
+max_order=32 the full oracle runs as well: the bit-sliced unitary scan
+covers all 2^32 elements in seconds, and the whole verification of Q32
+with the oracle takes under a minute, most of it spent finding generators
+of the enumerated group.
 """
 
 from __future__ import annotations

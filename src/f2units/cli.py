@@ -55,7 +55,6 @@ class RunConfig:
     workers: int | None = None  # accepted for compatibility; ignored
     fmt: str = "text"
     out: str | None = None
-    force_enumeration: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,6 @@ def _verify_report(config: RunConfig, skip_enumeration: bool) -> DecompositionRe
         return verify_inverting_decomposition(
             form,
             max_order=config.max_exhaustive_order,
-            force_enumeration=config.force_enumeration,
             skip_enumeration=skip_enumeration,
         )
     if config.involution == "odot":
@@ -212,7 +210,6 @@ def _verify_report(config: RunConfig, skip_enumeration: bool) -> DecompositionRe
         return verify_odot_decomposition(
             form,
             max_order=config.max_exhaustive_order,
-            force_enumeration=config.force_enumeration,
             skip_enumeration=skip_enumeration,
         )
     raise ParseError("verify/construct modes need --involution classical or odot")
@@ -223,11 +220,7 @@ def _catalog_payload(config: RunConfig) -> dict:
     runs += [(e, verify_odot_decomposition) for e in ODOT_ENTRIES]
     rows = []
     for entry, verify in runs:
-        report = verify(
-            entry.form(),
-            max_order=config.max_exhaustive_order,
-            force_enumeration=config.force_enumeration,
-        )
+        report = verify(entry.form(), max_order=config.max_exhaustive_order)
         rows.append({"instance": entry.key, **report.to_json_dict()})
     return {
         "schema": 1,
@@ -306,8 +299,6 @@ def run(config: RunConfig) -> int:
         elif config.mode in ("verify", "construct"):
             if config.group is None:
                 raise ParseError(f"{config.mode} mode needs a group")
-            if config.mode == "construct" and config.force_enumeration:
-                raise ParseError("--force-enumeration needs the oracle, which construct mode skips")
             report = _verify_report(config, skip_enumeration=config.mode == "construct")
             payload = {"mode": config.mode, **report.to_json_dict()}
         else:
@@ -362,11 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "text"], default="text")
     parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument(
-        "--force-enumeration",
-        action="store_true",
-        help="run the exhaustive oracle even past the bound (slow)",
-    )
     return parser
 
 
@@ -387,7 +373,6 @@ def main(argv: list[str] | None = None) -> int:
         max_exhaustive_order=args.max_exhaustive_order,
         fmt=args.format,
         out=args.out,
-        force_enumeration=args.force_enumeration,
     )
     return run(config)
 

@@ -359,14 +359,13 @@ def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) ->
 def verify_inverting_decomposition(
     form: InvertingExtensionForm,
     max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
-    force_enumeration: bool = False,
     skip_enumeration: bool = False,
 ) -> DecompositionReport:
     """Build the factors, check every structural claim, compare with the oracle.
 
-    Groups larger than the exhaustive bound get the constructive checks only
+    Groups larger than ``max_order`` get the constructive checks only
     (factors verified internally, every constructed element confirmed
-    unitary); pass force_enumeration to run the full oracle regardless.
+    unitary); raise ``max_order`` to run the full oracle on them.
     """
     if not isinstance(form, InvertingExtensionForm):
         raise TypeError(
@@ -439,8 +438,8 @@ def verify_inverting_decomposition(
         "expected_unitary": expected,
     }
 
-    if (g.order <= max_order or force_enumeration) and not skip_enumeration:
-        v = enumerate_unitary(g, sigma, max_order=max(max_order, g.order))
+    if g.order <= max_order and not skip_enumeration:
+        v = enumerate_unitary(g, sigma, max_order=max_order)
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
         product = product_masks(g, g_image.masks, h.masks)
@@ -512,62 +511,42 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
     if augmentation(x) == 0:
         raise NotUnitaryError("element has augmentation 0")
     a, b, e = form.a, form.b, form.e
-    x0, x1, x2, x3 = quadrant_split(x, form.c_sub, a, b)
-    one_el = one(g)
-    e_el = basis(g, e)
-    ne = ga_add(one_el, e_el)
-    asq = basis(g, g.mul[a][a])
-    bsq = basis(g, g.mul[b][b])
-    absq = ga_mul(asq, bsq)
+    mul = partial(_mul, g)
+    ne = 1 ^ (1 << e)
+    asq = 1 << g.mul[a][a]
+    bsq = 1 << g.mul[b][b]
 
-    def sq(t: AlgebraElement) -> AlgebraElement:
-        return ga_mul(t, t)
-
-    line1 = (
-        ga_add(
-            ga_add(sq(x0), ga_mul(ga_mul(sq(x1), asq), e_el)),
-            ga_add(ga_mul(ga_mul(sq(x2), bsq), e_el), ga_mul(sq(x3), absq)),
-        ).mask
-        == 1
-    )
-    line2 = ga_mul(ga_add(ga_mul(x0, x1), ga_mul(ga_mul(x2, x3), bsq)), ne).mask == 0
-    line3 = ga_mul(ga_add(ga_mul(x0, x2), ga_mul(ga_mul(x1, x3), asq)), ne).mask == 0
-    line4 = ga_mul(ga_add(ga_mul(x0, x3), ga_mul(x1, x2)), ne).mask == 0
-    system = line1 and line2 and line3 and line4
-
-    if augmentation(x0) == 1:
-        x0_inv = ga_inverse(x0)
-        ys = [ga_mul(x0_inv, xi) for xi in (x1, x2, x3)]
-        y1, y2, y3 = ys
-        f1 = (
-            ga_mul(
-                sq(x0),
-                ga_add(
-                    ga_add(one_el, ga_mul(ga_mul(sq(y1), asq), e_el)),
-                    ga_add(ga_mul(ga_mul(sq(y2), bsq), e_el), ga_mul(sq(y3), absq)),
-                ),
-            ).mask
-            == 1
+    def sides(x0: int, x1: int, x2: int, x3: int) -> tuple[int, int, int, int]:
+        """The four equations' left sides, on central masks: the system
+        holds exactly when they are (1, 0, 0, 0)."""
+        return (
+            mul(x0, x0)
+            ^ mul(mul(mul(x1, x1), asq) ^ mul(mul(x2, x2), bsq), 1 << e)
+            ^ mul(mul(mul(x3, x3), asq), bsq),
+            mul(mul(x0, x1) ^ mul(mul(x2, x3), bsq), ne),
+            mul(mul(x0, x2) ^ mul(mul(x1, x3), asq), ne),
+            mul(mul(x0, x3) ^ mul(x1, x2), ne),
         )
-        f2 = ga_mul(ga_add(y1, ga_mul(ga_mul(y2, y3), bsq)), ne).mask == 0
-        f3 = ga_mul(ga_add(y2, ga_mul(ga_mul(y1, y3), asq)), ne).mask == 0
-        f4 = ga_mul(ga_add(y3, ga_mul(y1, y2)), ne).mask == 0
-        factored = f1 and f2 and f3 and f4
-        if factored != system:
+
+    x0, x1, x2, x3 = (q.mask for q in quadrant_split(x, form.c_sub, a, b))
+    system = sides(x0, x1, x2, x3) == (1, 0, 0, 0)
+
+    if x0.bit_count() & 1:
+        ys = [mul(_inverse(g, x0), xi) for xi in (x1, x2, x3)]
+        first, *rest = sides(1, *ys)
+        if (mul(mul(x0, x0), first) == 1 and rest == [0, 0, 0]) != system:
             return False
         if system:
             for y in ys:
-                if ga_mul(y, ne).mask != 0:
+                if mul(y, ne) or mul(y, y):
                     return False
                 try:
-                    u = annihilator_solve(y, ne)
+                    u = annihilator_solve(AlgebraElement(g, y), AlgebraElement(g, ne))
                 except NoSolutionError:
                     return False
-                if ga_mul(ne, u).mask != y.mask:
+                if mul(ne, u.mask) != y:
                     return False
-                if sq(y).mask != 0:
-                    return False
-            if sq(x0).mask != 1:
+            if mul(x0, x0) != 1:
                 return False
     return system
 
@@ -575,7 +554,6 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
 def verify_odot_decomposition(
     form: OdotForm,
     max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
-    force_enumeration: bool = False,
     skip_enumeration: bool = False,
 ) -> DecompositionReport:
     """Build the torsion and central unipotent factors, certify the direct
@@ -608,7 +586,8 @@ def verify_odot_decomposition(
         "central_unipotent_elementary",
         preds["is_elementary_abelian_2"] and preds["rank"] == 3 * c_order // 2,
     )
-    gen_basis = [1 << i for i in (g.generators or range(g.order))]
+    # Central exactly when it commutes with each element of a generating set.
+    gen_basis = [1 << i for i in g.greedy_generators]
     _add_member_check(
         report, "central_unipotent_members_central_unitary", g, w.masks,
         sigma, square=True, central=gen_basis,
@@ -641,28 +620,28 @@ def verify_odot_decomposition(
         "expected_unitary": expected,
     }
 
-    do_oracle = (g.order <= max_order or force_enumeration) and not skip_enumeration
-    v: UnitSet | None = None
-    if do_oracle:
-        v = enumerate_unitary(g, sigma, max_order=max(max_order, g.order))
+    if g.order <= max_order and not skip_enumeration:
+        v = enumerate_unitary(g, sigma, max_order=max_order)
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
-        # G*T is listed once, for W and for the alternate representatives.
-        gt = product_masks(g, g_image.masks, t.masks)
-        product = product_masks(g, gt, w.masks)
+        product = product_masks(g, product_masks(g, g_image.masks, t.masks), w.masks)
+        factors_ok = product == v.mask_set()
         if g_image.mask_set() <= v.mask_set():
             # Every factor holds 1, so the equality puts each factor inside v.
-            report.add("direct_product", is_direct(g, [g_image, t, w]) and product == v.mask_set())
+            report.add("direct_product", is_direct(g, [g_image, t, w]) and factors_ok)
         else:
             report.add(
                 "direct_product", False, "group image is not inside the unitary set"
             )
-        report.add("oracle_set_equality", product == v.mask_set())
+        report.add("oracle_set_equality", factors_ok)
     else:
         _add_oracle_skip_note(report, g, max_order)
-        report.add("factors_pairwise_direct", is_direct(g, [g_image, t, w]))
+        factors_ok = is_direct(g, [g_image, t, w])
+        report.add("factors_pairwise_direct", factors_ok)
         _add_member_check(report, "torsion_members_unitary", g, t.masks, sigma)
 
+    # Only W depends on the coset representatives, and (1+e) F2C is stable
+    # under C, so the other representatives must give the same W as a set.
     alt = make_odot_form(g, prefer_large_reps=True)
     if (alt.a, alt.b) != (form.a, form.b):
         alt_w = build_central_unipotent(alt)
@@ -670,11 +649,7 @@ def verify_odot_decomposition(
             "rep_a": g.labels[alt.a],
             "rep_b": g.labels[alt.b],
         }
-        alt_ok = alt_w.order == expected_w
-        if v is not None:
-            alt_ok = alt_ok and product_masks(g, gt, alt_w.masks) == v.mask_set()
-        else:
-            alt_ok = alt_ok and is_direct(g, [g_image, t, alt_w])
-        report.add("alternate_representatives_pass", alt_ok)
+        alt_ok = alt_w.order == expected_w and alt_w.mask_set() == w.mask_set()
+        report.add("alternate_representatives_pass", factors_ok and alt_ok)
     return report
 

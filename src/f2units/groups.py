@@ -37,10 +37,10 @@ class GroupTable:
         mul: tuple of tuples, ``mul[i][j]`` = index of the product.
         inv: tuple of inverse indices.
         labels: display string per element; ``labels[0] == "1"``.
-        generators: indices of a generating set, as the constructor gave them.
         greedy_generators: ``_greedy_generators`` over the ascending indices,
             found while validating the table; at most log2(order) elements.
-            The structure checks on the table are decided on them.
+            They are the table's one generating set: the structure checks on
+            the table are decided on them.
         family: constructor family name ("cyclic", "dihedral", ...).
         name: short display name ("Q8", "D8xC2", ...).
     """
@@ -49,7 +49,6 @@ class GroupTable:
         self,
         mul: Sequence[Sequence[int]],
         labels: Sequence[str] | None = None,
-        generators: Sequence[int] = (),
         family: str = "table",
         name: str | None = None,
     ):
@@ -73,7 +72,6 @@ class GroupTable:
                 f"{len(self.labels)} labels for order {self.order}"
             )
         _check_labels(self.labels)
-        self.generators = tuple(int(x) for x in generators)
         self.family = family
         self.name = name or f"G{self.order}"
         self._conv_tables: list[list[list[int]]] | None = None  # lazy, see algebra
@@ -222,8 +220,7 @@ def make_cyclic(n: int) -> GroupTable:
         raise UnsupportedOrderError(f"cyclic order must be >= 1, got {n}")
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["1"] + ["a" if i == 1 else f"a{i}" for i in range(1, n)]
-    gens = [1] if n > 1 else []
-    return GroupTable(mul, labels, gens, family="cyclic", name=f"C{n}")
+    return GroupTable(mul, labels, family="cyclic", name=f"C{n}")
 
 
 def make_dihedral(n: int) -> GroupTable:
@@ -240,7 +237,7 @@ def make_dihedral(n: int) -> GroupTable:
             mul[m + i][m + j] = (i - j) % m
     labels = ["1"] + ["r" if i == 1 else f"r{i}" for i in range(1, m)]
     labels += ["s"] + ["rs" if i == 1 else f"r{i}s" for i in range(1, m)]
-    return GroupTable(mul, labels, [1, m], family="dihedral", name=f"D{n}")
+    return GroupTable(mul, labels, family="dihedral", name=f"D{n}")
 
 
 def make_quaternion(n: int) -> GroupTable:
@@ -262,7 +259,7 @@ def make_quaternion(n: int) -> GroupTable:
             mul[m + i][m + j] = (i - j + half) % m
     labels = ["1"] + ["a" if i == 1 else f"a{i}" for i in range(1, m)]
     labels += ["b"] + ["ab" if i == 1 else f"a{i}b" for i in range(1, m)]
-    return GroupTable(mul, labels, [1, m], family="quaternion", name=f"Q{n}")
+    return GroupTable(mul, labels, family="quaternion", name=f"Q{n}")
 
 
 def make_direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
@@ -283,10 +280,7 @@ def make_direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
         f"({g1.labels[x]},{g2.labels[y]})" for x in range(n1) for y in range(n2)
     ]
     labels[0] = "1"
-    gens = [x * n2 for x in g1.generators] + list(g2.generators)
-    return GroupTable(
-        mul, labels, gens, family="direct_product", name=f"{g1.name}x{g2.name}"
-    )
+    return GroupTable(mul, labels, family="direct_product", name=f"{g1.name}x{g2.name}")
 
 
 def make_inverting_extension(a_group: GroupTable, t: int) -> GroupTable:
@@ -315,13 +309,8 @@ def make_inverting_extension(a_group: GroupTable, t: int) -> GroupTable:
     labels = list(a_group.labels) + [
         "b" if i == 0 else f"{a_group.labels[i]}*b" for i in range(na)
     ]
-    gens = list(a_group.generators) + [na]
     return GroupTable(
-        mul,
-        labels,
-        gens,
-        family="inverting_extension",
-        name=f"Ext({a_group.name},{a_group.labels[t]})",
+        mul, labels, family="inverting_extension", name=f"Ext({a_group.name},{a_group.labels[t]})"
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BadIndexError,
     BadOrderError,
     CenterQuotientNotKleinError,
     CommutatorNotOrderTwoError,
@@ -24,6 +25,7 @@ from .errors import (
 from .groups import (
     GroupTable,
     SubgroupSet,
+    _is_int,
     center,
     commutator_subgroup,
     coset_representatives,
@@ -108,6 +110,10 @@ def make_inverting_form(
 ) -> InvertingExtensionForm:
     """Validate the hypotheses and fix the coset transversal, or raise."""
     _require_two_group(g)
+    a_gens = list(a_gens)
+    for i in [b, *a_gens]:
+        if not (_is_int(i) and 0 <= i < g.order):
+            raise BadIndexError(f"element index {i!r} out of range for order {g.order}")
     a_sub = subgroup_closure(g, a_gens)
     if not a_sub.is_abelian():
         raise NotAbelianSubgroupError("the designated subgroup is not abelian")

@@ -123,6 +123,8 @@ def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
 
 def _free_positions(g: GroupTable, support: SubgroupSet | None, max_order: int) -> tuple[int, ...]:
     """The coefficient positions a scan runs over, within the bound."""
+    if support is not None and support.group is not g:
+        raise GroupMismatchError("support subgroup belongs to a different group")
     members = tuple(support.members) if support is not None else tuple(range(g.order))
     if len(members) > max_order:
         raise TooLargeError(

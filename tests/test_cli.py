@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
-from f2units.cli import main, parse_group_spec
+from f2units.cli import _build_parser, main, parse_group_spec
 from f2units.errors import GroupAxiomViolationError, ParseError
 
 
@@ -238,18 +239,44 @@ def test_construct_mode_skips_enumeration(tmp_path):
     assert report["pass"] is True
 
 
-def test_construct_mode_rejects_forced_enumeration(tmp_path, capsys):
-    """Construct mode skips the oracle, so forcing it is invalid input."""
-    code, text = run_cli(
-        ["--family", "quaternion", "--order", "8", "--involution", "classical",
-         "--mode", "construct", "--force-enumeration", "--format", "json"],
-        tmp_path,
-    )
+def test_max_exhaustive_order_alone_decides_the_oracle(tmp_path, capsys):
+    """There is no flag that forces the oracle: --force-enumeration is an
+    unknown option (exit 2, no traceback), and the bound decides whether
+    the oracle runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "quaternion", "--order", "8", "--involution", "classical",
+              "--force-enumeration"])
     err = capsys.readouterr().err
-    assert code == 2
-    assert text is None
-    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force-enumeration" in err
     assert "Traceback" not in err
+
+    q16 = ["--family", "quaternion", "--order", "16", "--involution", "classical",
+           "--format", "json"]
+    code, text = run_cli([*q16, "--max-exhaustive-order", "8"], tmp_path, "bound8.json")
+    report = json.loads(text)
+    assert code == 0
+    assert "oracle_unitary" not in report["orders"]
+    assert "oracle_set_equality" not in {c["name"] for c in report["checks"]}
+    assert any(n.startswith("group order exceeds the exhaustive bound") for n in report["notes"])
+
+    code, text = run_cli(q16, tmp_path, "default.json")
+    report = json.loads(text)
+    assert code == 0
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
+    assert checks["oracle_set_equality"] is True
+    assert not any("exceeds" in n for n in report["notes"])
+
+
+def test_readme_cli_section_documents_exactly_the_parser_flags():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser_flags = {
+        opt for action in _build_parser()._actions
+        for opt in action.option_strings if opt.startswith("--")
+    }
+    assert documented == parser_flags
 
 
 def test_catalog_mode_covers_all_instances(tmp_path):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 import f2units as f
+from f2units import decompositions
+from f2units.catalog import ODOT_ENTRIES
 from f2units.errors import NotUnitaryError
+from f2units.unitgroup import make_unit_set
 
 
 def checks_by_name(report):
@@ -104,7 +108,7 @@ def test_central_unipotent_d8(d8, d8_odot_form):
     w = f.build_central_unipotent(d8_odot_form)
     assert w.order == 8  # 2^(3|C|/2)
     sigma = f.odot_involution(d8_odot_form)
-    gens = [f.basis(d8, i) for i in d8.generators]
+    gens = [f.basis(d8, i) for i in d8.greedy_generators]
     for x in w.elements():
         assert f.ga_mul(x, x).is_one()
         assert f.ga_mul(x, f.ga_involute(sigma, x)).is_one()
@@ -118,13 +122,18 @@ def test_torsion_complement_sizes(d8_odot_form, d8xc2_odot_form):
     assert t.order == 2
 
 
-def test_quadrant_system_biconditional_d8(d8, d8_odot_form):
-    sigma = f.odot_involution(d8_odot_form)
-    unitary = f.enumerate_unitary(d8, sigma).mask_set()
-    for m in range(1 << d8.order):
-        if bin(m).count("1") % 2 == 1:
-            got = f.check_unitary_quadrant_system(d8_odot_form, f.AlgebraElement(d8, m))
-            assert got == (m in unitary)
+@pytest.mark.parametrize("fixture", ["d8", "d8xc2", "q8xc2"])
+def test_quadrant_system_biconditional(fixture, request):
+    """True on every unitary element, false on the other normalized units:
+    all of them at order 8, a seeded sample of 2,000 at order 16."""
+    g = request.getfixturevalue(fixture)
+    form = f.make_odot_form(g)
+    unitary = f.enumerate_unitary(g, f.odot_involution(form)).mask_set()
+    others = [m for m in range(1 << g.order) if m.bit_count() & 1 and m not in unitary]
+    for m in sorted(unitary):
+        assert f.check_unitary_quadrant_system(form, f.AlgebraElement(g, m)), hex(m)
+    for m in random.Random(16).sample(others, min(2000, len(others))):
+        assert not f.check_unitary_quadrant_system(form, f.AlgebraElement(g, m)), hex(m)
 
 
 def test_quadrant_components_have_even_coefficient_sum(q8, q8_odot_form):
@@ -188,6 +197,39 @@ def test_verify_twisted_skip_enumeration(q8_odot_form):
     assert "factors_pairwise_direct" in names
     assert "torsion_members_unitary" in names
     assert_skipped_on_request(report)
+
+
+@pytest.mark.parametrize("entry", ODOT_ENTRIES, ids=lambda e: e.key)
+def test_alternate_representatives_give_the_same_central_unipotent(entry, monkeypatch):
+    """Only W depends on the coset representatives, and the two choices give
+    the same W as a set; the check fails as soon as the alternate W differs,
+    by a lost member or by one member swapped for a non-member."""
+    g = entry.build()
+    form = f.make_odot_form(g)
+    alt = f.make_odot_form(g, prefer_large_reps=True)
+    assert (alt.a, alt.b) != (form.a, form.b)
+    w = f.build_central_unipotent(form)
+    assert f.build_central_unipotent(alt).mask_set() == w.mask_set()
+
+    build = decompositions.build_central_unipotent
+    assert 1 << 1 not in w.mask_set()
+    lost, swapped = w.masks[:-1], w.masks[:-1] + (1 << 1,)
+    for skip in (False, True):
+        names = checks_by_name(f.verify_odot_decomposition(form, skip_enumeration=skip))
+        main = names.get("oracle_set_equality") or names["factors_pairwise_direct"]
+        assert names["alternate_representatives_pass"].passed == main.passed
+        for changed in (lost, swapped):
+
+            def altered(arg, changed=changed):
+                if (arg.a, arg.b) == (alt.a, alt.b):
+                    return make_unit_set(g, changed)
+                return build(arg)
+
+            monkeypatch.setattr(decompositions, "build_central_unipotent", altered)
+            got = checks_by_name(f.verify_odot_decomposition(form, skip_enumeration=skip))
+            monkeypatch.undo()
+            assert not got.pop("alternate_representatives_pass").passed
+            assert got == {k: c for k, c in names.items() if k != "alternate_representatives_pass"}
 
 
 # ---------------------------------------------------------------------------

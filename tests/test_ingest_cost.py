@@ -42,9 +42,9 @@ def test_generating_set_is_logarithmic(name):
 
 
 def _index_two_subgroups(g):
-    """Kernels of the nonzero homomorphisms onto C2, from the constructor's
+    """Kernels of the nonzero homomorphisms onto C2, from the table's greedy
     generators: every sign pattern on them is tried and checked on all pairs."""
-    gens = g.generators
+    gens = g.greedy_generators
     kernels = set()
     for bits in range(1, 1 << len(gens)):
         phi = {0: 0}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import f2units as f
 from f2units.catalog import catalog_groups
 from f2units.errors import (
+    BadIndexError,
     BadOrderError,
     CenterQuotientNotKleinError,
     HypothesisViolationError,
@@ -153,6 +154,44 @@ def test_inverting_form_requires_inversion():
     # has order 4 and lies outside it, but centralizes it instead of inverting
     with pytest.raises(NotInvertingError):
         f.make_inverting_form(c4xc4, [4, 2], 1)
+
+
+@pytest.mark.parametrize(
+    "a_gens, b",
+    [([1], -4), ([1], 8), ([42], 4), ([1], True), ([True], 4), ([1.0], 4)],
+    ids=["negative-b", "b-past-the-end", "a-gen-past-the-end", "bool-b", "bool-a-gen", "float-a-gen"],
+)
+def test_inverting_form_rejects_indices_outside_the_group(q8, a_gens, b):
+    with pytest.raises(BadIndexError):
+        f.make_inverting_form(q8, a_gens, b)
+
+
+# (a_sub members, b, transversal) per catalog group, or the error raised.
+DETECTED_CATALOG_FORMS = {
+    "Q8": ((0, 1, 2, 3), 4, (0, 1)),
+    "Q16": ((0, 1, 2, 3, 4, 5, 6, 7), 8, (0, 1, 2, 3)),
+    "Ext(C4xC2,(1,a))": ((0, 1, 2, 3, 4, 5, 6, 7), 8, (0, 2, 4, 6)),
+    "Ext(C8,a4)": ((0, 1, 2, 3, 4, 5, 6, 7), 8, (0, 1, 2, 3)),
+    "D8": NotInvertingError,
+    "D8xC2": NotInvertingError,
+    "Q8xC2": ((0, 1, 2, 3, 4, 5, 6, 7), 8, (0, 1, 2, 3)),
+    "D8xC4": NotInvertingError,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DETECTED_CATALOG_FORMS))
+def test_detect_inverting_form_on_the_catalog(name):
+    g = catalog_groups()[name]
+    expected = DETECTED_CATALOG_FORMS[name]
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            f.detect_inverting_form(g)
+        return
+    got = f.detect_inverting_form(g)
+    assert (got.a_sub.members, got.b, got.transversal) == expected
+    # make_inverting_form takes the detected instance as it stands
+    again = f.make_inverting_form(g, got.a_sub.members, got.b)
+    assert (again.a_sub.members, again.b, again.transversal) == expected
 
 
 def test_detect_inverting_form(q8, q16, d8, c8):

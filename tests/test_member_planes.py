@@ -157,7 +157,7 @@ def _classical_lists(form):
 def _odot_lists(form):
     g = form.group
     sigma = f.odot_involution(form)
-    gen_basis = [1 << i for i in (g.generators or range(g.order))]
+    gen_basis = [1 << i for i in g.greedy_generators]
     return [
         ("W", build_central_unipotent(form).masks, dict(sigma=sigma, square=True, central=gen_basis)),
         ("G", group_image(g).masks, dict(sigma=sigma)),
@@ -201,13 +201,15 @@ def _plane_result(g, masks, kw):
 
 
 def _naive_result(g, masks, kw):
+    """The per-member oracle; a member is central when it commutes with every
+    element, not only with the generators the plane check is given."""
     sigma = kw.get("sigma")
     bad = naive_first_failing_member(
         g,
         masks,
         perm=sigma.perm if sigma is not None else None,
         square=kw.get("square", False),
-        central=kw.get("central", ()),
+        central=[1 << i for i in range(g.order)] if kw.get("central") else (),
     )
     return bad is None, None if bad is None else _render(g, bad)
 

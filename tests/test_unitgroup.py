@@ -6,6 +6,7 @@ import pytest
 
 import f2units as f
 from f2units.errors import (
+    GroupMismatchError,
     NotAbelianError,
     NotAUnitError,
     NotSubsetError,
@@ -30,6 +31,19 @@ def test_every_normalized_unit_inverts(q8):
     for m in v.masks:
         inv = f.ga_inverse(f.AlgebraElement(q8, m))
         assert naive_mul(q8, m, inv.mask) == 1
+
+
+def test_unitary_scan_rejects_a_support_from_another_group(q8, d8):
+    # <r> of D8 has members 0..3, which are also indices of Q8
+    support = f.subgroup_closure(d8, [1])
+    with pytest.raises(GroupMismatchError):
+        f.enumerate_unitary(q8, f.classical_involution(q8), support=support)
+
+
+def test_unit_scan_rejects_a_support_from_another_group(q8):
+    q16 = f.make_quaternion(16)
+    with pytest.raises(GroupMismatchError):
+        f.enumerate_normalized_units(q8, support=f.subgroup_closure(q16, [1]))
 
 
 def test_member_sets_are_built_once(c4, q8):
