@@ -221,7 +221,7 @@ def _catalog_payload(config: RunConfig) -> dict:
     rows = []
     for entry, verify in runs:
         report = verify(entry.form(), max_order=config.max_exhaustive_order)
-        rows.append({"instance": entry.key, **report.to_json_dict()})
+        rows.append(report.to_json_dict())
     return {
         "schema": 1,
         "mode": "catalog",
@@ -248,7 +248,7 @@ def _render_text(payload: dict) -> str:
             verdict = "PASS" if row["pass"] else "FAIL"
             orders = row.get("orders", {})
             parts = ", ".join(f"{k}={v}" for k, v in sorted(orders.items()))
-            lines.append(f"[{verdict}] {row['instance']} ({row['involution']}): {parts}")
+            lines.append(f"[{verdict}] {row['group']['spec']} ({row['involution']}): {parts}")
             lines.extend(_check_line(check, "    ") for check in row["checks"])
         lines.append("overall: " + ("PASS" if payload["pass"] else "FAIL"))
         return "\n".join(lines) + "\n"

@@ -60,14 +60,13 @@ from .involutions import (
 from .unitgroup import (
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
-    _lmul_planes,
+    _fixed_planes,
     _member_planes,
     _noncommuting,
     _permuted_planes,
     _planes_to_masks,
     _product_not_one,
     _product_planes,
-    _rmul_planes,
     canonical_generators,
     enumerate_unitary,
     find_complement,
@@ -160,7 +159,7 @@ def _add_member_check(
     if sigma is not None:
         bad |= _product_not_one(g, planes, _permuted_planes(sigma.perm, planes), full)
     for y in central:
-        bad |= _noncommuting(g, y, planes)
+        bad |= _noncommuting(g, _fixed_planes(g.order, y, full), planes)
     first = (bad & -bad).bit_length() - 1
     report.add(name, not bad, _render(g, masks[first]) if bad else None)
 
@@ -284,17 +283,18 @@ def _conjugation_witness(
     stars = _permuted_planes(perm, xs)
     # Members failing for every g_i: not unitary, or b x1* != x1 b.
     always = _product_not_one(g, xs, stars, full)
-    for p, q in zip(_lmul_planes(g, b_el, stars), _rmul_planes(g, xs, b_el)):
+    fixed_b = _fixed_planes(n, b_el, full)
+    for p, q in zip(_product_planes(g, fixed_b, stars), _product_planes(g, xs, fixed_b)):
         always |= p ^ q
-    nb_sq = _lmul_planes(g, nb, _product_planes(g, xs, xs))
+    nb_sq = _product_planes(g, _fixed_planes(n, nb, full), _product_planes(g, xs, xs))
     for gi in form.transversal:
         w_i = _unipotent_generator(form, gi)
         conj_b = _mul(g, _mul(g, b_el, w_i), b_inv)
         gj = rep_of[g.inv[gi]]
         if conj_b != _unipotent_generator(form, gj) or conj_b not in w_masks:
             return f"twist conjugation at {g.labels[gi]}: got {_render(g, conj_b)}"
-        conj = _product_planes(g, _rmul_planes(g, xs, w_i), stars)
-        pred = _rmul_planes(g, nb_sq, 1 << g.mul[gi][form.b])
+        conj = _product_planes(g, _product_planes(g, xs, _fixed_planes(n, w_i, full)), stars)
+        pred = _product_planes(g, nb_sq, _fixed_planes(n, 1 << g.mul[gi][form.b], full))
         pred[0] ^= full
         bad = always
         for p, q in zip(conj, pred):
@@ -502,10 +502,10 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
     """Recheck the quadrant unitarity system on one normalized element.
 
     Splits x over the four cosets of the center and evaluates the four
-    unitarity equations; when the central part is a unit, also factors
-    x = x0 (1 + y1 a + y2 b + y3 ab) and confirms the factored system agrees,
-    that each y_i is annihilated by and divisible by 1+e, that y_i^2 = 0,
-    and that x0^2 = 1. True exactly when x is unitary.
+    unitarity equations; when the central part is a unit and the system
+    holds, also factors x = x0 (1 + y1 a + y2 b + y3 ab) and confirms that
+    each y_i is annihilated by and divisible by 1+e, that y_i^2 = 0, and
+    that x0^2 = 1. True exactly when x is unitary.
     """
     g = form.group
     if augmentation(x) == 0:
@@ -515,39 +515,30 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
     ne = 1 ^ (1 << e)
     asq = 1 << g.mul[a][a]
     bsq = 1 << g.mul[b][b]
-
-    def sides(x0: int, x1: int, x2: int, x3: int) -> tuple[int, int, int, int]:
-        """The four equations' left sides, on central masks: the system
-        holds exactly when they are (1, 0, 0, 0)."""
-        return (
-            mul(x0, x0)
-            ^ mul(mul(mul(x1, x1), asq) ^ mul(mul(x2, x2), bsq), 1 << e)
-            ^ mul(mul(mul(x3, x3), asq), bsq),
-            mul(mul(x0, x1) ^ mul(mul(x2, x3), bsq), ne),
-            mul(mul(x0, x2) ^ mul(mul(x1, x3), asq), ne),
-            mul(mul(x0, x3) ^ mul(x1, x2), ne),
-        )
-
     x0, x1, x2, x3 = (q.mask for q in quadrant_split(x, form.c_sub, a, b))
-    system = sides(x0, x1, x2, x3) == (1, 0, 0, 0)
+    # The four equations' left sides, on central masks.
+    system = (
+        mul(x0, x0)
+        ^ mul(mul(mul(x1, x1), asq) ^ mul(mul(x2, x2), bsq), 1 << e)
+        ^ mul(mul(mul(x3, x3), asq), bsq),
+        mul(mul(x0, x1) ^ mul(mul(x2, x3), bsq), ne),
+        mul(mul(x0, x2) ^ mul(mul(x1, x3), asq), ne),
+        mul(mul(x0, x3) ^ mul(x1, x2), ne),
+    ) == (1, 0, 0, 0)
 
-    if x0.bit_count() & 1:
+    if system and x0.bit_count() & 1:
         ys = [mul(_inverse(g, x0), xi) for xi in (x1, x2, x3)]
-        first, *rest = sides(1, *ys)
-        if (mul(mul(x0, x0), first) == 1 and rest == [0, 0, 0]) != system:
-            return False
-        if system:
-            for y in ys:
-                if mul(y, ne) or mul(y, y):
-                    return False
-                try:
-                    u = annihilator_solve(AlgebraElement(g, y), AlgebraElement(g, ne))
-                except NoSolutionError:
-                    return False
-                if mul(ne, u.mask) != y:
-                    return False
-            if mul(x0, x0) != 1:
+        for y in ys:
+            if mul(y, ne) or mul(y, y):
                 return False
+            try:
+                u = annihilator_solve(AlgebraElement(g, y), AlgebraElement(g, ne))
+            except NoSolutionError:
+                return False
+            if mul(ne, u.mask) != y:
+                return False
+        if mul(x0, x0) != 1:
+            return False
     return system
 
 

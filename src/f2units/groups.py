@@ -16,6 +16,7 @@ from typing import Callable, Collection, Iterable, Sequence
 from .errors import (
     BadSquareElementError,
     GroupAxiomViolationError,
+    GroupMismatchError,
     NoComplementError,
     NotAbelianError,
     NotASubgroupError,
@@ -223,18 +224,31 @@ def make_cyclic(n: int) -> GroupTable:
     return GroupTable(mul, labels, family="cyclic", name=f"C{n}")
 
 
+def _inverting_table(
+    amul: Sequence[Sequence[int]], ainv: Sequence[int], t: int
+) -> list[list[int]]:
+    """The table of abelian A extended by b with b^2 = t and b^-1 a b = a^-1:
+    A at 0..|A|-1, then a_i*b at |A| + i."""
+    na = len(amul)
+    mul = [[0] * (2 * na) for _ in range(2 * na)]
+    for i in range(na):
+        for j in range(na):
+            k = amul[i][ainv[j]]
+            mul[i][j] = amul[i][j]
+            mul[i][na + j] = na + amul[i][j]
+            mul[na + i][j] = na + k
+            mul[na + i][na + j] = amul[k][t]
+    return mul
+
+
 def make_dihedral(n: int) -> GroupTable:
-    """Dihedral group of order n (n even, n >= 4): rotations first, then reflections."""
+    """Dihedral group of order n (n even, n >= 4): rotations first, then
+    reflections; the inverting extension of C(n/2) with b^2 = 1."""
     if n < 4 or n % 2:
         raise UnsupportedOrderError(f"dihedral order must be even and >= 4, got {n}")
     m = n // 2
-    mul = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            mul[i][j] = (i + j) % m
-            mul[i][m + j] = m + (i + j) % m
-            mul[m + i][j] = m + (i - j) % m
-            mul[m + i][m + j] = (i - j) % m
+    cyc = [[(i + j) % m for j in range(m)] for i in range(m)]
+    mul = _inverting_table(cyc, [-i % m for i in range(m)], 0)
     labels = ["1"] + ["r" if i == 1 else f"r{i}" for i in range(1, m)]
     labels += ["s"] + ["rs" if i == 1 else f"r{i}s" for i in range(1, m)]
     return GroupTable(mul, labels, family="dihedral", name=f"D{n}")
@@ -249,14 +263,8 @@ def make_quaternion(n: int) -> GroupTable:
     if n < 8 or n & (n - 1):
         raise UnsupportedOrderError(f"quaternion order must be a power of 2 and >= 8, got {n}")
     m = n // 2
-    half = m // 2
-    mul = [[0] * n for _ in range(n)]
-    for i in range(m):
-        for j in range(m):
-            mul[i][j] = (i + j) % m
-            mul[i][m + j] = m + (i + j) % m
-            mul[m + i][j] = m + (i - j) % m
-            mul[m + i][m + j] = (i - j + half) % m
+    cyc = [[(i + j) % m for j in range(m)] for i in range(m)]
+    mul = _inverting_table(cyc, [-i % m for i in range(m)], m // 2)
     labels = ["1"] + ["a" if i == 1 else f"a{i}" for i in range(1, m)]
     labels += ["b"] + ["ab" if i == 1 else f"a{i}b" for i in range(1, m)]
     return GroupTable(mul, labels, family="quaternion", name=f"Q{n}")
@@ -296,16 +304,7 @@ def make_inverting_extension(a_group: GroupTable, t: int) -> GroupTable:
         raise BadSquareElementError(f"square element index {t} out of range or identity")
     if a_group.mul[t][t] != 0:
         raise BadSquareElementError(f"square element {a_group.labels[t]} is not an involution")
-    amul = a_group.mul
-    ainv = a_group.inv
-    n = 2 * na
-    mul = [[0] * n for _ in range(n)]
-    for i in range(na):
-        for j in range(na):
-            mul[i][j] = amul[i][j]
-            mul[i][na + j] = na + amul[i][j]
-            mul[na + i][j] = na + amul[i][ainv[j]]
-            mul[na + i][na + j] = amul[amul[i][ainv[j]]][t]
+    mul = _inverting_table(a_group.mul, a_group.inv, t)
     labels = list(a_group.labels) + [
         "b" if i == 0 else f"{a_group.labels[i]}*b" for i in range(na)
     ]
@@ -382,6 +381,8 @@ def commutator_subgroup(g: GroupTable) -> SubgroupSet:
 def is_normal(g: GroupTable, s: SubgroupSet) -> bool:
     """True iff each generator of g conjugates each generator of the subgroup
     s into s, so maps s onto itself."""
+    if s.group is not g:
+        raise GroupMismatchError("subgroup belongs to a different group")
     members = s.member_set()
     return all(g.conjugate(x, h) in members for x in g.greedy_generators for h in s.generators)
 

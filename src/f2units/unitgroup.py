@@ -16,15 +16,15 @@ augmentation 1. Two routines cover it:
 The same int bit planes serve the products and checks of the
 decompositions. ``_member_planes`` transposes a list of masks, one plane per
 coefficient position and one bit per member, and ``_planes_to_masks``
-transposes back. On the planes, every member is multiplied at once:
-``_rmul_planes`` and ``_lmul_planes`` by a fixed mask (x -> x * y is
-linear), and ``_product_planes`` pairs two member lists, u * v. So
-``product_masks`` lists a product set with one plane product per member of
-its smaller side; the member checks test u * perm(u) = 1 (the unitary test
-with ``sigma.perm`` and the square with the identity) and commutation; and
-the conjugation identities of the classical decomposition are checked for
-every unitary element at once. The kernel builds its starting planes with
-``_product_planes`` too.
+transposes back. ``_product_planes`` is the one multiply on planes: u * v
+for every pair of members at the same bit. A fixed multiplier y is an
+ordinary operand, its ``_fixed_planes`` set at each position in its support.
+``product_masks`` tiles its left side and widens its right side, so that one
+plane product lists every pair; the member checks test u * perm(u) = 1 (the
+unitary test with ``sigma.perm`` and the square with the identity) and
+commutation; the conjugation identities of the classical decomposition are
+checked for every unitary element at once; and the kernel builds its
+starting planes with ``_product_planes`` too.
 
 Both scans run on the calling thread. The kernel's loop is big-int
 arithmetic that holds the GIL, so worker threads gained nothing: a full
@@ -112,6 +112,8 @@ def make_unit_set(
 
 def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
     """The group (or a subgroup) as basis vectors, with its greedy generators."""
+    if sub is not None and sub.group is not g:
+        raise GroupMismatchError("subgroup belongs to a different group")
     ids = sub.members if sub is not None else range(g.order)
     gens = sub.generators if sub is not None else g.greedy_generators
     return make_unit_set(g, (1 << i for i in ids), generators=[1 << i for i in gens])
@@ -234,33 +236,10 @@ def _planes_to_masks(planes: Sequence[int], count: int, n: int) -> list[int]:
     return [int.from_bytes(blob[k : k + nbytes], "little") for k in range(0, len(blob), nbytes)]
 
 
-def _scatter_planes(n: int, planes: Sequence[int], targets: Iterable[Sequence[int]]) -> list[int]:
-    """A linear map on the members of the planes at once: plane i adds into
-    each coefficient in targets[i]."""
-    out = [0] * n
-    for p, cs in zip(planes, targets):
-        if p:
-            for c in cs:
-                out[c] ^= p
-    return out
-
-
-def _support(y: int) -> list[int]:
-    return [j for j in range(y.bit_length()) if y >> j & 1]
-
-
-def _rmul_planes(g: GroupTable, planes: Sequence[int], y: int) -> list[int]:
-    """Planes of x * y for every member x: x -> x * y is linear, and
-    coefficient i of x lands on i * j for each j in the support of y."""
-    ys = _support(y)
-    return _scatter_planes(g.order, planes, ([row[j] for j in ys] for row in g.mul))
-
-
-def _lmul_planes(g: GroupTable, y: int, planes: Sequence[int]) -> list[int]:
-    """Planes of y * x for every member x: coefficient i lands on j * i."""
-    ys = _support(y)
-    mul = g.mul
-    return _scatter_planes(g.order, planes, ([mul[j][i] for j in ys] for i in range(g.order)))
+def _fixed_planes(n: int, y: int, full: int) -> list[int]:
+    """Planes of the fixed multiplier y paired with every member (bits of
+    ``full``): ``full`` at each j in the support of y, 0 elsewhere."""
+    return [full if y >> j & 1 else 0 for j in range(n)]
 
 
 def _permuted_planes(perm: Sequence[int], planes: Sequence[int]) -> list[int]:
@@ -299,10 +278,10 @@ def _product_not_one(g: GroupTable, left: Sequence[int], right: Sequence[int], f
     return bad
 
 
-def _noncommuting(g: GroupTable, y: int, planes: Sequence[int]) -> int:
-    """The members u with u * y != y * u."""
+def _noncommuting(g: GroupTable, fixed: Sequence[int], planes: Sequence[int]) -> int:
+    """The members u with u * y != y * u, for the ``_fixed_planes`` of y."""
     bad = 0
-    for p, q in zip(_rmul_planes(g, planes, y), _lmul_planes(g, y, planes)):
+    for p, q in zip(_product_planes(g, planes, fixed), _product_planes(g, fixed, planes)):
         bad |= p ^ q
     return bad
 
@@ -423,22 +402,22 @@ def unit_subgroup_closure(g: GroupTable, gens: Iterable[AlgebraElement]) -> Unit
 def product_masks(g: GroupTable, left: Iterable[int], right: Iterable[int]) -> frozenset[int]:
     """The set of pairwise products of two mask collections.
 
-    The larger side is transposed into bit planes once and multiplied by
-    each member of the smaller side on the planes, where x -> x * y and
-    y -> x * y are linear maps.
+    Pair k * |left| + i holds left[i] and right[k]: the left planes are
+    tiled once per right member, and each bit of a right plane widens to a
+    run of |left| bits, so one plane product lists every pair.
     """
     lefts, rights = list(left), list(right)
+    a, b = len(lefts), len(rights)
+    if not a or not b:
+        return frozenset()
     n = g.order
-    out: set[int] = set()
-    if len(lefts) >= len(rights):
-        planes = _member_planes(lefts, n)
-        for y in rights:
-            out.update(_planes_to_masks(_rmul_planes(g, planes, y), len(lefts), n))
-    else:
-        planes = _member_planes(rights, n)
-        for x in lefts:
-            out.update(_planes_to_masks(_lmul_planes(g, x, planes), len(rights), n))
-    return frozenset(out)
+    tile = int(("0" * (a - 1) + "1") * b, 2)
+    tiled = [p * tile for p in _member_planes(lefts, n)]
+    widened = [
+        int(format(q, f"0{b}b").replace("0", "0" * a).replace("1", "1" * a), 2)
+        for q in _member_planes(rights, n)
+    ]
+    return frozenset(_planes_to_masks(_product_planes(g, tiled, widened), a * b, n))
 
 
 def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:

@@ -304,8 +304,8 @@ def test_catalog_text_prints_every_check_with_its_witness(tmp_path):
     witnesses = 0
     for row in json.loads(text)["reports"]:
         header = next(lines)
-        assert header.startswith(f"[{'PASS' if row['pass'] else 'FAIL'}] ")
-        assert f" ({row['involution']}): " in header
+        verdict = "PASS" if row["pass"] else "FAIL"
+        assert header.startswith(f"[{verdict}] {row['group']['spec']} ({row['involution']}): ")
         for check in row["checks"]:
             mark, name, *rest = next(lines).split(maxsplit=2)
             assert (mark, name) == ("ok" if check["pass"] else "FAIL", check["name"])

@@ -14,6 +14,7 @@ import f2units as f
 from f2units.algebra import _mul
 from f2units.errors import (
     BadSquareElementError,
+    GroupMismatchError,
     GroupAxiomViolationError,
     NoComplementError,
     NotAbelianError,
@@ -110,6 +111,25 @@ def test_inverting_extension_rejects_bad_square_element():
         f.make_inverting_extension(f.make_cyclic(4), 1)  # order 4
     with pytest.raises(BadSquareElementError):
         f.make_inverting_extension(f.make_cyclic(4), 9)  # out of range
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64))
+def test_quaternion_is_the_inverting_extension_of_a_cyclic_group(n):
+    assert f.make_quaternion(n).mul == f.make_inverting_extension(f.make_cyclic(n // 2), n // 4).mul
+
+
+@pytest.mark.parametrize("n", (4, 6, 8, 16, 32, 64))
+def test_dihedral_table_matches_the_closed_form(n):
+    """r^i at i and r^i s at m + i: r^i r^j = r^(i+j), r^i . r^j s = r^(i+j) s,
+    r^i s . r^j = r^(i-j) s and r^i s . r^j s = r^(i-j)."""
+    m = n // 2
+    mul = f.make_dihedral(n).mul
+    for i in range(m):
+        for j in range(m):
+            assert mul[i][j] == (i + j) % m
+            assert mul[i][m + j] == m + (i + j) % m
+            assert mul[m + i][j] == m + (i - j) % m
+            assert mul[m + i][m + j] == (i - j) % m
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +431,12 @@ def test_normality(d8):
     reflection = f.subgroup_closure(d8, [4])
     assert f.is_normal(d8, rotations)
     assert not f.is_normal(d8, reflection)
+
+
+def test_normality_rejects_a_subgroup_of_another_group(q8, d8):
+    # <r> of D8 has members 0..3, which are also indices of Q8
+    with pytest.raises(GroupMismatchError):
+        f.is_normal(q8, f.subgroup_closure(d8, [1]))
 
 
 def test_coset_representatives_partition(d8):

@@ -97,7 +97,7 @@ def test_normalized_units_match_per_candidate_listing(g):
     assert list(f.enumerate_normalized_units(g).masks) == naive_unit_masks(g, range(g.order))
 
 
-def _supports():
+def _scan_subgroups():
     for e in CLASSICAL_ENTRIES:
         yield pytest.param(lambda e=e: e.form().a_sub, id=f"{e.key}/A")
     yield pytest.param(lambda: _q32_form().a_sub, id="Q32/A")
@@ -105,7 +105,7 @@ def _supports():
         yield pytest.param(lambda e=e: e.form().c_sub, id=f"{e.key}/C")
 
 
-@pytest.mark.parametrize("make_sub", list(_supports()))
+@pytest.mark.parametrize("make_sub", list(_scan_subgroups()))
 def test_supported_normalized_units_match_per_candidate_listing(make_sub):
     sub = make_sub()
     g = sub.group

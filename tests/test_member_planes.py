@@ -28,10 +28,10 @@ from f2units.decompositions import (
     build_unipotent_factor,
 )
 from f2units.unitgroup import (
-    _lmul_planes,
+    _fixed_planes,
     _member_planes,
     _planes_to_masks,
-    _rmul_planes,
+    _product_planes,
     group_image,
     product_masks,
 )
@@ -106,9 +106,11 @@ def test_products_by_a_fixed_multiplier_match_mul(name):
     rng = random.Random(n)
     xs = [rng.getrandbits(n) for _ in range(50)] + [0, 1, (1 << n) - 1]
     planes = _member_planes(xs, n)
+    full = (1 << len(xs)) - 1
     for y in [rng.getrandbits(n) for _ in range(4)] + [0, 1, 1 << (n - 1)]:
-        right = _planes_to_masks(_rmul_planes(g, planes, y), len(xs), n)
-        left = _planes_to_masks(_lmul_planes(g, y, planes), len(xs), n)
+        fixed = _fixed_planes(n, y, full)
+        right = _planes_to_masks(_product_planes(g, planes, fixed), len(xs), n)
+        left = _planes_to_masks(_product_planes(g, fixed, planes), len(xs), n)
         assert right == [_mul(g, x, y) for x in xs]
         assert left == [_mul(g, y, x) for x in xs]
 
@@ -139,6 +141,33 @@ def test_product_masks_matches_naive(case):
     assert product_masks(g, left, right) == naive_product(g, left, right)
     assert product_masks(g, left + left[:3], right) == naive_product(g, left, right)
     assert product_masks(g, left, []) == product_masks(g, [], right) == frozenset()
+
+
+@pytest.mark.parametrize("n", (2, 8, 32))
+def test_product_masks_past_the_digit_limit(n):
+    """100 x 70 pairs, more than the 4300-digit int/str limit, in both
+    orientations and with a single member on either side."""
+    g = PRODUCT_ORDERS[n]
+    rng = random.Random(n)
+    xs = [rng.getrandbits(n) for _ in range(100)]
+    ys = [rng.getrandbits(n) for _ in range(70)]
+    assert product_masks(g, xs, ys) == naive_product(g, xs, ys)
+    assert product_masks(g, ys, xs) == naive_product(g, ys, xs)
+    for single in (xs[:1], ys[-1:]):
+        assert product_masks(g, single, xs) == naive_product(g, single, xs)
+        assert product_masks(g, xs, single) == naive_product(g, xs, single)
+
+
+def test_largest_listed_product_d8xc4():
+    """The odot oracle comparison lists (G.T).W; at D8xC4 it holds
+    |G||T||W| = 32 * 16 * 4096 masks."""
+    (entry,) = [e for e in ODOT_ENTRIES if e.key == "D8xC4"]
+    form = entry.form()
+    g = form.group
+    sizes = (group_image(g), build_torsion_complement(form), build_central_unipotent(form))
+    assert [s.order for s in sizes] == [32, 16, 4096]
+    g_image, t, w = (s.masks for s in sizes)
+    assert len(product_masks(g, product_masks(g, g_image, t), w)) == 2_097_152
 
 
 def _classical_lists(form):

@@ -46,6 +46,11 @@ def test_unit_scan_rejects_a_support_from_another_group(q8):
         f.enumerate_normalized_units(q8, support=f.subgroup_closure(q16, [1]))
 
 
+def test_group_image_rejects_a_subgroup_of_another_group(q8, d8):
+    with pytest.raises(GroupMismatchError):
+        f.group_image(q8, f.subgroup_closure(d8, [1]))
+
+
 def test_member_sets_are_built_once(c4, q8):
     v = f.enumerate_normalized_units(c4)
     assert v.mask_set() is v.mask_set()
