@@ -18,6 +18,7 @@ from .algebra import AlgebraElement, render_element
 from .catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from .decompositions import (
     DecompositionReport,
+    _group_descriptor,
     verify_inverting_decomposition,
     verify_odot_decomposition,
 )
@@ -141,6 +142,14 @@ def parse_group_spec(text: str) -> GroupTable:
 
 
 def _resolve_group(args) -> GroupTable | None:
+    """The group the flags name; a flag the run would ignore is a ParseError."""
+    family_flags = any(x is not None for x in (args.family, args.order, args.square_element))
+    if args.mode == "catalog" and (args.group is not None or family_flags or args.involution):
+        raise ParseError("--mode catalog takes no group flags and no --involution")
+    if args.group is not None and family_flags:
+        raise ParseError("--group takes no --family, --order or --square-element")
+    if args.square_element is not None and args.family != "inverting_extension":
+        raise ParseError("--square-element needs --family inverting_extension")
     if args.group:
         try:
             text = Path(args.group).read_text(encoding="utf-8")
@@ -168,7 +177,7 @@ def _enumerate_payload(config: RunConfig) -> dict:
     payload = {
         "schema": 1,
         "mode": "enumerate",
-        "group": {"family": g.family, "order": g.order, "spec": g.name},
+        "group": _group_descriptor(g),
         "orders": {"normalized_units": v.order},
         "generators": {
             "normalized_units": [

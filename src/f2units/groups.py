@@ -17,7 +17,6 @@ from .errors import (
     BadSquareElementError,
     GroupAxiomViolationError,
     GroupMismatchError,
-    NoComplementError,
     NotAbelianError,
     NotASubgroupError,
     ParseError,
@@ -418,71 +417,3 @@ def coset_representatives(
         reps.append(x)
         covered.update(g.mul[h][x] for h in sub)
     return reps
-
-
-# ---------------------------------------------------------------------------
-# complements in finite abelian groups
-
-
-def complement_generators(
-    ids: Sequence[int],
-    mul_fn: Callable[[int, int], int],
-    identity: int,
-    factor: Iterable[int],
-) -> tuple[list[int], set[int]]:
-    """Find a complement of ``factor`` inside the abelian group on ``ids``.
-
-    The caller guarantees that the group is abelian. Generators are chosen by
-    depth-first search in the canonical order of ``ids`` with strictly
-    increasing positions, so the first complement found has the
-    lexicographically smallest generator sequence; each step is
-    ``_extend(mul_fn, H, (), c)``, as the group is abelian. Raises
-    NoComplementError when the factor is not a direct factor.
-    """
-    order = len(ids)
-    factor_set = set(factor)
-    if order % len(factor_set):
-        raise NoComplementError("factor order does not divide ambient order")
-    target = order // len(factor_set)
-    pos = {x: i for i, x in enumerate(ids)}
-    for x in factor_set:
-        if x not in pos:
-            raise NotASubgroupError("factor is not contained in the ambient group")
-
-    def dfs(members: set[int], gens: list[int], start: int) -> tuple[list[int], set[int]] | None:
-        if len(members) == target:
-            return gens, members
-        for idx in range(start, order):
-            c = ids[idx]
-            if c in members or c in factor_set:
-                continue
-            grown = _extend(mul_fn, members, (), c)
-            if len(grown) > target:
-                continue
-            if any(x in factor_set for x in grown if x != identity):
-                continue
-            found = dfs(grown, gens + [c], idx + 1)
-            if found is not None:
-                return found
-        return None
-
-    found = dfs({identity}, [], 0)
-    if found is None:
-        raise NoComplementError(
-            f"no complement of a factor of order {len(factor_set)} "
-            f"in an ambient group of order {order}"
-        )
-    return found
-
-
-def find_complement_subgroup(ambient: SubgroupSet, factor: SubgroupSet) -> SubgroupSet:
-    """Complement of ``factor`` in an abelian subgroup of a table group."""
-    if ambient.group is not factor.group:
-        raise NotASubgroupError("ambient and factor live in different groups")
-    if not ambient.is_abelian():
-        raise NotAbelianError("complement search requires an abelian ambient group")
-    g = ambient.group
-    gens, members = complement_generators(
-        ambient.members, lambda x, y: g.mul[x][y], 0, factor.members
-    )
-    return SubgroupSet(g, tuple(sorted(members)))

@@ -43,19 +43,14 @@ from typing import Iterable, Iterator, Sequence
 from .algebra import AlgebraElement, _eliminate, _inverse, _mul, _span
 from .errors import (
     GroupMismatchError,
+    NoComplementError,
     NotAbelianError,
     NotASubgroupError,
     NotAUnitError,
     NotSubsetError,
     TooLargeError,
 )
-from .groups import (
-    GroupTable,
-    SubgroupSet,
-    _greedy_generators,
-    complement_generators,
-    find_complement_subgroup,
-)
+from .groups import GroupTable, SubgroupSet, _extend, _greedy_generators
 from .involutions import AntiAutomorphism
 
 DEFAULT_EXHAUSTIVE_BOUND = 16
@@ -562,20 +557,53 @@ def normalizes(g: GroupTable, conj_gens: Sequence[int], sub: UnitSet) -> bool:
     return True
 
 
-def find_complement(ambient: UnitSet | SubgroupSet, factor: UnitSet | SubgroupSet):
-    """Complement of a direct factor; dispatches on the carrier type.
+def find_complement(ambient: UnitSet, factor: UnitSet) -> UnitSet:
+    """Complement of the direct factor ``factor`` in the abelian ``ambient``.
 
-    The ambient must be abelian; the result is canonical (lexicographically
-    smallest generator sequence over the canonical member order).
+    Generators are chosen by depth-first search in the canonical member
+    order with strictly increasing positions, so the first complement found
+    has the lexicographically smallest generator sequence. Each step is
+    ``_extend(mul, span, (), c)``, as the group is abelian, and a branch is
+    cut when its span outgrows the target order or meets the factor beyond
+    the identity. A table subgroup goes in through ``group_image``, whose
+    masks ``1 << i`` sort like the indices. Raises NoComplementError when
+    the factor is not a direct factor.
     """
-    if isinstance(ambient, SubgroupSet) and isinstance(factor, SubgroupSet):
-        return find_complement_subgroup(ambient, factor)
     if not isinstance(ambient, UnitSet) or not isinstance(factor, UnitSet):
-        raise TypeError("ambient and factor must both be UnitSet or both SubgroupSet")
+        raise TypeError("find_complement takes UnitSets; map a SubgroupSet through group_image")
     if factor.group is not ambient.group:
         raise GroupMismatchError("factor lives in a different group")
     if not _is_abelian_units(ambient):
         raise NotAbelianError("complement search requires an abelian ambient group")
     g = ambient.group
-    gens, members = complement_generators(ambient.masks, partial(_mul, g), 1, factor.masks)
-    return make_unit_set(g, members, generators=gens)
+    mul = partial(_mul, g)
+    ids = ambient.masks
+    factor_set = factor.mask_set()
+    if ambient.order % len(factor_set):
+        raise NoComplementError("factor order does not divide ambient order")
+    target = ambient.order // len(factor_set)
+    if not factor_set <= ambient.mask_set():
+        raise NotASubgroupError("factor is not contained in the ambient group")
+
+    def dfs(members: set[int], gens: list[int], start: int) -> UnitSet | None:
+        if len(members) == target:
+            return make_unit_set(g, members, generators=gens)
+        for idx in range(start, len(ids)):
+            c = ids[idx]
+            if c in members or c in factor_set:
+                continue
+            grown = _extend(mul, members, (), c)
+            if len(grown) > target or any(x in factor_set for x in grown if x != 1):
+                continue
+            found = dfs(grown, gens + [c], idx + 1)
+            if found is not None:
+                return found
+        return None
+
+    found = dfs({1}, [], 0)
+    if found is None:
+        raise NoComplementError(
+            f"no complement of a factor of order {len(factor_set)} "
+            f"in an ambient group of order {ambient.order}"
+        )
+    return found

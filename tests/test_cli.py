@@ -201,6 +201,43 @@ def test_groups_that_are_not_2_groups_exit_two(group_args, involution, order, mo
 
 
 @pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "quaternion", "--order", "8", "--square-element", "zz"],
+        ["--square-element", "a2"],
+        ["--group", "SPEC", "--family", "quaternion"],
+        ["--group", "SPEC", "--order", "8"],
+        ["--group", "SPEC", "--square-element", "a2"],
+        ["--mode", "catalog", "--group", "SPEC"],
+        ["--mode", "catalog", "--family", "quaternion"],
+        ["--mode", "catalog", "--order", "8"],
+        ["--mode", "catalog", "--square-element", "a2"],
+        ["--mode", "catalog", "--involution", "odot"],
+    ],
+    ids=[
+        "square-element-without-inverting-extension",
+        "square-element-alone",
+        "group-with-family",
+        "group-with-order",
+        "group-with-square-element",
+        "catalog-with-group",
+        "catalog-with-family",
+        "catalog-with-order",
+        "catalog-with-square-element",
+        "catalog-with-involution",
+    ],
+)
+def test_flags_the_run_would_ignore_exit_two(args, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"family": "quaternion", "params": {"order": 8}}')
+    args = [str(spec) if a == "SPEC" else a for a in args]
+    mode = [] if "--mode" in args else ["--involution", "classical"]
+    assert main([*args, *mode]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "family, order", [("dihedral", "5"), ("quaternion", "12"), ("cyclic", "0")]
 )
 def test_unsupported_family_order_exits_two(family, order, capsys):

@@ -46,6 +46,33 @@ def test_abelian_complement_q8(q8, q8_form):
     assert a_img.mask_set() & ell.mask_set() == {1}
 
 
+def test_abelian_complement_pinned_ext_c4xc4(monkeypatch):
+    """The complement search's result and its coset steps at Ext(C4xC4), an
+    order-32 extension outside the catalog and the benchmark references. Of
+    the 313 steps, 9 find the generators of V(F2A) for the abelian check."""
+    from f2units import groups, unitgroup
+
+    c4 = f.make_cyclic(4)
+    g = f.make_inverting_extension(f.make_direct_product(c4, c4), 2)
+    form = f.detect_inverting_form(g)
+    steps = []
+    extend = groups._extend
+    for module in (groups, unitgroup):
+        monkeypatch.setattr(module, "_extend", lambda *args: steps.append(1) or extend(*args))
+    ell = f.build_abelian_complement(form)
+    assert [decompositions._render(g, m) for m in ell.generators] == [
+        "1 + (1,a) + (1,a3)",
+        "1 + (1,a2) + (a2,1)",
+        "(1,a) + (1,a3) + (a2,1)",
+        "1 + (a,1) + (a3,1)",
+        "(1,a2) + (a,1) + (a3,1)",
+        "1 + (1,a) + (1,a3) + (a,1) + (a3,1)",
+        "1 + (a,a3) + (a3,a)",
+    ]
+    assert ell.order == 128
+    assert len(steps) == 313
+
+
 def test_conjugation_closure_q8_q16(q8_form, q16_form):
     assert f.check_conjugation_closure(q8_form)
     assert f.check_conjugation_closure(q16_form)
@@ -120,6 +147,25 @@ def test_torsion_complement_sizes(d8_odot_form, d8xc2_odot_form):
     assert f.build_torsion_complement(d8_odot_form).order == 1
     t = f.build_torsion_complement(d8xc2_odot_form)
     assert t.order == 2
+
+
+def test_torsion_complement_pinned_d8xc8():
+    """T at D8xC8 (order 64), outside the catalog and the benchmark references."""
+    g = f.make_direct_product(f.make_dihedral(8), f.make_cyclic(8))
+    t = f.find_complement(*decompositions._central_order_2_parts(f.make_odot_form(g)))
+    assert [decompositions._render(g, m) for m in t.generators] == [
+        "1 + (1,a) + (1,a5)",
+        "1 + (1,a2) + (1,a6)",
+        "1 + (1,a3) + (1,a7)",
+        "1 + (1,a4) + (r2,1)",
+        "(1,a) + (1,a5) + (r2,1)",
+        "(1,a2) + (1,a6) + (r2,1)",
+        "(1,a3) + (1,a7) + (r2,1)",
+        "1 + (1,a) + (r2,a)",
+        "1 + (1,a2) + (r2,a2)",
+        "1 + (1,a3) + (r2,a3)",
+    ]
+    assert t.order == 1024
 
 
 @pytest.mark.parametrize("fixture", ["d8", "d8xc2", "q8xc2"])

@@ -21,7 +21,7 @@ from f2units.errors import (
     NotASubgroupError,
 )
 from f2units.catalog import catalog_groups
-from f2units.groups import _extend, _greedy_generators, complement_generators
+from f2units.groups import _extend, _greedy_generators
 from oracles import (
     naive_canonical_generators,
     naive_center,
@@ -454,41 +454,34 @@ def test_coset_representatives_partition(d8):
 
 
 def test_complement_in_direct_product(c4xc2):
-    ambient = f.SubgroupSet.from_members(c4xc2, range(8))
-    factor = f.subgroup_closure(c4xc2, [2])  # the order-4 factor copy
-    comp = f.find_complement_subgroup(ambient, factor)
-    assert comp.members == (0, 1)
+    ambient = f.group_image(c4xc2)
+    factor = f.group_image(c4xc2, f.subgroup_closure(c4xc2, [2]))  # the order-4 factor copy
+    comp = f.find_complement(ambient, factor)
+    assert comp.masks == (1, 2)
 
 
 def test_complement_is_canonical_smallest(c4xc2):
-    ambient = f.SubgroupSet.from_members(c4xc2, range(8))
-    factor = f.subgroup_closure(c4xc2, [1])  # the order-2 factor copy
-    gens, members = complement_generators(
-        ambient.members,
-        lambda x, y: c4xc2.mul[x][y],
-        0,
-        factor.members,
-    )
+    ambient = f.group_image(c4xc2)
+    factor = f.group_image(c4xc2, f.subgroup_closure(c4xc2, [1]))  # the order-2 factor copy
+    comp = f.find_complement(ambient, factor)
     # a complement of order 4 generated from the smallest possible index
-    assert gens[0] == 2
-    assert len(members) == 4
-    comp = f.find_complement_subgroup(ambient, factor)
-    assert len(comp.members) == 4
-    assert set(comp.members) & {0, 1} == {0}
+    assert comp.generators[0] == 1 << 2
+    assert comp.order == 4
+    assert comp.mask_set() & {1, 2} == {1}
 
 
 def test_no_complement_for_non_direct_factor(c4):
-    ambient = f.SubgroupSet.from_members(c4, range(4))
-    factor = f.subgroup_closure(c4, [2])  # {1, a2} is not a direct factor of C4
+    ambient = f.group_image(c4)
+    factor = f.group_image(c4, f.subgroup_closure(c4, [2]))  # {1, a2} is not a direct factor of C4
     with pytest.raises(NoComplementError):
-        f.find_complement_subgroup(ambient, factor)
+        f.find_complement(ambient, factor)
 
 
 def test_complement_requires_abelian_ambient(d8):
-    ambient = f.SubgroupSet.from_members(d8, range(8))
-    factor = f.subgroup_closure(d8, [2])
+    ambient = f.group_image(d8)
+    factor = f.group_image(d8, f.subgroup_closure(d8, [2]))
     with pytest.raises(NotAbelianError):
-        f.find_complement_subgroup(ambient, factor)
+        f.find_complement(ambient, factor)
 
 
 # ---------------------------------------------------------------------------

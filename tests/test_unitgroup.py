@@ -203,11 +203,13 @@ def test_canonical_generators_regenerate(q8, q8_form):
     assert rebuilt.masks == w.masks
 
 
-def test_find_complement_dispatch(c4xc2, q8):
+def test_find_complement_takes_unit_sets_only(c4xc2, q8):
     ambient = f.SubgroupSet.from_members(c4xc2, range(8))
     factor = f.subgroup_closure(c4xc2, [2])
-    comp = f.find_complement(ambient, factor)
-    assert comp.members == (0, 1)
+    with pytest.raises(TypeError, match="group_image"):
+        f.find_complement(ambient, factor)
+    comp = f.find_complement(f.group_image(c4xc2, ambient), f.group_image(c4xc2, factor))
+    assert comp.masks == (1, 2)
 
     a_sub = f.subgroup_closure(q8, [1])
     v_a = f.enumerate_unitary(q8, f.classical_involution(q8), support=a_sub)
