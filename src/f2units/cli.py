@@ -144,12 +144,12 @@ def parse_group_spec(text: str) -> GroupTable:
 def _resolve_group(args) -> GroupTable | None:
     """The group the flags name; a flag the run would ignore is a ParseError."""
     family_flags = any(x is not None for x in (args.family, args.order, args.square_element))
-    if args.mode == "catalog" and (args.group is not None or family_flags or args.involution):
-        raise ParseError("--mode catalog takes no group flags and no --involution")
     if args.group is not None and family_flags:
         raise ParseError("--group takes no --family, --order or --square-element")
     if args.square_element is not None and args.family != "inverting_extension":
         raise ParseError("--square-element needs --family inverting_extension")
+    if args.order is not None and args.family is None:
+        raise ParseError("--order needs --family")
     if args.group:
         try:
             text = Path(args.group).read_text(encoding="utf-8")
@@ -300,6 +300,8 @@ def run(config: RunConfig) -> int:
     """Execute one mode and emit its report; returns the process exit code."""
     try:
         if config.mode == "catalog":
+            if config.group is not None or config.involution:
+                raise ParseError("catalog mode takes no group and no involution")
             payload = _catalog_payload(config)
         elif config.mode == "enumerate":
             if config.group is None:

@@ -562,12 +562,21 @@ def find_complement(ambient: UnitSet, factor: UnitSet) -> UnitSet:
 
     Generators are chosen by depth-first search in the canonical member
     order with strictly increasing positions, so the first complement found
-    has the lexicographically smallest generator sequence. Each step is
-    ``_extend(mul, span, (), c)``, as the group is abelian, and a branch is
-    cut when its span outgrows the target order or meets the factor beyond
-    the identity. A table subgroup goes in through ``group_image``, whose
-    masks ``1 << i`` sort like the indices. Raises NoComplementError when
-    the factor is not a direct factor.
+    has the lexicographically smallest generator sequence. A candidate c
+    extends the span S when <S, c> meets the factor F only in {1}. The
+    search carries the subgroup S*F and decides that from the powers of c
+    alone: c is skipped when it lies in S*F, and otherwise accepted exactly
+    when the first power c^j in S*F lies in S. (If c^j = s*f, then f lies in
+    <S, c> and F. Conversely, when c^j lies in S, an element s*c^i of <S, c>
+    with 0 <= i < j that lies in F puts c^i in S*F, so i = 0 and s lies in
+    S and F.) Then <S, c> is the union of the j cosets S*c^i, and <S, c>*F
+    that of the translates S*F*c^i. A span that meets F only in {1} never
+    outgrows |ambient| / |F|, as <S, c>*F lies in the ambient group, so the
+    order needs no test of its own. Only accepted spans are listed, by
+    ``_extend(mul, span, (), c)`` as the group is abelian. A table subgroup
+    goes in through ``group_image``, whose masks ``1 << i`` sort like the
+    indices. Raises NoComplementError when the factor is not a direct
+    factor.
     """
     if not isinstance(ambient, UnitSet) or not isinstance(factor, UnitSet):
         raise TypeError("find_complement takes UnitSets; map a SubgroupSet through group_image")
@@ -585,22 +594,27 @@ def find_complement(ambient: UnitSet, factor: UnitSet) -> UnitSet:
     if not factor_set <= ambient.mask_set():
         raise NotASubgroupError("factor is not contained in the ambient group")
 
-    def dfs(members: set[int], gens: list[int], start: int) -> UnitSet | None:
-        if len(members) == target:
-            return make_unit_set(g, members, generators=gens)
+    def dfs(
+        span: set[int], span_factor: frozenset[int], gens: list[int], start: int
+    ) -> UnitSet | None:
+        if len(span) == target:
+            return make_unit_set(g, span, generators=gens)
         for idx in range(start, len(ids)):
             c = ids[idx]
-            if c in members or c in factor_set:
+            powers = []
+            power = c
+            while power not in span_factor:
+                powers.append(power)
+                power = mul(power, c)
+            if not powers or power not in span:
                 continue
-            grown = _extend(mul, members, (), c)
-            if len(grown) > target or any(x in factor_set for x in grown if x != 1):
-                continue
-            found = dfs(grown, gens + [c], idx + 1)
+            grown_factor = span_factor | {mul(x, p) for x in span_factor for p in powers}
+            found = dfs(_extend(mul, span, (), c), grown_factor, gens + [c], idx + 1)
             if found is not None:
                 return found
         return None
 
-    found = dfs({1}, [], 0)
+    found = dfs({1}, factor_set, [], 0)
     if found is None:
         raise NoComplementError(
             f"no complement of a factor of order {len(factor_set)} "

@@ -10,7 +10,7 @@ is the coefficient of the group element with index i.
 
 from __future__ import annotations
 
-from f2units.errors import GroupAxiomViolationError, NotAUnitError
+from f2units.errors import GroupAxiomViolationError, NoComplementError, NotAUnitError
 
 
 def bits(mask: int) -> list[int]:
@@ -362,3 +362,41 @@ def naive_conjugation_witness(g, b: int, transversal, v_a, w_masks) -> str | Non
             if left != naive_mul(g, b_el, naive_apply_perm(g.inv, x1)):
                 return f"inverse-vs-star mismatch at {naive_render(g, x1)}"
     return None
+
+
+def naive_find_complement(g, ambient, factor) -> tuple[list[int], list[int]]:
+    """The first complement of ``factor`` in the abelian ``ambient`` (both
+    mask lists) found by depth-first search over the ascending members with
+    strictly increasing positions; returns (generators, sorted masks).
+    Every candidate's span <S, c> is listed, as the union of the cosets
+    S*c^i, and the branch is cut when the span outgrows |ambient| / |factor|
+    or meets the factor beyond the identity."""
+    ids = sorted(ambient)
+    factor_set = set(factor)
+    if len(ids) % len(factor_set):
+        raise NoComplementError("factor order does not divide ambient order")
+    target = len(ids) // len(factor_set)
+
+    def dfs(span, gens, start):
+        if len(span) == target:
+            return gens, sorted(span)
+        for idx in range(start, len(ids)):
+            c = ids[idx]
+            if c in span or c in factor_set:
+                continue
+            grown = set(span)
+            power = c
+            while power not in span:
+                grown.update(naive_mul(g, s, power) for s in span)
+                power = naive_mul(g, power, c)
+            if len(grown) > target or any(x in factor_set for x in grown if x != 1):
+                continue
+            found = dfs(grown, gens + [c], idx + 1)
+            if found is not None:
+                return found
+        return None
+
+    found = dfs({1}, [], 0)
+    if found is None:
+        raise NoComplementError("no complement")
+    return found

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
-from f2units.cli import _build_parser, main, parse_group_spec
+from f2units.cli import RunConfig, _build_parser, main, parse_group_spec, run
 from f2units.errors import GroupAxiomViolationError, ParseError
 
 
@@ -205,6 +205,7 @@ def test_groups_that_are_not_2_groups_exit_two(group_args, involution, order, mo
     [
         ["--family", "quaternion", "--order", "8", "--square-element", "zz"],
         ["--square-element", "a2"],
+        ["--order", "8"],
         ["--group", "SPEC", "--family", "quaternion"],
         ["--group", "SPEC", "--order", "8"],
         ["--group", "SPEC", "--square-element", "a2"],
@@ -217,6 +218,7 @@ def test_groups_that_are_not_2_groups_exit_two(group_args, involution, order, mo
     ids=[
         "square-element-without-inverting-extension",
         "square-element-alone",
+        "order-alone",
         "group-with-family",
         "group-with-order",
         "group-with-square-element",
@@ -235,6 +237,19 @@ def test_flags_the_run_would_ignore_exit_two(args, tmp_path, capsys):
     assert main([*args, *mode]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ParseError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "group, involution",
+    [("Q8", None), (None, "odot"), ("Q8", "classical")],
+    ids=["group", "involution", "both"],
+)
+def test_library_catalog_run_rejects_a_group_or_an_involution(group, involution, q8, capsys):
+    config = RunConfig(group=q8 if group else None, involution=involution, mode="catalog")
+    assert run(config) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ParseError: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
