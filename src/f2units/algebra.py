@@ -8,9 +8,10 @@ cached on the group, one set per basis element.
 The arithmetic core works on bare masks: ``_mul``, ``_inverse`` and
 ``_involute``. Every loop that multiplies single masks calls it directly;
 a loop over a whole member list multiplies on bit planes instead (see
-``unitgroup``).
-``AlgebraElement`` is the API wrapper: the public ``ga_*`` functions check
-that their operands share a group, call the core, and wrap the result.
+``unitgroup``); ``_coset_parts`` and ``_render`` split and print masks.
+``AlgebraElement`` is the API wrapper: the public ``ga_*`` functions, the
+splitters and ``render_element`` check their operands' group, call the
+core, and wrap the result.
 """
 
 from __future__ import annotations
@@ -237,6 +238,28 @@ def annihilator_solve(target: AlgebraElement, w: AlgebraElement) -> AlgebraEleme
     return AlgebraElement(g, kernel[-1] ^ 1 << n)
 
 
+def _coset_parts(g: GroupTable, mask: int, sub: SubgroupSet, reps: Sequence[int]) -> list[int]:
+    """Split a mask over the right cosets sub*r, r in reps: part k lies on
+    sub, and the mask is the sum of part k times reps[k]. Raises
+    BadCosetsError unless the cosets partition the group."""
+    where: dict[int, tuple[int, int]] = {}
+    for k, r in enumerate(reps):
+        for c in sub.members:
+            el = g.mul[c][r]
+            if el in where:
+                raise BadCosetsError(f"cosets overlap at element {g.labels[el]}")
+            where[el] = (k, c)
+    if len(where) != g.order:
+        raise BadCosetsError("cosets do not cover the group")
+    parts = [0] * len(reps)
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+        k, c = where[i]
+        parts[k] |= 1 << c
+    return parts
+
+
 def coset_split(
     x: AlgebraElement, a_sub: SubgroupSet, b: int
 ) -> tuple[AlgebraElement, AlgebraElement]:
@@ -246,20 +269,9 @@ def coset_split(
         raise GroupMismatchError("subgroup belongs to a different group")
     if 2 * a_sub.order != g.order:
         raise BadIndexError(f"subgroup has index {g.order // a_sub.order}, want 2")
-    members = a_sub.member_set()
-    if b in members:
+    if b in a_sub.member_set():
         raise BadIndexError("split element lies inside the subgroup")
-    binv = g.inv[b]
-    x1 = 0
-    x2 = 0
-    m = x.mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        if i in members:
-            x1 |= 1 << i
-        else:
-            x2 |= 1 << g.mul[i][binv]
+    x1, x2 = _coset_parts(g, x.mask, a_sub, (0, b))
     return AlgebraElement(g, x1), AlgebraElement(g, x2)
 
 
@@ -273,38 +285,23 @@ def quadrant_split(
     g = x.group
     if c_sub.group is not g:
         raise GroupMismatchError("subgroup belongs to a different group")
-    members = c_sub.members
-    ab = g.mul[a][b]
-    reps = (0, a, b, ab)
-    seen: dict[int, tuple[int, int]] = {}
-    for which, r in enumerate(reps):
-        for c in members:
-            el = g.mul[c][r]
-            if el in seen:
-                raise BadCosetsError(f"cosets overlap at element {g.labels[el]}")
-            seen[el] = (which, c)
-    if len(seen) != g.order:
-        raise BadCosetsError("cosets do not cover the group")
-    parts = [0, 0, 0, 0]
-    m = x.mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        which, c = seen[i]
-        parts[which] |= 1 << c
-    out = tuple(AlgebraElement(g, p) for p in parts)
-    return out[0], out[1], out[2], out[3]
+    parts = _coset_parts(g, x.mask, c_sub, (0, a, b, g.mul[a][b]))
+    x0, x1, x2, x3 = (AlgebraElement(g, p) for p in parts)
+    return x0, x1, x2, x3
 
 
 # ---------------------------------------------------------------------------
 # text rendering
 
 
+def _render(g: GroupTable, mask: int) -> str:
+    """Canonical display of a mask: labels of the support joined by ' + ', or '0'."""
+    return " + ".join(g.labels[i] for i in range(g.order) if mask >> i & 1) or "0"
+
+
 def render_element(x: AlgebraElement) -> str:
-    """Canonical display: labels of the support joined by ' + ', or '0'."""
-    if x.mask == 0:
-        return "0"
-    return " + ".join(x.group.labels[i] for i in x.support())
+    """Canonical display of an element (see _render)."""
+    return _render(x.group, x.mask)
 
 
 def parse_element(group: GroupTable, text: str) -> AlgebraElement:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import AlgebraElement, render_element
+from .algebra import _render
 from .catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from .decompositions import (
     DecompositionReport,
@@ -179,11 +179,7 @@ def _enumerate_payload(config: RunConfig) -> dict:
         "mode": "enumerate",
         "group": _group_descriptor(g),
         "orders": {"normalized_units": v.order},
-        "generators": {
-            "normalized_units": [
-                render_element(AlgebraElement(g, m)) for m in canonical_generators(v)
-            ]
-        },
+        "generators": {"normalized_units": [_render(g, m) for m in canonical_generators(v)]},
         "pass": True,
     }
     if config.involution:
@@ -191,9 +187,7 @@ def _enumerate_payload(config: RunConfig) -> dict:
         vu = enumerate_unitary(g, sigma, max_order=config.max_exhaustive_order)
         payload["involution"] = config.involution
         payload["orders"]["unitary"] = vu.order
-        payload["generators"]["unitary"] = [
-            render_element(AlgebraElement(g, m)) for m in canonical_generators(vu)
-        ]
+        payload["generators"]["unitary"] = [_render(g, m) for m in canonical_generators(vu)]
     return payload
 
 

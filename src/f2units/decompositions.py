@@ -17,9 +17,11 @@ Two pipelines, one per involution:
 Every identity the structural argument rests on is rechecked here; normality
 and commutation are decided on generators, which is sound for finite groups.
 The checks that every member of a factor is unitary (squares to 1, is
-central) stay per member, but run on the bit planes of the whole member list
-at once, and the first failing member is the witness. The conjugation
-identities and the product sets run on bit planes the same way.
+central) stay per member, but ``_failing_members`` runs them on the bit
+planes of the whole member list at once, and the first failing member is
+the witness. The conjugation identities and the product sets run on bit
+planes the same way. The per-element checks split with ``_coset_parts`` and
+work on masks: only ``annihilator_solve`` gets an ``AlgebraElement``.
 The assembled product is compared with the exhaustively enumerated unitary
 group, element for element, whenever the group is small enough.
 """
@@ -31,24 +33,17 @@ from functools import partial
 
 from .algebra import (
     AlgebraElement,
+    _coset_parts,
     _eliminate,
     _involute,
     _inverse,
     _mul,
+    _render,
     _span,
     annihilator_solve,
     augmentation,
-    basis,
-    coset_split,
-    ga_add,
-    ga_inverse,
-    ga_involute,
-    ga_mul,
-    one,
-    quadrant_split,
-    render_element,
 )
-from .errors import NoComplementError, NoSolutionError, NotUnitaryError
+from .errors import GroupMismatchError, NoComplementError, NoSolutionError, NotUnitaryError
 from .groups import _greedy_generators, coset_representatives
 from .involutions import (
     InvertingExtensionForm,
@@ -60,12 +55,11 @@ from .involutions import (
 from .unitgroup import (
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
+    _failing_members,
     _fixed_planes,
     _member_planes,
-    _noncommuting,
     _permuted_planes,
     _planes_to_masks,
-    _product_not_one,
     _product_planes,
     canonical_generators,
     enumerate_unitary,
@@ -137,29 +131,14 @@ def _group_descriptor(g) -> dict:
     return {"family": g.family, "order": g.order, "spec": g.name}
 
 
-def _render(g, m: int) -> str:
-    return render_element(AlgebraElement(g, m))
-
-
 def _add_member_check(
     report: DecompositionReport, name: str, g, masks, sigma=None, square=False, central=()
 ) -> None:
     """Add check ``name``: every mask squares to 1 (``square``), is unitary
     under ``sigma`` and commutes with each mask in ``central``; else the first
-    failing member is the witness.
-
-    The tests run on the bit planes of the whole list at once: bit k of
-    ``bad`` marks a failing masks[k].
+    failing member (see ``_failing_members``) is the witness.
     """
-    planes = _member_planes(masks, g.order)
-    full = (1 << len(masks)) - 1
-    bad = 0
-    if square:
-        bad |= _product_not_one(g, planes, planes, full)
-    if sigma is not None:
-        bad |= _product_not_one(g, planes, _permuted_planes(sigma.perm, planes), full)
-    for y in central:
-        bad |= _noncommuting(g, _fixed_planes(g.order, y, full), planes)
+    bad = _failing_members(g, masks, None if sigma is None else sigma.perm, square, central)
     first = (bad & -bad).bit_length() - 1
     report.add(name, not bad, _render(g, masks[first]) if bad else None)
 
@@ -282,7 +261,7 @@ def _conjugation_witness(
     xs = _member_planes(masks, n)
     stars = _permuted_planes(perm, xs)
     # Members failing for every g_i: not unitary, or b x1* != x1 b.
-    always = _product_not_one(g, xs, stars, full)
+    always = _failing_members(g, masks, perm)
     fixed_b = _fixed_planes(n, b_el, full)
     for p, q in zip(_product_planes(g, fixed_b, stars), _product_planes(g, xs, fixed_b)):
         always |= p ^ q
@@ -330,28 +309,27 @@ def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) ->
     g = form.group
     if augmentation(x) == 0:
         raise NotUnitaryError("element has augmentation 0")
-    sigma = classical_involution(g)
-    x1, x2 = coset_split(x, form.a_sub, form.b)
-    if augmentation(x2) == 1:
-        x = ga_mul(x, basis(g, form.b))
-        x1, x2 = coset_split(x, form.a_sub, form.b)
-    if augmentation(x1) != 1:
+    if x.group is not g:
+        raise GroupMismatchError("element lives in a different group")
+    mul = partial(_mul, g)
+    perm = classical_involution(g).perm
+    reps = (0, form.b)
+    x1, x2 = _coset_parts(g, x.mask, form.a_sub, reps)
+    if x2.bit_count() & 1:
+        x1, x2 = _coset_parts(g, mul(x.mask, 1 << form.b), form.a_sub, reps)
+    if not x1.bit_count() & 1:
         return False
-    y = ga_mul(ga_inverse(x1), x2)
-    nb = AlgebraElement(g, _one_plus_bsq(form))
-    x1s = ga_involute(sigma, x1)
-    ys = ga_involute(sigma, y)
-    line1 = ga_mul(ga_mul(x1, x1s), ga_add(one(g), ga_mul(y, ys))).mask == 1
-    line2 = ga_mul(y, nb).mask == 0
-    if not (line1 and line2):
+    y = mul(_inverse(g, x1), x2)
+    nb = _one_plus_bsq(form)
+    x1_norm = mul(x1, _involute(perm, x1))
+    y_norm = mul(y, _involute(perm, y))
+    if mul(x1_norm, 1 ^ y_norm) != 1 or mul(y, nb):
         return False
     try:
-        annihilator_solve(y, nb)
+        annihilator_solve(AlgebraElement(g, y), AlgebraElement(g, nb))
     except NoSolutionError:
         return False
-    if ga_mul(y, ys).mask != 0:
-        return False
-    return ga_mul(x1, x1s).mask == 1
+    return not y_norm and x1_norm == 1
 
 
 def verify_inverting_decomposition(
@@ -508,12 +486,14 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
     g = form.group
     if augmentation(x) == 0:
         raise NotUnitaryError("element has augmentation 0")
+    if x.group is not g:
+        raise GroupMismatchError("element lives in a different group")
     a, b, e = form.a, form.b, form.e
     mul = partial(_mul, g)
     ne = 1 ^ (1 << e)
     asq = 1 << g.mul[a][a]
     bsq = 1 << g.mul[b][b]
-    x0, x1, x2, x3 = (q.mask for q in quadrant_split(x, form.c_sub, a, b))
+    x0, x1, x2, x3 = _coset_parts(g, x.mask, form.c_sub, (0, a, b, g.mul[a][b]))
     # The four equations' left sides, on central masks.
     system = (
         mul(x0, x0)

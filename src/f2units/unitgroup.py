@@ -20,11 +20,11 @@ transposes back. ``_product_planes`` is the one multiply on planes: u * v
 for every pair of members at the same bit. A fixed multiplier y is an
 ordinary operand, its ``_fixed_planes`` set at each position in its support.
 ``product_masks`` tiles its left side and widens its right side, so that one
-plane product lists every pair; the member checks test u * perm(u) = 1 (the
-unitary test with ``sigma.perm`` and the square with the identity) and
-commutation; the conjugation identities of the classical decomposition are
-checked for every unitary element at once; and the kernel builds its
-starting planes with ``_product_planes`` too.
+plane product lists every pair; ``_failing_members`` is the one member test
+(u * perm(u) = 1, u * u = 1, commutation), used by the decompositions'
+member checks, their conjugation identities (checked for every unitary
+element at once) and ``elements_of_order_dividing_2``; and the kernel
+builds its starting planes with ``_product_planes`` too.
 
 Both scans run on the calling thread. The kernel's loop is big-int
 arithmetic that holds the GIL, so worker threads gained nothing: a full
@@ -264,20 +264,31 @@ def _product_planes(g: GroupTable, left: Sequence[int], right: Sequence[int]) ->
     return out
 
 
-def _product_not_one(g: GroupTable, left: Sequence[int], right: Sequence[int], full: int) -> int:
-    """The members (bits of ``full``) with u * v != 1 for the paired u, v."""
-    out = _product_planes(g, left, right)
-    bad = out[0] ^ full
-    for p in out[1:]:
-        bad |= p
-    return bad
-
-
-def _noncommuting(g: GroupTable, fixed: Sequence[int], planes: Sequence[int]) -> int:
-    """The members u with u * y != y * u, for the ``_fixed_planes`` of y."""
+def _failing_members(
+    g: GroupTable,
+    masks: Sequence[int],
+    perm: Sequence[int] | None = None,
+    square: bool = False,
+    central: Iterable[int] = (),
+) -> int:
+    """The members that fail a check, one bit each: bit k is set when
+    u = masks[k] has u * u != 1 (``square``), u * perm(u) != 1 (``perm``)
+    or u * y != y * u for some y in ``central``. Every test runs on the bit
+    planes of the whole list at once."""
+    n = g.order
+    full = (1 << len(masks)) - 1
+    u = _member_planes(masks, n)
+    one = _fixed_planes(n, 1, full)
+    pairs = [(_product_planes(g, u, u), one)] if square else []
+    if perm is not None:
+        pairs.append((_product_planes(g, u, _permuted_planes(perm, u)), one))
+    for y in central:
+        fixed = _fixed_planes(n, y, full)
+        pairs.append((_product_planes(g, u, fixed), _product_planes(g, fixed, u)))
     bad = 0
-    for p, q in zip(_product_planes(g, planes, fixed), _product_planes(g, fixed, planes)):
-        bad |= p ^ q
+    for left, right in pairs:
+        for p, q in zip(left, right):
+            bad |= p ^ q
     return bad
 
 
@@ -506,12 +517,8 @@ def elements_of_order_dividing_2(v: UnitSet) -> UnitSet:
     """Subgroup of self-inverse members of an abelian unit set."""
     if not _is_abelian_units(v):
         raise NotAbelianError("order-dividing-2 subgroup requires an abelian ambient")
-    g = v.group
-    full = (1 << len(v.masks)) - 1
-    planes = _member_planes(v.masks, g.order)
-    bad = _product_not_one(g, planes, planes, full)
-    keep = format(full ^ bad, f"0{len(v.masks)}b")[::-1]
-    return make_unit_set(g, (m for m, k in zip(v.masks, keep) if k == "1"))
+    bad = format(_failing_members(v.group, v.masks, square=True), f"0{len(v.masks)}b")[::-1]
+    return make_unit_set(v.group, (m for m, k in zip(v.masks, bad) if k == "0"))
 
 
 def canonical_generators(s: UnitSet) -> list[int]:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
 from f2units.algebra import _inverse, _involute, _mul
-from f2units.catalog import catalog_groups
+from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, catalog_groups
 from f2units.errors import (
     BadCosetsError,
     BadIndexError,
@@ -162,13 +164,22 @@ def test_divide_by_unit_is_exact(q8):
 # splits
 
 
-def test_coset_split_roundtrip(q8):
-    a_sub = f.subgroup_closure(q8, [1])
-    b = 4
-    bb = f.basis(q8, b)
-    for m in range(256):
-        x = elem(q8, m)
-        x1, x2 = f.coset_split(x, a_sub, b)
+def _split_masks(g):
+    """Every mask at order 8, a seeded sample of 256 above."""
+    if g.order <= 8:
+        return range(1 << g.order)
+    rng = random.Random(g.order)
+    return [rng.getrandbits(g.order) for _ in range(256)]
+
+
+@pytest.mark.parametrize("entry", CLASSICAL_ENTRIES, ids=lambda e: e.key)
+def test_coset_split_roundtrip(entry):
+    form = entry.form()
+    g, a_sub = form.group, form.a_sub
+    bb = f.basis(g, form.b)
+    for m in _split_masks(g):
+        x = elem(g, m)
+        x1, x2 = f.coset_split(x, a_sub, form.b)
         assert x1 + f.ga_mul(x2, bb) == x
         assert all(i in a_sub.member_set() for i in x1.support())
         assert all(i in a_sub.member_set() for i in x2.support())
@@ -183,13 +194,23 @@ def test_coset_split_rejects_bad_subgroup(q8):
         f.coset_split(f.one(q8), a_sub, 2)  # twist inside the subgroup
 
 
-def test_quadrant_split_roundtrip(d8, d8_odot_form):
-    form = d8_odot_form
-    c_sub = form.c_sub
-    aa, bb = f.basis(d8, form.a), f.basis(d8, form.b)
+def test_coset_split_checks_the_group_first(q8, d8):
+    """A subgroup of another group fails on the group, not on its index or
+    on the twist lying inside it."""
+    small = f.subgroup_closure(d8, [2])
+    assert 2 * small.order != d8.order and 2 in small.member_set()
+    with pytest.raises(GroupMismatchError):
+        f.coset_split(f.one(q8), small, 2)
+
+
+@pytest.mark.parametrize("entry", ODOT_ENTRIES, ids=lambda e: e.key)
+def test_quadrant_split_roundtrip(entry):
+    form = entry.form()
+    g, c_sub = form.group, form.c_sub
+    aa, bb = f.basis(g, form.a), f.basis(g, form.b)
     ab = f.ga_mul(aa, bb)
-    for m in range(256):
-        x = elem(d8, m)
+    for m in _split_masks(g):
+        x = elem(g, m)
         x0, x1, x2, x3 = f.quadrant_split(x, c_sub, form.a, form.b)
         back = x0 + f.ga_mul(x1, aa) + f.ga_mul(x2, bb) + f.ga_mul(x3, ab)
         assert back == x
@@ -201,6 +222,14 @@ def test_quadrant_split_rejects_overlapping_cosets(d8):
     c_sub = f.center(d8)
     with pytest.raises(BadCosetsError):
         f.quadrant_split(f.one(d8), c_sub, 2, 4)  # r2 is central: cosets collide
+
+
+def test_quadrant_split_checks_the_group_first(q8, d8):
+    """A subgroup of another group fails on the group, not on its cosets."""
+    with pytest.raises(BadCosetsError):
+        f.quadrant_split(f.one(d8), f.center(d8), 2, 4)
+    with pytest.raises(GroupMismatchError):
+        f.quadrant_split(f.one(q8), f.center(d8), 2, 4)
 
 
 # ---------------------------------------------------------------------------

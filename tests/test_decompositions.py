@@ -9,7 +9,7 @@ import pytest
 
 import f2units as f
 from f2units import decompositions
-from f2units.catalog import ODOT_ENTRIES
+from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import NotUnitaryError
 from f2units.unitgroup import make_unit_set
 
@@ -101,6 +101,36 @@ def test_split_form_requires_a_unit(q8, q8_form):
         f.check_unitary_split_form(q8_form, f.zero(q8))
     with pytest.raises(NotUnitaryError):
         f.check_unitary_split_form(q8_form, f.one(q8) + f.basis(q8, 1))
+
+
+def _lemma_sample(g, unitary, seed):
+    """About 100 unitary members and 100 odd masks, by a seeded sample."""
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(g.order) for _ in range(100)]
+    odd = [m if m.bit_count() & 1 else m ^ 1 for m in masks]
+    return rng.sample(sorted(unitary), min(100, len(unitary))) + odd
+
+
+@pytest.mark.parametrize("entry", CLASSICAL_ENTRIES, ids=lambda e: e.key)
+def test_split_form_decides_unitarity_on_catalog(entry):
+    """The split-form check is true exactly on the enumerated unitary set."""
+    form = entry.form()
+    g = form.group
+    unitary = f.enumerate_unitary(g, f.classical_involution(g)).mask_set()
+    for m in _lemma_sample(g, unitary, g.order):
+        got = f.check_unitary_split_form(form, f.AlgebraElement(g, m))
+        assert got == (m in unitary), hex(m)
+
+
+@pytest.mark.parametrize("entry", ODOT_ENTRIES, ids=lambda e: e.key)
+def test_quadrant_system_decides_unitarity_on_catalog(entry):
+    """The quadrant system is true exactly on the enumerated unitary set."""
+    form = entry.form()
+    g = form.group
+    unitary = f.enumerate_unitary(g, f.odot_involution(form), max_order=32).mask_set()
+    for m in _lemma_sample(g, unitary, g.order):
+        got = f.check_unitary_quadrant_system(form, f.AlgebraElement(g, m))
+        assert got == (m in unitary), hex(m)
 
 
 def test_verify_classical_q8_passes(q8_form):

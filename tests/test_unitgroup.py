@@ -182,6 +182,28 @@ def test_structure_predicates_on_elementary_abelian(q8, q8_form):
     assert preds["exponent"] == 2
 
 
+def _classical_unitary_q8():
+    q8 = f.make_quaternion(8)
+    return f.enumerate_unitary(q8, f.classical_involution(q8))
+
+
+@pytest.mark.parametrize(
+    "build, exponent",
+    [
+        (lambda: f.enumerate_normalized_units(f.make_cyclic(4)), 4),
+        (lambda: f.group_image(f.make_quaternion(16)), 8),
+        (_classical_unitary_q8, 4),
+        (lambda: f.enumerate_normalized_units(f.make_cyclic(8)), 8),
+    ],
+    ids=["V(F2C4)", "group_image(Q16)", "V_*(F2Q8)", "V(F2C8)"],
+)
+def test_structure_predicates_exponent_beyond_two(build, exponent):
+    """Off the elementary abelian branch the exponent is the largest member
+    order, and there is no rank."""
+    preds = f.structure_predicates(build())
+    assert preds == {"is_elementary_abelian_2": False, "rank": None, "exponent": exponent}
+
+
 def test_order_two_subgroup_extraction(c4xc2):
     v = f.enumerate_normalized_units(c4xc2)
     sq = f.elements_of_order_dividing_2(v)
