@@ -14,14 +14,15 @@ Two pipelines, one per involution:
   and a central unipotent factor {1 + x1 a + x2 b + x3 ab} with coordinates
   in the ideal (1+e) F2C.
 
-Every identity the structural argument rests on is rechecked here; normality
-and commutation are decided on generators, which is sound for finite groups.
-The checks that every member of a factor is unitary (squares to 1, is
-central) stay per member, but ``_failing_members`` runs them on the bit
-planes of the whole member list at once, and the first failing member is
-the witness. The conjugation identities and the product sets run on bit
-planes the same way. The per-element checks split with ``_coset_parts`` and
-work on masks: only ``annihilator_solve`` gets an ``AlgebraElement``.
+Every identity the structural argument rests on is rechecked here; normality,
+commutation and the conjugation identities are decided on generators, which
+is sound for finite groups. The checks that every member of a factor is
+unitary (squares to 1, is central) stay per member, and
+``_failing_members`` runs them on the whole member list at once; the first
+failing member is the witness. Those checks and the product sets come from
+``unitgroup``, which alone knows its bit-plane format. The per-element
+checks split with ``_coset_parts`` and work on masks: only
+``annihilator_solve`` gets an ``AlgebraElement``.
 The assembled product is compared with the exhaustively enumerated unitary
 group, element for element, whenever the group is small enough.
 """
@@ -56,14 +57,10 @@ from .unitgroup import (
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
     _failing_members,
-    _fixed_planes,
-    _member_planes,
-    _permuted_planes,
-    _planes_to_masks,
-    _product_planes,
     canonical_generators,
     enumerate_unitary,
     find_complement,
+    gens_of,
     group_image,
     internal_direct,
     internal_semidirect,
@@ -218,72 +215,55 @@ def _conjugation_witness(
 
     For each transversal element g_i with generator w_i = 1 + (1+b*b) g_i b:
     conjugating w_i by b gives the generator at the representative of the
-    coset of g_i's inverse; conjugating by any unitary x1 of the subalgebra
-    on A gives 1 + (1+b*b) x1^2 g_i b; and b x1^{-1} = x1 b.
+    coset of g_i's inverse; conjugating by a unitary x1 of the subalgebra on
+    A gives 1 + (1+b*b) x1^2 g_i b, inside W; and b x1^{-1} = x1 b = b x1*.
 
-    The witness is the first failing (g_i, x1) pair, g_i outer. Every x1 is
-    tested at once on the bit planes of v_a, with x1* for x1^{-1}. That is
-    exact for each x1 with x1 x1* = 1. Any other x1 fails: b x1^{-1} = b x1*
-    would make it unitary. The message of a failing pair is worked out from
-    the pair itself, with the true inverse.
+    x1 runs over the canonical generators of v_a only. That suffices, as the
+    subalgebra on A is commutative and holds b*b: if the identities hold for
+    x1 and y1, then b (x1 y1)^{-1} = y1 b x1^{-1} = x1 y1 b, and
+    x1 y1 w_i (x1 y1)^{-1} = 1 + x1 (1+b*b) y1^2 g_i b x1^{-1}
+    = 1 + (1+b*b) (x1 y1)^2 g_i b; (x1 y1)* = y1* x1* = (x1 y1)^{-1}; and
+    inverses are positive powers. The witness is the first failing
+    (g_i, x1) pair, g_i outer.
     """
     g = form.group
-    n = g.order
     nb = _one_plus_bsq(form)
     b_el = 1 << form.b
     b_inv = 1 << g.inv[form.b]
     perm = classical_involution(g).perm
-    bsq = form.b_squared
+    w = {gi: _unipotent_generator(form, gi) for gi in form.transversal}
     rep_of: dict[int, int] = {}
     for rep in form.transversal:
-        rep_of[rep] = rep
-        rep_of[g.mul[bsq][rep]] = rep
+        rep_of[rep] = rep_of[g.mul[form.b_squared][rep]] = rep
 
-    def pair_witness(gi: int, w_i: int, x1: int) -> str | None:
+    # Per generator: its inverse, (1+b*b) x1^2, and the first failing twist
+    # identity, which does not depend on g_i.
+    xs = []
+    for x1 in gens_of(v_a):
         x1_inv = _inverse(g, x1)
-        conj = _mul(g, _mul(g, x1, w_i), x1_inv)
-        pred = 1 ^ _mul(g, _mul(g, _mul(g, nb, _mul(g, x1, x1)), 1 << gi), b_el)
-        if conj != pred or conj not in w_masks:
-            return (
-                f"unitary conjugation at {g.labels[gi]} by "
-                f"{_render(g, x1)}: got {_render(g, conj)}"
-            )
         left = _mul(g, b_el, x1_inv)
         if left != _mul(g, x1, b_el):
-            return f"twist commutation fails at {_render(g, x1)}"
-        if left != _mul(g, b_el, _involute(perm, x1)):
-            return f"inverse-vs-star mismatch at {_render(g, x1)}"
-        return None
+            twist = f"twist commutation fails at {_render(g, x1)}"
+        elif left != _mul(g, b_el, _involute(perm, x1)):
+            twist = f"inverse-vs-star mismatch at {_render(g, x1)}"
+        else:
+            twist = None
+        xs.append((x1, x1_inv, _mul(g, nb, _mul(g, x1, x1)), twist))
 
-    masks = v_a.masks
-    count = len(masks)
-    full = (1 << count) - 1
-    xs = _member_planes(masks, n)
-    stars = _permuted_planes(perm, xs)
-    # Members failing for every g_i: not unitary, or b x1* != x1 b.
-    always = _failing_members(g, masks, perm)
-    fixed_b = _fixed_planes(n, b_el, full)
-    for p, q in zip(_product_planes(g, fixed_b, stars), _product_planes(g, xs, fixed_b)):
-        always |= p ^ q
-    nb_sq = _product_planes(g, _fixed_planes(n, nb, full), _product_planes(g, xs, xs))
-    for gi in form.transversal:
-        w_i = _unipotent_generator(form, gi)
+    for gi, w_i in w.items():
         conj_b = _mul(g, _mul(g, b_el, w_i), b_inv)
-        gj = rep_of[g.inv[gi]]
-        if conj_b != _unipotent_generator(form, gj) or conj_b not in w_masks:
+        if conj_b != w[rep_of[g.inv[gi]]] or conj_b not in w_masks:
             return f"twist conjugation at {g.labels[gi]}: got {_render(g, conj_b)}"
-        conj = _product_planes(g, _product_planes(g, xs, _fixed_planes(n, w_i, full)), stars)
-        pred = _product_planes(g, nb_sq, _fixed_planes(n, 1 << g.mul[gi][form.b], full))
-        pred[0] ^= full
-        bad = always
-        for p, q in zip(conj, pred):
-            bad |= p ^ q
-        flags = format(bad, f"0{count}b")[::-1]
-        for k, m in enumerate(_planes_to_masks(conj, count, n)):
-            if flags[k] == "1" or m not in w_masks:
-                witness = pair_witness(gi, w_i, masks[k])
-                if witness is not None:
-                    return witness
+        gi_b = 1 << g.mul[gi][form.b]
+        for x1, x1_inv, nb_sq, twist in xs:
+            conj = _mul(g, _mul(g, x1, w_i), x1_inv)
+            if conj != 1 ^ _mul(g, nb_sq, gi_b) or conj not in w_masks:
+                return (
+                    f"unitary conjugation at {g.labels[gi]} by "
+                    f"{_render(g, x1)}: got {_render(g, conj)}"
+                )
+            if twist is not None:
+                return twist
     return None
 
 
@@ -307,10 +287,10 @@ def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) ->
     only when x is not even a unit.
     """
     g = form.group
-    if augmentation(x) == 0:
-        raise NotUnitaryError("element has augmentation 0")
     if x.group is not g:
         raise GroupMismatchError("element lives in a different group")
+    if augmentation(x) == 0:
+        raise NotUnitaryError("element has augmentation 0")
     mul = partial(_mul, g)
     perm = classical_involution(g).perm
     reps = (0, form.b)
@@ -484,10 +464,10 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
     that x0^2 = 1. True exactly when x is unitary.
     """
     g = form.group
-    if augmentation(x) == 0:
-        raise NotUnitaryError("element has augmentation 0")
     if x.group is not g:
         raise GroupMismatchError("element lives in a different group")
+    if augmentation(x) == 0:
+        raise NotUnitaryError("element has augmentation 0")
     a, b, e = form.a, form.b, form.e
     mul = partial(_mul, g)
     ne = 1 ^ (1 << e)

@@ -13,18 +13,20 @@ augmentation 1. Two routines cover it:
   (sub)algebra and uses no structural input, so it stays an independent
   oracle for the decompositions.
 
-The same int bit planes serve the products and checks of the
-decompositions. ``_member_planes`` transposes a list of masks, one plane per
-coefficient position and one bit per member, and ``_planes_to_masks``
-transposes back. ``_product_planes`` is the one multiply on planes: u * v
-for every pair of members at the same bit. A fixed multiplier y is an
-ordinary operand, its ``_fixed_planes`` set at each position in its support.
-``product_masks`` tiles its left side and widens its right side, so that one
-plane product lists every pair; ``_failing_members`` is the one member test
-(u * perm(u) = 1, u * u = 1, commutation), used by the decompositions'
-member checks, their conjugation identities (checked for every unitary
-element at once) and ``elements_of_order_dividing_2``; and the kernel
-builds its starting planes with ``_product_planes`` too.
+The same int bit planes serve the product sets and member checks of the
+decompositions, and only this module knows their format. ``_member_planes``
+transposes a list of masks, one plane per coefficient position and one bit
+per member, and ``_planes_to_masks`` transposes back. ``_product_planes`` is
+the one multiply on planes: u * v for every pair of members at the same bit.
+A fixed multiplier y is an ordinary operand, its ``_fixed_planes`` set at
+each position in its support. ``product_masks`` tiles its left side and
+widens its right side, so that one plane product lists every pair;
+``_failing_members`` is the one member test (u * perm(u) = 1, u * u = 1,
+commutation), used by the decompositions' member checks and
+``elements_of_order_dividing_2``; and the kernel builds its starting planes
+with ``_product_planes`` too. Structure checks work on generators; a set
+without recorded generators computes its canonical ones once and caches
+them.
 
 Both scans run on the calling thread. The kernel's loop is big-int
 arithmetic that holds the GIL, so worker threads gained nothing: a full
@@ -85,6 +87,13 @@ class UnitSet:
     @cached_property
     def _mask_set(self) -> frozenset[int]:
         return frozenset(self.masks)
+
+    @cached_property
+    def _canonical_generators(self) -> tuple[int, ...]:
+        gens, _ = _greedy_generators(partial(_mul, self.group), 1, self.masks)
+        for m in gens:
+            _inverse(self.group, m)  # NotAUnitError on a non-unit member
+        return tuple(gens)
 
     def mask_set(self) -> frozenset[int]:
         return self._mask_set
@@ -436,9 +445,10 @@ def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:
 def internal_semidirect(ambient: UnitSet, n: UnitSet, k: UnitSet) -> bool:
     """True iff n is normal in ambient, meets k trivially, and n*k = ambient.
 
-    Decided without listing n*k. If the generators of n and k normalize n
-    and n meets k trivially, then n*k = <n, k> is a subgroup of ambient of
-    order |n||k|, so it is ambient exactly when the orders agree. Conversely
+    Decided without listing n*k. n is a subgroup, so it normalizes itself,
+    and only the generators of k are conjugated. If they normalize n and n
+    meets k trivially, then n*k = <n, k> is a subgroup of ambient of order
+    |n||k|, so it is ambient exactly when the orders agree. Conversely
     n*k = ambient with a trivial intersection forces |ambient| = |n||k|, and
     the generators of n and k then generate ambient.
     """
@@ -446,7 +456,7 @@ def internal_semidirect(ambient: UnitSet, n: UnitSet, k: UnitSet) -> bool:
     _require_subset(ambient, k, "the complement part")
     if n.mask_set() & k.mask_set() != {1} or n.order * k.order != ambient.order:
         return False
-    return normalizes(ambient.group, gens_of(n) + gens_of(k), n)
+    return normalizes(ambient.group, gens_of(k), n)
 
 
 def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
@@ -479,8 +489,9 @@ def internal_direct(ambient: UnitSet, factors: Sequence[UnitSet]) -> bool:
 
 
 def _is_abelian_units(s: UnitSet) -> bool:
-    gens = gens_of(s)
-    return commute(s.group, gens, gens)
+    """True iff the generators of s commute pairwise, each pair tested once."""
+    mul = partial(_mul, s.group)
+    return all(mul(x, y) == mul(y, x) for x, y in combinations(gens_of(s), 2))
 
 
 def _element_order_in_units(g: GroupTable, m: int) -> int:
@@ -501,10 +512,7 @@ def structure_predicates(s: UnitSet) -> dict:
     commuting involutions generate an elementary abelian group).
     """
     g = s.group
-    gens = gens_of(s)
-    abelian = commute(g, gens, gens)
-    squares_one = all(_mul(g, m, m) == 1 for m in gens)
-    elementary = abelian and squares_one
+    elementary = _is_abelian_units(s) and all(_mul(g, m, m) == 1 for m in gens_of(s))
     rank = s.order.bit_length() - 1 if elementary else None
     if elementary:
         exponent = 1 if s.order == 1 else 2
@@ -522,16 +530,13 @@ def elements_of_order_dividing_2(v: UnitSet) -> UnitSet:
 
 
 def canonical_generators(s: UnitSet) -> list[int]:
-    """``_greedy_generators`` over the canonical member order (deterministic).
+    """``_greedy_generators`` over the canonical member order (deterministic),
+    computed once per set.
 
     A non-unit member lies in no span of units, so a non-unit becomes a
     generator, and the check on the generators raises NotAUnitError.
     """
-    g = s.group
-    gens, _ = _greedy_generators(partial(_mul, g), 1, s.masks)
-    for m in gens:
-        _inverse(g, m)  # NotAUnitError on a non-unit member
-    return gens
+    return list(s._canonical_generators)
 
 
 def gens_of(s: UnitSet) -> list[int]:

@@ -1,6 +1,8 @@
-"""The conjugation identities of the classical decomposition, checked on bit
-planes, against the pairwise oracle: the same witness string on every
-intact instance and on inputs mutated to fail each identity."""
+"""The conjugation identities of the classical decomposition, checked on the
+generators of V_*(F2A), against the pairwise oracle over every member: the
+same verdict and message kind on every intact instance and on inputs mutated
+to fail each identity, and the same witness string wherever the oracle's
+failing x1 is a generator."""
 
 from __future__ import annotations
 
@@ -9,10 +11,11 @@ import dataclasses
 import pytest
 
 import f2units as f
+from f2units import decompositions
 from f2units.catalog import CLASSICAL_ENTRIES
 from f2units.decompositions import _conjugation_witness, build_unipotent_factor
-from f2units.unitgroup import enumerate_unitary, make_unit_set
-from oracles import naive_conjugation_witness
+from f2units.unitgroup import canonical_generators, enumerate_unitary, make_unit_set
+from oracles import naive_conjugation_witness, naive_render
 
 FORMS = {
     **{e.key: e.form for e in CLASSICAL_ENTRIES},
@@ -29,16 +32,39 @@ MESSAGES = {
 
 def _inputs(form):
     g = form.group
-    v_a = enumerate_unitary(g, f.classical_involution(g), support=form.a_sub)
+    v_a = enumerate_unitary(g, f.classical_involution(g), max_order=32, support=form.a_sub)
     return v_a, build_unipotent_factor(form).mask_set()
 
 
+def _witness_x1(text: str) -> str | None:
+    """The rendered x1 of a witness, or None for a twist conjugation."""
+    if text.startswith("unitary conjugation"):
+        return text.split(" by ", 1)[1].split(": got ", 1)[0]
+    if text.startswith("twist conjugation"):
+        return None
+    return text.split(" at ", 1)[1]
+
+
 def _both(form, v_a, w_masks):
-    """Both witnesses, asserted equal; the message kind, or None on a pass."""
+    """The check against the oracle over every member of v_a: the same
+    verdict and message kind, and the same string when the oracle's x1 is
+    a generator. Against the oracle over the generators alone, always the
+    same string. Returns the message kind, or None on a pass."""
+    g = form.group
+    gens = canonical_generators(v_a)
     got = _conjugation_witness(form, v_a, w_masks)
-    want = naive_conjugation_witness(form.group, form.b, form.transversal, v_a.masks, w_masks)
-    assert got == want
-    return None if got is None else got.split(" at ")[0]
+    want = naive_conjugation_witness(g, form.b, form.transversal, v_a.masks, w_masks)
+    on_gens = naive_conjugation_witness(g, form.b, form.transversal, gens, w_masks)
+    assert got == on_gens
+    assert (got is None) is (want is None)
+    if got is None:
+        return None
+    kind = got.split(" at ")[0]
+    assert kind == want.split(" at ")[0]
+    x1 = _witness_x1(want)
+    if x1 is None or x1 in {naive_render(g, m) for m in gens}:
+        assert got == want
+    return kind
 
 
 @pytest.mark.parametrize("key", sorted(FORMS))
@@ -50,18 +76,38 @@ def test_witness_passes_with_the_oracle(key):
 def test_witness_matches_the_oracle_on_each_failure():
     """Q16 with W missing a member, with a non-unitary member in v_a, and
     with another element as the twist: together these fail all four
-    identities."""
+    identities. On each of the 33 mutations the check and the oracle agree."""
     g = f.make_quaternion(16)
     form = f.detect_inverting_form(g)
     v_a, w_masks = _inputs(form)
-    kinds = set()
+    kinds = []
     for m in sorted(w_masks - {1}):
-        kinds.add(_both(form, v_a, w_masks - {m}))
+        kinds.append(_both(form, v_a, w_masks - {m}))
     for text in ("1 + a + a2", "1 + a + b", "ab + a2b + a5b"):
         x = f.parse_element(g, text).mask
         assert x not in v_a
-        kinds.add(_both(form, make_unit_set(g, (*v_a.masks, x)), w_masks))
+        kinds.append(_both(form, make_unit_set(g, (*v_a.masks, x)), w_masks))
     for b in range(g.order):
         if b != form.b:
-            kinds.add(_both(dataclasses.replace(form, b=b), v_a, w_masks))
-    assert kinds - {None} == MESSAGES
+            kinds.append(_both(dataclasses.replace(form, b=b), v_a, w_masks))
+    assert len(kinds) == 33
+    assert set(kinds) - {None} == MESSAGES
+
+
+def test_a_missing_member_of_w_is_found_at_a_generator():
+    """The oracle meets this missing member of W first at x1 = 1, which is
+    no generator; the check meets it at a generator."""
+    g = f.make_quaternion(16)
+    form = f.detect_inverting_form(g)
+    v_a, w_masks = _inputs(form)
+    missing = f.parse_element(g, "1 + ab + a5b").mask
+    want = naive_conjugation_witness(g, form.b, form.transversal, v_a.masks, w_masks - {missing})
+    assert want == "unitary conjugation at a by 1: got 1 + ab + a5b"
+    assert f.parse_element(g, "1 + a2 + a4").mask in canonical_generators(v_a)
+    got = _conjugation_witness(form, v_a, w_masks - {missing})
+    assert got == "unitary conjugation at a by 1 + a2 + a4: got 1 + ab + a5b"
+
+
+def test_decompositions_binds_no_plane_helper():
+    """The bit-plane format stays inside unitgroup."""
+    assert not [name for name in vars(decompositions) if "planes" in name]

@@ -10,7 +10,7 @@ import pytest
 import f2units as f
 from f2units import decompositions
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
-from f2units.errors import NotUnitaryError
+from f2units.errors import GroupMismatchError, NotUnitaryError
 from f2units.unitgroup import make_unit_set
 
 
@@ -101,6 +101,13 @@ def test_split_form_requires_a_unit(q8, q8_form):
         f.check_unitary_split_form(q8_form, f.zero(q8))
     with pytest.raises(NotUnitaryError):
         f.check_unitary_split_form(q8_form, f.one(q8) + f.basis(q8, 1))
+
+
+@pytest.mark.parametrize("make", [f.zero, f.one], ids=["zero", "one"])
+def test_split_form_checks_the_group_first(q8_form, d8, make):
+    """An element of another group fails on its group, whatever its augmentation."""
+    with pytest.raises(GroupMismatchError):
+        f.check_unitary_split_form(q8_form, make(d8))
 
 
 def _lemma_sample(g, unitary, seed):
@@ -236,6 +243,13 @@ def test_quadrant_components_have_even_coefficient_sum(q8, q8_odot_form):
 def test_quadrant_system_requires_a_unit(q8, q8_odot_form):
     with pytest.raises(NotUnitaryError):
         f.check_unitary_quadrant_system(q8_odot_form, f.zero(q8))
+
+
+@pytest.mark.parametrize("make", [f.zero, f.one], ids=["zero", "one"])
+def test_quadrant_system_checks_the_group_first(q8_odot_form, d8, make):
+    """An element of another group fails on its group, whatever its augmentation."""
+    with pytest.raises(GroupMismatchError):
+        f.check_unitary_quadrant_system(q8_odot_form, make(d8))
 
 
 def test_verify_twisted_q8_passes(q8_odot_form):

@@ -286,8 +286,8 @@ def test_group_inside_unitary_witness(key, witness):
 
 
 def test_construct_mode_q32_multiplies_on_planes(capsys):
-    """Products and conjugation checks run on bit planes: a construct-mode
-    run of Q32 made 43,141 calls to _mul before they did, and 13,253 after.
+    """Products and member checks run on bit planes: a construct-mode run
+    of Q32 made 43,141 calls to _mul before they did, and 13,253 after.
     Growing every subgroup by one coset step (Dimino) and deciding structure
     on generators brought it to 11,329. Most of the rest is the complement
     search."""
