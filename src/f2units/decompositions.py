@@ -24,7 +24,8 @@ failing member is the witness. Those checks and the product sets come from
 checks split with ``_coset_parts`` and work on masks: only
 ``annihilator_solve`` gets an ``AlgebraElement``.
 The assembled product is compared with the exhaustively enumerated unitary
-group, element for element, whenever the group is small enough.
+group, element for element, whenever the group is small enough; normality in
+it is decided on the fixed-point pcgs, once that is shown to generate it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .unitgroup import (
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
     _failing_members,
-    canonical_generators,
+    _fixed_point_pcgs,
     enumerate_unitary,
     find_complement,
     gens_of,
@@ -400,7 +401,14 @@ def verify_inverting_decomposition(
         report.add("unitary_order_matches", v.order == expected)
         product = product_masks(g, g_image.masks, h.masks)
         report.add("oracle_set_equality", product == v.mask_set())
-        report.add("cofactor_normal_in_unitary", normalizes(g, canonical_generators(v), h))
+        # The pcgs generates V_*, so it generates v once it lies in v and
+        # their orders agree; else the first unit outside v is the witness.
+        pcgs = _fixed_point_pcgs(g, sigma.perm)
+        bad = [_render(g, m) for m in pcgs if m not in v.mask_set()]
+        if 1 << len(pcgs) != v.order:
+            bad.append(f"pcgs order {1 << len(pcgs)}, scanned order {v.order}")
+        normal = not bad and normalizes(g, pcgs, h)
+        report.add("cofactor_normal_in_unitary", normal, bad[0] if bad else None)
         report.add("group_cofactor_semidirect", internal_semidirect(v, h, g_image))
     else:
         report.notes.append(

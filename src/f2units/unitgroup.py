@@ -1,11 +1,15 @@
 """Unit groups of the group algebra and subgroup structure checks.
 
 The unit group of F2[G] for a 2-group G consists of exactly the elements with
-augmentation 1. Two routines cover it:
+augmentation 1. ``_ideal_powers`` computes the Jennings filtration
+V_k = 1 + J^k (J the augmentation ideal) from the generators of G, and:
 
-- ``enumerate_normalized_units`` proves once, by linear algebra, that the
-  augmentation ideal is nilpotent, so every augmentation-1 element is a unit,
-  and then lists those elements in ascending order.
+- ``enumerate_normalized_units`` takes it as the proof that J is nilpotent,
+  so every augmentation-1 element is a unit, and lists those elements in
+  ascending order, one parity block of low masks per high mask.
+- ``_fixed_point_pcgs`` lifts the units fixed by u -> sigma(u)^-1 along it,
+  one layer at a time: a pcgs of the unitary group found with no scan, on
+  which the classical oracle decides normality.
 - ``enumerate_unitary`` solves u * sigma(u) = 1 with a bit-sliced kernel:
   the coefficients split into a low and a high half, u = h + l, and for each
   h one AND of int bit planes tests every l at once, while h walks a Gray
@@ -17,32 +21,28 @@ The same int bit planes serve the product sets and member checks of the
 decompositions, and only this module knows their format. ``_member_planes``
 transposes a list of masks, one plane per coefficient position and one bit
 per member, and ``_planes_to_masks`` transposes back. ``_product_planes`` is
-the one multiply on planes: u * v for every pair of members at the same bit.
-A fixed multiplier y is an ordinary operand, its ``_fixed_planes`` set at
-each position in its support. ``product_masks`` tiles its left side and
-widens its right side, so that one plane product lists every pair;
-``_failing_members`` is the one member test (u * perm(u) = 1, u * u = 1,
-commutation), used by the decompositions' member checks and
-``elements_of_order_dividing_2``; and the kernel builds its starting planes
-with ``_product_planes`` too. Structure checks work on generators; a set
-without recorded generators computes its canonical ones once and caches
-them.
+the one multiply on planes: u * v for every pair of members at the same bit,
+a fixed multiplier y entering as its ``_fixed_planes``. ``product_masks``
+tiles its left side and widens its right side, so that one plane product
+lists every pair; ``_failing_members`` is the one member test (u * perm(u) =
+1, u * u = 1, commutation), for the decompositions' member checks and
+``elements_of_order_dividing_2``; the kernel builds its starting planes with
+``_product_planes`` too. Structure checks work on generators; a set without
+recorded generators computes its canonical ones once and caches them.
 
-Both scans run on the calling thread. The kernel's loop is big-int
-arithmetic that holds the GIL, so worker threads gained nothing: a full
-order-32 scan took as long on two threads as on one. The ``workers`` keyword
-of both routines is accepted for compatibility and ignored.
+Both listings run on the calling thread (the kernel's big-int loop holds the
+GIL, so a second thread gained nothing); ``workers`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import combinations
+from functools import cached_property, partial, reduce
+from itertools import chain, combinations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraElement, _eliminate, _inverse, _mul, _span
+from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _span
 from .errors import (
     GroupMismatchError,
     NoComplementError,
@@ -149,26 +149,20 @@ def enumerate_normalized_units(
     """All augmentation-1 elements, once the augmentation ideal J is proven
     nilpotent, so that every one of them is a unit.
 
-    J is spanned by the 1 + h, and J^(t+1) by the x(1+h) over a basis x of
-    J^t. The dimensions fall to 0 exactly for a 2-group (Jennings 1941); then
-    every 1 + j is a unit, with inverse 1 + j + ... + j^(t-1). A power that
-    repeats is not 0, and NotAUnitError is raised. With ``support`` this runs
-    inside the subalgebra spanned by a subgroup; the bound applies to the
-    number of free coefficient positions. ``workers`` is accepted and ignored.
+    ``_ideal_powers`` is the proof: once J^t = 0, every 1 + j is a unit, with
+    inverse 1 + j + ... + j^(t-1). With ``support`` this runs inside the
+    subalgebra spanned by a subgroup; the bound applies to the number of free
+    coefficient positions. ``workers`` is accepted and ignored.
     """
     members = _free_positions(g, support, max_order)
-    ideal_gens = power = [1 ^ (1 << h) for h in members if h]
-    while power:
-        pivots, _ = _eliminate(_mul(g, x, y) for x in power for y in ideal_gens)
-        if len(pivots) == len(power):
-            raise NotAUnitError(f"augmentation ideal not nilpotent: dim J^t stays {len(power)}")
-        power = [col for col, _ in pivots.values()]
+    _ideal_powers(g, members, support.generators if support is not None else g.greedy_generators)
     # Two half-size spans, the high one outer, list the masks in ascending
-    # order without a full-size intermediate list.
+    # order; each high mask takes the low masks that make the augmentation 1.
     half = len(members) // 2
-    low = _span(1 << c for c in members[:half])
-    high = _span(1 << c for c in members[half:])
-    return UnitSet(g, tuple(h | m for h in high for m in low if (h | m).bit_count() & 1))
+    low, high = _span(1 << c for c in members[:half]), _span(1 << c for c in members[half:])
+    completing = [[m for m in low if m.bit_count() & 1 != p] for p in (0, 1)]
+    blocks = (map(h.__or__, completing[h.bit_count() & 1]) for h in high)
+    return UnitSet(g, tuple(chain.from_iterable(blocks)))
 
 
 def _indicator_planes(nbits: int) -> list[int]:
@@ -396,6 +390,61 @@ def enumerate_unitary(
         raise GroupMismatchError("involution belongs to a different group")
     members = _free_positions(g, support, max_order)
     return make_unit_set(g, _unitary_kernel(g, sigma.perm, members))
+
+
+# ---------------------------------------------------------------------------
+# the Jennings filtration
+
+
+def _ideal_powers(g: GroupTable, members: Sequence[int], gens: Sequence[int]) -> list[dict]:
+    """Echelon bases of J, J^2, ... up to the last nonzero power, keyed by
+    pivot row (lowest bit), for the augmentation ideal J of the (sub)algebra
+    on ``members``, whose group ``gens`` generate.
+
+    As 1 + gh = g(1+h) + (1+g), J is the sum of the F2G(1+s), so J^(k+1) is
+    spanned by the x + x*s over a basis x of J^k; x*s permutes the bits of x.
+    The powers fall to 0 exactly for a 2-group (Jennings 1941); a power that
+    stops shrinking is not 0, and NotAUnitError is raised.
+    """
+    shifts = [[g.mul[i][s] for i in range(g.order)] for s in gens]
+    pivots, _ = _eliminate(1 ^ 1 << h for h in members if h)
+    powers = []
+    while pivots:
+        powers.append({row: col for row, (col, _) in pivots.items()})
+        pivots, _ = _eliminate(x ^ _involute(s, x) for x in powers[-1].values() for s in shifts)
+        if len(pivots) == len(powers[-1]):
+            raise NotAUnitError(f"augmentation ideal not nilpotent: dim J^t stays {len(pivots)}")
+    return powers
+
+
+def _fixed_point_pcgs(g: GroupTable, perm: Sequence[int]) -> list[int]:
+    """An induced pcgs of V_* = {u : u sigma(u) = 1}, sigma moving the
+    weight at each g to perm[g]: units whose leading terms on the filtration
+    are independent, so that the normal words are distinct and |V_*| = 2^len.
+
+    V_* is the fixed group of the automorphism tau(u) = sigma(u)^-1 of V.
+    Let P_k hold the units fixed by tau modulo V_k: P_1 = V, and P_k = V_*
+    once J^k = 0. On P_k, delta(y) = 1 + sigma(y) y modulo J^(k+1) lies in
+    the layer J^k / J^(k+1), central in V / V_(k+1), so delta is additive
+    with kernel P_(k+1). The pcgs of P_k and the layer units 1 + b generate it
+    modulo V_(k+1); one elimination of their deltas gives the kernel as
+    products of a candidate and earlier pivots. The candidates go deepest
+    first, by falling leading row within a depth, so each product keeps its
+    candidate's depth and leading row (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, ch. 8).
+    """
+    mul = partial(_mul, g)
+    powers = _ideal_powers(g, range(g.order), g.greedy_generators)
+    pcgs: list[int] = []
+    for basis, below in zip(powers, powers[1:] + [{}]):
+        layer = [basis[row] for row in sorted(basis.keys() - below.keys(), reverse=True)]
+        candidates = [1 ^ b for b in layer] + pcgs
+        deltas = [1 ^ mul(_involute(perm, y), y) for y in candidates]
+        selectors = [0] * len(below) + [1 << i for i in range(len(candidates))]
+        _, kernel = _eliminate([*below.values(), *deltas], selectors)
+        words = ([c for i, c in enumerate(candidates) if sel >> i & 1] for sel in kernel)
+        pcgs = [reduce(mul, word) for word in words]
+    return pcgs
 
 
 # ---------------------------------------------------------------------------

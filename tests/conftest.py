@@ -1,4 +1,5 @@
-"""Shared fixtures: one table per group per session.
+"""Shared fixtures: one table per group per session, and one full scan per
+order-32 instance.
 
 Algebra elements are bound to a specific table object, so tests that
 exchange elements must draw the group from the same fixture.
@@ -6,6 +7,7 @@ exchange elements must draw the group from the same fixture.
 
 from __future__ import annotations
 
+import functools
 import sys
 from pathlib import Path
 
@@ -84,3 +86,26 @@ def q8_odot_form(q8):
 @pytest.fixture(scope="session")
 def d8xc2_odot_form(d8xc2):
     return f.make_odot_form(d8xc2)
+
+
+# The order-32 instances the full scan runs on: a builder and the involution.
+ORDER32 = {
+    "Q32": (lambda: f.make_quaternion(32), "classical"),
+    "Ext(C16)": (lambda: f.make_inverting_extension(f.make_cyclic(16), 8), "classical"),
+    "D8xC4": (lambda: f.make_direct_product(f.make_dihedral(8), f.make_cyclic(4)), "odot"),
+}
+
+
+@functools.cache
+def order32_scan(key: str):
+    """(group, form, V_*) for one order-32 instance, with V_* from the full
+    scan at ``max_order=32``, computed once per session. The classical form
+    is the detected one; all three share one table."""
+    build, involution = ORDER32[key]
+    g = build()
+    if involution == "classical":
+        form, sigma = f.detect_inverting_form(g), f.classical_involution(g)
+    else:
+        form = f.make_odot_form(g)
+        sigma = f.odot_involution(form)
+    return g, form, f.enumerate_unitary(g, sigma, max_order=32)

@@ -218,6 +218,34 @@ def naive_central_unipotent(g, c_members, a: int, b: int, e: int) -> set[int]:
     return {1 ^ x1 ^ x2 ^ x3 for x1 in shifted[0] for x2 in shifted[1] for x3 in shifted[2]}
 
 
+def naive_basis(vectors) -> list[int]:
+    """A basis of the span, by elimination on the highest set bit."""
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return list(pivots.values())
+
+
+def naive_ideal_powers(g, members) -> list[list[int]]:
+    """Bases of J, J^2, ... up to the last nonzero power, J the augmentation
+    ideal of the subalgebra on the members: J^(t+1) from every product of a
+    basis vector of J^t with a spanning vector 1 + h of J. NotAUnitError
+    when a power stops shrinking."""
+    ideal = [1 ^ 1 << h for h in members if h]
+    power, powers = naive_basis(ideal), []
+    while power:
+        powers.append(power)
+        power = naive_basis(naive_mul(g, x, y) for x in power for y in ideal)
+        if len(power) == len(powers[-1]):
+            raise NotAUnitError("augmentation ideal not nilpotent")
+    return powers
+
+
 def naive_unit_masks(g, members) -> list[int]:
     """The augmentation-1 masks on the given members that are units, each
     tested on its own: some repeated square reaches 1."""

@@ -11,7 +11,8 @@ import f2units as f
 from f2units import decompositions
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import GroupMismatchError, NotUnitaryError
-from f2units.unitgroup import make_unit_set
+from f2units.unitgroup import _fixed_point_pcgs, make_unit_set
+from conftest import ORDER32, order32_scan
 
 
 def checks_by_name(report):
@@ -132,9 +133,13 @@ def test_split_form_decides_unitarity_on_catalog(entry):
 @pytest.mark.parametrize("entry", ODOT_ENTRIES, ids=lambda e: e.key)
 def test_quadrant_system_decides_unitarity_on_catalog(entry):
     """The quadrant system is true exactly on the enumerated unitary set."""
-    form = entry.form()
-    g = form.group
-    unitary = f.enumerate_unitary(g, f.odot_involution(form), max_order=32).mask_set()
+    if entry.key in ORDER32:
+        g, form, v = order32_scan(entry.key)
+    else:
+        form = entry.form()
+        g = form.group
+        v = f.enumerate_unitary(g, f.odot_involution(form))
+    unitary = v.mask_set()
     for m in _lemma_sample(g, unitary, g.order):
         got = f.check_unitary_quadrant_system(form, f.AlgebraElement(g, m))
         assert got == (m in unitary), hex(m)
@@ -164,6 +169,54 @@ def test_verify_degrades_over_the_bound(q16_form):
     assert report.passed
     assert "oracle_set_equality" not in checks_by_name(report)
     assert any("exceeds the exhaustive bound" in note for note in report.notes)
+
+
+def _verify_with_a_scan_missing(form, dropped, monkeypatch):
+    """The classical report with the full scan of the group short of one
+    member; the scan of A's subalgebra is left as it is."""
+    scan = decompositions.enumerate_unitary
+
+    def short_scan(*args, support=None, **kwargs):
+        v = scan(*args, support=support, **kwargs)
+        return v if support is not None else make_unit_set(v.group, set(v.masks) - {dropped})
+
+    monkeypatch.setattr(decompositions, "enumerate_unitary", short_scan)
+    return checks_by_name(f.verify_inverting_decomposition(form))
+
+
+def _outside_group_and_cofactor(form):
+    """A test of lying in neither the group image nor the cofactor H (the
+    later checks need both inside the scan)."""
+    w = f.build_unipotent_factor(form)
+    h = f.build_normal_cofactor(form, w, f.build_abelian_complement(form)).mask_set()
+    image = f.group_image(form.group).mask_set()
+    return lambda m: m not in h and m not in image
+
+
+def test_cofactor_normality_names_a_pcgs_unit_missing_from_the_scan(q16_form, monkeypatch):
+    """Normality in V_* is decided on the fixed-point pcgs only once it lies
+    in the scan; a pcgs unit the scan lacks fails the check and is its
+    witness."""
+    g = q16_form.group
+    outside = _outside_group_and_cofactor(q16_form)
+    pcgs = _fixed_point_pcgs(g, f.classical_involution(g).perm)
+    dropped = [m for m in pcgs if outside(m)][-1]
+    check = _verify_with_a_scan_missing(q16_form, dropped, monkeypatch)["cofactor_normal_in_unitary"]
+    assert not check.passed
+    assert check.witness == decompositions._render(g, dropped)
+
+
+def test_cofactor_normality_names_both_orders_when_they_differ(q16_form, monkeypatch):
+    """A scan short of a unit outside the pcgs still holds the pcgs, and the
+    witness gives both orders."""
+    g = q16_form.group
+    outside = _outside_group_and_cofactor(q16_form)
+    pcgs = set(_fixed_point_pcgs(g, f.classical_involution(g).perm))
+    v = f.enumerate_unitary(g, f.classical_involution(g))
+    dropped = next(m for m in v.masks if m not in pcgs and outside(m))
+    check = _verify_with_a_scan_missing(q16_form, dropped, monkeypatch)["cofactor_normal_in_unitary"]
+    assert not check.passed
+    assert check.witness == "pcgs order 1024, scanned order 1023"
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,24 @@ against brute force on random column sets.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
+from f2units import algebra
 from f2units.algebra import _eliminate, _span
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, small_catalog_groups
 from f2units.decompositions import _central_order_2_parts, _unipotent_map
 from f2units.errors import NotAUnitError
 from f2units.involutions import InvertingExtensionForm
+from f2units.unitgroup import _ideal_powers
 from oracles import (
     bits,
+    naive_basis,
+    naive_ideal_powers,
     naive_central_unipotent,
     naive_solve,
     naive_unipotent_fibers,
@@ -111,6 +117,50 @@ def test_supported_normalized_units_match_per_candidate_listing(make_sub):
     g = sub.group
     units = f.enumerate_normalized_units(g, support=sub)
     assert list(units.masks) == naive_unit_masks(g, sub.members)
+
+
+def _check_ideal_powers(g, members, gens):
+    """J^(k+1) spanned by the x + x*s over generators s gives the same
+    powers, dimension by dimension and as spans, as every product of a basis
+    of J^k with the 1 + h; each basis is echelon, keyed by its lowest bit."""
+    powers = _ideal_powers(g, members, gens)
+    expected = naive_ideal_powers(g, members)
+    assert [len(p) for p in powers] == [len(p) for p in expected]
+    for power, naive in zip(powers, expected):
+        assert len(naive_basis([*power.values(), *naive])) == len(naive)
+        assert all((col & -col).bit_length() - 1 == row for row, col in power.items())
+
+
+@pytest.mark.parametrize(
+    "g", list(small_catalog_groups().values()), ids=lambda g: g.name
+)
+def test_ideal_powers_match_all_products(g):
+    _check_ideal_powers(g, range(g.order), g.greedy_generators)
+
+
+@pytest.mark.parametrize("make_sub", list(_scan_subgroups()))
+def test_supported_ideal_powers_match_all_products(make_sub):
+    sub = make_sub()
+    _check_ideal_powers(sub.group, sub.members, sub.generators)
+
+
+def test_normalized_units_of_q16_make_no_products():
+    """The nilpotency proof permutes bits and the listing ORs masks."""
+    calls = 0
+    code = algebra._mul.__code__
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is code:
+            calls += 1
+
+    g = f.make_quaternion(16)
+    sys.setprofile(count)
+    try:
+        units = f.enumerate_normalized_units(g)
+    finally:
+        sys.setprofile(None)
+    assert (calls, units.order) == (0, 1 << 15)
 
 
 def test_normalized_units_refuse_groups_that_are_not_2_groups():

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import f2units as f
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.unitgroup import product_masks
+from conftest import order32_scan
 from oracles import naive_subalgebra_unitary_masks, naive_unitary_masks
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -129,10 +130,8 @@ def test_order32_classical_oracle_equals_group_times_cofactor(build, monkeypatch
 
 
 def test_order32_dihedral_gap_is_a_factor_of_four():
-    g = f.make_direct_product(f.make_dihedral(8), f.make_cyclic(4))
-    form = f.make_odot_form(g)
+    _, form, v = order32_scan("D8xC4")
     predicted = f.verify_odot_decomposition(form, skip_enumeration=True).orders["expected_unitary"]
-    v = f.enumerate_unitary(g, f.odot_involution(form), max_order=32)
     assert (v.order, predicted) == (524_288, 2_097_152)
 
 
