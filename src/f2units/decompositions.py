@@ -19,19 +19,20 @@ commutation and the conjugation identities are decided on generators, which
 is sound for finite groups. The checks that every member of a factor is
 unitary (squares to 1, is central) stay per member, and
 ``_failing_members`` runs them on the whole member list at once; the first
-failing member is the witness. Those checks and the product sets come from
-``unitgroup``, which alone knows its bit-plane format. The per-element
-checks split with ``_coset_parts`` and work on masks: only
-``annihilator_solve`` gets an ``AlgebraElement``.
-The assembled product is compared with the exhaustively enumerated unitary
-group, element for element, whenever the group is small enough; normality in
-it is decided on the fixed-point pcgs, once that is shown to generate it.
+failing member is the witness. Those checks come from ``unitgroup``, which
+alone knows its bit-plane format. The per-element checks split with
+``_coset_parts`` and work on masks: only ``annihilator_solve`` gets an
+``AlgebraElement``. No product set is listed by multiplying members: H is a
+sumset, and the assembled product is compared with the enumerated unitary
+group by orders (``_product_is``) whenever the group is small enough;
+normality in it is decided on the fixed-point pcgs, once that generates it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 from .algebra import (
     AlgebraElement,
@@ -45,7 +46,13 @@ from .algebra import (
     annihilator_solve,
     augmentation,
 )
-from .errors import GroupMismatchError, NoComplementError, NoSolutionError, NotUnitaryError
+from .errors import (
+    GroupMismatchError,
+    HypothesisViolationError,
+    NoComplementError,
+    NoSolutionError,
+    NotUnitaryError,
+)
 from .groups import _greedy_generators, coset_representatives
 from .involutions import (
     InvertingExtensionForm,
@@ -68,7 +75,6 @@ from .unitgroup import (
     is_direct,
     make_unit_set,
     normalizes,
-    product_masks,
     structure_predicates,
 )
 
@@ -141,6 +147,15 @@ def _add_member_check(
     report.add(name, not bad, _render(g, masks[first]) if bad else None)
 
 
+def _product_is(v: UnitSet, x: UnitSet, y: UnitSet) -> bool:
+    """True iff x*y = v as sets, for subgroups x, y of the unit group and the
+    scanned V_* = v: x*y has |x||y| / |x meet y| members and lies in v when x
+    and y do, v being the fixed group of the automorphism u -> sigma(u)^-1;
+    conversely x*y = v puts x and y in v."""
+    xs, ys, vs = x.mask_set(), y.mask_set(), v.mask_set()
+    return xs <= vs and ys <= vs and x.order * y.order == v.order * len(xs & ys)
+
+
 def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> None:
     if g.order > max_order:
         reason = "group order exceeds the exhaustive bound"
@@ -202,11 +217,27 @@ def build_abelian_complement(
 def build_normal_cofactor(
     form: InvertingExtensionForm, w: UnitSet, ell: UnitSet
 ) -> UnitSet:
-    """H: the product of the unipotent factor and the abelian complement."""
+    """H = W*L, listed as the sumset {l + s : l in L, s in W - 1}:
+    W - 1 = (1+b*b) F2A b is a two-sided F2A-module, as b normalizes A and
+    b*b lies in A: (1+b*b) z b a = (1+b*b) (z a') b with a' = b a b^-1. For
+    l in L, inside V(F2A), (1 + s) l = l + s l and s -> s l permutes W - 1,
+    so W l = l + (W - 1). HypothesisViolationError unless W - 1 is a subspace
+    that left and right translation (g.mul[a] and column a) by each generator
+    a of A maps into itself, and L lies on A: bit permutations, no product.
+    """
     g = form.group
-    masks = product_masks(g, w.masks, ell.masks)
+    shifts = [p for a in form.a_sub.generators for p in (g.mul[a], [r[a] for r in g.mul])]
+    module = [1 ^ m for m in w.masks]
+    pivots, _ = _eliminate(module, [0] * len(module))
+    basis = [col for col, _ in pivots.values()]
+    moved, _ = _eliminate(basis + [_involute(p, x) for p in shifts for x in basis])
+    if len(module) != 1 << len(pivots) or len(moved) != len(pivots):
+        raise HypothesisViolationError("W - 1 is not a subspace closed under translation by A")
+    on_a = sum(1 << i for i in form.a_sub.members)
+    if any(m & ~on_a for m in ell.masks):
+        raise HypothesisViolationError("the complement is not supported on A")
     gens = tuple(w.generators or ()) + tuple(ell.generators or ())
-    return make_unit_set(g, masks, generators=gens)
+    return make_unit_set(g, (l ^ s for l in ell.masks for s in module), generators=gens)
 
 
 def _conjugation_witness(
@@ -399,8 +430,7 @@ def verify_inverting_decomposition(
         v = enumerate_unitary(g, sigma, max_order=max_order)
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
-        product = product_masks(g, g_image.masks, h.masks)
-        report.add("oracle_set_equality", product == v.mask_set())
+        report.add("oracle_set_equality", _product_is(v, g_image, h))
         # The pcgs generates V_*, so it generates v once it lies in v and
         # their orders agree; else the first unit outside v is the witness.
         pcgs = _fixed_point_pcgs(g, sigma.perm)
@@ -409,7 +439,10 @@ def verify_inverting_decomposition(
             bad.append(f"pcgs order {1 << len(pcgs)}, scanned order {v.order}")
         normal = not bad and normalizes(g, pcgs, h)
         report.add("cofactor_normal_in_unitary", normal, bad[0] if bad else None)
-        report.add("group_cofactor_semidirect", internal_semidirect(v, h, g_image))
+        # The smallest member of H, else of G, outside v is the witness.
+        outside = next((m for m in chain(h.masks, g_image.masks) if m not in v), None)
+        semidirect = outside is None and internal_semidirect(v, h, g_image)
+        report.add("group_cofactor_semidirect", semidirect, outside and _render(g, outside))
     else:
         report.notes.append(
             "cofactor normality checked through the complement generators "
@@ -575,15 +608,18 @@ def verify_odot_decomposition(
         "expected_unitary": expected,
     }
 
+    # G*T by left translation, which permutes the basis; a subgroup, as T is central.
+    gt_masks = (_involute(g.mul[i], m) for i in range(g.order) for m in t.masks)
+    gt = make_unit_set(g, gt_masks, generators=gens_of(g_image) + gens_of(t))
     if g.order <= max_order and not skip_enumeration:
         v = enumerate_unitary(g, sigma, max_order=max_order)
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
-        product = product_masks(g, product_masks(g, g_image.masks, t.masks), w.masks)
-        factors_ok = product == v.mask_set()
+        factors_ok = _product_is(v, gt, w)
         if g_image.mask_set() <= v.mask_set():
-            # Every factor holds 1, so the equality puts each factor inside v.
-            report.add("direct_product", is_direct(g, [g_image, t, w]) and factors_ok)
+            # factors_ok puts G*T and W, so each factor, inside v.
+            direct = is_direct(g, [g_image, t]) and is_direct(g, [gt, w])
+            report.add("direct_product", direct and factors_ok)
         else:
             report.add(
                 "direct_product", False, "group image is not inside the unitary set"
@@ -591,7 +627,7 @@ def verify_odot_decomposition(
         report.add("oracle_set_equality", factors_ok)
     else:
         _add_oracle_skip_note(report, g, max_order)
-        factors_ok = is_direct(g, [g_image, t, w])
+        factors_ok = is_direct(g, [g_image, t]) and is_direct(g, [gt, w])
         report.add("factors_pairwise_direct", factors_ok)
         _add_member_check(report, "torsion_members_unitary", g, t.masks, sigma)
 

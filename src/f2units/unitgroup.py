@@ -17,18 +17,17 @@ V_k = 1 + J^k (J the augmentation ideal) from the generators of G, and:
   (sub)algebra and uses no structural input, so it stays an independent
   oracle for the decompositions.
 
-The same int bit planes serve the product sets and member checks of the
-decompositions, and only this module knows their format. ``_member_planes``
-transposes a list of masks, one plane per coefficient position and one bit
-per member, and ``_planes_to_masks`` transposes back. ``_product_planes`` is
-the one multiply on planes: u * v for every pair of members at the same bit,
-a fixed multiplier y entering as its ``_fixed_planes``. ``product_masks``
-tiles its left side and widens its right side, so that one plane product
-lists every pair; ``_failing_members`` is the one member test (u * perm(u) =
-1, u * u = 1, commutation), for the decompositions' member checks and
+The same int bit planes serve the member checks of the decompositions, and
+only this module knows their format. ``_member_planes`` transposes a list of
+masks, one plane per coefficient position and one bit per member.
+``_product_planes`` is the one multiply on planes: u * v for every pair of
+members at the same bit, a fixed multiplier y entering as its
+``_fixed_planes``. ``_failing_members`` is the one member test (u * perm(u)
+= 1, u * u = 1, commutation), for the decompositions' member checks and
 ``elements_of_order_dividing_2``; the kernel builds its starting planes with
-``_product_planes`` too. Structure checks work on generators; a set without
-recorded generators computes its canonical ones once and caches them.
+``_product_planes`` too. No plane is read back into masks (``product_masks``
+is a plain pairwise listing). Structure checks work on generators; a set
+without recorded generators computes its canonical ones once and caches them.
 
 Both listings run on the calling thread (the kernel's big-int loop holds the
 GIL, so a second thread gained nothing); ``workers`` is accepted and ignored.
@@ -65,8 +64,9 @@ class UnitSet:
     Closure is maintained by the operations that build UnitSets, not
     revalidated on construction; every member must have augmentation 1, the
     identity must be present, and recorded ``generators`` generate the set.
-    Since every UnitSet is a subgroup, ``internal_semidirect`` and
-    ``internal_direct`` compare orders rather than list a product.
+    Since every UnitSet is a subgroup, a product of two of them is compared
+    with a group by orders rather than listed: in ``internal_semidirect``,
+    ``internal_direct`` and the decompositions' set equalities.
     """
 
     group: GroupTable
@@ -183,8 +183,6 @@ def _indicator_planes(nbits: int) -> list[int]:
 # ASCII '0'/'1' for bit b of each byte value, one translation table per b:
 # over v = 0..255, bit b runs through 2^b zeros, then 2^b ones, repeatedly.
 _BIT_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
-# And back: ASCII '0'/'1' to the byte values 0/1.
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _member_planes(masks: Sequence[int], n: int) -> list[int]:
@@ -210,28 +208,6 @@ def _member_planes(masks: Sequence[int], n: int) -> list[int]:
         for b in range(min(8, n - 8 * c)):
             planes.append(int(column.translate(_BIT_DIGITS[b]), 2))
     return planes
-
-
-def _planes_to_masks(planes: Sequence[int], count: int, n: int) -> list[int]:
-    """The inverse of ``_member_planes``: the ``count`` masks whose bit
-    planes are ``planes``.
-
-    Each plane is written as one binary digit per member, the last member
-    first, translated to bytes 0/1 and read as one int; shifted to bit b of
-    its byte and ORed over a byte column, it holds that column's byte of
-    every member. The columns interleave into one bytearray, one member
-    after another.
-    """
-    nbytes = (n + 7) // 8
-    blob = bytearray(count * nbytes)
-    for c in range(nbytes):
-        column = 0
-        for b, p in enumerate(planes[8 * c : 8 * c + 8]):
-            if p:
-                digits = format(p, f"0{count}b").encode().translate(_DIGIT_BYTES)
-                column |= int.from_bytes(digits, "big") << b
-        blob[c::nbytes] = column.to_bytes(count, "little")
-    return [int.from_bytes(blob[k : k + nbytes], "little") for k in range(0, len(blob), nbytes)]
 
 
 def _fixed_planes(n: int, y: int, full: int) -> list[int]:
@@ -464,24 +440,9 @@ def unit_subgroup_closure(g: GroupTable, gens: Iterable[AlgebraElement]) -> Unit
 
 
 def product_masks(g: GroupTable, left: Iterable[int], right: Iterable[int]) -> frozenset[int]:
-    """The set of pairwise products of two mask collections.
-
-    Pair k * |left| + i holds left[i] and right[k]: the left planes are
-    tiled once per right member, and each bit of a right plane widens to a
-    run of |left| bits, so one plane product lists every pair.
-    """
-    lefts, rights = list(left), list(right)
-    a, b = len(lefts), len(rights)
-    if not a or not b:
-        return frozenset()
-    n = g.order
-    tile = int(("0" * (a - 1) + "1") * b, 2)
-    tiled = [p * tile for p in _member_planes(lefts, n)]
-    widened = [
-        int(format(q, f"0{b}b").replace("0", "0" * a).replace("1", "1" * a), 2)
-        for q in _member_planes(rights, n)
-    ]
-    return frozenset(_planes_to_masks(_product_planes(g, tiled, widened), a * b, n))
+    """The set of pairwise products of two mask collections."""
+    rights = list(right)
+    return frozenset(_mul(g, x, y) for x in left for y in rights)
 
 
 def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:
@@ -558,15 +519,17 @@ def structure_predicates(s: UnitSet) -> dict:
     """Shape fingerprint: elementary-abelian flag, rank, exponent.
 
     Abelianness and exponent 2 are decided from the generators (sound:
-    commuting involutions generate an elementary abelian group).
+    commuting involutions generate an elementary abelian group), and so is
+    the exponent of an abelian set: the largest (2-power) generator order.
     """
     g = s.group
-    elementary = _is_abelian_units(s) and all(_mul(g, m, m) == 1 for m in gens_of(s))
+    abelian = _is_abelian_units(s)
+    elementary = abelian and all(_mul(g, m, m) == 1 for m in gens_of(s))
     rank = s.order.bit_length() - 1 if elementary else None
     if elementary:
         exponent = 1 if s.order == 1 else 2
     else:
-        exponent = max(_element_order_in_units(g, m) for m in s.masks)
+        exponent = max(_element_order_in_units(g, m) for m in (gens_of(s) if abelian else s.masks))
     return {"is_elementary_abelian_2": elementary, "rank": rank, "exponent": exponent}
 
 

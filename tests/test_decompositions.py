@@ -219,6 +219,36 @@ def test_cofactor_normality_names_both_orders_when_they_differ(q16_form, monkeyp
     assert check.witness == "pcgs order 1024, scanned order 1023"
 
 
+def test_semidirect_check_names_a_member_of_h_missing_from_the_scan(monkeypatch, capsys):
+    """A scan that lacks a member of H fails group_cofactor_semidirect with
+    the smallest member of H outside it, and the run exits 1, not 2; a
+    member of G that the scan lacks is named only when H lies inside."""
+    from f2units import cli
+
+    scan = decompositions.enumerate_unitary
+    q8 = f.make_quaternion(8)
+    form = f.detect_inverting_form(q8)
+    w = f.build_unipotent_factor(form)
+    largest = f.build_normal_cofactor(form, w, f.build_abelian_complement(form)).masks[-1]
+    check = _verify_with_a_scan_missing(form, largest, monkeypatch)["group_cofactor_semidirect"]
+    assert not check.passed
+    assert check.witness == decompositions._render(q8, largest)
+    config = cli.RunConfig(group=q8, involution="classical", mode="verify", fmt="json")
+    assert cli.run(config) == 1
+    capsys.readouterr()
+
+    a = 1 << q8.labels.index("a")
+    for dropped, witness in (({a, largest}, largest), ({a}, a)):
+
+        def short_scan(*args, support=None, dropped=dropped, **kwargs):
+            v = scan(*args, support=support, **kwargs)
+            return v if support is not None else make_unit_set(q8, set(v.masks) - dropped)
+
+        monkeypatch.setattr(decompositions, "enumerate_unitary", short_scan)
+        checks = checks_by_name(f.verify_inverting_decomposition(form))
+        assert checks["group_cofactor_semidirect"].witness == decompositions._render(q8, witness)
+
+
 # ---------------------------------------------------------------------------
 # twisted-involution pipeline
 

@@ -1,0 +1,244 @@
+"""The decompositions list no product set by multiplying members. The
+cofactor H is the sumset of L and W - 1, and a product of two subgroups is
+compared with the scanned unitary group by orders. Each is checked here
+against a listing by ``oracles.naive_product``, on the intact factors and on
+mutants that keep every factor a subgroup; a guard fails when a pipeline
+lists a product again."""
+
+from __future__ import annotations
+
+import pytest
+
+import f2units as f
+from f2units import cli, decompositions, unitgroup
+from f2units.algebra import _eliminate, _involute, _span
+from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
+from f2units.errors import HypothesisViolationError
+from oracles import naive_commute, naive_product
+
+
+def _extension(base, square_label):
+    def form():
+        a = base()
+        return f.detect_inverting_form(f.make_inverting_extension(a, a.labels.index(square_label)))
+
+    return form
+
+
+CLASSICAL_FORMS = {
+    **{e.key: e.form for e in CLASSICAL_ENTRIES},
+    "Q32": lambda: f.detect_inverting_form(f.make_quaternion(32)),
+    "Ext(C16)": _extension(lambda: f.make_cyclic(16), "a8"),
+    "Ext(C4xC4)": _extension(
+        lambda: f.make_direct_product(f.make_cyclic(4), f.make_cyclic(4)), "(1,a2)"
+    ),
+    "Ext(C8xC2)": _extension(
+        lambda: f.make_direct_product(f.make_cyclic(8), f.make_cyclic(2)), "(a4,1)"
+    ),
+}
+
+
+def _closure(g, gens):
+    return f.unit_subgroup_closure(g, [f.AlgebraElement(g, m) for m in gens])
+
+
+@pytest.mark.parametrize("key", list(CLASSICAL_FORMS))
+def test_cofactor_sumset_equals_listed_product(key):
+    form = CLASSICAL_FORMS[key]()
+    g = form.group
+    w = f.build_unipotent_factor(form)
+    ell = f.build_abelian_complement(form)
+    h = f.build_normal_cofactor(form, w, ell)
+    assert h.mask_set() == naive_product(g, w.masks, ell.masks)
+    assert h.order == w.order * ell.order
+
+
+# ---------------------------------------------------------------------------
+# classical: G*H = V_* by orders, on the intact factors and on mutants
+
+
+def _w_submodule(form, w):
+    """1 + (W - 1)J, J the augmentation ideal of F2A: a proper subgroup of W
+    whose W - 1 is still an F2A-module, so the cofactor may be built on it."""
+    g = form.group
+    pivots, _ = _eliminate(1 ^ m for m in w.masks)
+    shifts = [[g.mul[i][a] for i in range(g.order)] for a in form.a_sub.generators]
+    vectors = [x ^ _involute(p, x) for x, _ in pivots.values() for p in shifts]
+    return f.make_unit_set(g, (1 ^ m for m in _span(vectors)))
+
+
+def _classical_mutant(form, w, ell, mutant):
+    """(W, L) with at most one of them changed."""
+    g = form.group
+    if mutant == "L cut":
+        ell = _closure(g, ell.generators[:-1])
+    elif mutant == "L grown":
+        sigma = f.classical_involution(g)
+        v_a = f.enumerate_unitary(g, sigma, support=form.a_sub).mask_set()
+        units = f.enumerate_normalized_units(g, support=form.a_sub).masks
+        ell = _closure(g, [*ell.generators, next(m for m in units if m not in v_a)])
+    elif mutant == "W cut":
+        w = _w_submodule(form, w)
+    return w, ell
+
+
+# Every unit of F2C4 is unitary, so Q8 has no "L grown" mutant.
+CLASSICAL_CASES = [
+    (e.key, mutant)
+    for e in CLASSICAL_ENTRIES
+    for mutant in ("intact", "L cut", "L grown", "W cut")
+    if (e.key, mutant) != ("Q8", "L grown")
+]
+
+
+@pytest.mark.parametrize("key, mutant", CLASSICAL_CASES)
+def test_classical_set_equality_by_orders_matches_listing(key, mutant):
+    """The oracle_set_equality verdict, _product_is(v, G, H), is
+    that of listing G*(W*L) and comparing it with the scan."""
+    form = CLASSICAL_FORMS[key]()
+    g = form.group
+    w, ell = _classical_mutant(
+        form, f.build_unipotent_factor(form), f.build_abelian_complement(form), mutant
+    )
+    h = f.build_normal_cofactor(form, w, ell)
+    listed_h = naive_product(g, w.masks, ell.masks)
+    assert h.mask_set() == listed_h
+    v = f.enumerate_unitary(g, f.classical_involution(g))
+    img = f.group_image(g)
+    listed = naive_product(g, img.masks, listed_h) == v.mask_set()
+    assert decompositions._product_is(v, img, h) is listed
+    assert listed is (mutant == "intact")
+
+
+# ---------------------------------------------------------------------------
+# odot: (G*T)*W = V_* by orders and directness on two factors at a time,
+# in the report, with T or W replaced by a subgroup
+
+
+def _listed_direct(g, factors):
+    """Factors commuting pairwise (on generators) and each meeting the
+    product of those before it, listed, only in the identity."""
+    for i, x in enumerate(factors):
+        if not all(naive_commute(g, x.generators, y.generators) for y in factors[i + 1 :]):
+            return False
+    prefix = set(factors[0].masks)
+    for i in range(1, len(factors)):
+        if set(factors[i].masks) & prefix != {1}:
+            return False
+        if i + 1 < len(factors):
+            prefix = naive_product(g, prefix, factors[i].masks)
+    return True
+
+
+# T is trivial at D8 and Q8, so it has no "T cut" mutant there. "T grown"
+# adds the commutator e, a central group element: still a subgroup of F2C.
+ODOT_CASES = [
+    (e.key, mutant)
+    for e in ODOT_ENTRIES
+    for mutant in ("intact", "T cut", "T grown", "W cut")
+    if (e.key, mutant) not in (("D8", "T cut"), ("Q8", "T cut"))
+]
+
+
+@pytest.mark.parametrize("key, mutant", ODOT_CASES)
+def test_odot_verdicts_by_orders_match_listing(key, mutant, monkeypatch):
+    """The report's direct_product and oracle_set_equality (scan in bounds)
+    or factors_pairwise_direct (D8xC4, construct only) against a listing of
+    (G*T)*W and of the running product."""
+    (entry,) = [e for e in ODOT_ENTRIES if e.key == key]
+    form = entry.form()
+    g = form.group
+    t = f.build_torsion_complement(form)
+    w = f.build_central_unipotent(form)
+    if mutant == "T cut":
+        t = _closure(g, t.generators[:-1])
+    elif mutant == "T grown":
+        t = _closure(g, [*t.generators, 1 << form.e])
+    elif mutant == "W cut":
+        w = _closure(g, w.generators[:-1])
+        monkeypatch.setattr(decompositions, "build_central_unipotent", lambda form: w)
+    if mutant.startswith("T"):
+        monkeypatch.setattr(decompositions, "find_complement", lambda ambient, factor: t)
+    img = f.group_image(g)
+    direct = _listed_direct(g, [img, t, w])
+    report = f.verify_odot_decomposition(form)
+    checks = {c.name: c.passed for c in report.checks}
+    assert direct is (mutant != "T grown")
+    if g.order > unitgroup.DEFAULT_EXHAUSTIVE_BOUND:
+        assert checks["factors_pairwise_direct"] is direct
+        return
+    v = f.enumerate_unitary(g, f.odot_involution(form)).mask_set()
+    listed = naive_product(g, naive_product(g, img.masks, t.masks), w.masks) == v
+    assert checks["oracle_set_equality"] is listed
+    assert checks["direct_product"] is (set(img.masks) <= v and direct and listed)
+    if mutant.endswith("cut"):
+        assert not listed
+
+
+# ---------------------------------------------------------------------------
+# the premise of the sumset
+
+
+def _q8_parts():
+    g = f.make_quaternion(8)
+    form = f.make_inverting_form(g, [1], 4)
+    return form, f.build_unipotent_factor(form), f.build_abelian_complement(form)
+
+
+def _translates(form, side):
+    """1 + (1+b) F2A (``side`` right) or 1 + F2A (1+b) (left): subspaces
+    closed under translation by A on that side only, as b inverts A."""
+    g, b = form.group, form.b
+    if side == "right":
+        vectors = [1 << a | 1 << g.mul[b][a] for a in form.a_sub.members]
+    else:
+        vectors = [1 << a | 1 << g.mul[a][b] for a in form.a_sub.members]
+    return f.make_unit_set(g, (1 ^ m for m in _span(vectors)))
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        pytest.param(case, message, id=case)
+        for case, message in [
+            ("W not a subspace", "W - 1 is not a subspace"),
+            ("W closed on the right only", "W - 1 is not a subspace closed"),
+            ("W closed on the left only", "W - 1 is not a subspace closed"),
+            ("L off A", "not supported on A"),
+        ]
+    ],
+)
+def test_cofactor_rejects_a_broken_premise(case, message):
+    form, w, ell = _q8_parts()
+    g = form.group
+    if case == "W not a subspace":
+        w = f.make_unit_set(g, w.masks[:-1])
+    elif case == "W closed on the right only":
+        w = _translates(form, "right")
+    elif case == "W closed on the left only":
+        w = _translates(form, "left")
+    else:
+        ell = f.make_unit_set(g, [1, 1 << form.b])
+    with pytest.raises(HypothesisViolationError, match=message):
+        f.build_normal_cofactor(form, w, ell)
+
+
+# ---------------------------------------------------------------------------
+# no pipeline lists a product
+
+
+def test_no_pipeline_lists_a_product(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product set was listed")
+
+    monkeypatch.setattr(unitgroup, "product_masks", refuse)
+    assert not hasattr(decompositions, "product_masks")
+    assert not hasattr(unitgroup, "_planes_to_masks")
+    catalog = cli.RunConfig(group=None, involution=None, mode="catalog", fmt="json")
+    assert cli.run(catalog) == 1  # the dihedral odot instances fail by design
+    for g in (f.make_quaternion(32), f.make_inverting_extension(f.make_cyclic(16), 8)):
+        config = cli.RunConfig(group=g, involution="classical", mode="construct", fmt="json")
+        assert cli.run(config) == 0
+    capsys.readouterr()
+    (q16,) = [e for e in CLASSICAL_ENTRIES if e.key == "Q16"]
+    assert f.verify_inverting_decomposition(q16.form()).passed

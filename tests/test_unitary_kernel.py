@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
+from f2units.algebra import _involute
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
-from f2units.unitgroup import product_masks
+from f2units.decompositions import _product_is
 from conftest import order32_scan
 from oracles import naive_subalgebra_unitary_masks, naive_unitary_masks
 
@@ -126,7 +127,9 @@ def test_order32_classical_oracle_equals_group_times_cofactor(build, monkeypatch
     monkeypatch.setattr(threading.Thread, "start", refuse)
     v = f.enumerate_unitary(g, f.classical_involution(g), max_order=32, workers=2)
     assert v.order == g.order * h.order
-    assert v.mask_set() == product_masks(g, f.group_image(g).masks, h.masks)
+    # G*H listed by left translation: a group element permutes the basis.
+    assert v.mask_set() == {_involute(g.mul[i], m) for i in range(g.order) for m in h.masks}
+    assert _product_is(v, f.group_image(g), h)
 
 
 def test_order32_dihedral_gap_is_a_factor_of_four():

@@ -204,6 +204,25 @@ def test_structure_predicates_exponent_beyond_two(build, exponent):
     assert preds == {"is_elementary_abelian_2": False, "rank": None, "exponent": exponent}
 
 
+def test_abelian_exponent_takes_one_order_per_generator(monkeypatch):
+    """V_*(F2A) at Q16 (A cyclic of order 8) is abelian but not elementary:
+    its exponent is the largest order of its generators, one order each."""
+    from f2units import unitgroup
+
+    g = f.make_quaternion(16)
+    form = f.make_inverting_form(g, [1], 8)
+    v_a = f.enumerate_unitary(g, f.classical_involution(g), support=form.a_sub)
+    gens = f.canonical_generators(v_a)
+    order = unitgroup._element_order_in_units
+    calls = []
+    monkeypatch.setattr(
+        unitgroup, "_element_order_in_units", lambda g, m: calls.append(m) or order(g, m)
+    )
+    preds = f.structure_predicates(v_a)
+    assert preds == {"is_elementary_abelian_2": False, "rank": None, "exponent": 8}
+    assert calls == gens
+
+
 def test_order_two_subgroup_extraction(c4xc2):
     v = f.enumerate_normalized_units(c4xc2)
     sq = f.elements_of_order_dividing_2(v)
