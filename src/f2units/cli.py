@@ -22,7 +22,7 @@ from .decompositions import (
     verify_inverting_decomposition,
     verify_odot_decomposition,
 )
-from .errors import F2UnitsError, ParseError
+from .errors import F2UnitsError, ParseError, UnsupportedOrderError
 from .groups import (
     GroupTable,
     _is_int,
@@ -62,10 +62,24 @@ class RunConfig:
 # group-spec ingestion
 
 
+# The largest group a family spec may build. A table costs O(n^2) memory
+# (order 1024 takes about 50 MB and 0.5 s, order 2048 about 180 MB and 2 s),
+# so a larger order is refused before anything is built.
+MAX_FAMILY_ORDER = 1024
+
+
+def _require_order(n: int) -> None:
+    if n > MAX_FAMILY_ORDER:
+        raise UnsupportedOrderError(
+            f"group order {n} exceeds the limit {MAX_FAMILY_ORDER} for a family spec"
+        )
+
+
 def _order_param(family: str, params: dict) -> int:
     order = params.get("order")
     if not _is_int(order):
         raise ParseError(f"family {family!r} needs an integer 'order' parameter")
+    _require_order(order)
     return order
 
 
@@ -83,6 +97,7 @@ def _build_family(family: str, params: dict) -> GroupTable:
         gs = [_from_spec_dict(f) for f in factors]
         out = gs[0]
         for nxt in gs[1:]:
+            _require_order(out.order * nxt.order)
             out = make_direct_product(out, nxt)
         return out
     if family == "inverting_extension":
@@ -109,6 +124,7 @@ def _build_family(family: str, params: dict) -> GroupTable:
                 t = base.labels.index(str(label))
             except ValueError:
                 raise ParseError(f"unknown element label {label!r} in the base group")
+        _require_order(2 * base.order)
         return make_inverting_extension(base, t)
     raise ParseError(f"unknown family {family!r}")
 
@@ -134,9 +150,13 @@ def _from_spec_dict(spec: dict) -> GroupTable:
 def parse_group_spec(text: str) -> GroupTable:
     """Parse a JSON group spec: {'family':..., 'params':...} or {'table': ...}."""
     try:
-        return _from_spec_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
+        spec = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("group spec is nested too deeply") from None
+    try:
+        return _from_spec_dict(spec)
     except RecursionError:
         raise ParseError("group spec is nested too deeply") from None
 

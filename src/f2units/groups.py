@@ -124,26 +124,26 @@ def _validate_table(
     for i, row in enumerate(mul):
         if len(row) != n:
             raise GroupAxiomViolationError(f"row {i} has length {len(row)}, want {n}")
-        for j, v in enumerate(row):
-            if not 0 <= v < n:
-                raise GroupAxiomViolationError(
-                    f"entry mul[{i}][{j}] = {v} out of range", witness=(i, j, v)
-                )
+        if min(row) < 0 or max(row) >= n:
+            j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
+            raise GroupAxiomViolationError(
+                f"entry mul[{i}][{j}] = {v} out of range", witness=(i, j, v)
+            )
     for i in range(n):
         if mul[0][i] != i or mul[i][0] != i:
             raise GroupAxiomViolationError(
                 f"element 0 is not an identity at {i}", witness=(0, i, mul[0][i])
             )
     inv = []
-    for i in range(n):
-        found = None
-        for j in range(n):
-            if mul[i][j] == 0 and mul[j][i] == 0:
-                found = j
-                break
-        if found is None:
+    for i, row in enumerate(mul):
+        # The first zero of the row is the inverse when it is two-sided; a
+        # table not yet known to be a group may hold more zeros, so search on.
+        j = row.index(0) if 0 in row else None
+        if j is None or mul[j][i] != 0:
+            j = next((j for j in range(n) if row[j] == 0 and mul[j][i] == 0), None)
+        if j is None:
             raise GroupAxiomViolationError(f"element {i} has no inverse", witness=(i,))
-        inv.append(found)
+        inv.append(j)
     gens, _ = _greedy_generators(lambda u, v: mul[u][v], 0, range(n))
     for a in gens:
         row_a = mul[a]

@@ -11,11 +11,12 @@ V_k = 1 + J^k (J the augmentation ideal) from the generators of G, and:
   one layer at a time: a pcgs of the unitary group found with no scan, on
   which the classical oracle decides normality.
 - ``enumerate_unitary`` solves u * sigma(u) = 1 with a bit-sliced kernel:
-  the coefficients split into a low and a high half, u = h + l, and for each
-  h one AND of int bit planes tests every l at once, while h walks a Gray
-  code. It still evaluates the defining equation at every element of the
-  (sub)algebra and uses no structural input, so it stays an independent
-  oracle for the decompositions.
+  the coefficients split into low positions L and high positions H,
+  u = h + l, and for each h one AND of int bit planes tests every l at once,
+  while h walks a Gray code; ``_low_positions`` picks |L|. It still
+  evaluates the defining equation at every element of the (sub)algebra and
+  uses no structural input, so it stays an independent oracle for the
+  decompositions.
 
 The same int bit planes serve the member checks of the decompositions, and
 only this module knows their format. ``_member_planes`` transposes a list of
@@ -271,21 +272,35 @@ def _failing_members(
     return bad
 
 
+def _low_positions(k: int) -> int:
+    """How many of the k scanned positions the kernel puts on its planes.
+
+    A Gray step costs O(|coords|) big-int ops, and up to about 2^10 bits
+    interpreter overhead, not width, sets the cost of one. So the planes take
+    at least 10 positions (all of them when k <= 10, which leaves no walk),
+    and the 2^(k-|L|) steps shrink at no cost per step. Set-up and hit
+    listing grow with 2^|L|, and past 2^10 bits an op costs in proportion to
+    its word count, so from k = 20 on the split stays even.
+    """
+    return max(k // 2, min(k, 10))
+
+
 def _unitary_kernel(g: GroupTable, perm: Sequence[int], members: Sequence[int]) -> list[int]:
     """Bit-sliced solver of u * sigma(u) = 1 over the span of ``members``.
 
-    Write u = h + l with l on the low half of the positions and h on the
-    high half. Coordinate c of u * sigma(u) is
+    Write u = h + l with l on the first ``_low_positions(k)`` positions L and
+    h on the rest, H. Coordinate c of u * sigma(u) is
     (h sigma(h))_c + (l sigma(l))_c + (h sigma(l) + l sigma(h))_c, and for a
     fixed h the bracket is linear in l. A plane is one int with one bit per
     value of l, so each coordinate condition is evaluated for every l at
     once. h walks the Gray code, so each step flips one position i of h and
-    XORs position i's delta planes into the running planes.
+    XORs position i's delta planes into the running planes: 2^|H| steps of
+    about |coords| ops on 2^|L|-bit planes.
 
     Returns every solution, in no particular order.
     """
     mul = g.mul
-    nlow = len(members) // 2
+    nlow = _low_positions(len(members))
     low, high = members[:nlow], members[nlow:]
     full = (1 << (1 << nlow)) - 1
     ind = _indicator_planes(nlow)

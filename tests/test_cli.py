@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
-from f2units.cli import RunConfig, _build_parser, main, parse_group_spec, run
+from f2units.cli import MAX_FAMILY_ORDER, RunConfig, _build_parser, main, parse_group_spec, run
 from f2units.errors import GroupAxiomViolationError, ParseError
 
 
@@ -153,6 +153,7 @@ def test_runs_as_a_module():
         '{"family": "quaternion", "params": {"order": "eight"}}',
         '{"table": [[Infinity]]}',
         '{"family": "cyclic", "params": {"order": 1e400}}',
+        pytest.param('{"family": "cyclic", "params": {"order": 1%s}}' % ("0" * 5000), id="5001-digits"),
         pytest.param("[" * 100000, id="deeply-nested"),
         pytest.param(b'\xff{"family": "cyclic"}', id="not-utf8"),
         '{"family": "quaternion", "params": {"order": 8.9}}',
@@ -253,13 +254,56 @@ def test_library_catalog_run_rejects_a_group_or_an_involution(group, involution,
 
 
 @pytest.mark.parametrize(
-    "family, order", [("dihedral", "5"), ("quaternion", "12"), ("cyclic", "0")]
+    "family, order",
+    [
+        ("dihedral", "5"),
+        ("quaternion", "12"),
+        ("cyclic", "0"),
+        ("cyclic", "100000000"),
+        ("inverting_extension", "2048"),
+    ],
 )
 def test_unsupported_family_order_exits_two(family, order, capsys):
     assert main(["--family", family, "--order", order, "--involution", "classical"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: UnsupportedOrderError: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _c(n):
+    return {"family": "cyclic", "params": {"order": n}}
+
+
+def _product(factors):
+    return {"family": "direct_product", "params": {"factors": factors}}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param({"family": "dihedral", "params": {"order": 100_000_000}}, id="D100000000"),
+        pytest.param(_c(MAX_FAMILY_ORDER + 1), id="past-the-cap"),
+        pytest.param(_product([_c(2)] * 30), id="C2^30"),
+        pytest.param(_product([_c(2), _product([_c(32), _c(32)])]), id="C2x(C32xC32)"),
+        pytest.param(
+            {"family": "inverting_extension", "params": {"base": _c(MAX_FAMILY_ORDER)}},
+            id="Ext(C1024)",
+        ),
+    ],
+)
+def test_family_spec_past_the_order_cap_exits_two(spec, tmp_path, capsys):
+    """Every built order, intermediate products included, is checked before
+    its O(n^2) table is built."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["--group", str(path), "--involution", "classical"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: UnsupportedOrderError: ") and err.count("\n") == 1
+    assert f"exceeds the limit {MAX_FAMILY_ORDER}" in err
+
+
+def test_family_spec_at_the_order_cap_builds():
+    assert parse_group_spec(json.dumps(_product([_c(32), _c(32)]))).order == MAX_FAMILY_ORDER
 
 
 # ---------------------------------------------------------------------------

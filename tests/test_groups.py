@@ -216,11 +216,13 @@ EQUALITY_TABLES = {
 
 def _assert_same_verdict(mul):
     """GroupTable and the cubic oracle accept the same table, with the same
-    inverses; a rejection for associativity names a triple that fails."""
+    inverses; a rejection for associativity names a triple that fails, and
+    any other rejection has the oracle's message and witness."""
     try:
         want = naive_group_axioms(mul)
-    except GroupAxiomViolationError:
+    except GroupAxiomViolationError as exc:
         want = None
+        want_error = (str(exc), exc.witness)
     try:
         got = f.GroupTable(mul).inv
     except GroupAxiomViolationError as exc:
@@ -228,6 +230,8 @@ def _assert_same_verdict(mul):
         if str(exc).startswith("associativity"):
             i, j, k = exc.witness
             assert mul[mul[i][j]][k] != mul[i][mul[j][k]]
+        else:
+            assert (str(exc), exc.witness) == want_error
     assert got == want
 
 
@@ -305,6 +309,20 @@ def test_light_test_matches_cubic_check_on_corruptions(name, relabel, data):
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, n - 1))
     mul[i][j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != mul[i][j]))
+    _assert_same_verdict(mul)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(EQUALITY_TABLES)), st.data())
+def test_table_checks_name_the_cubic_checks_witness(name, data):
+    """Entries out of range (-1 or n) and extra zeros in a row: the first
+    zero of a row need not be the two-sided inverse."""
+    mul = [list(row) for row in EQUALITY_TABLES[name]]
+    n = len(mul)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1))
+        mul[i][j] = data.draw(st.sampled_from([-1, 0, n, mul[j][i]]))
     _assert_same_verdict(mul)
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
+from f2units import unitgroup
 from f2units.algebra import _involute
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.decompositions import _product_is
@@ -51,6 +52,23 @@ def test_full_scan_matches_naive_up_to_order_8(g, sigma, sub):
 def test_support_scan_matches_naive(g, sigma, sub):
     expected = naive_subalgebra_unitary_masks(g, sigma.perm, sub.members)
     assert list(f.enumerate_unitary(g, sigma, support=sub, workers=1).masks) == expected
+
+
+@pytest.mark.parametrize("g, sigma, sub", _instances(8))
+def test_every_split_matches_naive(g, sigma, sub, monkeypatch):
+    """From 10 positions down the kernel puts every position on its planes
+    and walks no Gray code, so every split up to order 8 is forced here:
+    |L| = 0 is the walk alone, |L| = k the planes alone."""
+    cases = [(None, naive_unitary_masks(g, sigma.perm), g.order)]
+    cases.append((sub, naive_subalgebra_unitary_masks(g, sigma.perm, sub.members), len(sub.members)))
+    for support, expected, k in cases:
+        for s in range(k + 1):
+            monkeypatch.setattr(unitgroup, "_low_positions", lambda _, s=s: s)
+            assert list(f.enumerate_unitary(g, sigma, support=support).masks) == expected, s
+
+
+def test_low_positions_fill_planes_of_2_to_the_10_bits():
+    assert [unitgroup._low_positions(k) for k in (1, 8, 10, 16, 20, 32)] == [1, 8, 10, 10, 10, 16]
 
 
 def test_order16_scans_match_pinned_digests():
