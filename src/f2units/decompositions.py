@@ -199,8 +199,10 @@ def _unipotent_factor(form: InvertingExtensionForm, pivots: dict[int, tuple[int,
 
 
 def _unipotent_generator(form: InvertingExtensionForm, gi: int) -> int:
-    g = form.group
-    return 1 ^ _mul(g, _mul(g, _one_plus_bsq(form), 1 << gi), 1 << form.b)
+    """1 + (1+b*b) g_i b, read off the table: (1+b*b) g_i b is the sum of the
+    two group elements g_i b and b*b g_i b, distinct as b*b is not 1."""
+    mul, b = form.group.mul, form.b
+    return 1 ^ 1 << mul[gi][b] ^ 1 << mul[mul[form.b_squared][gi]][b]
 
 
 def build_abelian_complement(
@@ -224,6 +226,13 @@ def build_normal_cofactor(
     so W l = l + (W - 1). HypothesisViolationError unless W - 1 is a subspace
     that left and right translation (g.mul[a] and column a) by each generator
     a of A maps into itself, and L lies on A: bit permutations, no product.
+
+    The sumset is listed with s outer, over the ascending W - 1, and l inner,
+    over the ascending L. W - 1 lies on the coset A b and L on A, so when A
+    sits below its coset, as make_quaternion and make_inverting_extension
+    lay it out, l + s orders by s first and the list is already ascending:
+    ``make_unit_set`` sorts it in linear time. A relabelled table only costs
+    a fuller sort.
     """
     g = form.group
     shifts = [p for a in form.a_sub.generators for p in (g.mul[a], [r[a] for r in g.mul])]
@@ -237,7 +246,7 @@ def build_normal_cofactor(
     if any(m & ~on_a for m in ell.masks):
         raise HypothesisViolationError("the complement is not supported on A")
     gens = tuple(w.generators or ()) + tuple(ell.generators or ())
-    return make_unit_set(g, (l ^ s for l in ell.masks for s in module), generators=gens)
+    return make_unit_set(g, (l ^ s for s in module for l in ell.masks), generators=gens)
 
 
 def _conjugation_witness(

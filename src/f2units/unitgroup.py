@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, islice, repeat
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -100,8 +100,11 @@ class UnitSet:
         return self._mask_set
 
     def __contains__(self, x) -> bool:
-        m = x.mask if isinstance(x, AlgebraElement) else int(x)
-        return m in self.mask_set()
+        if isinstance(x, AlgebraElement):
+            if x.group is not self.group:
+                raise GroupMismatchError("element lives in a different group")
+            x = x.mask
+        return int(x) in self.mask_set()
 
     def elements(self) -> Iterator[AlgebraElement]:
         for m in self.masks:
@@ -111,8 +114,14 @@ class UnitSet:
 def make_unit_set(
     group: GroupTable, masks: Iterable[int], generators: Sequence[int] | None = None
 ) -> UnitSet:
+    """The UnitSet of ``masks`` in canonical order, duplicates dropped.
+
+    The masks are sorted as given and then deduplicated in order: timsort
+    takes linear time on a list that is already ascending (the sumset of
+    ``build_normal_cofactor`` is one), where a set first would scatter it.
+    """
     gens = tuple(generators) if generators is not None else None
-    return UnitSet(group, tuple(sorted(set(masks))), gens)
+    return UnitSet(group, tuple(dict.fromkeys(sorted(masks))), gens)
 
 
 def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
@@ -190,22 +199,23 @@ def _member_planes(masks: Sequence[int], n: int) -> list[int]:
     """Transpose a member list into n bit planes: bit k of plane i is bit i
     of masks[k].
 
-    The masks are written into one bytearray, one at a time. Each byte column,
-    reversed so that the last member comes first, is translated to one ASCII
-    digit per member for each of its bits and parsed in base 2, which the
-    int/str digit limit does not cover.
+    The masks are packed big-endian and last member first into a bytearray,
+    so every byte column is a stride slice that already starts with the last
+    member. Each column is translated to one ASCII digit per member for each
+    of its bits and parsed in base 2, which the int/str digit limit does not
+    cover. One ``b"".join`` packs 256 masks: a join over the whole list would
+    hold a bytes object per member at once.
     """
     if not masks:
         return [0] * n
     nbytes = (n + 7) // 8
-    blob = bytearray(len(masks) * nbytes)
-    pos = 0
-    for m in masks:
-        blob[pos : pos + nbytes] = m.to_bytes(nbytes, "little")
-        pos += nbytes
+    blob = bytearray()
+    rest = reversed(masks)
+    for _ in range(0, len(masks), 256):
+        blob += b"".join(map(int.to_bytes, islice(rest, 256), repeat(nbytes), repeat("big")))
     planes = []
     for c in range(nbytes):
-        column = blob[c::nbytes][::-1]
+        column = blob[nbytes - 1 - c :: nbytes]
         for b in range(min(8, n - 8 * c)):
             planes.append(int(column.translate(_BIT_DIGITS[b]), 2))
     return planes

@@ -7,6 +7,8 @@ lists a product again."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import f2units as f
@@ -36,6 +38,34 @@ CLASSICAL_FORMS = {
         lambda: f.make_direct_product(f.make_cyclic(8), f.make_cyclic(2)), "(a4,1)"
     ),
 }
+
+
+def _relabelled_q32():
+    """Q32 with every element but the identity moved to a seeded random
+    index, so that its index-2 subgroup A no longer sits below its coset."""
+    g = f.make_quaternion(32)
+    pos = [0, *random.Random(5).sample(range(1, 32), 31)]
+    table = [[0] * 32 for _ in range(32)]
+    for i, row in enumerate(g.mul):
+        for j, v in enumerate(row):
+            table[pos[i]][pos[j]] = pos[v]
+    labels = [""] * 32
+    for i, label in enumerate(g.labels):
+        labels[pos[i]] = label
+    form = f.detect_inverting_form(f.GroupTable(table, labels, name="Q32"))
+    assert sorted(form.a_sub.members) != list(range(16))
+    return form
+
+
+@pytest.mark.parametrize("key", [*CLASSICAL_FORMS, "Q32 relabelled"])
+def test_cofactor_masks_are_the_sorted_sumset(key):
+    """The cofactor's canonical order, from the sumset listed with W - 1
+    outer, equals the sorted set of l + s whatever the table's layout."""
+    form = _relabelled_q32() if key == "Q32 relabelled" else CLASSICAL_FORMS[key]()
+    w = f.build_unipotent_factor(form)
+    ell = f.build_abelian_complement(form)
+    h = f.build_normal_cofactor(form, w, ell)
+    assert h.masks == tuple(sorted({l ^ 1 ^ m for l in ell.masks for m in w.masks}))
 
 
 def _closure(g, gens):

@@ -67,6 +67,18 @@ def test_unit_set_contains_and_elements(c4):
     assert v.mask_set() == set(v.masks)
 
 
+def test_unit_set_rejects_an_element_of_another_group(q8, d8):
+    """An element is a member only of a set in its own group; a bare mask
+    carries no group and is looked up as it is."""
+    image, units = f.group_image(q8), f.enumerate_normalized_units(q8)
+    with pytest.raises(GroupMismatchError):
+        f.AlgebraElement(d8, 1 << 3) in image
+    with pytest.raises(GroupMismatchError):
+        f.AlgebraElement(d8, 1) in units
+    assert f.AlgebraElement(q8, 1 << 3) in image
+    assert 1 << 3 in image and 1 in units and 0b11 not in image
+
+
 # ---------------------------------------------------------------------------
 # unitary units, cross-checked against the brute-force oracle
 
