@@ -66,6 +66,7 @@ from .unitgroup import (
     UnitSet,
     _failing_members,
     _fixed_point_pcgs,
+    _product_is,
     enumerate_unitary,
     find_complement,
     gens_of,
@@ -145,15 +146,6 @@ def _add_member_check(
     bad = _failing_members(g, masks, None if sigma is None else sigma.perm, square, central)
     first = (bad & -bad).bit_length() - 1
     report.add(name, not bad, _render(g, masks[first]) if bad else None)
-
-
-def _product_is(v: UnitSet, x: UnitSet, y: UnitSet) -> bool:
-    """True iff x*y = v as sets, for subgroups x, y of the unit group and the
-    scanned V_* = v: x*y has |x||y| / |x meet y| members and lies in v when x
-    and y do, v being the fixed group of the automorphism u -> sigma(u)^-1;
-    conversely x*y = v puts x and y in v."""
-    xs, ys, vs = x.mask_set(), y.mask_set(), v.mask_set()
-    return xs <= vs and ys <= vs and x.order * y.order == v.order * len(xs & ys)
 
 
 def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> None:

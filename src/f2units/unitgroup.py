@@ -26,9 +26,10 @@ members at the same bit, a fixed multiplier y entering as its
 ``_fixed_planes``. ``_failing_members`` is the one member test (u * perm(u)
 = 1, u * u = 1, commutation), for the decompositions' member checks and
 ``elements_of_order_dividing_2``; the kernel builds its starting planes with
-``_product_planes`` too. No plane is read back into masks (``product_masks``
-is a plain pairwise listing). Structure checks work on generators; a set
-without recorded generators computes its canonical ones once and caches them.
+``_product_planes`` too. No plane is read back into masks, and no product of
+subgroups is listed pairwise (``_product_is``, ``is_direct``). Structure
+checks work on generators; a set without recorded generators computes its
+canonical ones once and caches them.
 
 Both listings run on the calling thread (the kernel's big-int loop holds the
 GIL, so a second thread gained nothing); ``workers`` is accepted and ignored.
@@ -66,8 +67,7 @@ class UnitSet:
     revalidated on construction; every member must have augmentation 1, the
     identity must be present, and recorded ``generators`` generate the set.
     Since every UnitSet is a subgroup, a product of two of them is compared
-    with a group by orders rather than listed: in ``internal_semidirect``,
-    ``internal_direct`` and the decompositions' set equalities.
+    with a group by orders rather than listed (``_product_is``).
     """
 
     group: GroupTable
@@ -464,12 +464,6 @@ def unit_subgroup_closure(g: GroupTable, gens: Iterable[AlgebraElement]) -> Unit
     return make_unit_set(g, span, generators=gen_masks)
 
 
-def product_masks(g: GroupTable, left: Iterable[int], right: Iterable[int]) -> frozenset[int]:
-    """The set of pairwise products of two mask collections."""
-    rights = list(right)
-    return frozenset(_mul(g, x, y) for x in left for y in rights)
-
-
 def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:
     if part.group is not ambient.group:
         raise GroupMismatchError(f"{name} lives in a different group")
@@ -477,19 +471,23 @@ def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:
         raise NotSubsetError(f"{name} is not contained in the ambient unit set")
 
 
+def _product_is(v: UnitSet, x: UnitSet, y: UnitSet) -> bool:
+    """True iff x*y = v as sets, for subgroups x, y, v of the unit group, by
+    orders: if x and y lie in v, so does x*y, which has |x||y| / |x meet y|
+    members; conversely x*y = v puts x and y in v."""
+    xs, ys, vs = x.mask_set(), y.mask_set(), v.mask_set()
+    return xs <= vs and ys <= vs and x.order * y.order == v.order * len(xs & ys)
+
+
 def internal_semidirect(ambient: UnitSet, n: UnitSet, k: UnitSet) -> bool:
     """True iff n is normal in ambient, meets k trivially, and n*k = ambient.
 
-    Decided without listing n*k. n is a subgroup, so it normalizes itself,
-    and only the generators of k are conjugated. If they normalize n and n
-    meets k trivially, then n*k = <n, k> is a subgroup of ambient of order
-    |n||k|, so it is ambient exactly when the orders agree. Conversely
-    n*k = ambient with a trivial intersection forces |ambient| = |n||k|, and
-    the generators of n and k then generate ambient.
+    Decided without listing n*k (``_product_is``). n is a subgroup, so it
+    normalizes itself, and only the generators of k are conjugated.
     """
     _require_subset(ambient, n, "the normal part")
     _require_subset(ambient, k, "the complement part")
-    if n.mask_set() & k.mask_set() != {1} or n.order * k.order != ambient.order:
+    if n.mask_set() & k.mask_set() != {1} or not _product_is(ambient, n, k):
         return False
     return normalizes(ambient.group, gens_of(k), n)
 
@@ -498,18 +496,25 @@ def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
     """True iff the subgroups generate their internal direct product.
 
     They must commute pairwise (decided on generators) and each must meet the
-    product of the factors before it only in the identity; for pairwise
-    commuting subgroups this is the standard criterion. The last factor is
-    never multiplied into the running product.
+    product P of the factors before it only in the identity; for pairwise
+    commuting subgroups this is the standard criterion. As P*F = <P, F>,
+    ``_extend`` grows P by the generators of F, except for the last factor.
+    No factors make the trivial group.
     """
-    if not all(commute(g, a, b) for a, b in combinations(map(gens_of, factors), 2)):
+    gens = [gens_of(f) for f in factors]
+    if not all(commute(g, a, b) for a, b in combinations(gens, 2)):
         return False
-    prefix = factors[0].mask_set()
+    if not factors:
+        return True
+    prefix, prefix_gens = factors[0].mask_set(), gens[0]
     for i in range(1, len(factors)):
         if factors[i].mask_set() & prefix != {1}:
             return False
         if i + 1 < len(factors):
-            prefix = product_masks(g, prefix, factors[i].masks)
+            for x in gens[i]:
+                if x not in prefix:
+                    prefix = _extend(partial(_mul, g), prefix, prefix_gens, x)
+                    prefix_gens.append(x)
     return True
 
 
@@ -529,14 +534,17 @@ def _is_abelian_units(s: UnitSet) -> bool:
     return all(mul(x, y) == mul(y, x) for x, y in combinations(gens_of(s), 2))
 
 
-def _element_order_in_units(g: GroupTable, m: int) -> int:
+def _unit_order(g: GroupTable, m: int) -> int:
+    """The order of the unit m, by repeated squaring. As in ``_inverse``,
+    m = 1 + j with j in J and m^(2^k) = 1 + j^(2^k); for a 2-group J^|G| = 0
+    (its powers shrink strictly, and dim J = |G| - 1), so m has 2-power order
+    at most |G|, and squares short of 1 by then mean m is not a unit."""
     order = 1
-    cur = m
-    while cur != 1:
-        cur = _mul(g, cur, m)
-        order += 1
-        if order > 1 << 20:
-            raise NotAUnitError("order computation runaway: not a unit")
+    while m != 1:
+        if order >= g.order:
+            raise NotAUnitError("squares never reached 1: not a unit of a 2-group algebra")
+        m = _mul(g, m, m)
+        order *= 2
     return order
 
 
@@ -554,7 +562,7 @@ def structure_predicates(s: UnitSet) -> dict:
     if elementary:
         exponent = 1 if s.order == 1 else 2
     else:
-        exponent = max(_element_order_in_units(g, m) for m in (gens_of(s) if abelian else s.masks))
+        exponent = max(_unit_order(g, m) for m in (gens_of(s) if abelian else s.masks))
     return {"is_elementary_abelian_2": elementary, "rank": rank, "exponent": exponent}
 
 

@@ -1,7 +1,7 @@
 """The bit-plane layer against per-member oracles: the transpose, products
-by a fixed multiplier, the product of two mask lists, and the member checks
-(pass/fail and the first failing member on every factor list the
-verifications test, intact and with single-bit corruptions)."""
+by a fixed multiplier, and the member checks (pass/fail and the first
+failing member on every factor list the verifications test, intact and with
+single-bit corruptions)."""
 
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from f2units.unitgroup import (
     _product_planes,
     group_image,
     make_unit_set,
-    product_masks,
 )
 from oracles import naive_first_failing_member, naive_product
 
@@ -140,49 +139,6 @@ def test_products_by_a_fixed_multiplier_match_mul(name):
         assert left == [_mul(g, y, x) for x in xs]
 
 
-PRODUCT_ORDERS = {
-    2: f.make_cyclic(2),
-    4: f.make_cyclic(4),
-    8: f.make_quaternion(8),
-    16: f.make_dihedral(16),
-    32: f.make_quaternion(32),
-    64: f.make_quaternion(64),
-}
-
-
-@st.composite
-def product_cases(draw):
-    n = draw(st.sampled_from(sorted(PRODUCT_ORDERS)))
-    masks = st.lists(st.integers(0, (1 << n) - 1), max_size=12)
-    return n, draw(masks), draw(masks)
-
-
-@settings(max_examples=150, deadline=None)
-@given(product_cases())
-def test_product_masks_matches_naive(case):
-    """Either side may be the larger, empty or hold duplicates."""
-    n, left, right = case
-    g = PRODUCT_ORDERS[n]
-    assert product_masks(g, left, right) == naive_product(g, left, right)
-    assert product_masks(g, left + left[:3], right) == naive_product(g, left, right)
-    assert product_masks(g, left, []) == product_masks(g, [], right) == frozenset()
-
-
-@pytest.mark.parametrize("n", (2, 8, 32))
-def test_product_masks_past_the_digit_limit(n):
-    """100 x 70 pairs, more than the 4300-digit int/str limit, in both
-    orientations and with a single member on either side."""
-    g = PRODUCT_ORDERS[n]
-    rng = random.Random(n)
-    xs = [rng.getrandbits(n) for _ in range(100)]
-    ys = [rng.getrandbits(n) for _ in range(70)]
-    assert product_masks(g, xs, ys) == naive_product(g, xs, ys)
-    assert product_masks(g, ys, xs) == naive_product(g, ys, xs)
-    for single in (xs[:1], ys[-1:]):
-        assert product_masks(g, single, xs) == naive_product(g, single, xs)
-        assert product_masks(g, xs, single) == naive_product(g, xs, single)
-
-
 def test_largest_listed_product_d8xc4():
     """The odot oracle comparison decides (G.T).W by orders, listing G.T
     only; at D8xC4 the product would hold |G.T||W| / |G.T meet W| =
@@ -193,7 +149,7 @@ def test_largest_listed_product_d8xc4():
     sizes = (group_image(g), build_torsion_complement(form), build_central_unipotent(form))
     assert [s.order for s in sizes] == [32, 16, 4096]
     g_image, t, w = sizes
-    gt = product_masks(g, g_image.masks, t.masks)
+    gt = naive_product(g, g_image.masks, t.masks)
     assert len(gt) * w.order // len(gt & w.mask_set()) == 2_097_152
 
 

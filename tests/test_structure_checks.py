@@ -46,13 +46,10 @@ def naive_pairwise_commute(g, factors) -> bool:
     )
 
 
-def naive_direct(g, ambient, factors) -> bool:
+def naive_constructive_direct(g, factors) -> bool:
+    """Pairwise commuting, and each factor meets the product of the others
+    only in the identity."""
     if not naive_pairwise_commute(g, factors):
-        return False
-    total = {1}
-    for x in factors:
-        total = naive_product(g, total, x.masks)
-    if total != set(ambient.masks):
         return False
     for i, x in enumerate(factors):
         rest = {1}
@@ -64,15 +61,13 @@ def naive_direct(g, ambient, factors) -> bool:
     return True
 
 
-def naive_constructive_direct(g, factors) -> bool:
-    if not naive_pairwise_commute(g, factors):
+def naive_direct(g, ambient, factors) -> bool:
+    if not naive_constructive_direct(g, factors):
         return False
-    for i, x in enumerate(factors):
-        p, q = (y for j, y in enumerate(factors) if j != i)
-        pq = naive_product(g, p.masks, q.masks)
-        if len(pq) != p.order * q.order or set(x.masks) & pq != {1}:
-            return False
-    return True
+    total = {1}
+    for x in factors:
+        total = naive_product(g, total, x.masks)
+    return total == set(ambient.masks)
 
 
 def classical_parts(entry):
@@ -121,7 +116,12 @@ def test_odot_checks_match_oracles(entry):
     g = form.group
     img = f.group_image(g)
     factors = [img, t, w]
-    assert is_direct(g, factors) is naive_constructive_direct(g, factors)
+    # Every prefix, and the trivial group as a fourth factor. At Q8xC2 G is
+    # not abelian and |T| = 2, so the running product grows by T's
+    # generator, with G's generators as those of the subgroup it extends.
+    for k in range(5):
+        some = [*factors, f.make_unit_set(g, [1])][:k]
+        assert is_direct(g, some) is naive_constructive_direct(g, some)
     # the dihedral-family group image lies outside the unitary group, so the
     # direct product is certified inside the product set instead
     ambient = v if set(img.masks) <= set(v.masks) else f.make_unit_set(
@@ -162,6 +162,24 @@ def test_direct_needs_more_than_pairwise_trivial_intersections():
     assert f.internal_direct(img, cyclic) is naive_direct(g, img, cyclic) is False
     assert is_direct(g, cyclic[:2]) is True
     assert f.internal_direct(img, cyclic[:2]) is naive_direct(g, img, cyclic[:2]) is True
+
+
+def test_direct_on_zero_to_four_factors():
+    """In C2^3 the subgroups <a>, <b>, <c> are direct and <abc> lies in
+    their product: every prefix of [<a>, <b>, <c>, <abc>] agrees with the
+    naive check, the first to fail being the fourth, once the running
+    product has grown twice. No factors make the trivial group."""
+    c2 = f.make_cyclic(2)
+    g = f.make_direct_product(f.make_direct_product(c2, c2), c2)
+    a, b, c = g.greedy_generators
+    abc = g.mul[g.mul[a][b]][c]
+    cyclic = [f.group_image(g, SubgroupSet.from_members(g, [0, x])) for x in (a, b, c, abc)]
+    img = f.group_image(g)
+    for k in range(5):
+        assert is_direct(g, cyclic[:k]) is naive_constructive_direct(g, cyclic[:k]) is (k < 4)
+        assert f.internal_direct(img, cyclic[:k]) is naive_direct(g, img, cyclic[:k]) is (k == 3)
+    assert f.internal_direct(f.make_unit_set(g, [1]), []) is True
+    assert is_direct(g, cyclic[::-1]) is naive_constructive_direct(g, cyclic[::-1]) is False
 
 
 def test_complement_search_rejects_a_non_abelian_ambient(q8):

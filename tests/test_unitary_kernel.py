@@ -16,7 +16,7 @@ import f2units as f
 from f2units import unitgroup
 from f2units.algebra import _involute
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
-from f2units.decompositions import _product_is
+from f2units.unitgroup import _product_is
 from conftest import order32_scan
 from oracles import naive_subalgebra_unitary_masks, naive_unitary_masks
 

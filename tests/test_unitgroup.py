@@ -12,7 +12,7 @@ from f2units.errors import (
     NotSubsetError,
     TooLargeError,
 )
-from oracles import naive_mul, naive_unitary_masks
+from oracles import naive_mul, naive_unit_order, naive_unitary_masks
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +155,6 @@ def test_closure_rejects_non_units(q8):
         f.unit_subgroup_closure(q8, [f.one(q8) + f.basis(q8, 1)])
 
 
-def test_product_masks_multiplies_sizes(q8, q8_form):
-    w = f.build_unipotent_factor(q8_form)
-    ell = f.build_abelian_complement(q8_form)
-    prod = f.product_masks(q8, w.masks, ell.masks)
-    assert len(prod) == w.order * ell.order
-
-
 def test_internal_semidirect_on_unitary_group(q8, q8_form):
     sigma = f.classical_involution(q8)
     v = f.enumerate_unitary(q8, sigma)
@@ -225,14 +218,45 @@ def test_abelian_exponent_takes_one_order_per_generator(monkeypatch):
     form = f.make_inverting_form(g, [1], 8)
     v_a = f.enumerate_unitary(g, f.classical_involution(g), support=form.a_sub)
     gens = f.canonical_generators(v_a)
-    order = unitgroup._element_order_in_units
+    order = unitgroup._unit_order
     calls = []
-    monkeypatch.setattr(
-        unitgroup, "_element_order_in_units", lambda g, m: calls.append(m) or order(g, m)
-    )
+    monkeypatch.setattr(unitgroup, "_unit_order", lambda g, m: calls.append(m) or order(g, m))
     preds = f.structure_predicates(v_a)
     assert preds == {"is_elementary_abelian_2": False, "rank": None, "exponent": 8}
     assert calls == gens
+
+
+@pytest.mark.parametrize("order", [8, 16])
+def test_non_abelian_exponent_matches_a_power_loop(order):
+    """The exponent of the scanned V_* of Q8 and Q16 under the classical
+    involution, a non-abelian set, is the largest member order found by
+    multiplying each member by itself until it reaches 1."""
+    g = f.make_quaternion(order)
+    v = f.enumerate_unitary(g, f.classical_involution(g))
+    preds = f.structure_predicates(v)
+    assert preds["is_elementary_abelian_2"] is False
+    assert preds["exponent"] == max(naive_unit_order(g, m) for m in v.masks)
+
+
+def test_exponent_of_a_non_unit_stops_after_the_group_order(q8, monkeypatch):
+    """A non-abelian set with recorded generators and the non-unit 1 + g1
+    among its masks: the orders are taken by squaring, and the squares of
+    1 + g1 give up once the order would pass |G| = 8, after log2(8) of them
+    (a walk through the powers ran to 2^20 products)."""
+    from f2units import unitgroup
+
+    gens = f.group_image(q8).generators
+    s = f.make_unit_set(q8, [*f.group_image(q8).masks, 1 | 1 << 1], generators=gens)
+    mul = unitgroup._mul
+    calls = []
+    monkeypatch.setattr(unitgroup, "_mul", lambda *args: calls.append(args) or mul(*args))
+    with pytest.raises(NotAUnitError):
+        unitgroup._unit_order(q8, 1 | 1 << 1)
+    assert len(calls) == 3
+    calls.clear()
+    with pytest.raises(NotAUnitError):
+        f.structure_predicates(s)
+    assert len(calls) < 64
 
 
 def test_order_two_subgroup_extraction(c4xc2):
