@@ -6,17 +6,19 @@ V_k = 1 + J^k (J the augmentation ideal) from the generators of G, and:
 
 - ``enumerate_normalized_units`` takes it as the proof that J is nilpotent,
   so every augmentation-1 element is a unit, and lists those elements in
-  ascending order, one parity block of low masks per high mask.
+  ascending order by one comprehension, one parity block of low masks per
+  high mask.
 - ``_fixed_point_pcgs`` lifts the units fixed by u -> sigma(u)^-1 along it,
   one layer at a time: a pcgs of the unitary group found with no scan, on
   which the classical oracle decides normality.
 - ``enumerate_unitary`` solves u * sigma(u) = 1 with a bit-sliced kernel:
   the coefficients split into low positions L and high positions H,
   u = h + l, and for each h one AND of int bit planes tests every l at once,
-  while h walks a Gray code; ``_low_positions`` picks |L|. It still
-  evaluates the defining equation at every element of the (sub)algebra and
-  uses no structural input, so it stays an independent oracle for the
-  decompositions.
+  while h walks a Gray code; ``_low_positions`` picks |L|. The hits of
+  each h are filed under h, so they come out ascending with no sort. It
+  still evaluates the defining equation at every element of the
+  (sub)algebra and uses no structural input, so it stays an independent
+  oracle for the decompositions.
 
 The same int bit planes serve the member checks of the decompositions, and
 only this module knows their format. ``_member_planes`` transposes a list of
@@ -104,7 +106,7 @@ class UnitSet:
             if x.group is not self.group:
                 raise GroupMismatchError("element lives in a different group")
             x = x.mask
-        return int(x) in self.mask_set()
+        return x in self.mask_set()
 
     def elements(self) -> Iterator[AlgebraElement]:
         for m in self.masks:
@@ -119,6 +121,11 @@ def make_unit_set(
     The masks are sorted as given and then deduplicated in order: timsort
     takes linear time on a list that is already ascending (the sumset of
     ``build_normal_cofactor`` is one), where a set first would scatter it.
+    Both exhaustive listings come out ascending and skip it. The builders
+    that still need it list in another order: closures
+    (``unit_subgroup_closure``, ``find_complement``), G*T by left
+    translation, spans 1 + span(vectors), and the cofactor's sumset, which
+    is ascending only where A sits below its coset.
     """
     gens = tuple(generators) if generators is not None else None
     return UnitSet(group, tuple(dict.fromkeys(sorted(masks))), gens)
@@ -162,7 +169,8 @@ def enumerate_normalized_units(
     ``_ideal_powers`` is the proof: once J^t = 0, every 1 + j is a unit, with
     inverse 1 + j + ... + j^(t-1). With ``support`` this runs inside the
     subalgebra spanned by a subgroup; the bound applies to the number of free
-    coefficient positions. ``workers`` is accepted and ignored.
+    coefficient positions. The masks are listed ascending, so the UnitSet is
+    built with no sort. ``workers`` is accepted and ignored.
     """
     members = _free_positions(g, support, max_order)
     _ideal_powers(g, members, support.generators if support is not None else g.greedy_generators)
@@ -171,8 +179,7 @@ def enumerate_normalized_units(
     half = len(members) // 2
     low, high = _span(1 << c for c in members[:half]), _span(1 << c for c in members[half:])
     completing = [[m for m in low if m.bit_count() & 1 != p] for p in (0, 1)]
-    blocks = (map(h.__or__, completing[h.bit_count() & 1]) for h in high)
-    return UnitSet(g, tuple(chain.from_iterable(blocks)))
+    return UnitSet(g, tuple([h | m for h in high for m in completing[h.bit_count() & 1]]))
 
 
 def _indicator_planes(nbits: int) -> list[int]:
@@ -295,7 +302,9 @@ def _low_positions(k: int) -> int:
     return max(k // 2, min(k, 10))
 
 
-def _unitary_kernel(g: GroupTable, perm: Sequence[int], members: Sequence[int]) -> list[int]:
+def _unitary_kernel(
+    g: GroupTable, perm: Sequence[int], members: Sequence[int]
+) -> tuple[int, ...]:
     """Bit-sliced solver of u * sigma(u) = 1 over the span of ``members``.
 
     Write u = h + l with l on the first ``_low_positions(k)`` positions L and
@@ -307,7 +316,12 @@ def _unitary_kernel(g: GroupTable, perm: Sequence[int], members: Sequence[int]) 
     XORs position i's delta planes into the running planes: 2^|H| steps of
     about |coords| ops on 2^|L|-bit planes.
 
-    Returns every solution, in no particular order.
+    Returns every solution in ascending order. The hits of each h are found
+    top-down and filed under h, whose bit i stands for high[i]; each run is
+    reversed and the runs are joined in h order. That is ascending and free
+    of duplicates because ``members`` ascend, so h orders like its mask
+    and every high position lies above every low one, and ``spread`` keeps
+    the order of l.
     """
     mul = g.mul
     nlow = _low_positions(len(members))
@@ -347,7 +361,7 @@ def _unitary_kernel(g: GroupTable, perm: Sequence[int], members: Sequence[int]) 
 
     planes = list(start)
     h = hmask = 0
-    hits: list[int] = []
+    runs: list[Sequence[int]] = [()] * (1 << len(high))
     for t in range(1 << len(high)):
         if t:
             i = (t & -t).bit_length() - 1
@@ -367,11 +381,15 @@ def _unitary_kernel(g: GroupTable, perm: Sequence[int], members: Sequence[int]) 
             alive &= p
             if not alive:
                 break
-        while alive:
-            top = alive.bit_length() - 1
-            alive ^= 1 << top
-            hits.append(hmask | spread[top])
-    return hits
+        if alive:
+            run = []
+            while alive:
+                top = alive.bit_length() - 1
+                alive ^= 1 << top
+                run.append(hmask | spread[top])
+            run.reverse()
+            runs[h] = run
+    return tuple(chain.from_iterable(runs))
 
 
 def enumerate_unitary(
@@ -385,12 +403,13 @@ def enumerate_unitary(
 
     Every element of the (sub)algebra is tested against the defining
     equation; augmentation 1 follows from it, so no parity filter is needed.
-    ``workers`` is accepted and ignored.
+    The kernel returns its hits ascending, so the UnitSet is built with no
+    sort. ``workers`` is accepted and ignored.
     """
     if sigma.group is not g:
         raise GroupMismatchError("involution belongs to a different group")
     members = _free_positions(g, support, max_order)
-    return make_unit_set(g, _unitary_kernel(g, sigma.perm, members))
+    return UnitSet(g, _unitary_kernel(g, sigma.perm, members))
 
 
 # ---------------------------------------------------------------------------
@@ -482,12 +501,15 @@ def _product_is(v: UnitSet, x: UnitSet, y: UnitSet) -> bool:
 def internal_semidirect(ambient: UnitSet, n: UnitSet, k: UnitSet) -> bool:
     """True iff n is normal in ambient, meets k trivially, and n*k = ambient.
 
-    Decided without listing n*k (``_product_is``). n is a subgroup, so it
-    normalizes itself, and only the generators of k are conjugated.
+    Decided without listing n*k: once n and k lie in ambient and meet only in
+    the identity, n*k lies in ambient and has |n||k| members, so it is ambient
+    exactly when |n||k| = |ambient| (``_product_is`` with |n meet k| = 1). n is
+    a subgroup, so it normalizes itself, and only the generators of k are
+    conjugated.
     """
     _require_subset(ambient, n, "the normal part")
     _require_subset(ambient, k, "the complement part")
-    if n.mask_set() & k.mask_set() != {1} or not _product_is(ambient, n, k):
+    if n.mask_set() & k.mask_set() != {1} or n.order * k.order != ambient.order:
         return False
     return normalizes(ambient.group, gens_of(k), n)
 

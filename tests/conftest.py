@@ -1,5 +1,6 @@
-"""Shared fixtures: one table per group per session, and one full scan per
-order-32 instance.
+"""Shared fixtures: one table per group per session, one full scan per
+order-32 instance, and a relabelled Q32 whose subgroups sit at scattered
+positions.
 
 Algebra elements are bound to a specific table object, so tests that
 exchange elements must draw the group from the same fixture.
@@ -8,6 +9,7 @@ exchange elements must draw the group from the same fixture.
 from __future__ import annotations
 
 import functools
+import random
 import sys
 from pathlib import Path
 
@@ -109,3 +111,21 @@ def order32_scan(key: str):
         form = f.make_odot_form(g)
         sigma = f.odot_involution(form)
     return g, form, f.enumerate_unitary(g, sigma, max_order=32)
+
+
+def relabelled_q32():
+    """The detected inverting form of Q32 with every element but the identity
+    moved to a seeded random index, so that its index-2 subgroup A no longer
+    sits below its coset and A's positions are scattered."""
+    g = f.make_quaternion(32)
+    pos = [0, *random.Random(5).sample(range(1, 32), 31)]
+    table = [[0] * 32 for _ in range(32)]
+    for i, row in enumerate(g.mul):
+        for j, v in enumerate(row):
+            table[pos[i]][pos[j]] = pos[v]
+    labels = [""] * 32
+    for i, label in enumerate(g.labels):
+        labels[pos[i]] = label
+    form = f.detect_inverting_form(f.GroupTable(table, labels, name="Q32"))
+    assert sorted(form.a_sub.members) != list(range(16))
+    return form

@@ -23,6 +23,7 @@ from f2units.decompositions import _central_order_2_parts, _unipotent_map
 from f2units.errors import NotAUnitError
 from f2units.involutions import InvertingExtensionForm
 from f2units.unitgroup import _ideal_powers
+from conftest import relabelled_q32
 from oracles import (
     bits,
     naive_basis,
@@ -107,6 +108,8 @@ def _scan_subgroups():
     for e in CLASSICAL_ENTRIES:
         yield pytest.param(lambda e=e: e.form().a_sub, id=f"{e.key}/A")
     yield pytest.param(lambda: _q32_form().a_sub, id="Q32/A")
+    # A relabelled table scatters A's positions over the group.
+    yield pytest.param(lambda: relabelled_q32().a_sub, id="Q32 relabelled/A")
     for e in ODOT_ENTRIES:
         yield pytest.param(lambda e=e: e.form().c_sub, id=f"{e.key}/C")
 

@@ -7,8 +7,6 @@ lists a product again."""
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 import f2units as f
@@ -16,6 +14,7 @@ from f2units import cli, decompositions, unitgroup
 from f2units.algebra import _eliminate, _involute, _span
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import HypothesisViolationError
+from conftest import relabelled_q32
 from oracles import naive_commute, naive_product
 
 
@@ -40,28 +39,11 @@ CLASSICAL_FORMS = {
 }
 
 
-def _relabelled_q32():
-    """Q32 with every element but the identity moved to a seeded random
-    index, so that its index-2 subgroup A no longer sits below its coset."""
-    g = f.make_quaternion(32)
-    pos = [0, *random.Random(5).sample(range(1, 32), 31)]
-    table = [[0] * 32 for _ in range(32)]
-    for i, row in enumerate(g.mul):
-        for j, v in enumerate(row):
-            table[pos[i]][pos[j]] = pos[v]
-    labels = [""] * 32
-    for i, label in enumerate(g.labels):
-        labels[pos[i]] = label
-    form = f.detect_inverting_form(f.GroupTable(table, labels, name="Q32"))
-    assert sorted(form.a_sub.members) != list(range(16))
-    return form
-
-
 @pytest.mark.parametrize("key", [*CLASSICAL_FORMS, "Q32 relabelled"])
 def test_cofactor_masks_are_the_sorted_sumset(key):
     """The cofactor's canonical order, from the sumset listed with W - 1
     outer, equals the sorted set of l + s whatever the table's layout."""
-    form = _relabelled_q32() if key == "Q32 relabelled" else CLASSICAL_FORMS[key]()
+    form = relabelled_q32() if key == "Q32 relabelled" else CLASSICAL_FORMS[key]()
     w = f.build_unipotent_factor(form)
     ell = f.build_abelian_complement(form)
     h = f.build_normal_cofactor(form, w, ell)

@@ -17,7 +17,7 @@ from f2units import unitgroup
 from f2units.algebra import _involute
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.unitgroup import _product_is
-from conftest import order32_scan
+from conftest import order32_scan, relabelled_q32
 from oracles import naive_subalgebra_unitary_masks, naive_unitary_masks
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -65,6 +65,47 @@ def test_every_split_matches_naive(g, sigma, sub, monkeypatch):
         for s in range(k + 1):
             monkeypatch.setattr(unitgroup, "_low_positions", lambda _, s=s: s)
             assert list(f.enumerate_unitary(g, sigma, support=support).masks) == expected, s
+
+
+@pytest.fixture(scope="module", params=["q16", "d8xc2"])
+def classical16(request):
+    """An order-16 table, its classical involution and the naive unitary
+    masks, listed once per module."""
+    g = request.getfixturevalue(request.param)
+    sigma = f.classical_involution(g)
+    return g, sigma, naive_unitary_masks(g, sigma.perm)
+
+
+@pytest.mark.parametrize("nlow", [4, 8, 10, 12, 16])
+def test_kernel_returns_its_hits_ascending(classical16, nlow, monkeypatch):
+    """The hits of each h are filed under h and come out in h order, so the
+    kernel's own output is the canonical order: from 2^12 runs of 16 low
+    positions down to the one run of a walk-free scan."""
+    g, sigma, expected = classical16
+    monkeypatch.setattr(unitgroup, "_low_positions", lambda _: nlow)
+    hits = unitgroup._unitary_kernel(g, sigma.perm, tuple(range(g.order)))
+    assert all(a < b for a, b in zip(hits, hits[1:]))
+    assert list(hits) == expected
+
+
+@pytest.fixture(scope="module")
+def scattered_support():
+    """Relabelled Q32, its classical involution, its index-2 subgroup A (16
+    positions scattered over 0..31) and the naive unitary masks on A."""
+    form = relabelled_q32()
+    g, sub = form.group, form.a_sub
+    sigma = f.classical_involution(g)
+    return g, sigma, sub, naive_subalgebra_unitary_masks(g, sigma.perm, sub.members)
+
+
+@pytest.mark.parametrize("nlow", [4, 10, 16])
+def test_unitary_listing_on_scattered_positions_is_the_sorted_naive_set(
+    scattered_support, nlow, monkeypatch
+):
+    g, sigma, sub, naive = scattered_support
+    monkeypatch.setattr(unitgroup, "_low_positions", lambda _: nlow)
+    listed = f.enumerate_unitary(g, sigma, support=sub).masks
+    assert list(listed) == sorted(set(naive))
 
 
 def test_low_positions_fill_planes_of_2_to_the_10_bits():

@@ -79,6 +79,28 @@ def test_unit_set_rejects_an_element_of_another_group(q8, d8):
     assert 1 << 3 in image and 1 in units and 0b11 not in image
 
 
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        pytest.param(lambda d8: 1, True, id="1"),
+        pytest.param(lambda d8: 2, True, id="2"),
+        pytest.param(lambda d8: "1", False, id="str"),
+        pytest.param(lambda d8: b"1", False, id="bytes"),
+        pytest.param(lambda d8: 1.9, False, id="float"),
+        pytest.param(lambda d8: f.AlgebraElement(d8, 1), GroupMismatchError, id="other-group"),
+    ],
+)
+def test_unit_set_looks_a_bare_argument_up_as_given(q8, d8, make, expected):
+    """A bare argument is a member only if it is one of the masks as given:
+    '1', b'1' and 1.9 are not the mask 1."""
+    image, x = f.group_image(q8), make(d8)
+    if expected is GroupMismatchError:
+        with pytest.raises(GroupMismatchError):
+            x in image
+    else:
+        assert (x in image) is expected
+
+
 # ---------------------------------------------------------------------------
 # unitary units, cross-checked against the brute-force oracle
 
