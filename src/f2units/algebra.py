@@ -2,8 +2,10 @@
 
 An element is a subset of the group, stored as an integer bitmask: bit i set
 means basis element i has coefficient 1. Addition is XOR; multiplication is
-convolution through the group table, accelerated by byte translation tables
-cached on the group, one set per basis element.
+convolution through the group table. The tables cached on the group map each
+byte of x to its images under all n right translations at once, packed in
+one word, so a product costs one lookup per byte of x and one shift per
+term of y (see ``_conv_tables``).
 
 The arithmetic core works on bare masks: ``_mul``, ``_inverse`` and
 ``_involute``. Every loop that multiplies single masks calls it directly;
@@ -97,39 +99,49 @@ def ga_add(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(_same_group(x, y), x.mask ^ y.mask)
 
 
-def _conv_tables(g: GroupTable) -> list[list[list[int]]]:
-    """tables[j][c][v]: right-multiplication by basis j of the byte v at chunk c."""
+def _conv_tables(g: GroupTable) -> list[list[int]]:
+    """tables[c][v]: the byte v at chunk c under every right translation at once.
+
+    Basis element i moves under right multiplication by g_j to i*g_j, so the
+    word images[i] = sum over j of 2^(i*g_j + n j) holds all n translates of
+    i, the one by g_j in bits n j .. n j + n - 1. Right translation is linear,
+    so the byte v at chunk c maps to the XOR of the images of its set bits:
+    ``_span`` of the (at most 8) images of the chunk.
+    """
     tabs = g._conv_tables
     if tabs is None:
         n = g.order
-        mul = g.mul
-        # The byte v at chunk c maps to the XOR of the images of its bits.
-        tabs = [
-            [_span(1 << mul[i][j] for i in range(c, min(c + 8, n))) for c in range(0, n, 8)]
-            for j in range(n)
-        ]
+        images = [sum(1 << (k + n * j) for j, k in enumerate(row)) for row in g.mul]
+        tabs = [_span(images[c : c + 8]) for c in range(0, n, 8)]
         g._conv_tables = tabs
     return tabs
 
 
 def _mul(g: GroupTable, x: int, y: int) -> int:
-    """The product of two masks: the XOR over the support of y of the byte
-    tables of x."""
+    """The product of two masks.
+
+    One lookup per byte of x gives ``moved``, whose bits n j .. n j + n - 1
+    hold x*g_j (see ``_conv_tables``). x*y is the sum of x*g_j over the
+    support of y, so it is the XOR of moved >> n j over that support, cut
+    to its low n bits: the shift brings x*g_j down to bits 0 .. n - 1, and
+    whatever it brings above them is masked off.
+    """
     tabs = _conv_tables(g)
+    moved = 0
+    c = 0
+    while x:
+        byte = x & 0xFF
+        if byte:
+            moved ^= tabs[c][byte]
+        x >>= 8
+        c += 1
+    n = g.order
     acc = 0
     while y:
         j = (y & -y).bit_length() - 1
         y &= y - 1
-        tj = tabs[j]
-        xm = x
-        c = 0
-        while xm:
-            byte = xm & 0xFF
-            if byte:
-                acc ^= tj[c][byte]
-            xm >>= 8
-            c += 1
-    return acc
+        acc ^= moved >> (n * j)
+    return acc & ((1 << n) - 1)
 
 
 def _involute(perm, x: int) -> int:

@@ -52,6 +52,7 @@ from .errors import (
     NoComplementError,
     NoSolutionError,
     NotUnitaryError,
+    TooLargeError,
 )
 from .groups import _greedy_generators, coset_representatives
 from .involutions import (
@@ -146,6 +147,17 @@ def _add_member_check(
     bad = _failing_members(g, masks, None if sigma is None else sigma.perm, square, central)
     first = (bad & -bad).bit_length() - 1
     report.add(name, not bad, _render(g, masks[first]) if bad else None)
+
+
+def _require_listable(dimension: int, max_order: int) -> None:
+    """TooLargeError before a factor of 2^dimension members is listed, when
+    the dimension is above the bound: the listing costs as much as a scan of
+    that many positions."""
+    if dimension > max_order:
+        raise TooLargeError(
+            f"listing the unipotent factor of dimension {dimension} exceeds the bound "
+            f"{max_order}; raise the bound explicitly to override"
+        )
 
 
 def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> None:
@@ -354,7 +366,8 @@ def verify_inverting_decomposition(
 
     Groups larger than ``max_order`` get the constructive checks only
     (factors verified internally, every constructed element confirmed
-    unitary); raise ``max_order`` to run the full oracle on them.
+    unitary); raise ``max_order`` to run the full oracle on them. W is
+    listed, so a W of dimension above ``max_order`` is a TooLargeError.
     """
     if not isinstance(form, InvertingExtensionForm):
         raise TypeError(
@@ -379,6 +392,7 @@ def verify_inverting_decomposition(
 
     # One elimination: W is one plus its image, each fiber a coset of its kernel.
     pivots, kernel = _unipotent_map(form)
+    _require_listable(len(pivots), max_order)
     w = _unipotent_factor(form, pivots)
     expected_w = 1 << (a_order // 2)
     report.add("unipotent_order_formula", w.order == expected_w)
@@ -546,7 +560,11 @@ def verify_odot_decomposition(
     skip_enumeration: bool = False,
 ) -> DecompositionReport:
     """Build the torsion and central unipotent factors, certify the direct
-    product, compare with the enumerated unitary group when in bounds."""
+    product, compare with the enumerated unitary group when in bounds.
+
+    W is listed, so a W of dimension 3|C|/2 above ``max_order`` is a
+    TooLargeError.
+    """
     if not isinstance(form, OdotForm):
         raise TypeError(
             f"expected the form object from make_odot_form, got {type(form).__name__}"
@@ -567,6 +585,7 @@ def verify_odot_decomposition(
         orders={},
     )
 
+    _require_listable(3 * c_order // 2, max_order)
     w = build_central_unipotent(form)
     expected_w = 1 << (3 * c_order // 2)
     report.add("central_unipotent_order_formula", w.order == expected_w)

@@ -74,7 +74,7 @@ class GroupTable:
         _check_labels(self.labels)
         self.family = family
         self.name = name or f"G{self.order}"
-        self._conv_tables: list[list[list[int]]] | None = None  # lazy, see algebra
+        self._conv_tables: list[list[int]] | None = None  # lazy, see algebra
 
     def elements(self) -> range:
         return range(self.order)

@@ -452,14 +452,22 @@ def _fixed_point_pcgs(g: GroupTable, perm: Sequence[int]) -> list[int]:
     first, by falling leading row within a depth, so each product keeps its
     candidate's depth and leading row (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, ch. 8).
+
+    1 + sigma(y) y is kept whole and reduced against J^(k+1) only in the
+    elimination, so it does not depend on the layer: a carried unit's delta
+    is computed once, by mask.
     """
     mul = partial(_mul, g)
     powers = _ideal_powers(g, range(g.order), g.greedy_generators)
     pcgs: list[int] = []
+    delta: dict[int, int] = {}
     for basis, below in zip(powers, powers[1:] + [{}]):
         layer = [basis[row] for row in sorted(basis.keys() - below.keys(), reverse=True)]
         candidates = [1 ^ b for b in layer] + pcgs
-        deltas = [1 ^ mul(_involute(perm, y), y) for y in candidates]
+        for y in candidates:
+            if y not in delta:
+                delta[y] = 1 ^ mul(_involute(perm, y), y)
+        deltas = [delta[y] for y in candidates]
         selectors = [0] * len(below) + [1 << i for i in range(len(candidates))]
         _, kernel = _eliminate([*below.values(), *deltas], selectors)
         words = ([c for i, c in enumerate(candidates) if sel >> i & 1] for sel in kernel)

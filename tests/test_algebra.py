@@ -279,7 +279,27 @@ def test_involute_is_linear_and_self_inverse(q8):
 # ---------------------------------------------------------------------------
 # the mask-level core against the oracles
 
-CORE_GROUPS = [*catalog_groups().values(), f.make_quaternion(32)]
+def _relabelled(g, seed):
+    """g with every element but the identity moved to a seeded random index."""
+    n = g.order
+    pos = [0, *random.Random(seed).sample(range(1, n), n - 1)]
+    table = [[0] * n for _ in range(n)]
+    for i, row in enumerate(g.mul):
+        for j, v in enumerate(row):
+            table[pos[i]][pos[j]] = pos[v]
+    return f.GroupTable(table, name=f"{g.name}/relabelled")
+
+
+# Orders 2 and 4 fill only part of their one byte chunk, Q64 has 8 chunks, and
+# the relabelled Q16 is non-abelian with its translates scattered.
+CORE_GROUPS = [
+    *catalog_groups().values(),
+    f.make_quaternion(32),
+    f.make_cyclic(2),
+    f.make_cyclic(4),
+    f.make_quaternion(64),
+    _relabelled(f.make_quaternion(16), 3),
+]
 
 
 def _any_mask(g):
@@ -308,6 +328,23 @@ def test_core_inverse_is_two_sided(g, data):
     x = m if naive_augmentation(m) else m ^ 1
     inv = _inverse(g, x)
     assert naive_mul(g, x, inv) == 1 == _mul(g, inv, x)
+
+
+@pytest.mark.parametrize("g", CORE_GROUPS, ids=lambda g: g.name)
+def test_core_mul_and_inverse_on_every_group(g):
+    """Seeded masks on each group, so that every table layout is reached
+    whatever the property tests above happen to sample: the top bit, the
+    full mask and random ones, products against the oracle and inverses
+    on both sides."""
+    rng = random.Random(g.order)
+    top, full = 1 << (g.order - 1), (1 << g.order) - 1
+    masks = [1, top, full, top | 1, *(rng.getrandbits(g.order) for _ in range(12))]
+    for x in masks:
+        for y in masks:
+            assert _mul(g, x, y) == naive_mul(g, x, y)
+        unit = x if naive_augmentation(x) else x ^ 1
+        inv = _inverse(g, unit)
+        assert naive_mul(g, unit, inv) == 1 == naive_mul(g, inv, unit)
 
 
 @pytest.mark.parametrize("g", CORE_GROUPS, ids=lambda g: g.name)

@@ -8,6 +8,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -140,6 +141,43 @@ def test_runs_as_a_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.rstrip().endswith("overall: PASS")
+
+
+D8XC8 = {"family": "direct_product", "params": {"factors": [
+    {"family": "dihedral", "params": {"order": 8}},
+    {"family": "cyclic", "params": {"order": 8}},
+]}}
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--family", "quaternion", "--order", "128", "--involution", "classical"],
+                     id="Q128/classical"),
+        pytest.param(["--group", "{d8xc8}", "--involution", "odot"], id="D8xC8/odot"),
+    ],
+)
+def test_unipotent_factor_above_the_bound_exits_two(args, tmp_path):
+    """W has 2^32 members at Q128 classical and 2^24 at D8xC8 odot; listing
+    it ran out of memory (a MemoryError traceback, exit 1). Its dimension is
+    now checked against the bound first. The address space is capped so
+    that a regression fails here instead of filling the host's memory."""
+    spec = tmp_path / "d8xc8.json"
+    spec.write_text(json.dumps(D8XC8))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "f2units", *(a.format(d8xc8=spec) for a in args),
+         "--mode", "construct"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: TooLargeError: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,19 @@ one, and at order 32 on Q32, Ext(C16) and D8xC4 odot, its members lie in the
 scanned set, 2^len is the scan's order, and no two share a (depth, leading
 row) pair. The last makes their leading terms independent, so the normal
 words are distinct, and the pcgs generates a subgroup of the scan of order
-2^len: the scan itself.
+2^len: the scan itself. Above order 32 no scan runs, so the lists of Q64,
+Q128 and D8xC8 odot are pinned instead.
 """
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import pytest
 
 import f2units as f
+from f2units.algebra import _mul
 from f2units.catalog import small_catalog_groups
 from f2units.unitgroup import _fixed_point_pcgs, _ideal_powers
 from conftest import ORDER32, order32_scan
@@ -74,3 +79,43 @@ def test_pcgs_matches_the_scan_at_order_32(key):
     g, form, v = order32_scan(key)
     classical = ORDER32[key][1] == "classical"
     _check_against_scan(g, f.classical_involution(g) if classical else f.odot_involution(form), v)
+
+
+def _d8xc8_odot():
+    form = f.make_odot_form(f.make_direct_product(f.make_dihedral(8), f.make_cyclic(8)))
+    return form.group, f.odot_involution(form)
+
+
+def _quaternion_classical(order):
+    g = f.make_quaternion(order)
+    return g, f.classical_involution(g)
+
+
+@pytest.mark.parametrize(
+    "build, length, pin",
+    [
+        pytest.param(lambda: _quaternion_classical(64), 34, "f9658695e8c75776", id="Q64/classical"),
+        pytest.param(lambda: _quaternion_classical(128), 66, "3b4b659e586dd990", id="Q128/classical"),
+        pytest.param(_d8xc8_odot, 37, "4e69b8ee2e60b4d6", id="D8xC8/odot"),
+    ],
+)
+def test_pcgs_lists_above_the_scan_are_pinned(build, length, pin):
+    """Above order 32 no scan can check the pcgs, so its list is pinned: the
+    first 16 hex digits of sha256 over the masks in order, comma-joined."""
+    g, sigma = build()
+    pcgs = _fixed_point_pcgs(g, sigma.perm)
+    assert len(pcgs) == length
+    assert hashlib.sha256(",".join(map(str, pcgs)).encode()).hexdigest()[:16] == pin
+
+
+def test_first_product_on_order_128_allocates_under_12_mb():
+    """The first product on a fresh table builds its byte tables: 16 chunks
+    of 256 words of 128 * 128 bits, about 9.3 MB at order 128."""
+    g = f.make_quaternion(128)
+    tracemalloc.start()
+    try:
+        _mul(g, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000
