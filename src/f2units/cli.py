@@ -104,19 +104,15 @@ def _build_family(family: str, params: dict) -> GroupTable:
         if "base" in params:
             base = _from_spec_dict(params["base"])
         elif "order" in params:
-            base = make_cyclic(_order_param(family, params) // 2)
+            order = _order_param(family, params)
+            if order % 2:
+                raise UnsupportedOrderError(f"inverting_extension order must be even, got {order}")
+            base = make_cyclic(order // 2)
         else:
             raise ParseError("inverting_extension needs a base spec or an order")
         label = params.get("square_element")
         if label is None:
-            t = next(
-                (
-                    i
-                    for i in range(1, base.order)
-                    if base.mul[i][i] == 0
-                ),
-                None,
-            )
+            t = next((i for i in range(1, base.order) if base.mul[i][i] == 0), None)
             if t is None:
                 raise ParseError("base group has no involution to square onto")
         else:
@@ -220,22 +216,18 @@ def _make_sigma(g: GroupTable, name: str):
 
 
 def _verify_report(config: RunConfig, skip_enumeration: bool) -> DecompositionReport:
-    g = config.group
-    if config.involution == "classical":
-        form = detect_inverting_form(g)
-        return verify_inverting_decomposition(
-            form,
-            max_order=config.max_exhaustive_order,
-            skip_enumeration=skip_enumeration,
-        )
-    if config.involution == "odot":
-        form = make_odot_form(g)
-        return verify_odot_decomposition(
-            form,
-            max_order=config.max_exhaustive_order,
-            skip_enumeration=skip_enumeration,
-        )
-    raise ParseError("verify/construct modes need --involution classical or odot")
+    pipelines = {
+        "classical": (detect_inverting_form, verify_inverting_decomposition),
+        "odot": (make_odot_form, verify_odot_decomposition),
+    }
+    if config.involution not in pipelines:
+        raise ParseError("verify/construct modes need --involution classical or odot")
+    make_form, verify = pipelines[config.involution]
+    return verify(
+        make_form(config.group),
+        max_order=config.max_exhaustive_order,
+        skip_enumeration=skip_enumeration,
+    )
 
 
 def _catalog_payload(config: RunConfig) -> dict:
@@ -305,7 +297,7 @@ def _emit(payload: dict, config: RunConfig) -> None:
     else:
         text = _render_text(payload)
     if config.out:
-        Path(config.out).write_text(text)
+        Path(config.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -333,7 +325,7 @@ def run(config: RunConfig) -> int:
         return 2
     try:
         _emit(payload, config)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:  # or a stdout that cannot encode it
         sys.stderr.write(f"error: cannot write report: {exc}\n")
         return 2
     return 0 if payload["pass"] else 1

@@ -150,9 +150,9 @@ def _add_member_check(
 
 
 def _require_listable(dimension: int, max_order: int) -> None:
-    """TooLargeError before a factor of 2^dimension members is listed, when
-    the dimension is above the bound: the listing costs as much as a scan of
-    that many positions."""
+    """TooLargeError before a factor of up to 2^dimension members is listed,
+    when the dimension the hypothesis bounds it by is above the bound: the
+    listing costs as much as a scan of that many positions."""
     if dimension > max_order:
         raise TooLargeError(
             f"listing the unipotent factor of dimension {dimension} exceeds the bound "
@@ -175,11 +175,6 @@ def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> Non
 # classical involution: unipotent factor, abelian complement, normal cofactor
 
 
-def _one_plus_bsq(form: InvertingExtensionForm) -> int:
-    """The mask of 1 + b*b."""
-    return 1 ^ (1 << form.b_squared)
-
-
 def _unipotent_map(form: InvertingExtensionForm) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """Echelon form of the linear map z -> (1+b*b) z b on the basis of A."""
     return _eliminate(1 ^ _unipotent_generator(form, a) for a in form.a_sub.members)
@@ -192,11 +187,7 @@ def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
     Generators are the transversal images 1 + (1+b*b) g_i b; the image route
     and the generator route are compared in the verification pipeline.
     """
-    return _unipotent_factor(form, _unipotent_map(form)[0])
-
-
-def _unipotent_factor(form: InvertingExtensionForm, pivots: dict[int, tuple[int, int]]) -> UnitSet:
-    """W from the pivots of ``_unipotent_map``: their columns span the image."""
+    pivots, _ = _unipotent_map(form)
     masks = (1 ^ m for m in _span(col for col, _ in pivots.values()))
     gens = [_unipotent_generator(form, gi) for gi in form.transversal]
     return make_unit_set(form.group, masks, generators=gens)
@@ -272,7 +263,7 @@ def _conjugation_witness(
     (g_i, x1) pair, g_i outer.
     """
     g = form.group
-    nb = _one_plus_bsq(form)
+    nb = 1 ^ (1 << form.b_squared)
     b_el = 1 << form.b
     b_inv = 1 << g.inv[form.b]
     perm = classical_involution(g).perm
@@ -345,7 +336,7 @@ def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) ->
     if not x1.bit_count() & 1:
         return False
     y = mul(_inverse(g, x1), x2)
-    nb = _one_plus_bsq(form)
+    nb = 1 ^ (1 << form.b_squared)
     x1_norm = mul(x1, _involute(perm, x1))
     y_norm = mul(y, _involute(perm, y))
     if mul(x1_norm, 1 ^ y_norm) != 1 or mul(y, nb):
@@ -367,7 +358,8 @@ def verify_inverting_decomposition(
     Groups larger than ``max_order`` get the constructive checks only
     (factors verified internally, every constructed element confirmed
     unitary); raise ``max_order`` to run the full oracle on them. W is
-    listed, so a W of dimension above ``max_order`` is a TooLargeError.
+    listed, so a bound |A|/2 on its dimension above ``max_order`` is a
+    TooLargeError.
     """
     if not isinstance(form, InvertingExtensionForm):
         raise TypeError(
@@ -390,15 +382,15 @@ def verify_inverting_decomposition(
         orders={},
     )
 
-    # One elimination: W is one plus its image, each fiber a coset of its kernel.
-    pivots, kernel = _unipotent_map(form)
-    _require_listable(len(pivots), max_order)
-    w = _unipotent_factor(form, pivots)
+    # (1+b*b)^2 = 0, so the image (1+b*b) F2A b has dimension at most |A|/2.
+    _require_listable(a_order // 2, max_order)
+    w = build_unipotent_factor(form)
     expected_w = 1 << (a_order // 2)
     report.add("unipotent_order_formula", w.order == expected_w)
     _, generated = _greedy_generators(partial(_mul, g), 1, w.generators)
     report.add("unipotent_generator_route_agrees", generated == w.mask_set())
-    report.add("unipotent_fibers_uniform", 1 << len(kernel) == expected_w)
+    # Each fiber is a coset of the kernel, of dimension |A| - log2|W|.
+    report.add("unipotent_fibers_uniform", 1 << (a_order - w.order.bit_length() + 1) == expected_w)
     preds = structure_predicates(w)
     report.add(
         "unipotent_elementary_abelian",
@@ -480,13 +472,19 @@ def _ideal_basis(form: OdotForm) -> list[int]:
     return [1 << c | 1 << g.mul[e][c] for c in reps]
 
 
-def build_central_unipotent(form: OdotForm) -> UnitSet:
-    """All elements 1 + x1 a + x2 b + x3 ab with coordinates in (1+e) F2C:
-    one plus the span of the ideal's basis times a, b and ab."""
+def _central_unipotent_basis(form: OdotForm) -> list[int]:
+    """A basis of W - 1: the ideal's basis times a, b and ab."""
     g = form.group
     cosets = (1 << form.a, 1 << form.b, 1 << g.mul[form.a][form.b])
-    vectors = [_mul(g, beta, c) for beta in _ideal_basis(form) for c in cosets]
-    return make_unit_set(g, (1 ^ m for m in _span(vectors)), generators=[1 ^ v for v in vectors])
+    return [_mul(g, beta, c) for beta in _ideal_basis(form) for c in cosets]
+
+
+def build_central_unipotent(form: OdotForm) -> UnitSet:
+    """All elements 1 + x1 a + x2 b + x3 ab with coordinates in (1+e) F2C:
+    one plus the span of ``_central_unipotent_basis``."""
+    vectors = _central_unipotent_basis(form)
+    masks = (1 ^ m for m in _span(vectors))
+    return make_unit_set(form.group, masks, generators=[1 ^ v for v in vectors])
 
 
 def build_torsion_complement(form: OdotForm) -> UnitSet:
@@ -562,8 +560,9 @@ def verify_odot_decomposition(
     """Build the torsion and central unipotent factors, certify the direct
     product, compare with the enumerated unitary group when in bounds.
 
-    W is listed, so a W of dimension 3|C|/2 above ``max_order`` is a
-    TooLargeError.
+    W is listed once, so a W of dimension 3|C|/2 above ``max_order`` is a
+    TooLargeError; the alternate representatives are checked on their basis
+    of W - 1.
     """
     if not isinstance(form, OdotForm):
         raise TypeError(
@@ -652,15 +651,18 @@ def verify_odot_decomposition(
         _add_member_check(report, "torsion_members_unitary", g, t.masks, sigma)
 
     # Only W depends on the coset representatives, and (1+e) F2C is stable
-    # under C, so the other representatives must give the same W as a set.
+    # under C, so the other representatives must give the same W as a set:
+    # as |W| <= expected_w, exactly when their basis of W - 1 has that rank
+    # and lies in W - 1.
     alt = make_odot_form(g, prefer_large_reps=True)
     if (alt.a, alt.b) != (form.a, form.b):
-        alt_w = build_central_unipotent(alt)
+        alt_basis = _central_unipotent_basis(alt)
         report.instance["alternate_reps"] = {
             "rep_a": g.labels[alt.a],
             "rep_b": g.labels[alt.b],
         }
-        alt_ok = alt_w.order == expected_w and alt_w.mask_set() == w.mask_set()
+        rank = len(_eliminate(alt_basis)[0])
+        alt_ok = 1 << rank == expected_w and all(1 ^ v in w for v in alt_basis)
         report.add("alternate_representatives_pass", factors_ok and alt_ok)
     return report
 

@@ -132,6 +132,38 @@ def test_unwritable_out_path_exits_two(where, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+ALPHA_SPEC = {"table": [[0, 1], [1, 0]], "labels": ["1", "\u03b1"]}
+
+
+def _run_alpha_report(tmp_path, env, *args, flags=()):
+    """Run a text report that renders the label \u03b1, with ``env`` added to
+    the environment and ``flags`` passed to the interpreter."""
+    spec = tmp_path / "alpha.json"
+    spec.write_text(json.dumps(ALPHA_SPEC, ensure_ascii=False), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "f2units", "--group", str(spec),
+         "--mode", "enumerate", "--format", "text", *args],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env),
+        capture_output=True, timeout=120,
+    )
+
+
+def test_stdout_that_cannot_encode_the_report_exits_two(tmp_path):
+    proc = _run_alpha_report(tmp_path, {"PYTHONIOENCODING": "ascii"})
+    err = proc.stderr.decode()
+    assert proc.returncode == 2, err
+    assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+    assert proc.stdout == b""
+
+
+def test_out_is_written_as_utf8_under_an_ascii_locale(tmp_path):
+    out = tmp_path / "out.txt"
+    env = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    proc = _run_alpha_report(tmp_path, env, "--out", str(out), flags=("-X", "utf8=0"))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert out.read_text(encoding="utf-8").splitlines()[-1] == "    \u03b1"
+
+
 def test_runs_as_a_module():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -299,6 +331,7 @@ def test_library_catalog_run_rejects_a_group_or_an_involution(group, involution,
         ("cyclic", "0"),
         ("cyclic", "100000000"),
         ("inverting_extension", "2048"),
+        ("inverting_extension", "9"),
     ],
 )
 def test_unsupported_family_order_exits_two(family, order, capsys):
@@ -480,6 +513,33 @@ def test_order32_construct_reports_match_references(key, family, tmp_path):
     )
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == reference_sha256("construct32", key)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        pytest.param(
+            ["--mode", "catalog", "--format", "text"],
+            "fc539fdee98d592ac994f48b7e68d04c0357949ad2a8ceae25a0d33afa0432bf",
+            id="catalog-text",
+        ),
+        pytest.param(
+            ["--family", "quaternion", "--order", "16", "--involution", "classical",
+             "--mode", "enumerate", "--format", "json"],
+            "54850bc48d18b6b712bbcd1f06a419cb29b7f0dbb2033499bb1944e2a4706037",
+            id="Q16-classical-enumerate",
+        ),
+        pytest.param(
+            ["--family", "dihedral", "--order", "8", "--involution", "odot",
+             "--mode", "verify", "--format", "json"],
+            "4bdf793c95e501c06d67c24bee09a093c3f3deb12e2b6647fe8f285470b026b5",
+            id="D8-odot-verify",
+        ),
+    ],
+)
+def test_report_matches_its_pinned_sha256(args, digest, capsys):
+    main(args)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_text_and_json_verdicts_agree(tmp_path):

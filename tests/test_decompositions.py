@@ -378,8 +378,9 @@ def test_verify_twisted_skip_enumeration(q8_odot_form):
 @pytest.mark.parametrize("entry", ODOT_ENTRIES, ids=lambda e: e.key)
 def test_alternate_representatives_give_the_same_central_unipotent(entry, monkeypatch):
     """Only W depends on the coset representatives, and the two choices give
-    the same W as a set; the check fails as soon as the alternate W differs,
-    by a lost member or by one member swapped for a non-member."""
+    the same W as a set; the check reads the alternate basis of W - 1 and
+    fails as soon as that basis loses a vector (its rank falls short) or has
+    one swapped for a non-member of W - 1."""
     g = entry.build()
     form = f.make_odot_form(g)
     alt = f.make_odot_form(g, prefer_large_reps=True)
@@ -387,25 +388,55 @@ def test_alternate_representatives_give_the_same_central_unipotent(entry, monkey
     w = f.build_central_unipotent(form)
     assert f.build_central_unipotent(alt).mask_set() == w.mask_set()
 
-    build = decompositions.build_central_unipotent
-    assert 1 << 1 not in w.mask_set()
-    lost, swapped = w.masks[:-1], w.masks[:-1] + (1 << 1,)
+    basis = decompositions._central_unipotent_basis
+    outside = 1 << 1 | 1 << 2
+    assert 1 ^ outside not in w
     for skip in (False, True):
         names = checks_by_name(f.verify_odot_decomposition(form, skip_enumeration=skip))
         main = names.get("oracle_set_equality") or names["factors_pairwise_direct"]
         assert names["alternate_representatives_pass"].passed == main.passed
-        for changed in (lost, swapped):
+        for corrupt in (lambda vs: vs[:-1], lambda vs: vs[:-1] + [outside]):
 
-            def altered(arg, changed=changed):
-                if (arg.a, arg.b) == (alt.a, alt.b):
-                    return make_unit_set(g, changed)
-                return build(arg)
+            def altered(arg, corrupt=corrupt):
+                vectors = basis(arg)
+                return corrupt(vectors) if (arg.a, arg.b) == (alt.a, alt.b) else vectors
 
-            monkeypatch.setattr(decompositions, "build_central_unipotent", altered)
+            monkeypatch.setattr(decompositions, "_central_unipotent_basis", altered)
             got = checks_by_name(f.verify_odot_decomposition(form, skip_enumeration=skip))
             monkeypatch.undo()
             assert not got.pop("alternate_representatives_pass").passed
             assert got == {k: c for k, c in names.items() if k != "alternate_representatives_pass"}
+
+
+def _count_unipotent_builds(monkeypatch):
+    """Wrap both public W builders with a call counter."""
+    calls = []
+    for name in ("build_central_unipotent", "build_unipotent_factor"):
+
+        def counted(form, name=name, build=getattr(decompositions, name)):
+            calls.append(name)
+            return build(form)
+
+        monkeypatch.setattr(decompositions, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("key", ["D8xC2", "D8xC4"])
+def test_odot_verification_lists_its_w_once(key, monkeypatch):
+    """The alternate representatives are checked on their basis of W - 1,
+    so no second W is built."""
+    form = next(e for e in ODOT_ENTRIES if e.key == key).form()
+    calls = _count_unipotent_builds(monkeypatch)
+    f.verify_odot_decomposition(form)
+    assert calls == ["build_central_unipotent"]
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_classical_construction_lists_its_w_once(order, monkeypatch):
+    form = f.detect_inverting_form(f.make_quaternion(order))
+    calls = _count_unipotent_builds(monkeypatch)
+    f.verify_inverting_decomposition(form, skip_enumeration=True)
+    assert calls == ["build_unipotent_factor"]
 
 
 # ---------------------------------------------------------------------------
