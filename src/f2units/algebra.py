@@ -7,10 +7,11 @@ byte of x to its images under all n right translations at once, packed in
 one word, so a product costs one lookup per byte of x and one shift per
 term of y (see ``_conv_tables``).
 
-The arithmetic core works on bare masks: ``_mul``, ``_inverse`` and
-``_involute``. Every loop that multiplies single masks calls it directly;
-a loop over a whole member list multiplies on bit planes instead (see
-``unitgroup``); ``_coset_parts`` and ``_render`` split and print masks.
+The arithmetic core works on bare masks: ``_mul``, ``_squares``,
+``_inverse`` and ``_involute``. Every loop that multiplies single masks
+calls it directly; a loop over a whole member list multiplies on bit planes
+instead (see ``unitgroup``); ``_coset_parts`` and ``_render`` split and
+print masks.
 ``AlgebraElement`` is the API wrapper: the public ``ga_*`` functions, the
 splitters and ``render_element`` check their operands' group, call the
 core, and wrap the result.
@@ -19,6 +20,7 @@ core, and wrap the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -154,23 +156,30 @@ def _involute(perm, x: int) -> int:
     return out
 
 
-def _inverse(g: GroupTable, x: int) -> int:
-    """Invert a normalized mask by repeated squaring.
+def _squares(g: GroupTable, x: int) -> list[int]:
+    """The powers x^(2^i) that fall short of 1, by repeated squaring.
 
-    In a 2-group algebra over F2 every augmentation-1 element x satisfies
-    x^(2^k) = 1 for some k, so x^(2^k - 1) is the inverse. If the squares
-    never reach 1 the element is not a unit (this also flags non-2-groups
-    fed in as raw tables).
+    A unit x = 1 + j of a 2-group algebra, with j in the augmentation ideal
+    J, has x^(2^i) = 1 + j^(2^i), and J^|G| = 0 (its powers shrink
+    strictly, and dim J = |G| - 1). So a square still short of 1 once
+    2^i >= |G| means x is not a unit (this also flags non-2-groups fed in
+    as raw tables).
     """
+    squares = []
+    while x != 1:
+        if 1 << len(squares) >= g.order:
+            raise NotAUnitError("repeated squaring never reached 1: not a unit")
+        squares.append(x)
+        x = _mul(g, x, x)
+    return squares
+
+
+def _inverse(g: GroupTable, x: int) -> int:
+    """Invert a normalized mask: if x^(2^k) = 1, the inverse x^(2^k - 1) is
+    the product of the squares x^(2^i), i < k (see ``_squares``)."""
     if bin(x).count("1") & 1 == 0:
         raise NotAUnitError("augmentation 0: not a unit")
-    inv = s = x
-    for _ in range(g.order + 2):
-        s = _mul(g, s, s)
-        if s == 1:
-            return inv
-        inv = _mul(g, inv, s)
-    raise NotAUnitError("repeated squaring never reached 1: not a unit")
+    return reduce(partial(_mul, g), _squares(g, x) or [1])
 
 
 def ga_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:

@@ -83,13 +83,28 @@ def _order_param(family: str, params: dict) -> int:
     return order
 
 
+# The families built from an order alone, and the params each family takes:
+# any other key is a ParseError that names it.
+_ORDER_FAMILIES = {"cyclic": make_cyclic, "dihedral": make_dihedral, "quaternion": make_quaternion}
+_FAMILY_KEYS = {
+    **dict.fromkeys(_ORDER_FAMILIES, {"order"}),
+    "direct_product": {"factors"},
+    "inverting_extension": {"base", "order", "square_element"},
+}
+
+
+def _require_keys(where: str, spec: dict, allowed: set[str]) -> None:
+    unknown = sorted(set(spec) - allowed)
+    if unknown:
+        raise ParseError(f"unknown key {unknown[0]!r} in {where}")
+
+
 def _build_family(family: str, params: dict) -> GroupTable:
-    if family == "cyclic":
-        return make_cyclic(_order_param(family, params))
-    if family == "dihedral":
-        return make_dihedral(_order_param(family, params))
-    if family == "quaternion":
-        return make_quaternion(_order_param(family, params))
+    if family not in _FAMILY_KEYS:
+        raise ParseError(f"unknown family {family!r}")
+    _require_keys(f"the {family} params", params, _FAMILY_KEYS[family])
+    if family in _ORDER_FAMILIES:
+        return _ORDER_FAMILIES[family](_order_param(family, params))
     if family == "direct_product":
         factors = params.get("factors")
         if not isinstance(factors, list) or len(factors) < 2:
@@ -101,6 +116,8 @@ def _build_family(family: str, params: dict) -> GroupTable:
             out = make_direct_product(out, nxt)
         return out
     if family == "inverting_extension":
+        if "base" in params and "order" in params:
+            raise ParseError("inverting_extension takes 'base' or 'order', not both")
         if "base" in params:
             base = _from_spec_dict(params["base"])
         elif "order" in params:
@@ -122,13 +139,13 @@ def _build_family(family: str, params: dict) -> GroupTable:
                 raise ParseError(f"unknown element label {label!r} in the base group")
         _require_order(2 * base.order)
         return make_inverting_extension(base, t)
-    raise ParseError(f"unknown family {family!r}")
 
 
 def _from_spec_dict(spec: dict) -> GroupTable:
     if not isinstance(spec, dict):
         raise ParseError("group spec must be a JSON object")
     if "table" in spec:
+        _require_keys("a table spec", spec, {"table", "labels"})
         labels = spec.get("labels")
         if labels is not None and not (
             isinstance(labels, list) and all(isinstance(x, str) for x in labels)
@@ -136,6 +153,7 @@ def _from_spec_dict(spec: dict) -> GroupTable:
             raise ParseError("'labels' must be a list of strings")
         return GroupTable(spec["table"], labels=labels, family="table")
     if "family" in spec:
+        _require_keys("a family spec", spec, {"family", "params"})
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise ParseError("'params' must be a JSON object")

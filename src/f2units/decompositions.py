@@ -52,7 +52,6 @@ from .errors import (
     NoComplementError,
     NoSolutionError,
     NotUnitaryError,
-    TooLargeError,
 )
 from .groups import _greedy_generators, coset_representatives
 from .involutions import (
@@ -68,6 +67,7 @@ from .unitgroup import (
     _failing_members,
     _fixed_point_pcgs,
     _product_is,
+    _require_within,
     enumerate_unitary,
     find_complement,
     gens_of,
@@ -147,17 +147,6 @@ def _add_member_check(
     bad = _failing_members(g, masks, None if sigma is None else sigma.perm, square, central)
     first = (bad & -bad).bit_length() - 1
     report.add(name, not bad, _render(g, masks[first]) if bad else None)
-
-
-def _require_listable(dimension: int, max_order: int) -> None:
-    """TooLargeError before a factor of up to 2^dimension members is listed,
-    when the dimension the hypothesis bounds it by is above the bound: the
-    listing costs as much as a scan of that many positions."""
-    if dimension > max_order:
-        raise TooLargeError(
-            f"listing the unipotent factor of dimension {dimension} exceeds the bound "
-            f"{max_order}; raise the bound explicitly to override"
-        )
 
 
 def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> None:
@@ -383,7 +372,7 @@ def verify_inverting_decomposition(
     )
 
     # (1+b*b)^2 = 0, so the image (1+b*b) F2A b has dimension at most |A|/2.
-    _require_listable(a_order // 2, max_order)
+    _require_within(a_order // 2, max_order, "the dimension of the unipotent factor W")
     w = build_unipotent_factor(form)
     expected_w = 1 << (a_order // 2)
     report.add("unipotent_order_formula", w.order == expected_w)
@@ -584,7 +573,7 @@ def verify_odot_decomposition(
         orders={},
     )
 
-    _require_listable(3 * c_order // 2, max_order)
+    _require_within(3 * c_order // 2, max_order, "the dimension of the unipotent factor W")
     w = build_central_unipotent(form)
     expected_w = 1 << (3 * c_order // 2)
     report.add("central_unipotent_order_formula", w.order == expected_w)

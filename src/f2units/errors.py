@@ -92,10 +92,6 @@ class CenterQuotientNotKleinError(HypothesisViolationError):
     """G modulo its center is not the Klein four-group."""
 
 
-class CommutatorNotOrderTwoError(HypothesisViolationError):
-    """The commutator subgroup does not have order two."""
-
-
 class UnsupportedOrderError(F2UnitsError, ValueError):
     """A group family has no member of the requested order."""
 

@@ -45,7 +45,7 @@ from itertools import chain, combinations, islice, repeat
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _span
+from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _span, _squares
 from .errors import (
     GroupMismatchError,
     NoComplementError,
@@ -144,16 +144,23 @@ def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
 # exhaustive enumeration
 
 
+def _require_within(count: int, max_order: int, what: str) -> None:
+    """TooLargeError when ``what``, a count of free positions or of
+    dimensions, is above the bound: listing 2^count masks costs as much as
+    a scan of ``count`` positions."""
+    if count > max_order:
+        raise TooLargeError(
+            f"{what} is {count}, above the bound {max_order}; "
+            "raise the bound explicitly to override"
+        )
+
+
 def _free_positions(g: GroupTable, support: SubgroupSet | None, max_order: int) -> tuple[int, ...]:
     """The coefficient positions a scan runs over, within the bound."""
     if support is not None and support.group is not g:
         raise GroupMismatchError("support subgroup belongs to a different group")
     members = tuple(support.members) if support is not None else tuple(range(g.order))
-    if len(members) > max_order:
-        raise TooLargeError(
-            f"exhaustive enumeration over {len(members)} free coefficient positions exceeds "
-            f"the bound {max_order}; raise the bound explicitly to override"
-        )
+    _require_within(len(members), max_order, "the number of free coefficient positions")
     return members
 
 
@@ -565,17 +572,9 @@ def _is_abelian_units(s: UnitSet) -> bool:
 
 
 def _unit_order(g: GroupTable, m: int) -> int:
-    """The order of the unit m, by repeated squaring. As in ``_inverse``,
-    m = 1 + j with j in J and m^(2^k) = 1 + j^(2^k); for a 2-group J^|G| = 0
-    (its powers shrink strictly, and dim J = |G| - 1), so m has 2-power order
-    at most |G|, and squares short of 1 by then mean m is not a unit."""
-    order = 1
-    while m != 1:
-        if order >= g.order:
-            raise NotAUnitError("squares never reached 1: not a unit of a 2-group algebra")
-        m = _mul(g, m, m)
-        order *= 2
-    return order
+    """The order of the unit m: 2^k for the k squares short of 1, or
+    NotAUnitError (see ``_squares``)."""
+    return 1 << len(_squares(g, m))
 
 
 def structure_predicates(s: UnitSet) -> dict:

@@ -212,6 +212,17 @@ def test_unipotent_factor_above_the_bound_exits_two(args, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+# Specs with a key the parser does not use, each mapped to that key: a
+# misspelt parameter, an extra top-level key, and an extension given both a
+# base and an order. Each built a group and exited 0.
+UNUSED_KEYS = {
+    '{"family": "inverting_extension", "params": {"order": 16, "square_elemnt": "a2"}}': "square_elemnt",
+    '{"family": "quaternion", "params": {"order": 8}, "extra": 1}': "extra",
+    '{"family": "inverting_extension", "params": {"base": {"family": "cyclic", "params": {"order": 8}},'
+    ' "order": 16}}': "base",
+}
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -234,6 +245,7 @@ def test_unipotent_factor_above_the_bound_exits_two(args, tmp_path):
         '{"table": [[0, 1], [1, 0]], "labels": ["1", "0"]}',
         '{"table": [[0, 1], [1, 0]], "labels": ["1", "a + b"]}',
         '{"table": [[0, 1], [1, 0]], "labels": ["1", " a"]}',
+        *UNUSED_KEYS,
     ],
 )
 def test_malformed_spec_exits_two(spec, tmp_path, capsys):
@@ -243,6 +255,28 @@ def test_malformed_spec_exits_two(spec, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec, key", UNUSED_KEYS.items())
+def test_unused_spec_key_is_a_parse_error_naming_it(spec, key):
+    with pytest.raises(ParseError, match=repr(key)):
+        parse_group_spec(spec)
+
+
+_C2 = {"family": "cyclic", "params": {"order": 2}}
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        ({"table": [[0, 1], [1, 0]], "labels": ["1", "t"]}, "G2"),
+        ({"family": "direct_product", "params": {"factors": [_C2, _C2]}}, "C2xC2"),
+        ({"family": "inverting_extension", "params": {"order": 16, "square_element": "a4"}}, "Ext(C8,a4)"),
+        ({"family": "inverting_extension", "params": {"base": _C2, "square_element": "a"}}, "Ext(C2,a)"),
+    ],
+)
+def test_specs_with_the_accepted_keys_build(spec, name):
+    assert parse_group_spec(json.dumps(spec)).name == name
 
 
 Q8XC3 = {"family": "direct_product", "params": {"factors": [
@@ -617,8 +651,9 @@ _FAMILY = st.sampled_from(
 
 def _family_spec(orders, factor):
     params = st.fixed_dictionaries(
-        {"order": _mostly(_mostly(st.sampled_from(orders), _NOT_INT))},
+        {},
         optional={
+            "order": _mostly(_mostly(st.sampled_from(orders), _NOT_INT)),
             "factors": _mostly(st.lists(factor, min_size=1, max_size=2)),
             "base": _mostly(factor),
             "square_element": _mostly(st.sampled_from(["1", "a", "a2", "r2", "b", "zz"])),

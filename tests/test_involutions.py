@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +158,18 @@ def test_inverting_form_requires_inversion():
         f.make_inverting_form(c4xc4, [4, 2], 1)
 
 
+def test_inversion_is_tested_on_every_generator_of_a():
+    """In C4xQ8, A = <(1,a), (a,1)> has index 2 and (1,b) of order 4 lies
+    outside it; (1,b) inverts A's first greedy generator (1,a) but
+    centralizes the second, (a,1), which the error names."""
+    g = f.make_direct_product(f.make_cyclic(4), f.make_quaternion(8))
+    ix = g.labels.index
+    a_gens = [ix("(1,a)"), ix("(a,1)")]
+    assert f.subgroup_closure(g, a_gens).generators == tuple(a_gens)
+    with pytest.raises(NotInvertingError, match=r"does not invert \(a,1\)$"):
+        f.make_inverting_form(g, a_gens, ix("(1,b)"))
+
+
 @pytest.mark.parametrize(
     "a_gens, b",
     [([1], -4), ([1], 8), ([42], 4), ([1], True), ([True], 4), ([1.0], 4)],
@@ -237,6 +251,70 @@ def test_odot_form_on_products(d8xc2, q8xc2):
         assert len(form.c_sub.members) == 4
         assert f.element_order(g, form.e) == 2
         assert f.validate_involution(f.odot_involution(form))
+
+
+def _constructed_two_groups() -> dict:
+    """Every group of order <= 64 built from cyclic, dihedral and quaternion
+    factors by direct products of two factors (and of such a product with a
+    cyclic factor) and by inverting extensions of the abelian ones."""
+    cyclic = [f.make_cyclic(n) for n in (2, 4, 8, 16, 32, 64)]
+    atoms = [*cyclic, *(m(n) for m in (f.make_dihedral, f.make_quaternion) for n in (8, 16, 32, 64))]
+    pairs = [
+        f.make_direct_product(x, y)
+        for i, x in enumerate(atoms)
+        for y in atoms[i:]
+        if x.order * y.order <= 64
+    ]
+    triples = [f.make_direct_product(p, c) for p in pairs for c in cyclic if p.order * c.order <= 64]
+    abelian = [a for a in (*cyclic, *pairs, *triples) if a.is_abelian() and a.order <= 32]
+    extensions = [
+        f.make_inverting_extension(a, t)
+        for a in abelian
+        for t in range(1, a.order)
+        if a.mul[t][t] == 0
+    ]
+    return {g.name: g for g in (*atoms, *pairs, *triples, *extensions)}
+
+
+CONSTRUCTED = _constructed_two_groups()
+
+
+def _relabelled(g):
+    """g with every element but the identity moved to a seeded random index."""
+    pos = [0, *random.Random(g.order).sample(range(1, g.order), g.order - 1)]
+    table = [[0] * g.order for _ in range(g.order)]
+    labels = [""] * g.order
+    for i, row in enumerate(g.mul):
+        labels[pos[i]] = g.labels[i]
+        for j, v in enumerate(row):
+            table[pos[i]][pos[j]] = pos[v]
+    return f.GroupTable(table, labels, name=g.name)
+
+
+@pytest.mark.parametrize("relabel", [False, True], ids=["built", "relabelled"])
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_center_of_index_four_gives_the_rest_of_the_odot_bundle(name, relabel):
+    """make_odot_form checks |G:Z(G)| = 4 only. Wherever that holds, every
+    square is central, G' = {1, e} with e a central involution, and both
+    choices of representatives give that e as their commutator."""
+    g = _relabelled(CONSTRUCTED[name]) if relabel else CONSTRUCTED[name]
+    c = f.center(g).member_set()
+    if 4 * len(c) != g.order:
+        with pytest.raises(CenterQuotientNotKleinError):
+            f.make_odot_form(g)
+        return
+    assert all(g.mul[x][x] in c for x in range(g.order))
+    comm = f.commutator_subgroup(g).members
+    assert len(comm) == 2
+    e = comm[1]
+    assert e in c and g.mul[e][e] == 0
+    assert f.make_odot_form(g).e == e
+    assert f.make_odot_form(g, prefer_large_reps=True).e == e
+
+
+def test_the_odot_sweep_reaches_groups_with_center_of_index_four():
+    hits = [g for g in CONSTRUCTED.values() if 4 * f.center(g).order == g.order]
+    assert len(CONSTRUCTED) == 131 and len(hits) == 32
 
 
 def test_alternate_representatives_are_still_valid(d8):

@@ -264,14 +264,16 @@ def test_exponent_of_a_non_unit_stops_after_the_group_order(q8, monkeypatch):
     """A non-abelian set with recorded generators and the non-unit 1 + g1
     among its masks: the orders are taken by squaring, and the squares of
     1 + g1 give up once the order would pass |G| = 8, after log2(8) of them
-    (a walk through the powers ran to 2^20 products)."""
-    from f2units import unitgroup
+    (a walk through the powers ran to 2^20 products). The squaring runs in
+    ``algebra._squares``, so products are counted in both modules."""
+    from f2units import algebra, unitgroup
 
     gens = f.group_image(q8).generators
     s = f.make_unit_set(q8, [*f.group_image(q8).masks, 1 | 1 << 1], generators=gens)
-    mul = unitgroup._mul
+    mul = algebra._mul
     calls = []
-    monkeypatch.setattr(unitgroup, "_mul", lambda *args: calls.append(args) or mul(*args))
+    for module in (algebra, unitgroup):
+        monkeypatch.setattr(module, "_mul", lambda *args: calls.append(args) or mul(*args))
     with pytest.raises(NotAUnitError):
         unitgroup._unit_order(q8, 1 | 1 << 1)
     assert len(calls) == 3
