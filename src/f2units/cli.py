@@ -360,8 +360,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--group", help="path to a JSON group spec")
     parser.add_argument(
         "--family",
-        choices=["cyclic", "dihedral", "quaternion", "direct_product", "inverting_extension"],
-        help="built-in group family",
+        choices=["cyclic", "dihedral", "quaternion", "inverting_extension"],
+        help="built-in group family (a direct product takes a --group spec)",
     )
     parser.add_argument("--order", type=int, help="group order for --family")
     parser.add_argument(

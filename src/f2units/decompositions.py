@@ -20,12 +20,13 @@ is sound for finite groups. The checks that every member of a factor is
 unitary (squares to 1, is central) stay per member, and
 ``_failing_members`` runs them on the whole member list at once; the first
 failing member is the witness. Those checks come from ``unitgroup``, which
-alone knows its bit-plane format. The per-element checks split with
-``_coset_parts`` and work on masks: only ``annihilator_solve`` gets an
-``AlgebraElement``. No product set is listed by multiplying members: H is a
-sumset, and the assembled product is compared with the enumerated unitary
-group by orders (``_product_is``) whenever the group is small enough;
-normality in it is decided on the fixed-point pcgs, once that generates it.
+alone knows its bit-plane format. The per-element lemma checks split with
+``_coset_parts`` and decide on masks by their independent conditions; their
+docstrings prove the rest. No product set is listed by multiplying members:
+H is a sumset, and the assembled product is compared with the enumerated
+unitary group by orders (``_product_is``) whenever the group is small
+enough; normality in it is decided on the fixed-point pcgs, once that
+generates it.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ from .algebra import (
     _mul,
     _render,
     _span,
-    annihilator_solve,
     augmentation,
 )
 from .errors import (
     GroupMismatchError,
     HypothesisViolationError,
     NoComplementError,
-    NoSolutionError,
     NotUnitaryError,
 )
 from .groups import _greedy_generators, coset_representatives
@@ -303,38 +302,29 @@ def check_conjugation_closure(
 
 
 def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) -> bool:
-    """Recheck the split-form consequences of unitarity on one element.
+    """Decide unitarity of one element by the split form x = x1 (1 + y b).
 
-    Writes x (or x times b, whichever makes the A-part a unit) as
-    x1 (1 + y b); a unitary element must then satisfy: x1 x1* (1 + y y*) = 1,
-    y (1+b*b) = 0, y is divisible by 1+b*b, y y* = 0, and x1 is unitary in
-    the subalgebra on A. Returns False on any failure; raises NotUnitaryError
-    only when x is not even a unit.
+    x = x1 + x2 b with x1, x2 on A, and augmentation 1 makes exactly one
+    part odd; when it is x2, the parts swap, as b is unitary, x b = x2 b*b +
+    x1 b and (x2 b*b)(x2 b*b)* = x2 x2*. Of the lemma's conditions, with y =
+    x1^-1 x2, this tests x2 (1+b*b) = 0 and x1 x1* = 1. The rest follow: b*b
+    is a central involution (the form's b lies outside A and has order 4), so
+    it pairs off the basis and ker(1+b*b) = im(1+b*b); x1 is a unit of the
+    commutative F2A, so y (1+b*b) = 0, y = z (1+b*b) is divisible by 1+b*b,
+    y y* = z z* (1+b*b)^2 = 0 and x1 x1* (1 + y y*) = x1 x1*. A hand-built
+    form with b*b = 1 (the linear-algebra tests' D8 form) is outside this
+    proof and never passed here. NotUnitaryError when x is not a unit.
     """
     g = form.group
     if x.group is not g:
         raise GroupMismatchError("element lives in a different group")
     if augmentation(x) == 0:
         raise NotUnitaryError("element has augmentation 0")
-    mul = partial(_mul, g)
-    perm = classical_involution(g).perm
-    reps = (0, form.b)
-    x1, x2 = _coset_parts(g, x.mask, form.a_sub, reps)
+    x1, x2 = _coset_parts(g, x.mask, form.a_sub, (0, form.b))
     if x2.bit_count() & 1:
-        x1, x2 = _coset_parts(g, mul(x.mask, 1 << form.b), form.a_sub, reps)
-    if not x1.bit_count() & 1:
-        return False
-    y = mul(_inverse(g, x1), x2)
-    nb = 1 ^ (1 << form.b_squared)
-    x1_norm = mul(x1, _involute(perm, x1))
-    y_norm = mul(y, _involute(perm, y))
-    if mul(x1_norm, 1 ^ y_norm) != 1 or mul(y, nb):
-        return False
-    try:
-        annihilator_solve(AlgebraElement(g, y), AlgebraElement(g, nb))
-    except NoSolutionError:
-        return False
-    return not y_norm and x1_norm == 1
+        x1, x2 = x2, x1
+    perm = classical_involution(g).perm
+    return not _mul(g, x2, 1 ^ 1 << form.b_squared) and _mul(g, x1, _involute(perm, x1)) == 1
 
 
 def verify_inverting_decomposition(
@@ -498,13 +488,19 @@ def _central_order_2_parts(form: OdotForm) -> tuple[UnitSet, UnitSet]:
 
 
 def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
-    """Recheck the quadrant unitarity system on one normalized element.
+    """Decide unitarity of one normalized element: split x over the four
+    cosets of the center C and return the four unitarity equations.
 
-    Splits x over the four cosets of the center and evaluates the four
-    unitarity equations; when the central part is a unit and the system
-    holds, also factors x = x0 (1 + y1 a + y2 b + y3 ab) and confirms that
-    each y_i is annihilated by and divisible by 1+e, that y_i^2 = 0, and
-    that x0^2 = 1. True exactly when x is unitary.
+    The lemma's other conditions, for x = x0 (1 + y1 a + y2 b + y3 ab) with
+    x0 a unit, follow. As e is a central involution, ker(1+e) = im(1+e) = I
+    = (1+e) F2C, the kernel of F2C -> F2[C/<e>], a local ring whose units
+    are its odd elements. Modulo I, equations 2-4 give x1 (x0^2 + x2^2 b*b)
+    = 0 and x2 (x0^2 + x1^2 a*a) = 0; were x1 or x2 a unit there, the
+    augmentations of these or of equation 1 would read 1 = 0. So both are
+    non-units, their cofactors above are units, and x1, x2 and x3 = x0^-1 x1
+    x2 lie in I. Each y_i = x0^-1 x_i then lies in I, so is annihilated by
+    and divisible by 1+e and squares to 0, and equation 1 gives x0^2 = 1.
+    The proof needs the hypotheses that ``make_odot_form`` checks.
     """
     g = form.group
     if x.group is not g:
@@ -518,7 +514,7 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
     bsq = 1 << g.mul[b][b]
     x0, x1, x2, x3 = _coset_parts(g, x.mask, form.c_sub, (0, a, b, g.mul[a][b]))
     # The four equations' left sides, on central masks.
-    system = (
+    return (
         mul(x0, x0)
         ^ mul(mul(mul(x1, x1), asq) ^ mul(mul(x2, x2), bsq), 1 << e)
         ^ mul(mul(mul(x3, x3), asq), bsq),
@@ -526,19 +522,6 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
         mul(mul(x0, x2) ^ mul(mul(x1, x3), asq), ne),
         mul(mul(x0, x3) ^ mul(x1, x2), ne),
     ) == (1, 0, 0, 0)
-
-    if system and x0.bit_count() & 1:
-        ys = [mul(_inverse(g, x0), xi) for xi in (x1, x2, x3)]
-        for y in ys:
-            if mul(y, ne) or mul(y, y):
-                return False
-            try:
-                annihilator_solve(AlgebraElement(g, y), AlgebraElement(g, ne))
-            except NoSolutionError:
-                return False
-        if mul(x0, x0) != 1:
-            return False
-    return system
 
 
 def verify_odot_decomposition(

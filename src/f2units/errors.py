@@ -33,7 +33,8 @@ class NoSolutionError(F2UnitsError):
 
 
 class BadIndexError(F2UnitsError):
-    """Coset split needs an index-2 subgroup and an element outside it."""
+    """An element index outside the group, or a coset split without an
+    index-2 subgroup and an element outside it."""
 
 
 class BadCosetsError(F2UnitsError):

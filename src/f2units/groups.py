@@ -14,6 +14,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import (
+    BadIndexError,
     BadSquareElementError,
     GroupAxiomViolationError,
     GroupMismatchError,
@@ -27,6 +28,14 @@ from .errors import (
 def _is_int(x) -> bool:
     """True for an int that is not a bool: floats and booleans are not indices."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _require_index(g: GroupTable, i) -> int:
+    """i itself when it indexes an element of g: an int, not a bool, in
+    range(g.order). Else BadIndexError, as negative indices would wrap."""
+    if not (_is_int(i) and 0 <= i < g.order):
+        raise BadIndexError(f"element index {i!r} out of range for order {g.order}")
+    return i
 
 
 class GroupTable:
@@ -172,7 +181,7 @@ class SubgroupSet:
 
     @staticmethod
     def from_members(group: GroupTable, members: Iterable[int]) -> SubgroupSet:
-        ms = tuple(sorted(set(int(x) for x in members)))
+        ms = tuple(sorted({_require_index(group, x) for x in members}))
         if 0 not in ms:
             raise NotASubgroupError("member set does not contain the identity")
         # A finite set is a subgroup exactly when it is the span of its members.
@@ -355,6 +364,7 @@ def _greedy_generators(
 
 def subgroup_closure(g: GroupTable, gens: Iterable[int]) -> SubgroupSet:
     """Smallest subgroup containing gens."""
+    gens = [_require_index(g, i) for i in gens]
     _, members = _greedy_generators(lambda x, y: g.mul[x][y], 0, gens)
     return SubgroupSet(g, tuple(sorted(members)))
 
@@ -387,6 +397,7 @@ def is_normal(g: GroupTable, s: SubgroupSet) -> bool:
 
 
 def element_order(g: GroupTable, x: int) -> int:
+    _require_index(g, x)
     k = 1
     y = x
     while y != 0:

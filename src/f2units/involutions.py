@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    BadIndexError,
     BadOrderError,
     CenterQuotientNotKleinError,
     HypothesisViolationError,
@@ -24,7 +23,7 @@ from .errors import (
 from .groups import (
     GroupTable,
     SubgroupSet,
-    _is_int,
+    _require_index,
     center,
     coset_representatives,
     element_order,
@@ -110,8 +109,7 @@ def make_inverting_form(
     _require_two_group(g)
     a_gens = list(a_gens)
     for i in [b, *a_gens]:
-        if not (_is_int(i) and 0 <= i < g.order):
-            raise BadIndexError(f"element index {i!r} out of range for order {g.order}")
+        _require_index(g, i)
     a_sub = subgroup_closure(g, a_gens)
     if not a_sub.is_abelian():
         raise NotAbelianSubgroupError("the designated subgroup is not abelian")

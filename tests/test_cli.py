@@ -375,6 +375,17 @@ def test_unsupported_family_order_exits_two(family, order, capsys):
     assert "Traceback" not in err
 
 
+def test_direct_product_is_not_a_family_flag(capsys):
+    """A direct product needs its factors, which only a JSON spec carries:
+    as a --family choice it is invalid, with exit 2 and no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--family", "direct_product", "--order", "8", "--involution", "classical"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --family: invalid choice: 'direct_product'" in err
+    assert "Traceback" not in err
+
+
 def _c(n):
     return {"family": "cyclic", "params": {"order": n}}
 

@@ -146,6 +146,78 @@ def test_quadrant_system_decides_unitarity_on_catalog(entry):
         assert got == (m in unitary), hex(m)
 
 
+# The lemma checks test only their independent conditions; these tests keep
+# the rest exercised, on every scanned unitary element of the catalog groups
+# of order <= 16 and on a seeded 500 per order-32 instance.
+LEMMA_KEYS = {
+    involution: [e.key for e in entries if e.key not in ORDER32]
+    + [key for key, (_, kind) in ORDER32.items() if kind == involution]
+    for involution, entries in (("classical", CLASSICAL_ENTRIES), ("odot", ODOT_ENTRIES))
+}
+
+
+def _lemma_unitary(key, involution):
+    """The form for one instance and the unitary masks to recheck on it."""
+    if key in ORDER32:
+        _, form, v = order32_scan(key)
+        return form, random.Random(32).sample(v.masks, 500)
+    entries = CLASSICAL_ENTRIES if involution == "classical" else ODOT_ENTRIES
+    form = next(e for e in entries if e.key == key).form()
+    g = form.group
+    sigma = f.classical_involution(g) if involution == "classical" else f.odot_involution(form)
+    return form, f.enumerate_unitary(g, sigma).masks
+
+
+@pytest.mark.parametrize("key", LEMMA_KEYS["classical"])
+def test_split_form_consequences_hold_on_unitary_elements(key):
+    """For unitary x, with x (or x b, when x's part on A is even) split as
+    x1 + x2 b and y = x1^-1 x2: y (1+b*b) = 0, y is divisible by 1+b*b,
+    y y* = 0, x1 x1* = 1 and x1 x1* (1 + y y*) = 1."""
+    form, masks = _lemma_unitary(key, "classical")
+    g = form.group
+    sigma = f.classical_involution(g)
+    one, b = f.one(g), f.basis(g, form.b)
+    nb = one + f.basis(g, form.b_squared)
+    for m in masks:
+        x = f.AlgebraElement(g, m)
+        x1, x2 = f.coset_split(x, form.a_sub, form.b)
+        if f.augmentation(x1) == 0:
+            x1, x2 = f.coset_split(x * b, form.a_sub, form.b)
+        y = f.ga_inverse(x1) * x2
+        x1_norm = x1 * f.ga_involute(sigma, x1)
+        y_norm = y * f.ga_involute(sigma, y)
+        assert (y * nb).is_zero(), hex(m)
+        assert nb * f.annihilator_solve(y, nb) == y, hex(m)
+        assert y_norm.is_zero(), hex(m)
+        assert x1_norm.is_one(), hex(m)
+        assert (x1_norm * (one + y_norm)).is_one(), hex(m)
+    assert masks
+
+
+@pytest.mark.parametrize("key", LEMMA_KEYS["odot"])
+def test_quadrant_consequences_hold_on_unitary_elements(key):
+    """For unitary x = x0 + x1 a + x2 b + x3 ab with x0 odd, each
+    y_i = x0^-1 x_i is annihilated by 1+e and divisible by it, y_i^2 = 0,
+    and x0^2 = 1."""
+    form, masks = _lemma_unitary(key, "odot")
+    g = form.group
+    ne = f.one(g) + f.basis(g, form.e)
+    seen = 0
+    for m in masks:
+        x0, *parts = f.quadrant_split(f.AlgebraElement(g, m), form.c_sub, form.a, form.b)
+        if f.augmentation(x0) == 0:
+            continue
+        seen += 1
+        x0_inv = f.ga_inverse(x0)
+        for xi in parts:
+            y = x0_inv * xi
+            assert (y * ne).is_zero(), hex(m)
+            assert ne * f.annihilator_solve(y, ne) == y, hex(m)
+            assert (y * y).is_zero(), hex(m)
+        assert (x0 * x0).is_one(), hex(m)
+    assert seen
+
+
 def test_verify_classical_q8_passes(q8_form):
     report = f.verify_inverting_decomposition(q8_form)
     assert report.passed

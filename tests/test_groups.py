@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import f2units as f
 from f2units.algebra import _mul
 from f2units.errors import (
+    BadIndexError,
     BadSquareElementError,
     GroupMismatchError,
     GroupAxiomViolationError,
@@ -434,6 +435,24 @@ def test_element_orders_match_oracle(any_group):
 def test_closure_matches_oracle(d8, q16):
     for g, gens in [(d8, [1]), (d8, [2, 4]), (q16, [2]), (q16, [8])]:
         assert list(f.subgroup_closure(g, gens).members) == naive_closure(g, gens)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, i: f.subgroup_closure(g, [i]),
+        lambda g, i: f.SubgroupSet.from_members(g, [0, i]),
+        lambda g, i: f.element_order(g, i),
+    ],
+    ids=["subgroup_closure", "from_members", "element_order"],
+)
+@pytest.mark.parametrize("index", [99, -1, 1.0, True, "1"], ids=repr)
+def test_bad_element_index_is_an_error(q8, call, index):
+    """An index is a non-bool int in range(order): a negative one would wrap
+    round, a bool or a float would be taken for an int, and one past the end
+    would be an IndexError from the table."""
+    with pytest.raises(BadIndexError, match=f"element index {index!r} out of range for order 8"):
+        call(q8, index)
 
 
 def test_subgroup_set_validation(q8):

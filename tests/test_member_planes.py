@@ -269,7 +269,7 @@ def test_group_inside_unitary_witness(key, witness):
 
 
 def test_catalog_mode_multiplication_count(capsys):
-    """One catalog run makes 2,623 calls to _mul: the classical oracle
+    """One catalog run makes 2,521 calls to _mul: the classical oracle
     conjugates by the fixed-point pcgs of V_*, not by generators found by
     listing the scanned group again, and the unipotent generators are read
     off the table."""
@@ -289,4 +289,4 @@ def test_catalog_mode_multiplication_count(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert status == 1  # the dihedral odot instances fail by design
-    assert calls <= 2_623
+    assert calls <= 2_521

@@ -42,3 +42,39 @@ def test_every_error_class_is_raised_or_is_a_base_of_one_that_is():
         if isinstance(node, ast.ClassDef)
     ]
     assert [name for name in defined if getattr(errors, name) not in live] == []
+
+
+def _calls(tree: ast.AST, name: str) -> list[tuple[str, int]]:
+    """(enclosing class and function names, line) of each call to ``name``."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    found.append((".".join(scope), child.lineno))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, (*scope, child.name) if named else scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_algebra_elements_stay_at_the_api_boundary():
+    """The core works on masks: ``AlgebraElement`` is built only in
+    ``algebra.py`` and by ``UnitSet.elements``, and only ``algebra.py``
+    calls ``annihilator_solve``."""
+    allowed = {"AlgebraElement": {"unitgroup.py": "UnitSet.elements"}, "annihilator_solve": {}}
+    stray = []
+    for path in sorted(Path(f.__file__).parent.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, scopes in allowed.items():
+            stray += [
+                f"{path.name}:{line} {name}"
+                for scope, line in _calls(tree, name)
+                if scopes.get(path.name) != scope
+            ]
+    assert stray == []
