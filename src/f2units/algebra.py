@@ -23,15 +23,8 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Iterable, Sequence
 
-from .errors import (
-    BadCosetsError,
-    BadIndexError,
-    GroupMismatchError,
-    NoSolutionError,
-    NotAUnitError,
-    ParseError,
-)
-from .groups import GroupTable, SubgroupSet
+from .errors import BadCosetsError, BadIndexError, NoSolutionError, NotAUnitError, ParseError
+from .groups import GroupTable, SubgroupSet, _is_int, _require_group, _require_index
 
 
 @dataclass(frozen=True)
@@ -42,8 +35,8 @@ class AlgebraElement:
     mask: int
 
     def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.group.order):
-            raise ValueError(f"mask {self.mask:#x} out of range for order {self.group.order}")
+        if not (_is_int(self.mask) and 0 <= self.mask < (1 << self.group.order)):
+            raise ValueError(f"mask {self.mask!r} out of range for order {self.group.order}")
 
     def support(self) -> tuple[int, ...]:
         """Indices of the group elements with coefficient 1."""
@@ -75,25 +68,18 @@ def one(group: GroupTable) -> AlgebraElement:
 
 def basis(group: GroupTable, i: int) -> AlgebraElement:
     """The group element at index i, viewed in the algebra."""
-    if not 0 <= i < group.order:
-        raise BadIndexError(f"element index {i} out of range")
-    return AlgebraElement(group, 1 << i)
+    return AlgebraElement(group, 1 << _require_index(group, i))
 
 
 def from_indices(group: GroupTable, ids) -> AlgebraElement:
     m = 0
     for i in ids:
-        if not 0 <= i < group.order:
-            raise BadIndexError(f"element index {i} out of range")
-        m ^= 1 << i
+        m ^= 1 << _require_index(group, i)
     return AlgebraElement(group, m)
 
 
 def _same_group(x: AlgebraElement, y: AlgebraElement) -> GroupTable:
-    if x.group is not y.group:
-        raise GroupMismatchError(
-            f"operands live in different groups: {x.group.name} vs {y.group.name}"
-        )
+    _require_group(x.group, y.group, "the second operand")
     return x.group
 
 
@@ -194,8 +180,7 @@ def augmentation(x: AlgebraElement) -> int:
 
 def ga_involute(sigma, x: AlgebraElement) -> AlgebraElement:
     """Apply an anti-automorphism coefficientwise: the weight at g moves to sigma(g)."""
-    if sigma.group is not x.group:
-        raise GroupMismatchError("involution defined on a different group")
+    _require_group(x.group, sigma.group, "the involution")
     return AlgebraElement(x.group, _involute(sigma.perm, x.mask))
 
 
@@ -286,11 +271,10 @@ def coset_split(
 ) -> tuple[AlgebraElement, AlgebraElement]:
     """Write x = x1 + x2*b with x1, x2 supported on an index-2 subgroup."""
     g = x.group
-    if a_sub.group is not g:
-        raise GroupMismatchError("subgroup belongs to a different group")
+    _require_group(g, a_sub.group, "the subgroup")
     if 2 * a_sub.order != g.order:
         raise BadIndexError(f"subgroup has index {g.order // a_sub.order}, want 2")
-    if b in a_sub.member_set():
+    if _require_index(g, b) in a_sub.member_set():
         raise BadIndexError("split element lies inside the subgroup")
     x1, x2 = _coset_parts(g, x.mask, a_sub, (0, b))
     return AlgebraElement(g, x1), AlgebraElement(g, x2)
@@ -304,8 +288,8 @@ def quadrant_split(
     Requires the four cosets of c_sub by 1, a, b, ab to partition the group.
     """
     g = x.group
-    if c_sub.group is not g:
-        raise GroupMismatchError("subgroup belongs to a different group")
+    _require_group(g, c_sub.group, "the subgroup")
+    a, b = _require_index(g, a), _require_index(g, b)
     parts = _coset_parts(g, x.mask, c_sub, (0, a, b, g.mul[a][b]))
     x0, x1, x2, x3 = (AlgebraElement(g, p) for p in parts)
     return x0, x1, x2, x3

@@ -46,13 +46,8 @@ from .algebra import (
     _span,
     augmentation,
 )
-from .errors import (
-    GroupMismatchError,
-    HypothesisViolationError,
-    NoComplementError,
-    NotUnitaryError,
-)
-from .groups import _greedy_generators, coset_representatives
+from .errors import HypothesisViolationError, NoComplementError, NotUnitaryError
+from .groups import _greedy_generators, _require_group, coset_representatives
 from .involutions import (
     InvertingExtensionForm,
     OdotForm,
@@ -316,8 +311,7 @@ def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) ->
     proof and never passed here. NotUnitaryError when x is not a unit.
     """
     g = form.group
-    if x.group is not g:
-        raise GroupMismatchError("element lives in a different group")
+    _require_group(g, x.group, "the element")
     if augmentation(x) == 0:
         raise NotUnitaryError("element has augmentation 0")
     x1, x2 = _coset_parts(g, x.mask, form.a_sub, (0, form.b))
@@ -503,8 +497,7 @@ def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
     The proof needs the hypotheses that ``make_odot_form`` checks.
     """
     g = form.group
-    if x.group is not g:
-        raise GroupMismatchError("element lives in a different group")
+    _require_group(g, x.group, "the element")
     if augmentation(x) == 0:
         raise NotUnitaryError("element has augmentation 0")
     a, b, e = form.a, form.b, form.e

@@ -8,7 +8,8 @@ class F2UnitsError(Exception):
 
 
 class GroupMismatchError(F2UnitsError):
-    """Operands belong to different groups."""
+    """Operands belong to different group tables; raised only by
+    ``groups._require_group``."""
 
 
 class NotUnitaryError(F2UnitsError):
@@ -33,8 +34,9 @@ class NoSolutionError(F2UnitsError):
 
 
 class BadIndexError(F2UnitsError):
-    """An element index outside the group, or a coset split without an
-    index-2 subgroup and an element outside it."""
+    """An element index outside the group (the one guard is
+    ``groups._require_index``), or a coset split without an index-2
+    subgroup and an element outside it."""
 
 
 class BadCosetsError(F2UnitsError):

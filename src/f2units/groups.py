@@ -38,6 +38,13 @@ def _require_index(g: GroupTable, i) -> int:
     return i
 
 
+def _require_group(g: GroupTable, other: GroupTable, what: str) -> None:
+    """GroupMismatchError unless ``other`` is the table g itself: equal
+    tables built twice are still different groups."""
+    if other is not g:
+        raise GroupMismatchError(f"{what} belongs to a different group table")
+
+
 class GroupTable:
     """A finite group given by its full multiplication table.
 
@@ -225,8 +232,8 @@ class SubgroupSet:
 
 def make_cyclic(n: int) -> GroupTable:
     """Cyclic group of order n, generator at index 1."""
-    if n < 1:
-        raise UnsupportedOrderError(f"cyclic order must be >= 1, got {n}")
+    if not (_is_int(n) and n >= 1):
+        raise UnsupportedOrderError(f"cyclic order must be an int >= 1, got {n!r}")
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = ["1"] + ["a" if i == 1 else f"a{i}" for i in range(1, n)]
     return GroupTable(mul, labels, family="cyclic", name=f"C{n}")
@@ -252,8 +259,8 @@ def _inverting_table(
 def make_dihedral(n: int) -> GroupTable:
     """Dihedral group of order n (n even, n >= 4): rotations first, then
     reflections; the inverting extension of C(n/2) with b^2 = 1."""
-    if n < 4 or n % 2:
-        raise UnsupportedOrderError(f"dihedral order must be even and >= 4, got {n}")
+    if not (_is_int(n) and n >= 4 and n % 2 == 0):
+        raise UnsupportedOrderError(f"dihedral order must be an even int >= 4, got {n!r}")
     m = n // 2
     cyc = [[(i + j) % m for j in range(m)] for i in range(m)]
     mul = _inverting_table(cyc, [-i % m for i in range(m)], 0)
@@ -268,8 +275,8 @@ def make_quaternion(n: int) -> GroupTable:
     Index layout: a^i at i for i < n/2, then a^i*b at n/2 + i, with
     b^2 = a^(n/4) and b^-1 a b = a^-1.
     """
-    if n < 8 or n & (n - 1):
-        raise UnsupportedOrderError(f"quaternion order must be a power of 2 and >= 8, got {n}")
+    if not (_is_int(n) and n >= 8 and n & (n - 1) == 0):
+        raise UnsupportedOrderError(f"quaternion order must be a power of 2 and >= 8, got {n!r}")
     m = n // 2
     cyc = [[(i + j) % m for j in range(m)] for i in range(m)]
     mul = _inverting_table(cyc, [-i % m for i in range(m)], m // 2)
@@ -308,8 +315,8 @@ def make_inverting_extension(a_group: GroupTable, t: int) -> GroupTable:
     if not a_group.is_abelian():
         raise NotAbelianError("inverting extension needs an abelian base")
     na = a_group.order
-    if not 0 < t < na:
-        raise BadSquareElementError(f"square element index {t} out of range or identity")
+    if not (_is_int(t) and 0 < t < na):
+        raise BadSquareElementError(f"square element index {t!r} out of range or identity")
     if a_group.mul[t][t] != 0:
         raise BadSquareElementError(f"square element {a_group.labels[t]} is not an involution")
     mul = _inverting_table(a_group.mul, a_group.inv, t)
@@ -390,8 +397,7 @@ def commutator_subgroup(g: GroupTable) -> SubgroupSet:
 def is_normal(g: GroupTable, s: SubgroupSet) -> bool:
     """True iff each generator of g conjugates each generator of the subgroup
     s into s, so maps s onto itself."""
-    if s.group is not g:
-        raise GroupMismatchError("subgroup belongs to a different group")
+    _require_group(g, s.group, "the subgroup")
     members = s.member_set()
     return all(g.conjugate(x, h) in members for x in g.greedy_generators for h in s.generators)
 
@@ -419,10 +425,10 @@ def coset_representatives(
     g: GroupTable, sub_members: Iterable[int], within: Iterable[int]
 ) -> list[int]:
     """Smallest-index representatives of the right cosets of a subgroup."""
-    sub = list(sub_members)
+    sub = [_require_index(g, h) for h in sub_members]
     covered: set[int] = set()
     reps = []
-    for x in sorted(within):
+    for x in sorted(_require_index(g, x) for x in within):
         if x in covered:
             continue
         reps.append(x)

@@ -47,7 +47,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _span, _squares
 from .errors import (
-    GroupMismatchError,
     NoComplementError,
     NotAbelianError,
     NotASubgroupError,
@@ -55,7 +54,7 @@ from .errors import (
     NotSubsetError,
     TooLargeError,
 )
-from .groups import GroupTable, SubgroupSet, _extend, _greedy_generators
+from .groups import GroupTable, SubgroupSet, _extend, _greedy_generators, _require_group
 from .involutions import AntiAutomorphism
 
 DEFAULT_EXHAUSTIVE_BOUND = 16
@@ -103,8 +102,7 @@ class UnitSet:
 
     def __contains__(self, x) -> bool:
         if isinstance(x, AlgebraElement):
-            if x.group is not self.group:
-                raise GroupMismatchError("element lives in a different group")
+            _require_group(self.group, x.group, "the element")
             x = x.mask
         return x in self.mask_set()
 
@@ -133,8 +131,8 @@ def make_unit_set(
 
 def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
     """The group (or a subgroup) as basis vectors, with its greedy generators."""
-    if sub is not None and sub.group is not g:
-        raise GroupMismatchError("subgroup belongs to a different group")
+    if sub is not None:
+        _require_group(g, sub.group, "the subgroup")
     ids = sub.members if sub is not None else range(g.order)
     gens = sub.generators if sub is not None else g.greedy_generators
     return make_unit_set(g, (1 << i for i in ids), generators=[1 << i for i in gens])
@@ -157,8 +155,8 @@ def _require_within(count: int, max_order: int, what: str) -> None:
 
 def _free_positions(g: GroupTable, support: SubgroupSet | None, max_order: int) -> tuple[int, ...]:
     """The coefficient positions a scan runs over, within the bound."""
-    if support is not None and support.group is not g:
-        raise GroupMismatchError("support subgroup belongs to a different group")
+    if support is not None:
+        _require_group(g, support.group, "the support subgroup")
     members = tuple(support.members) if support is not None else tuple(range(g.order))
     _require_within(len(members), max_order, "the number of free coefficient positions")
     return members
@@ -413,8 +411,7 @@ def enumerate_unitary(
     The kernel returns its hits ascending, so the UnitSet is built with no
     sort. ``workers`` is accepted and ignored.
     """
-    if sigma.group is not g:
-        raise GroupMismatchError("involution belongs to a different group")
+    _require_group(g, sigma.group, "the involution")
     members = _free_positions(g, support, max_order)
     return UnitSet(g, _unitary_kernel(g, sigma.perm, members))
 
@@ -490,8 +487,7 @@ def unit_subgroup_closure(g: GroupTable, gens: Iterable[AlgebraElement]) -> Unit
     """The unit subgroup that gens generate, recorded as its generators."""
     gen_masks = []
     for x in gens:
-        if x.group is not g:
-            raise GroupMismatchError("generator from a different group")
+        _require_group(g, x.group, "the generator")
         _inverse(g, x.mask)  # NotAUnitError on a non-unit generator
         gen_masks.append(x.mask)
     _, span = _greedy_generators(partial(_mul, g), 1, gen_masks)
@@ -499,8 +495,9 @@ def unit_subgroup_closure(g: GroupTable, gens: Iterable[AlgebraElement]) -> Unit
 
 
 def _require_subset(ambient: UnitSet, part: UnitSet, name: str) -> None:
-    if part.group is not ambient.group:
-        raise GroupMismatchError(f"{name} lives in a different group")
+    """The one containment check: GroupMismatchError unless part is bound
+    to ambient's group, NotSubsetError unless its masks lie in ambient."""
+    _require_group(ambient.group, part.group, name)
     if not part.mask_set() <= ambient.mask_set():
         raise NotSubsetError(f"{name} is not contained in the ambient unit set")
 
@@ -661,13 +658,12 @@ def find_complement(ambient: UnitSet, factor: UnitSet) -> UnitSet:
     order needs no test of its own. Only accepted spans are listed, by
     ``_extend(mul, span, (), c)`` as the group is abelian. A table subgroup
     goes in through ``group_image``, whose masks ``1 << i`` sort like the
-    indices. Raises NoComplementError when the factor is not a direct
-    factor.
+    indices. Raises NotSubsetError when the factor does not lie in the
+    ambient set, and NoComplementError when it is not a direct factor.
     """
     if not isinstance(ambient, UnitSet) or not isinstance(factor, UnitSet):
         raise TypeError("find_complement takes UnitSets; map a SubgroupSet through group_image")
-    if factor.group is not ambient.group:
-        raise GroupMismatchError("factor lives in a different group")
+    _require_subset(ambient, factor, "the factor")
     if not _is_abelian_units(ambient):
         raise NotAbelianError("complement search requires an abelian ambient group")
     g = ambient.group
@@ -677,8 +673,6 @@ def find_complement(ambient: UnitSet, factor: UnitSet) -> UnitSet:
     if ambient.order % len(factor_set):
         raise NoComplementError("factor order does not divide ambient order")
     target = ambient.order // len(factor_set)
-    if not factor_set <= ambient.mask_set():
-        raise NotASubgroupError("factor is not contained in the ambient group")
 
     def dfs(
         span: set[int], span_factor: frozenset[int], gens: list[int], start: int

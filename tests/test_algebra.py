@@ -261,6 +261,14 @@ def test_parse_cancels_repeats(q8):
 # cross-group hygiene
 
 
+@pytest.mark.parametrize("mask", [1.0, True, 1 << 8, -1], ids=repr)
+def test_algebra_element_mask_is_a_non_bool_int_in_range(q8, mask):
+    """A float or bool mask is refused when built, like one out of range,
+    not later by the renderer."""
+    with pytest.raises(ValueError, match=f"^mask {mask!r} out of range for order 8$"):
+        f.AlgebraElement(q8, mask)
+
+
 def test_cross_group_operations_fail(q8, d8):
     with pytest.raises(GroupMismatchError):
         f.ga_mul(f.one(q8), f.one(d8))

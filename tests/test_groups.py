@@ -20,6 +20,8 @@ from f2units.errors import (
     NoComplementError,
     NotAbelianError,
     NotASubgroupError,
+    NotSubsetError,
+    UnsupportedOrderError,
 )
 from f2units.catalog import catalog_groups
 from f2units.groups import _extend, _greedy_generators
@@ -105,13 +107,36 @@ def test_inverting_extension_matches_quaternion_shape():
     assert g.conjugate(b, a) == g.inv[a]
 
 
-def test_inverting_extension_rejects_bad_square_element():
-    with pytest.raises(BadSquareElementError):
-        f.make_inverting_extension(f.make_cyclic(4), 0)  # identity
-    with pytest.raises(BadSquareElementError):
-        f.make_inverting_extension(f.make_cyclic(4), 1)  # order 4
-    with pytest.raises(BadSquareElementError):
-        f.make_inverting_extension(f.make_cyclic(4), 9)  # out of range
+@pytest.mark.parametrize(
+    "t, why",
+    [(0, "identity"), (1, "involution"), (9, "9"), (1.0, "1.0"), (True, "True")],
+    ids=repr,
+)
+def test_inverting_extension_rejects_bad_square_element(t, why):
+    """The identity, an element of order 4, and an index that is out of
+    range or not a non-bool int."""
+    with pytest.raises(BadSquareElementError, match=why):
+        f.make_inverting_extension(f.make_cyclic(4), t)
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [
+        (f.make_cyclic, 0),
+        (f.make_cyclic, True),
+        (f.make_cyclic, 2.0),
+        (f.make_dihedral, 5),
+        (f.make_dihedral, 8.0),
+        (f.make_quaternion, 12),
+        (f.make_quaternion, 8.0),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_family_constructors_reject_bad_orders(make, n):
+    """A bool would build a group named after it and a float would fail
+    inside the table build: both are unsupported orders, named by repr."""
+    with pytest.raises(UnsupportedOrderError, match=f"got {n!r}$"):
+        make(n)
 
 
 @pytest.mark.parametrize("n", (8, 16, 32, 64))
@@ -437,14 +462,33 @@ def test_closure_matches_oracle(d8, q16):
         assert list(f.subgroup_closure(g, gens).members) == naive_closure(g, gens)
 
 
+# Q8 lays out a^i at i and a^i b at 4 + i: <a> = {0..3}, Z(Q8) = {0, 2}.
 @pytest.mark.parametrize(
     "call",
     [
         lambda g, i: f.subgroup_closure(g, [i]),
         lambda g, i: f.SubgroupSet.from_members(g, [0, i]),
         lambda g, i: f.element_order(g, i),
+        lambda g, i: f.basis(g, i),
+        lambda g, i: f.from_indices(g, [0, i]),
+        lambda g, i: f.coset_split(f.one(g), f.subgroup_closure(g, [1]), i),
+        lambda g, i: f.quadrant_split(f.one(g), f.center(g), i, 4),
+        lambda g, i: f.quadrant_split(f.one(g), f.center(g), 1, i),
+        lambda g, i: f.coset_representatives(g, [0, i], range(8)),
+        lambda g, i: f.coset_representatives(g, [0, 2], [0, i]),
     ],
-    ids=["subgroup_closure", "from_members", "element_order"],
+    ids=[
+        "subgroup_closure",
+        "from_members",
+        "element_order",
+        "basis",
+        "from_indices",
+        "coset_split-b",
+        "quadrant_split-a",
+        "quadrant_split-b",
+        "coset_representatives-member",
+        "coset_representatives-within",
+    ],
 )
 @pytest.mark.parametrize("index", [99, -1, 1.0, True, "1"], ids=repr)
 def test_bad_element_index_is_an_error(q8, call, index):
@@ -474,6 +518,48 @@ def test_normality_rejects_a_subgroup_of_another_group(q8, d8):
     # <r> of D8 has members 0..3, which are also indices of Q8
     with pytest.raises(GroupMismatchError):
         f.is_normal(q8, f.subgroup_closure(d8, [1]))
+
+
+# Each former group-check site, fed one operand bound to a second Q8: the
+# same name and table, built separately, so a different group.
+GROUP_BOUND_OPERANDS = {
+    "ga_add": lambda g, h: f.ga_add(f.one(g), f.one(h)),
+    "ga_involute": lambda g, h: f.ga_involute(f.classical_involution(h), f.one(g)),
+    "coset_split": lambda g, h: f.coset_split(f.one(g), f.subgroup_closure(h, [1]), 4),
+    "quadrant_split": lambda g, h: f.quadrant_split(f.one(g), f.center(h), 1, 4),
+    "check_unitary_split_form": lambda g, h: f.check_unitary_split_form(
+        f.make_inverting_form(g, [1], 4), f.one(h)
+    ),
+    "check_unitary_quadrant_system": lambda g, h: f.check_unitary_quadrant_system(
+        f.make_odot_form(g), f.one(h)
+    ),
+    "is_normal": lambda g, h: f.is_normal(g, f.center(h)),
+    "UnitSet.__contains__": lambda g, h: f.one(h) in f.group_image(g),
+    "group_image": lambda g, h: f.group_image(g, f.center(h)),
+    "support": lambda g, h: f.enumerate_normalized_units(g, support=f.center(h)),
+    "enumerate_unitary": lambda g, h: f.enumerate_unitary(g, f.classical_involution(h)),
+    "unit_subgroup_closure": lambda g, h: f.unit_subgroup_closure(g, [f.one(h)]),
+    "internal_direct": lambda g, h: f.internal_direct(f.group_image(g), [f.group_image(h)]),
+    "find_complement": lambda g, h: f.find_complement(
+        f.group_image(g, f.center(g)), f.group_image(h, f.center(h))
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(GROUP_BOUND_OPERANDS))
+def test_operand_from_another_group_table_is_a_mismatch(q8, site):
+    other = f.make_quaternion(8)
+    assert (other.name, other.mul) == (q8.name, q8.mul)
+    with pytest.raises(GroupMismatchError, match="belongs to a different group table$"):
+        GROUP_BOUND_OPERANDS[site](q8, other)
+
+
+def test_find_complement_requires_containment(c4xc2):
+    """A factor outside the ambient set is not contained in it."""
+    ambient = f.group_image(c4xc2, f.subgroup_closure(c4xc2, [2]))  # <(a,1)>
+    factor = f.group_image(c4xc2, f.subgroup_closure(c4xc2, [1]))  # <(1,a)>
+    with pytest.raises(NotSubsetError, match="the factor is not contained"):
+        f.find_complement(ambient, factor)
 
 
 def test_coset_representatives_partition(d8):

@@ -78,3 +78,26 @@ def test_algebra_elements_stay_at_the_api_boundary():
                 if scopes.get(path.name) != scope
             ]
     assert stray == []
+
+
+def test_each_operand_fact_is_guarded_by_one_helper():
+    """Group binding, element index and containment each have one guard:
+    ``GroupMismatchError`` is built only by ``groups._require_group``,
+    ``NotSubsetError`` only by ``unitgroup._require_subset``, and
+    ``BadIndexError`` only by ``groups._require_index`` and by
+    ``algebra.coset_split`` for its index-2 subgroup and outside twist."""
+    allowed = {
+        "GroupMismatchError": {("groups.py", "_require_group")},
+        "NotSubsetError": {("unitgroup.py", "_require_subset")},
+        "BadIndexError": {("groups.py", "_require_index"), ("algebra.py", "coset_split")},
+    }
+    stray = []
+    for path in sorted(Path(f.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, scopes in allowed.items():
+            stray += [
+                f"{path.name}:{line} {name}"
+                for scope, line in _calls(tree, name)
+                if (path.name, scope) not in scopes
+            ]
+    assert stray == []
