@@ -22,11 +22,13 @@ unitary (squares to 1, is central) stay per member, and
 failing member is the witness. Those checks come from ``unitgroup``, which
 alone knows its bit-plane format. The per-element lemma checks split with
 ``_coset_parts`` and decide on masks by their independent conditions; their
-docstrings prove the rest. No product set is listed by multiplying members:
-H is a sumset, and the assembled product is compared with the enumerated
-unitary group by orders (``_product_is``) whenever the group is small
-enough; normality in it is decided on the fixed-point pcgs, once that
-generates it.
+docstrings prove the rest. No product set is listed by multiplying members.
+The cofactor H = W*L is listed, as a sumset, only for the oracle, which
+compares the assembled product with the enumerated unitary group by orders
+(``_product_is``) and decides normality in it on the fixed-point pcgs, once
+that generates it. Otherwise H is decided from W and L: its order, its
+semidirect structure and its meeting the group image from their supports,
+and its unitarity on its generators.
 """
 
 from __future__ import annotations
@@ -194,24 +196,10 @@ def build_abelian_complement(
     return find_complement(v_a, group_image(g, form.a_sub))
 
 
-def build_normal_cofactor(
-    form: InvertingExtensionForm, w: UnitSet, ell: UnitSet
-) -> UnitSet:
-    """H = W*L, listed as the sumset {l + s : l in L, s in W - 1}:
-    W - 1 = (1+b*b) F2A b is a two-sided F2A-module, as b normalizes A and
-    b*b lies in A: (1+b*b) z b a = (1+b*b) (z a') b with a' = b a b^-1. For
-    l in L, inside V(F2A), (1 + s) l = l + s l and s -> s l permutes W - 1,
-    so W l = l + (W - 1). HypothesisViolationError unless W - 1 is a subspace
-    that left and right translation (g.mul[a] and column a) by each generator
-    a of A maps into itself, and L lies on A: bit permutations, no product.
-
-    The sumset is listed with s outer, over the ascending W - 1, and l inner,
-    over the ascending L. W - 1 lies on the coset A b and L on A, so when A
-    sits below its coset, as make_quaternion and make_inverting_extension
-    lay it out, l + s orders by s first and the list is already ascending:
-    ``make_unit_set`` sorts it in linear time. A relabelled table only costs
-    a fuller sort.
-    """
+def _require_cofactor_premise(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet) -> int:
+    """The mask of A; HypothesisViolationError unless W - 1 is a subspace that
+    left and right translation (g.mul[a] and column a) by each generator a of
+    A maps into itself and L lies on A: bit permutations, no product."""
     g = form.group
     shifts = [p for a in form.a_sub.generators for p in (g.mul[a], [r[a] for r in g.mul])]
     module = [1 ^ m for m in w.masks]
@@ -223,8 +211,31 @@ def build_normal_cofactor(
     on_a = sum(1 << i for i in form.a_sub.members)
     if any(m & ~on_a for m in ell.masks):
         raise HypothesisViolationError("the complement is not supported on A")
+    return on_a
+
+
+def build_normal_cofactor(
+    form: InvertingExtensionForm, w: UnitSet, ell: UnitSet
+) -> UnitSet:
+    """H = W*L, listed as the sumset {l + s : l in L, s in W - 1}:
+    W - 1 = (1+b*b) F2A b is a two-sided F2A-module, as b normalizes A and
+    b*b lies in A: (1+b*b) z b a = (1+b*b) (z a') b with a' = b a b^-1. For
+    l in L, inside V(F2A), (1 + s) l = l + s l and s -> s l permutes W - 1,
+    so W l = l + (W - 1). HypothesisViolationError unless that premise holds
+    (``_require_cofactor_premise``). Only the oracle branch of
+    ``verify_inverting_decomposition`` lists H.
+
+    The sumset is listed with s outer, over the ascending W - 1, and l inner,
+    over the ascending L. W - 1 lies on the coset A b and L on A, so when A
+    sits below its coset, as make_quaternion and make_inverting_extension
+    lay it out, l + s orders by s first and the list is already ascending:
+    ``make_unit_set`` sorts it in linear time. A relabelled table only costs
+    a fuller sort.
+    """
+    _require_cofactor_premise(form, w, ell)
     gens = tuple(w.generators or ()) + tuple(ell.generators or ())
-    return make_unit_set(g, (l ^ s for s in module for l in ell.masks), generators=gens)
+    masks = (l ^ 1 ^ m for m in w.masks for l in ell.masks)
+    return make_unit_set(form.group, masks, generators=gens)
 
 
 def _conjugation_witness(
@@ -332,7 +343,8 @@ def verify_inverting_decomposition(
     (factors verified internally, every constructed element confirmed
     unitary); raise ``max_order`` to run the full oracle on them. W is
     listed, so a bound |A|/2 on its dimension above ``max_order`` is a
-    TooLargeError.
+    TooLargeError. H = W*L is listed only for the oracle; the constructive
+    checks decide it from W and L, and its unitarity on its generators.
     """
     if not isinstance(form, InvertingExtensionForm):
         raise TypeError(
@@ -387,26 +399,31 @@ def verify_inverting_decomposition(
     report.instance["complement_generators"] = [_render(g, m) for m in (ell.generators or ())]
     report.add("abelian_complement_contract", internal_direct(v_a, [a_image, ell]))
 
-    h = build_normal_cofactor(form, w, ell)
-    report.add("cofactor_order", h.order == w.order * ell.order)
-    report.add("cofactor_semidirect", internal_semidirect(h, w, ell))
+    # H = W*L is decided from W and L; only the oracle lists it. L lies on A,
+    # so with W - 1 on the coset A b the sums l + s are distinct, and a basis
+    # element lies in H only if it lies in L.
+    on_a = _require_cofactor_premise(form, w, ell)
+    report.add("cofactor_order", not any((1 ^ m) & on_a for m in w.masks))
+    semidirect = w.mask_set() & ell.mask_set() == {1} and normalizes(g, gens_of(ell), w)
+    report.add("cofactor_semidirect", semidirect)
 
     witness = _conjugation_witness(form, v_a, w.mask_set())
     report.add("conjugation_identities", witness is None, witness)
 
-    g_image = group_image(g)
-    report.add("group_meets_cofactor_trivially", g_image.mask_set() & h.mask_set() == {1})
+    report.add("group_meets_cofactor_trivially", a_image.mask_set() & ell.mask_set() == {1})
 
-    expected = g.order * h.order
+    expected = g.order * w.order * ell.order
     report.orders = {
         "group": g.order,
         "unipotent": w.order,
         "complement": ell.order,
-        "cofactor": h.order,
+        "cofactor": w.order * ell.order,
         "expected_unitary": expected,
     }
 
     if g.order <= max_order and not skip_enumeration:
+        h = build_normal_cofactor(form, w, ell)
+        g_image = group_image(g)
         v = enumerate_unitary(g, sigma, max_order=max_order)
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
@@ -429,7 +446,8 @@ def verify_inverting_decomposition(
             "(the unipotent factor normalizes itself)"
         )
         _add_oracle_skip_note(report, g, max_order)
-        _add_member_check(report, "cofactor_members_unitary", g, h.masks, sigma)
+        # V_* is a group, so H lies in it when its generators do.
+        _add_member_check(report, "cofactor_members_unitary", g, gens_of(w) + gens_of(ell), sigma)
     return report
 
 

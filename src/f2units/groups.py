@@ -209,6 +209,7 @@ class SubgroupSet:
         return self._member_set
 
     def __contains__(self, x: int) -> bool:
+        """Membership by equality, as for ``range``: 1.0 and True are the index 1."""
         return x in self.member_set()
 
     @cached_property

@@ -101,6 +101,8 @@ class UnitSet:
         return self._mask_set
 
     def __contains__(self, x) -> bool:
+        """An element of this group, or a mask. Membership is by equality, as
+        for ``range`` (``1.0 in range(3)`` is True): 1.0 and True are the mask 1."""
         if isinstance(x, AlgebraElement):
             _require_group(self.group, x.group, "the element")
             x = x.mask

@@ -8,7 +8,8 @@ scanned set, 2^len is the scan's order, and no two share a (depth, leading
 row) pair. The last makes their leading terms independent, so the normal
 words are distinct, and the pcgs generates a subgroup of the scan of order
 2^len: the scan itself. Above order 32 no scan runs, so the lists of Q64,
-Q128 and D8xC8 odot are pinned instead.
+Q128 and D8xC8 odot are pinned instead, and Q64's 2^len is compared with
+the order that the classical construction predicts.
 """
 
 from __future__ import annotations
@@ -119,3 +120,13 @@ def test_first_product_on_order_128_allocates_under_12_mb():
     finally:
         tracemalloc.stop()
     assert peak < 12_000_000
+
+
+def test_q64_construct_order_equals_the_pcgs_order():
+    """Q64 classical construct at max_order=32 passes without listing H
+    (2^28 masks), and its |G||W||L| is 2^len of the fixed-point pcgs, 2^34:
+    the construction checked against the filtration at order 64."""
+    g = f.make_quaternion(64)
+    report = f.verify_inverting_decomposition(f.detect_inverting_form(g), max_order=32)
+    assert report.passed
+    assert report.orders["expected_unitary"] == 1 << len(_fixed_point_pcgs(g, g.inv)) == 1 << 34

@@ -3,9 +3,14 @@ cofactor H is the sumset of L and W - 1, and a product of two subgroups is
 compared with the scanned unitary group by orders. Each is checked here
 against a listing by ``oracles.naive_product``, on the intact factors and on
 mutants that keep every factor a subgroup; a guard fails when a pipeline
-lists a product again."""
+lists a product again. Construct mode decides the facts about H from W and
+L and never lists H: each verdict is checked against the listed H, on the
+intact factors and on three mutants, and a guard makes the listing raise."""
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
@@ -245,9 +250,133 @@ def test_no_pipeline_lists_a_product(capsys):
     assert not hasattr(unitgroup, "_planes_to_masks")
     catalog = cli.RunConfig(group=None, involution=None, mode="catalog", fmt="json")
     assert cli.run(catalog) == 1  # the dihedral odot instances fail by design
-    for g in (f.make_quaternion(32), f.make_inverting_extension(f.make_cyclic(16), 8)):
-        config = cli.RunConfig(group=g, involution="classical", mode="construct", fmt="json")
-        assert cli.run(config) == 0
     capsys.readouterr()
     (q16,) = [e for e in CLASSICAL_ENTRIES if e.key == "Q16"]
     assert f.verify_inverting_decomposition(q16.form()).passed
+
+
+# ---------------------------------------------------------------------------
+# classical: construct mode decides H = W*L from W and L and never lists it
+
+COFACTOR_FACTS = (
+    "cofactor_order",
+    "cofactor_semidirect",
+    "group_meets_cofactor_trivially",
+    "cofactor_members_unitary",
+)
+
+
+def _listed_verdicts(form, w, ell):
+    """The four cofactor facts decided on H as build_normal_cofactor lists it."""
+    g = form.group
+    h = f.build_normal_cofactor(form, w, ell)
+    return {
+        "cofactor_order": h.order == w.order * ell.order,
+        "cofactor_semidirect": unitgroup.internal_semidirect(h, w, ell),
+        "group_meets_cofactor_trivially": f.group_image(g).mask_set() & h.mask_set() == {1},
+        "cofactor_members_unitary": not unitgroup._failing_members(g, h.masks, g.inv),
+    }
+
+
+def _construct_checks(form, monkeypatch, w=None, ell=None, v_a=None):
+    """The construct-mode checks with W, L or the scan of A's subalgebra (the
+    only scan construct mode runs) replaced."""
+    if w is not None:
+        monkeypatch.setattr(decompositions, "build_unipotent_factor", lambda form: w)
+    if ell is not None:
+        monkeypatch.setattr(decompositions, "find_complement", lambda ambient, factor: ell)
+    if v_a is not None:
+        monkeypatch.setattr(decompositions, "enumerate_unitary", lambda *args, **kwargs: v_a)
+    report = f.verify_inverting_decomposition(form, skip_enumeration=True)
+    return {c.name: c for c in report.checks}
+
+
+@pytest.mark.parametrize("key", [*(e.key for e in CLASSICAL_ENTRIES), "Q32", "Ext(C16)"])
+def test_cofactor_facts_from_w_and_l_equal_the_listed_verdicts(key, monkeypatch):
+    form = CLASSICAL_FORMS[key]()
+    w, ell = f.build_unipotent_factor(form), f.build_abelian_complement(form)
+    checks = _construct_checks(form, monkeypatch)
+    assert {name: checks[name].passed for name in COFACTOR_FACTS} == _listed_verdicts(form, w, ell)
+    assert all(checks[name].passed for name in COFACTOR_FACTS)
+
+
+def test_a_non_unitary_generator_of_l_is_the_witness(monkeypatch):
+    """L and the scan of A's subalgebra grown by a unit x on A that is not
+    unitary: cofactor_members_unitary, run on H's generators, names x, and
+    all four verdicts equal those on the listed H."""
+    form = CLASSICAL_FORMS["Q16"]()
+    g = form.group
+    w, ell = f.build_unipotent_factor(form), f.build_abelian_complement(form)
+    v_a = f.enumerate_unitary(g, f.classical_involution(g), support=form.a_sub)
+    units = f.enumerate_normalized_units(g, support=form.a_sub).masks
+    x = next(m for m in units if m not in v_a)
+    grown = _closure(g, [*ell.generators, x])
+    checks = _construct_checks(
+        form, monkeypatch, ell=grown, v_a=_closure(g, [*unitgroup.gens_of(v_a), x])
+    )
+    assert not checks["cofactor_members_unitary"].passed
+    assert checks["cofactor_members_unitary"].witness == decompositions._render(g, x)
+    verdicts = {name: checks[name].passed for name in COFACTOR_FACTS}
+    assert verdicts == _listed_verdicts(form, w, grown)
+
+
+def test_an_l_holding_a_basis_element_of_a_meets_the_group(monkeypatch):
+    """L grown by a basis element of A meets the group image outside {1}, and
+    all four verdicts equal those on the listed H."""
+    form = CLASSICAL_FORMS["Q16"]()
+    g = form.group
+    w, ell = f.build_unipotent_factor(form), f.build_abelian_complement(form)
+    grown = _closure(g, [*ell.generators, 1 << form.a_sub.generators[0]])
+    checks = _construct_checks(form, monkeypatch, ell=grown)
+    assert not checks["group_meets_cofactor_trivially"].passed
+    verdicts = {name: checks[name].passed for name in COFACTOR_FACTS}
+    assert verdicts == _listed_verdicts(form, w, grown)
+
+
+def test_an_l_generator_that_does_not_normalize_w_fails_the_semidirect_check(monkeypatch):
+    """The premise makes W - 1 an F2A-module, so every unit on A normalizes
+    W; only past it can an L generator fail to. W is replaced by the image
+    of <b>, which two of Q32's complement generators do not normalize, and
+    the premise is skipped. Its W - 1 does not lie on the coset A b, so
+    cofactor_order fails too; both verdicts equal those on the listed
+    sumset (the other two are exact only on that coset)."""
+    form = CLASSICAL_FORMS["Q32"]()
+    g = form.group
+    ell = f.build_abelian_complement(form)
+    w = f.group_image(g, f.subgroup_closure(g, [form.b]))
+    assert not unitgroup.normalizes(g, ell.generators, w)
+    on_a = sum(1 << i for i in form.a_sub.members)
+    monkeypatch.setattr(decompositions, "_require_cofactor_premise", lambda *args: on_a)
+    checks = _construct_checks(form, monkeypatch, w=w)
+    listed = _listed_verdicts(form, w, ell)
+    for name in ("cofactor_order", "cofactor_semidirect"):
+        assert not checks[name].passed
+        assert not listed[name]
+
+
+# The sha256 of the reports of Q32 and Ext(C16) --mode construct (as pinned in
+# perfbench/references.json) and of Q16 verified with max_order=8.
+CONSTRUCT_PINS = {
+    ("quaternion", "32", ()): "d64757fd33b7be77a88f2faf04f8a746c64a26934ce33c112eababb0aa294c34",
+    ("inverting_extension", "32", ("--square-element", "a8")): (
+        "e4cd858ef81731b1ca3ea88758e62d984dc1b7fe551b6513274c035c74b38ada"
+    ),
+}
+Q16_PAST_THE_BOUND = "3770f14b35f8a9589f8b085aab1437fcd1ce702b7b1620b0b94ac2276cf5ee59"
+
+
+def test_construct_mode_never_lists_the_cofactor(q16_form, monkeypatch, capsys):
+    """With build_normal_cofactor raising, construct mode and a run past the
+    exhaustive bound still finish with their pinned reports."""
+
+    def refuse(*args):
+        raise AssertionError("the cofactor H was listed")
+
+    monkeypatch.setattr(decompositions, "build_normal_cofactor", refuse)
+    for (family, order, extra), pin in CONSTRUCT_PINS.items():
+        args = ["--family", family, "--order", order, *extra, "--involution", "classical"]
+        assert cli.main([*args, "--mode", "construct", "--format", "json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pin
+    report = f.verify_inverting_decomposition(q16_form, max_order=8)
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == Q16_PAST_THE_BOUND

@@ -101,6 +101,18 @@ def test_unit_set_looks_a_bare_argument_up_as_given(q8, d8, make, expected):
         assert (x in image) is expected
 
 
+def test_membership_is_by_equality_as_for_range(q8):
+    """UnitSet and SubgroupSet test membership by equality, as range does
+    (1.0 in range(3) is True): a float or a bool equal to a member mask or
+    index is a member, and one equal to none is not."""
+    image, centre = f.group_image(q8), f.center(q8)  # centre: indices 0 and 2
+    assert 1.0 in range(3) and True in range(3)
+    assert 1.0 in image and True in image and 2.0 in image
+    assert 1.5 not in image and False not in image
+    assert -0.0 in centre and 2.0 in centre and False in centre
+    assert True not in centre and 0.5 not in centre
+
+
 # ---------------------------------------------------------------------------
 # unitary units, cross-checked against the brute-force oracle
 
