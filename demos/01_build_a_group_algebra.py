@@ -7,13 +7,16 @@ element i). Addition is XOR; multiplication is table-driven convolution.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import f2units as f
 
 
 def main() -> None:
     g = f.make_quaternion(8)
     print(f"group: {g.name}, order {g.order}, labels {g.labels}")
-    print(f"orders of elements: {f.order_multiset(g)}")
+    orders = Counter(f.element_order(g, x) for x in range(g.order))
+    print(f"orders of elements: {dict(sorted(orders.items()))}")
     print(f"center: {f.center(g).labels()}")
     print()
 

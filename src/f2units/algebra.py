@@ -12,9 +12,9 @@ The arithmetic core works on bare masks: ``_mul``, ``_squares``,
 calls it directly; a loop over a whole member list multiplies on bit planes
 instead (see ``unitgroup``); ``_coset_parts`` and ``_render`` split and
 print masks.
-``AlgebraElement`` is the API wrapper: the public ``ga_*`` functions, the
-splitters and ``render_element`` check their operands' group, call the
-core, and wrap the result.
+``AlgebraElement`` is the API wrapper: the public ``ga_*`` functions and
+``render_element`` check their operands' group, call the core, and wrap
+the result.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Iterable, Sequence
 
-from .errors import BadCosetsError, BadIndexError, NoSolutionError, NotAUnitError, ParseError
+from .errors import BadCosetsError, NotAUnitError, ParseError
 from .groups import GroupTable, SubgroupSet, _is_int, _require_group, _require_index
 
 
@@ -69,13 +69,6 @@ def one(group: GroupTable) -> AlgebraElement:
 def basis(group: GroupTable, i: int) -> AlgebraElement:
     """The group element at index i, viewed in the algebra."""
     return AlgebraElement(group, 1 << _require_index(group, i))
-
-
-def from_indices(group: GroupTable, ids) -> AlgebraElement:
-    m = 0
-    for i in ids:
-        m ^= 1 << _require_index(group, i)
-    return AlgebraElement(group, m)
 
 
 def _same_group(x: AlgebraElement, y: AlgebraElement) -> GroupTable:
@@ -224,26 +217,6 @@ def _span(basis: Iterable[int]) -> list[int]:
     return span
 
 
-def annihilator_solve(target: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
-    """Solve w * z = target for z, or raise NoSolutionError.
-
-    The columns of left multiplication by w are eliminated, then the target
-    as one more column: it vanishes exactly when solvable, and its selector
-    is then z plus the marker bit. Pivoting is lowest-index first, so z is
-    canonical (free coordinates are zero).
-    """
-    g = _same_group(target, w)
-    n = g.order
-    pivots, kernel = _eliminate([_mul(g, w.mask, 1 << j) for j in range(n)] + [target.mask])
-    if not kernel or not kernel[-1] >> n:
-        raise NoSolutionError(
-            "target is not in the image of multiplication by w",
-            rank=len(pivots) - 1,
-            augmented_rank=len(pivots),
-        )
-    return AlgebraElement(g, kernel[-1] ^ 1 << n)
-
-
 def _coset_parts(g: GroupTable, mask: int, sub: SubgroupSet, reps: Sequence[int]) -> list[int]:
     """Split a mask over the right cosets sub*r, r in reps: part k lies on
     sub, and the mask is the sum of part k times reps[k]. Raises
@@ -264,35 +237,6 @@ def _coset_parts(g: GroupTable, mask: int, sub: SubgroupSet, reps: Sequence[int]
         k, c = where[i]
         parts[k] |= 1 << c
     return parts
-
-
-def coset_split(
-    x: AlgebraElement, a_sub: SubgroupSet, b: int
-) -> tuple[AlgebraElement, AlgebraElement]:
-    """Write x = x1 + x2*b with x1, x2 supported on an index-2 subgroup."""
-    g = x.group
-    _require_group(g, a_sub.group, "the subgroup")
-    if 2 * a_sub.order != g.order:
-        raise BadIndexError(f"subgroup has index {g.order // a_sub.order}, want 2")
-    if _require_index(g, b) in a_sub.member_set():
-        raise BadIndexError("split element lies inside the subgroup")
-    x1, x2 = _coset_parts(g, x.mask, a_sub, (0, b))
-    return AlgebraElement(g, x1), AlgebraElement(g, x2)
-
-
-def quadrant_split(
-    x: AlgebraElement, c_sub: SubgroupSet, a: int, b: int
-) -> tuple[AlgebraElement, AlgebraElement, AlgebraElement, AlgebraElement]:
-    """Write x = x0 + x1*a + x2*b + x3*ab with each part supported on c_sub.
-
-    Requires the four cosets of c_sub by 1, a, b, ab to partition the group.
-    """
-    g = x.group
-    _require_group(g, c_sub.group, "the subgroup")
-    a, b = _require_index(g, a), _require_index(g, b)
-    parts = _coset_parts(g, x.mask, c_sub, (0, a, b, g.mul[a][b]))
-    x0, x1, x2, x3 = (AlgebraElement(g, p) for p in parts)
-    return x0, x1, x2, x3
 
 
 # ---------------------------------------------------------------------------

@@ -20,27 +20,14 @@ class NotAUnitError(F2UnitsError):
     """Element is not invertible in F2[G]."""
 
 
-class NoSolutionError(F2UnitsError):
-    """Linear system w*z = target has no solution.
-
-    Carries the rank certificate: rank of the multiplication matrix and
-    rank of the augmented system.
-    """
-
-    def __init__(self, message: str, rank: int, augmented_rank: int):
-        super().__init__(message)
-        self.rank = rank
-        self.augmented_rank = augmented_rank
-
-
 class BadIndexError(F2UnitsError):
-    """An element index outside the group (the one guard is
-    ``groups._require_index``), or a coset split without an index-2
-    subgroup and an element outside it."""
+    """An element index outside the group; raised only by
+    ``groups._require_index``."""
 
 
 class BadCosetsError(F2UnitsError):
-    """The four cosets C, Ca, Cb, Cab do not partition the group."""
+    """The cosets of a split do not partition the group; raised only by
+    ``algebra._coset_parts``."""
 
 
 class NotAbelianError(F2UnitsError):

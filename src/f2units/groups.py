@@ -92,9 +92,6 @@ class GroupTable:
         self.name = name or f"G{self.order}"
         self._conv_tables: list[list[int]] | None = None  # lazy, see algebra
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def label(self, i: int) -> str:
         return self.labels[i]
 
@@ -395,14 +392,6 @@ def commutator_subgroup(g: GroupTable) -> SubgroupSet:
     return subgroup_closure(g, {g.conjugate(x, c) for x in range(g.order) for c in comms})
 
 
-def is_normal(g: GroupTable, s: SubgroupSet) -> bool:
-    """True iff each generator of g conjugates each generator of the subgroup
-    s into s, so maps s onto itself."""
-    _require_group(g, s.group, "the subgroup")
-    members = s.member_set()
-    return all(g.conjugate(x, h) in members for x in g.greedy_generators for h in s.generators)
-
-
 def element_order(g: GroupTable, x: int) -> int:
     _require_index(g, x)
     k = 1
@@ -411,15 +400,6 @@ def element_order(g: GroupTable, x: int) -> int:
         y = g.mul[y][x]
         k += 1
     return k
-
-
-def order_multiset(g: GroupTable) -> dict[int, int]:
-    """Element-order histogram, a cheap family fingerprint at these sizes."""
-    hist: dict[int, int] = {}
-    for x in g.elements():
-        k = element_order(g, x)
-        hist[k] = hist.get(k, 0) + 1
-    return hist
 
 
 def coset_representatives(

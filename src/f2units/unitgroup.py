@@ -26,12 +26,12 @@ masks, one plane per coefficient position and one bit per member.
 ``_product_planes`` is the one multiply on planes: u * v for every pair of
 members at the same bit, a fixed multiplier y entering as its
 ``_fixed_planes``. ``_failing_members`` is the one member test (u * perm(u)
-= 1, u * u = 1, commutation), for the decompositions' member checks and
-``elements_of_order_dividing_2``; the kernel builds its starting planes with
-``_product_planes`` too. No plane is read back into masks, and no product of
-subgroups is listed pairwise (``_product_is``, ``is_direct``). Structure
-checks work on generators; a set without recorded generators computes its
-canonical ones once and caches them.
+= 1, u * u = 1, commutation), for the decompositions' member checks; the
+kernel builds its starting planes with ``_product_planes`` too. No plane is
+read back into masks, and no product of subgroups is listed pairwise
+(``_product_is``, ``is_direct``). Structure checks work on generators; a set
+without recorded generators computes its canonical ones once and caches
+them.
 
 Both listings run on the calling thread (the kernel's big-int loop holds the
 GIL, so a second thread gained nothing); ``workers`` is accepted and ignored.
@@ -592,14 +592,6 @@ def structure_predicates(s: UnitSet) -> dict:
     else:
         exponent = max(_unit_order(g, m) for m in (gens_of(s) if abelian else s.masks))
     return {"is_elementary_abelian_2": elementary, "rank": rank, "exponent": exponent}
-
-
-def elements_of_order_dividing_2(v: UnitSet) -> UnitSet:
-    """Subgroup of self-inverse members of an abelian unit set."""
-    if not _is_abelian_units(v):
-        raise NotAbelianError("order-dividing-2 subgroup requires an abelian ambient")
-    bad = format(_failing_members(v.group, v.masks, square=True), f"0{len(v.masks)}b")[::-1]
-    return make_unit_set(v.group, (m for m, k in zip(v.masks, bad) if k == "0"))
 
 
 def canonical_generators(s: UnitSet) -> list[int]:

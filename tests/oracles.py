@@ -277,8 +277,7 @@ def naive_unit_masks(g, members) -> list[int]:
 
 def naive_solve(g, target: int, w: int) -> tuple[int | None, int]:
     """(z, rank): a z with w * z = target, the free coordinates zero, or None,
-    and the rank of multiplication by w. The elimination that once lived
-    inside annihilator_solve, on naive columns."""
+    and the rank of multiplication by w, by elimination on naive columns."""
     pivots: dict[int, tuple[int, int]] = {}
     for j in range(g.order):
         col = naive_mul(g, w, 1 << j)

@@ -9,13 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
-from f2units.algebra import _inverse, _involute, _mul
+from f2units.algebra import _coset_parts, _inverse, _involute, _mul
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, catalog_groups
 from f2units.errors import (
     BadCosetsError,
-    BadIndexError,
     GroupMismatchError,
-    NoSolutionError,
     NotAUnitError,
     ParseError,
 )
@@ -85,7 +83,6 @@ def test_constructors_and_support(q8):
     assert f.zero(q8).is_zero()
     assert f.one(q8).is_one()
     assert f.basis(q8, 3).support() == (3,)
-    assert f.from_indices(q8, [0, 2, 2]).support() == (0,)  # repeats cancel
     with pytest.raises(f.F2UnitsError):
         f.basis(q8, 99)
 
@@ -133,34 +130,6 @@ def test_inverse_refuses_outside_two_groups():
 
 
 # ---------------------------------------------------------------------------
-# annihilator-style division
-
-
-@settings(max_examples=150, deadline=None)
-@given(masks8)
-def test_divide_recovers_a_preimage(mz):
-    g = f.make_quaternion(8)
-    w = f.one(g) + f.basis(g, 2)  # 1 + a2
-    target = f.ga_mul(w, elem(g, mz))
-    z = f.annihilator_solve(target, w)
-    assert f.ga_mul(w, z) == target
-
-
-def test_divide_reports_rank_on_failure(q8):
-    w = f.one(q8) + f.basis(q8, 2)
-    with pytest.raises(NoSolutionError) as exc:
-        f.annihilator_solve(f.one(q8), w)
-    assert exc.value.augmented_rank == exc.value.rank + 1
-
-
-def test_divide_by_unit_is_exact(q8):
-    w = f.basis(q8, 4)
-    target = f.from_indices(q8, [1, 3, 5])
-    z = f.annihilator_solve(target, w)
-    assert f.ga_mul(w, z) == target
-
-
-# ---------------------------------------------------------------------------
 # splits
 
 
@@ -174,62 +143,45 @@ def _split_masks(g):
 
 @pytest.mark.parametrize("entry", CLASSICAL_ENTRIES, ids=lambda e: e.key)
 def test_coset_split_roundtrip(entry):
+    """Two cosets of the index-2 subgroup A, twisted by b."""
     form = entry.form()
     g, a_sub = form.group, form.a_sub
-    bb = f.basis(g, form.b)
+    members = a_sub.member_set()
     for m in _split_masks(g):
-        x = elem(g, m)
-        x1, x2 = f.coset_split(x, a_sub, form.b)
-        assert x1 + f.ga_mul(x2, bb) == x
-        assert all(i in a_sub.member_set() for i in x1.support())
-        assert all(i in a_sub.member_set() for i in x2.support())
-
-
-def test_coset_split_rejects_bad_subgroup(q8):
-    small = f.subgroup_closure(q8, [2])  # index 4
-    with pytest.raises(BadIndexError):
-        f.coset_split(f.one(q8), small, 4)
-    a_sub = f.subgroup_closure(q8, [1])
-    with pytest.raises(BadIndexError):
-        f.coset_split(f.one(q8), a_sub, 2)  # twist inside the subgroup
-
-
-def test_coset_split_checks_the_group_first(q8, d8):
-    """A subgroup of another group fails on the group, not on its index or
-    on the twist lying inside it."""
-    small = f.subgroup_closure(d8, [2])
-    assert 2 * small.order != d8.order and 2 in small.member_set()
-    with pytest.raises(GroupMismatchError):
-        f.coset_split(f.one(q8), small, 2)
+        x1, x2 = _coset_parts(g, m, a_sub, (0, form.b))
+        assert x1 ^ _mul(g, x2, 1 << form.b) == m
+        assert all(i in members for i in range(g.order) if (x1 | x2) >> i & 1)
 
 
 @pytest.mark.parametrize("entry", ODOT_ENTRIES, ids=lambda e: e.key)
 def test_quadrant_split_roundtrip(entry):
+    """Four cosets of C, twisted by 1, a, b and ab."""
     form = entry.form()
     g, c_sub = form.group, form.c_sub
-    aa, bb = f.basis(g, form.a), f.basis(g, form.b)
-    ab = f.ga_mul(aa, bb)
+    members = c_sub.member_set()
+    reps = (0, form.a, form.b, g.mul[form.a][form.b])
     for m in _split_masks(g):
-        x = elem(g, m)
-        x0, x1, x2, x3 = f.quadrant_split(x, c_sub, form.a, form.b)
-        back = x0 + f.ga_mul(x1, aa) + f.ga_mul(x2, bb) + f.ga_mul(x3, ab)
-        assert back == x
-        for part in (x0, x1, x2, x3):
-            assert all(i in c_sub.member_set() for i in part.support())
+        parts = _coset_parts(g, m, c_sub, reps)
+        back = 0
+        for part, r in zip(parts, reps):
+            back ^= _mul(g, part, 1 << r)
+        assert back == m
+        assert all(i in members for part in parts for i in range(g.order) if part >> i & 1)
+
+
+def test_coset_split_rejects_bad_subgroup(q8):
+    small = f.subgroup_closure(q8, [2])  # index 4
+    with pytest.raises(BadCosetsError, match="do not cover"):
+        _coset_parts(q8, 1, small, (0, 4))
+    a_sub = f.subgroup_closure(q8, [1])
+    with pytest.raises(BadCosetsError, match="overlap"):
+        _coset_parts(q8, 1, a_sub, (0, 2))  # twist inside the subgroup
 
 
 def test_quadrant_split_rejects_overlapping_cosets(d8):
     c_sub = f.center(d8)
-    with pytest.raises(BadCosetsError):
-        f.quadrant_split(f.one(d8), c_sub, 2, 4)  # r2 is central: cosets collide
-
-
-def test_quadrant_split_checks_the_group_first(q8, d8):
-    """A subgroup of another group fails on the group, not on its cosets."""
-    with pytest.raises(BadCosetsError):
-        f.quadrant_split(f.one(d8), f.center(d8), 2, 4)
-    with pytest.raises(GroupMismatchError):
-        f.quadrant_split(f.one(q8), f.center(d8), 2, 4)
+    with pytest.raises(BadCosetsError, match="overlap"):
+        _coset_parts(d8, 1, c_sub, (0, 2, 4, d8.mul[2][4]))  # r2 is central: cosets collide
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +196,7 @@ def test_render_parse_roundtrip(c4):
 
 def test_render_zero_and_order(q8):
     assert f.render_element(f.zero(q8)) == "0"
-    x = f.from_indices(q8, [4, 0, 2])
+    x = elem(q8, 1 << 4 | 1 << 0 | 1 << 2)
     assert f.render_element(x) == "1 + a2 + b"
 
 

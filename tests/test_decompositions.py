@@ -9,15 +9,21 @@ import pytest
 
 import f2units as f
 from f2units import decompositions
+from f2units.algebra import _coset_parts
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import GroupMismatchError, NotUnitaryError
 from f2units.unitgroup import _fixed_point_pcgs, make_unit_set
 from conftest import ORDER32, order32_scan
-from oracles import naive_product
+from oracles import naive_product, naive_solve
 
 
 def checks_by_name(report):
     return {c.name: c for c in report.checks}
+
+
+def split(g, mask, sub, reps):
+    """The parts of a mask over the right cosets sub*r, as elements."""
+    return [f.AlgebraElement(g, part) for part in _coset_parts(g, mask, sub, reps)]
 
 
 def assert_skipped_on_request(report):
@@ -179,15 +185,14 @@ def test_split_form_consequences_hold_on_unitary_elements(key):
     one, b = f.one(g), f.basis(g, form.b)
     nb = one + f.basis(g, form.b_squared)
     for m in masks:
-        x = f.AlgebraElement(g, m)
-        x1, x2 = f.coset_split(x, form.a_sub, form.b)
+        x1, x2 = split(g, m, form.a_sub, (0, form.b))
         if f.augmentation(x1) == 0:
-            x1, x2 = f.coset_split(x * b, form.a_sub, form.b)
+            x1, x2 = split(g, (f.AlgebraElement(g, m) * b).mask, form.a_sub, (0, form.b))
         y = f.ga_inverse(x1) * x2
         x1_norm = x1 * f.ga_involute(sigma, x1)
         y_norm = y * f.ga_involute(sigma, y)
         assert (y * nb).is_zero(), hex(m)
-        assert nb * f.annihilator_solve(y, nb) == y, hex(m)
+        assert naive_solve(g, y.mask, nb.mask)[0] is not None, hex(m)
         assert y_norm.is_zero(), hex(m)
         assert x1_norm.is_one(), hex(m)
         assert (x1_norm * (one + y_norm)).is_one(), hex(m)
@@ -202,9 +207,10 @@ def test_quadrant_consequences_hold_on_unitary_elements(key):
     form, masks = _lemma_unitary(key, "odot")
     g = form.group
     ne = f.one(g) + f.basis(g, form.e)
+    reps = (0, form.a, form.b, g.mul[form.a][form.b])
     seen = 0
     for m in masks:
-        x0, *parts = f.quadrant_split(f.AlgebraElement(g, m), form.c_sub, form.a, form.b)
+        x0, *parts = split(g, m, form.c_sub, reps)
         if f.augmentation(x0) == 0:
             continue
         seen += 1
@@ -212,7 +218,7 @@ def test_quadrant_consequences_hold_on_unitary_elements(key):
         for xi in parts:
             y = x0_inv * xi
             assert (y * ne).is_zero(), hex(m)
-            assert ne * f.annihilator_solve(y, ne) == y, hex(m)
+            assert naive_solve(g, y.mask, ne.mask)[0] is not None, hex(m)
             assert (y * y).is_zero(), hex(m)
         assert (x0 * x0).is_one(), hex(m)
     assert seen
@@ -385,8 +391,9 @@ def test_quadrant_components_have_even_coefficient_sum(q8, q8_odot_form):
     form = q8_odot_form
     sigma = f.odot_involution(form)
     seen_normalized = 0
-    for x in f.enumerate_unitary(q8, sigma).elements():
-        x0, x1, x2, x3 = f.quadrant_split(x, form.c_sub, form.a, form.b)
+    reps = (0, form.a, form.b, q8.mul[form.a][form.b])
+    for m in f.enumerate_unitary(q8, sigma).masks:
+        x0, x1, x2, x3 = split(q8, m, form.c_sub, reps)
         if f.augmentation(x0) != 1:
             continue
         seen_normalized += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -25,6 +26,7 @@ from f2units.errors import (
 )
 from f2units.catalog import catalog_groups
 from f2units.groups import _extend, _greedy_generators
+from f2units.unitgroup import normalizes
 from oracles import (
     naive_canonical_generators,
     naive_center,
@@ -32,6 +34,7 @@ from oracles import (
     naive_commutator_subgroup,
     naive_element_order,
     naive_group_axioms,
+    naive_normal_in,
     naive_unit_closure,
 )
 
@@ -41,6 +44,11 @@ ALL_SMALL = ["c2", "c4", "c8", "d8", "q8", "q16", "c4xc2", "d8xc2", "q8xc2"]
 @pytest.fixture(params=ALL_SMALL)
 def any_group(request):
     return request.getfixturevalue(request.param)
+
+
+def order_fingerprint(g):
+    """How many elements have each order: a cheap family fingerprint."""
+    return Counter(f.element_order(g, x) for x in range(g.order))
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +73,7 @@ def test_dihedral_relations(d8):
     assert f.element_order(d8, s) == 2
     # s r s^-1 = r^-1
     assert d8.conjugate(s, r) == d8.inv[r]
-    assert f.order_multiset(d8) == {1: 1, 2: 5, 4: 2}
+    assert order_fingerprint(d8) == {1: 1, 2: 5, 4: 2}
     assert not d8.is_abelian()
 
 
@@ -75,7 +83,7 @@ def test_quaternion_relations(q8, q16):
     assert f.element_order(q8, b) == 4
     assert q8.mul[b][b] == q8.mul[a][a]  # b^2 = a^2
     assert q8.conjugate(b, a) == q8.inv[a]
-    assert f.order_multiset(q8) == {1: 1, 2: 1, 4: 6}
+    assert order_fingerprint(q8) == {1: 1, 2: 1, 4: 6}
 
     a, b = 1, 8
     assert f.element_order(q16, a) == 8
@@ -101,7 +109,7 @@ def test_direct_product_structure(d8, c2, d8xc2):
 def test_inverting_extension_matches_quaternion_shape():
     g = f.make_inverting_extension(f.make_cyclic(4), 2)
     assert g.order == 8
-    assert f.order_multiset(g) == {1: 1, 2: 1, 4: 6}
+    assert order_fingerprint(g) == {1: 1, 2: 1, 4: 6}
     a, b = 1, 4
     assert g.mul[b][b] == 2  # b^2 = the chosen square element
     assert g.conjugate(b, a) == g.inv[a]
@@ -470,24 +478,20 @@ def test_closure_matches_oracle(d8, q16):
         lambda g, i: f.SubgroupSet.from_members(g, [0, i]),
         lambda g, i: f.element_order(g, i),
         lambda g, i: f.basis(g, i),
-        lambda g, i: f.from_indices(g, [0, i]),
-        lambda g, i: f.coset_split(f.one(g), f.subgroup_closure(g, [1]), i),
-        lambda g, i: f.quadrant_split(f.one(g), f.center(g), i, 4),
-        lambda g, i: f.quadrant_split(f.one(g), f.center(g), 1, i),
         lambda g, i: f.coset_representatives(g, [0, i], range(8)),
         lambda g, i: f.coset_representatives(g, [0, 2], [0, i]),
+        lambda g, i: f.make_inverting_form(g, [i], 4),
+        lambda g, i: f.make_inverting_form(g, [1], i),
     ],
     ids=[
         "subgroup_closure",
         "from_members",
         "element_order",
         "basis",
-        "from_indices",
-        "coset_split-b",
-        "quadrant_split-a",
-        "quadrant_split-b",
         "coset_representatives-member",
         "coset_representatives-within",
+        "make_inverting_form-a",
+        "make_inverting_form-b",
     ],
 )
 @pytest.mark.parametrize("index", [99, -1, 1.0, True, "1"], ids=repr)
@@ -507,38 +511,68 @@ def test_subgroup_set_validation(q8):
     assert list(s.labels()) == ["1", "a", "a2", "a3"]
 
 
+def _group_generators(g):
+    return [1 << x for x in g.greedy_generators]
+
+
 def test_normality(d8):
-    rotations = f.subgroup_closure(d8, [1])
-    reflection = f.subgroup_closure(d8, [4])
-    assert f.is_normal(d8, rotations)
-    assert not f.is_normal(d8, reflection)
+    whole = f.group_image(d8)
+    rotations = f.group_image(d8, f.subgroup_closure(d8, [1]))
+    reflection = f.group_image(d8, f.subgroup_closure(d8, [4]))
+    assert normalizes(d8, _group_generators(d8), rotations)
+    assert not normalizes(d8, _group_generators(d8), reflection)
+    assert f.internal_semidirect(whole, rotations, reflection)
+    assert not f.internal_semidirect(whole, reflection, rotations)
 
 
 def test_normality_rejects_a_subgroup_of_another_group(q8, d8):
     # <r> of D8 has members 0..3, which are also indices of Q8
-    with pytest.raises(GroupMismatchError):
-        f.is_normal(q8, f.subgroup_closure(d8, [1]))
+    rotations = f.group_image(d8, f.subgroup_closure(d8, [1]))
+    with pytest.raises(GroupMismatchError, match="^the normal part belongs"):
+        f.internal_semidirect(f.group_image(q8), rotations, f.group_image(q8, f.center(q8)))
+
+
+def test_normality_of_each_cyclic_subgroup_matches_the_oracle(any_group):
+    g = any_group
+    everything = [1 << x for x in range(g.order)]
+    for x in range(g.order):
+        sub = f.group_image(g, f.subgroup_closure(g, [x]))
+        assert normalizes(g, _group_generators(g), sub) is naive_normal_in(g, everything, sub.masks)
+
+
+def test_coset_representatives_partition_by_each_cyclic_subgroup(any_group):
+    """One smallest-index representative per right coset, and the cosets
+    tile the group."""
+    g = any_group
+    for x in range(g.order):
+        sub = f.subgroup_closure(g, [x])
+        reps = f.coset_representatives(g, sub.members, range(g.order))
+        cosets = [{g.mul[h][r] for h in sub.members} for r in reps]
+        assert len(reps) * sub.order == g.order
+        assert set().union(*cosets) == set(range(g.order))
+        assert all(r == min(c) for r, c in zip(reps, cosets))
 
 
 # Each former group-check site, fed one operand bound to a second Q8: the
 # same name and table, built separately, so a different group.
 GROUP_BOUND_OPERANDS = {
     "ga_add": lambda g, h: f.ga_add(f.one(g), f.one(h)),
+    "ga_mul": lambda g, h: f.ga_mul(f.one(g), f.one(h)),
     "ga_involute": lambda g, h: f.ga_involute(f.classical_involution(h), f.one(g)),
-    "coset_split": lambda g, h: f.coset_split(f.one(g), f.subgroup_closure(h, [1]), 4),
-    "quadrant_split": lambda g, h: f.quadrant_split(f.one(g), f.center(h), 1, 4),
     "check_unitary_split_form": lambda g, h: f.check_unitary_split_form(
         f.make_inverting_form(g, [1], 4), f.one(h)
     ),
     "check_unitary_quadrant_system": lambda g, h: f.check_unitary_quadrant_system(
         f.make_odot_form(g), f.one(h)
     ),
-    "is_normal": lambda g, h: f.is_normal(g, f.center(h)),
     "UnitSet.__contains__": lambda g, h: f.one(h) in f.group_image(g),
     "group_image": lambda g, h: f.group_image(g, f.center(h)),
     "support": lambda g, h: f.enumerate_normalized_units(g, support=f.center(h)),
     "enumerate_unitary": lambda g, h: f.enumerate_unitary(g, f.classical_involution(h)),
     "unit_subgroup_closure": lambda g, h: f.unit_subgroup_closure(g, [f.one(h)]),
+    "internal_semidirect": lambda g, h: f.internal_semidirect(
+        f.group_image(g), f.group_image(g, f.center(g)), f.group_image(h, f.center(h))
+    ),
     "internal_direct": lambda g, h: f.internal_direct(f.group_image(g), [f.group_image(h)]),
     "find_complement": lambda g, h: f.find_complement(
         f.group_image(g, f.center(g)), f.group_image(h, f.center(h))
@@ -738,7 +772,7 @@ def test_is_normal_matches_pairwise_conjugation(name, data):
     g = CATALOG[name]
     s = f.subgroup_closure(g, data.draw(st.lists(st.integers(0, g.order - 1), max_size=3)))
     pairwise = all(g.conjugate(x, h) in s for x in range(g.order) for h in s.members)
-    assert f.is_normal(g, s) is pairwise
+    assert normalizes(g, _group_generators(g), f.group_image(g, s)) is pairwise
 
 
 @settings(max_examples=150, deadline=None)

@@ -245,8 +245,13 @@ def _sets_without_recorded_generators():
         q32.group, f.classical_involution(q32.group), support=q32.a_sub
     )
     (d8xc4,) = [e.form() for e in ODOT_ENTRIES if e.key == "D8xC4"]
-    yield "D8xC4/v_c2", lambda: f.elements_of_order_dividing_2(
-        f.enumerate_normalized_units(d8xc4.group, support=d8xc4.c_sub)
+    yield "D8xC4/v_c2", lambda g=d8xc4.group: f.make_unit_set(
+        g,
+        (
+            m
+            for m in f.enumerate_normalized_units(g, support=d8xc4.c_sub).masks
+            if naive_mul(g, m, m) == 1
+        ),
     )
 
 

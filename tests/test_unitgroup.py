@@ -7,7 +7,6 @@ import pytest
 import f2units as f
 from f2units.errors import (
     GroupMismatchError,
-    NotAbelianError,
     NotAUnitError,
     NotSubsetError,
     TooLargeError,
@@ -293,20 +292,6 @@ def test_exponent_of_a_non_unit_stops_after_the_group_order(q8, monkeypatch):
     with pytest.raises(NotAUnitError):
         f.structure_predicates(s)
     assert len(calls) < 64
-
-
-def test_order_two_subgroup_extraction(c4xc2):
-    v = f.enumerate_normalized_units(c4xc2)
-    sq = f.elements_of_order_dividing_2(v)
-    for m in sq.masks:
-        x = f.AlgebraElement(c4xc2, m)
-        assert f.ga_mul(x, x).is_one()
-
-
-def test_order_two_subgroup_needs_abelian_input(q8):
-    v = f.enumerate_unitary(q8, f.classical_involution(q8))
-    with pytest.raises(NotAbelianError):
-        f.elements_of_order_dividing_2(v)
 
 
 def test_canonical_generators_regenerate(q8, q8_form):
