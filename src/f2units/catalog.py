@@ -85,5 +85,6 @@ def catalog_groups() -> dict[str, GroupTable]:
     return out
 
 
-def small_catalog_groups(limit: int = 16) -> dict[str, GroupTable]:
-    return {k: g for k, g in catalog_groups().items() if g.order <= limit}
+def small_catalog_groups() -> dict[str, GroupTable]:
+    """The catalog groups of order at most 16."""
+    return {k: g for k, g in catalog_groups().items() if g.order <= 16}

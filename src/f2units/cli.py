@@ -410,7 +410,3 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
     )
     return run(config)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

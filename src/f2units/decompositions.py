@@ -16,19 +16,19 @@ Two pipelines, one per involution:
 
 Every identity the structural argument rests on is rechecked here; normality,
 commutation and the conjugation identities are decided on generators, which
-is sound for finite groups. The checks that every member of a factor is
-unitary (squares to 1, is central) stay per member, and
-``_failing_members`` runs them on the whole member list at once; the first
-failing member is the witness. Those checks come from ``unitgroup``, which
-alone knows its bit-plane format. The per-element lemma checks split with
-``_coset_parts`` and decide on masks by their independent conditions; their
-docstrings prove the rest. No product set is listed by multiplying members.
-The cofactor H = W*L is listed, as a sumset, only for the oracle, which
-compares the assembled product with the enumerated unitary group by orders
-(``_product_is``) and decides normality in it on the fixed-point pcgs, once
-that generates it. Otherwise H is decided from W and L: its order, its
-semidirect structure and its meeting the group image from their supports,
-and its unitarity on its generators.
+is sound for finite groups. The unitary elements form a group, so G, T
+and H are checked unitary on their generators; each W is checked per member
+(squares to 1, is central). ``_failing_members`` runs a check on a whole
+list at once, and the first failing entry is the witness. It comes from
+``unitgroup``, which alone knows its bit-plane format. The per-element
+lemma checks split with ``_coset_parts`` and decide on masks by their
+independent conditions; their docstrings prove the rest. No product set is
+listed by multiplying members. The cofactor H = W*L is listed, as a sumset,
+only for the oracle, which compares the assembled product with the
+enumerated unitary group by orders (``_product_is``) and decides normality
+in it on the fixed-point pcgs, once that generates it. Otherwise H is
+decided from W and L: its order, its semidirect structure and its meeting
+the group image from their supports, and its unitarity on its generators.
 """
 
 from __future__ import annotations
@@ -134,13 +134,13 @@ def _group_descriptor(g) -> dict:
 
 
 def _add_member_check(
-    report: DecompositionReport, name: str, g, masks, sigma=None, square=False, central=()
+    report: DecompositionReport, name: str, g, masks, sigma, square=False, central=()
 ) -> None:
     """Add check ``name``: every mask squares to 1 (``square``), is unitary
     under ``sigma`` and commutes with each mask in ``central``; else the first
     failing member (see ``_failing_members``) is the witness.
     """
-    bad = _failing_members(g, masks, None if sigma is None else sigma.perm, square, central)
+    bad = _failing_members(g, masks, sigma.perm, square, central)
     first = (bad & -bad).bit_length() - 1
     report.add(name, not bad, _render(g, masks[first]) if bad else None)
 
@@ -185,14 +185,10 @@ def _unipotent_generator(form: InvertingExtensionForm, gi: int) -> int:
     return 1 ^ 1 << mul[gi][b] ^ 1 << mul[mul[form.b_squared][gi]][b]
 
 
-def build_abelian_complement(
-    form: InvertingExtensionForm,
-    max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
-) -> UnitSet:
+def build_abelian_complement(form: InvertingExtensionForm) -> UnitSet:
     """Canonical complement of A's image inside the unitary group on A."""
     g = form.group
-    sigma = classical_involution(g)
-    v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
+    v_a = enumerate_unitary(g, classical_involution(g), support=form.a_sub)
     return find_complement(v_a, group_image(g, form.a_sub))
 
 
@@ -244,9 +240,10 @@ def _conjugation_witness(
     """Check the three conjugation identities; return a witness on failure.
 
     For each transversal element g_i with generator w_i = 1 + (1+b*b) g_i b:
-    conjugating w_i by b gives the generator at the representative of the
-    coset of g_i's inverse; conjugating by a unitary x1 of the subalgebra on
-    A gives 1 + (1+b*b) x1^2 g_i b, inside W; and b x1^{-1} = x1 b = b x1*.
+    conjugating w_i by b gives the generator at g_i's inverse, which is the
+    generator at the representative of its coset, as (1+b*b) b*b = 1+b*b;
+    conjugating by a unitary x1 of the subalgebra on A gives
+    1 + (1+b*b) x1^2 g_i b, inside W; and b x1^{-1} = x1 b = b x1*.
 
     x1 runs over the canonical generators of v_a only. That suffices, as the
     subalgebra on A is commutative and holds b*b: if the identities hold for
@@ -261,10 +258,6 @@ def _conjugation_witness(
     b_el = 1 << form.b
     b_inv = 1 << g.inv[form.b]
     perm = classical_involution(g).perm
-    w = {gi: _unipotent_generator(form, gi) for gi in form.transversal}
-    rep_of: dict[int, int] = {}
-    for rep in form.transversal:
-        rep_of[rep] = rep_of[g.mul[form.b_squared][rep]] = rep
 
     # Per generator: its inverse, (1+b*b) x1^2, and the first failing twist
     # identity, which does not depend on g_i.
@@ -280,9 +273,10 @@ def _conjugation_witness(
             twist = None
         xs.append((x1, x1_inv, _mul(g, nb, _mul(g, x1, x1)), twist))
 
-    for gi, w_i in w.items():
+    for gi in form.transversal:
+        w_i = _unipotent_generator(form, gi)
         conj_b = _mul(g, _mul(g, b_el, w_i), b_inv)
-        if conj_b != w[rep_of[g.inv[gi]]] or conj_b not in w_masks:
+        if conj_b != _unipotent_generator(form, g.inv[gi]) or conj_b not in w_masks:
             return f"twist conjugation at {g.labels[gi]}: got {_render(g, conj_b)}"
         gi_b = 1 << g.mul[gi][form.b]
         for x1, x1_inv, nb_sq, twist in xs:
@@ -297,13 +291,10 @@ def _conjugation_witness(
     return None
 
 
-def check_conjugation_closure(
-    form: InvertingExtensionForm,
-    max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
-) -> bool:
+def check_conjugation_closure(form: InvertingExtensionForm) -> bool:
     """True iff all three conjugation identities hold for every pair."""
     g = form.group
-    v_a = enumerate_unitary(g, classical_involution(g), max_order=max_order, support=form.a_sub)
+    v_a = enumerate_unitary(g, classical_involution(g), support=form.a_sub)
     return _conjugation_witness(form, v_a, build_unipotent_factor(form).mask_set()) is None
 
 
@@ -585,9 +576,12 @@ def verify_odot_decomposition(
 
     # The decomposition needs the group inside the unitary set, which holds
     # exactly when every non-central element squares to the commutator
-    # generator; checked from the tables rather than assumed.
+    # generator; checked from the tables rather than assumed. The g with
+    # g sigma(g) = 1 form a group, so G's greedy generators decide it, and
+    # the smallest failing element, outside the span of the smaller ones,
+    # is the first failing generator: the witness.
     g_image = group_image(g)
-    _add_member_check(report, "group_inside_unitary", g, g_image.masks, sigma)
+    _add_member_check(report, "group_inside_unitary", g, gens_of(g_image), sigma)
 
     v_c2, c2_image = _central_order_2_parts(form)
     try:
@@ -631,7 +625,8 @@ def verify_odot_decomposition(
         _add_oracle_skip_note(report, g, max_order)
         factors_ok = is_direct(g, [g_image, t]) and is_direct(g, [gt, w])
         report.add("factors_pairwise_direct", factors_ok)
-        _add_member_check(report, "torsion_members_unitary", g, t.masks, sigma)
+        # V_* is a group, so T lies in it when its generators do.
+        _add_member_check(report, "torsion_members_unitary", g, gens_of(t), sigma)
 
     # Only W depends on the coset representatives, and (1+e) F2C is stable
     # under C, so the other representatives must give the same W as a set:

@@ -1,16 +1,16 @@
 """Unit groups of the group algebra and subgroup structure checks.
 
 The unit group of F2[G] for a 2-group G consists of exactly the elements with
-augmentation 1. ``_ideal_powers`` computes the Jennings filtration
-V_k = 1 + J^k (J the augmentation ideal) from the generators of G, and:
+augmentation 1, as the augmentation ideal J is nilpotent exactly when G is a
+2-group (Jennings 1941).
 
-- ``enumerate_normalized_units`` takes it as the proof that J is nilpotent,
-  so every augmentation-1 element is a unit, and lists those elements in
-  ascending order by one comprehension, one parity block of low masks per
-  high mask.
-- ``_fixed_point_pcgs`` lifts the units fixed by u -> sigma(u)^-1 along it,
-  one layer at a time: a pcgs of the unitary group found with no scan, on
-  which the classical oracle decides normality.
+- ``enumerate_normalized_units`` checks that the order is a power of 2 and
+  lists the augmentation-1 elements in ascending order by one
+  comprehension, one parity block of low masks per high mask.
+- ``_ideal_powers`` computes the Jennings filtration V_k = 1 + J^k from the
+  generators of G, and ``_fixed_point_pcgs`` lifts the units fixed by
+  u -> sigma(u)^-1 along it, one layer at a time: a pcgs of the unitary
+  group found with no scan, on which the classical oracle decides normality.
 - ``enumerate_unitary`` solves u * sigma(u) = 1 with a bit-sliced kernel:
   the coefficients split into low positions L and high positions H,
   u = h + l, and for each h one AND of int bit planes tests every l at once,
@@ -45,7 +45,7 @@ from itertools import chain, combinations, islice, repeat
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _span, _squares
+from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _span
 from .errors import (
     NoComplementError,
     NotAbelianError,
@@ -170,20 +170,24 @@ def enumerate_normalized_units(
     workers: int | None = None,
     support: SubgroupSet | None = None,
 ) -> UnitSet:
-    """All augmentation-1 elements, once the augmentation ideal J is proven
-    nilpotent, so that every one of them is a unit.
+    """All augmentation-1 elements of F2[S], each a unit.
 
-    ``_ideal_powers`` is the proof: once J^t = 0, every 1 + j is a unit, with
-    inverse 1 + j + ... + j^(t-1). With ``support`` this runs inside the
+    The augmentation ideal J is nilpotent exactly when S is a 2-group
+    (Jennings, Trans. AMS 50, 1941), and once J^t = 0, 1 + j has inverse
+    1 + j + ... + j^(t-1). S is a group (a SubgroupSet is a subgroup), so
+    that holds when |S| is a power of 2; else NotAUnitError names the
+    order. With ``support`` this runs inside the
     subalgebra spanned by a subgroup; the bound applies to the number of free
     coefficient positions. The masks are listed ascending, so the UnitSet is
     built with no sort. ``workers`` is accepted and ignored.
     """
     members = _free_positions(g, support, max_order)
-    _ideal_powers(g, members, support.generators if support is not None else g.greedy_generators)
+    n = len(members)
+    if n & (n - 1):
+        raise NotAUnitError(f"augmentation ideal not nilpotent: order {n} is not a power of 2")
     # Two half-size spans, the high one outer, list the masks in ascending
     # order; each high mask takes the low masks that make the augmentation 1.
-    half = len(members) // 2
+    half = n // 2
     low, high = _span(1 << c for c in members[:half]), _span(1 << c for c in members[half:])
     completing = [[m for m in low if m.bit_count() & 1 != p] for p in (0, 1)]
     return UnitSet(g, tuple([h | m for h in high for m in completing[h.bit_count() & 1]]))
@@ -271,21 +275,21 @@ def _product_planes(g: GroupTable, left: Sequence[int], right: Sequence[int]) ->
 def _failing_members(
     g: GroupTable,
     masks: Sequence[int],
-    perm: Sequence[int] | None = None,
+    perm: Sequence[int],
     square: bool = False,
     central: Iterable[int] = (),
 ) -> int:
     """The members that fail a check, one bit each: bit k is set when
-    u = masks[k] has u * u != 1 (``square``), u * perm(u) != 1 (``perm``)
-    or u * y != y * u for some y in ``central``. Every test runs on the bit
+    u = masks[k] has u * perm(u) != 1, u * u != 1 (``square``) or
+    u * y != y * u for some y in ``central``. Every test runs on the bit
     planes of the whole list at once."""
     n = g.order
     full = (1 << len(masks)) - 1
     u = _member_planes(masks, n)
     one = _fixed_planes(n, 1, full)
-    pairs = [(_product_planes(g, u, u), one)] if square else []
-    if perm is not None:
-        pairs.append((_product_planes(g, u, _permuted_planes(perm, u)), one))
+    pairs = [(_product_planes(g, u, _permuted_planes(perm, u)), one)]
+    if square:
+        pairs.append((_product_planes(g, u, u), one))
     for y in central:
         fixed = _fixed_planes(n, y, full)
         pairs.append((_product_planes(g, u, fixed), _product_planes(g, fixed, u)))
@@ -570,28 +574,16 @@ def _is_abelian_units(s: UnitSet) -> bool:
     return all(mul(x, y) == mul(y, x) for x, y in combinations(gens_of(s), 2))
 
 
-def _unit_order(g: GroupTable, m: int) -> int:
-    """The order of the unit m: 2^k for the k squares short of 1, or
-    NotAUnitError (see ``_squares``)."""
-    return 1 << len(_squares(g, m))
-
-
 def structure_predicates(s: UnitSet) -> dict:
-    """Shape fingerprint: elementary-abelian flag, rank, exponent.
+    """Shape fingerprint: the elementary-abelian flag, and the rank of an
+    elementary abelian set.
 
-    Abelianness and exponent 2 are decided from the generators (sound:
-    commuting involutions generate an elementary abelian group), and so is
-    the exponent of an abelian set: the largest (2-power) generator order.
+    Decided from the generators: commuting involutions generate an
+    elementary abelian group.
     """
-    g = s.group
-    abelian = _is_abelian_units(s)
-    elementary = abelian and all(_mul(g, m, m) == 1 for m in gens_of(s))
+    elementary = _is_abelian_units(s) and all(_mul(s.group, m, m) == 1 for m in gens_of(s))
     rank = s.order.bit_length() - 1 if elementary else None
-    if elementary:
-        exponent = 1 if s.order == 1 else 2
-    else:
-        exponent = max(_unit_order(g, m) for m in (gens_of(s) if abelian else s.masks))
-    return {"is_elementary_abelian_2": elementary, "rank": rank, "exponent": exponent}
+    return {"is_elementary_abelian_2": elementary, "rank": rank}
 
 
 def canonical_generators(s: UnitSet) -> list[int]:

@@ -139,17 +139,6 @@ def naive_element_order(g, x: int) -> int:
     return k
 
 
-def naive_unit_order(g, m: int) -> int:
-    """The order of a unit mask, by multiplying it in until the power is 1."""
-    k, acc = 1, m
-    while acc != 1:
-        acc = naive_mul(g, acc, m)
-        k += 1
-        if k > 2 * g.order:
-            raise NotAUnitError("no power of the mask reaches 1")
-    return k
-
-
 def naive_product(g, xs, ys) -> set[int]:
     """All pairwise products, by the double loop."""
     return {naive_mul(g, x, y) for x in xs for y in ys}

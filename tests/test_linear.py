@@ -149,7 +149,7 @@ def test_supported_ideal_powers_match_all_products(make_sub):
 
 
 def test_normalized_units_of_q16_make_no_products():
-    """The nilpotency proof permutes bits and the listing ORs masks."""
+    """The listing ORs masks."""
     calls = 0
     code = algebra._mul.__code__
 
@@ -168,16 +168,32 @@ def test_normalized_units_of_q16_make_no_products():
 
 
 def test_normalized_units_refuse_groups_that_are_not_2_groups():
+    """The error names the order that is not a power of 2."""
     for g in (f.make_cyclic(3), f.make_cyclic(6), f.make_inverting_extension(f.make_cyclic(6), 3)):
-        with pytest.raises(NotAUnitError):
+        with pytest.raises(NotAUnitError, match=f"order {g.order} is not a power of 2"):
             f.enumerate_normalized_units(g)
 
 
 def test_normalized_units_refuse_a_support_that_is_not_a_2_group():
     g = f.make_cyclic(6)
     c3 = f.subgroup_closure(g, [2])
-    with pytest.raises(NotAUnitError):
+    with pytest.raises(NotAUnitError, match="order 3 is not a power of 2"):
         f.enumerate_normalized_units(g, support=c3)
+
+
+def test_normalized_units_compute_no_ideal_powers(monkeypatch):
+    """Jennings' theorem decides nilpotency from the order alone: the
+    listing runs with the filtration out of reach, on a group and on a
+    support."""
+    from f2units import unitgroup
+
+    def refuse(*args):
+        raise AssertionError("the listing computed the powers of J")
+
+    monkeypatch.setattr(unitgroup, "_ideal_powers", refuse)
+    form = _q32_form()
+    assert f.enumerate_normalized_units(f.make_quaternion(16)).order == 1 << 15
+    assert f.enumerate_normalized_units(form.group, support=form.a_sub).order == 1 << 15
 
 
 # ---------------------------------------------------------------------------

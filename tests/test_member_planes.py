@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
-from f2units import algebra, cli
+from f2units import algebra, cli, decompositions
 from f2units.algebra import _mul
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, catalog_groups
 from f2units.decompositions import (
@@ -215,11 +215,10 @@ def _plane_result(g, masks, kw):
 def _naive_result(g, masks, kw):
     """The per-member oracle; a member is central when it commutes with every
     element, not only with the generators the plane check is given."""
-    sigma = kw.get("sigma")
     bad = naive_first_failing_member(
         g,
         masks,
-        perm=sigma.perm if sigma is not None else None,
+        perm=kw["sigma"].perm,
         square=kw.get("square", False),
         central=[1 << i for i in range(g.order)] if kw.get("central") else (),
     )
@@ -266,6 +265,69 @@ def test_group_inside_unitary_witness(key, witness):
     (check,) = [c for c in report.checks if c.name == "group_inside_unitary"]
     assert not check.passed
     assert check.witness == witness
+
+
+# Library groups of order at most 32, abelian and not, for the sweep below.
+SWEEP_GROUPS = {
+    **catalog_groups(),
+    **{
+        g.name: g
+        for g in [
+            f.make_dihedral(16),
+            f.make_dihedral(32),
+            f.make_quaternion(32),
+            f.make_inverting_extension(f.make_cyclic(16), 8),
+            f.make_direct_product(f.make_quaternion(8), f.make_cyclic(4)),
+            f.make_direct_product(f.make_dihedral(16), f.make_cyclic(2)),
+            f.make_direct_product(f.make_quaternion(16), f.make_cyclic(2)),
+            f.make_direct_product(f.make_cyclic(4), f.make_cyclic(4)),
+        ]
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GROUPS))
+def test_group_inside_unitary_on_generators_matches_every_member(name):
+    """sigma(x) = c x^-1 c^-1 is an involutory anti-automorphism when c^2 is
+    central, and x sigma(x) = [x, c]. Over every such c, the check on the
+    greedy generators gives the per-member verdict and witness: it fails
+    exactly when c is not central, naming the smallest failing element."""
+    g = SWEEP_GROUPS[name]
+    mul, inv, n = g.mul, g.inv, g.order
+    central = {c for c in range(n) if all(mul[c][x] == mul[x][c] for x in range(n))}
+    image = group_image(g)
+    for c in (c for c in range(n) if mul[c][c] in central):
+        perm = tuple(mul[mul[c][inv[x]]][inv[c]] for x in range(n))
+        sigma = f.AntiAutomorphism(g, perm, f"conjugation by {g.labels[c]}")
+        assert f.validate_involution(sigma)
+        bad = naive_first_failing_member(g, image.masks, perm=perm)
+        expected = (bad is None, None if bad is None else _render(g, bad))
+        assert _plane_result(g, image.generators, dict(sigma=sigma)) == expected
+        assert expected[0] == (c in central)
+
+
+def test_torsion_members_unitary_reads_the_generators(monkeypatch):
+    """Construct mode checks T on its recorded generators. With the first
+    one swapped for the non-unitary (1,a) and T's members left intact, the
+    check fails and names it; the members alone would pass."""
+    (entry,) = [e for e in ODOT_ENTRIES if e.key == "D8xC4"]
+    form = entry.form()
+    g = form.group
+    bad = 1 << g.labels.index("(1,a)")
+    complement = decompositions.find_complement
+    found = []
+
+    def mutant(ambient, factor):
+        t = complement(ambient, factor)
+        found.append(t)
+        return make_unit_set(g, t.masks, generators=(bad, *t.generators[1:]))
+
+    monkeypatch.setattr(decompositions, "find_complement", mutant)
+    report = f.verify_odot_decomposition(form, skip_enumeration=True)
+    (check,) = [c for c in report.checks if c.name == "torsion_members_unitary"]
+    assert (check.passed, check.witness) == (False, "(1,a)")
+    sigma = f.odot_involution(form)
+    assert _plane_result(g, found[0].masks, dict(sigma=sigma)) == (True, None)
 
 
 def test_catalog_mode_multiplication_count(capsys):

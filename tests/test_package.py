@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 from types import FunctionType, ModuleType
 
@@ -128,3 +129,51 @@ def test_every_public_function_has_a_caller_or_a_reason():
                 referenced.add(node.attr)
     functions = [name for name in f.__all__ if isinstance(getattr(f, name), FunctionType)]
     assert sorted(set(functions) - referenced) == sorted(UNREFERENCED_PUBLIC_FUNCTIONS)
+
+
+# Every parameter with a default on a public function or class, with the
+# reason it is a knob: who sets it, or what leaving it out means.
+PUBLIC_DEFAULTS = {
+    ("AntiAutomorphism", "name"): "the label reports show; the two involutions set theirs",
+    ("CheckResult", "witness"): "a passing check has none",
+    ("DecompositionReport", "checks"): "a report starts empty and ``add`` appends",
+    ("DecompositionReport", "notes"): "a report starts empty and the pipelines append",
+    ("GroupTable", "labels"): "a table spec may omit them; g1, g2, ... stand in",
+    ("GroupTable", "family"): "a table spec is family 'table'; the make_* functions set theirs",
+    ("GroupTable", "name"): "the make_* functions set the display name; a table spec has none",
+    ("RunConfig", "max_exhaustive_order"): "the CLI's --max-exhaustive-order",
+    ("RunConfig", "workers"): "perfbench/ passes it; accepted and ignored",
+    ("RunConfig", "fmt"): "the CLI's --format",
+    ("RunConfig", "out"): "the CLI's --out",
+    ("UnitSet", "generators"): "a listed set has none recorded until asked",
+    ("enumerate_normalized_units", "max_order"): "the CLI's --max-exhaustive-order",
+    ("enumerate_normalized_units", "workers"): "perfbench/ passes it; accepted and ignored",
+    ("enumerate_normalized_units", "support"): "the units of a subgroup's subalgebra, as scanned",
+    ("enumerate_unitary", "max_order"): "the CLI's --max-exhaustive-order",
+    ("enumerate_unitary", "workers"): "perfbench/ passes it; accepted and ignored",
+    ("enumerate_unitary", "support"): "the scans of V_*(F2A) in the classical pipeline",
+    ("group_image", "sub"): "the image of A in the classical pipeline",
+    ("main", "argv"): "tests pass the arguments; the script reads sys.argv",
+    ("make_odot_form", "prefer_large_reps"): "the alternate representatives check",
+    ("make_unit_set", "generators"): "closures and complements record theirs",
+    ("verify_inverting_decomposition", "max_order"): "the CLI's --max-exhaustive-order",
+    ("verify_inverting_decomposition", "skip_enumeration"): "the CLI's construct mode",
+    ("verify_odot_decomposition", "max_order"): "the CLI's --max-exhaustive-order",
+    ("verify_odot_decomposition", "skip_enumeration"): "the CLI's construct mode",
+}
+
+
+def test_public_defaults_are_the_listed_knobs():
+    """A default that no caller changes is a knob with one setting. Each
+    default on a function or non-exception class in ``__all__`` is listed
+    with a one-line reason, and the list names exactly those there are."""
+    found = set()
+    for name in f.__all__:
+        obj = getattr(f, name)
+        if isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        if isinstance(obj, (FunctionType, type)):
+            params = inspect.signature(obj).parameters.values()
+            found |= {(name, p.name) for p in params if p.default is not p.empty}
+    assert sorted(found) == sorted(PUBLIC_DEFAULTS)
+    assert all(reason and "\n" not in reason for reason in PUBLIC_DEFAULTS.values())

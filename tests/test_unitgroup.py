@@ -11,7 +11,7 @@ from f2units.errors import (
     NotSubsetError,
     TooLargeError,
 )
-from oracles import naive_mul, naive_unit_order, naive_unitary_masks
+from oracles import naive_mul, naive_unitary_masks
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,6 @@ def test_structure_predicates_on_elementary_abelian(q8, q8_form):
     preds = f.structure_predicates(w)
     assert preds["is_elementary_abelian_2"]
     assert preds["rank"] == 2
-    assert preds["exponent"] == 2
 
 
 def _classical_unitary_q8():
@@ -226,72 +225,33 @@ def _classical_unitary_q8():
 
 
 @pytest.mark.parametrize(
-    "build, exponent",
+    "build",
     [
-        (lambda: f.enumerate_normalized_units(f.make_cyclic(4)), 4),
-        (lambda: f.group_image(f.make_quaternion(16)), 8),
-        (_classical_unitary_q8, 4),
-        (lambda: f.enumerate_normalized_units(f.make_cyclic(8)), 8),
+        lambda: f.enumerate_normalized_units(f.make_cyclic(4)),
+        lambda: f.group_image(f.make_quaternion(16)),
+        _classical_unitary_q8,
+        lambda: f.enumerate_normalized_units(f.make_cyclic(8)),
     ],
     ids=["V(F2C4)", "group_image(Q16)", "V_*(F2Q8)", "V(F2C8)"],
 )
-def test_structure_predicates_exponent_beyond_two(build, exponent):
-    """Off the elementary abelian branch the exponent is the largest member
-    order, and there is no rank."""
+def test_structure_predicates_exponent_beyond_two(build):
+    """Off the elementary abelian branch there is no rank."""
     preds = f.structure_predicates(build())
-    assert preds == {"is_elementary_abelian_2": False, "rank": None, "exponent": exponent}
-
-
-def test_abelian_exponent_takes_one_order_per_generator(monkeypatch):
-    """V_*(F2A) at Q16 (A cyclic of order 8) is abelian but not elementary:
-    its exponent is the largest order of its generators, one order each."""
-    from f2units import unitgroup
-
-    g = f.make_quaternion(16)
-    form = f.make_inverting_form(g, [1], 8)
-    v_a = f.enumerate_unitary(g, f.classical_involution(g), support=form.a_sub)
-    gens = f.canonical_generators(v_a)
-    order = unitgroup._unit_order
-    calls = []
-    monkeypatch.setattr(unitgroup, "_unit_order", lambda g, m: calls.append(m) or order(g, m))
-    preds = f.structure_predicates(v_a)
-    assert preds == {"is_elementary_abelian_2": False, "rank": None, "exponent": 8}
-    assert calls == gens
-
-
-@pytest.mark.parametrize("order", [8, 16])
-def test_non_abelian_exponent_matches_a_power_loop(order):
-    """The exponent of the scanned V_* of Q8 and Q16 under the classical
-    involution, a non-abelian set, is the largest member order found by
-    multiplying each member by itself until it reaches 1."""
-    g = f.make_quaternion(order)
-    v = f.enumerate_unitary(g, f.classical_involution(g))
-    preds = f.structure_predicates(v)
-    assert preds["is_elementary_abelian_2"] is False
-    assert preds["exponent"] == max(naive_unit_order(g, m) for m in v.masks)
+    assert preds == {"is_elementary_abelian_2": False, "rank": None}
 
 
 def test_exponent_of_a_non_unit_stops_after_the_group_order(q8, monkeypatch):
-    """A non-abelian set with recorded generators and the non-unit 1 + g1
-    among its masks: the orders are taken by squaring, and the squares of
-    1 + g1 give up once the order would pass |G| = 8, after log2(8) of them
-    (a walk through the powers ran to 2^20 products). The squaring runs in
-    ``algebra._squares``, so products are counted in both modules."""
-    from f2units import algebra, unitgroup
+    """The squares of the non-unit 1 + g1 give up once the order would pass
+    |G| = 8, after log2(8) of them (a walk through the powers ran to 2^20
+    products)."""
+    from f2units import algebra
 
-    gens = f.group_image(q8).generators
-    s = f.make_unit_set(q8, [*f.group_image(q8).masks, 1 | 1 << 1], generators=gens)
     mul = algebra._mul
     calls = []
-    for module in (algebra, unitgroup):
-        monkeypatch.setattr(module, "_mul", lambda *args: calls.append(args) or mul(*args))
+    monkeypatch.setattr(algebra, "_mul", lambda *args: calls.append(args) or mul(*args))
     with pytest.raises(NotAUnitError):
-        unitgroup._unit_order(q8, 1 | 1 << 1)
+        algebra._squares(q8, 1 | 1 << 1)
     assert len(calls) == 3
-    calls.clear()
-    with pytest.raises(NotAUnitError):
-        f.structure_predicates(s)
-    assert len(calls) < 64
 
 
 def test_canonical_generators_regenerate(q8, q8_form):
