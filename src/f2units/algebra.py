@@ -19,7 +19,6 @@ the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Iterable, Sequence
 
@@ -27,16 +26,32 @@ from .errors import BadCosetsError, NotAUnitError, ParseError
 from .groups import GroupTable, SubgroupSet, _is_int, _require_group, _require_index
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    """A sum of group elements with coefficients in the two-element field."""
+    """A sum of group elements with coefficients in the two-element field.
 
-    group: GroupTable
-    mask: int
+    Read-only and hashable; two elements are equal when they are bound to the
+    same table object and have the same mask.
+    """
 
-    def __post_init__(self):
-        if not (_is_int(self.mask) and 0 <= self.mask < (1 << self.group.order)):
-            raise ValueError(f"mask {self.mask!r} out of range for order {self.group.order}")
+    def __init__(self, group: GroupTable, mask: int):
+        if not (_is_int(mask) and 0 <= mask < (1 << group.order)):
+            raise ValueError(f"mask {mask!r} out of range for order {group.order}")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.group is other.group and self.mask == other.mask
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.mask))
 
     def support(self) -> tuple[int, ...]:
         """Indices of the group elements with coefficient 1."""

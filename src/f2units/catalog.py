@@ -8,7 +8,6 @@ specific table object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .groups import (
@@ -37,21 +36,17 @@ def _ext_c8() -> GroupTable:
     return make_inverting_extension(make_cyclic(8), 4)
 
 
-@dataclass(frozen=True)
 class ClassicalEntry:
-    key: str
-    build: Callable[[], GroupTable]
-    a_gens: tuple[int, ...]
-    b: int
+    def __init__(self, key: str, build: Callable[[], GroupTable], a_gens: tuple[int, ...], b: int):
+        self.key, self.build, self.a_gens, self.b = key, build, a_gens, b
 
     def form(self) -> InvertingExtensionForm:
         return make_inverting_form(self.build(), self.a_gens, self.b)
 
 
-@dataclass(frozen=True)
 class OdotEntry:
-    key: str
-    build: Callable[[], GroupTable]
+    def __init__(self, key: str, build: Callable[[], GroupTable]):
+        self.key, self.build = key, build
 
     def form(self) -> OdotForm:
         return make_odot_form(self.build())

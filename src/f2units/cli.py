@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import _render
@@ -47,15 +46,19 @@ from .unitgroup import (
 )
 
 
-@dataclass
 class RunConfig:
-    group: GroupTable | None
-    involution: str | None
-    mode: str
-    max_exhaustive_order: int = DEFAULT_EXHAUSTIVE_BOUND
-    workers: int | None = None  # accepted for compatibility; ignored
-    fmt: str = "text"
-    out: str | None = None
+    def __init__(
+        self,
+        group: GroupTable | None,
+        involution: str | None,
+        mode: str,
+        max_exhaustive_order: int = DEFAULT_EXHAUSTIVE_BOUND,
+        workers: int | None = None,  # accepted for compatibility; ignored
+        fmt: str = "text",
+        out: str | None = None,
+    ):
+        self.group, self.involution, self.mode = group, involution, mode
+        self.max_exhaustive_order, self.fmt, self.out = max_exhaustive_order, fmt, out
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ the group image from their supports, and its unitarity on its generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraElement,
@@ -77,14 +77,12 @@ from .unitgroup import (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     witness: str | None = None
 
 
-@dataclass
 class DecompositionReport:
     """Outcome of one decomposition verification.
 
@@ -94,13 +92,11 @@ class DecompositionReport:
     (transversal, complement generators, coset representatives).
     """
 
-    kind: str
-    group: dict
-    involution: str
-    instance: dict
-    orders: dict
-    checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, kind: str, group: dict, involution: str, instance: dict, orders: dict):
+        self.kind, self.group, self.involution = kind, group, involution
+        self.instance, self.orders = instance, orders
+        self.checks: list[CheckResult] = []
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:

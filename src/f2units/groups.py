@@ -7,7 +7,6 @@ generator-word order) so downstream reports are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
@@ -176,12 +175,11 @@ def _generators_commute(mul: Sequence[Sequence[int]], gens: Sequence[int]) -> bo
     return all(mul[a][b] == mul[b][a] for a, b in combinations(gens, 2))
 
 
-@dataclass(frozen=True)
 class SubgroupSet:
     """A subgroup as a sorted tuple of element indices."""
 
-    group: GroupTable
-    members: tuple[int, ...]
+    def __init__(self, group: GroupTable, members: tuple[int, ...]):
+        self.group, self.members = group, members
 
     @staticmethod
     def from_members(group: GroupTable, members: Iterable[int]) -> SubgroupSet:

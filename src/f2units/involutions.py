@@ -9,8 +9,6 @@ only through a validated OdotForm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BadOrderError,
     CenterQuotientNotKleinError,
@@ -31,7 +29,6 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
 class AntiAutomorphism:
     """A permutation of group elements intended to reverse products.
 
@@ -39,9 +36,8 @@ class AntiAutomorphism:
     constructors only emit maps that pass it.
     """
 
-    group: GroupTable
-    perm: tuple[int, ...]
-    name: str = "sigma"
+    def __init__(self, group: GroupTable, perm: tuple[int, ...], name: str = "sigma"):
+        self.group, self.perm, self.name = group, perm, name
 
     def __call__(self, i: int) -> int:
         return self.perm[i]
@@ -82,7 +78,6 @@ def _require_two_group(g: GroupTable) -> None:
 # hypothesis bundle: abelian index-2 subgroup inverted by an order-4 element
 
 
-@dataclass(frozen=True)
 class InvertingExtensionForm:
     """A group with an abelian index-2 subgroup A and b of order 4 inverting A.
 
@@ -91,10 +86,10 @@ class InvertingExtensionForm:
     them and downstream reports record the choice.
     """
 
-    group: GroupTable
-    a_sub: SubgroupSet
-    b: int
-    transversal: tuple[int, ...]
+    def __init__(
+        self, group: GroupTable, a_sub: SubgroupSet, b: int, transversal: tuple[int, ...]
+    ):
+        self.group, self.a_sub, self.b, self.transversal = group, a_sub, b, transversal
 
     @property
     def b_squared(self) -> int:
@@ -198,17 +193,13 @@ def detect_inverting_form(g: GroupTable) -> InvertingExtensionForm:
 # hypothesis bundle: center of index 4 with Klein quotient, commutator order 2
 
 
-@dataclass(frozen=True)
 class OdotForm:
     """A group whose center C has Klein quotient and whose commutator
     subgroup is {1, e}; a and b are representatives of the two independent
     nontrivial cosets of C."""
 
-    group: GroupTable
-    c_sub: SubgroupSet
-    a: int
-    b: int
-    e: int
+    def __init__(self, group: GroupTable, c_sub: SubgroupSet, a: int, b: int, e: int):
+        self.group, self.c_sub, self.a, self.b, self.e = group, c_sub, a, b, e
 
 
 def make_odot_form(g: GroupTable, prefer_large_reps: bool = False) -> OdotForm:

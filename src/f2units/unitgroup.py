@@ -39,7 +39,6 @@ GIL, so a second thread gained nothing); ``workers`` is accepted and ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial, reduce
 from itertools import chain, combinations, islice, repeat
 from math import prod
@@ -60,7 +59,6 @@ from .involutions import AntiAutomorphism
 DEFAULT_EXHAUSTIVE_BOUND = 16
 
 
-@dataclass(frozen=True)
 class UnitSet:
     """A subgroup of the unit group, as sorted bitmasks (the canonical order).
 
@@ -71,13 +69,12 @@ class UnitSet:
     with a group by orders rather than listed (``_product_is``).
     """
 
-    group: GroupTable
-    masks: tuple[int, ...]
-    generators: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if 1 not in self.masks:
+    def __init__(
+        self, group: GroupTable, masks: tuple[int, ...], generators: tuple[int, ...] | None = None
+    ):
+        if 1 not in masks:
             raise NotASubgroupError("a unit set must contain the identity")
+        self.group, self.masks, self.generators = group, masks, generators
 
     @property
     def order(self) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -219,6 +221,48 @@ def test_algebra_element_mask_is_a_non_bool_int_in_range(q8, mask):
     not later by the renderer."""
     with pytest.raises(ValueError, match=f"^mask {mask!r} out of range for order 8$"):
         f.AlgebraElement(q8, mask)
+
+
+def test_algebra_elements_are_equal_by_table_and_mask(q8):
+    x, y = f.AlgebraElement(q8, 5), f.AlgebraElement(q8, 5)
+    assert x == y and hash(x) == hash(y)
+    assert x != f.AlgebraElement(q8, 6)
+    assert x.__eq__(5) is NotImplemented
+    # equal masks on two tables built alike are still elements of two tables
+    assert f.one(f.make_quaternion(8)) != f.one(f.make_quaternion(8))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda x: setattr(x, "mask", 3), lambda x: delattr(x, "mask")],
+    ids=["set", "delete"],
+)
+def test_algebra_element_fields_are_read_only(q8, change):
+    x = f.AlgebraElement(q8, 5)
+    with pytest.raises(AttributeError):
+        change(x)
+    assert x.mask == 5
+
+
+@pytest.mark.parametrize(
+    "copier, same_table",
+    [
+        (copy.copy, True),
+        (copy.deepcopy, False),
+        (lambda x: pickle.loads(pickle.dumps(x)), False),
+    ],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_algebra_element_copies_are_equal(q8, copier, same_table):
+    """A shallow copy keeps the table and equals the original; a deep copy
+    or a pickle round trip copies the table too, so its element equals the
+    element of the same mask on the copied table."""
+    x = f.AlgebraElement(q8, 5)
+    y = copier(x)
+    assert y is not x and (y.group is q8) is same_table
+    assert y == f.AlgebraElement(y.group, 5)
+    assert hash(y) == hash(f.AlgebraElement(y.group, 5))
+    assert (y == x) is same_table
 
 
 def test_cross_group_operations_fail(q8, d8):

@@ -509,6 +509,14 @@ def test_catalog_mode_covers_all_instances(tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == reference_sha256("catalog", "catalog")
 
 
+def test_library_catalog_run_accepts_workers(capsys):
+    """The benchmark's call: ``workers`` is accepted and changes nothing."""
+    config = RunConfig(group=None, involution=None, mode="catalog", fmt="json", workers=1)
+    assert run(config) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == reference_sha256("catalog", "catalog")
+
+
 def test_catalog_text_prints_every_check_with_its_witness(tmp_path):
     _, text = run_cli(["--mode", "catalog", "--format", "json"], tmp_path)
     code, rendered = run_cli(["--mode", "catalog", "--format", "text"], tmp_path, "out.txt")
@@ -535,14 +543,14 @@ def test_catalog_builds_algebra_elements_only_at_the_boundary(monkeypatch, tmp_p
     """Inner loops, the lemma checks and report rendering work on bare
     masks: a catalog run builds no AlgebraElement at all."""
     built = 0
-    check_range = f.AlgebraElement.__post_init__
+    init = f.AlgebraElement.__init__
 
-    def counting(self):
+    def counting(self, group, mask):
         nonlocal built
         built += 1
-        check_range(self)
+        init(self, group, mask)
 
-    monkeypatch.setattr(f.AlgebraElement, "__post_init__", counting)
+    monkeypatch.setattr(f.AlgebraElement, "__init__", counting)
     code, _ = run_cli(["--mode", "catalog", "--format", "json"], tmp_path)
     assert code == 1
     assert built == 0

@@ -6,8 +6,6 @@ failing x1 is a generator."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 import f2units as f
@@ -89,7 +87,8 @@ def test_witness_matches_the_oracle_on_each_failure():
         kinds.append(_both(form, make_unit_set(g, (*v_a.masks, x)), w_masks))
     for b in range(g.order):
         if b != form.b:
-            kinds.append(_both(dataclasses.replace(form, b=b), v_a, w_masks))
+            twisted = f.InvertingExtensionForm(form.group, form.a_sub, b, form.transversal)
+            kinds.append(_both(twisted, v_a, w_masks))
     assert len(kinds) == 33
     assert set(kinds) - {None} == MESSAGES
 

@@ -17,6 +17,12 @@ from conftest import ORDER32, order32_scan
 from oracles import naive_product, naive_solve
 
 
+def test_check_results_compare_by_value():
+    assert f.CheckResult("n", True) == f.CheckResult("n", True)
+    assert f.CheckResult("n", True) != f.CheckResult("n", False)
+    assert f.CheckResult("n", True).witness is None
+
+
 def checks_by_name(report):
     return {c.name: c for c in report.checks}
 

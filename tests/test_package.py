@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import FunctionType, ModuleType
 
@@ -97,6 +100,39 @@ def test_each_operand_fact_is_guarded_by_one_helper():
     assert stray == []
 
 
+def test_no_module_imports_dataclasses():
+    """The records are plain classes: a dataclass compiles its generated
+    methods at import, which every command pays."""
+    stray = []
+    for path in sorted(Path(f.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            stray += [
+                f"{path.name}:{node.lineno}"
+                for module in modules
+                if module.partition(".")[0] == "dataclasses"
+            ]
+    assert stray == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh ``import f2units`` leaves out ``dataclasses`` and the
+    ``inspect`` module it pulls in."""
+    code = "import sys, f2units; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(Path(f.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # The public functions that no module of the package refers to, each with
 # the reason it stays public.
 UNREFERENCED_PUBLIC_FUNCTIONS = {
@@ -136,8 +172,6 @@ def test_every_public_function_has_a_caller_or_a_reason():
 PUBLIC_DEFAULTS = {
     ("AntiAutomorphism", "name"): "the label reports show; the two involutions set theirs",
     ("CheckResult", "witness"): "a passing check has none",
-    ("DecompositionReport", "checks"): "a report starts empty and ``add`` appends",
-    ("DecompositionReport", "notes"): "a report starts empty and the pipelines append",
     ("GroupTable", "labels"): "a table spec may omit them; g1, g2, ... stand in",
     ("GroupTable", "family"): "a table spec is family 'table'; the make_* functions set theirs",
     ("GroupTable", "name"): "the make_* functions set the display name; a table spec has none",

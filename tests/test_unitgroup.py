@@ -7,6 +7,7 @@ import pytest
 import f2units as f
 from f2units.errors import (
     GroupMismatchError,
+    NotASubgroupError,
     NotAUnitError,
     NotSubsetError,
     TooLargeError,
@@ -64,6 +65,11 @@ def test_unit_set_contains_and_elements(c4):
     assert f.zero(c4) not in v
     assert len(list(v.elements())) == v.order
     assert v.mask_set() == set(v.masks)
+
+
+def test_unit_set_must_contain_the_identity(q8):
+    with pytest.raises(NotASubgroupError, match="^a unit set must contain the identity$"):
+        f.UnitSet(q8, (3,))
 
 
 def test_unit_set_rejects_an_element_of_another_group(q8, d8):
