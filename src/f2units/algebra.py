@@ -9,7 +9,7 @@ term of y (see ``_conv_tables``).
 
 The arithmetic core works on bare masks: ``_mul``, ``_squares``,
 ``_inverse`` and ``_involute``. Every loop that multiplies single masks
-calls it directly; a loop over a whole member list multiplies on bit planes
+calls it directly; the member checks and the scan multiply on bit planes
 instead (see ``unitgroup``); ``_coset_parts`` and ``_render`` split and
 print masks.
 ``AlgebraElement`` is the API wrapper: the public ``ga_*`` functions and

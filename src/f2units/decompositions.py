@@ -16,18 +16,17 @@ Two pipelines, one per involution:
 
 Every identity the structural argument rests on is rechecked here; normality,
 commutation and the conjugation identities are decided on generators, which
-is sound for finite groups. The unitary elements form a group, so G, T
-and H are checked unitary on their generators; each W is checked per member
-(squares to 1, is central). ``_failing_members`` runs a check on a whole
-list at once, and the first failing entry is the witness. It comes from
-``unitgroup``, which alone knows its bit-plane format. The per-element
-lemma checks split with ``_coset_parts`` and decide on masks by their
-independent conditions; their docstrings prove the rest. No product set is
-listed by multiplying members. The cofactor H = W*L is listed, as a sumset,
-only for the oracle, which compares the assembled product with the
-enumerated unitary group by orders (``_product_is``) and decides normality
-in it on the fixed-point pcgs, once that generates it. Otherwise H is
-decided from W and L: its order, its semidirect structure and its meeting
+is sound for finite groups. The unitary elements form a group, as do the
+central ones and, in an abelian group, those squaring to 1; so G, T, H and
+each W are checked on their generators, the first failing one the witness, by
+``_failing_members`` from ``unitgroup``, which alone knows its bit-plane
+format. The per-element lemma checks split with ``_coset_parts`` and decide
+on masks by their independent conditions; their docstrings prove the rest. No
+product set is listed by multiplying members. The cofactor H = W*L is listed,
+as a sumset, only for the oracle, which compares the assembled product with
+the enumerated unitary group by orders (``_product_is``) and decides
+normality in it on the fixed-point pcgs, once that generates it. Otherwise H
+is decided from W and L: its order, its semidirect structure and its meeting
 the group image from their supports, and its unitarity on its generators.
 """
 
@@ -368,7 +367,9 @@ def verify_inverting_decomposition(
         "unipotent_elementary_abelian",
         preds["is_elementary_abelian_2"] and preds["rank"] == a_order // 2,
     )
-    _add_member_check(report, "unipotent_members_unitary", g, w.masks, sigma, square=True)
+    # The unitary elements, and in the abelian W those squaring to 1, form
+    # groups, and W is the group its generators generate (route check above).
+    _add_member_check(report, "unipotent_members_unitary", g, gens_of(w), sigma, square=True)
 
     v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
     a_image = group_image(g, form.a_sub)
@@ -564,9 +565,12 @@ def verify_odot_decomposition(
         preds["is_elementary_abelian_2"] and preds["rank"] == 3 * c_order // 2,
     )
     # Central exactly when it commutes with each element of a generating set.
+    # The unitary, the central and the square-1 units of the abelian W form
+    # groups, and W is generated by its generators 1 + v: for v, w in W - 1,
+    # vw lies in (1+e)^2 F2G = 0, as (1+e) F2C is central.
     gen_basis = [1 << i for i in g.greedy_generators]
     _add_member_check(
-        report, "central_unipotent_members_central_unitary", g, w.masks,
+        report, "central_unipotent_members_central_unitary", g, gens_of(w),
         sigma, square=True, central=gen_basis,
     )
 

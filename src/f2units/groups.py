@@ -92,7 +92,7 @@ class GroupTable:
         self._conv_tables: list[list[int]] | None = None  # lazy, see algebra
 
     def label(self, i: int) -> str:
-        return self.labels[i]
+        return self.labels[_require_index(self, i)]
 
     def is_abelian(self) -> bool:
         return _generators_commute(self.mul, self.greedy_generators)

@@ -22,7 +22,7 @@ augmentation 1, as the augmentation ideal J is nilpotent exactly when G is a
 
 The same int bit planes serve the member checks of the decompositions, and
 only this module knows their format. ``_member_planes`` transposes a list of
-masks, one plane per coefficient position and one bit per member.
+masks (generating sets: short), one plane per position, one bit per member.
 ``_product_planes`` is the one multiply on planes: u * v for every pair of
 members at the same bit, a fixed multiplier y entering as its
 ``_fixed_planes``. ``_failing_members`` is the one member test (u * perm(u)
@@ -40,7 +40,7 @@ GIL, so a second thread gained nothing); ``workers`` is accepted and ignored.
 from __future__ import annotations
 
 from functools import cached_property, partial, reduce
-from itertools import chain, combinations, islice, repeat
+from itertools import chain, combinations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -205,34 +205,15 @@ def _indicator_planes(nbits: int) -> list[int]:
     return planes
 
 
-# ASCII '0'/'1' for bit b of each byte value, one translation table per b:
-# over v = 0..255, bit b runs through 2^b zeros, then 2^b ones, repeatedly.
-_BIT_DIGITS = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8)]
-
-
 def _member_planes(masks: Sequence[int], n: int) -> list[int]:
-    """Transpose a member list into n bit planes: bit k of plane i is bit i
-    of masks[k].
-
-    The masks are packed big-endian and last member first into a bytearray,
-    so every byte column is a stride slice that already starts with the last
-    member. Each column is translated to one ASCII digit per member for each
-    of its bits and parsed in base 2, which the int/str digit limit does not
-    cover. One ``b"".join`` packs 256 masks: a join over the whole list would
-    hold a bytes object per member at once.
-    """
-    if not masks:
-        return [0] * n
-    nbytes = (n + 7) // 8
-    blob = bytearray()
-    rest = reversed(masks)
-    for _ in range(0, len(masks), 256):
-        blob += b"".join(map(int.to_bytes, islice(rest, 256), repeat(nbytes), repeat("big")))
-    planes = []
-    for c in range(nbytes):
-        column = blob[nbytes - 1 - c :: nbytes]
-        for b in range(min(8, n - 8 * c)):
-            planes.append(int(column.translate(_BIT_DIGITS[b]), 2))
+    """Transpose a member list into n bit planes, one step per set bit of
+    each mask: bit k of plane i is bit i of masks[k]."""
+    planes = [0] * n
+    for k, m in enumerate(masks):
+        while m:
+            low = m & -m
+            planes[low.bit_length() - 1] |= 1 << k
+            m ^= low
     return planes
 
 

@@ -482,6 +482,7 @@ def test_closure_matches_oracle(d8, q16):
         lambda g, i: f.coset_representatives(g, [0, 2], [0, i]),
         lambda g, i: f.make_inverting_form(g, [i], 4),
         lambda g, i: f.make_inverting_form(g, [1], i),
+        lambda g, i: g.label(i),
     ],
     ids=[
         "subgroup_closure",
@@ -492,6 +493,7 @@ def test_closure_matches_oracle(d8, q16):
         "coset_representatives-within",
         "make_inverting_form-a",
         "make_inverting_form-b",
+        "label",
     ],
 )
 @pytest.mark.parametrize("index", [99, -1, 1.0, True, "1"], ids=repr)

@@ -1,7 +1,9 @@
 """The bit-plane layer against per-member oracles: the transpose, products
 by a fixed multiplier, and the member checks (pass/fail and the first
-failing member on every factor list the verifications test, intact and with
-single-bit corruptions)."""
+failing member on every factor list, intact and with single-bit
+corruptions). The verifications pass each check a generating set; the
+sweeps below show that the generators give the verdict of every member,
+and the mutants that the verifications read the recorded generators."""
 
 from __future__ import annotations
 
@@ -61,7 +63,7 @@ def test_member_planes_of_the_empty_list(n):
 
 
 def test_member_planes_of_a_long_list():
-    """Planes far longer than the 4300-digit int/str limit."""
+    """Planes of 9000 bits, longer than any list the checks are given."""
     rng = random.Random(3)
     masks = [rng.getrandbits(32) for _ in range(9000)]
     planes = _member_planes(masks, 32)
@@ -80,9 +82,9 @@ def _unpack(planes, count):
 @pytest.mark.parametrize("n", (2, 4, 8, 16, 32, 64))
 @pytest.mark.parametrize("count", (1, 255, 256, 257, 513, 8195))
 def test_member_planes_across_chunk_boundaries(n, count):
-    """The masks are packed 256 at a time: lists that end just before, at
-    and after a chunk boundary, with masks that set the top bit and both
-    bits at every byte boundary at the first, last and chunk-edge members."""
+    """Lists of 1 to 8195 members, with masks that set the top bit, every
+    bit, and both bits at every byte boundary at the first, last and some
+    middle members."""
     rng = random.Random(n * count)
     masks = [rng.getrandbits(n) for _ in range(count)]
     edges = [
@@ -286,48 +288,109 @@ SWEEP_GROUPS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SWEEP_GROUPS))
-def test_group_inside_unitary_on_generators_matches_every_member(name):
-    """sigma(x) = c x^-1 c^-1 is an involutory anti-automorphism when c^2 is
-    central, and x sigma(x) = [x, c]. Over every such c, the check on the
-    greedy generators gives the per-member verdict and witness: it fails
-    exactly when c is not central, naming the smallest failing element."""
-    g = SWEEP_GROUPS[name]
+def _central(g):
+    mul, n = g.mul, g.order
+    return {c for c in range(n) if all(mul[c][x] == mul[x][c] for x in range(n))}
+
+
+def _conjugation_involutions(g):
+    """(c, sigma) for each c with c^2 central: sigma(x) = c x^-1 c^-1 is then
+    an involutory anti-automorphism, and x sigma(x) = [x, c]."""
     mul, inv, n = g.mul, g.inv, g.order
-    central = {c for c in range(n) if all(mul[c][x] == mul[x][c] for x in range(n))}
-    image = group_image(g)
+    central = _central(g)
     for c in (c for c in range(n) if mul[c][c] in central):
         perm = tuple(mul[mul[c][inv[x]]][inv[c]] for x in range(n))
         sigma = f.AntiAutomorphism(g, perm, f"conjugation by {g.labels[c]}")
         assert f.validate_involution(sigma)
-        bad = naive_first_failing_member(g, image.masks, perm=perm)
+        yield c, sigma
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GROUPS))
+def test_group_inside_unitary_on_generators_matches_every_member(name):
+    """Over every conjugation involution, the check on the greedy generators
+    gives the per-member verdict and witness: it fails exactly when c is not
+    central, naming the smallest failing element."""
+    g = SWEEP_GROUPS[name]
+    image, central = group_image(g), _central(g)
+    for c, sigma in _conjugation_involutions(g):
+        bad = naive_first_failing_member(g, image.masks, perm=sigma.perm)
         expected = (bad is None, None if bad is None else _render(g, bad))
         assert _plane_result(g, image.generators, dict(sigma=sigma)) == expected
         assert expected[0] == (c in central)
 
 
-def test_torsion_members_unitary_reads_the_generators(monkeypatch):
-    """Construct mode checks T on its recorded generators. With the first
-    one swapped for the non-unitary (1,a) and T's members left intact, the
-    check fails and names it; the members alone would pass."""
-    (entry,) = [e for e in ODOT_ENTRIES if e.key == "D8xC4"]
-    form = entry.form()
+def _pipeline_w(key):
+    """W as the verification builds it, its involution, and the keywords of
+    its member check."""
+    form = FORMS[key]()
     g = form.group
-    bad = 1 << g.labels.index("(1,a)")
-    complement = decompositions.find_complement
-    found = []
-
-    def mutant(ambient, factor):
-        t = complement(ambient, factor)
-        found.append(t)
-        return make_unit_set(g, t.masks, generators=(bad, *t.generators[1:]))
-
-    monkeypatch.setattr(decompositions, "find_complement", mutant)
-    report = f.verify_odot_decomposition(form, skip_enumeration=True)
-    (check,) = [c for c in report.checks if c.name == "torsion_members_unitary"]
-    assert (check.passed, check.witness) == (False, "(1,a)")
+    if key.endswith("/classical"):
+        return build_unipotent_factor(form), f.classical_involution(g), dict(square=True)
+    central = [1 << i for i in g.greedy_generators]
     sigma = f.odot_involution(form)
-    assert _plane_result(g, found[0].masks, dict(sigma=sigma)) == (True, None)
+    return build_central_unipotent(form), sigma, dict(square=True, central=central)
+
+
+@pytest.mark.parametrize("key", sorted(FORMS))
+def test_w_check_on_generators_matches_every_member(key):
+    """The unitary, the central and, in the abelian W, the square-1 units
+    each form a group, so W's recorded generators give the verdict of all
+    its members: under the verification's involution and, below order 32,
+    under every conjugation involution."""
+    w, own, kw = _pipeline_w(key)
+    g = w.group
+    sigmas = [own]
+    if g.order <= 16:
+        sigmas += [s for _, s in _conjugation_involutions(g)]
+    verdicts = []
+    for sigma in sigmas:
+        passed, _ = _plane_result(g, w.generators, dict(sigma=sigma, **kw))
+        assert passed == (naive_first_failing_member(g, w.masks, perm=sigma.perm, **kw) is None)
+        verdicts.append(passed)
+    assert verdicts[0]
+
+
+# (form, builder in decompositions, check, label of a failing mask, factor
+# of the check's keywords): T and both W are checked on their generators.
+MUTANTS = {
+    "T": ("D8xC4/odot", "find_complement", "torsion_members_unitary", "(1,a)", "T"),
+    "odot-W": (
+        "D8xC4/odot",
+        "build_central_unipotent",
+        "central_unipotent_members_central_unitary",
+        "(1,a)",
+        "W",
+    ),
+    "classical-W": ("Q32/classical", "build_unipotent_factor", "unipotent_members_unitary", "a", "W"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MUTANTS))
+def test_member_checks_read_the_generators(monkeypatch, case):
+    """Construct mode checks T and W on their recorded generators. With the
+    first one swapped for a failing mask and the members left intact, the
+    check fails and names that mask; the members alone would pass."""
+    key, builder, name, label, factor = MUTANTS[case]
+    form = FORMS[key]()
+    g = form.group
+    kw = _lists(key)[factor][2]
+    bad = 1 << g.labels.index(label)
+    original = getattr(decompositions, builder)
+    built = []
+
+    def mutant(*args):
+        s = original(*args)
+        built.append(s)
+        return make_unit_set(g, s.masks, generators=(bad, *s.generators[1:]))
+
+    monkeypatch.setattr(decompositions, builder, mutant)
+    if key.endswith("/classical"):
+        report = f.verify_inverting_decomposition(form, skip_enumeration=True)
+    else:
+        report = f.verify_odot_decomposition(form, skip_enumeration=True)
+    (check,) = [c for c in report.checks if c.name == name]
+    assert (check.passed, check.witness) == (False, label)
+    assert _plane_result(g, built[0].masks, kw) == (True, None)
 
 
 def test_catalog_mode_multiplication_count(capsys):

@@ -100,6 +100,32 @@ def test_each_operand_fact_is_guarded_by_one_helper():
     assert stray == []
 
 
+def test_member_checks_pass_generating_sets():
+    """The unitary, the central and, in an abelian group, the square-1 units
+    each form a group, so a subgroup's generators decide its member checks:
+    every ``_add_member_check`` call in ``decompositions`` passes
+    ``gens_of(...)`` or a sum of such calls, never a member list."""
+
+    def generating(node: ast.AST) -> bool:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            return generating(node.left) and generating(node.right)
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "gens_of"
+
+    source = Path(f.__file__).with_name("decompositions.py").read_text(encoding="utf-8")
+    calls = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_add_member_check"
+    ]
+    # The masks are the fourth argument, or the keyword ``masks``.
+    masks = [
+        (*node.args[3:4], *(k.value for k in node.keywords if k.arg == "masks"))
+        for node in calls
+    ]
+    assert len(calls) == 5 and all(len(m) == 1 for m in masks)
+    assert [node.lineno for node, (m,) in zip(calls, masks) if not generating(m)] == []
+
+
 def test_no_module_imports_dataclasses():
     """The records are plain classes: a dataclass compiles its generated
     methods at import, which every command pays."""
