@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -47,8 +47,8 @@ from .algebra import (
     _span,
     augmentation,
 )
-from .errors import HypothesisViolationError, NoComplementError, NotUnitaryError
-from .groups import _greedy_generators, _require_group, coset_representatives
+from .errors import HypothesisViolationError, NoComplementError, NotAbelianError, NotUnitaryError
+from .groups import SubgroupSet, _greedy_generators, _require_group, coset_representatives
 from .involutions import (
     InvertingExtensionForm,
     OdotForm,
@@ -57,14 +57,16 @@ from .involutions import (
     odot_involution,
 )
 from .unitgroup import (
+    _NOT_ABELIAN,
     DEFAULT_EXHAUSTIVE_BOUND,
     UnitSet,
+    _complement_search,
     _failing_members,
     _fixed_point_pcgs,
     _product_is,
     _require_within,
+    canonical_generators,
     enumerate_unitary,
-    find_complement,
     gens_of,
     group_image,
     internal_direct,
@@ -180,11 +182,22 @@ def _unipotent_generator(form: InvertingExtensionForm, gi: int) -> int:
     return 1 ^ 1 << mul[gi][b] ^ 1 << mul[mul[form.b_squared][gi]][b]
 
 
+def _abelian_complement(ambient: UnitSet, factor: UnitSet, sub: SubgroupSet) -> UnitSet:
+    """``find_complement(ambient, factor)`` for an ambient group inside the
+    subalgebra on the table subgroup ``sub``, which holds the factor. That
+    subalgebra is commutative when ``sub`` is abelian, so ``sub``'s
+    generators decide commutativity and nothing is listed from ``ambient``.
+    Else NotAbelianError, as from ``find_complement``: A lies in V_*(F2A)."""
+    if not sub.is_abelian():
+        raise NotAbelianError(_NOT_ABELIAN)
+    return _complement_search(ambient, factor)
+
+
 def build_abelian_complement(form: InvertingExtensionForm) -> UnitSet:
     """Canonical complement of A's image inside the unitary group on A."""
     g = form.group
     v_a = enumerate_unitary(g, classical_involution(g), support=form.a_sub)
-    return find_complement(v_a, group_image(g, form.a_sub))
+    return _abelian_complement(v_a, group_image(g, form.a_sub), form.a_sub)
 
 
 def _require_cofactor_premise(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet) -> int:
@@ -230,7 +243,7 @@ def build_normal_cofactor(
 
 
 def _conjugation_witness(
-    form: InvertingExtensionForm, v_a: UnitSet, w_masks: frozenset[int]
+    form: InvertingExtensionForm, x1s: Sequence[int], w_masks: frozenset[int]
 ) -> str | None:
     """Check the three conjugation identities; return a witness on failure.
 
@@ -240,7 +253,10 @@ def _conjugation_witness(
     conjugating by a unitary x1 of the subalgebra on A gives
     1 + (1+b*b) x1^2 g_i b, inside W; and b x1^{-1} = x1 b = b x1*.
 
-    x1 runs over the canonical generators of v_a only. That suffices, as the
+    x1 runs over ``x1s`` only, a generating set of V_*(F2A): the pipeline
+    passes the generators of A's image and of L, which generate it once
+    ``abelian_complement_contract`` holds, and ``check_conjugation_closure``
+    the canonical generators of the scanned group. That suffices, as the
     subalgebra on A is commutative and holds b*b: if the identities hold for
     x1 and y1, then b (x1 y1)^{-1} = y1 b x1^{-1} = x1 y1 b, and
     x1 y1 w_i (x1 y1)^{-1} = 1 + x1 (1+b*b) y1^2 g_i b x1^{-1}
@@ -257,7 +273,7 @@ def _conjugation_witness(
     # Per generator: its inverse, (1+b*b) x1^2, and the first failing twist
     # identity, which does not depend on g_i.
     xs = []
-    for x1 in gens_of(v_a):
+    for x1 in x1s:
         x1_inv = _inverse(g, x1)
         left = _mul(g, b_el, x1_inv)
         if left != _mul(g, x1, b_el):
@@ -290,7 +306,8 @@ def check_conjugation_closure(form: InvertingExtensionForm) -> bool:
     """True iff all three conjugation identities hold for every pair."""
     g = form.group
     v_a = enumerate_unitary(g, classical_involution(g), support=form.a_sub)
-    return _conjugation_witness(form, v_a, build_unipotent_factor(form).mask_set()) is None
+    w_masks = build_unipotent_factor(form).mask_set()
+    return _conjugation_witness(form, canonical_generators(v_a), w_masks) is None
 
 
 def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) -> bool:
@@ -374,7 +391,7 @@ def verify_inverting_decomposition(
     v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
     a_image = group_image(g, form.a_sub)
     try:
-        ell = find_complement(v_a, a_image)
+        ell = _abelian_complement(v_a, a_image, form.a_sub)
     except NoComplementError as exc:
         report.add("abelian_complement_exists", False, str(exc))
         report.orders = {
@@ -395,7 +412,9 @@ def verify_inverting_decomposition(
     semidirect = w.mask_set() & ell.mask_set() == {1} and normalizes(g, gens_of(ell), w)
     report.add("cofactor_semidirect", semidirect)
 
-    witness = _conjugation_witness(form, v_a, w.mask_set())
+    # A and L generate V_*(F2A) when the contract above holds; else the
+    # report fails on it.
+    witness = _conjugation_witness(form, gens_of(a_image) + gens_of(ell), w.mask_set())
     report.add("conjugation_identities", witness is None, witness)
 
     report.add("group_meets_cofactor_trivially", a_image.mask_set() & ell.mask_set() == {1})
@@ -469,7 +488,7 @@ def build_central_unipotent(form: OdotForm) -> UnitSet:
 def build_torsion_complement(form: OdotForm) -> UnitSet:
     """Canonical complement of C's involution subgroup inside the order-2
     part of the central subalgebra's unit group."""
-    return find_complement(*_central_order_2_parts(form))
+    return _abelian_complement(*_central_order_2_parts(form), form.c_sub)
 
 
 def _central_order_2_parts(form: OdotForm) -> tuple[UnitSet, UnitSet]:
@@ -585,7 +604,7 @@ def verify_odot_decomposition(
 
     v_c2, c2_image = _central_order_2_parts(form)
     try:
-        t = find_complement(v_c2, c2_image)
+        t = _abelian_complement(v_c2, c2_image, form.c_sub)
     except NoComplementError as exc:
         report.add("torsion_complement_exists", False, str(exc))
         report.orders = {"group": g.order, "central_unipotent": w.order}

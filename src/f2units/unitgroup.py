@@ -30,8 +30,11 @@ members at the same bit, a fixed multiplier y entering as its
 kernel builds its starting planes with ``_product_planes`` too. No plane is
 read back into masks, and no product of subgroups is listed pairwise
 (``_product_is``, ``is_direct``). Structure checks work on generators; a set
-without recorded generators computes its canonical ones once and caches
-them.
+without recorded generators computes its canonical ones once, by listing
+it, and caches them. No pipeline does that for a scanned set: the
+complement search is ``_complement_search``, whose callers there decide
+commutativity on a table subgroup, and the public ``find_complement`` and
+``check_conjugation_closure`` alone list generators of one.
 
 Both listings run on the calling thread (the kernel's big-int loop holds the
 GIL, so a second thread gained nothing); ``workers`` is accepted and ignored.
@@ -57,6 +60,7 @@ from .groups import GroupTable, SubgroupSet, _extend, _greedy_generators, _requi
 from .involutions import AntiAutomorphism
 
 DEFAULT_EXHAUSTIVE_BOUND = 16
+_NOT_ABELIAN = "complement search requires an abelian ambient group"
 
 
 class UnitSet:
@@ -623,13 +627,23 @@ def find_complement(ambient: UnitSet, factor: UnitSet) -> UnitSet:
     ``_extend(mul, span, (), c)`` as the group is abelian. A table subgroup
     goes in through ``group_image``, whose masks ``1 << i`` sort like the
     indices. Raises NotSubsetError when the factor does not lie in the
-    ambient set, and NoComplementError when it is not a direct factor.
+    ambient set, NotAbelianError when the ambient set's generators do not
+    commute, and NoComplementError when the factor is not a direct factor.
+
+    The decompositions call the search behind these guards,
+    ``_complement_search``, and decide commutativity on A or C instead.
     """
     if not isinstance(ambient, UnitSet) or not isinstance(factor, UnitSet):
         raise TypeError("find_complement takes UnitSets; map a SubgroupSet through group_image")
     _require_subset(ambient, factor, "the factor")
     if not _is_abelian_units(ambient):
-        raise NotAbelianError("complement search requires an abelian ambient group")
+        raise NotAbelianError(_NOT_ABELIAN)
+    return _complement_search(ambient, factor)
+
+
+def _complement_search(ambient: UnitSet, factor: UnitSet) -> UnitSet:
+    """``find_complement`` without its guards: the caller knows the factor
+    lies in ``ambient`` and that ``ambient`` is abelian."""
     g = ambient.group
     mul = partial(_mul, g)
     ids = ambient.masks

@@ -1,5 +1,6 @@
 """The complement search against the depth-first search that lists every
-candidate's span, and the multiplication count of the search."""
+candidate's span, the pipelines' direct calls of the search against
+``find_complement``, and the multiplication count of the search."""
 
 from __future__ import annotations
 
@@ -11,7 +12,8 @@ import f2units as f
 from f2units import algebra, decompositions, unitgroup
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.cli import main
-from f2units.errors import NoComplementError
+from f2units.errors import NoComplementError, NotAbelianError
+from f2units.groups import coset_representatives
 from oracles import naive_find_complement
 
 
@@ -22,9 +24,9 @@ def _classical_parts(form):
     return v_a, f.group_image(g, form.a_sub)
 
 
-def _extension_parts(base, square_label):
+def _extension_form(base, square_label):
     g = f.make_inverting_extension(base, base.labels.index(square_label))
-    return _classical_parts(f.detect_inverting_form(g))
+    return f.detect_inverting_form(g)
 
 
 def _c4_parts():
@@ -32,20 +34,25 @@ def _c4_parts():
     return f.group_image(c4), f.group_image(c4, f.subgroup_closure(c4, [2]))
 
 
-COMPLEMENT_CASES = {
-    **{f"L {e.key}": (lambda e=e: _classical_parts(e.form())) for e in CLASSICAL_ENTRIES},
-    **{
-        f"T {e.key}": (lambda e=e: decompositions._central_order_2_parts(e.form()))
-        for e in ODOT_ENTRIES
-    },
-    "L Q32": lambda: _classical_parts(f.detect_inverting_form(f.make_quaternion(32))),
-    "L Ext(C16)": lambda: _extension_parts(f.make_cyclic(16), "a8"),
-    "L Ext(C4xC4)": lambda: _extension_parts(
+CLASSICAL_FORMS = {
+    **{e.key: e.form for e in CLASSICAL_ENTRIES},
+    "Q32": lambda: f.detect_inverting_form(f.make_quaternion(32)),
+    "Ext(C16)": lambda: _extension_form(f.make_cyclic(16), "a8"),
+    "Ext(C4xC4)": lambda: _extension_form(
         f.make_direct_product(f.make_cyclic(4), f.make_cyclic(4)), "(1,a2)"
     ),
-    "L Ext(C8xC2)": lambda: _extension_parts(
+    "Ext(C8xC2)": lambda: _extension_form(
         f.make_direct_product(f.make_cyclic(8), f.make_cyclic(2)), "(a4,1)"
     ),
+}
+ODOT_FORMS = {e.key: e.form for e in ODOT_ENTRIES}
+
+COMPLEMENT_CASES = {
+    **{f"L {key}": (lambda b=b: _classical_parts(b())) for key, b in CLASSICAL_FORMS.items()},
+    **{
+        f"T {key}": (lambda b=b: decompositions._central_order_2_parts(b()))
+        for key, b in ODOT_FORMS.items()
+    },
     "C4 over {1, a2}": _c4_parts,
 }
 
@@ -89,10 +96,110 @@ def test_find_complement_matches_listing_search_on_table_subgroups(g, data):
     _both_or_neither(f.group_image(g, ambient), f.group_image(g, factor))
 
 
+def _record(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its (args,
+    result) pairs, appended call by call."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+# Per case: the pipeline, its form, the (ambient, factor) that
+# find_complement would be given, and the public builder of the complement.
+PIPELINE_CASES = {
+    **{
+        f"L {key}": (
+            f.verify_inverting_decomposition, b, _classical_parts, f.build_abelian_complement
+        )
+        for key, b in CLASSICAL_FORMS.items()
+    },
+    **{
+        f"T {key}": (
+            f.verify_odot_decomposition,
+            b,
+            decompositions._central_order_2_parts,
+            f.build_torsion_complement,
+        )
+        for key, b in ODOT_FORMS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(PIPELINE_CASES))
+def test_pipeline_complement_equals_find_complement(case, monkeypatch):
+    """The pipelines and builders decide commutativity on A or C and call
+    the search directly. They search once, on the ambient set and factor
+    that find_complement would be given, and find its complement: the same
+    generators and masks."""
+    verify, build, parts, builder = PIPELINE_CASES[case]
+    form = build()
+    ambient, factor = parts(form)
+    want = f.find_complement(ambient, factor)
+    searches = _record(monkeypatch, decompositions, "_complement_search")
+    verify(form, skip_enumeration=True)
+    (((got_ambient, got_factor), got),) = searches
+    assert (got_ambient.masks, got_factor.masks) == (ambient.masks, factor.masks)
+    assert (got.generators, got.masks) == (want.generators, want.masks)
+    built = builder(form)
+    assert (built.generators, built.masks) == (want.generators, want.masks)
+
+
+RUNS = {
+    "Q32 construct": [
+        "--family", "quaternion", "--order", "32", "--involution", "classical",
+        "--mode", "construct", "--format", "json",
+    ],
+    "catalog": ["--mode", "catalog", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_pipelines_list_no_generators_of_a_scanned_set(run, monkeypatch, capsys):
+    """No run computes canonical generators of a scanned unitary group or of
+    the listed order-2 part of V(F2C): the pipelines decide commutativity on
+    the table subgroup and take x1 from the generators of A and L."""
+    listed = [_record(monkeypatch, m, "canonical_generators") for m in (unitgroup, decompositions)]
+    scans = _record(monkeypatch, decompositions, "enumerate_unitary")
+    parts = _record(monkeypatch, decompositions, "_central_order_2_parts")
+    main(RUNS[run])
+    capsys.readouterr()
+    scanned = [s for _, s in scans] + [v_c2 for _, (v_c2, _) in parts]
+    assert scanned
+    assert not [s for calls in listed for (s,), _ in calls if any(s is x for x in scanned)]
+
+
+def test_non_abelian_subgroup_raises_the_search_error():
+    """A hand-built form on D8 inside D8xC2: F2[D8] is not commutative, and
+    the pipeline and the builder raise find_complement's NotAbelianError
+    (V_*(F2[D8]) holds D8) from the check on the subgroup."""
+    g = f.make_direct_product(f.make_dihedral(8), f.make_cyclic(2))
+    label = g.labels.index
+    d8 = f.subgroup_closure(g, [label("(r,1)"), label("(s,1)")])
+    b = label("(r,a)")
+    transversal = tuple(coset_representatives(g, (0, g.mul[b][b]), d8.members))
+    form = f.InvertingExtensionForm(g, d8, b, transversal)
+    message = "complement search requires an abelian ambient group"
+    for skip in (False, True):
+        with pytest.raises(NotAbelianError, match=f"^{message}$"):
+            f.verify_inverting_decomposition(form, skip_enumeration=skip)
+    with pytest.raises(NotAbelianError, match=f"^{message}$"):
+        f.build_abelian_complement(form)
+    with pytest.raises(NotAbelianError, match=f"^{message}$"):
+        f.find_complement(*_classical_parts(form))
+
+
 def test_q32_construct_multiplication_count(monkeypatch, capsys):
-    """One Q32 construct run makes 1,811 mask products; the search that
-    listed every candidate's span made 11,329, and 1,875 remained while the
-    unipotent generators were multiplied out."""
+    """One Q32 construct run makes 1,198 mask products; the search that
+    listed every candidate's span made 11,329, 1,875 remained while the
+    unipotent generators were multiplied out, and 1,811 while the abelian
+    test and the conjugation identities read generators listed from the
+    whole of V_*(F2A)."""
     calls = []
     mul = algebra._mul
     for module in (algebra, unitgroup, decompositions):
@@ -100,4 +207,4 @@ def test_q32_construct_multiplication_count(monkeypatch, capsys):
     args = ["--family", "quaternion", "--order", "32", "--involution", "classical"]
     assert main([*args, "--mode", "construct", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) <= 1811
+    assert len(calls) <= 1198

@@ -2,7 +2,8 @@
 generators of V_*(F2A), against the pairwise oracle over every member: the
 same verdict and message kind on every intact instance and on inputs mutated
 to fail each identity, and the same witness string wherever the oracle's
-failing x1 is a generator."""
+failing x1 is a generator. The generators of A and L, which the pipeline
+passes, give the verdict and message kind of the canonical generators."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import f2units as f
 from f2units import decompositions
 from f2units.catalog import CLASSICAL_ENTRIES
 from f2units.decompositions import _conjugation_witness, build_unipotent_factor
-from f2units.unitgroup import canonical_generators, enumerate_unitary, make_unit_set
+from f2units.unitgroup import canonical_generators, enumerate_unitary, gens_of, make_unit_set
 from oracles import naive_conjugation_witness, naive_render
 
 FORMS = {
@@ -50,7 +51,7 @@ def _both(form, v_a, w_masks):
     same string. Returns the message kind, or None on a pass."""
     g = form.group
     gens = canonical_generators(v_a)
-    got = _conjugation_witness(form, v_a, w_masks)
+    got = _conjugation_witness(form, gens, w_masks)
     want = naive_conjugation_witness(g, form.b, form.transversal, v_a.masks, w_masks)
     on_gens = naive_conjugation_witness(g, form.b, form.transversal, gens, w_masks)
     assert got == on_gens
@@ -103,8 +104,84 @@ def test_a_missing_member_of_w_is_found_at_a_generator():
     want = naive_conjugation_witness(g, form.b, form.transversal, v_a.masks, w_masks - {missing})
     assert want == "unitary conjugation at a by 1: got 1 + ab + a5b"
     assert f.parse_element(g, "1 + a2 + a4").mask in canonical_generators(v_a)
-    got = _conjugation_witness(form, v_a, w_masks - {missing})
+    got = _conjugation_witness(form, canonical_generators(v_a), w_masks - {missing})
     assert got == "unitary conjugation at a by 1 + a2 + a4: got 1 + ab + a5b"
+
+
+def _extension_form(base, square_label):
+    g = f.make_inverting_extension(base, base.labels.index(square_label))
+    return f.detect_inverting_form(g)
+
+
+PIPELINE_FORMS = {
+    **FORMS,
+    "Ext(C4xC4)": lambda: _extension_form(
+        f.make_direct_product(f.make_cyclic(4), f.make_cyclic(4)), "(1,a2)"
+    ),
+    "Ext(C8xC2)": lambda: _extension_form(
+        f.make_direct_product(f.make_cyclic(8), f.make_cyclic(2)), "(a4,1)"
+    ),
+}
+
+
+def _pipeline_x1s(form, monkeypatch):
+    """The x1 that the verification pipeline passes to the check."""
+    seen = []
+    check = decompositions._conjugation_witness
+
+    def recording(form, x1s, w_masks):
+        seen.append(x1s)
+        return check(form, x1s, w_masks)
+
+    monkeypatch.setattr(decompositions, "_conjugation_witness", recording)
+    f.verify_inverting_decomposition(form, skip_enumeration=True)
+    (x1s,) = seen
+    return x1s
+
+
+def _kind(witness):
+    return None if witness is None else witness.split(" at ")[0]
+
+
+def _same_kind(form, v_a, x1s, w_masks):
+    """The message kind (None on a pass) over x1s, asserted equal to the one
+    over the canonical generators of v_a."""
+    kind = _kind(_conjugation_witness(form, x1s, w_masks))
+    assert kind == _kind(_conjugation_witness(form, canonical_generators(v_a), w_masks))
+    return kind
+
+
+@pytest.mark.parametrize("key", sorted(PIPELINE_FORMS))
+def test_generators_of_a_and_l_pass_with_the_scanned_generators(key, monkeypatch):
+    """The pipeline's x1, the generators of A and L, generate V_*(F2A) and
+    pass where its canonical generators pass."""
+    form = PIPELINE_FORMS[key]()
+    g = form.group
+    v_a, w_masks = _inputs(form)
+    x1s = _pipeline_x1s(form, monkeypatch)
+    a_image = f.group_image(g, form.a_sub)
+    assert x1s == gens_of(a_image) + gens_of(f.find_complement(v_a, a_image))
+    closure = f.unit_subgroup_closure(g, [f.AlgebraElement(g, m) for m in x1s])
+    assert closure.mask_set() == v_a.mask_set()
+    assert _same_kind(form, v_a, x1s, w_masks) is None
+
+
+def test_generators_of_a_and_l_fail_with_the_scanned_generators(monkeypatch):
+    """Q16 with W missing a member and with another element as the twist:
+    on each of the 30 mutations the pipeline's x1, the generators of A and
+    L, give the message kind of the canonical generators of V_*(F2A)."""
+    g = f.make_quaternion(16)
+    form = f.detect_inverting_form(g)
+    v_a, w_masks = _inputs(form)
+    x1s = _pipeline_x1s(form, monkeypatch)
+    kinds = [_same_kind(form, v_a, x1s, w_masks - {m}) for m in sorted(w_masks - {1})]
+    for b in range(g.order):
+        if b != form.b:
+            twisted = f.InvertingExtensionForm(g, form.a_sub, b, form.transversal)
+            kinds.append(_same_kind(twisted, v_a, x1s, w_masks))
+    assert len(kinds) == 30
+    assert set(kinds) - {None} == MESSAGES - {"inverse-vs-star mismatch"}
+    assert None in kinds
 
 
 def test_decompositions_binds_no_plane_helper():

@@ -353,7 +353,7 @@ def test_w_check_on_generators_matches_every_member(key):
 # (form, builder in decompositions, check, label of a failing mask, factor
 # of the check's keywords): T and both W are checked on their generators.
 MUTANTS = {
-    "T": ("D8xC4/odot", "find_complement", "torsion_members_unitary", "(1,a)", "T"),
+    "T": ("D8xC4/odot", "_complement_search", "torsion_members_unitary", "(1,a)", "T"),
     "odot-W": (
         "D8xC4/odot",
         "build_central_unipotent",
@@ -394,10 +394,11 @@ def test_member_checks_read_the_generators(monkeypatch, case):
 
 
 def test_catalog_mode_multiplication_count(capsys):
-    """One catalog run makes 2,521 calls to _mul: the classical oracle
+    """One catalog run makes 2,076 calls to _mul: the classical oracle
     conjugates by the fixed-point pcgs of V_*, not by generators found by
-    listing the scanned group again, and the unipotent generators are read
-    off the table."""
+    listing the scanned group again, the unipotent generators are read off
+    the table, and neither complement search nor the conjugation identities
+    list generators of the group they run in (2,521 while they did)."""
     calls = 0
     code = algebra._mul.__code__
 
@@ -414,4 +415,4 @@ def test_catalog_mode_multiplication_count(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert status == 1  # the dihedral odot instances fail by design
-    assert calls <= 2_521
+    assert calls <= 2_076

@@ -165,6 +165,8 @@ UNREFERENCED_PUBLIC_FUNCTIONS = {
     "build_abelian_complement": "Theorem 1's complement L of A in V_*(F2A) (acceptance, demo 03)",
     "build_torsion_complement": "the twisted decomposition's T (acceptance, demos 04 and 05)",
     "check_conjugation_closure": "Theorem 1's three conjugation identities (acceptance)",
+    "find_complement": "the complement search with its containment and abelian guards, "
+    "for unit sets a caller builds; the pipelines decide commutativity on A or C",
     "check_unitary_split_form": "the split-form lemma on one element (acceptance)",
     "check_unitary_quadrant_system": "the quadrant lemma on one element (acceptance, demo 05)",
     "ga_inverse": "the inverse of one element (acceptance, demo 01)",

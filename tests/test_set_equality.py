@@ -175,7 +175,7 @@ def test_odot_verdicts_by_orders_match_listing(key, mutant, monkeypatch):
         w = _closure(g, w.generators[:-1])
         monkeypatch.setattr(decompositions, "build_central_unipotent", lambda form: w)
     if mutant.startswith("T"):
-        monkeypatch.setattr(decompositions, "find_complement", lambda ambient, factor: t)
+        monkeypatch.setattr(decompositions, "_complement_search", lambda ambient, factor: t)
     img = f.group_image(g)
     direct = _listed_direct(g, [img, t, w])
     report = f.verify_odot_decomposition(form)
@@ -284,7 +284,7 @@ def _construct_checks(form, monkeypatch, w=None, ell=None, v_a=None):
     if w is not None:
         monkeypatch.setattr(decompositions, "build_unipotent_factor", lambda form: w)
     if ell is not None:
-        monkeypatch.setattr(decompositions, "find_complement", lambda ambient, factor: ell)
+        monkeypatch.setattr(decompositions, "_complement_search", lambda ambient, factor: ell)
     if v_a is not None:
         monkeypatch.setattr(decompositions, "enumerate_unitary", lambda *args, **kwargs: v_a)
     report = f.verify_inverting_decomposition(form, skip_enumeration=True)
