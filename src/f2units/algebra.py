@@ -7,8 +7,9 @@ byte of x to its images under all n right translations at once, packed in
 one word, so a product costs one lookup per byte of x and one shift per
 term of y (see ``_conv_tables``).
 
-The arithmetic core works on bare masks: ``_mul``, ``_squares``,
-``_inverse`` and ``_involute``. Every loop that multiplies single masks
+The arithmetic core works on bare masks: ``_mul``, ``_products`` (one
+mask times many, x's translates looked up once), ``_squares``, ``_inverse``
+and ``_involute``. Every loop that multiplies single masks
 calls it directly; the member checks and the scan multiply on bit planes
 instead (see ``unitgroup``); ``_coset_parts`` and ``_render`` split and
 print masks.
@@ -113,16 +114,12 @@ def _conv_tables(g: GroupTable) -> list[list[int]]:
     return tabs
 
 
-def _mul(g: GroupTable, x: int, y: int) -> int:
-    """The product of two masks.
-
-    One lookup per byte of x gives ``moved``, whose bits n j .. n j + n - 1
-    hold x*g_j (see ``_conv_tables``). x*y is the sum of x*g_j over the
-    support of y, so it is the XOR of moved >> n j over that support, cut
-    to its low n bits: the shift brings x*g_j down to bits 0 .. n - 1, and
-    whatever it brings above them is masked off.
-    """
-    tabs = _conv_tables(g)
+def _translates(g: GroupTable, x: int) -> int:
+    """The word whose bits n j .. n j + n - 1 hold x*g_j, by one lookup per
+    byte of x (see ``_conv_tables``): the lookup loop that ``_mul`` and
+    ``_products`` share. It reads the cached tables itself, so that a
+    product makes no more calls than with the loop inline."""
+    tabs = g._conv_tables or _conv_tables(g)
     moved = 0
     c = 0
     while x:
@@ -131,6 +128,18 @@ def _mul(g: GroupTable, x: int, y: int) -> int:
             moved ^= tabs[c][byte]
         x >>= 8
         c += 1
+    return moved
+
+
+def _mul(g: GroupTable, x: int, y: int) -> int:
+    """The product of two masks.
+
+    x*y is the sum of x*g_j over the support of y, so it is the XOR of
+    ``_translates(g, x) >> n j`` over that support, cut to its low n bits:
+    the shift brings x*g_j down to bits 0 .. n - 1, and whatever it brings
+    above them is masked off.
+    """
+    moved = _translates(g, x)
     n = g.order
     acc = 0
     while y:
@@ -138,6 +147,23 @@ def _mul(g: GroupTable, x: int, y: int) -> int:
         y &= y - 1
         acc ^= moved >> (n * j)
     return acc & ((1 << n) - 1)
+
+
+def _products(g: GroupTable, x: int, ys: Iterable[int]) -> list[int]:
+    """x*y for every y in ys, as ``_mul`` computes it, with x's translates
+    looked up once: each product then costs one shift per term of y."""
+    moved = _translates(g, x)
+    n = g.order
+    full = (1 << n) - 1
+    out = []
+    for y in ys:
+        acc = 0
+        while y:
+            j = (y & -y).bit_length() - 1
+            y &= y - 1
+            acc ^= moved >> (n * j)
+        out.append(acc & full)
+    return out
 
 
 def _involute(perm, x: int) -> int:

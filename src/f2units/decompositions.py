@@ -64,6 +64,8 @@ from .unitgroup import (
     _failing_members,
     _fixed_point_pcgs,
     _product_is,
+    _require_listable,
+    _require_scan_memory,
     _require_within,
     canonical_generators,
     enumerate_unitary,
@@ -170,6 +172,7 @@ def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
     and the generator route are compared in the verification pipeline.
     """
     pivots, _ = _unipotent_map(form)
+    _require_listable(form.group, 1 << len(pivots), "the unipotent factor W")
     masks = (1 ^ m for m in _span(col for col, _ in pivots.values()))
     gens = [_unipotent_generator(form, gi) for gi in form.transversal]
     return make_unit_set(form.group, masks, generators=gens)
@@ -203,14 +206,25 @@ def build_abelian_complement(form: InvertingExtensionForm) -> UnitSet:
 def _require_cofactor_premise(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet) -> int:
     """The mask of A; HypothesisViolationError unless W - 1 is a subspace that
     left and right translation (g.mul[a] and column a) by each generator a of
-    A maps into itself and L lies on A: bit permutations, no product."""
+    A maps into itself and L lies on A: bit permutations, no product.
+
+    W - 1 is decided on r of its 2^r members, not eliminated whole. Sorted
+    ascending, a subspace lists its reduced echelon basis b_1 < ... < b_r
+    (top bits t_1 < ... < t_r, each b_i zero at the other t_j) in
+    binary-counting order: two sums over index sets S != S' first differ at
+    bit t_k, k the largest index in one set only, and the sum over the set
+    holding k has that bit. So b_i sits at position 2^(i-1), and ``_span``
+    of those members lists the subspace in the same ascending order. No span
+    equals a set that is not a subspace, so W - 1 is one exactly when
+    |W| = 2^r and that span is the sorted list.
+    """
     g = form.group
     shifts = [p for a in form.a_sub.generators for p in (g.mul[a], [r[a] for r in g.mul])]
-    module = [1 ^ m for m in w.masks]
-    pivots, _ = _eliminate(module, [0] * len(module))
-    basis = [col for col, _ in pivots.values()]
+    module = sorted(1 ^ m for m in w.masks)
+    rank = len(module).bit_length() - 1
+    basis = [module[1 << i] for i in range(rank)]
     moved, _ = _eliminate(basis + [_involute(p, x) for p in shifts for x in basis])
-    if len(module) != 1 << len(pivots) or len(moved) != len(pivots):
+    if len(module) != 1 << rank or _span(basis) != module or len(moved) != rank:
         raise HypothesisViolationError("W - 1 is not a subspace closed under translation by A")
     on_a = sum(1 << i for i in form.a_sub.members)
     if any(m & ~on_a for m in ell.masks):
@@ -237,6 +251,7 @@ def build_normal_cofactor(
     a fuller sort.
     """
     _require_cofactor_premise(form, w, ell)
+    _require_listable(form.group, w.order * ell.order, "the cofactor H = W*L")
     gens = tuple(w.generators or ()) + tuple(ell.generators or ())
     masks = (l ^ 1 ^ m for m in w.masks for l in ell.masks)
     return make_unit_set(form.group, masks, generators=gens)
@@ -346,8 +361,10 @@ def verify_inverting_decomposition(
     (factors verified internally, every constructed element confirmed
     unitary); raise ``max_order`` to run the full oracle on them. W is
     listed, so a bound |A|/2 on its dimension above ``max_order`` is a
-    TooLargeError. H = W*L is listed only for the oracle; the constructive
-    checks decide it from W and L, and its unitarity on its generators.
+    TooLargeError, as is a listing or scan estimated above the memory
+    budget; the oracle's scan is estimated before anything is listed. H =
+    W*L is listed only for the oracle; the constructive checks decide it
+    from W and L, and its unitarity on its generators.
     """
     if not isinstance(form, InvertingExtensionForm):
         raise TypeError(
@@ -372,6 +389,9 @@ def verify_inverting_decomposition(
 
     # (1+b*b)^2 = 0, so the image (1+b*b) F2A b has dimension at most |A|/2.
     _require_within(a_order // 2, max_order, "the dimension of the unipotent factor W")
+    oracle = g.order <= max_order and not skip_enumeration
+    if oracle:  # refuse a scan that cannot fit before anything is listed
+        _require_scan_memory(g, g.order)
     w = build_unipotent_factor(form)
     expected_w = 1 << (a_order // 2)
     report.add("unipotent_order_formula", w.order == expected_w)
@@ -428,7 +448,7 @@ def verify_inverting_decomposition(
         "expected_unitary": expected,
     }
 
-    if g.order <= max_order and not skip_enumeration:
+    if oracle:
         h = build_normal_cofactor(form, w, ell)
         g_image = group_image(g)
         v = enumerate_unitary(g, sigma, max_order=max_order)
@@ -481,6 +501,7 @@ def build_central_unipotent(form: OdotForm) -> UnitSet:
     """All elements 1 + x1 a + x2 b + x3 ab with coordinates in (1+e) F2C:
     one plus the span of ``_central_unipotent_basis``."""
     vectors = _central_unipotent_basis(form)
+    _require_listable(form.group, 1 << len(vectors), "the unipotent factor W")
     masks = (1 ^ m for m in _span(vectors))
     return make_unit_set(form.group, masks, generators=[1 ^ v for v in vectors])
 
@@ -501,6 +522,7 @@ def _central_order_2_parts(form: OdotForm) -> tuple[UnitSet, UnitSet]:
     nontrivial = [c for c in form.c_sub.members if c]
     squares = [1 ^ (1 << g.mul[c][c]) for c in nontrivial]
     _, kernel = _eliminate(squares, [1 ^ (1 << c) for c in nontrivial])
+    _require_listable(g, 1 << len(kernel), "the order-2 central units")
     v_c2 = make_unit_set(g, (1 ^ k for k in _span(kernel)))
     c2_image = make_unit_set(g, (1 << c for c in form.c_sub.members if g.mul[c][c] == 0))
     return v_c2, c2_image
@@ -551,8 +573,9 @@ def verify_odot_decomposition(
     product, compare with the enumerated unitary group when in bounds.
 
     W is listed once, so a W of dimension 3|C|/2 above ``max_order`` is a
-    TooLargeError; the alternate representatives are checked on their basis
-    of W - 1.
+    TooLargeError, as is a listing or scan estimated above the memory
+    budget; the alternate representatives are checked on their basis of
+    W - 1.
     """
     if not isinstance(form, OdotForm):
         raise TypeError(
@@ -575,6 +598,9 @@ def verify_odot_decomposition(
     )
 
     _require_within(3 * c_order // 2, max_order, "the dimension of the unipotent factor W")
+    oracle = g.order <= max_order and not skip_enumeration
+    if oracle:  # refuse a scan that cannot fit before anything is listed
+        _require_scan_memory(g, g.order)
     w = build_central_unipotent(form)
     expected_w = 1 << (3 * c_order // 2)
     report.add("central_unipotent_order_formula", w.order == expected_w)
@@ -624,9 +650,10 @@ def verify_odot_decomposition(
     }
 
     # G*T by left translation, which permutes the basis; a subgroup, as T is central.
+    _require_listable(g, g.order * t.order, "G*T")
     gt_masks = (_involute(g.mul[i], m) for i in range(g.order) for m in t.masks)
     gt = make_unit_set(g, gt_masks, generators=gens_of(g_image) + gens_of(t))
-    if g.order <= max_order and not skip_enumeration:
+    if oracle:
         v = enumerate_unitary(g, sigma, max_order=max_order)
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)

@@ -47,7 +47,8 @@ class NoComplementError(F2UnitsError):
 
 
 class TooLargeError(F2UnitsError):
-    """Exhaustive enumeration bound exceeded without an override."""
+    """A count above the exhaustive bound, or a listing or scan whose
+    estimated size is above the memory budget."""
 
 
 class NotSubsetError(F2UnitsError):

@@ -36,6 +36,11 @@ complement search is ``_complement_search``, whose callers there decide
 commutativity on a table subgroup, and the public ``find_complement`` and
 ``check_conjugation_closure`` alone list generators of one.
 
+Every listing and every scan is first estimated in bytes
+(``_require_listable``, ``_require_scan_memory``), and one above the fixed
+memory budget is a TooLargeError, so that a raised bound ends in exit 2 and
+not in a process the kernel kills.
+
 Both listings run on the calling thread (the kernel's big-int loop holds the
 GIL, so a second thread gained nothing); ``workers`` is accepted and ignored.
 """
@@ -47,7 +52,7 @@ from itertools import chain, combinations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _span
+from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _products, _span
 from .errors import (
     NoComplementError,
     NotAbelianError,
@@ -156,6 +161,43 @@ def _require_within(count: int, max_order: int, what: str) -> None:
         )
 
 
+# Bytes a listing or a scan may take; there is no option to raise it.
+_MEMORY_BUDGET = 2 << 30
+
+
+def _require_memory(nbytes: int, what: str) -> None:
+    """TooLargeError when ``what`` is estimated at more than the memory
+    budget: a listing or a scan that large would be killed, not finish."""
+    if nbytes > _MEMORY_BUDGET:
+        raise TooLargeError(
+            f"{what} would take about {nbytes:,} bytes, "
+            f"above the memory budget of {_MEMORY_BUDGET:,} bytes"
+        )
+
+
+def _require_listable(g: GroupTable, count: int, what: str) -> None:
+    """``_require_memory`` for ``count`` masks of g listed as a UnitSet:
+    96 bytes of int object and containers per mask, plus its n bits
+    (building one and its member set peaks at 101, 105 and 113 bytes a mask
+    at orders 32, 64 and 128)."""
+    _require_memory(count * (96 + g.order // 8), f"listing {what} ({count:,} masks)")
+
+
+def _require_scan_memory(g: GroupTable, k: int) -> None:
+    """``_require_memory`` for what ``_unitary_kernel`` allocates to scan k
+    positions of g: its planes, 2^|L| bits each (|L| indicator planes, at
+    most n each of products, start and running planes, and two per
+    coordinate and high position for the steps), the 2^|L| low masks and
+    the 2^|H| runs. The hits are not counted; Q64's A, 32 positions, has
+    2^17."""
+    nlow = _low_positions(k)
+    nhigh = k - nlow
+    n = g.order
+    planes = (2 * n * nhigh + 3 * n + nlow) * ((1 << nlow) // 8 + 32)
+    nbytes = planes + (1 << nlow) * (n // 8 + 40) + (1 << nhigh) * 8
+    _require_memory(nbytes, f"the scan of {k} positions")
+
+
 def _free_positions(g: GroupTable, support: SubgroupSet | None, max_order: int) -> tuple[int, ...]:
     """The coefficient positions a scan runs over, within the bound."""
     if support is not None:
@@ -186,6 +228,7 @@ def enumerate_normalized_units(
     n = len(members)
     if n & (n - 1):
         raise NotAUnitError(f"augmentation ideal not nilpotent: order {n} is not a power of 2")
+    _require_listable(g, 1 << (n - 1), "the normalized units")
     # Two half-size spans, the high one outer, list the masks in ascending
     # order; each high mask takes the low masks that make the augmentation 1.
     half = n // 2
@@ -401,6 +444,7 @@ def enumerate_unitary(
     """
     _require_group(g, sigma.group, "the involution")
     members = _free_positions(g, support, max_order)
+    _require_scan_memory(g, len(members))
     return UnitSet(g, _unitary_kernel(g, sigma.perm, members))
 
 
@@ -620,13 +664,16 @@ def find_complement(ambient: UnitSet, factor: UnitSet) -> UnitSet:
     when the first power c^j in S*F lies in S. (If c^j = s*f, then f lies in
     <S, c> and F. Conversely, when c^j lies in S, an element s*c^i of <S, c>
     with 0 <= i < j that lies in F puts c^i in S*F, so i = 0 and s lies in
-    S and F.) Then <S, c> is the union of the j cosets S*c^i, and <S, c>*F
-    that of the translates S*F*c^i. A span that meets F only in {1} never
-    outgrows |ambient| / |F|, as <S, c>*F lies in the ambient group, so the
-    order needs no test of its own. Only accepted spans are listed, by
-    ``_extend(mul, span, (), c)`` as the group is abelian. A table subgroup
-    goes in through ``group_image``, whose masks ``1 << i`` sort like the
-    indices. Raises NotSubsetError when the factor does not lie in the
+    S and F.) Then <S, c> is the union of the j cosets S*c^i. A span that
+    meets F only in {1} never outgrows |ambient| / |F|, as <S, c>*F lies in
+    the ambient group, so the order needs no test of its own. Only accepted
+    spans are listed, by ``_extend(mul, span, (), c)`` as the group is
+    abelian. <S, c>*F is S*F and the products s*F of the new members s of
+    <S, c>, one ``_products`` call each; it is the union of the translates
+    S*F*c^i, and these products are new, as <S, c> meets F only in {1}. A
+    table subgroup goes in through ``group_image``, whose masks ``1 << i``
+    sort like the indices and make each product one shift; any factor takes
+    the same path. Raises NotSubsetError when the factor does not lie in the
     ambient set, NotAbelianError when the ambient set's generators do not
     commute, and NoComplementError when the factor is not a direct factor.
 
@@ -643,7 +690,12 @@ def find_complement(ambient: UnitSet, factor: UnitSet) -> UnitSet:
 
 def _complement_search(ambient: UnitSet, factor: UnitSet) -> UnitSet:
     """``find_complement`` without its guards: the caller knows the factor
-    lies in ``ambient`` and that ``ambient`` is abelian."""
+    lies in ``ambient`` and that ``ambient`` is abelian.
+
+    S*F grows by one batch product per new member s of <S, c>, which lists
+    s*F: |<S, c>*F| - |S*F| products in all, each a new member of S*F. The
+    only other products are the powers of the candidates and the coset
+    steps of ``_extend``."""
     g = ambient.group
     mul = partial(_mul, g)
     ids = ambient.masks
@@ -653,7 +705,7 @@ def _complement_search(ambient: UnitSet, factor: UnitSet) -> UnitSet:
     target = ambient.order // len(factor_set)
 
     def dfs(
-        span: set[int], span_factor: frozenset[int], gens: list[int], start: int
+        span: set[int], span_factor: set[int], gens: list[int], start: int
     ) -> UnitSet | None:
         if len(span) == target:
             return make_unit_set(g, span, generators=gens)
@@ -666,13 +718,16 @@ def _complement_search(ambient: UnitSet, factor: UnitSet) -> UnitSet:
                 power = mul(power, c)
             if not powers or power not in span:
                 continue
-            grown_factor = span_factor | {mul(x, p) for x in span_factor for p in powers}
-            found = dfs(_extend(mul, span, (), c), grown_factor, gens + [c], idx + 1)
+            grown = _extend(mul, span, (), c)
+            grown_factor = set(span_factor)
+            for s in grown - span:
+                grown_factor.update(_products(g, s, factor.masks))
+            found = dfs(grown, grown_factor, gens + [c], idx + 1)
             if found is not None:
                 return found
         return None
 
-    found = dfs({1}, factor_set, [], 0)
+    found = dfs({1}, set(factor_set), [], 0)
     if found is None:
         raise NoComplementError(
             f"no complement of a factor of order {len(factor_set)} "

@@ -10,7 +10,12 @@ is the coefficient of the group element with index i.
 
 from __future__ import annotations
 
-from f2units.errors import GroupAxiomViolationError, NoComplementError, NotAUnitError
+from f2units.errors import (
+    GroupAxiomViolationError,
+    HypothesisViolationError,
+    NoComplementError,
+    NotAUnitError,
+)
 
 
 def bits(mask: int) -> list[int]:
@@ -427,3 +432,61 @@ def naive_find_complement(g, ambient, factor) -> tuple[list[int], list[int]]:
     if found is None:
         raise NoComplementError("no complement")
     return found
+
+
+def naive_complement_search(g, ambient, factor) -> tuple[list[int], list[int]]:
+    """The first complement of ``factor`` in the abelian ``ambient`` (both
+    mask lists), by the search ``find_complement`` makes, with S*F carried
+    as ``find_complement`` once carried it: grown by the translates
+    S*F*c^i of each accepted candidate c, over its powers c^i short of S*F.
+    The span <S, c> is the union of the cosets S*c^i over the same powers.
+    Returns (generators, sorted masks)."""
+    ids = sorted(ambient)
+    factor_set = frozenset(factor)
+    if len(ids) % len(factor_set):
+        raise NoComplementError("factor order does not divide ambient order")
+    target = len(ids) // len(factor_set)
+
+    def dfs(span, span_factor, gens, start):
+        if len(span) == target:
+            return gens, sorted(span)
+        for idx in range(start, len(ids)):
+            c = ids[idx]
+            powers = []
+            power = c
+            while power not in span_factor:
+                powers.append(power)
+                power = naive_mul(g, power, c)
+            if not powers or power not in span:
+                continue
+            grown_factor = span_factor | {naive_mul(g, x, p) for x in span_factor for p in powers}
+            grown = span | {naive_mul(g, s, p) for s in span for p in powers}
+            found = dfs(grown, grown_factor, gens + [c], idx + 1)
+            if found is not None:
+                return found
+        return None
+
+    found = dfs({1}, factor_set, [], 0)
+    if found is None:
+        raise NoComplementError("no complement")
+    return found
+
+
+def naive_cofactor_premise(form, w_masks, ell_masks) -> int:
+    """The premise of the classical cofactor H = W*L, decided as
+    ``build_normal_cofactor`` once decided it, by eliminating every member
+    of W - 1: a subspace exactly when it has 2^rank members, closed under
+    translation by A when the translates of its basis by each generator of
+    A, on either side, raise no rank. Then L must lie on A. Returns the mask
+    of A, or raises HypothesisViolationError with the library's messages."""
+    g = form.group
+    module = [1 ^ m for m in w_masks]
+    basis = naive_basis(module)
+    shifts = [p for a in form.a_sub.generators for p in (g.mul[a], [r[a] for r in g.mul])]
+    moved = naive_basis(basis + [naive_apply_perm(p, x) for p in shifts for x in basis])
+    if len(module) != 1 << len(basis) or len(moved) != len(basis):
+        raise HypothesisViolationError("W - 1 is not a subspace closed under translation by A")
+    on_a = sum(1 << i for i in form.a_sub.members)
+    if any(m & ~on_a for m in ell_masks):
+        raise HypothesisViolationError("the complement is not supported on A")
+    return on_a

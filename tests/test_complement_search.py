@@ -1,6 +1,7 @@
 """The complement search against the depth-first search that lists every
-candidate's span, the pipelines' direct calls of the search against
-``find_complement``, and the multiplication count of the search."""
+candidate's span and against the search that grew S*F by translates, the
+pipelines' direct calls of the search against ``find_complement``, and the
+multiplication count of the search."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.cli import main
 from f2units.errors import NoComplementError, NotAbelianError
 from f2units.groups import coset_representatives
-from oracles import naive_find_complement
+from oracles import naive_complement_search, naive_find_complement
 
 
 def _classical_parts(form):
@@ -46,6 +47,12 @@ CLASSICAL_FORMS = {
     ),
 }
 ODOT_FORMS = {e.key: e.form for e in ODOT_ENTRIES}
+# Order-64 odot forms whose order-2 central units (4,096 of them) the search
+# runs in; too large for the search that lists every candidate's span.
+LARGE_ODOT_FORMS = {
+    key: lambda base=base: f.make_odot_form(f.make_direct_product(base(), f.make_cyclic(8)))
+    for key, base in (("D8xC8", lambda: f.make_dihedral(8)), ("Q8xC8", lambda: f.make_quaternion(8)))
+}
 
 COMPLEMENT_CASES = {
     **{f"L {key}": (lambda b=b: _classical_parts(b())) for key, b in CLASSICAL_FORMS.items()},
@@ -75,6 +82,41 @@ def _both_or_neither(ambient, factor):
 def test_find_complement_matches_listing_search(case):
     found = _both_or_neither(*COMPLEMENT_CASES[case]())
     assert (found is None) == (case == "C4 over {1, a2}")
+
+
+def _q32_over_its_complement():
+    """V_*(F2A) of Q32 over L, whose members are not group elements: each
+    product of the search takes one shift per term of a member of L."""
+    ambient, a_image = _classical_parts(CLASSICAL_FORMS["Q32"]())
+    return ambient, f.find_complement(ambient, a_image)
+
+
+TRANSLATE_CASES = {
+    **COMPLEMENT_CASES,
+    **{
+        f"T {key}": (lambda b=b: decompositions._central_order_2_parts(b()))
+        for key, b in LARGE_ODOT_FORMS.items()
+    },
+    "L Q32 over its complement": _q32_over_its_complement,
+}
+
+
+@pytest.mark.parametrize("case", list(TRANSLATE_CASES))
+def test_search_matches_the_translate_search(case):
+    """S*F grown from the new span members, one batch product each, is the
+    union of the translates S*F*c^i: the same candidates are accepted in the
+    same order, and the same complement is found."""
+    ambient, factor = TRANSLATE_CASES[case]()
+    assert all(m.bit_count() > 1 for m in factor.masks[1:]) == ("over its complement" in case)
+    try:
+        comp = f.find_complement(ambient, factor)
+    except NoComplementError:
+        with pytest.raises(NoComplementError):
+            naive_complement_search(ambient.group, ambient.masks, factor.masks)
+        assert case == "C4 over {1, a2}"
+        return
+    want = naive_complement_search(ambient.group, ambient.masks, factor.masks)
+    assert (list(comp.generators), list(comp.masks)) == want
 
 
 _C2 = f.make_cyclic(2)
@@ -195,16 +237,31 @@ def test_non_abelian_subgroup_raises_the_search_error():
 
 
 def test_q32_construct_multiplication_count(monkeypatch, capsys):
-    """One Q32 construct run makes 1,198 mask products; the search that
-    listed every candidate's span made 11,329, 1,875 remained while the
-    unipotent generators were multiplied out, and 1,811 while the abelian
-    test and the conjugation identities read generators listed from the
-    whole of V_*(F2A)."""
-    calls = []
-    mul = algebra._mul
-    for module in (algebra, unitgroup, decompositions):
-        monkeypatch.setattr(module, "_mul", lambda *args: calls.append(1) or mul(*args))
+    """One Q32 construct run makes 702 mask products and 31 batch products,
+    one per member of L but the identity, as the search grows S*F; 1,198
+    mask products while it listed the translates S*F*c^i one product at a
+    time. The search that listed every candidate's span made 11,329, 1,875
+    remained while the unipotent generators were multiplied out, and 1,811
+    while the abelian test and the conjugation identities read generators
+    listed from the whole of V_*(F2A)."""
+    calls = {"_mul": 0, "_products": 0}
+
+    def counting(name):
+        original = getattr(algebra, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        counted = counting(name)
+        for module in (algebra, unitgroup, decompositions):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     args = ["--family", "quaternion", "--order", "32", "--involution", "classical"]
     assert main([*args, "--mode", "construct", "--format", "json"]) == 0
     capsys.readouterr()
-    assert len(calls) <= 1198
+    assert calls["_mul"] <= 702
+    assert calls["_products"] <= 31

@@ -394,18 +394,19 @@ def test_member_checks_read_the_generators(monkeypatch, case):
 
 
 def test_catalog_mode_multiplication_count(capsys):
-    """One catalog run makes 2,076 calls to _mul: the classical oracle
-    conjugates by the fixed-point pcgs of V_*, not by generators found by
-    listing the scanned group again, the unipotent generators are read off
-    the table, and neither complement search nor the conjugation identities
-    list generators of the group they run in (2,521 while they did)."""
-    calls = 0
-    code = algebra._mul.__code__
+    """One catalog run makes 1,900 calls to _mul and 31 to _products: the
+    classical oracle conjugates by the fixed-point pcgs of V_*, not by
+    generators found by listing the scanned group again, the unipotent
+    generators are read off the table, neither complement search nor the
+    conjugation identities list generators of the group they run in (2,521
+    _mul calls while they did), and the complement search grows S*F by one
+    batch product per new span member (2,076 _mul calls while it listed
+    the translates S*F*c^i one product at a time)."""
+    calls = {algebra._mul.__code__: 0, algebra._products.__code__: 0}
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code:
-            calls += 1
+        if event == "call" and frame.f_code in calls:
+            calls[frame.f_code] += 1
 
     config = cli.RunConfig(group=None, involution=None, mode="catalog", fmt="json")
     sys.setprofile(count)
@@ -415,4 +416,5 @@ def test_catalog_mode_multiplication_count(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert status == 1  # the dihedral odot instances fail by design
-    assert calls <= 2_076
+    assert calls[algebra._mul.__code__] <= 1_900
+    assert calls[algebra._products.__code__] <= 31

@@ -13,6 +13,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import f2units as f
 from f2units import cli, decompositions, unitgroup
@@ -20,7 +22,7 @@ from f2units.algebra import _eliminate, _involute, _span
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import HypothesisViolationError
 from conftest import relabelled_q32
-from oracles import naive_commute, naive_product
+from oracles import naive_cofactor_premise, naive_commute, naive_product
 
 
 def _extension(base, square_label):
@@ -238,6 +240,79 @@ def test_cofactor_rejects_a_broken_premise(case, message):
         ell = f.make_unit_set(g, [1, 1 << form.b])
     with pytest.raises(HypothesisViolationError, match=message):
         f.build_normal_cofactor(form, w, ell)
+
+
+def _bare_units(g, module):
+    """The unit set 1 + module, for a set of vectors that holds 0."""
+    return f.make_unit_set(g, (1 ^ m for m in module))
+
+
+def _premise_cases():
+    """The Q8 form, and (W, L) per case: the intact factors, the broken
+    premises above, and sets that a check on fewer members could mistake
+    for a subspace."""
+    form, w, ell = _q8_parts()
+    g = form.group
+    module = sorted(1 ^ m for m in w.masks)
+    # The mask of every element lies above each member of W - 1, which
+    # lies on the coset A b, and is not one of them.
+    everything = (1 << g.order) - 1
+    augmentation_ideal = _span(1 | 1 << a for a in form.a_sub.members if a)
+    return form, {
+        "W and L": (w, ell),
+        "W not a subspace": (f.make_unit_set(g, w.masks[:-1]), ell),
+        "W closed on the right only": (_translates(form, "right"), ell),
+        "W closed on the left only": (_translates(form, "left"), ell),
+        "L off A": (w, f.make_unit_set(g, [1, 1 << form.b])),
+        "|W| not a power of 2": (_bare_units(g, module + [everything]), ell),
+        "independent at the powers of 2, not a subspace": (
+            _bare_units(g, module[:-1] + [everything]),
+            ell,
+        ),
+        "W - 1 carrying bit 0, closed": (_bare_units(g, augmentation_ideal), ell),
+        "W - 1 carrying bit 0, not closed": (_bare_units(g, _span([module[1] | 1])), ell),
+    }
+
+
+def _premise_outcome(check, *args):
+    try:
+        return check(*args)
+    except HypothesisViolationError as exc:
+        return str(exc)
+
+
+def _same_premise(form, w, ell):
+    got = _premise_outcome(decompositions._require_cofactor_premise, form, w, ell)
+    assert got == _premise_outcome(naive_cofactor_premise, form, w.masks, ell.masks)
+    return got
+
+
+@pytest.mark.parametrize("case", list(_premise_cases()[1]))
+def test_premise_on_the_ascending_basis_matches_the_member_elimination(case):
+    """The premise read off the members at positions 1, 2, 4, ... of the
+    sorted W - 1 raises exactly when eliminating every member did, with the
+    same message, and returns the mask of A otherwise."""
+    form, cases = _premise_cases()
+    got = _same_premise(form, *cases[case])
+    assert isinstance(got, int) == (case in ("W and L", "W - 1 carrying bit 0, closed"))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["Q8", "Q16"]), st.data())
+def test_premise_matches_the_member_elimination_on_random_sets(key, data):
+    """Spans of a few random vectors, some with one member dropped or one
+    added, as W - 1 of the Q8 or Q16 form with its own L."""
+    form = CLASSICAL_FORMS[key]()
+    g = form.group
+    vector = st.integers(0, (1 << g.order) - 1)
+    module = set(_span(data.draw(st.lists(vector, max_size=4))))
+    change = data.draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop" and len(module) > 1:
+        module.discard(data.draw(st.sampled_from(sorted(module - {0}))))
+    elif change == "add":
+        module.add(data.draw(vector))
+    ell = f.build_abelian_complement(form)
+    _same_premise(form, _bare_units(g, module), ell)
 
 
 # ---------------------------------------------------------------------------
