@@ -22,12 +22,14 @@ each W are checked on their generators, the first failing one the witness, by
 ``_failing_members`` from ``unitgroup``, which alone knows its bit-plane
 format. The per-element lemma checks split with ``_coset_parts`` and decide
 on masks by their independent conditions; their docstrings prove the rest. No
-product set is listed by multiplying members. The cofactor H = W*L is listed,
-as a sumset, only for the oracle, which compares the assembled product with
-the enumerated unitary group by orders (``_product_is``) and decides
-normality in it on the fixed-point pcgs, once that generates it. Otherwise H
-is decided from W and L: its order, its semidirect structure and its meeting
-the group image from their supports, and its unitarity on its generators.
+group or product set is listed by multiplying members: that the classical W
+is the group its generators generate is decided on them too. The cofactor
+H = W*L is listed, as a sumset, only for the oracle, which compares the
+assembled product with the enumerated unitary group by orders
+(``_product_is``) and decides normality in it on the fixed-point pcgs, once
+that generates it. Otherwise H is decided from W and L: its order, its
+semidirect structure and its meeting the group image from their supports,
+and its unitarity on its generators.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .algebra import (
     augmentation,
 )
 from .errors import HypothesisViolationError, NoComplementError, NotAbelianError, NotUnitaryError
-from .groups import SubgroupSet, _greedy_generators, _require_group, coset_representatives
+from .groups import SubgroupSet, _require_group, coset_representatives
 from .involutions import (
     InvertingExtensionForm,
     OdotForm,
@@ -178,6 +180,26 @@ def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
     return make_unit_set(form.group, masks, generators=gens)
 
 
+def _generated_by_sums(w: UnitSet) -> bool:
+    """True iff, with x_i = w_i - 1 over W's recorded generators, every
+    product x_i x_j is 0 and 1 + span(x_i) is W: then all products in the
+    span vanish, (1+u)(1+v) = 1+u+v, and the generators generate exactly
+    1 + span(x_i), formed by XORs alone.
+
+    The products are computed, not assumed from (1+b*b)^2 = 0, as this is
+    the evidence for W's member checks on generators. They vanish on every
+    W that ``build_unipotent_factor`` builds (b has order 4 and b*b in A
+    commutes with F2A), so there the verdict is that of listing the group
+    the generators generate. Elsewhere it is stricter: 1 + J is generated
+    by its canonical generators, but J^2 is not 0, so it fails here.
+    """
+    g = w.group
+    xs = [1 ^ m for m in w.generators]
+    if any(_mul(g, x, y) for x in xs for y in xs):
+        return False
+    return {1 ^ m for m in _span(xs)} == w.mask_set()
+
+
 def _unipotent_generator(form: InvertingExtensionForm, gi: int) -> int:
     """1 + (1+b*b) g_i b, read off the table: (1+b*b) g_i b is the sum of the
     two group elements g_i b and b*b g_i b, distinct as b*b is not 1."""
@@ -240,8 +262,9 @@ def build_normal_cofactor(
     b*b lies in A: (1+b*b) z b a = (1+b*b) (z a') b with a' = b a b^-1. For
     l in L, inside V(F2A), (1 + s) l = l + s l and s -> s l permutes W - 1,
     so W l = l + (W - 1). HypothesisViolationError unless that premise holds
-    (``_require_cofactor_premise``). Only the oracle branch of
-    ``verify_inverting_decomposition`` lists H.
+    (``_require_cofactor_premise``). The oracle branch of
+    ``verify_inverting_decomposition``, which decides the premise first,
+    lists H by ``_cofactor_sumset`` alone.
 
     The sumset is listed with s outer, over the ascending W - 1, and l inner,
     over the ascending L. W - 1 lies on the coset A b and L on A, so when A
@@ -251,6 +274,11 @@ def build_normal_cofactor(
     a fuller sort.
     """
     _require_cofactor_premise(form, w, ell)
+    return _cofactor_sumset(form, w, ell)
+
+
+def _cofactor_sumset(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet) -> UnitSet:
+    """``build_normal_cofactor`` once its premise is decided."""
     _require_listable(form.group, w.order * ell.order, "the cofactor H = W*L")
     gens = tuple(w.generators or ()) + tuple(ell.generators or ())
     masks = (l ^ 1 ^ m for m in w.masks for l in ell.masks)
@@ -395,8 +423,7 @@ def verify_inverting_decomposition(
     w = build_unipotent_factor(form)
     expected_w = 1 << (a_order // 2)
     report.add("unipotent_order_formula", w.order == expected_w)
-    _, generated = _greedy_generators(partial(_mul, g), 1, w.generators)
-    report.add("unipotent_generator_route_agrees", generated == w.mask_set())
+    report.add("unipotent_generator_route_agrees", _generated_by_sums(w))
     # Each fiber is a coset of the kernel, of dimension |A| - log2|W|.
     report.add("unipotent_fibers_uniform", 1 << (a_order - w.order.bit_length() + 1) == expected_w)
     preds = structure_predicates(w)
@@ -405,7 +432,8 @@ def verify_inverting_decomposition(
         preds["is_elementary_abelian_2"] and preds["rank"] == a_order // 2,
     )
     # The unitary elements, and in the abelian W those squaring to 1, form
-    # groups, and W is the group its generators generate (route check above).
+    # groups, and W is the group its generators generate (route check above,
+    # decided on the generators).
     _add_member_check(report, "unipotent_members_unitary", g, gens_of(w), sigma, square=True)
 
     v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
@@ -449,7 +477,7 @@ def verify_inverting_decomposition(
     }
 
     if oracle:
-        h = build_normal_cofactor(form, w, ell)
+        h = _cofactor_sumset(form, w, ell)  # its premise is decided above
         g_image = group_image(g)
         v = enumerate_unitary(g, sigma, max_order=max_order)
         report.orders["oracle_unitary"] = v.order

@@ -101,7 +101,8 @@ class GroupTable:
         return self.order & (self.order - 1) == 0
 
     def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
+        """g * x * g^-1, for element indices g and x."""
+        g, x = _require_index(self, g), _require_index(self, x)
         return self.mul[self.mul[g][x]][self.inv[g]]
 
     def __repr__(self) -> str:
@@ -387,7 +388,7 @@ def commutator_subgroup(g: GroupTable) -> SubgroupSet:
     inv = g.inv
     gens = g.greedy_generators
     comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]] for a in gens for b in gens}
-    return subgroup_closure(g, {g.conjugate(x, c) for x in range(g.order) for c in comms})
+    return subgroup_closure(g, {mul[mul[x][c]][inv[x]] for x in range(g.order) for c in comms})
 
 
 def element_order(g: GroupTable, x: int) -> int:

@@ -114,6 +114,12 @@ def naive_unit_closure(g, gens) -> set[int]:
     return members
 
 
+def naive_generator_route(g, gens, masks) -> bool:
+    """The generator route of a unipotent factor as the classical pipeline
+    first decided it: the closure of the generators is the given set."""
+    return naive_unit_closure(g, gens) == set(masks)
+
+
 def naive_canonical_generators(g, masks) -> list[int]:
     """Greedy generators over the ascending masks: each mask outside the span
     of the generators so far is added, and the span is recomputed from

@@ -483,6 +483,8 @@ def test_closure_matches_oracle(d8, q16):
         lambda g, i: f.make_inverting_form(g, [i], 4),
         lambda g, i: f.make_inverting_form(g, [1], i),
         lambda g, i: g.label(i),
+        lambda g, i: g.conjugate(i, 1),
+        lambda g, i: g.conjugate(1, i),
     ],
     ids=[
         "subgroup_closure",
@@ -494,6 +496,8 @@ def test_closure_matches_oracle(d8, q16):
         "make_inverting_form-a",
         "make_inverting_form-b",
         "label",
+        "conjugate-g",
+        "conjugate-x",
     ],
 )
 @pytest.mark.parametrize("index", [99, -1, 1.0, True, "1"], ids=repr)

@@ -126,6 +126,23 @@ def test_member_checks_pass_generating_sets():
     assert [node.lineno for node, (m,) in zip(calls, masks) if not generating(m)] == []
 
 
+def test_decompositions_lists_no_group_by_products():
+    """The pipelines never multiply a group out: ``decompositions`` neither
+    imports nor names the closure ``_greedy_generators`` or its coset step
+    ``_extend``."""
+    source = Path(f.__file__).with_name("decompositions.py").read_text(encoding="utf-8")
+    closures = {"_greedy_generators", "_extend"}
+    named = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            named += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Name):
+            named.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            named.append((node.attr, node.lineno))
+    assert [(name, line) for name, line in named if name in closures] == []
+
+
 def test_no_module_imports_dataclasses():
     """The records are plain classes: a dataclass compiles its generated
     methods at import, which every command pays."""
@@ -163,6 +180,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 # the reason it stays public.
 UNREFERENCED_PUBLIC_FUNCTIONS = {
     "build_abelian_complement": "Theorem 1's complement L of A in V_*(F2A) (acceptance, demo 03)",
+    "build_normal_cofactor": "Theorem 1's cofactor H = W*L behind its premise (demo 03); "
+    "the pipeline decides the premise once and lists H by the sumset alone",
     "build_torsion_complement": "the twisted decomposition's T (acceptance, demos 04 and 05)",
     "check_conjugation_closure": "Theorem 1's three conjugation identities (acceptance)",
     "find_complement": "the complement search with its containment and abelian guards, "

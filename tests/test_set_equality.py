@@ -5,24 +5,34 @@ against a listing by ``oracles.naive_product``, on the intact factors and on
 mutants that keep every factor a subgroup; a guard fails when a pipeline
 lists a product again. Construct mode decides the facts about H from W and
 L and never lists H: each verdict is checked against the listed H, on the
-intact factors and on three mutants, and a guard makes the listing raise."""
+intact factors and on three mutants, and a guard makes the listing raise.
+Nor is W multiplied out to show that its generators generate it: that
+verdict, decided on the generators, is checked against their closure."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import f2units as f
-from f2units import cli, decompositions, unitgroup
+from f2units import algebra, cli, decompositions, unitgroup
 from f2units.algebra import _eliminate, _involute, _span
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import HypothesisViolationError
+from f2units.groups import _greedy_generators
 from conftest import relabelled_q32
-from oracles import naive_cofactor_premise, naive_commute, naive_product
+from oracles import (
+    naive_cofactor_premise,
+    naive_commute,
+    naive_generator_route,
+    naive_mul,
+    naive_product,
+)
 
 
 def _extension(base, square_label):
@@ -315,6 +325,92 @@ def test_premise_matches_the_member_elimination_on_random_sets(key, data):
     _same_premise(form, _bare_units(g, module), ell)
 
 
+@pytest.mark.parametrize("skip", [False, True], ids=["verify", "construct"])
+def test_classical_pipeline_decides_the_cofactor_premise_once(q16_form, skip, monkeypatch):
+    """The oracle lists H by the sumset alone, as the pipeline has already
+    decided its premise; ``build_normal_cofactor`` keeps the premise for
+    direct callers."""
+    calls = []
+    premise = decompositions._require_cofactor_premise
+    monkeypatch.setattr(
+        decompositions, "_require_cofactor_premise", lambda *a: calls.append(1) or premise(*a)
+    )
+    assert f.verify_inverting_decomposition(q16_form, skip_enumeration=skip).passed
+    assert len(calls) == 1
+    w, ell = f.build_unipotent_factor(q16_form), f.build_abelian_complement(q16_form)
+    f.build_normal_cofactor(q16_form, w, ell)
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the generator route of W, decided on its generators
+
+
+def _route_mutants(form, gens):
+    """W's generators as built, then with the last one replaced: by b*b,
+    outside W and odd, whose vector 1 + b*b still multiplies the others to
+    0; by b, whose vector squares to 1 + b*b (only below order 32, where
+    the closure of b and W stays small); and by the product of the first
+    two, which loses rank (not at Q8, whose W has two generators)."""
+    g, keep = form.group, list(gens[:-1])
+    yield "as built", list(gens)
+    yield "b*b", keep + [1 << form.b_squared]
+    if g.order <= 16:
+        yield "b", keep + [1 << form.b]
+    if len(gens) > 2:
+        yield "rank lost", keep + [naive_mul(g, gens[0], gens[1])]
+
+
+def _route_verdicts(form, reference):
+    """Each mutant's verdict on its generators, asserted equal to the
+    reference's verdict on the closure of the same generators."""
+    g = form.group
+    w = f.build_unipotent_factor(form)
+    verdicts = {}
+    for name, gens in _route_mutants(form, w.generators):
+        verdicts[name] = decompositions._generated_by_sums(f.make_unit_set(g, w.masks, gens))
+        assert verdicts[name] == reference(g, gens, w.masks), name
+    return verdicts
+
+
+@pytest.mark.parametrize("key", list(CLASSICAL_FORMS))
+def test_generator_route_on_generators_matches_the_closure(key):
+    """W's generator route decided on the generators (vanishing pairwise
+    products of their vectors, one XOR span) gives the verdict of the
+    closure of the generators on every built W and on its mutants."""
+    verdicts = _route_verdicts(CLASSICAL_FORMS[key](), naive_generator_route)
+    assert verdicts.pop("as built") and not any(verdicts.values())
+
+
+def test_generator_route_on_generators_matches_the_listing_at_q64():
+    """Q64's W has 2^16 members, too many for the naive closure, so the
+    reference lists the group the generators generate coset by coset, with
+    ``_greedy_generators``."""
+
+    def listing(g, gens, masks):
+        return _greedy_generators(partial(algebra._mul, g), 1, gens)[1] == set(masks)
+
+    verdicts = _route_verdicts(f.detect_inverting_form(f.make_quaternion(64)), listing)
+    assert verdicts == {"as built": True, "b*b": False, "rank lost": False}
+
+
+def test_generator_route_on_one_plus_j(q8):
+    """1 + J, J the augmentation ideal, is the group its canonical
+    generators generate, but J^2 is not 0: the closure passes it and the
+    check on generators does not. The two differ only where such products
+    do not vanish, as on no built W. With Q8's elements as generators, their
+    vectors 1 + g span J, so the span alone would pass; they generate only
+    Q8, and the products fail them."""
+    v = f.enumerate_normalized_units(q8)
+    gens = f.canonical_generators(v)
+    assert naive_generator_route(q8, gens, v.masks)
+    assert not decompositions._generated_by_sums(f.make_unit_set(q8, v.masks, gens))
+    elements = [1 << i for i in range(1, 8)]
+    assert {1 ^ m for m in _span([1 ^ m for m in elements])} == v.mask_set()
+    assert not naive_generator_route(q8, elements, v.masks)
+    assert not decompositions._generated_by_sums(f.make_unit_set(q8, v.masks, elements))
+
+
 # ---------------------------------------------------------------------------
 # no pipeline lists a product
 
@@ -441,13 +537,14 @@ Q16_PAST_THE_BOUND = "3770f14b35f8a9589f8b085aab1437fcd1ce702b7b1620b0b94ac2276c
 
 
 def test_construct_mode_never_lists_the_cofactor(q16_form, monkeypatch, capsys):
-    """With build_normal_cofactor raising, construct mode and a run past the
-    exhaustive bound still finish with their pinned reports."""
+    """With the sumset that lists H raising, construct mode and a run past
+    the exhaustive bound still finish with their pinned reports. The oracle
+    lists H by ``_cofactor_sumset`` alone, so that is the one to refuse."""
 
     def refuse(*args):
         raise AssertionError("the cofactor H was listed")
 
-    monkeypatch.setattr(decompositions, "build_normal_cofactor", refuse)
+    monkeypatch.setattr(decompositions, "_cofactor_sumset", refuse)
     for (family, order, extra), pin in CONSTRUCT_PINS.items():
         args = ["--family", family, "--order", order, *extra, "--involution", "classical"]
         assert cli.main([*args, "--mode", "construct", "--format", "json"]) == 0
