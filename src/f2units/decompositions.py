@@ -22,14 +22,15 @@ each W are checked on their generators, the first failing one the witness, by
 ``_failing_members`` from ``unitgroup``, which alone knows its bit-plane
 format. The per-element lemma checks split with ``_coset_parts`` and decide
 on masks by their independent conditions; their docstrings prove the rest. No
-group or product set is listed by multiplying members: that the classical W
-is the group its generators generate is decided on them too. The cofactor
-H = W*L is listed, as a sumset, only for the oracle, which compares the
-assembled product with the enumerated unitary group by orders
-(``_product_is``) and decides normality in it on the fixed-point pcgs, once
-that generates it. Otherwise H is decided from W and L: its order, its
-semidirect structure and its meeting the group image from their supports,
-and its unitarity on its generators.
+group or product set is listed by multiplying members, and the classical W's
+facts are decided once: on the basis of W - 1 that its module check keeps
+and on one table of its generators' products. The cofactor H = W*L is
+listed, as a sumset, only for the oracle, which compares the assembled
+product with the enumerated unitary group by orders (``_product_is``) and
+decides normality in it on the fixed-point pcgs, once that generates it.
+Otherwise H is decided from W and L: its order, its semidirect structure and
+its meeting the group image from their supports, and its unitarity on its
+generators.
 """
 
 from __future__ import annotations
@@ -180,24 +181,30 @@ def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
     return make_unit_set(form.group, masks, generators=gens)
 
 
-def _generated_by_sums(w: UnitSet) -> bool:
-    """True iff, with x_i = w_i - 1 over W's recorded generators, every
-    product x_i x_j is 0 and 1 + span(x_i) is W: then all products in the
-    span vanish, (1+u)(1+v) = 1+u+v, and the generators generate exactly
-    1 + span(x_i), formed by XORs alone.
+def _generator_facts(w: UnitSet, rank: int) -> tuple[bool, bool]:
+    """(generated, elementary) for W's recorded generators w_i, W - 1 a subspace
+    of dimension ``rank``, read off one table of products x_i x_j, x_i = w_i - 1.
 
-    The products are computed, not assumed from (1+b*b)^2 = 0, as this is
-    the evidence for W's member checks on generators. They vanish on every
-    W that ``build_unipotent_factor`` builds (b has order 4 and b*b in A
-    commutes with F2A), so there the verdict is that of listing the group
-    the generators generate. Elsewhere it is stricter: 1 + J is generated
-    by its canonical generators, but J^2 is not 0, so it fails here.
+    generated: when every x_i x_j is 0, so is every product in the span,
+    (1+u)(1+v) = 1+u+v, and the w_i generate exactly 1 + span(x_i): W when
+    each w_i lies in W and the x_i have rank ``rank``. The products are
+    computed, not assumed from (1+b*b)^2 = 0, as this is the evidence for
+    W's member checks on generators. They vanish on every W that
+    ``build_unipotent_factor`` builds, so there the verdict is that of
+    listing the group the generators generate; 1 + J, generated by its
+    canonical generators with J^2 != 0, fails.
+
+    elementary: w_i w_j - w_j w_i = x_i x_j - x_j x_i and w_i^2 - 1 = x_i^2,
+    so the w_i are commuting involutions, which generate an elementary
+    abelian group, when the table is symmetric with a zero diagonal.
     """
     g = w.group
     xs = [1 ^ m for m in w.generators]
-    if any(_mul(g, x, y) for x in xs for y in xs):
-        return False
-    return {1 ^ m for m in _span(xs)} == w.mask_set()
+    table = [[_mul(g, x, y) for y in xs] for x in xs]
+    spans = all(m in w for m in w.generators) and len(_eliminate(xs)[0]) == rank
+    symmetric = [list(col) for col in zip(*table)] == table
+    elementary = symmetric and not any(row[i] for i, row in enumerate(table))
+    return spans and not any(chain.from_iterable(table)), elementary
 
 
 def _unipotent_generator(form: InvertingExtensionForm, gi: int) -> int:
@@ -225,10 +232,10 @@ def build_abelian_complement(form: InvertingExtensionForm) -> UnitSet:
     return _abelian_complement(v_a, group_image(g, form.a_sub), form.a_sub)
 
 
-def _require_cofactor_premise(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet) -> int:
-    """The mask of A; HypothesisViolationError unless W - 1 is a subspace that
-    left and right translation (g.mul[a] and column a) by each generator a of
-    A maps into itself and L lies on A: bit permutations, no product.
+def _require_w_module(form: InvertingExtensionForm, w: UnitSet) -> list[int]:
+    """The ascending reduced echelon basis of W - 1; HypothesisViolationError
+    unless W - 1 is a subspace that left and right translation (g.mul[a] and
+    column a) by each generator a of A maps into itself: no product.
 
     W - 1 is decided on r of its 2^r members, not eliminated whole. Sorted
     ascending, a subspace lists its reduced echelon basis b_1 < ... < b_r
@@ -248,6 +255,11 @@ def _require_cofactor_premise(form: InvertingExtensionForm, w: UnitSet, ell: Uni
     moved, _ = _eliminate(basis + [_involute(p, x) for p in shifts for x in basis])
     if len(module) != 1 << rank or _span(basis) != module or len(moved) != rank:
         raise HypothesisViolationError("W - 1 is not a subspace closed under translation by A")
+    return basis
+
+
+def _require_on_a(form: InvertingExtensionForm, ell: UnitSet) -> int:
+    """The mask of A; HypothesisViolationError unless L lies on A."""
     on_a = sum(1 << i for i in form.a_sub.members)
     if any(m & ~on_a for m in ell.masks):
         raise HypothesisViolationError("the complement is not supported on A")
@@ -262,7 +274,7 @@ def build_normal_cofactor(
     b*b lies in A: (1+b*b) z b a = (1+b*b) (z a') b with a' = b a b^-1. For
     l in L, inside V(F2A), (1 + s) l = l + s l and s -> s l permutes W - 1,
     so W l = l + (W - 1). HypothesisViolationError unless that premise holds
-    (``_require_cofactor_premise``). The oracle branch of
+    (``_require_w_module`` and ``_require_on_a``). The oracle branch of
     ``verify_inverting_decomposition``, which decides the premise first,
     lists H by ``_cofactor_sumset`` alone.
 
@@ -273,7 +285,8 @@ def build_normal_cofactor(
     ``make_unit_set`` sorts it in linear time. A relabelled table only costs
     a fuller sort.
     """
-    _require_cofactor_premise(form, w, ell)
+    _require_w_module(form, w)
+    _require_on_a(form, ell)
     return _cofactor_sumset(form, w, ell)
 
 
@@ -421,19 +434,16 @@ def verify_inverting_decomposition(
     if oracle:  # refuse a scan that cannot fit before anything is listed
         _require_scan_memory(g, g.order)
     w = build_unipotent_factor(form)
+    basis = _require_w_module(form, w)
+    generated, elementary = _generator_facts(w, len(basis))
     expected_w = 1 << (a_order // 2)
     report.add("unipotent_order_formula", w.order == expected_w)
-    report.add("unipotent_generator_route_agrees", _generated_by_sums(w))
+    report.add("unipotent_generator_route_agrees", generated)
     # Each fiber is a coset of the kernel, of dimension |A| - log2|W|.
     report.add("unipotent_fibers_uniform", 1 << (a_order - w.order.bit_length() + 1) == expected_w)
-    preds = structure_predicates(w)
-    report.add(
-        "unipotent_elementary_abelian",
-        preds["is_elementary_abelian_2"] and preds["rank"] == a_order // 2,
-    )
+    report.add("unipotent_elementary_abelian", elementary and len(basis) == a_order // 2)
     # The unitary elements, and in the abelian W those squaring to 1, form
-    # groups, and W is the group its generators generate (route check above,
-    # decided on the generators).
+    # groups, and W is the group its generators generate (route check above).
     _add_member_check(report, "unipotent_members_unitary", g, gens_of(w), sigma, square=True)
 
     v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
@@ -453,10 +463,10 @@ def verify_inverting_decomposition(
     report.add("abelian_complement_contract", internal_direct(v_a, [a_image, ell]))
 
     # H = W*L is decided from W and L; only the oracle lists it. L lies on A,
-    # so with W - 1 on the coset A b the sums l + s are distinct, and a basis
-    # element lies in H only if it lies in L.
-    on_a = _require_cofactor_premise(form, w, ell)
-    report.add("cofactor_order", not any((1 ^ m) & on_a for m in w.masks))
+    # so with W - 1, the span of its basis, on the coset A b the sums l + s
+    # are distinct, and a basis element lies in H only if it lies in L.
+    on_a = _require_on_a(form, ell)
+    report.add("cofactor_order", not any(x & on_a for x in basis))
     semidirect = w.mask_set() & ell.mask_set() == {1} and normalizes(g, gens_of(ell), w)
     report.add("cofactor_semidirect", semidirect)
 

@@ -198,41 +198,28 @@ def _require_scan_memory(g: GroupTable, k: int) -> None:
     _require_memory(nbytes, f"the scan of {k} positions")
 
 
-def _free_positions(g: GroupTable, support: SubgroupSet | None, max_order: int) -> tuple[int, ...]:
-    """The coefficient positions a scan runs over, within the bound."""
-    if support is not None:
-        _require_group(g, support.group, "the support subgroup")
-    members = tuple(support.members) if support is not None else tuple(range(g.order))
-    _require_within(len(members), max_order, "the number of free coefficient positions")
-    return members
-
-
 def enumerate_normalized_units(
     g: GroupTable,
     max_order: int = DEFAULT_EXHAUSTIVE_BOUND,
     workers: int | None = None,
-    support: SubgroupSet | None = None,
 ) -> UnitSet:
-    """All augmentation-1 elements of F2[S], each a unit.
+    """All augmentation-1 elements of F2[G], each a unit.
 
-    The augmentation ideal J is nilpotent exactly when S is a 2-group
+    The augmentation ideal J is nilpotent exactly when G is a 2-group
     (Jennings, Trans. AMS 50, 1941), and once J^t = 0, 1 + j has inverse
-    1 + j + ... + j^(t-1). S is a group (a SubgroupSet is a subgroup), so
-    that holds when |S| is a power of 2; else NotAUnitError names the
-    order. With ``support`` this runs inside the
-    subalgebra spanned by a subgroup; the bound applies to the number of free
-    coefficient positions. The masks are listed ascending, so the UnitSet is
-    built with no sort. ``workers`` is accepted and ignored.
+    1 + j + ... + j^(t-1). That holds when |G| is a power of 2; else
+    NotAUnitError names the order. The masks are listed ascending, so the
+    UnitSet is built with no sort. ``workers`` is accepted and ignored.
     """
-    members = _free_positions(g, support, max_order)
-    n = len(members)
+    n = g.order
+    _require_within(n, max_order, "the number of free coefficient positions")
     if n & (n - 1):
         raise NotAUnitError(f"augmentation ideal not nilpotent: order {n} is not a power of 2")
     _require_listable(g, 1 << (n - 1), "the normalized units")
     # Two half-size spans, the high one outer, list the masks in ascending
     # order; each high mask takes the low masks that make the augmentation 1.
     half = n // 2
-    low, high = _span(1 << c for c in members[:half]), _span(1 << c for c in members[half:])
+    low, high = _span(1 << c for c in range(half)), _span(1 << c for c in range(half, n))
     completing = [[m for m in low if m.bit_count() & 1 != p] for p in (0, 1)]
     return UnitSet(g, tuple([h | m for h in high for m in completing[h.bit_count() & 1]]))
 
@@ -443,7 +430,10 @@ def enumerate_unitary(
     sort. ``workers`` is accepted and ignored.
     """
     _require_group(g, sigma.group, "the involution")
-    members = _free_positions(g, support, max_order)
+    if support is not None:
+        _require_group(g, support.group, "the support subgroup")
+    members = tuple(support.members) if support is not None else tuple(range(g.order))
+    _require_within(len(members), max_order, "the number of free coefficient positions")
     _require_scan_memory(g, len(members))
     return UnitSet(g, _unitary_kernel(g, sigma.perm, members))
 

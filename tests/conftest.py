@@ -9,15 +9,22 @@ exchange elements must draw the group from the same fixture.
 from __future__ import annotations
 
 import functools
+import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
+# A test run leaves no bytecode in src/, nor do the interpreters it starts:
+# a cached import would make the benchmark's setup_s time the load of that
+# cache, not a fresh compile.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 sys.path.insert(0, str(Path(__file__).parent))
 
 import f2units as f
+from f2units.algebra import _span
 
 
 @pytest.fixture(scope="session")
@@ -129,3 +136,9 @@ def relabelled_q32():
     form = f.detect_inverting_form(f.GroupTable(table, labels, name="Q32"))
     assert sorted(form.a_sub.members) != list(range(16))
     return form
+
+
+def subalgebra_units(sub) -> list[int]:
+    """The units of the subalgebra on a subgroup of a 2-group, ascending: its
+    elements of augmentation 1, as its augmentation ideal is nilpotent."""
+    return [m for m in _span(1 << i for i in sorted(sub.members)) if m.bit_count() & 1]

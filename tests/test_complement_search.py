@@ -237,11 +237,13 @@ def test_non_abelian_subgroup_raises_the_search_error():
 
 
 def test_q32_construct_multiplication_count(monkeypatch, capsys):
-    """One Q32 construct run makes 475 mask products and 31 batch products,
-    one per member of L but the identity, as the search grows S*F; 702 mask
-    products while the generator route of W multiplied W out, one coset
-    step per member, where it now takes the 64 pairwise products of its 8
-    generators' vectors, and 1,198 while the search listed the translates
+    """One Q32 construct run makes 411 mask products and 31 batch products,
+    one per member of L but the identity, as the search grows S*F; 475 mask
+    products while the elementary check on W took another 64 products of
+    its 8 generators, where it now reads the one table of their vectors'
+    64 pairwise products that the generator route takes; 702 while the
+    generator route of W multiplied W out, one coset step per member, and
+    1,198 while the search listed the translates
     S*F*c^i one product at a time. The search that listed every candidate's
     span made 11,329, 1,875 remained while the unipotent generators were
     multiplied out, and 1,811 while the abelian test and the conjugation
@@ -265,5 +267,5 @@ def test_q32_construct_multiplication_count(monkeypatch, capsys):
     args = ["--family", "quaternion", "--order", "32", "--involution", "classical"]
     assert main([*args, "--mode", "construct", "--format", "json"]) == 0
     capsys.readouterr()
-    assert calls["_mul"] <= 475
+    assert calls["_mul"] <= 411
     assert calls["_products"] <= 31

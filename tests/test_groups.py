@@ -573,7 +573,6 @@ GROUP_BOUND_OPERANDS = {
     ),
     "UnitSet.__contains__": lambda g, h: f.one(h) in f.group_image(g),
     "group_image": lambda g, h: f.group_image(g, f.center(h)),
-    "support": lambda g, h: f.enumerate_normalized_units(g, support=f.center(h)),
     "enumerate_unitary": lambda g, h: f.enumerate_unitary(g, f.classical_involution(h)),
     "unit_subgroup_closure": lambda g, h: f.unit_subgroup_closure(g, [f.one(h)]),
     "internal_semidirect": lambda g, h: f.internal_semidirect(

@@ -19,11 +19,15 @@ import f2units as f
 from f2units import algebra
 from f2units.algebra import _eliminate, _span
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, small_catalog_groups
-from f2units.decompositions import _central_order_2_parts, _unipotent_map
+from f2units.decompositions import (
+    _central_order_2_parts,
+    _central_unipotent_basis,
+    _unipotent_map,
+)
 from f2units.errors import NotAUnitError
 from f2units.involutions import InvertingExtensionForm
 from f2units.unitgroup import _ideal_powers
-from conftest import relabelled_q32
+from conftest import relabelled_q32, subalgebra_units
 from oracles import (
     bits,
     naive_basis,
@@ -88,12 +92,33 @@ def test_central_unipotent_matches_triple_loop(make_form):
     assert f.build_central_unipotent(form).mask_set() == expected
 
 
+def _odot_with_c8(make_base):
+    return lambda: f.make_odot_form(f.make_direct_product(make_base(), f.make_cyclic(8)))
+
+
+@pytest.mark.parametrize(
+    "make_form",
+    [
+        *ODOT_FORMS,
+        pytest.param(_odot_with_c8(lambda: f.make_dihedral(8)), id="D8xC8"),
+        pytest.param(_odot_with_c8(lambda: f.make_quaternion(8)), id="Q8xC8"),
+    ],
+)
+def test_central_unipotent_generators_generate_w(make_form):
+    """The vectors v of the odot W's generators 1 + v multiply pairwise to
+    0, so (1+u)(1+v) = 1+u+v and the generators generate 1 + span(v) = W:
+    the evidence for W's member checks on generators. No member is listed."""
+    form = make_form()
+    g, vectors = form.group, _central_unipotent_basis(form)
+    assert not any(algebra._mul(g, x, y) for x in vectors for y in vectors)
+
+
 @pytest.mark.parametrize("make_form", ODOT_FORMS)
 def test_central_order_2_units_are_one_plus_the_squaring_kernel(make_form):
     form = make_form()
     g = form.group
-    units = f.enumerate_normalized_units(g, support=form.c_sub)
-    listed = tuple(m for m in units.masks if naive_mul(g, m, m) == 1)
+    units = naive_unit_masks(g, form.c_sub.members)
+    listed = tuple(m for m in units if naive_mul(g, m, m) == 1)
     v_c2, _ = _central_order_2_parts(form)
     assert v_c2.masks == listed
 
@@ -117,10 +142,11 @@ def _scan_subgroups():
 
 @pytest.mark.parametrize("make_sub", list(_scan_subgroups()))
 def test_supported_normalized_units_match_per_candidate_listing(make_sub):
+    """The units of the subalgebra on a subgroup, listed as the odd-weight
+    masks of its span (the listing the tests use for a subalgebra's units),
+    are the masks that each test as a unit on their own."""
     sub = make_sub()
-    g = sub.group
-    units = f.enumerate_normalized_units(g, support=sub)
-    assert list(units.masks) == naive_unit_masks(g, sub.members)
+    assert subalgebra_units(sub) == naive_unit_masks(sub.group, sub.members)
 
 
 def _check_ideal_powers(g, members, gens):
@@ -174,26 +200,16 @@ def test_normalized_units_refuse_groups_that_are_not_2_groups():
             f.enumerate_normalized_units(g)
 
 
-def test_normalized_units_refuse_a_support_that_is_not_a_2_group():
-    g = f.make_cyclic(6)
-    c3 = f.subgroup_closure(g, [2])
-    with pytest.raises(NotAUnitError, match="order 3 is not a power of 2"):
-        f.enumerate_normalized_units(g, support=c3)
-
-
 def test_normalized_units_compute_no_ideal_powers(monkeypatch):
     """Jennings' theorem decides nilpotency from the order alone: the
-    listing runs with the filtration out of reach, on a group and on a
-    support."""
+    listing runs with the filtration out of reach."""
     from f2units import unitgroup
 
     def refuse(*args):
         raise AssertionError("the listing computed the powers of J")
 
     monkeypatch.setattr(unitgroup, "_ideal_powers", refuse)
-    form = _q32_form()
     assert f.enumerate_normalized_units(f.make_quaternion(16)).order == 1 << 15
-    assert f.enumerate_normalized_units(form.group, support=form.a_sub).order == 1 << 15
 
 
 # ---------------------------------------------------------------------------

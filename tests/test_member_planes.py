@@ -394,7 +394,7 @@ def test_member_checks_read_the_generators(monkeypatch, case):
 
 
 def test_catalog_mode_multiplication_count(capsys):
-    """One catalog run makes 1,871 calls to _mul and 31 to _products: the
+    """One catalog run makes 1,819 calls to _mul and 31 to _products: the
     classical oracle conjugates by the fixed-point pcgs of V_*, not by
     generators found by listing the scanned group again, the unipotent
     generators are read off the table, neither complement search nor the
@@ -404,7 +404,9 @@ def test_catalog_mode_multiplication_count(capsys):
     the translates S*F*c^i one product at a time), and the generator route
     of each classical W takes the pairwise products of its generators'
     vectors, not one coset step per member (1,900 _mul calls while it
-    multiplied W out)."""
+    multiplied W out), and the elementary check of each reads the same
+    table of products (1,871 _mul calls while it multiplied the
+    generators again)."""
     calls = {algebra._mul.__code__: 0, algebra._products.__code__: 0}
 
     def count(frame, event, arg):
@@ -419,5 +421,5 @@ def test_catalog_mode_multiplication_count(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert status == 1  # the dihedral odot instances fail by design
-    assert calls[algebra._mul.__code__] <= 1_871
+    assert calls[algebra._mul.__code__] <= 1_819
     assert calls[algebra._products.__code__] <= 31

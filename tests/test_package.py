@@ -229,7 +229,6 @@ PUBLIC_DEFAULTS = {
     ("UnitSet", "generators"): "a listed set has none recorded until asked",
     ("enumerate_normalized_units", "max_order"): "the CLI's --max-exhaustive-order",
     ("enumerate_normalized_units", "workers"): "perfbench/ passes it; accepted and ignored",
-    ("enumerate_normalized_units", "support"): "the units of a subgroup's subalgebra, as scanned",
     ("enumerate_unitary", "max_order"): "the CLI's --max-exhaustive-order",
     ("enumerate_unitary", "workers"): "perfbench/ passes it; accepted and ignored",
     ("enumerate_unitary", "support"): "the scans of V_*(F2A) in the classical pipeline",

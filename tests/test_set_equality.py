@@ -7,7 +7,9 @@ lists a product again. Construct mode decides the facts about H from W and
 L and never lists H: each verdict is checked against the listed H, on the
 intact factors and on three mutants, and a guard makes the listing raise.
 Nor is W multiplied out to show that its generators generate it: that
-verdict, decided on the generators, is checked against their closure."""
+verdict, decided on one table of the generators' products, is checked
+against their closure, and the elementary and cofactor_order verdicts read
+off the same table and W's basis against those that listed W."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from f2units.algebra import _eliminate, _involute, _span
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import HypothesisViolationError
 from f2units.groups import _greedy_generators
-from conftest import relabelled_q32
+from conftest import relabelled_q32, subalgebra_units
 from oracles import (
     naive_cofactor_premise,
     naive_commute,
@@ -104,7 +106,7 @@ def _classical_mutant(form, w, ell, mutant):
     elif mutant == "L grown":
         sigma = f.classical_involution(g)
         v_a = f.enumerate_unitary(g, sigma, support=form.a_sub).mask_set()
-        units = f.enumerate_normalized_units(g, support=form.a_sub).masks
+        units = subalgebra_units(form.a_sub)
         ell = _closure(g, [*ell.generators, next(m for m in units if m not in v_a)])
     elif mutant == "W cut":
         w = _w_submodule(form, w)
@@ -291,8 +293,15 @@ def _premise_outcome(check, *args):
         return str(exc)
 
 
+def _premise(form, w, ell):
+    """The two halves of the cofactor premise, in the order
+    ``build_normal_cofactor`` decides them: the mask of A when both hold."""
+    decompositions._require_w_module(form, w)
+    return decompositions._require_on_a(form, ell)
+
+
 def _same_premise(form, w, ell):
-    got = _premise_outcome(decompositions._require_cofactor_premise, form, w, ell)
+    got = _premise_outcome(_premise, form, w, ell)
     assert got == _premise_outcome(naive_cofactor_premise, form, w.masks, ell.masks)
     return got
 
@@ -327,19 +336,44 @@ def test_premise_matches_the_member_elimination_on_random_sets(key, data):
 
 @pytest.mark.parametrize("skip", [False, True], ids=["verify", "construct"])
 def test_classical_pipeline_decides_the_cofactor_premise_once(q16_form, skip, monkeypatch):
-    """The oracle lists H by the sumset alone, as the pipeline has already
-    decided its premise; ``build_normal_cofactor`` keeps the premise for
+    """Each half of the premise is decided once: the module check on W right
+    after it is built, L on A at the cofactor step, and the oracle lists H
+    by the sumset alone. ``build_normal_cofactor`` keeps both halves for
     direct callers."""
-    calls = []
-    premise = decompositions._require_cofactor_premise
-    monkeypatch.setattr(
-        decompositions, "_require_cofactor_premise", lambda *a: calls.append(1) or premise(*a)
-    )
+    calls = {"_require_w_module": 0, "_require_on_a": 0}
+    for name in calls:
+        check = getattr(decompositions, name)
+
+        def counted(*args, name=name, check=check):
+            calls[name] += 1
+            return check(*args)
+
+        monkeypatch.setattr(decompositions, name, counted)
     assert f.verify_inverting_decomposition(q16_form, skip_enumeration=skip).passed
-    assert len(calls) == 1
+    assert calls == {"_require_w_module": 1, "_require_on_a": 1}
     w, ell = f.build_unipotent_factor(q16_form), f.build_abelian_complement(q16_form)
     f.build_normal_cofactor(q16_form, w, ell)
-    assert len(calls) == 2
+    assert calls == {"_require_w_module": 2, "_require_on_a": 2}
+
+
+def test_classical_construct_spans_w_twice_and_computes_no_structure_predicates(monkeypatch):
+    """A Q32 construct run spans W - 1 only in its builder and in the module
+    check, computes no structure predicates (the product table decides the
+    elementary check) and passes."""
+    spans = []
+
+    def refuse(*args):
+        raise AssertionError("structure_predicates was called")
+
+    def counted(vectors):
+        spans.append(1)
+        return algebra._span(vectors)
+
+    monkeypatch.setattr(decompositions, "structure_predicates", refuse)
+    monkeypatch.setattr(unitgroup, "structure_predicates", refuse)
+    monkeypatch.setattr(decompositions, "_span", counted)
+    assert f.verify_inverting_decomposition(CLASSICAL_FORMS["Q32"](), skip_enumeration=True).passed
+    assert len(spans) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +395,51 @@ def _route_mutants(form, gens):
         yield "rank lost", keep + [naive_mul(g, gens[0], gens[1])]
 
 
+def _w_facts(form, w):
+    """The route, elementary and cofactor_order verdicts as the pipeline
+    decides them: on the basis that the module check keeps and on one table
+    of the generators' products."""
+    basis = decompositions._require_w_module(form, w)
+    generated, elementary = decompositions._generator_facts(w, len(basis))
+    on_a = sum(1 << i for i in form.a_sub.members)
+    rank = form.a_sub.order // 2
+    return generated, elementary and len(basis) == rank, not any(x & on_a for x in basis)
+
+
+def _listed_w_facts(form, w, route):
+    """The same verdicts as decided before the table: ``route`` on the
+    generators, structure predicates on them, and a walk over W's members."""
+    preds = unitgroup.structure_predicates(w)
+    on_a = sum(1 << i for i in form.a_sub.members)
+    return (
+        route(form.group, w.generators, w.masks),
+        preds["is_elementary_abelian_2"] and preds["rank"] == form.a_sub.order // 2,
+        not any((1 ^ m) & on_a for m in w.masks),
+    )
+
+
 def _route_verdicts(form, reference):
-    """Each mutant's verdict on its generators, asserted equal to the
-    reference's verdict on the closure of the same generators."""
+    """Each mutant's route verdict on its generators, asserted equal to the
+    reference's verdict on the closure of the same generators, with its
+    elementary and cofactor_order verdicts equal to those listed."""
     g = form.group
     w = f.build_unipotent_factor(form)
     verdicts = {}
     for name, gens in _route_mutants(form, w.generators):
-        verdicts[name] = decompositions._generated_by_sums(f.make_unit_set(g, w.masks, gens))
-        assert verdicts[name] == reference(g, gens, w.masks), name
+        mutant = f.make_unit_set(g, w.masks, gens)
+        facts = _w_facts(form, mutant)
+        assert facts == _listed_w_facts(form, mutant, reference), name
+        verdicts[name] = facts[0]
     return verdicts
 
 
 @pytest.mark.parametrize("key", list(CLASSICAL_FORMS))
 def test_generator_route_on_generators_matches_the_closure(key):
     """W's generator route decided on the generators (vanishing pairwise
-    products of their vectors, one XOR span) gives the verdict of the
-    closure of the generators on every built W and on its mutants."""
+    products of their vectors, their rank) gives the verdict of the closure
+    of the generators on every built W and on its mutants, and the
+    elementary and cofactor_order checks read off the same table and basis
+    give the verdicts of structure predicates and a walk over W."""
     verdicts = _route_verdicts(CLASSICAL_FORMS[key](), naive_generator_route)
     assert verdicts.pop("as built") and not any(verdicts.values())
 
@@ -394,21 +456,39 @@ def test_generator_route_on_generators_matches_the_listing_at_q64():
     assert verdicts == {"as built": True, "b*b": False, "rank lost": False}
 
 
-def test_generator_route_on_one_plus_j(q8):
+@pytest.mark.parametrize("key", ["Q8", "Q16"])
+def test_the_report_reads_the_w_facts_on_mutants(key, monkeypatch):
+    """With a mutant W built, the report's route, elementary and
+    cofactor_order checks are the verdicts listed for it."""
+    form = CLASSICAL_FORMS[key]()
+    w = f.build_unipotent_factor(form)
+    for name, gens in _route_mutants(form, w.generators):
+        mutant = f.make_unit_set(form.group, w.masks, gens)
+        checks = _construct_checks(form, monkeypatch, w=mutant)
+        names = ("unipotent_generator_route_agrees", "unipotent_elementary_abelian")
+        got = (*(checks[n].passed for n in names), checks["cofactor_order"].passed)
+        assert got == _listed_w_facts(form, mutant, naive_generator_route), name
+
+
+def test_generator_route_on_one_plus_j(q8, q8_form):
     """1 + J, J the augmentation ideal, is the group its canonical
     generators generate, but J^2 is not 0: the closure passes it and the
     check on generators does not. The two differ only where such products
     do not vanish, as on no built W. With Q8's elements as generators, their
     vectors 1 + g span J, so the span alone would pass; they generate only
-    Q8, and the products fail them."""
+    Q8, and the products fail them. J is a two-sided ideal, so it passes the
+    module check; 1 + J is not abelian and J does not lie on A b, so the
+    elementary and cofactor_order checks fail, as when they were listed."""
     v = f.enumerate_normalized_units(q8)
     gens = f.canonical_generators(v)
     assert naive_generator_route(q8, gens, v.masks)
-    assert not decompositions._generated_by_sums(f.make_unit_set(q8, v.masks, gens))
+    one_plus_j = f.make_unit_set(q8, v.masks, gens)
+    assert _w_facts(q8_form, one_plus_j) == (False, False, False)
+    assert _listed_w_facts(q8_form, one_plus_j, naive_generator_route)[1:] == (False, False)
     elements = [1 << i for i in range(1, 8)]
     assert {1 ^ m for m in _span([1 ^ m for m in elements])} == v.mask_set()
     assert not naive_generator_route(q8, elements, v.masks)
-    assert not decompositions._generated_by_sums(f.make_unit_set(q8, v.masks, elements))
+    assert not _w_facts(q8_form, f.make_unit_set(q8, v.masks, elements))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +559,7 @@ def test_a_non_unitary_generator_of_l_is_the_witness(monkeypatch):
     g = form.group
     w, ell = f.build_unipotent_factor(form), f.build_abelian_complement(form)
     v_a = f.enumerate_unitary(g, f.classical_involution(g), support=form.a_sub)
-    units = f.enumerate_normalized_units(g, support=form.a_sub).masks
-    x = next(m for m in units if m not in v_a)
+    x = next(m for m in subalgebra_units(form.a_sub) if m not in v_a)
     grown = _closure(g, [*ell.generators, x])
     checks = _construct_checks(
         form, monkeypatch, ell=grown, v_a=_closure(g, [*unitgroup.gens_of(v_a), x])
@@ -508,16 +587,17 @@ def test_an_l_generator_that_does_not_normalize_w_fails_the_semidirect_check(mon
     """The premise makes W - 1 an F2A-module, so every unit on A normalizes
     W; only past it can an L generator fail to. W is replaced by the image
     of <b>, which two of Q32's complement generators do not normalize, and
-    the premise is skipped. Its W - 1 does not lie on the coset A b, so
-    cofactor_order fails too; both verdicts equal those on the listed
-    sumset (the other two are exact only on that coset)."""
+    the module check, which the pipeline makes right after W is built, is
+    skipped: it returns the vectors of W - 1 as its basis. They do not lie
+    on the coset A b, so cofactor_order fails too; both verdicts equal
+    those on the listed sumset (the other two are exact only on that coset)."""
     form = CLASSICAL_FORMS["Q32"]()
     g = form.group
     ell = f.build_abelian_complement(form)
     w = f.group_image(g, f.subgroup_closure(g, [form.b]))
     assert not unitgroup.normalizes(g, ell.generators, w)
-    on_a = sum(1 << i for i in form.a_sub.members)
-    monkeypatch.setattr(decompositions, "_require_cofactor_premise", lambda *args: on_a)
+    vectors = [1 ^ m for m in w.masks if m != 1]
+    monkeypatch.setattr(decompositions, "_require_w_module", lambda form, w: vectors)
     checks = _construct_checks(form, monkeypatch, w=w)
     listed = _listed_verdicts(form, w, ell)
     for name in ("cofactor_order", "cofactor_semidirect"):

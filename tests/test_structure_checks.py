@@ -18,6 +18,7 @@ from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import NotAbelianError
 from f2units.groups import SubgroupSet
 from f2units.unitgroup import _is_abelian_units, canonical_generators, is_direct, normalizes
+from conftest import subalgebra_units
 from oracles import (
     naive_canonical_generators,
     naive_commute,
@@ -246,12 +247,7 @@ def _sets_without_recorded_generators():
     )
     (d8xc4,) = [e.form() for e in ODOT_ENTRIES if e.key == "D8xC4"]
     yield "D8xC4/v_c2", lambda g=d8xc4.group: f.make_unit_set(
-        g,
-        (
-            m
-            for m in f.enumerate_normalized_units(g, support=d8xc4.c_sub).masks
-            if naive_mul(g, m, m) == 1
-        ),
+        g, (m for m in subalgebra_units(d8xc4.c_sub) if naive_mul(g, m, m) == 1)
     )
 
 
