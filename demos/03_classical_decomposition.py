@@ -32,7 +32,9 @@ def main() -> None:
     print(f"|W| = {w.order}  (formula: 2^(|A|/2) = {2 ** (len(form.a_sub.members) // 2)})")
     print(f"|L| = {ell.order}")
     print(f"|H| = |W| * |L| = {h.order}")
-    print(f"W is elementary abelian: {f.structure_predicates(w)['is_elementary_abelian_2']}")
+    # A group in which every element squares to 1 is elementary abelian.
+    elementary = all((x * x).is_one() for x in w.elements())
+    print(f"W is elementary abelian: {elementary}")
     print(f"H = W semidirect L: {f.internal_semidirect(h, w, ell)}")
     print()
 

@@ -30,7 +30,10 @@ product with the enumerated unitary group by orders (``_product_is``) and
 decides normality in it on the fixed-point pcgs, once that generates it.
 Otherwise H is decided from W and L: its order, its semidirect structure and
 its meeting the group image from their supports, and its unitarity on its
-generators.
+generators. The odot W is decided on its basis of W - 1 and one table of
+its vectors' products, and G x T x W on generators and supports; W and G*T
+are listed only for the oracle, which compares their product with the
+enumerated unitary group by orders.
 """
 
 from __future__ import annotations
@@ -71,15 +74,14 @@ from .unitgroup import (
     _require_scan_memory,
     _require_within,
     canonical_generators,
+    commute,
     enumerate_unitary,
     gens_of,
     group_image,
     internal_direct,
     internal_semidirect,
-    is_direct,
     make_unit_set,
     normalizes,
-    structure_predicates,
 )
 
 
@@ -537,7 +539,8 @@ def _central_unipotent_basis(form: OdotForm) -> list[int]:
 
 def build_central_unipotent(form: OdotForm) -> UnitSet:
     """All elements 1 + x1 a + x2 b + x3 ab with coordinates in (1+e) F2C:
-    one plus the span of ``_central_unipotent_basis``."""
+    one plus the span of ``_central_unipotent_basis``. The verification
+    lists it only for the oracle."""
     vectors = _central_unipotent_basis(form)
     _require_listable(form.group, 1 << len(vectors), "the unipotent factor W")
     masks = (1 ^ m for m in _span(vectors))
@@ -551,19 +554,24 @@ def build_torsion_complement(form: OdotForm) -> UnitSet:
 
 
 def _central_order_2_parts(form: OdotForm) -> tuple[UnitSet, UnitSet]:
-    """The order-2 part of V(F2C) and the image of C's involutions in it.
+    """The order-2 part of V(F2C) and the image of C's involutions in it,
+    with their table-greedy generators.
 
     Squaring is linear on the commutative algebra F2C, so the order-2 units
     are 1 + ker(x -> x^2) on the augmentation ideal, whose basis is the 1 + c.
+    The estimate counts the listing three times: the complement search that
+    both callers run next keeps S*F at each depth, at most as many masks as
+    the listing at the deepest and fewer than that at all the others.
     """
     g = form.group
     nontrivial = [c for c in form.c_sub.members if c]
     squares = [1 ^ (1 << g.mul[c][c]) for c in nontrivial]
     _, kernel = _eliminate(squares, [1 ^ (1 << c) for c in nontrivial])
-    _require_listable(g, 1 << len(kernel), "the order-2 central units")
+    what = "the order-2 central units and the S*F of their complement search"
+    _require_listable(g, 3 << len(kernel), what)
     v_c2 = make_unit_set(g, (1 ^ k for k in _span(kernel)))
-    c2_image = make_unit_set(g, (1 << c for c in form.c_sub.members if g.mul[c][c] == 0))
-    return v_c2, c2_image
+    involutions = tuple(c for c in form.c_sub.members if g.mul[c][c] == 0)
+    return v_c2, group_image(g, SubgroupSet(g, involutions))
 
 
 def check_unitary_quadrant_system(form: OdotForm, x: AlgebraElement) -> bool:
@@ -610,10 +618,9 @@ def verify_odot_decomposition(
     """Build the torsion and central unipotent factors, certify the direct
     product, compare with the enumerated unitary group when in bounds.
 
-    W is listed once, so a W of dimension 3|C|/2 above ``max_order`` is a
-    TooLargeError, as is a listing or scan estimated above the memory
-    budget; the alternate representatives are checked on their basis of
-    W - 1.
+    W is decided on its basis of W - 1, and W and G*T are listed only for
+    the oracle. A W of dimension 3|C|/2 above ``max_order`` is a
+    TooLargeError, as is a listing or scan estimated above the memory budget.
     """
     if not isinstance(form, OdotForm):
         raise TypeError(
@@ -621,7 +628,6 @@ def verify_odot_decomposition(
         )
     g = form.group
     sigma = odot_involution(form)
-    c_order = form.c_sub.order
     report = DecompositionReport(
         kind="odot",
         group=_group_descriptor(g),
@@ -635,25 +641,26 @@ def verify_odot_decomposition(
         orders={},
     )
 
-    _require_within(3 * c_order // 2, max_order, "the dimension of the unipotent factor W")
+    dim = 3 * form.c_sub.order // 2
+    _require_within(dim, max_order, "the dimension of the unipotent factor W")
     oracle = g.order <= max_order and not skip_enumeration
     if oracle:  # refuse a scan that cannot fit before anything is listed
         _require_scan_memory(g, g.order)
-    w = build_central_unipotent(form)
-    expected_w = 1 << (3 * c_order // 2)
-    report.add("central_unipotent_order_formula", w.order == expected_w)
-    preds = structure_predicates(w)
-    report.add(
-        "central_unipotent_elementary",
-        preds["is_elementary_abelian_2"] and preds["rank"] == 3 * c_order // 2,
-    )
+    vectors = _central_unipotent_basis(form)
+    rank = len(_eliminate(vectors)[0])
+    w_order = 1 << rank
+    report.add("central_unipotent_order_formula", rank == dim)
+    # When every v_i v_j is 0 (computed, not assumed: W's checks rest on it),
+    # (1+u)(1+v) = 1+u+v on the span, and the 1 + v_i generate 1 + span: W.
+    zero_table = not any(_mul(g, x, y) for x in vectors for y in vectors)
+    report.add("central_unipotent_elementary", zero_table and rank == dim)
     # Central exactly when it commutes with each element of a generating set.
     # The unitary, the central and the square-1 units of the abelian W form
-    # groups, and W is generated by its generators 1 + v: for v, w in W - 1,
-    # vw lies in (1+e)^2 F2G = 0, as (1+e) F2C is central.
+    # groups, and W is the group its generators generate (the check above).
+    w_gens = [1 ^ v for v in vectors]
     gen_basis = [1 << i for i in g.greedy_generators]
     _add_member_check(
-        report, "central_unipotent_members_central_unitary", g, gens_of(w),
+        report, "central_unipotent_members_central_unitary", g, w_gens,
         sigma, square=True, central=gen_basis,
     )
 
@@ -671,34 +678,42 @@ def verify_odot_decomposition(
         t = _abelian_complement(v_c2, c2_image, form.c_sub)
     except NoComplementError as exc:
         report.add("torsion_complement_exists", False, str(exc))
-        report.orders = {"group": g.order, "central_unipotent": w.order}
+        report.orders = {"group": g.order, "central_unipotent": w_order}
         return report
     report.add("torsion_complement_exists", True)
     report.instance["torsion_generators"] = [_render(g, m) for m in (t.generators or ())]
     report.add("torsion_complement_contract", internal_direct(v_c2, [c2_image, t]))
-    report.add("torsion_outside_group", t.mask_set() & g_image.mask_set() == {1})
+    meets_trivially = t.mask_set() & g_image.mask_set() == {1}
+    report.add("torsion_outside_group", meets_trivially)
 
-    expected = g.order * t.order * w.order
+    expected = g.order * t.order * w_order
     report.orders = {
         "group": g.order,
         "torsion_complement": t.order,
-        "central_unipotent": w.order,
+        "central_unipotent": w_order,
         "central_units_order_2": v_c2.order,
         "expected_unitary": expected,
     }
 
-    # G*T by left translation, which permutes the basis; a subgroup, as T is central.
-    _require_listable(g, g.order * t.order, "G*T")
-    gt_masks = (_involute(g.mul[i], m) for i in range(g.order) for m in t.masks)
-    gt = make_unit_set(g, gt_masks, generators=gens_of(g_image) + gens_of(t))
+    # G x T x W: the contract puts T in V(F2C)[2], so T is central; G meets
+    # T trivially (above); W commutes with G on generators; and G*T meets W
+    # only in 1 when W - 1 lies off C, as g t lies on the coset g C and
+    # 1 + x, x != 0 off C, on C and another coset.
+    on_c = sum(1 << c for c in form.c_sub.members)
+    off_c = not any(v & on_c for v in vectors)
+    direct = meets_trivially and off_c and commute(g, gens_of(g_image), w_gens)
     if oracle:
+        w = build_central_unipotent(form)
+        # G*T by left translation, which permutes the basis; a subgroup, as T is central.
+        _require_listable(g, g.order * t.order, "G*T")
+        gt_masks = (_involute(g.mul[i], m) for i in range(g.order) for m in t.masks)
+        gt = make_unit_set(g, gt_masks, generators=gens_of(g_image) + gens_of(t))
         v = enumerate_unitary(g, sigma, max_order=max_order)
         report.orders["oracle_unitary"] = v.order
         report.add("unitary_order_matches", v.order == expected)
         factors_ok = _product_is(v, gt, w)
         if g_image.mask_set() <= v.mask_set():
             # factors_ok puts G*T and W, so each factor, inside v.
-            direct = is_direct(g, [g_image, t]) and is_direct(g, [gt, w])
             report.add("direct_product", direct and factors_ok)
         else:
             report.add(
@@ -707,15 +722,14 @@ def verify_odot_decomposition(
         report.add("oracle_set_equality", factors_ok)
     else:
         _add_oracle_skip_note(report, g, max_order)
-        factors_ok = is_direct(g, [g_image, t]) and is_direct(g, [gt, w])
+        factors_ok = direct
         report.add("factors_pairwise_direct", factors_ok)
         # V_* is a group, so T lies in it when its generators do.
         _add_member_check(report, "torsion_members_unitary", g, gens_of(t), sigma)
 
     # Only W depends on the coset representatives, and (1+e) F2C is stable
     # under C, so the other representatives must give the same W as a set:
-    # as |W| <= expected_w, exactly when their basis of W - 1 has that rank
-    # and lies in W - 1.
+    # exactly when their basis has rank 3|C|/2 and adds none to W's.
     alt = make_odot_form(g, prefer_large_reps=True)
     if (alt.a, alt.b) != (form.a, form.b):
         alt_basis = _central_unipotent_basis(alt)
@@ -723,8 +737,7 @@ def verify_odot_decomposition(
             "rep_a": g.labels[alt.a],
             "rep_b": g.labels[alt.b],
         }
-        rank = len(_eliminate(alt_basis)[0])
-        alt_ok = 1 << rank == expected_w and all(1 ^ v in w for v in alt_basis)
+        joint = len(_eliminate(vectors + alt_basis)[0])
+        alt_ok = len(_eliminate(alt_basis)[0]) == dim and joint == rank
         report.add("alternate_representatives_pass", factors_ok and alt_ok)
     return report
-

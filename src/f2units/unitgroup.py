@@ -31,10 +31,10 @@ kernel builds its starting planes with ``_product_planes`` too. No plane is
 read back into masks, and no product of subgroups is listed pairwise
 (``_product_is``, ``is_direct``). Structure checks work on generators; a set
 without recorded generators computes its canonical ones once, by listing
-it, and caches them. No pipeline does that for a scanned set: the
-complement search is ``_complement_search``, whose callers there decide
-commutativity on a table subgroup, and the public ``find_complement`` and
-``check_conjugation_closure`` alone list generators of one.
+it, and caches them. No pipeline does that: its sets record their
+generators, and the callers of ``_complement_search`` decide commutativity
+on a table subgroup. The public ``find_complement`` and
+``check_conjugation_closure`` alone list generators of a scanned set.
 
 Every listing and every scan is first estimated in bytes
 (``_require_listable``, ``_require_scan_memory``), and one above the fixed
@@ -588,18 +588,6 @@ def _is_abelian_units(s: UnitSet) -> bool:
     """True iff the generators of s commute pairwise, each pair tested once."""
     mul = partial(_mul, s.group)
     return all(mul(x, y) == mul(y, x) for x, y in combinations(gens_of(s), 2))
-
-
-def structure_predicates(s: UnitSet) -> dict:
-    """Shape fingerprint: the elementary-abelian flag, and the rank of an
-    elementary abelian set.
-
-    Decided from the generators: commuting involutions generate an
-    elementary abelian group.
-    """
-    elementary = _is_abelian_units(s) and all(_mul(s.group, m, m) == 1 for m in gens_of(s))
-    rank = s.order.bit_length() - 1 if elementary else None
-    return {"is_elementary_abelian_2": elementary, "rank": rank}
 
 
 def canonical_generators(s: UnitSet) -> list[int]:

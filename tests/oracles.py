@@ -133,6 +133,18 @@ def naive_canonical_generators(g, masks) -> list[int]:
     return gens
 
 
+def naive_structure_predicates(s) -> dict:
+    """The elementary-abelian flag of a unit set, and its rank when it is
+    elementary abelian, as the package once decided them: its recorded
+    generators, else its naive canonical ones, commute pairwise and square
+    to 1."""
+    g = s.group
+    gens = s.generators if s.generators is not None else naive_canonical_generators(g, s.masks)
+    elementary = naive_commute(g, gens, gens) and all(naive_mul(g, m, m) == 1 for m in gens)
+    rank = s.order.bit_length() - 1 if elementary else None
+    return {"is_elementary_abelian_2": elementary, "rank": rank}
+
+
 def naive_commutator_subgroup(g) -> list[int]:
     n = g.order
     comms = set()

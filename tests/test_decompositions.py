@@ -159,6 +159,19 @@ def test_quadrant_system_decides_unitarity_on_catalog(entry):
         assert got == (m in unitary), hex(m)
 
 
+@pytest.mark.parametrize("entry", ODOT_ENTRIES, ids=lambda e: e.key)
+def test_involution_image_records_the_canonical_generators(entry):
+    """The image of C's involutions records the table-greedy generators of
+    their subgroup: the ones ``canonical_generators`` finds by listing the
+    image, so the torsion contract need not compute them."""
+    form = entry.form()
+    g = form.group
+    _, c2_image = decompositions._central_order_2_parts(form)
+    bare = make_unit_set(g, c2_image.masks)
+    assert c2_image.masks == tuple(1 << c for c in form.c_sub.members if g.mul[c][c] == 0)
+    assert list(c2_image.generators) == f.canonical_generators(bare)
+
+
 # The lemma checks test only their independent conditions; these tests keep
 # the rest exercised, on every scanned unitary element of the catalog groups
 # of order <= 16 and on a seeded 500 per order-32 instance.
@@ -507,14 +520,18 @@ def _count_unipotent_builds(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("skip", [False, True], ids=["verify", "construct"])
 @pytest.mark.parametrize("key", ["D8xC2", "D8xC4"])
-def test_odot_verification_lists_its_w_once(key, monkeypatch):
-    """The alternate representatives are checked on their basis of W - 1,
-    so no second W is built."""
+def test_odot_verification_lists_its_w_once(key, skip, monkeypatch):
+    """W is listed once with the oracle and never without it: its checks and
+    the alternate representatives' are decided on bases of W - 1. D8xC4 is
+    above the default bound, so it runs no oracle either way."""
     form = next(e for e in ODOT_ENTRIES if e.key == key).form()
     calls = _count_unipotent_builds(monkeypatch)
-    f.verify_odot_decomposition(form)
-    assert calls == ["build_central_unipotent"]
+    report = f.verify_odot_decomposition(form, skip_enumeration=skip)
+    oracle = "oracle_unitary" in report.orders
+    assert oracle is (key == "D8xC2" and not skip)
+    assert calls == (["build_central_unipotent"] if oracle else [])
 
 
 @pytest.mark.parametrize("order", [16, 32])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import f2units as f
 from f2units import algebra, cli, decompositions
-from f2units.algebra import _mul
+from f2units.algebra import _mul, _span
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, catalog_groups
 from f2units.decompositions import (
     DecompositionReport,
@@ -351,12 +351,13 @@ def test_w_check_on_generators_matches_every_member(key):
 
 
 # (form, builder in decompositions, check, label of a failing mask, factor
-# of the check's keywords): T and both W are checked on their generators.
+# of the check's keywords): T and both W are checked on their generators,
+# the odot W on the generators 1 + v over the basis of W - 1 it is built from.
 MUTANTS = {
     "T": ("D8xC4/odot", "_complement_search", "torsion_members_unitary", "(1,a)", "T"),
     "odot-W": (
         "D8xC4/odot",
-        "build_central_unipotent",
+        "_central_unipotent_basis",
         "central_unipotent_members_central_unitary",
         "(1,a)",
         "W",
@@ -367,9 +368,11 @@ MUTANTS = {
 
 @pytest.mark.parametrize("case", sorted(MUTANTS))
 def test_member_checks_read_the_generators(monkeypatch, case):
-    """Construct mode checks T and W on their recorded generators. With the
-    first one swapped for a failing mask and the members left intact, the
-    check fails and names that mask; the members alone would pass."""
+    """Construct mode checks T and W on their generators. With the first
+    one swapped for a failing mask (for the odot W, the first basis vector
+    of the main representatives for its sum with 1) and the members left
+    intact, the check fails and names that mask; the members alone would
+    pass."""
     key, builder, name, label, factor = MUTANTS[case]
     form = FORMS[key]()
     g = form.group
@@ -380,8 +383,13 @@ def test_member_checks_read_the_generators(monkeypatch, case):
 
     def mutant(*args):
         s = original(*args)
-        built.append(s)
-        return make_unit_set(g, s.masks, generators=(bad, *s.generators[1:]))
+        if builder != "_central_unipotent_basis":
+            built.append(s.masks)
+            return make_unit_set(g, s.masks, generators=(bad, *s.generators[1:]))
+        if (args[0].a, args[0].b) != (form.a, form.b):
+            return s
+        built.append([1 ^ m for m in _span(s)])
+        return [1 ^ bad, *s[1:]]
 
     monkeypatch.setattr(decompositions, builder, mutant)
     if key.endswith("/classical"):
@@ -390,11 +398,11 @@ def test_member_checks_read_the_generators(monkeypatch, case):
         report = f.verify_odot_decomposition(form, skip_enumeration=True)
     (check,) = [c for c in report.checks if c.name == name]
     assert (check.passed, check.witness) == (False, label)
-    assert _plane_result(g, built[0].masks, kw) == (True, None)
+    assert _plane_result(g, built[0], kw) == (True, None)
 
 
 def test_catalog_mode_multiplication_count(capsys):
-    """One catalog run makes 1,819 calls to _mul and 31 to _products: the
+    """One catalog run makes 1,717 calls to _mul and 31 to _products: the
     classical oracle conjugates by the fixed-point pcgs of V_*, not by
     generators found by listing the scanned group again, the unipotent
     generators are read off the table, neither complement search nor the
@@ -406,7 +414,11 @@ def test_catalog_mode_multiplication_count(capsys):
     vectors, not one coset step per member (1,900 _mul calls while it
     multiplied W out), and the elementary check of each reads the same
     table of products (1,871 _mul calls while it multiplied the
-    generators again)."""
+    generators again). The odot W is decided on its basis and the direct
+    product on generators and supports (1,819 _mul calls while both were
+    decided on the listed W and G*T), and the image of C's involutions
+    records its table-greedy generators (1,747 _mul calls while the
+    torsion contract listed canonical generators of it)."""
     calls = {algebra._mul.__code__: 0, algebra._products.__code__: 0}
 
     def count(frame, event, arg):
@@ -421,5 +433,5 @@ def test_catalog_mode_multiplication_count(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert status == 1  # the dihedral odot instances fail by design
-    assert calls[algebra._mul.__code__] <= 1_819
+    assert calls[algebra._mul.__code__] <= 1_717
     assert calls[algebra._products.__code__] <= 31

@@ -104,17 +104,32 @@ def test_member_checks_pass_generating_sets():
     """The unitary, the central and, in an abelian group, the square-1 units
     each form a group, so a subgroup's generators decide its member checks:
     every ``_add_member_check`` call in ``decompositions`` passes
-    ``gens_of(...)`` or a sum of such calls, never a member list."""
+    ``gens_of(...)``, a sum of such calls, or ``w_gens``, bound only to the
+    odot W's generators ``1 + v`` over its basis of W - 1, which generate W
+    when their products vanish (``central_unipotent_elementary``); never a
+    member list."""
 
     def generating(node: ast.AST) -> bool:
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
             return generating(node.left) and generating(node.right)
+        if isinstance(node, ast.Name):
+            return node.id == "w_gens"
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "gens_of"
 
     source = Path(f.__file__).with_name("decompositions.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    bound: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            bound.setdefault(node.targets[0].id, set()).add(ast.dump(node.value))
+    for name, value in (
+        ("w_gens", "[1 ^ v for v in vectors]"),
+        ("vectors", "_central_unipotent_basis(form)"),
+    ):
+        assert bound[name] == {ast.dump(ast.parse(value, mode="eval").body)}
     calls = [
         node
-        for node in ast.walk(ast.parse(source))
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_add_member_check"
     ]
     # The masks are the fourth argument, or the keyword ``masks``.
@@ -124,6 +139,44 @@ def test_member_checks_pass_generating_sets():
     ]
     assert len(calls) == 5 and all(len(m) == 1 for m in masks)
     assert [node.lineno for node, (m,) in zip(calls, masks) if not generating(m)] == []
+
+
+def test_odot_verification_lists_w_and_gt_only_for_the_oracle():
+    """``decompositions`` imports neither ``structure_predicates`` nor
+    ``is_direct``, and every call in ``verify_odot_decomposition`` that lists
+    a set or estimates a listing (``make_unit_set``, ``_span``,
+    ``_require_listable``, ``build_central_unipotent``) sits inside an
+    ``if oracle:`` block: construct mode decides W on its basis and the
+    direct product on generators and supports, and lists neither W nor G*T."""
+    source = Path(f.__file__).with_name("decompositions.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported & {"structure_predicates", "is_direct"} == set()
+    (verify,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_odot_decomposition"
+    ]
+    inside = {
+        id(child)
+        for node in ast.walk(verify)
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "oracle"
+        for statement in node.body
+        for child in ast.walk(statement)
+    }
+    listing = {"make_unit_set", "_span", "_require_listable", "build_central_unipotent"}
+    calls = [
+        node
+        for node in ast.walk(verify)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in listing
+    ]
+    assert {node.func.id for node in calls} == listing - {"_span"}
+    assert [node.lineno for node in calls if id(node) not in inside] == []
 
 
 def test_decompositions_lists_no_group_by_products():

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from functools import partial
 
 import pytest
@@ -34,6 +35,7 @@ from oracles import (
     naive_generator_route,
     naive_mul,
     naive_product,
+    naive_structure_predicates,
 )
 
 
@@ -187,7 +189,13 @@ def test_odot_verdicts_by_orders_match_listing(key, mutant, monkeypatch):
         t = _closure(g, [*t.generators, 1 << form.e])
     elif mutant == "W cut":
         w = _closure(g, w.generators[:-1])
-        monkeypatch.setattr(decompositions, "build_central_unipotent", lambda form: w)
+        basis = decompositions._central_unipotent_basis
+
+        def cut(arg):
+            vectors = basis(arg)
+            return vectors[:-1] if (arg.a, arg.b) == (form.a, form.b) else vectors
+
+        monkeypatch.setattr(decompositions, "_central_unipotent_basis", cut)
     if mutant.startswith("T"):
         monkeypatch.setattr(decompositions, "_complement_search", lambda ambient, factor: t)
     img = f.group_image(g)
@@ -204,6 +212,37 @@ def test_odot_verdicts_by_orders_match_listing(key, mutant, monkeypatch):
     assert checks["direct_product"] is (set(img.masks) <= v and direct and listed)
     if mutant.endswith("cut"):
         assert not listed
+
+
+@pytest.mark.parametrize("key", ["D8xC2", "Q8xC2", "D8xC4"])
+def test_odot_w_basis_touching_c_is_not_direct(key, monkeypatch):
+    """With 1 + e added to the first basis vector of W - 1, W - 1 no longer
+    lies off C, and the report fails factors_pairwise_direct (construct) and
+    direct_product (oracle, at orders within the default bound). The support
+    test is stricter than the listed intersection it replaced: this W still
+    commutes with G and T and meets the listed G*T only in 1, so the listed
+    criterion passes, but the argument that G*T meets W trivially rests on
+    every basis vector lying off C."""
+    (entry,) = [e for e in ODOT_ENTRIES if e.key == key]
+    form = entry.form()
+    g = form.group
+    basis = decompositions._central_unipotent_basis
+
+    def touching(arg):
+        vectors = basis(arg)
+        if (arg.a, arg.b) != (form.a, form.b):
+            return vectors
+        return [vectors[0] ^ 1 ^ 1 << form.e, *vectors[1:]]
+
+    vectors = touching(form)
+    w = f.make_unit_set(g, (1 ^ m for m in _span(vectors)), [1 ^ v for v in vectors])
+    assert _listed_direct(g, [f.group_image(g), f.build_torsion_complement(form), w])
+    monkeypatch.setattr(decompositions, "_central_unipotent_basis", touching)
+    for skip in (False, True):
+        report = f.verify_odot_decomposition(form, skip_enumeration=skip)
+        checks = {c.name: c.passed for c in report.checks}
+        oracle = g.order <= unitgroup.DEFAULT_EXHAUSTIVE_BOUND and not skip
+        assert checks["direct_product" if oracle else "factors_pairwise_direct"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +397,14 @@ def test_classical_pipeline_decides_the_cofactor_premise_once(q16_form, skip, mo
 
 def test_classical_construct_spans_w_twice_and_computes_no_structure_predicates(monkeypatch):
     """A Q32 construct run spans W - 1 only in its builder and in the module
-    check, computes no structure predicates (the product table decides the
-    elementary check) and passes."""
+    check and passes; the product table decides the elementary check, and
+    the package has no structure predicates left to compute."""
     spans = []
-
-    def refuse(*args):
-        raise AssertionError("structure_predicates was called")
 
     def counted(vectors):
         spans.append(1)
         return algebra._span(vectors)
 
-    monkeypatch.setattr(decompositions, "structure_predicates", refuse)
-    monkeypatch.setattr(unitgroup, "structure_predicates", refuse)
     monkeypatch.setattr(decompositions, "_span", counted)
     assert f.verify_inverting_decomposition(CLASSICAL_FORMS["Q32"](), skip_enumeration=True).passed
     assert len(spans) == 2
@@ -409,7 +443,7 @@ def _w_facts(form, w):
 def _listed_w_facts(form, w, route):
     """The same verdicts as decided before the table: ``route`` on the
     generators, structure predicates on them, and a walk over W's members."""
-    preds = unitgroup.structure_predicates(w)
+    preds = naive_structure_predicates(w)
     on_a = sum(1 << i for i in form.a_sub.members)
     return (
         route(form.group, w.generators, w.masks),
@@ -632,3 +666,30 @@ def test_construct_mode_never_lists_the_cofactor(q16_form, monkeypatch, capsys):
     report = f.verify_inverting_decomposition(q16_form, max_order=8)
     text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == Q16_PAST_THE_BOUND
+
+
+# The sha256 of the odot reports of D8xC8 and Q8xC8 --mode construct at
+# max_order=32, where W has 2^24 members.
+ODOT_CONSTRUCT_PINS = {
+    f.make_dihedral: "67712ae1a8c1fa95ebfb009b3144b402ea34a37fd6ccf8aac2db10be51a074eb",
+    f.make_quaternion: "c0ed4bb57d272918e24621b24f5c22f9b09cc9bbc5884a64d37f6ed5b36ddcc5",
+}
+
+
+@pytest.mark.parametrize("make_base", list(ODOT_CONSTRUCT_PINS), ids=["D8xC8", "Q8xC8"])
+def test_odot_construct_lists_neither_w_nor_gt(make_base, monkeypatch):
+    """Construct mode decides W on its basis and the direct product on
+    generators and supports, so with the W listing raising D8xC8 and Q8xC8
+    finish with their pinned reports in under a second each (29 to 36 s
+    and 1.9 GB on a 2-core host while W and G*T were listed)."""
+
+    def refuse(*args):
+        raise AssertionError("W was listed")
+
+    monkeypatch.setattr(decompositions, "build_central_unipotent", refuse)
+    form = f.make_odot_form(f.make_direct_product(make_base(8), f.make_cyclic(8)))
+    start = time.perf_counter()
+    report = f.verify_odot_decomposition(form, max_order=32, skip_enumeration=True)
+    assert time.perf_counter() - start < 1
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == ODOT_CONSTRUCT_PINS[make_base]
