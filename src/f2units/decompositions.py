@@ -74,7 +74,6 @@ from .unitgroup import (
     _require_scan_memory,
     _require_within,
     canonical_generators,
-    commute,
     enumerate_unitary,
     gens_of,
     group_image,
@@ -139,14 +138,15 @@ def _group_descriptor(g) -> dict:
 
 def _add_member_check(
     report: DecompositionReport, name: str, g, masks, sigma, square=False, central=()
-) -> None:
+) -> int:
     """Add check ``name``: every mask squares to 1 (``square``), is unitary
     under ``sigma`` and commutes with each mask in ``central``; else the first
-    failing member (see ``_failing_members``) is the witness.
-    """
-    bad = _failing_members(g, masks, sigma.perm, square, central)
+    failing member (see ``_failing_members``) is the witness. Returns the
+    members that fail to commute, one bit each."""
+    bad, noncentral = _failing_members(g, masks, sigma.perm, square, central)
     first = (bad & -bad).bit_length() - 1
     report.add(name, not bad, _render(g, masks[first]) if bad else None)
+    return noncentral
 
 
 def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> None:
@@ -497,7 +497,7 @@ def verify_inverting_decomposition(
         report.add("oracle_set_equality", _product_is(v, g_image, h))
         # The pcgs generates V_*, so it generates v once it lies in v and
         # their orders agree; else the first unit outside v is the witness.
-        pcgs = _fixed_point_pcgs(g, sigma.perm)
+        pcgs = _fixed_point_pcgs(g, sigma.perm, range(g.order), g.greedy_generators)
         bad = [_render(g, m) for m in pcgs if m not in v.mask_set()]
         if 1 << len(pcgs) != v.order:
             bad.append(f"pcgs order {1 << len(pcgs)}, scanned order {v.order}")
@@ -659,7 +659,7 @@ def verify_odot_decomposition(
     # groups, and W is the group its generators generate (the check above).
     w_gens = [1 ^ v for v in vectors]
     gen_basis = [1 << i for i in g.greedy_generators]
-    _add_member_check(
+    noncentral = _add_member_check(
         report, "central_unipotent_members_central_unitary", g, w_gens,
         sigma, square=True, central=gen_basis,
     )
@@ -696,12 +696,12 @@ def verify_odot_decomposition(
     }
 
     # G x T x W: the contract puts T in V(F2C)[2], so T is central; G meets
-    # T trivially (above); W commutes with G on generators; and G*T meets W
-    # only in 1 when W - 1 lies off C, as g t lies on the coset g C and
-    # 1 + x, x != 0 off C, on C and another coset.
+    # T trivially (above); W commutes with G, as the member check found on
+    # generators; and G*T meets W only in 1 when W - 1 lies off C, as g t
+    # lies on the coset g C and 1 + x, x != 0 off C, on C and another coset.
     on_c = sum(1 << c for c in form.c_sub.members)
     off_c = not any(v & on_c for v in vectors)
-    direct = meets_trivially and off_c and commute(g, gens_of(g_image), w_gens)
+    direct = meets_trivially and off_c and not noncentral
     if oracle:
         w = build_central_unipotent(form)
         # G*T by left translation, which permutes the basis; a subgroup, as T is central.

@@ -69,12 +69,10 @@ class GroupTable:
     ):
         try:
             table = tuple(tuple(row) for row in mul)
+            types = set().union(*[map(type, row) for row in table])  # one pass
         except TypeError:
-            table = None
-        # One entry of each type stands for all entries of that type.
-        if table is None or not all(
-            map(_is_int, {type(x): x for row in table for x in row}.values())
-        ):
+            types = {object}  # not rows of entries
+        if not all(issubclass(t, int) and t is not bool for t in types):
             raise ParseError("a multiplication table must be a list of rows of integers")
         self.inv, self.greedy_generators = _validate_table(table)
         self.order = len(table)
@@ -125,6 +123,8 @@ def _validate_table(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Check all group axioms; return the inverse array and the generators.
 
+    Lengths and entries are checked as two sets; only a table that fails is
+    walked row by row, to name the witness an entry-by-entry check would.
     Associativity is checked by Light's test (Clifford & Preston, 1961): for
     each greedy generator ``a``, ``(x*a)*y == x*(a*y)`` for all ``x``, ``y``.
     The elements that pass are closed under products and the coset step
@@ -134,14 +134,15 @@ def _validate_table(
     n = len(mul)
     if n == 0:
         raise GroupAxiomViolationError("empty table")
-    for i, row in enumerate(mul):
-        if len(row) != n:
-            raise GroupAxiomViolationError(f"row {i} has length {len(row)}, want {n}")
-        if min(row) < 0 or max(row) >= n:
-            j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
-            raise GroupAxiomViolationError(
-                f"entry mul[{i}][{j}] = {v} out of range", witness=(i, j, v)
-            )
+    if set(map(len, mul)) != {n} or not set().union(*mul) <= set(range(n)):
+        for i, row in enumerate(mul):  # the first bad row names the witness
+            if len(row) != n:
+                raise GroupAxiomViolationError(f"row {i} has length {len(row)}, want {n}")
+            if min(row) < 0 or max(row) >= n:
+                j, v = next((j, v) for j, v in enumerate(row) if not 0 <= v < n)
+                raise GroupAxiomViolationError(
+                    f"entry mul[{i}][{j}] = {v} out of range", witness=(i, j, v)
+                )
     for i in range(n):
         if mul[0][i] != i or mul[i][0] != i:
             raise GroupAxiomViolationError(
@@ -151,7 +152,10 @@ def _validate_table(
     for i, row in enumerate(mul):
         # The first zero of the row is the inverse when it is two-sided; a
         # table not yet known to be a group may hold more zeros, so search on.
-        j = row.index(0) if 0 in row else None
+        try:
+            j = row.index(0)
+        except ValueError:
+            j = None
         if j is None or mul[j][i] != 0:
             j = next((j for j in range(n) if row[j] == 0 and mul[j][i] == 0), None)
         if j is None:

@@ -160,7 +160,7 @@ def _index_two_kernels(g: GroupTable) -> list[SubgroupSet]:
                 vec[g.mul[y][x]] = v | 1 << dim
             dim += 1
     candidates = {
-        tuple(x for x in range(g.order) if bin(f & vec[x]).count("1") % 2 == 0)
+        tuple(x for x in range(g.order) if not (f & vec[x]).bit_count() & 1)
         for f in range(1, 1 << dim)
     }
     return [SubgroupSet(g, members) for members in sorted(candidates)]
@@ -170,16 +170,18 @@ def detect_inverting_form(g: GroupTable) -> InvertingExtensionForm:
     """Search the group for a valid (subgroup, twisting element) pair.
 
     Candidates are the abelian index-2 subgroups, tried in a fixed canonical
-    order so detection is deterministic.
+    order so detection is deterministic. Only the b with b^2 != 1 = b^4 are
+    tried: ``_inverting_form_at`` rejects every other order as the twist's.
     """
     _require_two_group(g)
     candidates = _index_two_kernels(g)
     if not candidates:
         raise WrongIndexError("no index-2 subgroup: the group is generated by squares")
+    twists = [b for b, row in enumerate(g.mul) if row[b] and not g.mul[row[b]][row[b]]]
     for a_sub in candidates:
         if not a_sub.is_abelian():
             continue
-        for b in range(g.order):
+        for b in twists:
             try:
                 return _inverting_form_at(g, a_sub, b)
             except HypothesisViolationError:

@@ -36,10 +36,10 @@ generators, and the callers of ``_complement_search`` decide commutativity
 on a table subgroup. The public ``find_complement`` and
 ``check_conjugation_closure`` alone list generators of a scanned set.
 
-Every listing and every scan is first estimated in bytes
-(``_require_listable``, ``_require_scan_memory``), and one above the fixed
-memory budget is a TooLargeError, so that a raised bound ends in exit 2 and
-not in a process the kernel kills.
+Every listing, every scan and its hits are first estimated in bytes
+(``_require_listable``, ``_require_scan_memory``, ``_require_hit_memory``),
+and one above the fixed memory budget is a TooLargeError, so that a raised
+bound ends in exit 2 and not in a process the kernel kills.
 
 Both listings run on the calling thread (the kernel's big-int loop holds the
 GIL, so a second thread gained nothing); ``workers`` is accepted and ignored.
@@ -188,14 +188,27 @@ def _require_scan_memory(g: GroupTable, k: int) -> None:
     positions of g: its planes, 2^|L| bits each (|L| indicator planes, at
     most n each of products, start and running planes, and two per
     coordinate and high position for the steps), the 2^|L| low masks and
-    the 2^|H| runs. The hits are not counted; Q64's A, 32 positions, has
-    2^17."""
+    the 2^|H| runs. The hits are estimated by ``_require_hit_memory``."""
     nlow = _low_positions(k)
     nhigh = k - nlow
     n = g.order
     planes = (2 * n * nhigh + 3 * n + nlow) * ((1 << nlow) // 8 + 32)
     nbytes = planes + (1 << nlow) * (n // 8 + 40) + (1 << nhigh) * 8
     _require_memory(nbytes, f"the scan of {k} positions")
+
+
+def _require_hit_memory(g: GroupTable, perm: Sequence[int], members: Sequence[int]) -> None:
+    """``_require_memory`` for the hits of a scan of A = ``members``, masks as
+    in ``_require_listable``, counted only when 2^(k-1) might not fit: a hit u
+    has sigma(u) = u^-1 in F2A, so the hits are V_* of F2B, B = A meet sigma(A)
+    (a subgroup sigma maps onto itself), and B's pcgs counts them in a 2-group."""
+    per_mask = 96 + g.order // 8
+    hits = 1 << (len(members) - 1)
+    if per_mask * hits > _MEMORY_BUDGET and g.is_two_group():
+        inside = set(members)
+        b = SubgroupSet(g, tuple(x for x in members if perm[x] in inside))
+        hits = 1 << len(_fixed_point_pcgs(g, perm, b.members, b.generators))
+    _require_memory(per_mask * hits, f"the scan's hits ({hits:,} masks)")
 
 
 def enumerate_normalized_units(
@@ -290,11 +303,11 @@ def _failing_members(
     perm: Sequence[int],
     square: bool = False,
     central: Iterable[int] = (),
-) -> int:
-    """The members that fail a check, one bit each: bit k is set when
-    u = masks[k] has u * perm(u) != 1, u * u != 1 (``square``) or
-    u * y != y * u for some y in ``central``. Every test runs on the bit
-    planes of the whole list at once."""
+) -> tuple[int, int]:
+    """The members that fail a check, then those that fail to commute, one bit
+    each: bit k is set when u = masks[k] has u * perm(u) != 1, u * u != 1
+    (``square``) or u * y != y * u for some y in ``central``, the last also in
+    the second int. Every test runs on the bit planes of the whole list at once."""
     n = g.order
     full = (1 << len(masks)) - 1
     u = _member_planes(masks, n)
@@ -302,14 +315,15 @@ def _failing_members(
     pairs = [(_product_planes(g, u, _permuted_planes(perm, u)), one)]
     if square:
         pairs.append((_product_planes(g, u, u), one))
+    bad = noncentral = 0
     for y in central:
         fixed = _fixed_planes(n, y, full)
-        pairs.append((_product_planes(g, u, fixed), _product_planes(g, fixed, u)))
-    bad = 0
+        for p, q in zip(_product_planes(g, u, fixed), _product_planes(g, fixed, u)):
+            noncentral |= p ^ q
     for left, right in pairs:
         for p, q in zip(left, right):
             bad |= p ^ q
-    return bad
+    return bad | noncentral, noncentral
 
 
 def _low_positions(k: int) -> int:
@@ -435,6 +449,7 @@ def enumerate_unitary(
     members = tuple(support.members) if support is not None else tuple(range(g.order))
     _require_within(len(members), max_order, "the number of free coefficient positions")
     _require_scan_memory(g, len(members))
+    _require_hit_memory(g, sigma.perm, members)
     return UnitSet(g, _unitary_kernel(g, sigma.perm, members))
 
 
@@ -463,9 +478,12 @@ def _ideal_powers(g: GroupTable, members: Sequence[int], gens: Sequence[int]) ->
     return powers
 
 
-def _fixed_point_pcgs(g: GroupTable, perm: Sequence[int]) -> list[int]:
-    """An induced pcgs of V_* = {u : u sigma(u) = 1}, sigma moving the
-    weight at each g to perm[g]: units whose leading terms on the filtration
+def _fixed_point_pcgs(
+    g: GroupTable, perm: Sequence[int], members: Sequence[int], gens: Sequence[int]
+) -> list[int]:
+    """An induced pcgs of V_* = {u : u sigma(u) = 1} in F2B, B = ``members``
+    the subgroup that ``gens`` generate, sigma moving the weight at each g to
+    perm[g] and B onto itself: units whose leading terms on the filtration
     are independent, so that the normal words are distinct and |V_*| = 2^len.
 
     V_* is the fixed group of the automorphism tau(u) = sigma(u)^-1 of V.
@@ -484,7 +502,7 @@ def _fixed_point_pcgs(g: GroupTable, perm: Sequence[int]) -> list[int]:
     is computed once, by mask.
     """
     mul = partial(_mul, g)
-    powers = _ideal_powers(g, range(g.order), g.greedy_generators)
+    powers = _ideal_powers(g, members, gens)
     pcgs: list[int] = []
     delta: dict[int, int] = {}
     for basis, below in zip(powers, powers[1:] + [{}]):

@@ -22,6 +22,7 @@ import pytest
 sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parents[1]))  # perfbench's inputs, by import
 
 import f2units as f
 from f2units.algebra import _span

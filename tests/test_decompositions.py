@@ -298,7 +298,7 @@ def test_cofactor_normality_names_a_pcgs_unit_missing_from_the_scan(q16_form, mo
     witness."""
     g = q16_form.group
     outside = _outside_group_and_cofactor(q16_form)
-    pcgs = _fixed_point_pcgs(g, f.classical_involution(g).perm)
+    pcgs = _fixed_point_pcgs(g, g.inv, range(g.order), g.greedy_generators)
     dropped = [m for m in pcgs if outside(m)][-1]
     check = _verify_with_a_scan_missing(q16_form, dropped, monkeypatch)["cofactor_normal_in_unitary"]
     assert not check.passed
@@ -310,7 +310,7 @@ def test_cofactor_normality_names_both_orders_when_they_differ(q16_form, monkeyp
     witness gives both orders."""
     g = q16_form.group
     outside = _outside_group_and_cofactor(q16_form)
-    pcgs = set(_fixed_point_pcgs(g, f.classical_involution(g).perm))
+    pcgs = set(_fixed_point_pcgs(g, g.inv, range(g.order), g.greedy_generators))
     v = f.enumerate_unitary(g, f.classical_involution(g))
     dropped = next(m for m in v.masks if m not in pcgs and outside(m))
     check = _verify_with_a_scan_missing(q16_form, dropped, monkeypatch)["cofactor_normal_in_unitary"]

@@ -59,7 +59,7 @@ def _depth_and_leading_row(powers, u: int) -> tuple[int, int]:
 
 
 def _check_against_scan(g, sigma, v):
-    pcgs = _fixed_point_pcgs(g, sigma.perm)
+    pcgs = _fixed_point_pcgs(g, sigma.perm, range(g.order), g.greedy_generators)
     assert set(pcgs) <= v.mask_set()
     assert 1 << len(pcgs) == v.order
     powers = _ideal_powers(g, range(g.order), g.greedy_generators)
@@ -104,7 +104,7 @@ def test_pcgs_lists_above_the_scan_are_pinned(build, length, pin):
     """Above order 32 no scan can check the pcgs, so its list is pinned: the
     first 16 hex digits of sha256 over the masks in order, comma-joined."""
     g, sigma = build()
-    pcgs = _fixed_point_pcgs(g, sigma.perm)
+    pcgs = _fixed_point_pcgs(g, sigma.perm, range(g.order), g.greedy_generators)
     assert len(pcgs) == length
     assert hashlib.sha256(",".join(map(str, pcgs)).encode()).hexdigest()[:16] == pin
 
@@ -129,4 +129,5 @@ def test_q64_construct_order_equals_the_pcgs_order():
     g = f.make_quaternion(64)
     report = f.verify_inverting_decomposition(f.detect_inverting_form(g), max_order=32)
     assert report.passed
-    assert report.orders["expected_unitary"] == 1 << len(_fixed_point_pcgs(g, g.inv)) == 1 << 34
+    pcgs = _fixed_point_pcgs(g, g.inv, range(g.order), g.greedy_generators)
+    assert report.orders["expected_unitary"] == 1 << len(pcgs) == 1 << 34

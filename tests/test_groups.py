@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
@@ -22,11 +23,13 @@ from f2units.errors import (
     NotAbelianError,
     NotASubgroupError,
     NotSubsetError,
+    ParseError,
     UnsupportedOrderError,
 )
 from f2units.catalog import catalog_groups
 from f2units.groups import _extend, _greedy_generators
 from f2units.unitgroup import normalizes
+from perfbench.workloads import ingest_spec_texts
 from oracles import (
     naive_canonical_generators,
     naive_center,
@@ -387,6 +390,44 @@ def test_relabelled_octonion_loop_is_rejected(rng):
     with pytest.raises(GroupAxiomViolationError, match="associativity"):
         f.GroupTable(mul)
     _assert_same_verdict(mul)
+
+
+# Every catalog table and every ingest table of the benchmark (seed 1).
+CORRUPTION_TABLES = {
+    **{name: g.mul for name, g in catalog_groups().items()},
+    **{name: json.loads(text)["table"] for name, text in ingest_spec_texts(1).items()},
+}
+NOT_INTEGERS = "a multiplication table must be a list of rows of integers"
+
+
+def _one_entry_corruptions(mul):
+    """Copies of mul with one entry v replaced by float(v), bool(v) (for v in
+    {0, 1}), -1, n or "0": at the identity's row and column, at the last
+    entry, at one in the middle and at the inverse's zero of the last row."""
+    n = len(mul)
+    spots = {(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, n // 3)}
+    spots.add((n - 1, list(mul[n - 1]).index(0)))
+    for i, j in sorted(spots):
+        v = mul[i][j]
+        for bad in [float(v), *([bool(v)] if v in (0, 1) else []), -1, n, "0"]:
+            out = [list(row) for row in mul]
+            out[i][j] = bad
+            yield (i, j, bad), out
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTION_TABLES))
+def test_one_bad_entry_keeps_the_error_message_and_witness(name):
+    """A float, a bool or a string hidden among the ints is a ParseError with
+    no witness, whatever else the table holds; an int out of range is the
+    cubic check's error, with its message and witness."""
+    for (i, j, bad), mul in _one_entry_corruptions(CORRUPTION_TABLES[name]):
+        if type(bad) is int:
+            _assert_same_verdict(mul)
+            continue
+        with pytest.raises(ParseError) as exc:
+            f.GroupTable(mul)
+        assert (type(exc.value), str(exc.value)) == (ParseError, NOT_INTEGERS), (i, j, bad)
+        assert getattr(exc.value, "witness", None) is None
 
 
 def test_two_group_predicate():

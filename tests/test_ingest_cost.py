@@ -12,10 +12,12 @@ from __future__ import annotations
 import pytest
 
 import f2units as f
+from f2units import involutions
 from f2units.catalog import catalog_groups
 from f2units.errors import HypothesisViolationError, NotInvertingError
 from f2units.involutions import _index_two_kernels
 from oracles import naive_closure, naive_element_order
+from perfbench.workloads import ingest_spec_texts
 
 GUARD_BUILDS = {
     **{name: (lambda g=g: g) for name, g in catalog_groups().items()},
@@ -90,9 +92,7 @@ def _reference_search(g):
     return None
 
 
-@pytest.mark.parametrize("name", sorted(GUARD_BUILDS))
-def test_detection_matches_make_inverting_form_search(name):
-    g = GUARD_BUILDS[name]()
+def _assert_detection_matches_the_search(g):
     want = _reference_search(g)
     if want is None:
         with pytest.raises(NotInvertingError):
@@ -100,6 +100,55 @@ def test_detection_matches_make_inverting_form_search(name):
     else:
         form = f.detect_inverting_form(g)
         assert (form.a_sub.members, form.b, form.transversal) == want
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_BUILDS))
+def test_detection_matches_make_inverting_form_search(name):
+    _assert_detection_matches_the_search(GUARD_BUILDS[name]())
+
+
+# The benchmark's ingest tables as its seeds 0, 1 and 2 relabel them.
+RELABELLED = {
+    f"{name}/seed{seed}": text
+    for seed in range(3)
+    for name, text in ingest_spec_texts(seed).items()
+}
+
+
+@pytest.mark.parametrize("key", sorted(RELABELLED))
+def test_relabelled_ingest_tables_match_the_reference_search(key):
+    g = f.parse_group_spec(RELABELLED[key])
+    assert [k.members for k in _index_two_kernels(g)] == _index_two_subgroups(g)
+    _assert_detection_matches_the_search(g)
+
+
+@pytest.mark.parametrize(
+    "key", sorted(GUARD_BUILDS) + sorted(k for k in RELABELLED if k.endswith("/seed0"))
+)
+def test_detection_tries_only_order_4_twists(key, monkeypatch):
+    """Neither the form check nor the order walk sees a b whose order is not
+    4: detection passes over those b before either is called. Each group here
+    has an abelian index-2 subgroup and elements of order 4, so both are
+    called."""
+    g = f.parse_group_spec(RELABELLED[key]) if key in RELABELLED else GUARD_BUILDS[key]()
+    seen = []
+    form_at, order_of = involutions._inverting_form_at, involutions.element_order
+
+    def checked_form_at(group, a_sub, b):
+        seen.append(b)
+        return form_at(group, a_sub, b)
+
+    def checked_order(group, x):
+        seen.append(x)
+        return order_of(group, x)
+
+    monkeypatch.setattr(involutions, "_inverting_form_at", checked_form_at)
+    monkeypatch.setattr(involutions, "element_order", checked_order)
+    try:
+        f.detect_inverting_form(g)
+    except HypothesisViolationError:
+        pass
+    assert {naive_element_order(g, b) for b in seen} == {4}
 
 
 def test_groups_without_an_inverting_form():

@@ -402,7 +402,7 @@ def test_member_checks_read_the_generators(monkeypatch, case):
 
 
 def test_catalog_mode_multiplication_count(capsys):
-    """One catalog run makes 1,717 calls to _mul and 31 to _products: the
+    """One catalog run makes 1,549 calls to _mul and 31 to _products: the
     classical oracle conjugates by the fixed-point pcgs of V_*, not by
     generators found by listing the scanned group again, the unipotent
     generators are read off the table, neither complement search nor the
@@ -418,7 +418,9 @@ def test_catalog_mode_multiplication_count(capsys):
     product on generators and supports (1,819 _mul calls while both were
     decided on the listed W and G*T), and the image of C's involutions
     records its table-greedy generators (1,747 _mul calls while the
-    torsion contract listed canonical generators of it)."""
+    torsion contract listed canonical generators of it). The odot direct
+    product reads W's centrality from the member check's planes (1,717
+    _mul calls while it multiplied W's generators with G's again)."""
     calls = {algebra._mul.__code__: 0, algebra._products.__code__: 0}
 
     def count(frame, event, arg):
@@ -433,5 +435,5 @@ def test_catalog_mode_multiplication_count(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert status == 1  # the dihedral odot instances fail by design
-    assert calls[algebra._mul.__code__] <= 1_717
+    assert calls[algebra._mul.__code__] <= 1_549
     assert calls[algebra._products.__code__] <= 31

@@ -6,6 +6,7 @@ listings and the kernel raise if they are called."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -147,3 +148,70 @@ def test_largest_scan_in_use_fits_and_the_next_does_not():
     unitgroup._require_scan_memory(g, 32)
     with pytest.raises(f.TooLargeError, match=f"^the scan of 64 positions .*{BUDGET}$"):
         unitgroup._require_scan_memory(g, 64)
+
+
+C2 = {"family": "cyclic", "params": {"order": 2}}
+EXT_C2_5 = {"family": "inverting_extension", "params": {"base": {
+    "family": "direct_product", "params": {"factors": [C2] * 5},
+}}}
+
+
+def test_scan_hits_above_the_memory_budget_exit_two(tmp_path, monkeypatch, capsys):
+    """Ext(C2^5, (1,a)), order 64, meets Theorem 1's hypothesis with A = C2^5.
+    On an elementary abelian A the classical involution fixes F2A, so
+    u sigma(u) = u^2 is the augmentation and all 2^31 normalized units of F2A
+    are hits: the scan of A raised MemoryError under a 3 GB cap after 41 s,
+    and was killed without one. A's pcgs counts them before the scan."""
+    spec = tmp_path / "ext.json"
+    spec.write_text(json.dumps(EXT_C2_5))
+    monkeypatch.setattr(unitgroup, "_unitary_kernel", _refuse("unitgroup._unitary_kernel"))
+    start = time.perf_counter()
+    code = main(["--group", str(spec), "--involution", "classical", "--mode", "construct",
+                 "--max-exhaustive-order", "32"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line == (
+        "error: TooLargeError: the scan's hits (2,147,483,648 masks) would take about "
+        f"223,338,299,392 bytes, {BUDGET}"
+    )
+    assert elapsed < 1
+
+
+def test_scans_that_fit_at_worst_count_no_hits(monkeypatch):
+    """At most 2^(k-1) hits fit the budget for every k <= 16, so those scans,
+    every benchmark scan among them, compute no pcgs."""
+    monkeypatch.setattr(unitgroup, "_fixed_point_pcgs", _refuse("unitgroup._fixed_point_pcgs"))
+    g = f.make_quaternion(16)
+    assert f.enumerate_unitary(g, f.classical_involution(g)).order == 1 << 10
+    q32 = f.detect_inverting_form(f.make_quaternion(32))
+    assert f.verify_inverting_decomposition(q32, skip_enumeration=True).passed
+
+
+def _hit_count_cases():
+    form = f.make_inverting_form(f.make_quaternion(16), [1], 8)
+    classical = f.classical_involution(form.group)
+    yield pytest.param(form.group, classical, None, id="Q16/G")
+    yield pytest.param(form.group, classical, form.a_sub, id="Q16/A")
+    g = f.make_direct_product(f.make_dihedral(8), f.make_cyclic(2))
+    sigma = f.odot_involution(f.make_odot_form(g))
+    yield pytest.param(g, sigma, None, id="D8xC2/odot/G")
+    subs = {f.subgroup_closure(g, [x, y]).members for x in range(g.order) for y in range(x)}
+    for members in sorted(subs, key=lambda m: (len(m), m)):
+        label = ",".join(g.labels[i] for i in members)
+        yield pytest.param(g, sigma, f.SubgroupSet(g, members), id=f"D8xC2/odot/{{{label}}}")
+
+
+@pytest.mark.parametrize("g, sigma, support", _hit_count_cases())
+def test_hit_count_is_the_scans_order(g, sigma, support, monkeypatch):
+    """With no budget every scan is counted, and the count is what the scan
+    finds, also on a support A that sigma does not map onto itself (the odot
+    sigma moves a non-central x to x*e): the hits then lie on A meet sigma(A),
+    and a count on the filtration of A alone is short on 8 of the subgroups of
+    D8xC2 that one or two elements generate."""
+    v = f.enumerate_unitary(g, sigma, support=support)
+    members = support.members if support is not None else range(g.order)
+    monkeypatch.setattr(unitgroup, "_MEMORY_BUDGET", 0)
+    with pytest.raises(f.TooLargeError, match=rf"^the scan's hits \({v.order:,} masks\)"):
+        unitgroup._require_hit_memory(g, sigma.perm, tuple(members))

@@ -559,7 +559,7 @@ def _listed_verdicts(form, w, ell):
         "cofactor_order": h.order == w.order * ell.order,
         "cofactor_semidirect": unitgroup.internal_semidirect(h, w, ell),
         "group_meets_cofactor_trivially": f.group_image(g).mask_set() & h.mask_set() == {1},
-        "cofactor_members_unitary": not unitgroup._failing_members(g, h.masks, g.inv),
+        "cofactor_members_unitary": not unitgroup._failing_members(g, h.masks, g.inv)[0],
     }
 
 
