@@ -21,26 +21,19 @@ central ones and, in an abelian group, those squaring to 1; so G, T, H and
 each W are checked on their generators, the first failing one the witness, by
 ``_failing_members`` from ``unitgroup``, which alone knows its bit-plane
 format. The per-element lemma checks split with ``_coset_parts`` and decide
-on masks by their independent conditions; their docstrings prove the rest. No
-group or product set is listed by multiplying members, and the classical W's
-facts are decided once: on the basis of W - 1 that its module check keeps
-and on one table of its generators' products. The cofactor H = W*L is
-listed, as a sumset, only for the oracle, which compares the assembled
-product with the enumerated unitary group by orders (``_product_is``) and
-decides normality in it on the fixed-point pcgs, once that generates it.
-Otherwise H is decided from W and L: its order, its semidirect structure and
-its meeting the group image from their supports, and its unitarity on its
-generators. The odot W is decided on its basis of W - 1 and one table of
-its vectors' products, and G x T x W on generators and supports; W and G*T
-are listed only for the oracle, which compares their product with the
-enumerated unitary group by orders.
+on masks by their independent conditions; their docstrings prove the rest.
+Each W is decided on its basis of W - 1, membership by reduction, and one
+table of its generators' products; the classical H = W*L from W and L, and
+G x T x W on generators and supports. No group is listed by multiplying
+members, and W, H and G*T are listed only for the oracle, which compares
+their products with the enumerated unitary group by orders (``_product_is``).
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -72,7 +65,6 @@ from .unitgroup import (
     _product_is,
     _require_listable,
     _require_scan_memory,
-    _require_within,
     canonical_generators,
     enumerate_unitary,
     gens_of,
@@ -164,46 +156,62 @@ def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> Non
 # classical involution: unipotent factor, abelian complement, normal cofactor
 
 
-def _unipotent_map(form: InvertingExtensionForm) -> tuple[dict[int, tuple[int, int]], list[int]]:
+# Echelon columns keyed by their lowest bit, as ``_eliminate`` returns them.
+Pivots = dict[int, tuple[int, int]]
+
+
+def _unipotent_map(form: InvertingExtensionForm) -> tuple[Pivots, list[int]]:
     """Echelon form of the linear map z -> (1+b*b) z b on the basis of A."""
     return _eliminate(1 ^ _unipotent_generator(form, a) for a in form.a_sub.members)
 
 
+def _unipotent_basis(form: InvertingExtensionForm) -> tuple[list[int], list[int]]:
+    """A basis of W - 1, the echelon image of A's basis under
+    z -> (1+b*b) z b, and W's generators 1 + (1+b*b) g_i b over the
+    transversal: the image route and the generator route, which the
+    verification compares."""
+    gens = [_unipotent_generator(form, gi) for gi in form.transversal]
+    return [col for col, _ in _unipotent_map(form)[0].values()], gens
+
+
 def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
     """All elements 1 + (1+b*b) z b, z over the subalgebra on A: one plus the
-    span of the images of A's basis.
-
-    Generators are the transversal images 1 + (1+b*b) g_i b; the image route
-    and the generator route are compared in the verification pipeline.
-    """
-    pivots, _ = _unipotent_map(form)
-    _require_listable(form.group, 1 << len(pivots), "the unipotent factor W")
-    masks = (1 ^ m for m in _span(col for col, _ in pivots.values()))
-    gens = [_unipotent_generator(form, gi) for gi in form.transversal]
-    return make_unit_set(form.group, masks, generators=gens)
+    span of ``_unipotent_basis``, with its transversal generators. The
+    verification lists it only for the oracle."""
+    vectors, gens = _unipotent_basis(form)
+    _require_listable(form.group, 1 << len(vectors), "the unipotent factor W")
+    return make_unit_set(form.group, (1 ^ m for m in _span(vectors)), generators=gens)
 
 
-def _generator_facts(w: UnitSet, rank: int) -> tuple[bool, bool]:
-    """(generated, elementary) for W's recorded generators w_i, W - 1 a subspace
-    of dimension ``rank``, read off one table of products x_i x_j, x_i = w_i - 1.
+def _in_w(pivots: Pivots, u: int) -> bool:
+    """u lies in W = 1 + span exactly when u + 1 reduces to 0 against the
+    pivots of W - 1: each step clears the lowest bit, if a pivot holds it."""
+    x = u ^ 1
+    while x and (x & -x).bit_length() - 1 in pivots:
+        x ^= pivots[(x & -x).bit_length() - 1][0]
+    return not x
+
+
+def _generator_facts(g, gens: Sequence[int], pivots: Pivots) -> tuple[bool, bool]:
+    """(generated, elementary) for W's generators w_i, W - 1 the span of
+    ``pivots``, read off one table of products x_i x_j, x_i = w_i - 1.
 
     generated: when every x_i x_j is 0, so is every product in the span,
     (1+u)(1+v) = 1+u+v, and the w_i generate exactly 1 + span(x_i): W when
-    each w_i lies in W and the x_i have rank ``rank``. The products are
+    each w_i lies in W and the x_i have W's rank. The products are
     computed, not assumed from (1+b*b)^2 = 0, as this is the evidence for
     W's member checks on generators. They vanish on every W that
-    ``build_unipotent_factor`` builds, so there the verdict is that of
-    listing the group the generators generate; 1 + J, generated by its
-    canonical generators with J^2 != 0, fails.
+    ``_unipotent_basis`` gives, so there the verdict is that of listing
+    the group the generators generate; 1 + J, generated by its canonical
+    generators with J^2 != 0, fails.
 
     elementary: w_i w_j - w_j w_i = x_i x_j - x_j x_i and w_i^2 - 1 = x_i^2,
     so the w_i are commuting involutions, which generate an elementary
     abelian group, when the table is symmetric with a zero diagonal.
     """
-    g = w.group
-    xs = [1 ^ m for m in w.generators]
+    xs = [1 ^ m for m in gens]
     table = [[_mul(g, x, y) for y in xs] for x in xs]
-    spans = all(m in w for m in w.generators) and len(_eliminate(xs)[0]) == rank
+    spans = all(_in_w(pivots, m) for m in gens) and len(_eliminate(xs)[0]) == len(pivots)
     symmetric = [list(col) for col in zip(*table)] == table
     elementary = symmetric and not any(row[i] for i, row in enumerate(table))
     return spans and not any(chain.from_iterable(table)), elementary
@@ -234,30 +242,20 @@ def build_abelian_complement(form: InvertingExtensionForm) -> UnitSet:
     return _abelian_complement(v_a, group_image(g, form.a_sub), form.a_sub)
 
 
-def _require_w_module(form: InvertingExtensionForm, w: UnitSet) -> list[int]:
-    """The ascending reduced echelon basis of W - 1; HypothesisViolationError
-    unless W - 1 is a subspace that left and right translation (g.mul[a] and
-    column a) by each generator a of A maps into itself: no product.
-
-    W - 1 is decided on r of its 2^r members, not eliminated whole. Sorted
-    ascending, a subspace lists its reduced echelon basis b_1 < ... < b_r
-    (top bits t_1 < ... < t_r, each b_i zero at the other t_j) in
-    binary-counting order: two sums over index sets S != S' first differ at
-    bit t_k, k the largest index in one set only, and the sum over the set
-    holding k has that bit. So b_i sits at position 2^(i-1), and ``_span``
-    of those members lists the subspace in the same ascending order. No span
-    equals a set that is not a subspace, so W - 1 is one exactly when
-    |W| = 2^r and that span is the sorted list.
-    """
+def _require_w_module(form: InvertingExtensionForm, vectors: Iterable[int], order: int) -> Pivots:
+    """The echelon pivots of W - 1 (see ``_in_w``), for a W of ``order``
+    members whose W - 1 lies in the span of ``vectors``;
+    HypothesisViolationError unless W - 1 is that span, |W| = 2^rank, and
+    left and right translation (g.mul[a] and column a) by each generator a
+    of A maps it into itself: no product."""
     g = form.group
     shifts = [p for a in form.a_sub.generators for p in (g.mul[a], [r[a] for r in g.mul])]
-    module = sorted(1 ^ m for m in w.masks)
-    rank = len(module).bit_length() - 1
-    basis = [module[1 << i] for i in range(rank)]
+    pivots, _ = _eliminate(vectors)
+    basis = [col for col, _ in pivots.values()]
     moved, _ = _eliminate(basis + [_involute(p, x) for p in shifts for x in basis])
-    if len(module) != 1 << rank or _span(basis) != module or len(moved) != rank:
+    if order != 1 << len(pivots) or len(moved) != len(pivots):
         raise HypothesisViolationError("W - 1 is not a subspace closed under translation by A")
-    return basis
+    return pivots
 
 
 def _require_on_a(form: InvertingExtensionForm, ell: UnitSet) -> int:
@@ -268,17 +266,15 @@ def _require_on_a(form: InvertingExtensionForm, ell: UnitSet) -> int:
     return on_a
 
 
-def build_normal_cofactor(
-    form: InvertingExtensionForm, w: UnitSet, ell: UnitSet
-) -> UnitSet:
+def build_normal_cofactor(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet) -> UnitSet:
     """H = W*L, listed as the sumset {l + s : l in L, s in W - 1}:
     W - 1 = (1+b*b) F2A b is a two-sided F2A-module, as b normalizes A and
     b*b lies in A: (1+b*b) z b a = (1+b*b) (z a') b with a' = b a b^-1. For
     l in L, inside V(F2A), (1 + s) l = l + s l and s -> s l permutes W - 1,
     so W l = l + (W - 1). HypothesisViolationError unless that premise holds
-    (``_require_w_module`` and ``_require_on_a``). The oracle branch of
-    ``verify_inverting_decomposition``, which decides the premise first,
-    lists H by ``_cofactor_sumset`` alone.
+    (``_require_w_module``, on W's members, and ``_require_on_a``). The
+    oracle branch of ``verify_inverting_decomposition``, which decides the
+    premise on W's basis first, lists H by ``_cofactor_sumset`` alone.
 
     The sumset is listed with s outer, over the ascending W - 1, and l inner,
     over the ascending L. W - 1 lies on the coset A b and L on A, so when A
@@ -287,7 +283,7 @@ def build_normal_cofactor(
     ``make_unit_set`` sorts it in linear time. A relabelled table only costs
     a fuller sort.
     """
-    _require_w_module(form, w)
+    _require_w_module(form, (1 ^ m for m in w.masks), w.order)
     _require_on_a(form, ell)
     return _cofactor_sumset(form, w, ell)
 
@@ -301,7 +297,7 @@ def _cofactor_sumset(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet) -> 
 
 
 def _conjugation_witness(
-    form: InvertingExtensionForm, x1s: Sequence[int], w_masks: frozenset[int]
+    form: InvertingExtensionForm, x1s: Sequence[int], in_w: Callable[[int], bool]
 ) -> str | None:
     """Check the three conjugation identities; return a witness on failure.
 
@@ -309,7 +305,8 @@ def _conjugation_witness(
     conjugating w_i by b gives the generator at g_i's inverse, which is the
     generator at the representative of its coset, as (1+b*b) b*b = 1+b*b;
     conjugating by a unitary x1 of the subalgebra on A gives
-    1 + (1+b*b) x1^2 g_i b, inside W; and b x1^{-1} = x1 b = b x1*.
+    1 + (1+b*b) x1^2 g_i b, inside W (as ``in_w`` tells); and
+    b x1^{-1} = x1 b = b x1*.
 
     x1 runs over ``x1s`` only, a generating set of V_*(F2A): the pipeline
     passes the generators of A's image and of L, which generate it once
@@ -345,12 +342,12 @@ def _conjugation_witness(
     for gi in form.transversal:
         w_i = _unipotent_generator(form, gi)
         conj_b = _mul(g, _mul(g, b_el, w_i), b_inv)
-        if conj_b != _unipotent_generator(form, g.inv[gi]) or conj_b not in w_masks:
+        if conj_b != _unipotent_generator(form, g.inv[gi]) or not in_w(conj_b):
             return f"twist conjugation at {g.labels[gi]}: got {_render(g, conj_b)}"
         gi_b = 1 << g.mul[gi][form.b]
         for x1, x1_inv, nb_sq, twist in xs:
             conj = _mul(g, _mul(g, x1, w_i), x1_inv)
-            if conj != 1 ^ _mul(g, nb_sq, gi_b) or conj not in w_masks:
+            if conj != 1 ^ _mul(g, nb_sq, gi_b) or not in_w(conj):
                 return (
                     f"unitary conjugation at {g.labels[gi]} by "
                     f"{_render(g, x1)}: got {_render(g, conj)}"
@@ -364,8 +361,8 @@ def check_conjugation_closure(form: InvertingExtensionForm) -> bool:
     """True iff all three conjugation identities hold for every pair."""
     g = form.group
     v_a = enumerate_unitary(g, classical_involution(g), support=form.a_sub)
-    w_masks = build_unipotent_factor(form).mask_set()
-    return _conjugation_witness(form, canonical_generators(v_a), w_masks) is None
+    pivots, _ = _unipotent_map(form)
+    return _conjugation_witness(form, canonical_generators(v_a), partial(_in_w, pivots)) is None
 
 
 def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) -> bool:
@@ -403,11 +400,11 @@ def verify_inverting_decomposition(
     Groups larger than ``max_order`` get the constructive checks only
     (factors verified internally, every constructed element confirmed
     unitary); raise ``max_order`` to run the full oracle on them. W is
-    listed, so a bound |A|/2 on its dimension above ``max_order`` is a
-    TooLargeError, as is a listing or scan estimated above the memory
-    budget; the oracle's scan is estimated before anything is listed. H =
-    W*L is listed only for the oracle; the constructive checks decide it
-    from W and L, and its unitarity on its generators.
+    decided on its basis of W - 1, membership by reduction (``_in_w``), and
+    H = W*L from W and L, its unitarity on its generators; W and H are
+    listed only for the oracle. A scan above ``max_order`` positions, or a
+    listing or scan estimated above the memory budget, is a TooLargeError;
+    the oracle's scan is estimated before anything is listed.
     """
     if not isinstance(form, InvertingExtensionForm):
         raise TypeError(
@@ -430,23 +427,25 @@ def verify_inverting_decomposition(
         orders={},
     )
 
-    # (1+b*b)^2 = 0, so the image (1+b*b) F2A b has dimension at most |A|/2.
-    _require_within(a_order // 2, max_order, "the dimension of the unipotent factor W")
     oracle = g.order <= max_order and not skip_enumeration
     if oracle:  # refuse a scan that cannot fit before anything is listed
         _require_scan_memory(g, g.order)
-    w = build_unipotent_factor(form)
-    basis = _require_w_module(form, w)
-    generated, elementary = _generator_facts(w, len(basis))
+    vectors, w_gens = _unipotent_basis(form)
+    pivots = _require_w_module(form, vectors, 1 << len(vectors))
+    in_w = partial(_in_w, pivots)
+    rank = len(pivots)
+    w_order = 1 << rank
+    generated, elementary = _generator_facts(g, w_gens, pivots)
+    # (1+b*b)^2 = 0, so the image (1+b*b) F2A b has dimension at most |A|/2.
     expected_w = 1 << (a_order // 2)
-    report.add("unipotent_order_formula", w.order == expected_w)
+    report.add("unipotent_order_formula", w_order == expected_w)
     report.add("unipotent_generator_route_agrees", generated)
     # Each fiber is a coset of the kernel, of dimension |A| - log2|W|.
-    report.add("unipotent_fibers_uniform", 1 << (a_order - w.order.bit_length() + 1) == expected_w)
-    report.add("unipotent_elementary_abelian", elementary and len(basis) == a_order // 2)
+    report.add("unipotent_fibers_uniform", 1 << (a_order - rank) == expected_w)
+    report.add("unipotent_elementary_abelian", elementary and rank == a_order // 2)
     # The unitary elements, and in the abelian W those squaring to 1, form
     # groups, and W is the group its generators generate (route check above).
-    _add_member_check(report, "unipotent_members_unitary", g, gens_of(w), sigma, square=True)
+    _add_member_check(report, "unipotent_members_unitary", g, w_gens, sigma, square=True)
 
     v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
     a_image = group_image(g, form.a_sub)
@@ -456,7 +455,7 @@ def verify_inverting_decomposition(
         report.add("abelian_complement_exists", False, str(exc))
         report.orders = {
             "group": g.order,
-            "unipotent": w.order,
+            "unipotent": w_order,
             "unitary_on_subalgebra": v_a.order,
         }
         return report
@@ -468,28 +467,29 @@ def verify_inverting_decomposition(
     # so with W - 1, the span of its basis, on the coset A b the sums l + s
     # are distinct, and a basis element lies in H only if it lies in L.
     on_a = _require_on_a(form, ell)
-    report.add("cofactor_order", not any(x & on_a for x in basis))
-    semidirect = w.mask_set() & ell.mask_set() == {1} and normalizes(g, gens_of(ell), w)
+    report.add("cofactor_order", not any(x & on_a for x in vectors))
+    meets_trivially = [m for m in ell.masks if in_w(m)] == [1]
+    semidirect = meets_trivially and normalizes(g, gens_of(ell), w_gens, in_w)
     report.add("cofactor_semidirect", semidirect)
 
     # A and L generate V_*(F2A) when the contract above holds; else the
     # report fails on it.
-    witness = _conjugation_witness(form, gens_of(a_image) + gens_of(ell), w.mask_set())
+    witness = _conjugation_witness(form, gens_of(a_image) + gens_of(ell), in_w)
     report.add("conjugation_identities", witness is None, witness)
 
     report.add("group_meets_cofactor_trivially", a_image.mask_set() & ell.mask_set() == {1})
 
-    expected = g.order * w.order * ell.order
+    expected = g.order * w_order * ell.order
     report.orders = {
         "group": g.order,
-        "unipotent": w.order,
+        "unipotent": w_order,
         "complement": ell.order,
-        "cofactor": w.order * ell.order,
+        "cofactor": w_order * ell.order,
         "expected_unitary": expected,
     }
 
     if oracle:
-        h = _cofactor_sumset(form, w, ell)  # its premise is decided above
+        h = _cofactor_sumset(form, build_unipotent_factor(form), ell)  # premise decided above
         g_image = group_image(g)
         v = enumerate_unitary(g, sigma, max_order=max_order)
         report.orders["oracle_unitary"] = v.order
@@ -501,7 +501,7 @@ def verify_inverting_decomposition(
         bad = [_render(g, m) for m in pcgs if m not in v.mask_set()]
         if 1 << len(pcgs) != v.order:
             bad.append(f"pcgs order {1 << len(pcgs)}, scanned order {v.order}")
-        normal = not bad and normalizes(g, pcgs, h)
+        normal = not bad and normalizes(g, pcgs, gens_of(h), h.mask_set().__contains__)
         report.add("cofactor_normal_in_unitary", normal, bad[0] if bad else None)
         # The smallest member of H, else of G, outside v is the witness.
         outside = next((m for m in chain(h.masks, g_image.masks) if m not in v), None)
@@ -514,7 +514,7 @@ def verify_inverting_decomposition(
         )
         _add_oracle_skip_note(report, g, max_order)
         # V_* is a group, so H lies in it when its generators do.
-        _add_member_check(report, "cofactor_members_unitary", g, gens_of(w) + gens_of(ell), sigma)
+        _add_member_check(report, "cofactor_members_unitary", g, w_gens + gens_of(ell), sigma)
     return report
 
 
@@ -618,9 +618,9 @@ def verify_odot_decomposition(
     """Build the torsion and central unipotent factors, certify the direct
     product, compare with the enumerated unitary group when in bounds.
 
-    W is decided on its basis of W - 1, and W and G*T are listed only for
-    the oracle. A W of dimension 3|C|/2 above ``max_order`` is a
-    TooLargeError, as is a listing or scan estimated above the memory budget.
+    W is decided on its basis of W - 1 and G x T x W on generators and
+    supports; W and G*T are listed only for the oracle. A listing or scan
+    estimated above the memory budget is a TooLargeError.
     """
     if not isinstance(form, OdotForm):
         raise TypeError(
@@ -642,7 +642,6 @@ def verify_odot_decomposition(
     )
 
     dim = 3 * form.c_sub.order // 2
-    _require_within(dim, max_order, "the dimension of the unipotent factor W")
     oracle = g.order <= max_order and not skip_enumeration
     if oracle:  # refuse a scan that cannot fit before anything is listed
         _require_scan_memory(g, g.order)

@@ -50,7 +50,7 @@ from __future__ import annotations
 from functools import cached_property, partial, reduce
 from itertools import chain, combinations
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _products, _span
 from .errors import (
@@ -151,9 +151,8 @@ def group_image(g: GroupTable, sub: SubgroupSet | None = None) -> UnitSet:
 
 
 def _require_within(count: int, max_order: int, what: str) -> None:
-    """TooLargeError when ``what``, a count of free positions or of
-    dimensions, is above the bound: listing 2^count masks costs as much as
-    a scan of ``count`` positions."""
+    """TooLargeError when ``what``, a count of free coefficient positions,
+    is above the bound."""
     if count > max_order:
         raise TooLargeError(
             f"{what} is {count}, above the bound {max_order}; "
@@ -563,7 +562,7 @@ def internal_semidirect(ambient: UnitSet, n: UnitSet, k: UnitSet) -> bool:
     _require_subset(ambient, k, "the complement part")
     if n.mask_set() & k.mask_set() != {1} or n.order * k.order != ambient.order:
         return False
-    return normalizes(ambient.group, gens_of(k), n)
+    return normalizes(ambient.group, gens_of(k), gens_of(n), n.mask_set().__contains__)
 
 
 def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
@@ -632,18 +631,18 @@ def commute(g: GroupTable, xs: Sequence[int], ys: Sequence[int]) -> bool:
     return all(_mul(g, x, y) == _mul(g, y, x) for x in xs for y in ys)
 
 
-def normalizes(g: GroupTable, conj_gens: Sequence[int], sub: UnitSet) -> bool:
-    """True iff a*n*a^-1 lies in sub for every a in conj_gens and every
-    generator n of sub.
+def normalizes(
+    g: GroupTable, conj_gens: Sequence[int], ns: Sequence[int], member: Callable[[int], bool]
+) -> bool:
+    """True iff ``member`` holds at a*n*a^-1 for every a in conj_gens and
+    every n in ns, generators of the subgroup whose members ``member`` tells.
 
-    In a finite group this means every a maps sub into, hence onto, itself,
-    so the whole group generated by conj_gens normalizes sub.
+    In a finite group this means every a maps that subgroup into, hence
+    onto, itself, so the whole group generated by conj_gens normalizes it.
     """
-    sub_set = sub.mask_set()
-    ns = gens_of(sub)
     for a in conj_gens:
         a_inv = _inverse(g, a)
-        if any(_mul(g, _mul(g, a, n), a_inv) not in sub_set for n in ns):
+        if not all(member(_mul(g, _mul(g, a, n), a_inv)) for n in ns):
             return False
     return True
 

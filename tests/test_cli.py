@@ -186,31 +186,41 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        pytest.param(["--family", "quaternion", "--order", "128", "--involution", "classical"],
-                     id="Q128/classical"),
-        pytest.param(["--group", "{d8xc8}", "--involution", "odot"], id="D8xC8/odot"),
-    ],
-)
-def test_unipotent_factor_above_the_bound_exits_two(args, tmp_path):
-    """W has 2^32 members at Q128 classical and 2^24 at D8xC8 odot; listing
-    it ran out of memory (a MemoryError traceback, exit 1). Its dimension is
-    now checked against the bound first. The address space is capped so
-    that a regression fails here instead of filling the host's memory."""
+def _construct(args, tmp_path):
+    """Run construct mode on ``args`` under a 3 GB address-space cap."""
     spec = tmp_path / "d8xc8.json"
     spec.write_text(json.dumps(D8XC8))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "f2units", *(a.format(d8xc8=spec) for a in args),
          "--mode", "construct"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=20,
         preexec_fn=_limit_address_space,
     )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: TooLargeError: ")
-    assert "Traceback" not in proc.stderr
+
+
+def test_a_large_unipotent_factor_is_never_listed(tmp_path):
+    """W has 2^32 members at Q128 classical and 2^24 at D8xC8 odot; listing
+    it ran out of memory (a MemoryError traceback, exit 1). Construct mode
+    now decides W on its basis and lists it at no bound: Q128 stops at the
+    scan of A's 64 positions, above the default bound, and D8xC8 reports,
+    failing by design, as it does with the bound raised to 32. The address
+    space is capped so that a regression fails here instead of filling the
+    host's memory."""
+    q128 = _construct(
+        ["--family", "quaternion", "--order", "128", "--involution", "classical"], tmp_path
+    )
+    assert q128.returncode == 2, q128.stderr
+    assert q128.stderr.startswith(
+        "error: TooLargeError: the number of free coefficient positions is 64, "
+    )
+    assert "Traceback" not in q128.stderr
+    d8xc8 = ["--group", "{d8xc8}", "--involution", "odot"]
+    default = _construct(d8xc8, tmp_path)
+    raised = _construct([*d8xc8, "--max-exhaustive-order", "32"], tmp_path)
+    assert (default.returncode, default.stderr) == (1, "")
+    assert default.stdout == raised.stdout
+    assert default.stdout.rstrip().endswith("overall: FAIL")
 
 
 # Specs with a key the parser does not use, each mapped to that key: a

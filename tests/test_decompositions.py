@@ -520,26 +520,37 @@ def _count_unipotent_builds(monkeypatch):
     return calls
 
 
+def _entry_form(entries, key):
+    return next(e for e in entries if e.key == key).form()
+
+
+# The form and W's builder; the order-32 forms are above the default bound.
+LISTS_W = {
+    "D8xC2/odot": (lambda: _entry_form(ODOT_ENTRIES, "D8xC2"), "build_central_unipotent"),
+    "D8xC4/odot": (lambda: _entry_form(ODOT_ENTRIES, "D8xC4"), "build_central_unipotent"),
+    "Q16/classical": (lambda: _entry_form(CLASSICAL_ENTRIES, "Q16"), "build_unipotent_factor"),
+    "Q32/classical": (
+        lambda: f.detect_inverting_form(f.make_quaternion(32)),
+        "build_unipotent_factor",
+    ),
+}
+
+
 @pytest.mark.parametrize("skip", [False, True], ids=["verify", "construct"])
-@pytest.mark.parametrize("key", ["D8xC2", "D8xC4"])
-def test_odot_verification_lists_its_w_once(key, skip, monkeypatch):
-    """W is listed once with the oracle and never without it: its checks and
-    the alternate representatives' are decided on bases of W - 1. D8xC4 is
-    above the default bound, so it runs no oracle either way."""
-    form = next(e for e in ODOT_ENTRIES if e.key == key).form()
+@pytest.mark.parametrize("key", list(LISTS_W))
+def test_verification_lists_its_w_once(key, skip, monkeypatch):
+    """W is listed once with the oracle and never without it: its checks,
+    and the odot alternate representatives', are decided on bases of W - 1.
+    The order-32 forms run no oracle either way."""
+    make_form, builder = LISTS_W[key]
+    form = make_form()
+    odot = key.endswith("/odot")
+    verify = f.verify_odot_decomposition if odot else f.verify_inverting_decomposition
     calls = _count_unipotent_builds(monkeypatch)
-    report = f.verify_odot_decomposition(form, skip_enumeration=skip)
+    report = verify(form, skip_enumeration=skip)
     oracle = "oracle_unitary" in report.orders
-    assert oracle is (key == "D8xC2" and not skip)
-    assert calls == (["build_central_unipotent"] if oracle else [])
-
-
-@pytest.mark.parametrize("order", [16, 32])
-def test_classical_construction_lists_its_w_once(order, monkeypatch):
-    form = f.detect_inverting_form(f.make_quaternion(order))
-    calls = _count_unipotent_builds(monkeypatch)
-    f.verify_inverting_decomposition(form, skip_enumeration=True)
-    assert calls == ["build_unipotent_factor"]
+    assert oracle is (form.group.order == 16 and not skip)
+    assert calls == ([builder] if oracle else [])
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from f2units.errors import (
 )
 from f2units.catalog import catalog_groups
 from f2units.groups import _extend, _greedy_generators
-from f2units.unitgroup import normalizes
+from f2units.unitgroup import gens_of, normalizes
 from perfbench.workloads import ingest_spec_texts
 from oracles import (
     naive_canonical_generators,
@@ -566,8 +566,8 @@ def test_normality(d8):
     whole = f.group_image(d8)
     rotations = f.group_image(d8, f.subgroup_closure(d8, [1]))
     reflection = f.group_image(d8, f.subgroup_closure(d8, [4]))
-    assert normalizes(d8, _group_generators(d8), rotations)
-    assert not normalizes(d8, _group_generators(d8), reflection)
+    for sub, normal in ((rotations, True), (reflection, False)):
+        assert normalizes(d8, _group_generators(d8), gens_of(sub), sub.__contains__) is normal
     assert f.internal_semidirect(whole, rotations, reflection)
     assert not f.internal_semidirect(whole, reflection, rotations)
 
@@ -584,7 +584,8 @@ def test_normality_of_each_cyclic_subgroup_matches_the_oracle(any_group):
     everything = [1 << x for x in range(g.order)]
     for x in range(g.order):
         sub = f.group_image(g, f.subgroup_closure(g, [x]))
-        assert normalizes(g, _group_generators(g), sub) is naive_normal_in(g, everything, sub.masks)
+        normal = normalizes(g, _group_generators(g), gens_of(sub), sub.__contains__)
+        assert normal is naive_normal_in(g, everything, sub.masks)
 
 
 def test_coset_representatives_partition_by_each_cyclic_subgroup(any_group):
@@ -818,7 +819,8 @@ def test_is_normal_matches_pairwise_conjugation(name, data):
     g = CATALOG[name]
     s = f.subgroup_closure(g, data.draw(st.lists(st.integers(0, g.order - 1), max_size=3)))
     pairwise = all(g.conjugate(x, h) in s for x in range(g.order) for h in s.members)
-    assert normalizes(g, _group_generators(g), f.group_image(g, s)) is pairwise
+    image = f.group_image(g, s)
+    assert normalizes(g, _group_generators(g), gens_of(image), image.__contains__) is pairwise
 
 
 @settings(max_examples=150, deadline=None)

@@ -352,7 +352,8 @@ def test_w_check_on_generators_matches_every_member(key):
 
 # (form, builder in decompositions, check, label of a failing mask, factor
 # of the check's keywords): T and both W are checked on their generators,
-# the odot W on the generators 1 + v over the basis of W - 1 it is built from.
+# the odot W on the generators 1 + v over the basis of W - 1 it is built from,
+# the classical W on the transversal generators beside its basis.
 MUTANTS = {
     "T": ("D8xC4/odot", "_complement_search", "torsion_members_unitary", "(1,a)", "T"),
     "odot-W": (
@@ -362,7 +363,7 @@ MUTANTS = {
         "(1,a)",
         "W",
     ),
-    "classical-W": ("Q32/classical", "build_unipotent_factor", "unipotent_members_unitary", "a", "W"),
+    "classical-W": ("Q32/classical", "_unipotent_basis", "unipotent_members_unitary", "a", "W"),
 }
 
 
@@ -383,9 +384,13 @@ def test_member_checks_read_the_generators(monkeypatch, case):
 
     def mutant(*args):
         s = original(*args)
-        if builder != "_central_unipotent_basis":
+        if builder == "_complement_search":
             built.append(s.masks)
             return make_unit_set(g, s.masks, generators=(bad, *s.generators[1:]))
+        if builder == "_unipotent_basis":
+            vectors, gens = s
+            built.append([1 ^ m for m in _span(vectors)])
+            return vectors, [bad, *gens[1:]]
         if (args[0].a, args[0].b) != (form.a, form.b):
             return s
         built.append([1 ^ m for m in _span(s)])

@@ -37,7 +37,7 @@ D8XC16 = {"family": "direct_product", "params": {"factors": [
         pytest.param(
             ["--family", "quaternion", "--order", "128", "--involution", "classical",
              "--mode", "construct"],
-            "listing the unipotent factor W (4,294,967,296 masks)",
+            "the scan of 64 positions",
             id="Q128/construct",
         ),
         pytest.param(
@@ -55,9 +55,11 @@ D8XC16 = {"family": "direct_product", "params": {"factors": [
     ],
 )
 def test_run_above_the_memory_budget_exits_two(args, what, tmp_path, monkeypatch, capsys):
-    """With the bound raised to 64, Q128 classical construct lists W's 2^32
+    """With the bound raised to 64, Q128 classical construct listed W's 2^32
     masks (the kernel's OOM killer ended it at 7.7 GB, exit -9, with no
-    error line), and Q64 verify would scan 64 positions on 2^32-bit planes.
+    error line); it lists no W now, and would scan A's 64 positions on
+    2^32-bit planes, as Q64 verify would scan its group's 64. Neither W
+    builder runs, and each refusal comes within a second.
     D8xC16 odot construct lists no W (2^48 masks), but the order-2 central
     units are 2^24 masks, and the complement search then keeps S*F at each
     depth beside them (3.23 GB peak on a 2-core host while only the listing
@@ -68,12 +70,16 @@ def test_run_above_the_memory_budget_exits_two(args, what, tmp_path, monkeypatch
     for module, name in (
         (decompositions, "_span"),
         (decompositions, "make_unit_set"),
+        (decompositions, "build_unipotent_factor"),
+        (decompositions, "build_central_unipotent"),
         (decompositions, "_complement_search"),
         (unitgroup, "_span"),
         (unitgroup, "_unitary_kernel"),
     ):
         monkeypatch.setattr(module, name, _refuse(f"{module.__name__}.{name}"))
+    start = time.perf_counter()
     code = main([*(a.format(d8xc16=spec) for a in args), "--max-exhaustive-order", "64"])
+    assert time.perf_counter() - start < 1.0
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     (line,) = err.splitlines()

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 from types import FunctionType, ModuleType
 
+import pytest
+
 import f2units as f
 from f2units import errors
 
@@ -106,7 +108,9 @@ def test_member_checks_pass_generating_sets():
     every ``_add_member_check`` call in ``decompositions`` passes
     ``gens_of(...)``, a sum of such calls, or ``w_gens``, bound only to the
     odot W's generators ``1 + v`` over its basis of W - 1, which generate W
-    when their products vanish (``central_unipotent_elementary``); never a
+    when their products vanish (``central_unipotent_elementary``), and to
+    the classical W's transversal generators, which generate it when the
+    route check passes (``unipotent_generator_route_agrees``); never a
     member list."""
 
     def generating(node: ast.AST) -> bool:
@@ -120,13 +124,17 @@ def test_member_checks_pass_generating_sets():
     tree = ast.parse(source)
     bound: dict[str, set[str]] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
-            bound.setdefault(node.targets[0].id, set()).add(ast.dump(node.value))
-    for name, value in (
-        ("w_gens", "[1 ^ v for v in vectors]"),
-        ("vectors", "_central_unipotent_basis(form)"),
-    ):
-        assert bound[name] == {ast.dump(ast.parse(value, mode="eval").body)}
+        if isinstance(node, ast.Assign):
+            (target,) = node.targets
+            value = ast.unparse(node.value)
+            if isinstance(target, ast.Name):
+                bound.setdefault(target.id, set()).add(value)
+            elif isinstance(target, ast.Tuple):
+                for i, name in enumerate(target.elts):
+                    if isinstance(name, ast.Name):
+                        bound.setdefault(name.id, set()).add(f"{value}[{i}]")
+    assert bound["w_gens"] == {"[1 ^ v for v in vectors]", "_unipotent_basis(form)[1]"}
+    assert bound["vectors"] == {"_central_unipotent_basis(form)", "_unipotent_basis(form)[0]"}
     calls = [
         node
         for node in ast.walk(tree)
@@ -141,13 +149,30 @@ def test_member_checks_pass_generating_sets():
     assert [node.lineno for node, (m,) in zip(calls, masks) if not generating(m)] == []
 
 
-def test_odot_verification_lists_w_and_gt_only_for_the_oracle():
+# Per function of ``decompositions``: the calls that list a set or estimate
+# a listing, and those of them that it makes, each inside an ``if oracle:``.
+GENERIC_LISTINGS = {"make_unit_set", "_span", "_require_listable"}
+LISTINGS = {
+    "verify_odot_decomposition": (
+        GENERIC_LISTINGS | {"build_central_unipotent"},
+        {"make_unit_set", "_require_listable", "build_central_unipotent"},
+    ),
+    "verify_inverting_decomposition": (
+        GENERIC_LISTINGS | {"build_unipotent_factor", "_cofactor_sumset"},
+        {"build_unipotent_factor", "_cofactor_sumset"},
+    ),
+    "check_conjugation_closure": (GENERIC_LISTINGS | {"build_unipotent_factor"}, set()),
+}
+
+
+@pytest.mark.parametrize("function", list(LISTINGS))
+def test_verification_lists_w_only_for_the_oracle(function):
     """``decompositions`` imports neither ``structure_predicates`` nor
-    ``is_direct``, and every call in ``verify_odot_decomposition`` that lists
-    a set or estimates a listing (``make_unit_set``, ``_span``,
-    ``_require_listable``, ``build_central_unipotent``) sits inside an
-    ``if oracle:`` block: construct mode decides W on its basis and the
-    direct product on generators and supports, and lists neither W nor G*T."""
+    ``is_direct``, and every call in either verification that lists a set
+    or estimates a listing sits inside an ``if oracle:`` block: construct
+    mode decides each W on its basis, the odot direct product on generators
+    and supports and the classical H from W and L, and lists neither W nor
+    G*T nor H. ``check_conjugation_closure`` lists no W."""
     source = Path(f.__file__).with_name("decompositions.py").read_text(encoding="utf-8")
     tree = ast.parse(source)
     imported = {
@@ -157,25 +182,23 @@ def test_odot_verification_lists_w_and_gt_only_for_the_oracle():
         for alias in node.names
     }
     assert imported & {"structure_predicates", "is_direct"} == set()
-    (verify,) = [
-        node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "verify_odot_decomposition"
+    (body,) = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function
     ]
     inside = {
         id(child)
-        for node in ast.walk(verify)
+        for node in ast.walk(body)
         if isinstance(node, ast.If) and getattr(node.test, "id", None) == "oracle"
         for statement in node.body
         for child in ast.walk(statement)
     }
-    listing = {"make_unit_set", "_span", "_require_listable", "build_central_unipotent"}
+    listing, made = LISTINGS[function]
     calls = [
         node
-        for node in ast.walk(verify)
+        for node in ast.walk(body)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) in listing
     ]
-    assert {node.func.id for node in calls} == listing - {"_span"}
+    assert {node.func.id for node in calls} == made
     assert [node.lineno for node in calls if id(node) not in inside] == []
 
 

@@ -5,7 +5,7 @@ against a listing by ``oracles.naive_product``, on the intact factors and on
 mutants that keep every factor a subgroup; a guard fails when a pipeline
 lists a product again. Construct mode decides the facts about H from W and
 L and never lists H: each verdict is checked against the listed H, on the
-intact factors and on three mutants, and a guard makes the listing raise.
+intact factors and on four mutants, and a guard makes the listing raise.
 Nor is W multiplied out to show that its generators generate it: that
 verdict, decided on one table of the generators' products, is checked
 against their closure, and the elementary and cofactor_order verdicts read
@@ -333,9 +333,9 @@ def _premise_outcome(check, *args):
 
 
 def _premise(form, w, ell):
-    """The two halves of the cofactor premise, in the order
-    ``build_normal_cofactor`` decides them: the mask of A when both hold."""
-    decompositions._require_w_module(form, w)
+    """The two halves of the cofactor premise, as ``build_normal_cofactor``
+    decides them on the W it is handed: the mask of A when both hold."""
+    decompositions._require_w_module(form, (1 ^ m for m in w.masks), w.order)
     return decompositions._require_on_a(form, ell)
 
 
@@ -346,10 +346,10 @@ def _same_premise(form, w, ell):
 
 
 @pytest.mark.parametrize("case", list(_premise_cases()[1]))
-def test_premise_on_the_ascending_basis_matches_the_member_elimination(case):
-    """The premise read off the members at positions 1, 2, 4, ... of the
-    sorted W - 1 raises exactly when eliminating every member did, with the
-    same message, and returns the mask of A otherwise."""
+def test_premise_on_a_spanning_set_matches_the_member_elimination(case):
+    """The premise decided on W - 1 as a spanning set and |W| raises exactly
+    when the oracle's elimination of every member does, with the same
+    message, and returns the mask of A otherwise."""
     form, cases = _premise_cases()
     got = _same_premise(form, *cases[case])
     assert isinstance(got, int) == (case in ("W and L", "W - 1 carrying bit 0, closed"))
@@ -375,10 +375,10 @@ def test_premise_matches_the_member_elimination_on_random_sets(key, data):
 
 @pytest.mark.parametrize("skip", [False, True], ids=["verify", "construct"])
 def test_classical_pipeline_decides_the_cofactor_premise_once(q16_form, skip, monkeypatch):
-    """Each half of the premise is decided once: the module check on W right
-    after it is built, L on A at the cofactor step, and the oracle lists H
-    by the sumset alone. ``build_normal_cofactor`` keeps both halves for
-    direct callers."""
+    """Each half of the premise is decided once: the module check on W's
+    basis right after it is computed, L on A at the cofactor step, and the
+    oracle lists H by the sumset alone. ``build_normal_cofactor`` keeps both
+    halves for direct callers."""
     calls = {"_require_w_module": 0, "_require_on_a": 0}
     for name in calls:
         check = getattr(decompositions, name)
@@ -395,10 +395,11 @@ def test_classical_pipeline_decides_the_cofactor_premise_once(q16_form, skip, mo
     assert calls == {"_require_w_module": 2, "_require_on_a": 2}
 
 
-def test_classical_construct_spans_w_twice_and_computes_no_structure_predicates(monkeypatch):
-    """A Q32 construct run spans W - 1 only in its builder and in the module
-    check and passes; the product table decides the elementary check, and
-    the package has no structure predicates left to compute."""
+def test_classical_construct_spans_no_w_and_computes_no_structure_predicates(monkeypatch):
+    """A Q32 construct run spans no W - 1 and passes: the module check and
+    every membership test run on W's basis, the product table decides the
+    elementary check, and the package has no structure predicates left to
+    compute."""
     spans = []
 
     def counted(vectors):
@@ -407,7 +408,7 @@ def test_classical_construct_spans_w_twice_and_computes_no_structure_predicates(
 
     monkeypatch.setattr(decompositions, "_span", counted)
     assert f.verify_inverting_decomposition(CLASSICAL_FORMS["Q32"](), skip_enumeration=True).passed
-    assert len(spans) == 2
+    assert spans == []
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +430,23 @@ def _route_mutants(form, gens):
         yield "rank lost", keep + [naive_mul(g, gens[0], gens[1])]
 
 
+def _w_basis(w):
+    """W's basis of W - 1 and its recorded generators, as the pipeline's
+    ``_unipotent_basis`` gives them."""
+    pivots, _ = _eliminate(1 ^ m for m in w.masks)
+    return [col for col, _ in pivots.values()], list(w.generators)
+
+
 def _w_facts(form, w):
     """The route, elementary and cofactor_order verdicts as the pipeline
-    decides them: on the basis that the module check keeps and on one table
-    of the generators' products."""
-    basis = decompositions._require_w_module(form, w)
-    generated, elementary = decompositions._generator_facts(w, len(basis))
+    decides them: on the pivots that the module check keeps, here of W's
+    members, and on one table of the generators' products."""
+    pivots = decompositions._require_w_module(form, (1 ^ m for m in w.masks), w.order)
+    generated, elementary = decompositions._generator_facts(form.group, w.generators, pivots)
     on_a = sum(1 << i for i in form.a_sub.members)
     rank = form.a_sub.order // 2
-    return generated, elementary and len(basis) == rank, not any(x & on_a for x in basis)
+    basis = [col for col, _ in pivots.values()]
+    return generated, elementary and len(pivots) == rank, not any(x & on_a for x in basis)
 
 
 def _listed_w_facts(form, w, route):
@@ -564,10 +573,10 @@ def _listed_verdicts(form, w, ell):
 
 
 def _construct_checks(form, monkeypatch, w=None, ell=None, v_a=None):
-    """The construct-mode checks with W, L or the scan of A's subalgebra (the
-    only scan construct mode runs) replaced."""
+    """The construct-mode checks with W (its basis and generators), L or the
+    scan of A's subalgebra (the only scan construct mode runs) replaced."""
     if w is not None:
-        monkeypatch.setattr(decompositions, "build_unipotent_factor", lambda form: w)
+        monkeypatch.setattr(decompositions, "_unipotent_basis", lambda form: _w_basis(w))
     if ell is not None:
         monkeypatch.setattr(decompositions, "_complement_search", lambda ambient, factor: ell)
     if v_a is not None:
@@ -617,21 +626,46 @@ def test_an_l_holding_a_basis_element_of_a_meets_the_group(monkeypatch):
     assert verdicts == _listed_verdicts(form, w, grown)
 
 
+def _skip_module_check(monkeypatch, w):
+    """Make the module check return the pivots of W - 1, whatever W is."""
+    pivots, _ = _eliminate(1 ^ m for m in w.masks)
+    monkeypatch.setattr(decompositions, "_require_w_module", lambda *args: pivots)
+
+
 def test_an_l_generator_that_does_not_normalize_w_fails_the_semidirect_check(monkeypatch):
     """The premise makes W - 1 an F2A-module, so every unit on A normalizes
     W; only past it can an L generator fail to. W is replaced by the image
     of <b>, which two of Q32's complement generators do not normalize, and
-    the module check, which the pipeline makes right after W is built, is
-    skipped: it returns the vectors of W - 1 as its basis. They do not lie
-    on the coset A b, so cofactor_order fails too; both verdicts equal
-    those on the listed sumset (the other two are exact only on that coset)."""
+    the module check, which the pipeline makes right after W's basis is
+    computed, is skipped: it returns the pivots of W - 1, so membership is
+    by their span. They do not lie on the coset A b, so cofactor_order
+    fails too; both verdicts equal those on the listed sumset (the other
+    two are exact only on that coset)."""
     form = CLASSICAL_FORMS["Q32"]()
     g = form.group
     ell = f.build_abelian_complement(form)
     w = f.group_image(g, f.subgroup_closure(g, [form.b]))
-    assert not unitgroup.normalizes(g, ell.generators, w)
-    vectors = [1 ^ m for m in w.masks if m != 1]
-    monkeypatch.setattr(decompositions, "_require_w_module", lambda form, w: vectors)
+    assert not unitgroup.normalizes(g, ell.generators, w.generators, w.__contains__)
+    _skip_module_check(monkeypatch, w)
+    checks = _construct_checks(form, monkeypatch, w=w)
+    listed = _listed_verdicts(form, w, ell)
+    for name in ("cofactor_order", "cofactor_semidirect"):
+        assert not checks[name].passed
+        assert not listed[name]
+
+
+def test_a_w_that_meets_l_fails_the_semidirect_check(monkeypatch):
+    """Past the premise W can meet L too. W is replaced by the group that
+    the first generator l of Q32's complement generates, and the module
+    check is skipped as above: l lies in W and in L, and as L is abelian it
+    normalizes W, so cofactor_semidirect fails on the intersection alone.
+    It and cofactor_order equal the verdicts on the listed sumset."""
+    form = CLASSICAL_FORMS["Q32"]()
+    g = form.group
+    ell = f.build_abelian_complement(form)
+    w = _closure(g, ell.generators[:1])
+    assert unitgroup.normalizes(g, ell.generators, w.generators, w.__contains__)
+    _skip_module_check(monkeypatch, w)
     checks = _construct_checks(form, monkeypatch, w=w)
     listed = _listed_verdicts(form, w, ell)
     for name in ("cofactor_order", "cofactor_semidirect"):

@@ -17,7 +17,13 @@ import f2units as f
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import NotAbelianError
 from f2units.groups import SubgroupSet
-from f2units.unitgroup import _is_abelian_units, canonical_generators, is_direct, normalizes
+from f2units.unitgroup import (
+    _is_abelian_units,
+    canonical_generators,
+    gens_of,
+    is_direct,
+    normalizes,
+)
 from conftest import subalgebra_units
 from oracles import (
     naive_canonical_generators,
@@ -99,7 +105,7 @@ def test_classical_checks_match_oracles(entry):
     assert f.internal_semidirect(h, w, ell) is naive_semidirect(g, h, w, ell) is True
     assert f.internal_semidirect(v, h, img) is naive_semidirect(g, v, h, img) is True
     assert (
-        normalizes(g, canonical_generators(v), h)
+        normalizes(g, canonical_generators(v), gens_of(h), h.__contains__)
         is naive_normal_in(g, v.masks, h.masks)
         is True
     )
