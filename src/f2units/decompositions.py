@@ -160,18 +160,14 @@ def _add_oracle_skip_note(report: DecompositionReport, g, max_order: int) -> Non
 Pivots = dict[int, tuple[int, int]]
 
 
-def _unipotent_map(form: InvertingExtensionForm) -> tuple[Pivots, list[int]]:
-    """Echelon form of the linear map z -> (1+b*b) z b on the basis of A."""
-    return _eliminate(1 ^ _unipotent_generator(form, a) for a in form.a_sub.members)
-
-
 def _unipotent_basis(form: InvertingExtensionForm) -> tuple[list[int], list[int]]:
     """A basis of W - 1, the echelon image of A's basis under
     z -> (1+b*b) z b, and W's generators 1 + (1+b*b) g_i b over the
     transversal: the image route and the generator route, which the
     verification compares."""
     gens = [_unipotent_generator(form, gi) for gi in form.transversal]
-    return [col for col, _ in _unipotent_map(form)[0].values()], gens
+    pivots, _ = _eliminate(1 ^ _unipotent_generator(form, a) for a in form.a_sub.members)
+    return [col for col, _ in pivots.values()], gens
 
 
 def build_unipotent_factor(form: InvertingExtensionForm) -> UnitSet:
@@ -272,9 +268,9 @@ def build_normal_cofactor(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet
     b*b lies in A: (1+b*b) z b a = (1+b*b) (z a') b with a' = b a b^-1. For
     l in L, inside V(F2A), (1 + s) l = l + s l and s -> s l permutes W - 1,
     so W l = l + (W - 1). HypothesisViolationError unless that premise holds
-    (``_require_w_module``, on W's members, and ``_require_on_a``). The
-    oracle branch of ``verify_inverting_decomposition``, which decides the
-    premise on W's basis first, lists H by ``_cofactor_sumset`` alone.
+    (``_require_w_module`` on W's members, once H's size is estimated, and
+    ``_require_on_a``). The oracle of ``verify_inverting_decomposition``,
+    which decides it on W's basis, lists H by ``_cofactor_sumset`` alone.
 
     The sumset is listed with s outer, over the ascending W - 1, and l inner,
     over the ascending L. W - 1 lies on the coset A b and L on A, so when A
@@ -283,6 +279,7 @@ def build_normal_cofactor(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet
     ``make_unit_set`` sorts it in linear time. A relabelled table only costs
     a fuller sort.
     """
+    _require_listable(form.group, w.order * ell.order, "the cofactor H = W*L")
     _require_w_module(form, (1 ^ m for m in w.masks), w.order)
     _require_on_a(form, ell)
     return _cofactor_sumset(form, w, ell)
@@ -361,7 +358,8 @@ def check_conjugation_closure(form: InvertingExtensionForm) -> bool:
     """True iff all three conjugation identities hold for every pair."""
     g = form.group
     v_a = enumerate_unitary(g, classical_involution(g), support=form.a_sub)
-    pivots, _ = _unipotent_map(form)
+    vectors, _ = _unipotent_basis(form)
+    pivots = _require_w_module(form, vectors, 1 << len(vectors))
     return _conjugation_witness(form, canonical_generators(v_a), partial(_in_w, pivots)) is None
 
 
@@ -430,6 +428,8 @@ def verify_inverting_decomposition(
     oracle = g.order <= max_order and not skip_enumeration
     if oracle:  # refuse a scan that cannot fit before anything is listed
         _require_scan_memory(g, g.order)
+    # Before any product (tables of 4 n^3 bytes): A's scan refuses n >= 128.
+    v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
     vectors, w_gens = _unipotent_basis(form)
     pivots = _require_w_module(form, vectors, 1 << len(vectors))
     in_w = partial(_in_w, pivots)
@@ -447,7 +447,6 @@ def verify_inverting_decomposition(
     # groups, and W is the group its generators generate (route check above).
     _add_member_check(report, "unipotent_members_unitary", g, w_gens, sigma, square=True)
 
-    v_a = enumerate_unitary(g, sigma, max_order=max_order, support=form.a_sub)
     a_image = group_image(g, form.a_sub)
     try:
         ell = _abelian_complement(v_a, a_image, form.a_sub)
@@ -645,6 +644,8 @@ def verify_odot_decomposition(
     oracle = g.order <= max_order and not skip_enumeration
     if oracle:  # refuse a scan that cannot fit before anything is listed
         _require_scan_memory(g, g.order)
+    # Before any product (tables of 4 n^3 bytes): of dim >= |C|/2, it refuses n >= 256.
+    v_c2, c2_image = _central_order_2_parts(form)
     vectors = _central_unipotent_basis(form)
     rank = len(_eliminate(vectors)[0])
     w_order = 1 << rank
@@ -672,7 +673,6 @@ def verify_odot_decomposition(
     g_image = group_image(g)
     _add_member_check(report, "group_inside_unitary", g, gens_of(g_image), sigma)
 
-    v_c2, c2_image = _central_order_2_parts(form)
     try:
         t = _abelian_complement(v_c2, c2_image, form.c_sub)
     except NoComplementError as exc:

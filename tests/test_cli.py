@@ -176,24 +176,30 @@ def test_runs_as_a_module():
     assert proc.stdout.rstrip().endswith("overall: PASS")
 
 
-D8XC8 = {"family": "direct_product", "params": {"factors": [
-    {"family": "dihedral", "params": {"order": 8}},
-    {"family": "cyclic", "params": {"order": 8}},
-]}}
+def _d8_times_cyclic(m):
+    return {"family": "direct_product", "params": {"factors": [
+        {"family": "dihedral", "params": {"order": 8}},
+        {"family": "cyclic", "params": {"order": m}},
+    ]}}
+
+
+CAPPED_SPECS = {"d8xc8": _d8_times_cyclic(8), "d8xc128": _d8_times_cyclic(128)}
 
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
-def _construct(args, tmp_path):
-    """Run construct mode on ``args`` under a 3 GB address-space cap."""
-    spec = tmp_path / "d8xc8.json"
-    spec.write_text(json.dumps(D8XC8))
+def _run_capped(args, tmp_path, mode="construct"):
+    """Run ``mode`` on ``args`` under a 3 GB address-space cap; ``{d8xc8}``
+    and ``{d8xc128}`` in ``args`` name spec files of those groups."""
+    paths = {}
+    for name, spec in CAPPED_SPECS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(spec))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, "-m", "f2units", *(a.format(d8xc8=spec) for a in args),
-         "--mode", "construct"],
+        [sys.executable, "-m", "f2units", *(a.format(**paths) for a in args), "--mode", mode],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=20,
         preexec_fn=_limit_address_space,
     )
@@ -207,7 +213,7 @@ def test_a_large_unipotent_factor_is_never_listed(tmp_path):
     failing by design, as it does with the bound raised to 32. The address
     space is capped so that a regression fails here instead of filling the
     host's memory."""
-    q128 = _construct(
+    q128 = _run_capped(
         ["--family", "quaternion", "--order", "128", "--involution", "classical"], tmp_path
     )
     assert q128.returncode == 2, q128.stderr
@@ -216,11 +222,38 @@ def test_a_large_unipotent_factor_is_never_listed(tmp_path):
     )
     assert "Traceback" not in q128.stderr
     d8xc8 = ["--group", "{d8xc8}", "--involution", "odot"]
-    default = _construct(d8xc8, tmp_path)
-    raised = _construct([*d8xc8, "--max-exhaustive-order", "32"], tmp_path)
+    default = _run_capped(d8xc8, tmp_path)
+    raised = _run_capped([*d8xc8, "--max-exhaustive-order", "32"], tmp_path)
     assert (default.returncode, default.stderr) == (1, "")
     assert default.stdout == raised.stdout
     assert default.stdout.rstrip().endswith("overall: FAIL")
+
+
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        pytest.param(
+            ["--family", "quaternion", "--order", "1024", "--involution", "classical"],
+            "the number of free coefficient positions is 512, above the bound 16; ",
+            id="Q1024/classical",
+        ),
+        pytest.param(
+            ["--group", "{d8xc128}", "--involution", "odot"],
+            "listing the order-2 central units and the S*F of their complement search ",
+            id="D8xC128/odot",
+        ),
+    ],
+)
+def test_an_order_1024_verify_run_exits_two_before_any_product(args, what, tmp_path):
+    """At order 1024 the product tables take about 4 n^3 bytes, 4.3 GB, so
+    the first product of W's basis or generators ran out of memory under the
+    cap (a MemoryError traceback, exit 1). A's scan and the estimate of the
+    order-2 central units now come first, and refuse these runs at the
+    default bound in verify mode."""
+    proc = _run_capped(args, tmp_path, mode="verify")
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith(f"error: TooLargeError: {what}")
 
 
 # Specs with a key the parser does not use, each mapped to that key: a

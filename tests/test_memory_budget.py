@@ -11,7 +11,7 @@ import time
 import pytest
 
 import f2units as f
-from f2units import decompositions, unitgroup
+from f2units import algebra, decompositions, unitgroup
 from f2units.catalog import ODOT_ENTRIES
 from f2units.cli import main
 
@@ -85,6 +85,51 @@ def test_run_above_the_memory_budget_exits_two(args, what, tmp_path, monkeypatch
     (line,) = err.splitlines()
     assert line.startswith(f"error: TooLargeError: {what} would take about ")
     assert line.endswith(BUDGET)
+
+
+D8XC128 = {"family": "direct_product", "params": {"factors": [
+    {"family": "dihedral", "params": {"order": 8}},
+    {"family": "cyclic", "params": {"order": 128}},
+]}}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--family", "quaternion", "--order", "1024", "--involution", "classical"],
+                     id="Q1024/classical"),
+        pytest.param(["--group", "{d8xc128}", "--involution", "odot"], id="D8xC128/odot"),
+    ],
+)
+def test_a_run_refused_at_order_1024_takes_no_product(args, tmp_path, monkeypatch, capsys):
+    """The product tables of an order-n group take about 4 n^3 bytes, 4.3 GB
+    at order 1024, and nothing estimates them. Each pipeline's first
+    refusal, A's scan or the order-2 central units, comes before its first
+    product, so these runs exit 2 within a second and build no table."""
+    spec = tmp_path / "d8xc128.json"
+    spec.write_text(json.dumps(D8XC128))
+    monkeypatch.setattr(algebra, "_conv_tables", _refuse("algebra._conv_tables"))
+    start = time.perf_counter()
+    code = main([a.format(d8xc128=spec) for a in args])
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: TooLargeError: ") and err.count("\n") == 1
+
+
+def test_normal_cofactor_estimates_h_before_its_premise(monkeypatch):
+    """``build_normal_cofactor`` decides its premise by a reduction per member
+    of W, 0.32 s for Q64's 2^16, so H = W*L is estimated first: with 2^12
+    masks on A for L, H's 2^28 masks are refused before W is read."""
+    form = f.detect_inverting_form(f.make_quaternion(64))
+    g = form.group
+    w = f.build_unipotent_factor(form)
+    a_basis = [1 ^ 1 << a for a in form.a_sub.members[1:13]]
+    ell = unitgroup.make_unit_set(g, (1 ^ m for m in unitgroup._span(a_basis)))
+    for name in ("_require_w_module", "_require_on_a"):
+        monkeypatch.setattr(decompositions, name, _refuse(f"decompositions.{name}"))
+    with pytest.raises(f.TooLargeError, match=r"^listing the cofactor H = W\*L \(268,435,456 masks\)"):
+        f.build_normal_cofactor(form, w, ell)
 
 
 def _record_estimates(monkeypatch):
