@@ -14,8 +14,9 @@ augmentation 1, as the augmentation ideal J is nilpotent exactly when G is a
 - ``enumerate_unitary`` solves u * sigma(u) = 1 with a bit-sliced kernel:
   the coefficients split into low positions L and high positions H,
   u = h + l, and for each h one AND of int bit planes tests every l at once,
-  while h walks a Gray code; ``_low_positions`` picks |L|. The hits of
-  each h are filed under h, so they come out ascending with no sort. It
+  while h walks a Gray code; ``_low_positions`` picks |L|. sigma fixes
+  u * sigma(u), so one plane per sigma-orbit of coordinates is kept. The
+  hits of each h are filed under h, so they come out ascending with no sort. It
   still evaluates the defining equation at every element of the
   (sub)algebra and uses no structural input, so it stays an independent
   oracle for the decompositions.
@@ -50,10 +51,12 @@ from __future__ import annotations
 from functools import cached_property, partial, reduce
 from itertools import chain, combinations
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _products, _span
 from .errors import (
+    HypothesisViolationError,
     NoComplementError,
     NotAbelianError,
     NotASubgroupError,
@@ -62,7 +65,7 @@ from .errors import (
     TooLargeError,
 )
 from .groups import GroupTable, SubgroupSet, _extend, _greedy_generators, _require_group
-from .involutions import AntiAutomorphism
+from .involutions import AntiAutomorphism, validate_involution
 
 DEFAULT_EXHAUSTIVE_BOUND = 16
 _NOT_ABELIAN = "complement search requires an abelian ambient group"
@@ -187,7 +190,8 @@ def _require_scan_memory(g: GroupTable, k: int) -> None:
     positions of g: its planes, 2^|L| bits each (|L| indicator planes, at
     most n each of products, start and running planes, and two per
     coordinate and high position for the steps), the 2^|L| low masks and
-    the 2^|H| runs. The hits are estimated by ``_require_hit_memory``."""
+    the 2^|H| runs: an upper bound, as the kernel keeps a plane for one
+    coordinate per sigma-orbit. The hits are in ``_require_hit_memory``."""
     nlow = _low_positions(k)
     nhigh = k - nlow
     n = g.order
@@ -328,7 +332,7 @@ def _failing_members(
 def _low_positions(k: int) -> int:
     """How many of the k scanned positions the kernel puts on its planes.
 
-    A Gray step costs O(|coords|) big-int ops, and up to about 2^10 bits
+    A Gray step costs one big-int op per kept plane, and up to about 2^10 bits
     interpreter overhead, not width, sets the cost of one. So the planes take
     at least 10 positions (all of them when k <= 10, which leaves no walk),
     and the 2^(k-|L|) steps shrink at no cost per step. Set-up and hit
@@ -350,7 +354,14 @@ def _unitary_kernel(
     value of l, so each coordinate condition is evaluated for every l at
     once. h walks the Gray code, so each step flips one position i of h and
     XORs position i's delta planes into the running planes: 2^|H| steps of
-    about |coords| ops on 2^|L|-bit planes.
+    one op per kept coordinate on 2^|L|-bit planes.
+
+    perm must be an involutory anti-automorphism: then w = u * sigma(u) has
+    sigma(w) = sigma(sigma(u)) * sigma(u) = w, so w_c = w_sigma(c), and a
+    plane is kept for c < sigma(c), the identity and each x * sigma(x). At
+    any other sigma-fixed c the pairs (x, y), (y, x) with x * sigma(y) = c
+    cancel and no x has x * sigma(x) = c, so w_c = 0 for every u, its
+    target. Every dropped condition is implied by a kept one.
 
     Returns every solution in ascending order. The hits of each h are found
     top-down and filed under h, whose bit i stands for high[i]; each run is
@@ -359,17 +370,22 @@ def _unitary_kernel(
     and every high position lies above every low one, and ``spread`` keeps
     the order of l.
     """
-    mul = g.mul
-    nlow = _low_positions(len(members))
+    k = len(members)
+    nlow = _low_positions(k)
     low, high = members[:nlow], members[nlow:]
     full = (1 << (1 << nlow)) - 1
     ind = _indicator_planes(nlow)
 
-    def coord(x: int, y: int) -> int:
-        return mul[x][perm[y]]
-
-    coords = sorted({0} | {coord(x, y) for x in members for y in members})
-    pos = {c: i for i, c in enumerate(coords)}
+    # at[i][j] is the coordinate x * sigma(y) for x = members[i], y = members[j].
+    cols = [perm[y] for y in members]
+    take = itemgetter(*cols) if k > 1 else lambda row: (row[cols[0]],)
+    at = [take(g.mul[x]) for x in members]
+    diagonal = (row[i] for i, row in enumerate(at))
+    kept = sorted({0, *diagonal, *(c for c in chain.from_iterable(at) if c < perm[c])})
+    # Kept coordinates first; the dropped share the slot past them, read by no step.
+    slot = [len(kept)] * g.order
+    for i, c in enumerate(kept):
+        slot[c] = i
 
     # At h = 0, bit l of start[c] says coordinate c of l sigma(l) equals that
     # of the identity. The running planes keep that meaning for every h.
@@ -377,21 +393,22 @@ def _unitary_kernel(
     for x, p in zip(low, ind):
         low_planes[x] = p
     prod = _product_planes(g, low_planes, _permuted_planes(perm, low_planes))
-    start = [prod[c] if c == 0 else prod[c] ^ full for c in coords]
+    start = [prod[c] if c == 0 else prod[c] ^ full for c in kept]
 
     # Flipping position i of h adds the delta planes of the cross term (taken
     # for every l at once) and complements the planes of the coordinates at
     # which h sigma(h) changes: g_i sigma(g_i) plus the cross terms of g_i with
     # the other positions in h.
     steps = []
-    for x in high:
-        delta = [0] * len(coords)
-        for a, y in enumerate(low):
-            delta[pos[coord(x, y)]] ^= ind[a]
-            delta[pos[coord(y, x)]] ^= ind[a]
-        square = 1 << pos[coord(x, x)]
-        cross = [(1 << pos[coord(x, z)]) ^ (1 << pos[coord(z, x)]) for z in high]
-        steps.append((1 << x, square, cross, [(d, d ^ full) for d in delta]))
+    for i in range(nlow, k):
+        row = at[i]
+        delta = [0] * (len(kept) + 1)
+        for a in range(nlow):
+            delta[slot[row[a]]] ^= ind[a]
+            delta[slot[at[a][i]]] ^= ind[a]
+        square = 1 << slot[row[i]]
+        cross = [(1 << slot[row[j]]) ^ (1 << slot[at[j][i]]) for j in range(nlow, k)]
+        steps.append((1 << members[i], square, cross, [(d, d ^ full) for d in delta[:-1]]))
 
     spread = _span(1 << x for x in low)
 
@@ -439,10 +456,14 @@ def enumerate_unitary(
 
     Every element of the (sub)algebra is tested against the defining
     equation; augmentation 1 follows from it, so no parity filter is needed.
-    The kernel returns its hits ascending, so the UnitSet is built with no
-    sort. ``workers`` is accepted and ignored.
+    The kernel tests one coordinate per sigma-orbit, so a sigma failing
+    ``validate_involution`` is a HypothesisViolationError. Its hits come
+    ascending, so the UnitSet is built with no sort. ``workers`` is accepted
+    and ignored.
     """
     _require_group(g, sigma.group, "the involution")
+    if not validate_involution(sigma):
+        raise HypothesisViolationError(f"{sigma.name} is not an involutory anti-automorphism")
     if support is not None:
         _require_group(g, support.group, "the support subgroup")
     members = tuple(support.members) if support is not None else tuple(range(g.order))

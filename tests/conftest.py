@@ -143,3 +143,20 @@ def subalgebra_units(sub) -> list[int]:
     """The units of the subalgebra on a subgroup of a 2-group, ascending: its
     elements of augmentation 1, as its augmentation ideal is nilpotent."""
     return [m for m in _span(1 << i for i in sorted(sub.members)) if m.bit_count() & 1]
+
+
+def central_members(g) -> set[int]:
+    mul, n = g.mul, g.order
+    return {c for c in range(n) if all(mul[c][x] == mul[x][c] for x in range(n))}
+
+
+def conjugation_involutions(g):
+    """(c, sigma) for each c with c^2 central: sigma(x) = c x^-1 c^-1 is then
+    an involutory anti-automorphism, and x sigma(x) = [x, c]."""
+    mul, inv, n = g.mul, g.inv, g.order
+    central = central_members(g)
+    for c in (c for c in range(n) if mul[c][c] in central):
+        perm = tuple(mul[mul[c][inv[x]]][inv[c]] for x in range(n))
+        sigma = f.AntiAutomorphism(g, perm, f"conjugation by {g.labels[c]}")
+        assert f.validate_involution(sigma)
+        yield c, sigma

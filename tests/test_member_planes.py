@@ -36,6 +36,7 @@ from f2units.unitgroup import (
     group_image,
     make_unit_set,
 )
+from conftest import central_members, conjugation_involutions
 from oracles import naive_first_failing_member, naive_product
 
 ORDERS = (2, 4, 8, 16, 32, 64, 128)
@@ -288,31 +289,14 @@ SWEEP_GROUPS = {
 }
 
 
-def _central(g):
-    mul, n = g.mul, g.order
-    return {c for c in range(n) if all(mul[c][x] == mul[x][c] for x in range(n))}
-
-
-def _conjugation_involutions(g):
-    """(c, sigma) for each c with c^2 central: sigma(x) = c x^-1 c^-1 is then
-    an involutory anti-automorphism, and x sigma(x) = [x, c]."""
-    mul, inv, n = g.mul, g.inv, g.order
-    central = _central(g)
-    for c in (c for c in range(n) if mul[c][c] in central):
-        perm = tuple(mul[mul[c][inv[x]]][inv[c]] for x in range(n))
-        sigma = f.AntiAutomorphism(g, perm, f"conjugation by {g.labels[c]}")
-        assert f.validate_involution(sigma)
-        yield c, sigma
-
-
 @pytest.mark.parametrize("name", sorted(SWEEP_GROUPS))
 def test_group_inside_unitary_on_generators_matches_every_member(name):
     """Over every conjugation involution, the check on the greedy generators
     gives the per-member verdict and witness: it fails exactly when c is not
     central, naming the smallest failing element."""
     g = SWEEP_GROUPS[name]
-    image, central = group_image(g), _central(g)
-    for c, sigma in _conjugation_involutions(g):
+    image, central = group_image(g), central_members(g)
+    for c, sigma in conjugation_involutions(g):
         bad = naive_first_failing_member(g, image.masks, perm=sigma.perm)
         expected = (bad is None, None if bad is None else _render(g, bad))
         assert _plane_result(g, image.generators, dict(sigma=sigma)) == expected
@@ -341,7 +325,7 @@ def test_w_check_on_generators_matches_every_member(key):
     g = w.group
     sigmas = [own]
     if g.order <= 16:
-        sigmas += [s for _, s in _conjugation_involutions(g)]
+        sigmas += [s for _, s in conjugation_involutions(g)]
     verdicts = []
     for sigma in sigmas:
         passed, _ = _plane_result(g, w.generators, dict(sigma=sigma, **kw))

@@ -16,8 +16,9 @@ import f2units as f
 from f2units import unitgroup
 from f2units.algebra import _involute
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
+from f2units.errors import HypothesisViolationError
 from f2units.unitgroup import _product_is
-from conftest import order32_scan, relabelled_q32
+from conftest import central_members, conjugation_involutions, order32_scan, relabelled_q32
 from oracles import naive_subalgebra_unitary_masks, naive_unitary_masks
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -50,8 +51,11 @@ def test_full_scan_matches_naive_up_to_order_8(g, sigma, sub):
 
 @pytest.mark.parametrize("g, sigma, sub", _instances(32))
 def test_support_scan_matches_naive(g, sigma, sub):
-    expected = naive_subalgebra_unitary_masks(g, sigma.perm, sub.members)
-    assert list(f.enumerate_unitary(g, sigma, support=sub, workers=1).masks) == expected
+    """Under the instance's involution and the classical one, both of which
+    pass the scan's check of sigma's laws."""
+    for s in {s.perm: s for s in (sigma, f.classical_involution(g))}.values():
+        expected = naive_subalgebra_unitary_masks(g, s.perm, sub.members)
+        assert list(f.enumerate_unitary(g, s, support=sub, workers=1).masks) == expected
 
 
 @pytest.mark.parametrize("g, sigma, sub", _instances(8))
@@ -67,10 +71,64 @@ def test_every_split_matches_naive(g, sigma, sub, monkeypatch):
             assert list(f.enumerate_unitary(g, sigma, support=support).masks) == expected, s
 
 
+# Every group of order at most 8, up to isomorphism.
+_SMALL = [f.make_cyclic(n) for n in range(1, 9)] + [
+    f.make_direct_product(f.make_cyclic(2), f.make_cyclic(2)),
+    f.make_dihedral(6),
+    f.make_direct_product(f.make_cyclic(4), f.make_cyclic(2)),
+    f.make_direct_product(f.make_direct_product(f.make_cyclic(2), f.make_cyclic(2)), f.make_cyclic(2)),
+    f.make_dihedral(8),
+    f.make_quaternion(8),
+]
+
+
+def _small_involutions(g):
+    """Every conjugation involution of g, the identity when g is abelian and
+    the odot involution where g has an odot form."""
+    sigmas = [sigma for _, sigma in conjugation_involutions(g)]
+    if len(central_members(g)) == g.order:
+        sigmas.append(f.AntiAutomorphism(g, tuple(range(g.order)), "identity"))
+    try:
+        sigmas.append(f.odot_involution(f.make_odot_form(g)))
+    except HypothesisViolationError:
+        pass
+    return sigmas
+
+
+@pytest.mark.parametrize("g", _SMALL, ids=lambda g: g.name)
+def test_every_split_matches_naive_under_every_small_involution(g, monkeypatch):
+    """The kernel keeps one plane per sigma-orbit of coordinates, and a
+    sigma-fixed one only at the identity or at some x * sigma(x). Classical
+    sigma has x * sigma(x) = 1 for every x; here x * sigma(x) = [x, c], x^2
+    or x^2 e is often another sigma-fixed coordinate, whose plane must be
+    kept. C1 scans one position, the one-column coordinate matrix."""
+    for sigma in _small_involutions(g):
+        expected = naive_unitary_masks(g, sigma.perm)
+        for s in range(g.order + 1):
+            monkeypatch.setattr(unitgroup, "_low_positions", lambda _, s=s: s)
+            assert list(f.enumerate_unitary(g, sigma).masks) == expected, (sigma.name, s)
+
+
+@pytest.mark.parametrize(
+    "g, perm",
+    [
+        pytest.param(f.make_dihedral(8), tuple(range(8)), id="identity on D8"),
+        pytest.param(f.make_cyclic(4), (0, 0, 2, 2), id="collapse on C4"),
+    ],
+)
+def test_scan_refuses_a_map_that_is_not_an_involutory_anti_automorphism(g, perm):
+    """The kernel's one plane per sigma-orbit rests on sigma's laws."""
+    sigma = f.AntiAutomorphism(g, perm, "map")
+    with pytest.raises(HypothesisViolationError, match="map is not an involutory anti-automorphism"):
+        f.enumerate_unitary(g, sigma)
+
+
 @pytest.fixture(scope="module", params=["q16", "d8xc2"])
 def classical16(request):
     """An order-16 table, its classical involution and the naive unitary
-    masks, listed once per module."""
+    masks, listed once per module. The kernel keeps 8 of Q16's 16 planes
+    and 3 of D8xC2's, where 13 of 16 coordinates are sigma-fixed and never
+    an x * sigma(x)."""
     g = request.getfixturevalue(request.param)
     sigma = f.classical_involution(g)
     return g, sigma, naive_unitary_masks(g, sigma.perm)
