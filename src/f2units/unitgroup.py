@@ -13,13 +13,14 @@ augmentation 1, as the augmentation ideal J is nilpotent exactly when G is a
   group found with no scan, on which the classical oracle decides normality.
 - ``enumerate_unitary`` solves u * sigma(u) = 1 with a bit-sliced kernel:
   the coefficients split into low positions L and high positions H,
-  u = h + l, and for each h one AND of int bit planes tests every l at once,
-  while h walks a Gray code; ``_low_positions`` picks |L|. sigma fixes
+  u = h + l, and one AND of int bit planes tests every l at once, while h
+  walks a Gray code; ``_low_positions`` picks |L|. sigma fixes
   u * sigma(u), so one plane per sigma-orbit of coordinates is kept. The
-  hits of each h are filed under h, so they come out ascending with no sort. It
-  still evaluates the defining equation at every element of the
-  (sub)algebra and uses no structural input, so it stays an independent
-  oracle for the decompositions.
+  planes are a function of a small state int, and each distinct state is
+  ANDed and listed once. The hits of each h are filed under h, so they come
+  out ascending with no sort. It still evaluates the defining equation at
+  every element of the (sub)algebra and uses no structural input, so it
+  stays an independent oracle for the decompositions.
 
 The same int bit planes serve the member checks of the decompositions, and
 only this module knows their format. ``_member_planes`` transposes a list of
@@ -189,14 +190,17 @@ def _require_scan_memory(g: GroupTable, k: int) -> None:
     """``_require_memory`` for what ``_unitary_kernel`` allocates to scan k
     positions of g: its planes, 2^|L| bits each (|L| indicator planes, at
     most n each of products, start and running planes, and two per
-    coordinate and high position for the steps), the 2^|L| low masks and
-    the 2^|H| runs: an upper bound, as the kernel keeps a plane for one
-    coordinate per sigma-orbit. The hits are in ``_require_hit_memory``."""
+    coordinate and high position for the steps), the 2^|L| low masks, the
+    2^|H| runs and the memo of at most 2^|H| plane states (a dict slot and a
+    state int of at most n(|L|+1) bits each): an upper bound, as the kernel
+    keeps a plane for one coordinate per sigma-orbit. The hits are in
+    ``_require_hit_memory``."""
     nlow = _low_positions(k)
     nhigh = k - nlow
     n = g.order
     planes = (2 * n * nhigh + 3 * n + nlow) * ((1 << nlow) // 8 + 32)
-    nbytes = planes + (1 << nlow) * (n // 8 + 40) + (1 << nhigh) * 8
+    memo = 96 + n * (nlow + 1) // 8 + 32
+    nbytes = planes + (1 << nlow) * (n // 8 + 40) + (1 << nhigh) * (8 + memo)
     _require_memory(nbytes, f"the scan of {k} positions")
 
 
@@ -204,7 +208,9 @@ def _require_hit_memory(g: GroupTable, perm: Sequence[int], members: Sequence[in
     """``_require_memory`` for the hits of a scan of A = ``members``, masks as
     in ``_require_listable``, counted only when 2^(k-1) might not fit: a hit u
     has sigma(u) = u^-1 in F2A, so the hits are V_* of F2B, B = A meet sigma(A)
-    (a subgroup sigma maps onto itself), and B's pcgs counts them in a 2-group."""
+    (a subgroup sigma maps onto itself), and B's pcgs counts them in a 2-group.
+    The kernel's memo maps a plane state to the run of its first h, the list
+    filed under that h, so it adds no slot per hit to the 96 bytes."""
     per_mask = 96 + g.order // 8
     hits = 1 << (len(members) - 1)
     if per_mask * hits > _MEMORY_BUDGET and g.is_two_group():
@@ -335,9 +341,10 @@ def _low_positions(k: int) -> int:
     A Gray step costs one big-int op per kept plane, and up to about 2^10 bits
     interpreter overhead, not width, sets the cost of one. So the planes take
     at least 10 positions (all of them when k <= 10, which leaves no walk),
-    and the 2^(k-|L|) steps shrink at no cost per step. Set-up and hit
-    listing grow with 2^|L|, and past 2^10 bits an op costs in proportion to
-    its word count, so from k = 20 on the split stays even.
+    and the 2^(k-|L|) steps shrink at no cost per step. Set-up grows with
+    2^|L|, and so does the AND and listing of each distinct plane state; past
+    2^10 bits an op costs in proportion to its word count, so from k = 20 on
+    the split stays even.
     """
     return max(k // 2, min(k, 10))
 
@@ -356,6 +363,13 @@ def _unitary_kernel(
     XORs position i's delta planes into the running planes: 2^|H| steps of
     one op per kept coordinate on 2^|L|-bit planes.
 
+    The planes of h are start[c] + sum over i in h of delta_i[c], plus
+    ``full`` where the flips of h sigma(h) sum to 1 at c. delta_i is the sum
+    of the ind[a] its code names, so the XOR of the codes and flips, the
+    state, fixes the planes and the low parts of the hits. So only a new
+    state ANDs its planes and lists its hits; the memo keeps that run, and
+    a repeat XORs the two h masks into it.
+
     perm must be an involutory anti-automorphism: then w = u * sigma(u) has
     sigma(w) = sigma(sigma(u)) * sigma(u) = w, so w_c = w_sigma(c), and a
     plane is kept for c < sigma(c), the identity and each x * sigma(x). At
@@ -363,12 +377,12 @@ def _unitary_kernel(
     cancel and no x has x * sigma(x) = c, so w_c = 0 for every u, its
     target. Every dropped condition is implied by a kept one.
 
-    Returns every solution in ascending order. The hits of each h are found
-    top-down and filed under h, whose bit i stands for high[i]; each run is
-    reversed and the runs are joined in h order. That is ascending and free
-    of duplicates because ``members`` ascend, so h orders like its mask
-    and every high position lies above every low one, and ``spread`` keeps
-    the order of l.
+    Returns every solution in ascending order. A new state's hits are found
+    top-down and reversed, and a repeat's XOR keeps their order. The run of
+    each h is filed under h, whose bit i stands for high[i], and the runs are
+    joined in h order. That is ascending and free of duplicates because
+    ``members`` ascend, so h orders like its mask and every high position
+    lies above every low one, and ``spread`` keeps the order of l.
     """
     k = len(members)
     nlow = _low_positions(k)
@@ -398,27 +412,34 @@ def _unitary_kernel(
     # Flipping position i of h adds the delta planes of the cross term (taken
     # for every l at once) and complements the planes of the coordinates at
     # which h sigma(h) changes: g_i sigma(g_i) plus the cross terms of g_i with
-    # the other positions in h.
+    # the other positions in h. Bit nkept + c * nlow + a of code says ind[a]
+    # enters delta plane c. Summed over h, the dropped slot's bits of code and
+    # flips are sums of kept ones (w_c = w_sigma(c)): they split no state.
+    nkept = len(kept)
     steps = []
     for i in range(nlow, k):
         row = at[i]
-        delta = [0] * (len(kept) + 1)
+        delta = [0] * (nkept + 1)
+        code = 0
         for a in range(nlow):
-            delta[slot[row[a]]] ^= ind[a]
-            delta[slot[at[a][i]]] ^= ind[a]
+            for c in (slot[row[a]], slot[at[a][i]]):
+                delta[c] ^= ind[a]
+                code ^= 1 << nkept + c * nlow + a
         square = 1 << slot[row[i]]
         cross = [(1 << slot[row[j]]) ^ (1 << slot[at[j][i]]) for j in range(nlow, k)]
-        steps.append((1 << members[i], square, cross, [(d, d ^ full) for d in delta[:-1]]))
+        steps.append((1 << members[i], code, square, cross, [(d, d ^ full) for d in delta[:-1]]))
 
     spread = _span(1 << x for x in low)
+    highs = sum(1 << x for x in high)
 
     planes = list(start)
-    h = hmask = 0
+    h = hmask = state = 0
+    memo: dict[int, Sequence[int]] = {}
     runs: list[Sequence[int]] = [()] * (1 << len(high))
     for t in range(1 << len(high)):
         if t:
             i = (t & -t).bit_length() - 1
-            bit, square, cross, deltas = steps[i]
+            bit, code, square, cross, deltas = steps[i]
             changed = square
             rest = h
             while rest:
@@ -429,19 +450,24 @@ def _unitary_kernel(
                 planes[c] ^= pair[changed >> c & 1]
             h ^= 1 << i
             hmask ^= bit
-        alive = full
-        for p in planes:
-            alive &= p
-            if not alive:
-                break
-        if alive:
+            state ^= code ^ changed
+        run = memo.get(state)
+        if run is None:
+            alive = full
+            for p in planes:
+                alive &= p
+                if not alive:
+                    break
             run = []
             while alive:
                 top = alive.bit_length() - 1
                 alive ^= 1 << top
                 run.append(hmask | spread[top])
             run.reverse()
-            runs[h] = run
+            memo[state] = runs[h] = run or ()
+        elif run:
+            shift = hmask ^ (run[0] & highs)
+            runs[h] = [shift ^ m for m in run]
     return tuple(chain.from_iterable(runs))
 
 

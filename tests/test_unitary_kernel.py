@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -170,8 +171,9 @@ def test_low_positions_fill_planes_of_2_to_the_10_bits():
     assert [unitgroup._low_positions(k) for k in (1, 8, 10, 16, 20, 32)] == [1, 8, 10, 10, 10, 16]
 
 
-def test_order16_scans_match_pinned_digests():
-    """The oracle16 benchmark items, built the same way, against their pins."""
+def _pinned_order16_scans():
+    """The oracle16 benchmark items, built the same way: (item, group, sigma,
+    pinned summary) for each."""
     pinned = json.loads(REFERENCES.read_text())["oracle16"]
     builds = {entry.key: entry.build for entry in CLASSICAL_ENTRIES + ODOT_ENTRIES}
     assert len(pinned) == 8
@@ -182,10 +184,56 @@ def test_order16_scans_match_pinned_digests():
             sigma = f.classical_involution(g)
         else:
             sigma = f.odot_involution(f.make_odot_form(g))
+        yield item, g, sigma, ref["summary"]
+
+
+def _digest(masks):
+    digest = hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
+    return {"order": len(masks), "sha256": digest}
+
+
+def test_order16_scans_match_pinned_digests():
+    """The oracle16 benchmark items, built the same way, against their pins."""
+    for item, g, sigma, summary in _pinned_order16_scans():
         for workers in (1, 2):
-            masks = f.enumerate_unitary(g, sigma, workers=workers).masks
-            digest = hashlib.sha256(",".join(map(str, masks)).encode()).hexdigest()
-            assert {"order": len(masks), "sha256": digest} == ref["summary"], item
+            assert _digest(f.enumerate_unitary(g, sigma, workers=workers).masks) == summary, item
+
+
+@pytest.mark.parametrize("nlow", [4, 6, 8])
+def test_order16_scans_match_pinned_digests_where_states_repeat(nlow, monkeypatch):
+    """With 2^12, 2^10 or 2^8 Gray steps and 2^|L|-bit planes, thousands of
+    steps share a few plane states, so nearly every run comes from the memo:
+    each state must fix the planes (both the deltas and the flips), and a
+    repeat must move its state's stored run to its own h."""
+    monkeypatch.setattr(unitgroup, "_low_positions", lambda _: nlow)
+    for item, g, sigma, summary in _pinned_order16_scans():
+        assert _digest(f.enumerate_unitary(g, sigma).masks) == summary, (item, nlow)
+
+
+@pytest.mark.parametrize("key", ["D8xC2/classical", "Q32/A"])
+def test_kernel_peak_stays_inside_its_estimates(key, monkeypatch):
+    """The kernel's traced peak, planes, steps, memo of plane states, runs
+    and hits together, stays below what the scan and hit estimates allow."""
+    if key == "D8xC2/classical":
+        g = f.make_direct_product(f.make_dihedral(8), f.make_cyclic(2))
+        members = tuple(range(g.order))
+    else:
+        form = f.detect_inverting_form(f.make_quaternion(32))
+        g, members = form.group, tuple(form.a_sub.members)
+    sigma = f.classical_involution(g)
+    estimates = []
+    monkeypatch.setattr(unitgroup, "_require_memory", lambda nbytes, what: estimates.append(nbytes))
+    unitgroup._require_scan_memory(g, len(members))
+    unitgroup._require_hit_memory(g, sigma.perm, members)
+    assert len(estimates) == 2
+    tracemalloc.start()
+    try:
+        hits = unitgroup._unitary_kernel(g, sigma.perm, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(hits) == naive_subalgebra_unitary_masks(g, sigma.perm, members)
+    assert 0 < peak < sum(estimates)
 
 
 _FACTORS = {
