@@ -326,6 +326,8 @@ def _emit(payload: dict, config: RunConfig) -> None:
 def run(config: RunConfig) -> int:
     """Execute one mode and emit its report; returns the process exit code."""
     try:
+        if config.max_exhaustive_order < 0:
+            raise ParseError(f"the exhaustive bound {config.max_exhaustive_order} is negative")
         if config.mode == "catalog":
             if config.group is not None or config.involution:
                 raise ParseError("catalog mode takes no group and no involution")

@@ -294,16 +294,17 @@ def _cofactor_sumset(form: InvertingExtensionForm, w: UnitSet, ell: UnitSet) -> 
 
 
 def _conjugation_witness(
-    form: InvertingExtensionForm, x1s: Sequence[int], in_w: Callable[[int], bool]
-) -> str | None:
-    """Check the three conjugation identities; return a witness on failure.
+    form: InvertingExtensionForm, x1s: Sequence[int], ws: Sequence[int], in_w: Callable[[int], bool]
+) -> tuple[str | None, list[bool]]:
+    """Check the three conjugation identities: the witness of the first
+    failure, else None, and per x1 whether it normalizes W.
 
-    For each transversal element g_i with generator w_i = 1 + (1+b*b) g_i b:
-    conjugating w_i by b gives the generator at g_i's inverse, which is the
-    generator at the representative of its coset, as (1+b*b) b*b = 1+b*b;
-    conjugating by a unitary x1 of the subalgebra on A gives
-    1 + (1+b*b) x1^2 g_i b, inside W (as ``in_w`` tells); and
-    b x1^{-1} = x1 b = b x1*.
+    ``ws`` are W's generators from ``_unipotent_basis``, w_i = 1 + (1+b*b)
+    g_i b over the transversal elements g_i. Conjugating w_i by b gives the
+    generator at g_i's inverse, which is the generator at the representative
+    of its coset, as (1+b*b) b*b = 1+b*b; conjugating by a unitary x1 of the
+    subalgebra on A gives 1 + (1+b*b) x1^2 g_i b, inside W (as ``in_w``
+    tells); and b x1^{-1} = x1 b = b x1*.
 
     x1 runs over ``x1s`` only, a generating set of V_*(F2A): the pipeline
     passes the generators of A's image and of L, which generate it once
@@ -314,7 +315,8 @@ def _conjugation_witness(
     x1 y1 w_i (x1 y1)^{-1} = 1 + x1 (1+b*b) y1^2 g_i b x1^{-1}
     = 1 + (1+b*b) (x1 y1)^2 g_i b; (x1 y1)* = y1* x1* = (x1 y1)^{-1}; and
     inverses are positive powers. The witness is the first failing
-    (g_i, x1) pair, g_i outer.
+    (g_i, x1) pair, g_i outer. The w_i generate W, so x1 normalizes W when
+    its conjugates of them lie in W; each is formed once, before the search.
     """
     g = form.group
     nb = 1 ^ (1 << form.b_squared)
@@ -322,8 +324,8 @@ def _conjugation_witness(
     b_inv = 1 << g.inv[form.b]
     perm = classical_involution(g).perm
 
-    # Per generator: its inverse, (1+b*b) x1^2, and the first failing twist
-    # identity, which does not depend on g_i.
+    # Per x1: (1+b*b) x1^2, x1 w_i x1^-1 and whether each lies in W, and
+    # the first failing twist identity, which does not depend on g_i.
     xs = []
     for x1 in x1s:
         x1_inv = _inverse(g, x1)
@@ -334,33 +336,34 @@ def _conjugation_witness(
             twist = f"inverse-vs-star mismatch at {_render(g, x1)}"
         else:
             twist = None
-        xs.append((x1, x1_inv, _mul(g, nb, _mul(g, x1, x1)), twist))
+        conjs = [_mul(g, _mul(g, x1, w_i), x1_inv) for w_i in ws]
+        xs.append((x1, _mul(g, nb, _mul(g, x1, x1)), conjs, list(map(in_w, conjs)), twist))
+    normal = [all(inside) for *_, inside, _ in xs]
 
-    for gi in form.transversal:
-        w_i = _unipotent_generator(form, gi)
+    for i, (gi, w_i) in enumerate(zip(form.transversal, ws)):
         conj_b = _mul(g, _mul(g, b_el, w_i), b_inv)
         if conj_b != _unipotent_generator(form, g.inv[gi]) or not in_w(conj_b):
-            return f"twist conjugation at {g.labels[gi]}: got {_render(g, conj_b)}"
+            return f"twist conjugation at {g.labels[gi]}: got {_render(g, conj_b)}", normal
         gi_b = 1 << g.mul[gi][form.b]
-        for x1, x1_inv, nb_sq, twist in xs:
-            conj = _mul(g, _mul(g, x1, w_i), x1_inv)
-            if conj != 1 ^ _mul(g, nb_sq, gi_b) or not in_w(conj):
+        for x1, nb_sq, conjs, inside, twist in xs:
+            if conjs[i] != 1 ^ _mul(g, nb_sq, gi_b) or not inside[i]:
                 return (
                     f"unitary conjugation at {g.labels[gi]} by "
-                    f"{_render(g, x1)}: got {_render(g, conj)}"
-                )
+                    f"{_render(g, x1)}: got {_render(g, conjs[i])}"
+                ), normal
             if twist is not None:
-                return twist
-    return None
+                return twist, normal
+    return None, normal
 
 
 def check_conjugation_closure(form: InvertingExtensionForm) -> bool:
     """True iff all three conjugation identities hold for every pair."""
     g = form.group
     v_a = enumerate_unitary(g, classical_involution(g), support=form.a_sub)
-    vectors, _ = _unipotent_basis(form)
+    vectors, ws = _unipotent_basis(form)
     pivots = _require_w_module(form, vectors, 1 << len(vectors))
-    return _conjugation_witness(form, canonical_generators(v_a), partial(_in_w, pivots)) is None
+    witness, _ = _conjugation_witness(form, canonical_generators(v_a), ws, partial(_in_w, pivots))
+    return witness is None
 
 
 def check_unitary_split_form(form: InvertingExtensionForm, x: AlgebraElement) -> bool:
@@ -467,13 +470,12 @@ def verify_inverting_decomposition(
     # are distinct, and a basis element lies in H only if it lies in L.
     on_a = _require_on_a(form, ell)
     report.add("cofactor_order", not any(x & on_a for x in vectors))
-    meets_trivially = [m for m in ell.masks if in_w(m)] == [1]
-    semidirect = meets_trivially and normalizes(g, gens_of(ell), w_gens, in_w)
-    report.add("cofactor_semidirect", semidirect)
-
     # A and L generate V_*(F2A) when the contract above holds; else the
-    # report fails on it.
-    witness = _conjugation_witness(form, gens_of(a_image) + gens_of(ell), in_w)
+    # report fails on it. L normalizes W when its generators' flags hold.
+    a_gens = gens_of(a_image)
+    witness, normal = _conjugation_witness(form, a_gens + gens_of(ell), w_gens, in_w)
+    meets_trivially = [m for m in ell.masks if in_w(m)] == [1]
+    report.add("cofactor_semidirect", meets_trivially and all(normal[len(a_gens):]))
     report.add("conjugation_identities", witness is None, witness)
 
     report.add("group_meets_cofactor_trivially", a_image.mask_set() & ell.mask_set() == {1})
@@ -500,7 +502,7 @@ def verify_inverting_decomposition(
         bad = [_render(g, m) for m in pcgs if m not in v.mask_set()]
         if 1 << len(pcgs) != v.order:
             bad.append(f"pcgs order {1 << len(pcgs)}, scanned order {v.order}")
-        normal = not bad and normalizes(g, pcgs, gens_of(h), h.mask_set().__contains__)
+        normal = not bad and normalizes(g, pcgs, h)
         report.add("cofactor_normal_in_unitary", normal, bad[0] if bad else None)
         # The smallest member of H, else of G, outside v is the witness.
         outside = next((m for m in chain(h.masks, g_image.masks) if m not in v), None)

@@ -53,7 +53,7 @@ from functools import cached_property, partial, reduce
 from itertools import chain, combinations
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _products, _span
 from .errors import (
@@ -609,7 +609,7 @@ def internal_semidirect(ambient: UnitSet, n: UnitSet, k: UnitSet) -> bool:
     _require_subset(ambient, k, "the complement part")
     if n.mask_set() & k.mask_set() != {1} or n.order * k.order != ambient.order:
         return False
-    return normalizes(ambient.group, gens_of(k), gens_of(n), n.mask_set().__contains__)
+    return normalizes(ambient.group, gens_of(k), n)
 
 
 def is_direct(g: GroupTable, factors: Sequence[UnitSet]) -> bool:
@@ -678,18 +678,14 @@ def commute(g: GroupTable, xs: Sequence[int], ys: Sequence[int]) -> bool:
     return all(_mul(g, x, y) == _mul(g, y, x) for x in xs for y in ys)
 
 
-def normalizes(
-    g: GroupTable, conj_gens: Sequence[int], ns: Sequence[int], member: Callable[[int], bool]
-) -> bool:
-    """True iff ``member`` holds at a*n*a^-1 for every a in conj_gens and
-    every n in ns, generators of the subgroup whose members ``member`` tells.
-
-    In a finite group this means every a maps that subgroup into, hence
-    onto, itself, so the whole group generated by conj_gens normalizes it.
-    """
+def normalizes(g: GroupTable, conj_gens: Sequence[int], n: UnitSet) -> bool:
+    """True iff a*m*a^-1 lies in n for every a in conj_gens and every
+    generator m of n: then each a maps the finite n into, hence onto,
+    itself, and the group that conj_gens generate normalizes n."""
+    members, ms = n.mask_set(), gens_of(n)
     for a in conj_gens:
         a_inv = _inverse(g, a)
-        if not all(member(_mul(g, _mul(g, a, n), a_inv)) for n in ns):
+        if any(_mul(g, _mul(g, a, m), a_inv) not in members for m in ms):
             return False
     return True
 

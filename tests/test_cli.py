@@ -524,6 +524,39 @@ def test_max_exhaustive_order_alone_decides_the_oracle(tmp_path, capsys):
     assert not any("exceeds" in n for n in report["notes"])
 
 
+@pytest.mark.parametrize("mode", ["verify", "construct", "enumerate", "catalog"])
+def test_a_negative_bound_is_refused_before_any_work(mode, tmp_path, capsys, monkeypatch):
+    """A negative --max-exhaustive-order is invalid input in every mode:
+    exit 2 with one ParseError line, before any pipeline or scan starts.
+    Bound 0 is no ParseError: verify and construct pass on Q8 odot, where
+    it skips the oracle, and enumerate and catalog refuse their first scan."""
+    args = [] if mode == "catalog" else [
+        "--family", "quaternion", "--order", "8", "--involution", "odot"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    with monkeypatch.context() as patched:
+        for name in ("verify_inverting_decomposition", "verify_odot_decomposition",
+                     "enumerate_normalized_units"):
+            patched.setattr(f"f2units.cli.{name}", refuse)
+        code, text = run_cli([*args, "--mode", mode, "--max-exhaustive-order", "-5"], tmp_path)
+    assert (code, text) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: ParseError: the exhaustive bound -5 is negative\n"
+    )
+
+    code, text = run_cli([*args, "--mode", mode, "--max-exhaustive-order", "0"], tmp_path)
+    err = capsys.readouterr().err
+    if mode in ("verify", "construct"):
+        assert (code, err) == (0, "")
+        assert "group order exceeds the exhaustive bound" in text
+    else:
+        assert (code, text) == (2, None)
+        assert err.startswith("error: TooLargeError: ")
+        assert err.endswith("above the bound 0; raise the bound explicitly to override\n")
+
+
 def test_readme_cli_section_documents_exactly_the_parser_flags():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]

@@ -238,9 +238,11 @@ def test_non_abelian_subgroup_raises_the_search_error():
 
 
 def test_q32_construct_multiplication_count(monkeypatch, capsys):
-    """One Q32 construct run makes 411 mask products and 31 batch products,
-    one per member of L but the identity, as the search grows S*F; 475 mask
-    products while the elementary check on W took another 64 products of
+    """One Q32 construct run makes 339 mask products and 31 batch products,
+    one per member of L but the identity, as the search grows S*F; 411 mask
+    products while cofactor_semidirect conjugated W's generators by L's with
+    normalizes, not reading the conjugates the identities form; 475 while
+    the elementary check on W took another 64 products of
     its 8 generators, where it now reads the one table of their vectors'
     64 pairwise products that the generator route takes; 702 while the
     generator route of W multiplied W out, one coset step per member, and
@@ -268,5 +270,5 @@ def test_q32_construct_multiplication_count(monkeypatch, capsys):
     args = ["--family", "quaternion", "--order", "32", "--involution", "classical"]
     assert main([*args, "--mode", "construct", "--format", "json"]) == 0
     capsys.readouterr()
-    assert calls["_mul"] <= 411
+    assert calls["_mul"] <= 339
     assert calls["_products"] <= 31

@@ -3,17 +3,26 @@ generators of V_*(F2A), against the pairwise oracle over every member: the
 same verdict and message kind on every intact instance and on inputs mutated
 to fail each identity, and the same witness string wherever the oracle's
 failing x1 is a generator. The generators of A and L, which the pipeline
-passes, give the verdict and message kind of the canonical generators."""
+passes, give the verdict and message kind of the canonical generators.
+The flag each x1 gets, whether it normalizes W, read off the same
+conjugates, is that of ``normalizes``; construct mode decides
+cofactor_semidirect on L's flags alone and calls ``normalizes`` nowhere."""
 
 from __future__ import annotations
 
 import pytest
 
 import f2units as f
-from f2units import decompositions
+from f2units import decompositions, unitgroup
 from f2units.catalog import CLASSICAL_ENTRIES
-from f2units.decompositions import _conjugation_witness, build_unipotent_factor
-from f2units.unitgroup import canonical_generators, enumerate_unitary, gens_of, make_unit_set
+from f2units.decompositions import _conjugation_witness, _unipotent_basis, build_unipotent_factor
+from f2units.unitgroup import (
+    canonical_generators,
+    enumerate_unitary,
+    gens_of,
+    make_unit_set,
+    normalizes,
+)
 from oracles import naive_conjugation_witness, naive_render
 
 FORMS = {
@@ -51,7 +60,7 @@ def _both(form, v_a, w_masks):
     same string. Returns the message kind, or None on a pass."""
     g = form.group
     gens = canonical_generators(v_a)
-    got = _conjugation_witness(form, gens, w_masks.__contains__)
+    got, _ = _conjugation_witness(form, gens, _unipotent_basis(form)[1], w_masks.__contains__)
     want = naive_conjugation_witness(g, form.b, form.transversal, v_a.masks, w_masks)
     on_gens = naive_conjugation_witness(g, form.b, form.transversal, gens, w_masks)
     assert got == on_gens
@@ -106,7 +115,7 @@ def test_a_missing_member_of_w_is_found_at_a_generator():
     assert want == "unitary conjugation at a by 1: got 1 + ab + a5b"
     assert f.parse_element(g, "1 + a2 + a4").mask in canonical_generators(v_a)
     in_w = (w_masks - {missing}).__contains__
-    got = _conjugation_witness(form, canonical_generators(v_a), in_w)
+    got, _ = _conjugation_witness(form, canonical_generators(v_a), _unipotent_basis(form)[1], in_w)
     assert got == "unitary conjugation at a by 1 + a2 + a4: got 1 + ab + a5b"
 
 
@@ -131,9 +140,9 @@ def _pipeline_x1s(form, monkeypatch):
     seen = []
     check = decompositions._conjugation_witness
 
-    def recording(form, x1s, in_w):
+    def recording(form, x1s, ws, in_w):
         seen.append(x1s)
-        return check(form, x1s, in_w)
+        return check(form, x1s, ws, in_w)
 
     monkeypatch.setattr(decompositions, "_conjugation_witness", recording)
     f.verify_inverting_decomposition(form, skip_enumeration=True)
@@ -148,9 +157,9 @@ def _kind(witness):
 def _same_kind(form, v_a, x1s, w_masks):
     """The message kind (None on a pass) over x1s, asserted equal to the one
     over the canonical generators of v_a."""
-    in_w = w_masks.__contains__
-    kind = _kind(_conjugation_witness(form, x1s, in_w))
-    assert kind == _kind(_conjugation_witness(form, canonical_generators(v_a), in_w))
+    in_w, ws = w_masks.__contains__, _unipotent_basis(form)[1]
+    kind = _kind(_conjugation_witness(form, x1s, ws, in_w)[0])
+    assert kind == _kind(_conjugation_witness(form, canonical_generators(v_a), ws, in_w)[0])
     return kind
 
 
@@ -190,3 +199,93 @@ def test_generators_of_a_and_l_fail_with_the_scanned_generators(monkeypatch):
 def test_decompositions_binds_no_plane_helper():
     """The bit-plane format stays inside unitgroup."""
     assert not [name for name in vars(decompositions) if "planes" in name]
+
+
+# ---------------------------------------------------------------------------
+# the normality flags: L normalizes W, read off the same conjugates
+
+
+def _x1s_and_flags(form, w):
+    """The pipeline's x1 (the generators of A's image and of L), a unit off
+    A, and their flags with W's listed members as the membership test."""
+    g = form.group
+    v_a, _ = _inputs(form)
+    a_image = f.group_image(g, form.a_sub)
+    off_a = 1 | 1 << form.b | 1 << form.a_sub.generators[0]
+    x1s = gens_of(a_image) + gens_of(f.find_complement(v_a, a_image)) + [off_a]
+    _, flags = _conjugation_witness(form, x1s, w.generators, w.mask_set().__contains__)
+    return x1s, flags
+
+
+@pytest.mark.parametrize("key", sorted(FORMS))
+def test_each_flag_is_the_normality_of_w_by_its_x1(key):
+    """On W as built, each flag is normalizes(g, [x1], W): True for the
+    units on A, which normalize W as W - 1 is an F2A-module."""
+    form = FORMS[key]()
+    w = build_unipotent_factor(form)
+    x1s, flags = _x1s_and_flags(form, w)
+    assert flags == [normalizes(form.group, [x1], w) for x1 in x1s]
+    assert all(flags[:-1])
+
+
+def test_each_flag_is_the_normality_of_a_replaced_w():
+    """W replaced as in the semidirect tests of test_set_equality: by the
+    image of <b>, which some x1 do not normalize and at which the witness
+    search stops before any x1 conjugate is compared, and by <l>, l the
+    first generator of Q32's complement, which every unit on A normalizes.
+    The flags stay those of normalizes(g, [x1], W)."""
+    form = FORMS["Q32"]()
+    g = form.group
+    v_a, _ = _inputs(form)
+    ell = f.find_complement(v_a, f.group_image(g, form.a_sub))
+    image_of_b = f.group_image(g, f.subgroup_closure(g, [form.b]))
+    closure_of_l = f.unit_subgroup_closure(g, [f.AlgebraElement(g, ell.generators[0])])
+    verdicts = []
+    for w in (image_of_b, closure_of_l):
+        x1s, flags = _x1s_and_flags(form, w)
+        assert flags == [normalizes(g, [x1], w) for x1 in x1s]
+        verdicts.append(all(flags[:-1]))
+    assert verdicts == [False, True]
+
+
+@pytest.mark.parametrize("key", sorted(FORMS))
+def test_construct_mode_makes_no_normality_call(key, monkeypatch):
+    """With normalizes raising, construct mode still passes: it decides
+    cofactor_semidirect on W meet L and the flags of L's generators."""
+
+    def refuse(*args):
+        raise AssertionError("normalizes was called")
+
+    monkeypatch.setattr(unitgroup, "normalizes", refuse)
+    monkeypatch.setattr(decompositions, "normalizes", refuse)
+    report = f.verify_inverting_decomposition(FORMS[key](), skip_enumeration=True)
+    assert report.passed
+
+
+def _semidirect_with_flags(form, monkeypatch, clear):
+    """The cofactor_semidirect and conjugation_identities checks of a
+    construct run whose flags read False at the x1 positions ``clear``
+    picks out of (the number of A's generators, the number of x1)."""
+    check = decompositions._conjugation_witness
+    a_gens = gens_of(f.group_image(form.group, form.a_sub))
+
+    def patched(form, x1s, ws, in_w):
+        witness, flags = check(form, x1s, ws, in_w)
+        off = clear(len(a_gens), len(x1s))
+        return witness, [flag and i not in off for i, flag in enumerate(flags)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(decompositions, "_conjugation_witness", patched)
+        report = f.verify_inverting_decomposition(form, skip_enumeration=True)
+    checks = {c.name: c.passed for c in report.checks}
+    return checks["cofactor_semidirect"], checks["conjugation_identities"]
+
+
+@pytest.mark.parametrize("key", ["Q16", "Q32"])
+def test_the_semidirect_verdict_reads_the_flags_of_l_only(key, monkeypatch):
+    """False flags at every generator of A leave cofactor_semidirect
+    passing; one False flag at a generator of L fails it. The conjugation
+    identities pass throughout: they do not read the flags."""
+    form = FORMS[key]()
+    assert _semidirect_with_flags(form, monkeypatch, lambda na, n: range(na)) == (True, True)
+    assert _semidirect_with_flags(form, monkeypatch, lambda na, n: {n - 1}) == (False, True)
