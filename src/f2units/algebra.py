@@ -197,7 +197,7 @@ def _squares(g: GroupTable, x: int) -> list[int]:
 def _inverse(g: GroupTable, x: int) -> int:
     """Invert a normalized mask: if x^(2^k) = 1, the inverse x^(2^k - 1) is
     the product of the squares x^(2^i), i < k (see ``_squares``)."""
-    if bin(x).count("1") & 1 == 0:
+    if x.bit_count() & 1 == 0:
         raise NotAUnitError("augmentation 0: not a unit")
     return reduce(partial(_mul, g), _squares(g, x) or [1])
 
@@ -209,7 +209,7 @@ def ga_mul(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 def augmentation(x: AlgebraElement) -> int:
     """Sum of the coefficients in the two-element field: 0 or 1."""
-    return bin(x.mask).count("1") & 1
+    return x.mask.bit_count() & 1
 
 
 def ga_involute(sigma, x: AlgebraElement) -> AlgebraElement:

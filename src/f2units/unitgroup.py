@@ -9,8 +9,9 @@ augmentation 1, as the augmentation ideal J is nilpotent exactly when G is a
   comprehension, one parity block of low masks per high mask.
 - ``_ideal_powers`` computes the Jennings filtration V_k = 1 + J^k from the
   generators of G, and ``_fixed_point_pcgs`` lifts the units fixed by
-  u -> sigma(u)^-1 along it, one layer at a time: a pcgs of the unitary
-  group found with no scan, on which the classical oracle decides normality.
+  u -> sigma(u)^-1 along it, one layer at a time on one basis of J adapted
+  to it: a pcgs of the unitary group found with no scan, on which the
+  classical oracle decides normality.
 - ``enumerate_unitary`` solves u * sigma(u) = 1 with a bit-sliced kernel:
   the coefficients split into low positions L and high positions H,
   u = h + l, and one AND of int bit planes tests every l at once, while h
@@ -55,7 +56,9 @@ from math import prod
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import AlgebraElement, _eliminate, _involute, _inverse, _mul, _products, _span
+from .algebra import (
+    AlgebraElement, _eliminate, _involute, _inverse, _mul, _products, _span, _translates
+)
 from .errors import (
     HypothesisViolationError,
     NoComplementError,
@@ -509,19 +512,28 @@ def _ideal_powers(g: GroupTable, members: Sequence[int], gens: Sequence[int]) ->
     on ``members``, whose group ``gens`` generate.
 
     As 1 + gh = g(1+h) + (1+g), J is the sum of the F2G(1+s), so J^(k+1) is
-    spanned by the x + x*s over a basis x of J^k; x*s permutes the bits of x.
-    The powers fall to 0 exactly for a 2-group (Jennings 1941); a power that
-    stops shrinking is not 0, and NotAUnitError is raised.
+    spanned by the x + x*s over a basis x of J^k. x's translates are looked
+    up once (``_translates``), and x*s is read off them at bit n*s for every
+    s. The powers fall to 0 exactly for a 2-group (Jennings 1941); a power
+    that stops shrinking is not 0, and NotAUnitError is raised.
     """
-    shifts = [[g.mul[i][s] for i in range(g.order)] for s in gens]
+    n, full = g.order, (1 << g.order) - 1
     pivots, _ = _eliminate(1 ^ 1 << h for h in members if h)
     powers = []
     while pivots:
         powers.append({row: col for row, (col, _) in pivots.items()})
-        pivots, _ = _eliminate(x ^ _involute(s, x) for x in powers[-1].values() for s in shifts)
+        moved = ((x, _translates(g, x)) for x in powers[-1].values())
+        pivots, _ = _eliminate(x ^ (t >> n * s) & full for x, t in moved for s in gens)
         if len(pivots) == len(powers[-1]):
             raise NotAUnitError(f"augmentation ideal not nilpotent: dim J^t stays {len(pivots)}")
     return powers
+
+
+def _set_bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
 
 
 def _fixed_point_pcgs(
@@ -543,25 +555,33 @@ def _fixed_point_pcgs(
     candidate's depth and leading row (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, ch. 8).
 
-    1 + sigma(y) y is kept whole and reduced against J^(k+1) only in the
-    elimination, so it does not depend on the layer: a carried unit's delta
-    is computed once, by mask.
+    One echelon basis of J serves every layer: row r holds the vector of the
+    deepest power J^d with pivot row r, so the rows with d > k span J^(k+1).
+    Each 1 + sigma(y) y is reduced against it once, by mask, into
+    coordinates, and layer k eliminates only their bits at the rows with
+    d = k, its image in J^k / J^(k+1). The pivots are independent there, so
+    a kernel selector, its column and the earlier pivots that sum to it, is
+    the unique one that eliminating the deltas with the basis of J^(k+1)
+    also finds; each word is read off the selector's set bits.
     """
     mul = partial(_mul, g)
     powers = _ideal_powers(g, members, gens)
+    flag = {row: col for basis in powers for row, col in basis.items()}
+    coords: dict[int, int] = {}
     pcgs: list[int] = []
-    delta: dict[int, int] = {}
     for basis, below in zip(powers, powers[1:] + [{}]):
-        layer = [basis[row] for row in sorted(basis.keys() - below.keys(), reverse=True)]
-        candidates = [1 ^ b for b in layer] + pcgs
+        rows = sorted(basis.keys() - below.keys(), reverse=True)
+        candidates = [1 ^ basis[row] for row in rows] + pcgs
         for y in candidates:
-            if y not in delta:
-                delta[y] = 1 ^ mul(_involute(perm, y), y)
-        deltas = [delta[y] for y in candidates]
-        selectors = [0] * len(below) + [1 << i for i in range(len(candidates))]
-        _, kernel = _eliminate([*below.values(), *deltas], selectors)
-        words = ([c for i, c in enumerate(candidates) if sel >> i & 1] for sel in kernel)
-        pcgs = [reduce(mul, word) for word in words]
+            if y not in coords:
+                x, c = 1 ^ mul(_involute(perm, y), y), 0
+                while x:
+                    row = (x & -x).bit_length() - 1
+                    x, c = x ^ flag[row], c | 1 << row
+                coords[y] = c
+        layer = sum(1 << row for row in rows)
+        _, kernel = _eliminate(coords[y] & layer for y in candidates)
+        pcgs = [reduce(mul, (candidates[i] for i in _set_bits(sel))) for sel in kernel]
     return pcgs
 
 
@@ -681,9 +701,13 @@ def commute(g: GroupTable, xs: Sequence[int], ys: Sequence[int]) -> bool:
 def normalizes(g: GroupTable, conj_gens: Sequence[int], n: UnitSet) -> bool:
     """True iff a*m*a^-1 lies in n for every a in conj_gens and every
     generator m of n: then each a maps the finite n into, hence onto,
-    itself, and the group that conj_gens generate normalizes n."""
+    itself, and the group that conj_gens generate normalizes n. n is a
+    subgroup (a UnitSet is closed), so a member of n normalizes it and is
+    not conjugated."""
     members, ms = n.mask_set(), gens_of(n)
     for a in conj_gens:
+        if a in members:
+            continue
         a_inv = _inverse(g, a)
         if any(_mul(g, _mul(g, a, m), a_inv) not in members for m in ms):
             return False

@@ -4,12 +4,19 @@ Everything here recomputes results straight from a group's raw
 multiplication table with deliberately naive algorithms (double loops,
 fixed-point closures). No code is shared with the package internals beyond
 the table itself, so agreement between the two is meaningful evidence.
+The exception is the slow path of the fixed-point pcgs
+(``layered_fixed_point_pcgs`` and ``layered_ideal_powers``): a layered lift
+on the package's arithmetic core, which the flag-basis lift must match list
+for list.
 Masks follow the same convention as the library: bit i of an integer mask
 is the coefficient of the group element with index i.
 """
 
 from __future__ import annotations
 
+from functools import partial, reduce
+
+from f2units.algebra import _eliminate, _involute, _mul
 from f2units.errors import (
     GroupAxiomViolationError,
     HypothesisViolationError,
@@ -508,3 +515,43 @@ def naive_cofactor_premise(form, w_masks, ell_masks) -> int:
     if any(m & ~on_a for m in ell_masks):
         raise HypothesisViolationError("the complement is not supported on A")
     return on_a
+
+
+def layered_ideal_powers(g, members, gens) -> list[dict]:
+    """Echelon bases of J, J^2, ... keyed by pivot row, each x*s formed by
+    moving the bits of x one at a time: ``unitgroup._ideal_powers`` reads
+    x*s off x's translates instead and must give ``_eliminate`` the same
+    columns in the same order."""
+    shifts = [[g.mul[i][s] for i in range(g.order)] for s in gens]
+    pivots, _ = _eliminate(1 ^ 1 << h for h in members if h)
+    powers = []
+    while pivots:
+        powers.append({row: col for row, (col, _) in pivots.items()})
+        pivots, _ = _eliminate(x ^ _involute(s, x) for x in powers[-1].values() for s in shifts)
+        if len(pivots) == len(powers[-1]):
+            raise NotAUnitError(f"augmentation ideal not nilpotent: dim J^t stays {len(pivots)}")
+    return powers
+
+
+def layered_fixed_point_pcgs(g, perm, members, gens) -> list[int]:
+    """The fixed-point pcgs by the layered lift: each layer eliminates the
+    basis of J^(k+1) together with the deltas of its candidates, with
+    selectors, and reads each word by testing every candidate against the
+    kernel selector. ``unitgroup._fixed_point_pcgs`` lifts on one
+    flag-adapted basis of J and must return the same list."""
+    mul = partial(_mul, g)
+    powers = layered_ideal_powers(g, members, gens)
+    pcgs: list[int] = []
+    delta: dict[int, int] = {}
+    for basis, below in zip(powers, powers[1:] + [{}]):
+        layer = [basis[row] for row in sorted(basis.keys() - below.keys(), reverse=True)]
+        candidates = [1 ^ b for b in layer] + pcgs
+        for y in candidates:
+            if y not in delta:
+                delta[y] = 1 ^ mul(_involute(perm, y), y)
+        deltas = [delta[y] for y in candidates]
+        selectors = [0] * len(below) + [1 << i for i in range(len(candidates))]
+        _, kernel = _eliminate([*below.values(), *deltas], selectors)
+        words = ([c for i, c in enumerate(candidates) if sel >> i & 1] for sel in kernel)
+        pcgs = [reduce(mul, word) for word in words]
+    return pcgs

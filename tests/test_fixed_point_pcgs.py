@@ -9,7 +9,10 @@ row) pair. The last makes their leading terms independent, so the normal
 words are distinct, and the pcgs generates a subgroup of the scan of order
 2^len: the scan itself. Above order 32 no scan runs, so the lists of Q64,
 Q128 and D8xC8 odot are pinned instead, and Q64's 2^len is compared with
-the order that the classical construction predicts.
+the order that the classical construction predicts. The lift on one
+flag-adapted basis of J returns, list for list, what the layered lift that
+eliminated each layer against the basis of J^(k+1) returned
+(``oracles.layered_fixed_point_pcgs``).
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ import tracemalloc
 import pytest
 
 import f2units as f
+from f2units import algebra, unitgroup
 from f2units.algebra import _mul
-from f2units.catalog import small_catalog_groups
+from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, small_catalog_groups
 from f2units.unitgroup import _fixed_point_pcgs, _ideal_powers
 from conftest import ORDER32, order32_scan
+from oracles import layered_fixed_point_pcgs, layered_ideal_powers
 
 
 def _small_cases():
@@ -82,8 +87,12 @@ def test_pcgs_matches_the_scan_at_order_32(key):
     _check_against_scan(g, f.classical_involution(g) if classical else f.odot_involution(form), v)
 
 
+def _d8xc8():
+    return f.make_direct_product(f.make_dihedral(8), f.make_cyclic(8))
+
+
 def _d8xc8_odot():
-    form = f.make_odot_form(f.make_direct_product(f.make_dihedral(8), f.make_cyclic(8)))
+    form = f.make_odot_form(_d8xc8())
     return form.group, f.odot_involution(form)
 
 
@@ -131,3 +140,76 @@ def test_q64_construct_order_equals_the_pcgs_order():
     assert report.passed
     pcgs = _fixed_point_pcgs(g, g.inv, range(g.order), g.greedy_generators)
     assert report.orders["expected_unitary"] == 1 << len(pcgs) == 1 << 34
+
+
+# ---------------------------------------------------------------------------
+# the flag-basis lift against the layered slow path
+
+
+def _classical_form(form):
+    return form.group, f.classical_involution(form.group), form.a_sub
+
+
+def _odot_form(form):
+    return form.group, f.odot_involution(form), form.c_sub
+
+
+def _slow_path_cases():
+    for entry in CLASSICAL_ENTRIES:
+        yield pytest.param(lambda e=entry: _classical_form(e.form()), id=f"{entry.key}/classical")
+    for entry in ODOT_ENTRIES:
+        yield pytest.param(lambda e=entry: _odot_form(e.form()), id=f"{entry.key}/odot")
+    for key in ("Q32", "Ext(C16)"):
+        build = ORDER32[key][0]
+        yield pytest.param(
+            lambda build=build: _classical_form(f.detect_inverting_form(build())),
+            id=f"{key}/classical",
+        )
+    yield pytest.param(
+        lambda: _classical_form(f.detect_inverting_form(f.make_quaternion(64))), id="Q64/classical"
+    )
+    yield pytest.param(lambda: _odot_form(f.make_odot_form(_d8xc8())), id="D8xC8/odot")
+
+
+@pytest.mark.parametrize("case", list(_slow_path_cases()))
+def test_pcgs_equals_the_layered_slow_path(case):
+    """On the whole group, on the support (A for the classical forms, C for
+    the odot ones) with its recorded generators, and on B = support meet
+    sigma(support) as ``_require_hit_memory`` builds it: the same powers of
+    J, key for key in the same order, and the same pcgs, unit for unit."""
+    g, sigma, support = case()
+    inside = set(support.members)
+    b = f.SubgroupSet(g, tuple(x for x in support.members if sigma.perm[x] in inside))
+    inputs = [
+        (range(g.order), g.greedy_generators),
+        (support.members, support.generators),
+        (b.members, b.generators),
+    ]
+    for members, gens in inputs:
+        powers = _ideal_powers(g, members, gens)
+        assert [list(p.items()) for p in powers] == [
+            list(p.items()) for p in layered_ideal_powers(g, members, gens)
+        ]
+        pcgs = _fixed_point_pcgs(g, sigma.perm, members, gens)
+        assert pcgs == layered_fixed_point_pcgs(g, sigma.perm, members, gens)
+
+
+def test_layer_eliminations_take_only_the_layer_coordinates(monkeypatch):
+    """At Q64 classical the layer eliminations take 717 columns in all, one
+    per candidate, where eliminating each layer's deltas together with the
+    basis of J^(k+1) took 1,678; no column is a basis vector of J^(k+1)."""
+    g, sigma = _quaternion_classical(64)
+    powers = _ideal_powers(g, range(g.order), g.greedy_generators)
+    calls = []
+
+    def record(columns, selectors=None):
+        calls.append(list(columns))
+        return algebra._eliminate(calls[-1], selectors)
+
+    monkeypatch.setattr(unitgroup, "_ideal_powers", lambda *args: powers)
+    monkeypatch.setattr(unitgroup, "_eliminate", record)
+    pcgs = _fixed_point_pcgs(g, sigma.perm, range(g.order), g.greedy_generators)
+    assert len(pcgs) == 34 and len(calls) == len(powers)
+    assert sum(map(len, calls)) <= 717
+    for columns, below in zip(calls, powers[1:] + [{}]):
+        assert not set(columns) & set(below.values())

@@ -7,6 +7,7 @@ import math
 import random
 from collections import Counter
 from functools import partial
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -585,6 +586,20 @@ def test_normality_of_each_cyclic_subgroup_matches_the_oracle(any_group):
     for x in range(g.order):
         sub = f.group_image(g, f.subgroup_closure(g, [x]))
         normal = normalizes(g, _group_generators(g), sub)
+        assert normal is naive_normal_in(g, everything, sub.masks)
+
+
+@pytest.mark.parametrize("g", list(catalog_groups().values()), ids=lambda g: g.name)
+def test_normality_with_conjugators_from_the_subgroup_matches_the_oracle(g):
+    """normalizes skips a conjugator that lies in the subgroup, which
+    normalizes it. With the members of each cyclic subgroup interleaved
+    with the group's generators, the conjugators still generate the group,
+    and the verdict is still the oracle's."""
+    everything = [1 << x for x in range(g.order)]
+    for x in range(g.order):
+        sub = f.group_image(g, f.subgroup_closure(g, [x]))
+        mixed = [a for pair in zip_longest(sub.masks, _group_generators(g)) for a in pair if a]
+        normal = normalizes(g, mixed, sub)
         assert normal is naive_normal_in(g, everything, sub.masks)
 
 

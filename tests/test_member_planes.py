@@ -391,10 +391,12 @@ def test_member_checks_read_the_generators(monkeypatch, case):
 
 
 def test_catalog_mode_multiplication_count(capsys):
-    """One catalog run makes 1,481 calls to _mul and 31 to _products: the
-    classical cofactor_semidirect reads L's normality of W off the
-    conjugates that the conjugation identities form (1,549 _mul calls
-    while normalizes formed them again), the classical oracle conjugates
+    """One catalog run makes 1,244 calls to _mul and 31 to _products: the
+    classical oracle conjugates H only by the pcgs units outside it (1,481
+    _mul calls while it conjugated H by every pcgs unit), the classical
+    cofactor_semidirect reads L's normality of W off the conjugates that
+    the conjugation identities form (1,549 _mul calls while normalizes
+    formed them again), the classical oracle conjugates
     by the fixed-point pcgs of V_*, not by generators found by listing the
     scanned group again, the unipotent
     generators are read off the table, neither complement search nor the
@@ -427,5 +429,5 @@ def test_catalog_mode_multiplication_count(capsys):
         sys.setprofile(None)
     capsys.readouterr()
     assert status == 1  # the dihedral odot instances fail by design
-    assert calls[algebra._mul.__code__] <= 1_481
+    assert calls[algebra._mul.__code__] <= 1_244
     assert calls[algebra._products.__code__] <= 31
