@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -21,16 +20,10 @@ from hypothesis import strategies as st
 import f2units as f
 from f2units.cli import MAX_FAMILY_ORDER, RunConfig, _build_parser, main, parse_group_spec, run
 from f2units.errors import GroupAxiomViolationError, ParseError
+from pin_reports import RUNS, expected
 
 
 ROOT = Path(__file__).resolve().parents[1]
-REFERENCES = ROOT / "perfbench" / "references.json"
-
-
-def reference_sha256(workload, item):
-    """The pinned sha256 of one report in the benchmark references."""
-    refs = json.loads(REFERENCES.read_text())
-    return refs[workload][item]["summary"]["sha256"]
 
 
 def run_cli(args, tmp_path, name="out.json"):
@@ -569,7 +562,7 @@ def test_readme_cli_section_documents_exactly_the_parser_flags():
 
 
 def test_catalog_mode_covers_all_instances(tmp_path):
-    code, text = run_cli(["--mode", "catalog", "--format", "json"], tmp_path)
+    code, text = run_cli(RUNS["catalog.json"].args, tmp_path)
     assert code == 1  # the dihedral-family rows fail honestly
     payload = json.loads(text)
     assert payload["pass"] is False
@@ -582,15 +575,14 @@ def test_catalog_mode_covers_all_instances(tmp_path):
     assert verdicts[("Q8", "odot")] is True
     assert verdicts[("D8", "odot")] is False
     assert verdicts[("D8xC2", "odot")] is False
-    assert hashlib.sha256(text.encode()).hexdigest() == reference_sha256("catalog", "catalog")
+    assert text == expected("catalog.json")
 
 
 def test_library_catalog_run_accepts_workers(capsys):
     """The benchmark's call: ``workers`` is accepted and changes nothing."""
     config = RunConfig(group=None, involution=None, mode="catalog", fmt="json", workers=1)
     assert run(config) == 1
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == reference_sha256("catalog", "catalog")
+    assert capsys.readouterr().out == expected("catalog.json")
 
 
 def test_catalog_text_prints_every_check_with_its_witness(tmp_path):
@@ -632,44 +624,18 @@ def test_catalog_builds_algebra_elements_only_at_the_boundary(monkeypatch, tmp_p
     assert built == 0
 
 
-@pytest.mark.parametrize(
-    "key, family", [("Q32", "quaternion"), ("Ext(C16)", "inverting_extension")]
-)
-def test_order32_construct_reports_match_references(key, family, tmp_path):
-    code, text = run_cli(
-        ["--family", family, "--order", "32", "--involution", "classical",
-         "--mode", "construct", "--format", "json"],
-        tmp_path,
-    )
+@pytest.mark.parametrize("name", ["Q32-construct.json", "ExtC16-construct.json"])
+def test_order32_construct_reports_match_their_golden_files(name, tmp_path):
+    code, text = run_cli(RUNS[name].args, tmp_path)
     assert code == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == reference_sha256("construct32", key)
+    assert text == expected(name)
 
 
 @pytest.mark.parametrize(
-    "args, digest",
-    [
-        pytest.param(
-            ["--mode", "catalog", "--format", "text"],
-            "fc539fdee98d592ac994f48b7e68d04c0357949ad2a8ceae25a0d33afa0432bf",
-            id="catalog-text",
-        ),
-        pytest.param(
-            ["--family", "quaternion", "--order", "16", "--involution", "classical",
-             "--mode", "enumerate", "--format", "json"],
-            "54850bc48d18b6b712bbcd1f06a419cb29b7f0dbb2033499bb1944e2a4706037",
-            id="Q16-classical-enumerate",
-        ),
-        pytest.param(
-            ["--family", "dihedral", "--order", "8", "--involution", "odot",
-             "--mode", "verify", "--format", "json"],
-            "4bdf793c95e501c06d67c24bee09a093c3f3deb12e2b6647fe8f285470b026b5",
-            id="D8-odot-verify",
-        ),
-    ],
+    "name", ["catalog.txt", "Q16-classical-enumerate.json", "D8-odot-verify.json"]
 )
-def test_report_matches_its_pinned_sha256(args, digest, capsys):
-    main(args)
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+def test_report_matches_its_golden_file(name):
+    assert RUNS[name]() == expected(name)
 
 
 def test_text_and_json_verdicts_agree(tmp_path):

@@ -17,7 +17,6 @@ eliminated each layer against the basis of J^(k+1) returned
 
 from __future__ import annotations
 
-import hashlib
 import tracemalloc
 
 import pytest
@@ -29,6 +28,7 @@ from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, small_catalog_group
 from f2units.unitgroup import _fixed_point_pcgs, _ideal_powers
 from conftest import ORDER32, order32_scan
 from oracles import layered_fixed_point_pcgs, layered_ideal_powers
+from pin_reports import RUNS, expected
 
 
 def _small_cases():
@@ -91,31 +91,25 @@ def _d8xc8():
     return f.make_direct_product(f.make_dihedral(8), f.make_cyclic(8))
 
 
-def _d8xc8_odot():
-    form = f.make_odot_form(_d8xc8())
-    return form.group, f.odot_involution(form)
-
-
 def _quaternion_classical(order):
     g = f.make_quaternion(order)
     return g, f.classical_involution(g)
 
 
 @pytest.mark.parametrize(
-    "build, length, pin",
+    "name, length",
     [
-        pytest.param(lambda: _quaternion_classical(64), 34, "f9658695e8c75776", id="Q64/classical"),
-        pytest.param(lambda: _quaternion_classical(128), 66, "3b4b659e586dd990", id="Q128/classical"),
-        pytest.param(_d8xc8_odot, 37, "4e69b8ee2e60b4d6", id="D8xC8/odot"),
+        pytest.param("Q64-classical-pcgs.txt", 34, id="Q64/classical"),
+        pytest.param("Q128-classical-pcgs.txt", 66, id="Q128/classical"),
+        pytest.param("D8xC8-odot-pcgs.txt", 37, id="D8xC8/odot"),
     ],
 )
-def test_pcgs_lists_above_the_scan_are_pinned(build, length, pin):
-    """Above order 32 no scan can check the pcgs, so its list is pinned: the
-    first 16 hex digits of sha256 over the masks in order, comma-joined."""
-    g, sigma = build()
-    pcgs = _fixed_point_pcgs(g, sigma.perm, range(g.order), g.greedy_generators)
-    assert len(pcgs) == length
-    assert hashlib.sha256(",".join(map(str, pcgs)).encode()).hexdigest()[:16] == pin
+def test_pcgs_lists_above_the_scan_are_pinned(name, length):
+    """Above order 32 no scan can check the pcgs, so its list is pinned in
+    full: the golden file holds the masks in order, one a line."""
+    text = RUNS[name]()
+    assert len(text.splitlines()) == length
+    assert text == expected(name)
 
 
 def test_first_product_on_order_128_allocates_under_12_mb():

@@ -13,8 +13,6 @@ off the same table and W's basis against those that listed W."""
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from functools import partial
 
@@ -37,6 +35,7 @@ from oracles import (
     naive_product,
     naive_structure_predicates,
 )
+from pin_reports import RUNS, expected
 
 
 def _extension(base, square_label):
@@ -673,57 +672,36 @@ def test_a_w_that_meets_l_fails_the_semidirect_check(monkeypatch):
         assert not listed[name]
 
 
-# The sha256 of the reports of Q32 and Ext(C16) --mode construct (as pinned in
-# perfbench/references.json) and of Q16 verified with max_order=8.
-CONSTRUCT_PINS = {
-    ("quaternion", "32", ()): "d64757fd33b7be77a88f2faf04f8a746c64a26934ce33c112eababb0aa294c34",
-    ("inverting_extension", "32", ("--square-element", "a8")): (
-        "e4cd858ef81731b1ca3ea88758e62d984dc1b7fe551b6513274c035c74b38ada"
-    ),
-}
-Q16_PAST_THE_BOUND = "3770f14b35f8a9589f8b085aab1437fcd1ce702b7b1620b0b94ac2276cf5ee59"
-
-
-def test_construct_mode_never_lists_the_cofactor(q16_form, monkeypatch, capsys):
+def test_construct_mode_never_lists_the_cofactor(monkeypatch, capsys):
     """With the sumset that lists H raising, construct mode and a run past
-    the exhaustive bound still finish with their pinned reports. The oracle
+    the exhaustive bound still finish with their golden reports. The oracle
     lists H by ``_cofactor_sumset`` alone, so that is the one to refuse."""
 
     def refuse(*args):
         raise AssertionError("the cofactor H was listed")
 
     monkeypatch.setattr(decompositions, "_cofactor_sumset", refuse)
-    for (family, order, extra), pin in CONSTRUCT_PINS.items():
-        args = ["--family", family, "--order", order, *extra, "--involution", "classical"]
-        assert cli.main([*args, "--mode", "construct", "--format", "json"]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pin
-    report = f.verify_inverting_decomposition(q16_form, max_order=8)
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == Q16_PAST_THE_BOUND
+    for name in ("Q32-construct.json", "ExtC16-construct.json"):
+        assert cli.main(RUNS[name].args) == 0
+        assert capsys.readouterr().out == expected(name)
+    assert RUNS["Q16-verify-max8.json"]() == expected("Q16-verify-max8.json")
 
 
-# The sha256 of the odot reports of D8xC8 and Q8xC8 --mode construct at
-# max_order=32, where W has 2^24 members.
-ODOT_CONSTRUCT_PINS = {
-    f.make_dihedral: "67712ae1a8c1fa95ebfb009b3144b402ea34a37fd6ccf8aac2db10be51a074eb",
-    f.make_quaternion: "c0ed4bb57d272918e24621b24f5c22f9b09cc9bbc5884a64d37f6ed5b36ddcc5",
-}
-
-
-@pytest.mark.parametrize("make_base", list(ODOT_CONSTRUCT_PINS), ids=["D8xC8", "Q8xC8"])
-def test_odot_construct_lists_neither_w_nor_gt(make_base, monkeypatch):
+@pytest.mark.parametrize(
+    "name", ["D8xC8-odot-construct32.json", "Q8xC8-odot-construct32.json"], ids=["D8xC8", "Q8xC8"]
+)
+def test_odot_construct_lists_neither_w_nor_gt(name, monkeypatch):
     """Construct mode decides W on its basis and the direct product on
     generators and supports, so with the W listing raising D8xC8 and Q8xC8
-    finish with their pinned reports in under a second each (29 to 36 s
-    and 1.9 GB on a 2-core host while W and G*T were listed)."""
+    finish with their golden reports in under a second each, the group and
+    its form built (29 to 36 s and 1.9 GB on a 2-core host while W and G*T
+    were listed)."""
 
     def refuse(*args):
         raise AssertionError("W was listed")
 
     monkeypatch.setattr(decompositions, "build_central_unipotent", refuse)
-    form = f.make_odot_form(f.make_direct_product(make_base(8), f.make_cyclic(8)))
     start = time.perf_counter()
-    report = f.verify_odot_decomposition(form, max_order=32, skip_enumeration=True)
+    text = RUNS[name]()
     assert time.perf_counter() - start < 1
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == ODOT_CONSTRUCT_PINS[make_base]
+    assert text == expected(name)
