@@ -132,9 +132,9 @@ def _add_member_check(
     report: DecompositionReport, name: str, g, masks, sigma, square=False, central=()
 ) -> int:
     """Add check ``name``: every mask squares to 1 (``square``), is unitary
-    under ``sigma`` and commutes with each mask in ``central``; else the first
-    failing member (see ``_failing_members``) is the witness. Returns the
-    members that fail to commute, one bit each."""
+    under ``sigma`` and commutes with each group element in ``central``; else
+    the first failing member (see ``_failing_members``) is the witness.
+    Returns the members that fail to commute, one bit each."""
     bad, noncentral = _failing_members(g, masks, sigma.perm, square, central)
     first = (bad & -bad).bit_length() - 1
     report.add(name, not bad, _render(g, masks[first]) if bad else None)
@@ -660,10 +660,9 @@ def verify_odot_decomposition(
     # The unitary, the central and the square-1 units of the abelian W form
     # groups, and W is the group its generators generate (the check above).
     w_gens = [1 ^ v for v in vectors]
-    gen_basis = [1 << i for i in g.greedy_generators]
     noncentral = _add_member_check(
         report, "central_unipotent_members_central_unitary", g, w_gens,
-        sigma, square=True, central=gen_basis,
+        sigma, square=True, central=g.greedy_generators,
     )
 
     # The decomposition needs the group inside the unitary set, which holds

@@ -27,10 +27,10 @@ The same int bit planes serve the member checks of the decompositions, and
 only this module knows their format. ``_member_planes`` transposes a list of
 masks (generating sets: short), one plane per position, one bit per member.
 ``_product_planes`` is the one multiply on planes: u * v for every pair of
-members at the same bit, a fixed multiplier y entering as its
-``_fixed_planes``. ``_failing_members`` is the one member test (u * perm(u)
-= 1, u * u = 1, commutation), for the decompositions' member checks; the
-kernel builds its starting planes with ``_product_planes`` too. No plane is
+members at the same bit. ``_failing_members`` is the one member test
+(u * perm(u) = 1, u * u = 1, commutation with a group element, by
+permuting planes), for the decompositions' member checks; the kernel
+builds its starting planes with ``_product_planes`` too. No plane is
 read back into masks, and no product of subgroups is listed pairwise
 (``_product_is``, ``is_direct``). Structure checks work on generators; a set
 without recorded generators computes its canonical ones once, by listing
@@ -53,7 +53,7 @@ from __future__ import annotations
 from functools import cached_property, partial, reduce
 from itertools import chain, combinations
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import (
@@ -276,12 +276,6 @@ def _member_planes(masks: Sequence[int], n: int) -> list[int]:
     return planes
 
 
-def _fixed_planes(n: int, y: int, full: int) -> list[int]:
-    """Planes of the fixed multiplier y paired with every member (bits of
-    ``full``): ``full`` at each j in the support of y, 0 elsewhere."""
-    return [full if y >> j & 1 else 0 for j in range(n)]
-
-
 def _permuted_planes(perm: Sequence[int], planes: Sequence[int]) -> list[int]:
     """Planes of perm(u) for every member u: plane j moves to perm[j]."""
     out = [0] * len(planes)
@@ -318,24 +312,25 @@ def _failing_members(
 ) -> tuple[int, int]:
     """The members that fail a check, then those that fail to commute, one bit
     each: bit k is set when u = masks[k] has u * perm(u) != 1, u * u != 1
-    (``square``) or u * y != y * u for some y in ``central``, the last also in
-    the second int. Every test runs on the bit planes of the whole list at once."""
-    n = g.order
-    full = (1 << len(masks)) - 1
-    u = _member_planes(masks, n)
-    one = _fixed_planes(n, 1, full)
-    pairs = [(_product_planes(g, u, _permuted_planes(perm, u)), one)]
+    (``square``) or u * y != y * u for some group element y in ``central``,
+    the last also in the second int; each test runs on whole-list planes."""
+    mul, inv = g.mul, g.inv
+    u = _member_planes(masks, g.order)
+    products = [_product_planes(g, u, _permuted_planes(perm, u))]
     if square:
-        pairs.append((_product_planes(g, u, u), one))
-    bad = noncentral = 0
+        products.append(_product_planes(g, u, u))
+    # u * y = y * u exactly when u = y^-1 * u * y: planes i and y*i*y^-1 agree.
+    noncentral = 0
     for y in central:
-        fixed = _fixed_planes(n, y, full)
-        for p, q in zip(_product_planes(g, u, fixed), _product_planes(g, fixed, u)):
-            noncentral |= p ^ q
-    for left, right in pairs:
-        for p, q in zip(left, right):
-            bad |= p ^ q
-    return bad | noncentral, noncentral
+        row, y_inv = mul[y], inv[y]
+        for i, p in enumerate(u):
+            noncentral |= p ^ u[mul[row[i]][y_inv]]
+    # A product is 1 where plane 0 is set and every other plane is clear.
+    full = (1 << len(masks)) - 1
+    bad = noncentral
+    for planes in products:
+        bad |= reduce(or_, planes[1:], planes[0] ^ full)
+    return bad, noncentral
 
 
 def _low_positions(k: int) -> int:

@@ -1,6 +1,5 @@
-"""Shared fixtures: one table per group per session, one full scan per
-order-32 instance, and a relabelled Q32 whose subgroups sit at scattered
-positions.
+"""Shared fixtures, one table per group per session, and helpers on a given
+group. The shared instances are built in ``instances.py``.
 
 Algebra elements are bound to a specific table object, so tests that
 exchange elements must draw the group from the same fixture.
@@ -8,9 +7,7 @@ exchange elements must draw the group from the same fixture.
 
 from __future__ import annotations
 
-import functools
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -96,47 +93,6 @@ def q8_odot_form(q8):
 @pytest.fixture(scope="session")
 def d8xc2_odot_form(d8xc2):
     return f.make_odot_form(d8xc2)
-
-
-# The order-32 instances the full scan runs on: a builder and the involution.
-ORDER32 = {
-    "Q32": (lambda: f.make_quaternion(32), "classical"),
-    "Ext(C16)": (lambda: f.make_inverting_extension(f.make_cyclic(16), 8), "classical"),
-    "D8xC4": (lambda: f.make_direct_product(f.make_dihedral(8), f.make_cyclic(4)), "odot"),
-}
-
-
-@functools.cache
-def order32_scan(key: str):
-    """(group, form, V_*) for one order-32 instance, with V_* from the full
-    scan at ``max_order=32``, computed once per session. The classical form
-    is the detected one; all three share one table."""
-    build, involution = ORDER32[key]
-    g = build()
-    if involution == "classical":
-        form, sigma = f.detect_inverting_form(g), f.classical_involution(g)
-    else:
-        form = f.make_odot_form(g)
-        sigma = f.odot_involution(form)
-    return g, form, f.enumerate_unitary(g, sigma, max_order=32)
-
-
-def relabelled_q32():
-    """The detected inverting form of Q32 with every element but the identity
-    moved to a seeded random index, so that its index-2 subgroup A no longer
-    sits below its coset and A's positions are scattered."""
-    g = f.make_quaternion(32)
-    pos = [0, *random.Random(5).sample(range(1, 32), 31)]
-    table = [[0] * 32 for _ in range(32)]
-    for i, row in enumerate(g.mul):
-        for j, v in enumerate(row):
-            table[pos[i]][pos[j]] = pos[v]
-    labels = [""] * 32
-    for i, label in enumerate(g.labels):
-        labels[pos[i]] = label
-    form = f.detect_inverting_form(f.GroupTable(table, labels, name="Q32"))
-    assert sorted(form.a_sub.members) != list(range(16))
-    return form
 
 
 def subalgebra_units(sub) -> list[int]:

@@ -30,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import f2units as f  # noqa: E402
 from f2units import cli  # noqa: E402
 from f2units.unitgroup import _fixed_point_pcgs  # noqa: E402
+from instances import CLASSICAL_FORMS, LARGE_ODOT_FORMS, quaternion_form, scan_parts  # noqa: E402
 
 REPORTS = Path(__file__).resolve().parent / "reports"
 
@@ -52,41 +53,30 @@ def _json(report) -> str:
 
 
 def _q16_past_the_bound() -> str:
-    form = f.make_inverting_form(f.make_quaternion(16), [1], 8)
-    return _json(f.verify_inverting_decomposition(form, max_order=8))
+    return _json(f.verify_inverting_decomposition(CLASSICAL_FORMS["Q16"](), max_order=8))
 
 
-def _odot_construct(make_base):
-    """The odot construct report of ``make_base(8) x C8`` at max_order=32,
-    where W has 2^24 members."""
+def _odot_construct(key):
+    """The odot construct report of ``LARGE_ODOT_FORMS[key]`` at
+    max_order=32, where W has 2^24 members."""
 
     def run() -> str:
-        form = f.make_odot_form(f.make_direct_product(make_base(8), f.make_cyclic(8)))
+        form = LARGE_ODOT_FORMS[key]()
         return _json(f.verify_odot_decomposition(form, max_order=32, skip_enumeration=True))
 
     return run
 
 
 def _pcgs(build):
-    """The fixed-point pcgs of ``build()``'s (group, involution), one mask a
-    line in order."""
+    """The fixed-point pcgs of the whole group under the involution of the
+    form ``build()``, one mask a line in order."""
 
     def run() -> str:
-        g, sigma = build()
+        g, sigma, _ = scan_parts(build())
         pcgs = _fixed_point_pcgs(g, sigma.perm, range(g.order), g.greedy_generators)
         return "".join(f"{mask}\n" for mask in pcgs)
 
     return run
-
-
-def _quaternion_classical(order):
-    g = f.make_quaternion(order)
-    return g, f.classical_involution(g)
-
-
-def _d8xc8_odot():
-    form = f.make_odot_form(f.make_direct_product(f.make_dihedral(8), f.make_cyclic(8)))
-    return form.group, f.odot_involution(form)
 
 
 def _classical_construct(family, order):
@@ -108,11 +98,11 @@ RUNS = {
     "Q32-construct.json": _classical_construct("quaternion", "32"),
     "ExtC16-construct.json": _classical_construct("inverting_extension", "32"),
     "Q16-verify-max8.json": _q16_past_the_bound,
-    "D8xC8-odot-construct32.json": _odot_construct(f.make_dihedral),
-    "Q8xC8-odot-construct32.json": _odot_construct(f.make_quaternion),
-    "Q64-classical-pcgs.txt": _pcgs(lambda: _quaternion_classical(64)),
-    "Q128-classical-pcgs.txt": _pcgs(lambda: _quaternion_classical(128)),
-    "D8xC8-odot-pcgs.txt": _pcgs(_d8xc8_odot),
+    "D8xC8-odot-construct32.json": _odot_construct("D8xC8"),
+    "Q8xC8-odot-construct32.json": _odot_construct("Q8xC8"),
+    "Q64-classical-pcgs.txt": _pcgs(lambda: quaternion_form(64)),
+    "Q128-classical-pcgs.txt": _pcgs(lambda: quaternion_form(128)),
+    "D8xC8-odot-pcgs.txt": _pcgs(LARGE_ODOT_FORMS["D8xC8"]),
 }
 
 

@@ -19,6 +19,7 @@ from f2units.errors import (
     NotAUnitError,
     ParseError,
 )
+from instances import relabel
 from oracles import naive_apply_perm, naive_augmentation, naive_mul
 
 masks8 = st.integers(0, 255)
@@ -285,13 +286,8 @@ def test_involute_is_linear_and_self_inverse(q8):
 
 def _relabelled(g, seed):
     """g with every element but the identity moved to a seeded random index."""
-    n = g.order
-    pos = [0, *random.Random(seed).sample(range(1, n), n - 1)]
-    table = [[0] * n for _ in range(n)]
-    for i, row in enumerate(g.mul):
-        for j, v in enumerate(row):
-            table[pos[i]][pos[j]] = pos[v]
-    return f.GroupTable(table, name=f"{g.name}/relabelled")
+    pos = [0, *random.Random(seed).sample(range(1, g.order), g.order - 1)]
+    return f.GroupTable(relabel(g.mul, pos), name=f"{g.name}/relabelled")
 
 
 # Orders 2 and 4 fill only part of their one byte chunk, Q64 has 8 chunks, and

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import f2units as f
 from f2units.cli import MAX_FAMILY_ORDER, RunConfig, _build_parser, main, parse_group_spec, run
 from f2units.errors import GroupAxiomViolationError, ParseError
+from instances import count_calls
 from pin_reports import RUNS, expected
 
 
@@ -607,21 +608,13 @@ def test_catalog_text_prints_every_check_with_its_witness(tmp_path):
     assert list(lines) == ["overall: FAIL"]
 
 
-def test_catalog_builds_algebra_elements_only_at_the_boundary(monkeypatch, tmp_path):
+def test_catalog_builds_algebra_elements_only_at_the_boundary(tmp_path):
     """Inner loops, the lemma checks and report rendering work on bare
     masks: a catalog run builds no AlgebraElement at all."""
-    built = 0
-    init = f.AlgebraElement.__init__
-
-    def counting(self, group, mask):
-        nonlocal built
-        built += 1
-        init(self, group, mask)
-
-    monkeypatch.setattr(f.AlgebraElement, "__init__", counting)
-    code, _ = run_cli(["--mode", "catalog", "--format", "json"], tmp_path)
+    with count_calls(f.AlgebraElement.__init__) as calls:
+        code, _ = run_cli(["--mode", "catalog", "--format", "json"], tmp_path)
     assert code == 1
-    assert built == 0
+    assert calls == {"__init__": 0}
 
 
 @pytest.mark.parametrize("name", ["Q32-construct.json", "ExtC16-construct.json"])

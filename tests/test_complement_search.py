@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import f2units as f
 from f2units import algebra, decompositions, unitgroup
-from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.cli import main
 from f2units.errors import NoComplementError, NotAbelianError
 from f2units.groups import coset_representatives
+from instances import CLASSICAL_FORMS, LARGE_ODOT_FORMS, ODOT_FORMS, count_calls
 from oracles import naive_complement_search, naive_find_complement
 
 
@@ -25,34 +25,10 @@ def _classical_parts(form):
     return v_a, f.group_image(g, form.a_sub)
 
 
-def _extension_form(base, square_label):
-    g = f.make_inverting_extension(base, base.labels.index(square_label))
-    return f.detect_inverting_form(g)
-
-
 def _c4_parts():
     c4 = f.make_cyclic(4)
     return f.group_image(c4), f.group_image(c4, f.subgroup_closure(c4, [2]))
 
-
-CLASSICAL_FORMS = {
-    **{e.key: e.form for e in CLASSICAL_ENTRIES},
-    "Q32": lambda: f.detect_inverting_form(f.make_quaternion(32)),
-    "Ext(C16)": lambda: _extension_form(f.make_cyclic(16), "a8"),
-    "Ext(C4xC4)": lambda: _extension_form(
-        f.make_direct_product(f.make_cyclic(4), f.make_cyclic(4)), "(1,a2)"
-    ),
-    "Ext(C8xC2)": lambda: _extension_form(
-        f.make_direct_product(f.make_cyclic(8), f.make_cyclic(2)), "(a4,1)"
-    ),
-}
-ODOT_FORMS = {e.key: e.form for e in ODOT_ENTRIES}
-# Order-64 odot forms whose order-2 central units (4,096 of them) the search
-# runs in; too large for the search that lists every candidate's span.
-LARGE_ODOT_FORMS = {
-    key: lambda base=base: f.make_odot_form(f.make_direct_product(base(), f.make_cyclic(8)))
-    for key, base in (("D8xC8", lambda: f.make_dihedral(8)), ("Q8xC8", lambda: f.make_quaternion(8)))
-}
 
 COMPLEMENT_CASES = {
     **{f"L {key}": (lambda b=b: _classical_parts(b())) for key, b in CLASSICAL_FORMS.items()},
@@ -91,6 +67,8 @@ def _q32_over_its_complement():
     return ambient, f.find_complement(ambient, a_image)
 
 
+# The order-64 odot forms' order-2 central units (4,096 of them) are too
+# many for the search that lists every candidate's span.
 TRANSLATE_CASES = {
     **COMPLEMENT_CASES,
     **{
@@ -237,7 +215,7 @@ def test_non_abelian_subgroup_raises_the_search_error():
         f.find_complement(*_classical_parts(form))
 
 
-def test_q32_construct_multiplication_count(monkeypatch, capsys):
+def test_q32_construct_multiplication_count(capsys):
     """One Q32 construct run makes 339 mask products and 31 batch products,
     one per member of L but the identity, as the search grows S*F; 411 mask
     products while cofactor_semidirect conjugated W's generators by L's with
@@ -251,24 +229,9 @@ def test_q32_construct_multiplication_count(monkeypatch, capsys):
     span made 11,329, 1,875 remained while the unipotent generators were
     multiplied out, and 1,811 while the abelian test and the conjugation
     identities read generators listed from the whole of V_*(F2A)."""
-    calls = {"_mul": 0, "_products": 0}
-
-    def counting(name):
-        original = getattr(algebra, name)
-
-        def counted(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return counted
-
-    for name in calls:
-        counted = counting(name)
-        for module in (algebra, unitgroup, decompositions):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
     args = ["--family", "quaternion", "--order", "32", "--involution", "classical"]
-    assert main([*args, "--mode", "construct", "--format", "json"]) == 0
+    with count_calls(algebra._mul, algebra._products) as calls:
+        assert main([*args, "--mode", "construct", "--format", "json"]) == 0
     capsys.readouterr()
     assert calls["_mul"] <= 339
     assert calls["_products"] <= 31

@@ -14,7 +14,6 @@ import pytest
 
 import f2units as f
 from f2units import decompositions, unitgroup
-from f2units.catalog import CLASSICAL_ENTRIES
 from f2units.decompositions import _conjugation_witness, _unipotent_basis, build_unipotent_factor
 from f2units.unitgroup import (
     canonical_generators,
@@ -23,13 +22,11 @@ from f2units.unitgroup import (
     make_unit_set,
     normalizes,
 )
+from instances import CLASSICAL_FORMS, quaternion_form
 from oracles import naive_conjugation_witness, naive_render
 
-FORMS = {
-    **{e.key: e.form for e in CLASSICAL_ENTRIES},
-    "Q32": lambda: f.detect_inverting_form(f.make_quaternion(32)),
-    "Ext(C16)": lambda: f.detect_inverting_form(f.make_inverting_extension(f.make_cyclic(16), 8)),
-}
+# All but the extensions of C4xC4 and C8xC2, which only the pipeline test runs on.
+KEYS = sorted(k for k in CLASSICAL_FORMS if k not in ("Ext(C4xC4)", "Ext(C8xC2)"))
 MESSAGES = {
     "twist conjugation",
     "unitary conjugation",
@@ -75,9 +72,9 @@ def _both(form, v_a, w_masks):
     return kind
 
 
-@pytest.mark.parametrize("key", sorted(FORMS))
+@pytest.mark.parametrize("key", KEYS)
 def test_witness_passes_with_the_oracle(key):
-    form = FORMS[key]()
+    form = CLASSICAL_FORMS[key]()
     assert _both(form, *_inputs(form)) is None
 
 
@@ -85,8 +82,8 @@ def test_witness_matches_the_oracle_on_each_failure():
     """Q16 with W missing a member, with a non-unitary member in v_a, and
     with another element as the twist: together these fail all four
     identities. On each of the 33 mutations the check and the oracle agree."""
-    g = f.make_quaternion(16)
-    form = f.detect_inverting_form(g)
+    form = quaternion_form(16)
+    g = form.group
     v_a, w_masks = _inputs(form)
     kinds = []
     for m in sorted(w_masks - {1}):
@@ -107,8 +104,8 @@ def test_a_missing_member_of_w_is_found_at_a_generator():
     """The oracle meets this missing member of W first at x1 = 1, which is
     no generator; the check, given a membership test that excludes it,
     meets it at a generator."""
-    g = f.make_quaternion(16)
-    form = f.detect_inverting_form(g)
+    form = quaternion_form(16)
+    g = form.group
     v_a, w_masks = _inputs(form)
     missing = f.parse_element(g, "1 + ab + a5b").mask
     want = naive_conjugation_witness(g, form.b, form.transversal, v_a.masks, w_masks - {missing})
@@ -117,22 +114,6 @@ def test_a_missing_member_of_w_is_found_at_a_generator():
     in_w = (w_masks - {missing}).__contains__
     got, _ = _conjugation_witness(form, canonical_generators(v_a), _unipotent_basis(form)[1], in_w)
     assert got == "unitary conjugation at a by 1 + a2 + a4: got 1 + ab + a5b"
-
-
-def _extension_form(base, square_label):
-    g = f.make_inverting_extension(base, base.labels.index(square_label))
-    return f.detect_inverting_form(g)
-
-
-PIPELINE_FORMS = {
-    **FORMS,
-    "Ext(C4xC4)": lambda: _extension_form(
-        f.make_direct_product(f.make_cyclic(4), f.make_cyclic(4)), "(1,a2)"
-    ),
-    "Ext(C8xC2)": lambda: _extension_form(
-        f.make_direct_product(f.make_cyclic(8), f.make_cyclic(2)), "(a4,1)"
-    ),
-}
 
 
 def _pipeline_x1s(form, monkeypatch):
@@ -163,11 +144,11 @@ def _same_kind(form, v_a, x1s, w_masks):
     return kind
 
 
-@pytest.mark.parametrize("key", sorted(PIPELINE_FORMS))
+@pytest.mark.parametrize("key", sorted(CLASSICAL_FORMS))
 def test_generators_of_a_and_l_pass_with_the_scanned_generators(key, monkeypatch):
     """The pipeline's x1, the generators of A and L, generate V_*(F2A) and
     pass where its canonical generators pass."""
-    form = PIPELINE_FORMS[key]()
+    form = CLASSICAL_FORMS[key]()
     g = form.group
     v_a, w_masks = _inputs(form)
     x1s = _pipeline_x1s(form, monkeypatch)
@@ -182,8 +163,8 @@ def test_generators_of_a_and_l_fail_with_the_scanned_generators(monkeypatch):
     """Q16 with W missing a member and with another element as the twist:
     on each of the 30 mutations the pipeline's x1, the generators of A and
     L, give the message kind of the canonical generators of V_*(F2A)."""
-    g = f.make_quaternion(16)
-    form = f.detect_inverting_form(g)
+    form = quaternion_form(16)
+    g = form.group
     v_a, w_masks = _inputs(form)
     x1s = _pipeline_x1s(form, monkeypatch)
     kinds = [_same_kind(form, v_a, x1s, w_masks - {m}) for m in sorted(w_masks - {1})]
@@ -217,11 +198,11 @@ def _x1s_and_flags(form, w):
     return x1s, flags
 
 
-@pytest.mark.parametrize("key", sorted(FORMS))
+@pytest.mark.parametrize("key", KEYS)
 def test_each_flag_is_the_normality_of_w_by_its_x1(key):
     """On W as built, each flag is normalizes(g, [x1], W): True for the
     units on A, which normalize W as W - 1 is an F2A-module."""
-    form = FORMS[key]()
+    form = CLASSICAL_FORMS[key]()
     w = build_unipotent_factor(form)
     x1s, flags = _x1s_and_flags(form, w)
     assert flags == [normalizes(form.group, [x1], w) for x1 in x1s]
@@ -234,7 +215,7 @@ def test_each_flag_is_the_normality_of_a_replaced_w():
     search stops before any x1 conjugate is compared, and by <l>, l the
     first generator of Q32's complement, which every unit on A normalizes.
     The flags stay those of normalizes(g, [x1], W)."""
-    form = FORMS["Q32"]()
+    form = CLASSICAL_FORMS["Q32"]()
     g = form.group
     v_a, _ = _inputs(form)
     ell = f.find_complement(v_a, f.group_image(g, form.a_sub))
@@ -248,7 +229,7 @@ def test_each_flag_is_the_normality_of_a_replaced_w():
     assert verdicts == [False, True]
 
 
-@pytest.mark.parametrize("key", sorted(FORMS))
+@pytest.mark.parametrize("key", KEYS)
 def test_construct_mode_makes_no_normality_call(key, monkeypatch):
     """With normalizes raising, construct mode still passes: it decides
     cofactor_semidirect on W meet L and the flags of L's generators."""
@@ -258,7 +239,7 @@ def test_construct_mode_makes_no_normality_call(key, monkeypatch):
 
     monkeypatch.setattr(unitgroup, "normalizes", refuse)
     monkeypatch.setattr(decompositions, "normalizes", refuse)
-    report = f.verify_inverting_decomposition(FORMS[key](), skip_enumeration=True)
+    report = f.verify_inverting_decomposition(CLASSICAL_FORMS[key](), skip_enumeration=True)
     assert report.passed
 
 
@@ -286,6 +267,6 @@ def test_the_semidirect_verdict_reads_the_flags_of_l_only(key, monkeypatch):
     """False flags at every generator of A leave cofactor_semidirect
     passing; one False flag at a generator of L fails it. The conjugation
     identities pass throughout: they do not read the flags."""
-    form = FORMS[key]()
+    form = CLASSICAL_FORMS[key]()
     assert _semidirect_with_flags(form, monkeypatch, lambda na, n: range(na)) == (True, True)
     assert _semidirect_with_flags(form, monkeypatch, lambda na, n: {n - 1}) == (False, True)

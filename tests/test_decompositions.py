@@ -13,7 +13,9 @@ from f2units.algebra import _coset_parts
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import GroupMismatchError, NotUnitaryError
 from f2units.unitgroup import _fixed_point_pcgs, make_unit_set
-from conftest import ORDER32, order32_scan
+from instances import (
+    CLASSICAL_FORMS, LARGE_ODOT_FORMS, ORDER32, catalog_form, count_calls, order32_scan, scan_parts,
+)
 from oracles import naive_product, naive_solve
 
 
@@ -60,23 +62,19 @@ def test_abelian_complement_q8(q8, q8_form):
     assert a_img.mask_set() & ell.mask_set() == {1}
 
 
-def test_abelian_complement_pinned_ext_c4xc4(monkeypatch):
+def test_abelian_complement_pinned_ext_c4xc4():
     """The complement search's result and its coset steps at Ext(C4xC4), an
     order-32 extension outside the catalog and the benchmark references. The
     7 steps list the spans of the accepted candidates, one per generator; the
     search rejects every other candidate from its powers without a step, and
     the abelian check reads A's generators, so it lists nothing (9 more
     steps while it found the generators of V(F2A))."""
-    from f2units import groups, unitgroup
+    from f2units import groups
 
-    c4 = f.make_cyclic(4)
-    g = f.make_inverting_extension(f.make_direct_product(c4, c4), 2)
-    form = f.detect_inverting_form(g)
-    steps = []
-    extend = groups._extend
-    for module in (groups, unitgroup):
-        monkeypatch.setattr(module, "_extend", lambda *args: steps.append(1) or extend(*args))
-    ell = f.build_abelian_complement(form)
+    form = CLASSICAL_FORMS["Ext(C4xC4)"]()
+    g = form.group
+    with count_calls(groups._extend) as steps:
+        ell = f.build_abelian_complement(form)
     assert [decompositions._render(g, m) for m in ell.generators] == [
         "1 + (1,a) + (1,a3)",
         "1 + (1,a2) + (a2,1)",
@@ -87,7 +85,7 @@ def test_abelian_complement_pinned_ext_c4xc4(monkeypatch):
         "1 + (a,a3) + (a3,a)",
     ]
     assert ell.order == 128
-    assert len(steps) == 7
+    assert steps["_extend"] == 7
 
 
 def test_conjugation_closure_q8_q16(q8_form, q16_form):
@@ -177,7 +175,7 @@ def test_involution_image_records_the_canonical_generators(entry):
 # of order <= 16 and on a seeded 500 per order-32 instance.
 LEMMA_KEYS = {
     involution: [e.key for e in entries if e.key not in ORDER32]
-    + [key for key, (_, kind) in ORDER32.items() if kind == involution]
+    + [key for key, kind in ORDER32.items() if kind == involution]
     for involution, entries in (("classical", CLASSICAL_ENTRIES), ("odot", ODOT_ENTRIES))
 }
 
@@ -187,10 +185,8 @@ def _lemma_unitary(key, involution):
     if key in ORDER32:
         _, form, v = order32_scan(key)
         return form, random.Random(32).sample(v.masks, 500)
-    entries = CLASSICAL_ENTRIES if involution == "classical" else ODOT_ENTRIES
-    form = next(e for e in entries if e.key == key).form()
-    g = form.group
-    sigma = f.classical_involution(g) if involution == "classical" else f.odot_involution(form)
+    form = catalog_form(key, involution)
+    g, sigma, _ = scan_parts(form)
     return form, f.enumerate_unitary(g, sigma).masks
 
 
@@ -372,8 +368,9 @@ def test_torsion_complement_sizes(d8_odot_form, d8xc2_odot_form):
 
 def test_torsion_complement_pinned_d8xc8():
     """T at D8xC8 (order 64), outside the catalog and the benchmark references."""
-    g = f.make_direct_product(f.make_dihedral(8), f.make_cyclic(8))
-    t = f.find_complement(*decompositions._central_order_2_parts(f.make_odot_form(g)))
+    form = LARGE_ODOT_FORMS["D8xC8"]()
+    g = form.group
+    t = f.find_complement(*decompositions._central_order_2_parts(form))
     assert [decompositions._render(g, m) for m in t.generators] == [
         "1 + (1,a) + (1,a5)",
         "1 + (1,a2) + (1,a6)",
@@ -507,50 +504,30 @@ def test_alternate_representatives_give_the_same_central_unipotent(entry, monkey
             assert got == {k: c for k, c in names.items() if k != "alternate_representatives_pass"}
 
 
-def _count_unipotent_builds(monkeypatch):
-    """Wrap both public W builders with a call counter."""
-    calls = []
-    for name in ("build_central_unipotent", "build_unipotent_factor"):
-
-        def counted(form, name=name, build=getattr(decompositions, name)):
-            calls.append(name)
-            return build(form)
-
-        monkeypatch.setattr(decompositions, name, counted)
-    return calls
-
-
-def _entry_form(entries, key):
-    return next(e for e in entries if e.key == key).form()
-
-
-# The form and W's builder; the order-32 forms are above the default bound.
+# W's builder per form; the order-32 forms are above the default bound.
 LISTS_W = {
-    "D8xC2/odot": (lambda: _entry_form(ODOT_ENTRIES, "D8xC2"), "build_central_unipotent"),
-    "D8xC4/odot": (lambda: _entry_form(ODOT_ENTRIES, "D8xC4"), "build_central_unipotent"),
-    "Q16/classical": (lambda: _entry_form(CLASSICAL_ENTRIES, "Q16"), "build_unipotent_factor"),
-    "Q32/classical": (
-        lambda: f.detect_inverting_form(f.make_quaternion(32)),
-        "build_unipotent_factor",
-    ),
+    "D8xC2/odot": "build_central_unipotent",
+    "D8xC4/odot": "build_central_unipotent",
+    "Q16/classical": "build_unipotent_factor",
+    "Q32/classical": "build_unipotent_factor",
 }
 
 
 @pytest.mark.parametrize("skip", [False, True], ids=["verify", "construct"])
 @pytest.mark.parametrize("key", list(LISTS_W))
-def test_verification_lists_its_w_once(key, skip, monkeypatch):
+def test_verification_lists_its_w_once(key, skip):
     """W is listed once with the oracle and never without it: its checks,
     and the odot alternate representatives', are decided on bases of W - 1.
     The order-32 forms run no oracle either way."""
-    make_form, builder = LISTS_W[key]
-    form = make_form()
+    form = catalog_form(*key.split("/"))
     odot = key.endswith("/odot")
     verify = f.verify_odot_decomposition if odot else f.verify_inverting_decomposition
-    calls = _count_unipotent_builds(monkeypatch)
-    report = verify(form, skip_enumeration=skip)
+    builders = decompositions.build_central_unipotent, decompositions.build_unipotent_factor
+    with count_calls(*builders) as calls:
+        report = verify(form, skip_enumeration=skip)
     oracle = "oracle_unitary" in report.orders
     assert oracle is (form.group.order == 16 and not skip)
-    assert calls == ([builder] if oracle else [])
+    assert {name: n for name, n in calls.items() if n} == ({LISTS_W[key]: 1} if oracle else {})
 
 
 # ---------------------------------------------------------------------------

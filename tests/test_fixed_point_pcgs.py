@@ -24,9 +24,12 @@ import pytest
 import f2units as f
 from f2units import algebra, unitgroup
 from f2units.algebra import _mul
-from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, small_catalog_groups
+from f2units.catalog import small_catalog_groups
 from f2units.unitgroup import _fixed_point_pcgs, _ideal_powers
-from conftest import ORDER32, order32_scan
+from instances import (
+    CATALOG_FORMS, CLASSICAL_FORMS, LARGE_ODOT_FORMS, ORDER32, order32_scan, quaternion_form,
+    scan_parts,
+)
 from oracles import layered_fixed_point_pcgs, layered_ideal_powers
 from pin_reports import RUNS, expected
 
@@ -38,7 +41,7 @@ def _small_cases():
             form = f.make_odot_form(g)
         except f.HypothesisViolationError:
             continue
-        yield pytest.param(lambda form=form: (form.group, f.odot_involution(form)), id=f"{name}/odot")
+        yield pytest.param(lambda form=form: scan_parts(form)[:2], id=f"{name}/odot")
 
 
 def _lowest(x: int) -> int:
@@ -83,17 +86,7 @@ def test_pcgs_matches_the_scan(case):
 @pytest.mark.parametrize("key", list(ORDER32))
 def test_pcgs_matches_the_scan_at_order_32(key):
     g, form, v = order32_scan(key)
-    classical = ORDER32[key][1] == "classical"
-    _check_against_scan(g, f.classical_involution(g) if classical else f.odot_involution(form), v)
-
-
-def _d8xc8():
-    return f.make_direct_product(f.make_dihedral(8), f.make_cyclic(8))
-
-
-def _quaternion_classical(order):
-    g = f.make_quaternion(order)
-    return g, f.classical_involution(g)
+    _check_against_scan(g, scan_parts(form)[1], v)
 
 
 @pytest.mark.parametrize(
@@ -129,8 +122,9 @@ def test_q64_construct_order_equals_the_pcgs_order():
     """Q64 classical construct at max_order=32 passes without listing H
     (2^28 masks), and its |G||W||L| is 2^len of the fixed-point pcgs, 2^34:
     the construction checked against the filtration at order 64."""
-    g = f.make_quaternion(64)
-    report = f.verify_inverting_decomposition(f.detect_inverting_form(g), max_order=32)
+    form = quaternion_form(64)
+    g = form.group
+    report = f.verify_inverting_decomposition(form, max_order=32)
     assert report.passed
     pcgs = _fixed_point_pcgs(g, g.inv, range(g.order), g.greedy_generators)
     assert report.orders["expected_unitary"] == 1 << len(pcgs) == 1 << 34
@@ -140,32 +134,18 @@ def test_q64_construct_order_equals_the_pcgs_order():
 # the flag-basis lift against the layered slow path
 
 
-def _classical_form(form):
-    return form.group, f.classical_involution(form.group), form.a_sub
+SLOW_PATH_FORMS = {
+    **CATALOG_FORMS,
+    **{f"{key}/classical": CLASSICAL_FORMS[key] for key in ("Q32", "Ext(C16)")},
+    "Q64/classical": lambda: quaternion_form(64),
+    "D8xC8/odot": LARGE_ODOT_FORMS["D8xC8"],
+}
 
 
-def _odot_form(form):
-    return form.group, f.odot_involution(form), form.c_sub
-
-
-def _slow_path_cases():
-    for entry in CLASSICAL_ENTRIES:
-        yield pytest.param(lambda e=entry: _classical_form(e.form()), id=f"{entry.key}/classical")
-    for entry in ODOT_ENTRIES:
-        yield pytest.param(lambda e=entry: _odot_form(e.form()), id=f"{entry.key}/odot")
-    for key in ("Q32", "Ext(C16)"):
-        build = ORDER32[key][0]
-        yield pytest.param(
-            lambda build=build: _classical_form(f.detect_inverting_form(build())),
-            id=f"{key}/classical",
-        )
-    yield pytest.param(
-        lambda: _classical_form(f.detect_inverting_form(f.make_quaternion(64))), id="Q64/classical"
-    )
-    yield pytest.param(lambda: _odot_form(f.make_odot_form(_d8xc8())), id="D8xC8/odot")
-
-
-@pytest.mark.parametrize("case", list(_slow_path_cases()))
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(lambda b=build: scan_parts(b()), id=key) for key, build in SLOW_PATH_FORMS.items()],
+)
 def test_pcgs_equals_the_layered_slow_path(case):
     """On the whole group, on the support (A for the classical forms, C for
     the odot ones) with its recorded generators, and on B = support meet
@@ -192,7 +172,7 @@ def test_layer_eliminations_take_only_the_layer_coordinates(monkeypatch):
     """At Q64 classical the layer eliminations take 717 columns in all, one
     per candidate, where eliminating each layer's deltas together with the
     basis of J^(k+1) took 1,678; no column is a basis vector of J^(k+1)."""
-    g, sigma = _quaternion_classical(64)
+    g, sigma, _ = scan_parts(quaternion_form(64))
     powers = _ideal_powers(g, range(g.order), g.greedy_generators)
     calls = []
 

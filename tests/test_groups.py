@@ -31,6 +31,7 @@ from f2units.catalog import catalog_groups
 from f2units.groups import _extend, _greedy_generators
 from f2units.unitgroup import normalizes
 from perfbench.workloads import ingest_spec_texts
+from instances import relabel
 from oracles import (
     naive_canonical_generators,
     naive_center,
@@ -275,15 +276,9 @@ def _assert_same_verdict(mul):
 
 def _relabel(mul, rng):
     """Move every non-identity element to a random index."""
-    n = len(mul)
-    rest = list(range(1, n))
+    rest = list(range(1, len(mul)))
     rng.shuffle(rest)
-    pos = [0] + rest
-    out = [[0] * n for _ in range(n)]
-    for i, row in enumerate(mul):
-        for j, v in enumerate(row):
-            out[pos[i]][pos[j]] = pos[v]
-    return out
+    return relabel(mul, [0] + rest)
 
 
 def _random_loop(n, rng):

@@ -20,6 +20,7 @@ from f2units.errors import (
     NotInvertingError,
     WrongIndexError,
 )
+from instances import relabel
 from oracles import naive_is_anti_involution
 
 
@@ -282,13 +283,8 @@ CONSTRUCTED = _constructed_two_groups()
 def _relabelled(g):
     """g with every element but the identity moved to a seeded random index."""
     pos = [0, *random.Random(g.order).sample(range(1, g.order), g.order - 1)]
-    table = [[0] * g.order for _ in range(g.order)]
-    labels = [""] * g.order
-    for i, row in enumerate(g.mul):
-        labels[pos[i]] = g.labels[i]
-        for j, v in enumerate(row):
-            table[pos[i]][pos[j]] = pos[v]
-    return f.GroupTable(table, labels, name=g.name)
+    labels = [g.labels[i] for i in sorted(range(g.order), key=pos.__getitem__)]
+    return f.GroupTable(relabel(g.mul, pos), labels, name=g.name)
 
 
 @pytest.mark.parametrize("relabel", [False, True], ids=["built", "relabelled"])

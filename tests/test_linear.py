@@ -10,7 +10,6 @@ against brute force on random column sets.
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,7 @@ from hypothesis import strategies as st
 import f2units as f
 from f2units import algebra
 from f2units.algebra import _eliminate, _span
-from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, small_catalog_groups
+from f2units.catalog import CLASSICAL_ENTRIES, small_catalog_groups
 from f2units.decompositions import (
     _central_order_2_parts,
     _central_unipotent_basis,
@@ -30,7 +29,10 @@ from f2units.decompositions import (
 from f2units.errors import NotAUnitError
 from f2units.involutions import InvertingExtensionForm
 from f2units.unitgroup import _ideal_powers
-from conftest import relabelled_q32, subalgebra_units
+from conftest import subalgebra_units
+from instances import (
+    CLASSICAL_FORMS, LARGE_ODOT_FORMS, ODOT_FORMS, count_calls, quaternion_form, relabelled_q32,
+)
 from oracles import (
     bits,
     naive_basis,
@@ -42,17 +44,12 @@ from oracles import (
 )
 
 
-def _q32_form():
-    return f.make_inverting_form(f.make_quaternion(32), [1], 16)
+CLASSICAL_KEYS = (*(e.key for e in CLASSICAL_ENTRIES), "Q32")
+CLASSICAL_PARAMS = [pytest.param(CLASSICAL_FORMS[key], id=key) for key in CLASSICAL_KEYS]
+ODOT_PARAMS = [pytest.param(build, id=key) for key, build in ODOT_FORMS.items()]
 
 
-CLASSICAL_FORMS = [pytest.param(e.form, id=e.key) for e in CLASSICAL_ENTRIES] + [
-    pytest.param(_q32_form, id="Q32")
-]
-ODOT_FORMS = [pytest.param(e.form, id=e.key) for e in ODOT_ENTRIES]
-
-
-@pytest.mark.parametrize("make_form", CLASSICAL_FORMS)
+@pytest.mark.parametrize("make_form", CLASSICAL_PARAMS)
 def test_unipotent_factor_matches_listing_over_every_z(make_form):
     form = make_form()
     fibers = naive_unipotent_fibers(form.group, form.a_sub.members, form.b)
@@ -65,12 +62,9 @@ def test_unipotent_factor_matches_listing_over_every_z(make_form):
 @pytest.mark.parametrize(
     "make_form",
     [
-        pytest.param(lambda: f.detect_inverting_form(f.make_quaternion(32)), id="Q32"),
-        pytest.param(
-            lambda: f.detect_inverting_form(f.make_inverting_extension(f.make_cyclic(16), 8)),
-            id="Ext(C16)",
-        ),
-        pytest.param(lambda: f.detect_inverting_form(f.make_quaternion(64)), id="Q64"),
+        pytest.param(CLASSICAL_FORMS["Q32"], id="Q32"),
+        pytest.param(CLASSICAL_FORMS["Ext(C16)"], id="Ext(C16)"),
+        pytest.param(lambda: quaternion_form(64), id="Q64"),
     ],
 )
 def test_membership_by_reduction_matches_the_listed_w(make_form):
@@ -119,24 +113,16 @@ def test_fibers_check_reads_the_kernel_when_b_squares_to_one():
     assert checks["unipotent_fibers_uniform"] is checks["unipotent_order_formula"] is False
 
 
-@pytest.mark.parametrize("make_form", ODOT_FORMS)
+@pytest.mark.parametrize("make_form", ODOT_PARAMS)
 def test_central_unipotent_matches_triple_loop(make_form):
     form = make_form()
     expected = naive_central_unipotent(form.group, form.c_sub.members, form.a, form.b, form.e)
     assert f.build_central_unipotent(form).mask_set() == expected
 
 
-def _odot_with_c8(make_base):
-    return lambda: f.make_odot_form(f.make_direct_product(make_base(), f.make_cyclic(8)))
-
-
 @pytest.mark.parametrize(
     "make_form",
-    [
-        *ODOT_FORMS,
-        pytest.param(_odot_with_c8(lambda: f.make_dihedral(8)), id="D8xC8"),
-        pytest.param(_odot_with_c8(lambda: f.make_quaternion(8)), id="Q8xC8"),
-    ],
+    [*ODOT_PARAMS, *(pytest.param(build, id=key) for key, build in LARGE_ODOT_FORMS.items())],
 )
 def test_central_unipotent_generators_generate_w(make_form):
     """The vectors v of the odot W's generators 1 + v multiply pairwise to
@@ -147,7 +133,7 @@ def test_central_unipotent_generators_generate_w(make_form):
     assert not any(algebra._mul(g, x, y) for x in vectors for y in vectors)
 
 
-@pytest.mark.parametrize("make_form", ODOT_FORMS)
+@pytest.mark.parametrize("make_form", ODOT_PARAMS)
 def test_central_order_2_units_are_one_plus_the_squaring_kernel(make_form):
     form = make_form()
     g = form.group
@@ -165,13 +151,12 @@ def test_normalized_units_match_per_candidate_listing(g):
 
 
 def _scan_subgroups():
-    for e in CLASSICAL_ENTRIES:
-        yield pytest.param(lambda e=e: e.form().a_sub, id=f"{e.key}/A")
-    yield pytest.param(lambda: _q32_form().a_sub, id="Q32/A")
+    for key in CLASSICAL_KEYS:
+        yield pytest.param(lambda key=key: CLASSICAL_FORMS[key]().a_sub, id=f"{key}/A")
     # A relabelled table scatters A's positions over the group.
     yield pytest.param(lambda: relabelled_q32().a_sub, id="Q32 relabelled/A")
-    for e in ODOT_ENTRIES:
-        yield pytest.param(lambda e=e: e.form().c_sub, id=f"{e.key}/C")
+    for key, build in ODOT_FORMS.items():
+        yield pytest.param(lambda build=build: build().c_sub, id=f"{key}/C")
 
 
 @pytest.mark.parametrize("make_sub", list(_scan_subgroups()))
@@ -210,21 +195,10 @@ def test_supported_ideal_powers_match_all_products(make_sub):
 
 def test_normalized_units_of_q16_make_no_products():
     """The listing ORs masks."""
-    calls = 0
-    code = algebra._mul.__code__
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is code:
-            calls += 1
-
     g = f.make_quaternion(16)
-    sys.setprofile(count)
-    try:
+    with count_calls(algebra._mul) as calls:
         units = f.enumerate_normalized_units(g)
-    finally:
-        sys.setprofile(None)
-    assert (calls, units.order) == (0, 1 << 15)
+    assert (calls["_mul"], units.order) == (0, 1 << 15)
 
 
 def test_normalized_units_refuse_groups_that_are_not_2_groups():

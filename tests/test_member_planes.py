@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 import f2units as f
 from f2units import algebra, cli, decompositions
 from f2units.algebra import _mul, _span
-from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES, catalog_groups
+from f2units.catalog import catalog_groups
 from f2units.decompositions import (
     DecompositionReport,
     _add_member_check,
@@ -30,13 +29,13 @@ from f2units.decompositions import (
     build_unipotent_factor,
 )
 from f2units.unitgroup import (
-    _fixed_planes,
     _member_planes,
     _product_planes,
     group_image,
     make_unit_set,
 )
 from conftest import central_members, conjugation_involutions
+from instances import CATALOG_FORMS, catalog_form, count_calls
 from oracles import naive_first_failing_member, naive_product
 
 ORDERS = (2, 4, 8, 16, 32, 64, 128)
@@ -135,7 +134,7 @@ def test_products_by_a_fixed_multiplier_match_mul(name):
     planes = _member_planes(xs, n)
     full = (1 << len(xs)) - 1
     for y in [rng.getrandbits(n) for _ in range(4)] + [0, 1, 1 << (n - 1)]:
-        fixed = _fixed_planes(n, y, full)
+        fixed = [full if y >> j & 1 else 0 for j in range(n)]
         right = _read_back(_product_planes(g, planes, fixed), len(xs))
         left = _read_back(_product_planes(g, fixed, planes), len(xs))
         assert right == [_mul(g, x, y) for x in xs]
@@ -146,8 +145,7 @@ def test_largest_listed_product_d8xc4():
     """The odot oracle comparison decides (G.T).W by orders, listing G.T
     only; at D8xC4 the product would hold |G.T||W| / |G.T meet W| =
     512 * 4096 = 2,097,152 masks."""
-    (entry,) = [e for e in ODOT_ENTRIES if e.key == "D8xC4"]
-    form = entry.form()
+    form = catalog_form("D8xC4", "odot")
     g = form.group
     sizes = (group_image(g), build_torsion_complement(form), build_central_unipotent(form))
     assert [s.order for s in sizes] == [32, 16, 4096]
@@ -172,25 +170,18 @@ def _classical_lists(form):
 def _odot_lists(form):
     g = form.group
     sigma = f.odot_involution(form)
-    gen_basis = [1 << i for i in g.greedy_generators]
+    central = g.greedy_generators
     return [
-        ("W", build_central_unipotent(form).masks, dict(sigma=sigma, square=True, central=gen_basis)),
+        ("W", build_central_unipotent(form).masks, dict(sigma=sigma, square=True, central=central)),
         ("G", group_image(g).masks, dict(sigma=sigma)),
         ("T", build_torsion_complement(form).masks, dict(sigma=sigma)),
     ]
 
 
-FORMS = {
-    **{f"{e.key}/classical": e.form for e in CLASSICAL_ENTRIES},
-    **{f"{e.key}/odot": e.form for e in ODOT_ENTRIES},
-    "Q32/classical": lambda: f.detect_inverting_form(f.make_quaternion(32)),
-    "Ext(C16)/classical": lambda: f.detect_inverting_form(
-        f.make_inverting_extension(f.make_cyclic(16), 8)
-    ),
-}
+KEYS = [*CATALOG_FORMS, "Q32/classical", "Ext(C16)/classical"]
 CASES = [
     f"{key}/{label}"
-    for key in FORMS
+    for key in KEYS
     for label in (("W", "H") if key.endswith("/classical") else ("W", "G", "T"))
 ]
 
@@ -198,7 +189,7 @@ CASES = [
 @functools.cache
 def _lists(key):
     """Built when a test asks, so that a broken builder fails that test."""
-    form = FORMS[key]()
+    form = catalog_form(*key.split("/"))
     lists = _classical_lists(form) if key.endswith("/classical") else _odot_lists(form)
     return {label: (form.group, masks, kw) for label, masks, kw in lists}
 
@@ -263,8 +254,7 @@ def test_member_check_reports_the_lowest_failing_member():
 
 @pytest.mark.parametrize("key, witness", [("D8", "s"), ("D8xC4", "(1,a)")])
 def test_group_inside_unitary_witness(key, witness):
-    (entry,) = [e for e in ODOT_ENTRIES if e.key == key]
-    report = f.verify_odot_decomposition(entry.form(), skip_enumeration=True)
+    report = f.verify_odot_decomposition(catalog_form(key, "odot"), skip_enumeration=True)
     (check,) = [c for c in report.checks if c.name == "group_inside_unitary"]
     assert not check.passed
     assert check.witness == witness
@@ -306,16 +296,15 @@ def test_group_inside_unitary_on_generators_matches_every_member(name):
 def _pipeline_w(key):
     """W as the verification builds it, its involution, and the keywords of
     its member check."""
-    form = FORMS[key]()
+    form = catalog_form(*key.split("/"))
     g = form.group
     if key.endswith("/classical"):
         return build_unipotent_factor(form), f.classical_involution(g), dict(square=True)
-    central = [1 << i for i in g.greedy_generators]
     sigma = f.odot_involution(form)
-    return build_central_unipotent(form), sigma, dict(square=True, central=central)
+    return build_central_unipotent(form), sigma, dict(square=True, central=g.greedy_generators)
 
 
-@pytest.mark.parametrize("key", sorted(FORMS))
+@pytest.mark.parametrize("key", sorted(KEYS))
 def test_w_check_on_generators_matches_every_member(key):
     """The unitary, the central and, in the abelian W, the square-1 units
     each form a group, so W's recorded generators give the verdict of all
@@ -326,10 +315,12 @@ def test_w_check_on_generators_matches_every_member(key):
     sigmas = [own]
     if g.order <= 16:
         sigmas += [s for _, s in conjugation_involutions(g)]
+    central = [1 << y for y in kw.get("central", ())]  # the oracle takes masks
     verdicts = []
     for sigma in sigmas:
         passed, _ = _plane_result(g, w.generators, dict(sigma=sigma, **kw))
-        assert passed == (naive_first_failing_member(g, w.masks, perm=sigma.perm, **kw) is None)
+        bad = naive_first_failing_member(g, w.masks, sigma.perm, True, central)
+        assert passed == (bad is None)
         verdicts.append(passed)
     assert verdicts[0]
 
@@ -359,7 +350,7 @@ def test_member_checks_read_the_generators(monkeypatch, case):
     intact, the check fails and names that mask; the members alone would
     pass."""
     key, builder, name, label, factor = MUTANTS[case]
-    form = FORMS[key]()
+    form = catalog_form(*key.split("/"))
     g = form.group
     kw = _lists(key)[factor][2]
     bad = 1 << g.labels.index(label)
@@ -415,19 +406,10 @@ def test_catalog_mode_multiplication_count(capsys):
     torsion contract listed canonical generators of it). The odot direct
     product reads W's centrality from the member check's planes (1,717
     _mul calls while it multiplied W's generators with G's again)."""
-    calls = {algebra._mul.__code__: 0, algebra._products.__code__: 0}
-
-    def count(frame, event, arg):
-        if event == "call" and frame.f_code in calls:
-            calls[frame.f_code] += 1
-
     config = cli.RunConfig(group=None, involution=None, mode="catalog", fmt="json")
-    sys.setprofile(count)
-    try:
+    with count_calls(algebra._mul, algebra._products) as calls:
         status = cli.run(config)
-    finally:
-        sys.setprofile(None)
     capsys.readouterr()
     assert status == 1  # the dihedral odot instances fail by design
-    assert calls[algebra._mul.__code__] <= 1_244
-    assert calls[algebra._products.__code__] <= 31
+    assert calls["_mul"] <= 1_244
+    assert calls["_products"] <= 31

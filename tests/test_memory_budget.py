@@ -12,8 +12,8 @@ import pytest
 
 import f2units as f
 from f2units import algebra, decompositions, unitgroup
-from f2units.catalog import ODOT_ENTRIES
 from f2units.cli import main
+from instances import catalog_form, quaternion_form, scan_parts
 
 BUDGET = "above the memory budget of 2,147,483,648 bytes"
 
@@ -121,7 +121,7 @@ def test_normal_cofactor_estimates_h_before_its_premise(monkeypatch):
     """``build_normal_cofactor`` decides its premise by a reduction per member
     of W, 0.32 s for Q64's 2^16, so H = W*L is estimated first: with 2^12
     masks on A for L, H's 2^28 masks are refused before W is read."""
-    form = f.detect_inverting_form(f.make_quaternion(64))
+    form = quaternion_form(64)
     g = form.group
     w = f.build_unipotent_factor(form)
     a_basis = [1 ^ 1 << a for a in form.a_sub.members[1:13]]
@@ -156,12 +156,8 @@ def test_each_listing_is_estimated_at_its_size(monkeypatch):
     central units at three times that, as the complement search keeps S*F
     at each depth beside them. The odot oracle lists W and G*T after them."""
     estimates = _record_estimates(monkeypatch)
-    classical = f.verify_inverting_decomposition(
-        f.make_inverting_form(f.make_quaternion(16), [1], 8)
-    ).orders
-    odot = f.verify_odot_decomposition(
-        f.make_odot_form(f.make_direct_product(f.make_dihedral(8), f.make_cyclic(2)))
-    ).orders
+    classical = f.verify_inverting_decomposition(catalog_form("Q16", "classical")).orders
+    odot = f.verify_odot_decomposition(catalog_form("D8xC2", "odot")).orders
     units = f.enumerate_normalized_units(f.make_quaternion(8))
     assert estimates == [
         ("the unipotent factor W", classical["unipotent"]),
@@ -177,7 +173,7 @@ def test_each_listing_is_estimated_at_its_size(monkeypatch):
 def test_odot_lists_w_and_gt_only_for_the_oracle(key, monkeypatch):
     """Construct mode estimates only the order-2 central units (with their
     complement search); the oracle branch lists W and G*T, once each."""
-    form = next(e for e in ODOT_ENTRIES if e.key == key).form()
+    form = catalog_form(key, "odot")
     estimates = _record_estimates(monkeypatch)
     construct = f.verify_odot_decomposition(form, skip_enumeration=True).orders
     order_2 = (ORDER_2, 3 * construct["central_units_order_2"])
@@ -236,17 +232,15 @@ def test_scans_that_fit_at_worst_count_no_hits(monkeypatch):
     monkeypatch.setattr(unitgroup, "_fixed_point_pcgs", _refuse("unitgroup._fixed_point_pcgs"))
     g = f.make_quaternion(16)
     assert f.enumerate_unitary(g, f.classical_involution(g)).order == 1 << 10
-    q32 = f.detect_inverting_form(f.make_quaternion(32))
+    q32 = catalog_form("Q32", "classical")
     assert f.verify_inverting_decomposition(q32, skip_enumeration=True).passed
 
 
 def _hit_count_cases():
-    form = f.make_inverting_form(f.make_quaternion(16), [1], 8)
-    classical = f.classical_involution(form.group)
-    yield pytest.param(form.group, classical, None, id="Q16/G")
-    yield pytest.param(form.group, classical, form.a_sub, id="Q16/A")
-    g = f.make_direct_product(f.make_dihedral(8), f.make_cyclic(2))
-    sigma = f.odot_involution(f.make_odot_form(g))
+    g, classical, a_sub = scan_parts(catalog_form("Q16", "classical"))
+    yield pytest.param(g, classical, None, id="Q16/G")
+    yield pytest.param(g, classical, a_sub, id="Q16/A")
+    g, sigma, _ = scan_parts(catalog_form("D8xC2", "odot"))
     yield pytest.param(g, sigma, None, id="D8xC2/odot/G")
     subs = {f.subgroup_closure(g, [x, y]).members for x in range(g.order) for y in range(x)}
     for members in sorted(subs, key=lambda m: (len(m), m)):

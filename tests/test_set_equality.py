@@ -26,7 +26,8 @@ from f2units.algebra import _eliminate, _involute, _span
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import HypothesisViolationError
 from f2units.groups import _greedy_generators
-from conftest import relabelled_q32, subalgebra_units
+from conftest import subalgebra_units
+from instances import CLASSICAL_FORMS, catalog_form, count_calls, quaternion_form, relabelled_q32
 from oracles import (
     naive_cofactor_premise,
     naive_commute,
@@ -36,27 +37,6 @@ from oracles import (
     naive_structure_predicates,
 )
 from pin_reports import RUNS, expected
-
-
-def _extension(base, square_label):
-    def form():
-        a = base()
-        return f.detect_inverting_form(f.make_inverting_extension(a, a.labels.index(square_label)))
-
-    return form
-
-
-CLASSICAL_FORMS = {
-    **{e.key: e.form for e in CLASSICAL_ENTRIES},
-    "Q32": lambda: f.detect_inverting_form(f.make_quaternion(32)),
-    "Ext(C16)": _extension(lambda: f.make_cyclic(16), "a8"),
-    "Ext(C4xC4)": _extension(
-        lambda: f.make_direct_product(f.make_cyclic(4), f.make_cyclic(4)), "(1,a2)"
-    ),
-    "Ext(C8xC2)": _extension(
-        lambda: f.make_direct_product(f.make_cyclic(8), f.make_cyclic(2)), "(a4,1)"
-    ),
-}
 
 
 @pytest.mark.parametrize("key", [*CLASSICAL_FORMS, "Q32 relabelled"])
@@ -177,8 +157,7 @@ def test_odot_verdicts_by_orders_match_listing(key, mutant, monkeypatch):
     """The report's direct_product and oracle_set_equality (scan in bounds)
     or factors_pairwise_direct (D8xC4, construct only) against a listing of
     (G*T)*W and of the running product."""
-    (entry,) = [e for e in ODOT_ENTRIES if e.key == key]
-    form = entry.form()
+    form = catalog_form(key, "odot")
     g = form.group
     t = f.build_torsion_complement(form)
     w = f.build_central_unipotent(form)
@@ -222,8 +201,7 @@ def test_odot_w_basis_touching_c_is_not_direct(key, monkeypatch):
     commutes with G and T and meets the listed G*T only in 1, so the listed
     criterion passes, but the argument that G*T meets W trivially rests on
     every basis vector lying off C."""
-    (entry,) = [e for e in ODOT_ENTRIES if e.key == key]
-    form = entry.form()
+    form = catalog_form(key, "odot")
     g = form.group
     basis = decompositions._central_unipotent_basis
 
@@ -249,8 +227,7 @@ def test_odot_w_basis_touching_c_is_not_direct(key, monkeypatch):
 
 
 def _q8_parts():
-    g = f.make_quaternion(8)
-    form = f.make_inverting_form(g, [1], 4)
+    form = catalog_form("Q8", "classical")
     return form, f.build_unipotent_factor(form), f.build_abelian_complement(form)
 
 
@@ -373,24 +350,16 @@ def test_premise_matches_the_member_elimination_on_random_sets(key, data):
 
 
 @pytest.mark.parametrize("skip", [False, True], ids=["verify", "construct"])
-def test_classical_pipeline_decides_the_cofactor_premise_once(q16_form, skip, monkeypatch):
+def test_classical_pipeline_decides_the_cofactor_premise_once(q16_form, skip):
     """Each half of the premise is decided once: the module check on W's
     basis right after it is computed, L on A at the cofactor step, and the
     oracle lists H by the sumset alone. ``build_normal_cofactor`` keeps both
     halves for direct callers."""
-    calls = {"_require_w_module": 0, "_require_on_a": 0}
-    for name in calls:
-        check = getattr(decompositions, name)
-
-        def counted(*args, name=name, check=check):
-            calls[name] += 1
-            return check(*args)
-
-        monkeypatch.setattr(decompositions, name, counted)
-    assert f.verify_inverting_decomposition(q16_form, skip_enumeration=skip).passed
-    assert calls == {"_require_w_module": 1, "_require_on_a": 1}
-    w, ell = f.build_unipotent_factor(q16_form), f.build_abelian_complement(q16_form)
-    f.build_normal_cofactor(q16_form, w, ell)
+    with count_calls(decompositions._require_w_module, decompositions._require_on_a) as calls:
+        assert f.verify_inverting_decomposition(q16_form, skip_enumeration=skip).passed
+        assert calls == {"_require_w_module": 1, "_require_on_a": 1}
+        w, ell = f.build_unipotent_factor(q16_form), f.build_abelian_complement(q16_form)
+        f.build_normal_cofactor(q16_form, w, ell)
     assert calls == {"_require_w_module": 2, "_require_on_a": 2}
 
 
@@ -494,7 +463,7 @@ def test_generator_route_on_generators_matches_the_listing_at_q64():
     def listing(g, gens, masks):
         return _greedy_generators(partial(algebra._mul, g), 1, gens)[1] == set(masks)
 
-    verdicts = _route_verdicts(f.detect_inverting_form(f.make_quaternion(64)), listing)
+    verdicts = _route_verdicts(quaternion_form(64), listing)
     assert verdicts == {"as built": True, "b*b": False, "rank lost": False}
 
 
@@ -544,8 +513,7 @@ def test_no_pipeline_lists_a_product(capsys):
     catalog = cli.RunConfig(group=None, involution=None, mode="catalog", fmt="json")
     assert cli.run(catalog) == 1  # the dihedral odot instances fail by design
     capsys.readouterr()
-    (q16,) = [e for e in CLASSICAL_ENTRIES if e.key == "Q16"]
-    assert f.verify_inverting_decomposition(q16.form()).passed
+    assert f.verify_inverting_decomposition(CLASSICAL_FORMS["Q16"]()).passed
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from f2units.unitgroup import (
     normalizes,
 )
 from conftest import subalgebra_units
+from instances import catalog_form, scan_parts
 from oracles import (
     naive_canonical_generators,
     naive_commute,
@@ -76,8 +77,7 @@ def naive_direct(g, ambient, factors) -> bool:
     return total == set(ambient.masks)
 
 
-def classical_parts(entry):
-    form = entry.form()
+def classical_parts(form):
     g = form.group
     v = f.enumerate_unitary(g, f.classical_involution(g))
     v_a = f.enumerate_unitary(g, f.classical_involution(g), support=form.a_sub)
@@ -87,8 +87,7 @@ def classical_parts(entry):
     return form, v, v_a, w, ell, h
 
 
-def odot_parts(entry):
-    form = entry.form()
+def odot_parts(form):
     g = form.group
     v = f.enumerate_unitary(g, f.odot_involution(form))
     t = f.build_torsion_complement(form)
@@ -98,7 +97,7 @@ def odot_parts(entry):
 
 @pytest.mark.parametrize("entry", SMALL_CLASSICAL, ids=lambda e: e.key)
 def test_classical_checks_match_oracles(entry):
-    form, v, v_a, w, ell, h = classical_parts(entry)
+    form, v, v_a, w, ell, h = classical_parts(entry.form())
     g = form.group
     img = f.group_image(g)
     assert f.internal_semidirect(h, w, ell) is naive_semidirect(g, h, w, ell) is True
@@ -118,7 +117,7 @@ def test_classical_checks_match_oracles(entry):
 
 @pytest.mark.parametrize("entry", SMALL_ODOT, ids=lambda e: e.key)
 def test_odot_checks_match_oracles(entry):
-    form, v, t, w = odot_parts(entry)
+    form, v, t, w = odot_parts(entry.form())
     g = form.group
     img = f.group_image(g)
     factors = [img, t, w]
@@ -139,8 +138,7 @@ def test_odot_checks_match_oracles(entry):
 
 
 def test_q16_false_cases():
-    (entry,) = [e for e in CLASSICAL_ENTRIES if e.key == "Q16"]
-    _, v, _, w, ell, h = classical_parts(entry)
+    _, v, _, w, ell, h = classical_parts(catalog_form("Q16", "classical"))
     g = v.group
     img = f.group_image(g)
     # the group image is not normal in the unitary group
@@ -203,7 +201,7 @@ def _assert_generated(s):
 
 @pytest.mark.parametrize("entry", SMALL_CLASSICAL, ids=lambda e: e.key)
 def test_classical_recorded_generators_generate(entry):
-    form, _, _, w, ell, h = classical_parts(entry)
+    form, _, _, w, ell, h = classical_parts(entry.form())
     g = form.group
     for s in (w, ell, h, f.group_image(g), f.group_image(g, form.a_sub)):
         _assert_generated(s)
@@ -211,20 +209,19 @@ def test_classical_recorded_generators_generate(entry):
 
 @pytest.mark.parametrize("entry", SMALL_ODOT, ids=lambda e: e.key)
 def test_odot_recorded_generators_generate(entry):
-    form, _, t, w = odot_parts(entry)
+    form, _, t, w = odot_parts(entry.form())
     for s in (t, w, f.group_image(form.group)):
         _assert_generated(s)
 
 
 def test_order32_recorded_generators_generate():
     """The constructive-only path at order 32 relies on the generators alone."""
-    form = f.make_inverting_form(f.make_quaternion(32), [1], 16)
+    form = catalog_form("Q32", "classical")
     w = f.build_unipotent_factor(form)
     ell = f.build_abelian_complement(form)
     for s in (w, ell, f.build_normal_cofactor(form, w, ell)):
         _assert_generated(s)
-    (entry,) = [e for e in ODOT_ENTRIES if e.key == "D8xC4"]
-    form = entry.form()
+    form = catalog_form("D8xC4", "odot")
     for s in (f.build_torsion_complement(form), f.build_central_unipotent(form)):
         _assert_generated(s)
 
@@ -234,23 +231,17 @@ def _sets_without_recorded_generators():
     V_* of every catalog instance of order at most 16, V_*(F2A) of the
     classical ones, and the two such sets the order-32 construction uses."""
     for entry in SMALL_CLASSICAL:
-        form = entry.form()
-        g = form.group
-        sigma = f.classical_involution(g)
+        g, sigma, a_sub = scan_parts(entry.form())
         yield f"{entry.key}/classical/V", lambda g=g, s=sigma: f.enumerate_unitary(g, s)
-        yield f"{entry.key}/classical/V_A", lambda g=g, s=sigma, a=form.a_sub: (
+        yield f"{entry.key}/classical/V_A", lambda g=g, s=sigma, a=a_sub: (
             f.enumerate_unitary(g, s, support=a)
         )
     for entry in SMALL_ODOT:
-        form = entry.form()
-        yield f"{entry.key}/odot/V", lambda form=form: (
-            f.enumerate_unitary(form.group, f.odot_involution(form))
-        )
-    q32 = f.make_inverting_form(f.make_quaternion(32), [1], 16)
-    yield "Q32/v_a", lambda: f.enumerate_unitary(
-        q32.group, f.classical_involution(q32.group), support=q32.a_sub
-    )
-    (d8xc4,) = [e.form() for e in ODOT_ENTRIES if e.key == "D8xC4"]
+        g, sigma, _ = scan_parts(entry.form())
+        yield f"{entry.key}/odot/V", lambda g=g, s=sigma: f.enumerate_unitary(g, s)
+    g, sigma, a_sub = scan_parts(catalog_form("Q32", "classical"))
+    yield "Q32/v_a", lambda g=g, s=sigma, a=a_sub: f.enumerate_unitary(g, s, support=a)
+    d8xc4 = catalog_form("D8xC4", "odot")
     yield "D8xC4/v_c2", lambda g=d8xc4.group: f.make_unit_set(
         g, (m for m in subalgebra_units(d8xc4.c_sub) if naive_mul(g, m, m) == 1)
     )
@@ -347,7 +338,7 @@ def test_direct_by_order_matches_listed_product(name, rng):
 
 
 def test_order32_cofactor_checks_by_order_match_listed_product():
-    form = f.make_inverting_form(f.make_quaternion(32), [1], 16)
+    form = catalog_form("Q32", "classical")
     g = form.group
     w = f.build_unipotent_factor(form)
     v_a = f.enumerate_unitary(g, f.classical_involution(g), max_order=32, support=form.a_sub)

@@ -19,7 +19,8 @@ from f2units.algebra import _involute
 from f2units.catalog import CLASSICAL_ENTRIES, ODOT_ENTRIES
 from f2units.errors import HypothesisViolationError
 from f2units.unitgroup import _product_is
-from conftest import central_members, conjugation_involutions, order32_scan, relabelled_q32
+from conftest import central_members, conjugation_involutions
+from instances import CATALOG_FORMS, CLASSICAL_FORMS, order32_scan, relabelled_q32, scan_parts
 from oracles import naive_subalgebra_unitary_masks, naive_unitary_masks
 
 REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
@@ -28,17 +29,10 @@ REFERENCES = Path(__file__).resolve().parents[1] / "perfbench" / "references.jso
 def _instances(max_order):
     """One (group, sigma, support subgroup) param per catalog instance."""
     out = []
-    for entry in CLASSICAL_ENTRIES:
-        form = entry.form()
-        g = form.group
+    for key, build in CATALOG_FORMS.items():
+        g, sigma, sub = scan_parts(build())
         if g.order <= max_order:
-            sigma = f.classical_involution(g)
-            out.append(pytest.param(g, sigma, form.a_sub, id=f"{entry.key}/classical"))
-    for entry in ODOT_ENTRIES:
-        form = entry.form()
-        g = form.group
-        if g.order <= max_order:
-            out.append(pytest.param(g, f.odot_involution(form), form.c_sub, id=f"{entry.key}/odot"))
+            out.append(pytest.param(g, sigma, sub, id=key))
     return out
 
 
@@ -151,9 +145,7 @@ def test_kernel_returns_its_hits_ascending(classical16, nlow, monkeypatch):
 def scattered_support():
     """Relabelled Q32, its classical involution, its index-2 subgroup A (16
     positions scattered over 0..31) and the naive unitary masks on A."""
-    form = relabelled_q32()
-    g, sub = form.group, form.a_sub
-    sigma = f.classical_involution(g)
+    g, sigma, sub = scan_parts(relabelled_q32())
     return g, sigma, sub, naive_subalgebra_unitary_masks(g, sigma.perm, sub.members)
 
 
@@ -218,7 +210,7 @@ def test_kernel_peak_stays_inside_its_estimates(key, monkeypatch):
         g = f.make_direct_product(f.make_dihedral(8), f.make_cyclic(2))
         members = tuple(range(g.order))
     else:
-        form = f.detect_inverting_form(f.make_quaternion(32))
+        form = CLASSICAL_FORMS["Q32"]()
         g, members = form.group, tuple(form.a_sub.members)
     sigma = f.classical_involution(g)
     estimates = []
@@ -272,16 +264,10 @@ def test_products_of_small_groups_match_naive(data, g, workers):
 # order 32: the full oracle, past the default bound
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        pytest.param(lambda: f.make_quaternion(32), id="Q32"),
-        pytest.param(lambda: f.make_inverting_extension(f.make_cyclic(16), 8), id="Ext(C16)"),
-    ],
-)
-def test_order32_classical_oracle_equals_group_times_cofactor(build, monkeypatch):
-    g = build()
-    form = f.detect_inverting_form(g)
+@pytest.mark.parametrize("key", ["Q32", "Ext(C16)"])
+def test_order32_classical_oracle_equals_group_times_cofactor(key, monkeypatch):
+    form = CLASSICAL_FORMS[key]()
+    g = form.group
     w = f.build_unipotent_factor(form)
     h = f.build_normal_cofactor(form, w, f.build_abelian_complement(form))
 

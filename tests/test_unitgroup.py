@@ -13,6 +13,7 @@ from f2units.errors import (
     TooLargeError,
 )
 from conftest import subalgebra_units
+from instances import count_calls
 from oracles import naive_mul, naive_structure_predicates, naive_unit_masks, naive_unitary_masks
 
 
@@ -244,18 +245,15 @@ def test_structure_predicates_exponent_beyond_two(build):
     assert preds == {"is_elementary_abelian_2": False, "rank": None}
 
 
-def test_exponent_of_a_non_unit_stops_after_the_group_order(q8, monkeypatch):
+def test_exponent_of_a_non_unit_stops_after_the_group_order(q8):
     """The squares of the non-unit 1 + g1 give up once the order would pass
     |G| = 8, after log2(8) of them (a walk through the powers ran to 2^20
     products)."""
     from f2units import algebra
 
-    mul = algebra._mul
-    calls = []
-    monkeypatch.setattr(algebra, "_mul", lambda *args: calls.append(args) or mul(*args))
-    with pytest.raises(NotAUnitError):
+    with count_calls(algebra._mul) as calls, pytest.raises(NotAUnitError):
         algebra._squares(q8, 1 | 1 << 1)
-    assert len(calls) == 3
+    assert calls["_mul"] == 3
 
 
 def test_canonical_generators_regenerate(q8, q8_form):
